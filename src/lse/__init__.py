@@ -22,8 +22,8 @@ from .model import (Dims, ModelParams, TrainConfig, batch_gradients, batch_loss,
 from .qlm import EntityLanguageModel, estimate, sweep_lambda
 from .retrieval import (RankedList, aggregate_entity_vectors, cosine,
                         rank_entities, read_run, write_run)
-from .sampling import (InstanceBlock, SamplerConfig, TrainingInstance,
-                       make_batches, ngrams_per_entity_per_epoch, sample_epoch)
+from .sampling import (InstanceBlock, SamplerConfig, make_batches,
+                       ngrams_per_entity_per_epoch, sample_epoch)
 from .text import (Corpus, Document, Vocabulary, build_vocabulary, encode_corpus,
                    extract_topic_query, tokenize, topics_from_categories)
 from .training import TrainResult, train, write_epoch_log
@@ -44,7 +44,7 @@ __all__ = [
     "EntityLanguageModel", "estimate", "sweep_lambda",
     "RankedList", "aggregate_entity_vectors", "cosine", "rank_entities",
     "read_run", "write_run",
-    "InstanceBlock", "SamplerConfig", "TrainingInstance", "make_batches",
+    "InstanceBlock", "SamplerConfig", "make_batches",
     "ngrams_per_entity_per_epoch", "sample_epoch",
     "Corpus", "Document", "Vocabulary", "build_vocabulary", "encode_corpus",
     "extract_topic_query", "tokenize", "topics_from_categories",

@@ -18,8 +18,8 @@ from .evaluation import (Qrels, TopicSet, evaluate_run, paired_t_test,
                          significance_marker)
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
                   ideal_vector_report, load_graph, load_qi_attributes, GRAPH_NAMES)
-from .model import (Dims, TrainConfig, batch_gradients, batch_loss, init_params,
-                    load_model, save_model)
+from .model import (Dims, TrainConfig, init_params, load_model,
+                    max_relative_fd_error, save_model)
 from .qlm import estimate as qlm_estimate
 from .qlm import rank as qlm_rank
 from .qlm import sweep_lambda
@@ -160,10 +160,8 @@ def _load_train_config(config_path, overrides):
               callback=_resolve_input)
 @click.option("--validation-qrels", default=None, type=click.Path(dir_okay=False),
               callback=_resolve_input)
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker cap (training itself is single-threaded).")
 def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
-              validation_qrels, threads, **overrides):
+              validation_qrels, **overrides):
     """Train the model and write the container, epoch log and manifest."""
     config = _load_train_config(config_path, overrides)
     _prepare_out(out_dir)
@@ -364,9 +362,8 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--cutoff", default=100, show_default=True)
 @click.option("--pair-samples", default=100000, show_default=True)
-@click.option("--threads", default=1, show_default=True)
 def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs,
-             lambda_jm, folds, seed, cutoff, pair_samples, threads):
+             lambda_jm, folds, seed, cutoff, pair_samples):
     """Cross-validated fusion of query-independent, lexical and latent
     features."""
     _prepare_out(out_dir)
@@ -405,8 +402,7 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
     report = cross_validated_fusion(table, qrels_data, folds=folds, seed=seed,
                                     cutoff=cutoff,
                                     ranker_config=RankerConfig(pair_samples=pair_samples,
-                                                               seed=seed),
-                                    threads=threads)
+                                                               seed=seed))
     metrics = [f"ndcg@{cutoff}", "p@5", "p@10"]
     with open(os.path.join(out_dir, "fusion.csv"), "w", encoding="utf-8",
               newline="") as fh:
@@ -442,9 +438,8 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
 @click.option("--cutoff", default=100, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--pair-samples", default=100000, show_default=True)
-@click.option("--threads", default=1, show_default=True)
 def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
-                     pair_samples, threads):
+                     pair_samples):
     """Compare per-topic ideal retrieval vectors against projected queries.
 
     Topics with a single relevant entity are skipped and listed as such in
@@ -461,8 +456,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
                                Qrels.load(qrels), header["entity_ids"],
                                cutoff=cutoff,
                                config=RankerConfig(pair_samples=pair_samples,
-                                                   seed=seed),
-                               threads=threads)
+                                                   seed=seed))
     with open(os.path.join(out_dir, "ideal.csv"), "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.writer(fh)
@@ -510,8 +504,7 @@ def cmd_grad_check(seeds, eps, tolerance, out_dir):
             block = InstanceBlock(rng.integers(0, 6, size=(3, 2)),
                                   rng.integers(0, 5, size=3),
                                   rng.integers(0, 5, size=(3, 2)))
-            grads = batch_gradients(params, block, weight_decay)
-            err = _max_relative_fd_error(params, block, weight_decay, grads, eps)
+            err = max_relative_fd_error(params, block, weight_decay, eps)
             worst = max(worst, err)
             results.append({"seed": seed, "lambda": weight_decay, "max_rel_err": err})
     elapsed = time.perf_counter() - t0
@@ -526,33 +519,6 @@ def cmd_grad_check(seeds, eps, tolerance, out_dir):
             fh.write("\n")
     if worst >= tolerance:
         raise click.ClickException(f"gradient check failed: {worst:.3e} >= {tolerance}")
-
-
-def _max_relative_fd_error(params, batch, weight_decay, grads, eps):
-    """Max per-coordinate relative error of analytic vs central-difference
-    gradients; coordinates where both are below 1e-8 in magnitude count as
-    exact."""
-    from .model import PARAM_FIELDS
-
-    worst = 0.0
-    for name in PARAM_FIELDS:
-        theta = getattr(params, name)
-        analytic = getattr(grads, name)
-        flat = theta.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = batch_loss(params, batch, weight_decay)
-            flat[i] = orig - eps
-            down = batch_loss(params, batch, weight_decay)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * eps)
-            a = analytic.reshape(-1)[i]
-            denom = max(abs(a), abs(fd))
-            if denom < 1e-8:
-                continue
-            worst = max(worst, abs(a - fd) / denom)
-    return worst
 
 
 if __name__ == "__main__":

@@ -84,6 +84,9 @@ class Qrels:
                 if len(parts) != 4:
                     raise DataError(f"{path}:{lineno + 1}: expected 4 fields")
                 tid, _iter, eid, grade = parts
+                if grade not in ("0", "1"):
+                    raise DataError(f"{path}:{lineno + 1}: relevance grade must be "
+                                    f"0 or 1, got {grade!r}")
                 grades[(tid, eid)] = int(grade)
         return cls(grades)
 

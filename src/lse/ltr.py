@@ -5,7 +5,6 @@ RankSVM trained by stochastic gradient descent with balanced pair sampling,
 vector approximation."""
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,7 +296,7 @@ def _fold_partition(topics, folds, seed):
 
 
 def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10),
-                           ranker_config=None, threads=1):
+                           ranker_config=None):
     """Run the four feature combinations under a seeded topic-level fold
     partition; per fold, train on the other folds' topics and score the held
     out ones. Features are z-scored with statistics fit on training folds
@@ -314,8 +313,8 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
                            for eid in table.entity_ids], dtype=np.int64)
         topic_rows[tid] = labels
 
-    def run_combo(combo_index):
-        combo = COMBOS[combo_index]
+    rows = []
+    for combo_index, combo in enumerate(COMBOS):
         cols = table.columns_for(combo)
         runs = {}
         for fold_index, heldout in enumerate(partition):
@@ -339,16 +338,6 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
             for tid in heldout:
                 scores = ranker.scores((table.matrices[tid][:, cols] - mean) / std)
                 runs[tid] = ranked_from_scores(tid, table.entity_ids, scores)
-        return runs
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            combo_runs = list(pool.map(run_combo, range(len(COMBOS))))
-    else:
-        combo_runs = [run_combo(i) for i in range(len(COMBOS))]
-
-    rows = []
-    for combo, runs in zip(COMBOS, combo_runs):
         report = evaluate_run(runs, qrels, cutoff=cutoff, ks=ks)
         rows.append({"features": "+".join(combo),
                      "means": report.means,
@@ -393,7 +382,7 @@ def ideal_vector(topic_id, qrels, w_e, entity_ids, config=None):
 
 
 def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
-                        config=None, threads=1):
+                        config=None):
     """Per-topic comparison of the ideal-vector ranking against the
     projected-query ranking.
 
@@ -430,7 +419,4 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
                 "ndcg_ideal": ndcg_fn(ideal_run, qrels, cutoff),
                 "ndcg_query": ndcg_fn(query_run, qrels, cutoff)}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_topic, range(len(tids))))
     return [run_topic(i) for i in range(len(tids))]

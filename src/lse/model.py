@@ -10,6 +10,7 @@ W_v, W and W_e; the bias b is not regularized.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -136,21 +137,12 @@ def similarity_prob(entity_vec, projected):
     return min(max(p, _PROB_LO), _PROB_HI)
 
 
-def instance_log_prob(params, instance):
+def instance_log_prob(params, ngram, positive, negatives):
     """log sigma(e+ . f) + sum_k log(1 - sigma(e_k . f)), in log domain."""
-    f = project(params, instance.ngram)
-    dpos = float(params.W_e[instance.positive_entity] @ f)
-    dneg = params.W_e[np.asarray(instance.negatives, dtype=np.intp)] @ f
+    f = project(params, ngram)
+    dpos = float(params.W_e[positive] @ f)
+    dneg = params.W_e[np.asarray(negatives, dtype=np.intp)] @ f
     return float(-np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum())
-
-
-def _batch_arrays(batch):
-    if hasattr(batch, "arrays"):
-        return batch.arrays()
-    ngrams = np.array([inst.ngram for inst in batch], dtype=np.intp)
-    positives = np.array([inst.positive_entity for inst in batch], dtype=np.intp)
-    negatives = np.array([inst.negatives for inst in batch], dtype=np.intp)
-    return ngrams, positives, negatives
 
 
 def _sq_norms(params):
@@ -171,23 +163,13 @@ def _forward(params, ngrams, positives, negatives):
 
 def batch_loss(params, batch, weight_decay):
     """Mean negated instance log-probability plus the weight-decay term."""
-    ngrams, positives, negatives = _batch_arrays(batch)
-    m = len(positives)
+    m = len(batch)
     if m == 0:
         raise DataError("batch is empty")
-    _, _, _, _, dpos, dneg = _forward(params, ngrams, positives, negatives)
+    _, _, _, _, dpos, dneg = _forward(params, batch.ngrams, batch.positives,
+                                      batch.negatives)
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
     return float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
-
-
-def _scatter_rows(ids, rows, out, scale):
-    """out[i] += scale * sum of rows whose id is i, in a fixed reduction order."""
-    order = np.argsort(ids, kind="stable")
-    sids = ids[order]
-    srows = rows[order]
-    starts = np.flatnonzero(np.concatenate(([True], sids[1:] != sids[:-1])))
-    sums = np.add.reduceat(srows, starts, axis=0)
-    out[sids[starts]] += scale * sums
 
 
 def batch_loss_and_gradients(params, batch, weight_decay):
@@ -195,12 +177,13 @@ def batch_loss_and_gradients(params, batch, weight_decay):
 
     Gradients are exact for the batch loss. The per-instance pieces are
     sech^2 = 1 - f^2 reusing the forward tanh, a coefficient 1 - sigma for
-    the positive dot and -sigma per negative dot, and a sparse scatter into
-    the touched columns of W_v and rows of W_e; the (lambda / m) theta
+    the positive dot and -sigma per negative dot, and a sparse scatter-add
+    (np.add.at, in index order, so reruns are bit-identical) into the
+    touched columns of W_v and rows of W_e; the (lambda / m) theta
     regularizer term is dense over the three matrices and absent for b.
     """
-    ngrams, positives, negatives = _batch_arrays(batch)
-    m = len(positives)
+    ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
+    m = len(batch)
     if m == 0:
         raise DataError("batch is empty")
     n = ngrams.shape[1]
@@ -219,17 +202,17 @@ def batch_loss_and_gradients(params, batch, weight_decay):
     g_b = -inv_m * G.sum(axis=0)
     g_W = -inv_m * (G.T @ H) + reg * params.W
 
+    per_token = (G @ params.W) * (-inv_m / n)      # (M, e_V)
+    # np.add.at runs about twice as fast on contiguous rows as on the
+    # strided columns of W_v, so scatter into a (|V|, e_V) buffer first.
+    token_rows = np.zeros(params.W_v.shape[::-1], dtype=per_token.dtype)
+    np.add.at(token_rows, ngrams, per_token[:, None, :])
     g_Wv = reg * params.W_v
-    per_token = (G @ params.W) / n                 # (M, e_V)
-    _scatter_rows(ngrams.ravel(),
-                  np.repeat(per_token, n, axis=0),
-                  g_Wv.T, -inv_m)
+    g_Wv += token_rows.T
 
     g_We = reg * params.W_e
-    ids = np.concatenate((positives, negatives.ravel()))
-    coeff = np.concatenate((cpos, cneg.ravel()))
-    frep = np.concatenate((F, np.repeat(F, negatives.shape[1], axis=0)))
-    _scatter_rows(ids, coeff[:, None] * frep, g_We, -inv_m)
+    np.add.at(g_We, positives, (-inv_m * cpos)[:, None] * F)
+    np.add.at(g_We, negatives, (-inv_m * cneg)[:, :, None] * F[:, None, :])
 
     return loss, GradientSet(g_Wv, g_W, g_b, g_We)
 
@@ -237,6 +220,31 @@ def batch_loss_and_gradients(params, batch, weight_decay):
 def batch_gradients(params, batch, weight_decay):
     """Exact analytic gradients of batch_loss."""
     return batch_loss_and_gradients(params, batch, weight_decay)[1]
+
+
+def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
+    """Max per-coordinate relative error of the analytic gradients against
+    central differences of batch_loss; coordinates where both are below
+    1e-8 in magnitude count as exact. Each coordinate of params is perturbed
+    in place and restored."""
+    grads = batch_gradients(params, batch, weight_decay)
+    worst = 0.0
+    for name in PARAM_FIELDS:
+        flat = getattr(params, name).reshape(-1)
+        analytic = getattr(grads, name).reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = batch_loss(params, batch, weight_decay)
+            flat[i] = orig - eps
+            down = batch_loss(params, batch, weight_decay)
+            flat[i] = orig
+            fd = (up - down) / (2.0 * eps)
+            denom = max(abs(analytic[i]), abs(fd))
+            if denom < 1e-8:
+                continue
+            worst = max(worst, abs(analytic[i] - fd) / denom)
+    return worst
 
 
 class AdamState:
@@ -374,19 +382,48 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
         fh.write("\n")
 
 
+def _read_header(path, blob):
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: model header is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format") != "lse-model":
+        raise DataError(f"{path}: header format is not lse-model")
+    try:
+        d = header["dims"]
+        dims = Dims(int(d["e_v"]), int(d["e_e"]), int(d["vocab_size"]),
+                    int(d["num_entities"]))
+    except (KeyError, TypeError, ValueError, DataError) as exc:
+        raise DataError(f"{path}: model header lacks valid dims ({exc!r})") from exc
+    ids = header.get("entity_ids")
+    if not isinstance(ids, list) or len(ids) != dims.num_entities:
+        raise DataError(f"{path}: header needs one entity id for each of the "
+                        f"{dims.num_entities} entities")
+    return header, dims
+
+
 def load_model(path):
-    """Read a model container; returns (ModelParams, header dict)."""
+    """Read a model container; returns (ModelParams, header dict).
+
+    The header must fit in the file, be lse-model JSON with positive dims,
+    and list one entity id per entity row; every failure is a DataError
+    naming the file."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not a model container")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        d = header["dims"]
-        shapes = {"W_v": (d["e_v"], d["vocab_size"]),
-                  "W": (d["e_e"], d["e_v"]),
-                  "b": (d["e_e"],),
-                  "W_e": (d["num_entities"], d["e_e"])}
+        field = fh.read(8)
+        if len(field) != 8:
+            raise DataError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<Q", field)
+        if hlen > size - len(MAGIC) - 8:
+            raise DataError(f"{path}: header length {hlen} exceeds the file")
+        header, d = _read_header(path, fh.read(hlen))
+        shapes = {"W_v": (d.e_v, d.vocab_size),
+                  "W": (d.e_e, d.e_v),
+                  "b": (d.e_e,),
+                  "W_e": (d.num_entities, d.e_e)}
         arrays = {}
         for name in PARAM_FIELDS:
             shape = shapes[name]

@@ -2,7 +2,6 @@
 uniformly sampled negatives, under a stratified per-entity budget."""
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,29 +13,21 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Window length n, negatives per instance z, and the batch size m the
+    instances are consumed in."""
+
     n: int
     z: int
     m: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.z < 1 or self.m < 1:
             raise DataError("n, z and m must all be at least 1")
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
-    ngram: tuple
-    positive_entity: int
-    negatives: tuple
-
-
-class InstanceBlock(Sequence):
-    """Columnar storage for a stream of training instances.
-
-    Behaves as a sequence of TrainingInstance while holding the data as three
-    arrays: ngrams (N, n), positives (N,), negatives (N, z).
-    """
+class InstanceBlock:
+    """Columnar storage for a stream of training instances: ngrams (N, n),
+    positives (N,) and negatives (N, z). Slicing rows gives a new block."""
 
     def __init__(self, ngrams, positives, negatives, skipped_entities=()):
         self.ngrams = np.asarray(ngrams, dtype=np.int32)
@@ -49,21 +40,9 @@ class InstanceBlock(Sequence):
     def __len__(self):
         return len(self.positives)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return InstanceBlock(self.ngrams[i], self.positives[i], self.negatives[i])
-        return TrainingInstance(tuple(int(t) for t in self.ngrams[i]),
-                                int(self.positives[i]),
-                                tuple(int(e) for e in self.negatives[i]))
-
-    def arrays(self):
-        return self.ngrams, self.positives, self.negatives
-
-    @classmethod
-    def from_instances(cls, instances):
-        return cls(np.array([inst.ngram for inst in instances], dtype=np.int32),
-                   np.array([inst.positive_entity for inst in instances], dtype=np.int32),
-                   np.array([inst.negatives for inst in instances], dtype=np.int32))
+    def __getitem__(self, rows):
+        return InstanceBlock(self.ngrams[rows], self.positives[rows],
+                             self.negatives[rows])
 
 
 def ngrams_per_entity_per_epoch(corpus, n):

@@ -118,11 +118,16 @@ class Vocabulary:
                 if len(parts) != 4:
                     raise DataError(f"{path}:{lineno + 1}: expected 4 tab-separated fields")
                 tok, tok_id, freq, df = parts
-                if int(tok_id) != len(id_to_token):
+                try:
+                    tok_id, freq, df = int(tok_id), int(freq), int(df)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno + 1}: id and counts must be "
+                                    "integers") from None
+                if tok_id != len(id_to_token):
                     raise DataError(f"{path}:{lineno + 1}: ids must be dense and ordered")
                 id_to_token.append(tok)
-                frequency.append(int(freq))
-                document_frequency.append(int(df))
+                frequency.append(freq)
+                document_frequency.append(df)
         return cls(id_to_token, frequency, document_frequency)
 
 
@@ -219,23 +224,14 @@ def encode_corpus(raw_docs, vocab):
     return Corpus(entities, documents, association, total, dropped, entity_index)
 
 
-def extract_topic_query(path, stopwords=STOPWORDS):
+def extract_topic_query(path):
     """Build a topic query from a category path: tokenize the titles from the
-    second level onward, drop stopwords, and de-duplicate words keeping the
-    first occurrence."""
+    second level onward and de-duplicate words keeping the first
+    occurrence."""
     if len(path) < 2:
         raise DataError("category path has fewer than two levels")
-    words = []
-    seen = set()
-    for title in path[1:]:
-        for tok in _TOKEN_RE.findall(title.lower()):
-            if tok[0].isdigit():
-                tok = NUM_TOKEN
-            if tok in stopwords or tok in seen:
-                continue
-            seen.add(tok)
-            words.append(tok)
-    return " ".join(words)
+    words = [tok for title in path[1:] for tok in tokenize(title)]
+    return " ".join(dict.fromkeys(words))
 
 
 def topics_from_categories(records):

@@ -50,7 +50,7 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
                                                             spawn_key=(0,)))
     params = init_params(dims, init_rng, dtype=dtype)
     state = AdamState(params)
-    sampler = SamplerConfig(n=config.n, z=config.z, m=config.m, seed=config.seed)
+    sampler = SamplerConfig(n=config.n, z=config.z, m=config.m)
 
     val_queries = []
     if validation_topics and validation_qrels is not None:

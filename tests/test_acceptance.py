@@ -19,8 +19,8 @@ from lse.evaluation import (Qrels, evaluate_run, mean_ndcg, ndcg,
                             paired_t_test, precision_at_k)
 from lse.ltr import (RankerConfig, build_features, cross_validated_fusion,
                      ideal_vector_report)
-from lse.model import (Dims, TrainConfig, batch_gradients, batch_loss,
-                       init_params, save_model)
+from lse.model import (Dims, TrainConfig, batch_loss, init_params,
+                       max_relative_fd_error, save_model)
 from lse.qlm import SWEEP_GRID, estimate, score, sweep_lambda
 from lse.retrieval import RankedList, rank_entities, write_run
 from lse.sampling import InstanceBlock, SamplerConfig, sample_epoch
@@ -56,31 +56,6 @@ def direct_sigmoid_product_loss(params, block, weight_decay):
                                         + float((params.W ** 2).sum())
                                         + float((params.W_e ** 2).sum()))
     return -total / m + reg
-
-
-def max_relative_fd_error(params, block, weight_decay, eps):
-    """Worst relative disagreement between analytic gradients and central
-    finite differences over every coordinate of every parameter."""
-    from lse.model import PARAM_FIELDS
-
-    grads = batch_gradients(params, block, weight_decay)
-    worst = 0.0
-    for name in PARAM_FIELDS:
-        flat = getattr(params, name).reshape(-1)
-        analytic = getattr(grads, name).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = batch_loss(params, block, weight_decay)
-            flat[i] = orig - eps
-            down = batch_loss(params, block, weight_decay)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * eps)
-            denom = max(abs(analytic[i]), abs(fd))
-            if denom < 1e-8:
-                continue
-            worst = max(worst, abs(analytic[i] - fd) / denom)
-    return worst
 
 
 @functools.lru_cache(maxsize=1)
@@ -326,8 +301,7 @@ def test_criterion_9_scaling_smoke():
     positions = sum(max(len(d.tokens) - config.n + 1, 0)
                     for d in corpus.documents)
     budget = -(-positions // corpus.num_entities)
-    sampler = SamplerConfig(n=config.n, z=config.z, m=config.m,
-                            seed=config.seed)
+    sampler = SamplerConfig(n=config.n, z=config.z, m=config.m)
     block = sample_epoch(corpus, sampler, _epoch_rng(config.seed, 1))
     assert len(block) == budget * corpus.num_entities
     assert np.all(np.bincount(block.positives,

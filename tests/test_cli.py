@@ -1,11 +1,13 @@
 """Command-line workflows, exercised through click's test runner."""
 
 import json
+import struct
 
 import pytest
 from click.testing import CliRunner
 
 from lse.cli import main
+from lse.model import MAGIC
 from lse.retrieval import read_run
 
 CORPUS_LINES = [
@@ -216,6 +218,61 @@ def test_vocabulary_mismatch_exits_1(tmp_path):
                                   str(topics), "--out", str(tmp_path / "r")])
     assert result.exit_code == 1
     assert "does not match" in result.output
+
+
+GOOD_HEADER = {"format": "lse-model", "entity_ids": ["cam", "gui"],
+               "dims": {"e_v": 2, "e_e": 2, "vocab_size": 1, "num_entities": 2}}
+
+
+def container(header, declared_length=None):
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    length = len(blob) if declared_length is None else declared_length
+    return MAGIC + struct.pack("<Q", length) + blob
+
+
+# file to corrupt, its bytes, and what the error must say after the path
+MALFORMED = {
+    "qrels_grade_not_integer":
+        ("qrels.txt", b"t1 0 cam 1\nt2 0 gui yes\n", ":2: relevance grade"),
+    "vocab_id_not_integer":
+        ("vocab.tsv", b"camera\t0\t2\t2\nlens\tone\t2\t2\n", ":2: id and counts"),
+    "model_header_without_dims":
+        ("model.lse", container({"format": "lse-model", "entity_ids": []}),
+         ": model header lacks valid dims"),
+    "model_header_not_json":
+        ("model.lse", container(b"{not json"), ": model header is not"),
+    "model_cut_in_length_field":
+        ("model.lse", MAGIC + b"\x05\x00", ": truncated header length"),
+    "model_wrong_format":
+        ("model.lse", container(dict(GOOD_HEADER, format="other")),
+         ": header format is not lse-model"),
+    "model_header_longer_than_file":
+        ("model.lse", container(GOOD_HEADER, declared_length=4096),
+         ": header length 4096 exceeds the file"),
+    "model_entity_ids_disagree":
+        ("model.lse", container(dict(GOOD_HEADER, entity_ids=["cam"])),
+         ": header needs one entity id"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
+    corpus, topics, qrels = write_inputs(tmp_path)
+    run_file = tmp_path / "run.trec"
+    run_file.write_text("t1 Q0 cam 1 2.0 x\n")
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    name, content, message = MALFORMED[case]
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    out = ["--out", str(tmp_path / "out")]
+    args = {"qrels.txt": ["eval", str(run_file), str(qrels)],
+            "vocab.tsv": ["qlm", str(corpus), str(vocab), str(topics)],
+            "model.lse": ["rank", str(bad), str(vocab), str(topics)]}[name]
+    result = CliRunner().invoke(main, args + out)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {bad}{message}" in result.output
 
 
 def test_all_oov_topic_listed_and_exit_zero(tmp_path):

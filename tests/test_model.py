@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lse.errors import DataError, LSEError
 from lse.model import (MAGIC, PARAM_FIELDS, AdamState, Dims, GradientSet,
                        ModelParams, TrainConfig, adam_step, batch_gradients,
                        batch_loss, batch_loss_and_gradients, init_params,
-                       instance_log_prob, load_model, project, save_model,
-                       similarity_prob, _scatter_rows)
-from lse.sampling import InstanceBlock, TrainingInstance
+                       instance_log_prob, load_model, max_relative_fd_error,
+                       project, save_model, similarity_prob)
+from lse.sampling import InstanceBlock
 
 
 def random_setup(seed, dims=Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5),
@@ -23,6 +25,10 @@ def random_setup(seed, dims=Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5),
                           rng.integers(0, dims.num_entities, size=m),
                           rng.integers(0, dims.num_entities, size=(m, z)))
     return params, block
+
+
+def entity_names(params):
+    return [f"e{i}" for i in range(params.dims.num_entities)]
 
 
 def zero_params(e_v=4, e_e=3, vocab=6, entities=5):
@@ -46,35 +52,13 @@ def naive_instance_prob(params, ngram, positive, negatives):
 
 def naive_batch_loss(params, block, weight_decay):
     total = 0.0
-    for inst in block:
-        total -= math.log(naive_instance_prob(params, inst.ngram,
-                                              inst.positive_entity,
-                                              inst.negatives))
+    for ngram, positive, negatives in zip(block.ngrams, block.positives,
+                                          block.negatives):
+        total -= math.log(naive_instance_prob(params, ngram, positive, negatives))
     m = len(block)
     reg = (np.sum(params.W_v ** 2) + np.sum(params.W_e ** 2)
            + np.sum(params.W ** 2))
     return total / m + 0.5 * weight_decay / m * reg
-
-
-def fd_max_relative_error(params, block, weight_decay, eps=1e-5):
-    grads = batch_gradients(params, block, weight_decay)
-    worst = 0.0
-    for name in PARAM_FIELDS:
-        theta = getattr(params, name).reshape(-1)
-        analytic = getattr(grads, name).reshape(-1)
-        for i in range(theta.size):
-            orig = theta[i]
-            theta[i] = orig + eps
-            up = batch_loss(params, block, weight_decay)
-            theta[i] = orig - eps
-            down = batch_loss(params, block, weight_decay)
-            theta[i] = orig
-            fd = (up - down) / (2 * eps)
-            denom = max(abs(fd), abs(analytic[i]))
-            if denom < 1e-8:
-                continue
-            worst = max(worst, abs(fd - analytic[i]) / denom)
-    return worst
 
 
 def test_init_respects_glorot_bounds_and_zero_bias():
@@ -158,18 +142,15 @@ def test_similarity_prob_shape_check():
 def test_instance_log_prob_matches_naive_product():
     for seed in range(5):
         params, block = random_setup(seed)
-        inst = block[0]
-        naive = math.log(naive_instance_prob(params, inst.ngram,
-                                             inst.positive_entity,
-                                             inst.negatives))
-        assert instance_log_prob(params, inst) == pytest.approx(naive, abs=1e-12)
+        inst = block.ngrams[0], block.positives[0], block.negatives[0]
+        naive = math.log(naive_instance_prob(params, *inst))
+        assert instance_log_prob(params, *inst) == pytest.approx(naive, abs=1e-12)
 
 
 def test_instance_log_prob_zero_params():
     params = zero_params()
-    inst = TrainingInstance((0, 1), 0, tuple([1] * 10))
-    assert instance_log_prob(params, inst) == pytest.approx(11 * math.log(0.5),
-                                                            abs=1e-9)
+    assert instance_log_prob(params, (0, 1), 0, [1] * 10) == pytest.approx(
+        11 * math.log(0.5), abs=1e-9)
 
 
 def test_batch_loss_zero_params_fixture():
@@ -204,16 +185,10 @@ def test_batch_loss_rejects_empty_batch():
         batch_loss(params, block[0:0], 0.0)
 
 
-def test_batch_loss_accepts_instance_lists():
-    params, block = random_setup(4)
-    assert batch_loss(params, list(block), 0.0) == pytest.approx(
-        batch_loss(params, block, 0.0), abs=1e-15)
-
-
 def test_gradients_match_finite_differences():
     for lam in (0.0, 0.01):
         params, block = random_setup(17)
-        assert fd_max_relative_error(params, block, lam) < 1e-6
+        assert max_relative_fd_error(params, block, lam) < 1e-6
 
 
 def test_gradient_of_untouched_embedding_is_pure_decay():
@@ -245,15 +220,63 @@ def test_loss_and_gradients_share_forward():
                for n in PARAM_FIELDS)
 
 
-def test_scatter_rows_matches_index_add():
-    rng = np.random.default_rng(0)
-    ids = rng.integers(0, 7, size=40)
-    rows = rng.normal(size=(40, 3))
-    mine = np.zeros((7, 3))
-    _scatter_rows(ids, rows, mine, -0.5)
-    oracle = np.zeros((7, 3))
-    np.add.at(oracle, ids, -0.5 * rows)
-    assert np.allclose(mine, oracle, atol=1e-12, rtol=0)
+def loop_batch_gradients(params, block, weight_decay):
+    """Per-instance, per-token Python loop over the analytic gradient of the
+    batch loss: the reference for the vectorised scatter-adds."""
+    m = len(block)
+    reg = weight_decay / m
+    g = {name: reg * getattr(params, name) for name in PARAM_FIELDS}
+    g["b"] = np.zeros_like(params.b)
+    for ngram, positive, negatives in zip(block.ngrams, block.positives,
+                                          block.negatives):
+        h = params.W_v[:, list(ngram)].mean(axis=1)
+        f = np.tanh(params.W @ h + params.b)
+        coeffs = [(positive, 1.0 - sigma(params.W_e[positive] @ f))]
+        coeffs += [(k, -sigma(params.W_e[k] @ f)) for k in negatives]
+        v = sum(c * params.W_e[e] for e, c in coeffs)
+        d = v * (1.0 - f * f)
+        g["b"] -= d / m
+        g["W"] -= np.outer(d, h) / m
+        for t in ngram:
+            g["W_v"][:, t] -= (params.W.T @ d) / (len(ngram) * m)
+        for e, c in coeffs:
+            g["W_e"][e] -= c * f / m
+    return g
+
+
+@st.composite
+def colliding_batches(draw):
+    """A parameter set and a batch drawn from pools of at most three words
+    and three entities, with a word repeated inside and across rows and the
+    first positive planted among its own negatives."""
+    m, n, z = (draw(st.integers(1, hi)) for hi in (6, 4, 4))
+    vocab, entities = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    params = init_params(Dims(3, 2, vocab, entities),
+                         draw(st.integers(0, 2 ** 32 - 1)))
+
+    def ids(pool, shape):
+        size = math.prod(shape)
+        drawn = draw(st.lists(st.integers(0, pool - 1), min_size=size,
+                              max_size=size))
+        return np.array(drawn, dtype=np.int64).reshape(shape)
+
+    ngrams = ids(vocab, (m, n))
+    positives = ids(entities, (m,))
+    negatives = ids(entities, (m, z))
+    ngrams[0, -1] = ngrams[-1, 0] = ngrams[0, 0]
+    negatives[0, -1] = positives[0]
+    weight_decay = draw(st.sampled_from((0.0, 0.01)))
+    return params, InstanceBlock(ngrams, positives, negatives), weight_decay
+
+
+@settings(max_examples=200, deadline=None)
+@given(colliding_batches())
+def test_batch_gradients_match_per_instance_loop(case):
+    params, block, weight_decay = case
+    grads = batch_gradients(params, block, weight_decay)
+    want = loop_batch_gradients(params, block, weight_decay)
+    for name in PARAM_FIELDS:
+        assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
 
 
 def test_adam_first_step_magnitude_near_alpha():
@@ -337,13 +360,13 @@ def test_train_config_validation():
 def test_save_load_round_trip(tmp_path):
     params, _ = random_setup(13)
     path = tmp_path / "model.lse"
-    save_model(path, params, vocab_sha256="abc", entity_ids=["e1", "e2"],
+    save_model(path, params, vocab_sha256="abc", entity_ids=entity_names(params),
                config={"seed": 3})
     loaded, header = load_model(path)
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(loaded, name), getattr(params, name))
     assert header["vocab_sha256"] == "abc"
-    assert header["entity_ids"] == ["e1", "e2"]
+    assert header["entity_ids"] == ["e0", "e1", "e2", "e3", "e4"]
     assert header["config"] == {"seed": 3}
     meta = json.loads((tmp_path / "model.lse.meta.json").read_text())
     assert meta == header
@@ -368,7 +391,7 @@ def test_load_rejects_bad_magic(tmp_path):
 def test_load_rejects_truncated_and_padded(tmp_path):
     params, _ = random_setup(15)
     path = tmp_path / "model.lse"
-    save_model(path, params)
+    save_model(path, params, entity_ids=entity_names(params))
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(DataError, match="truncated"):
@@ -382,7 +405,7 @@ def test_save_load_float32_promotes_to_float64(tmp_path):
     params, _ = random_setup(16)
     params32 = params.astype(np.float32)
     path = tmp_path / "model.lse"
-    save_model(path, params32)
+    save_model(path, params32, entity_ids=entity_names(params))
     loaded, header = load_model(path)
     assert loaded.dtype == np.float64
     assert header["dtype"] == "float64"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lse.errors import DataError
-from lse.sampling import (InstanceBlock, SamplerConfig, TrainingInstance,
-                          make_batches, ngrams_per_entity_per_epoch, sample_epoch)
+from lse.sampling import (InstanceBlock, SamplerConfig, make_batches,
+                          ngrams_per_entity_per_epoch, sample_epoch)
 from lse.text import Corpus, Document
 
 from conftest import build_separable_corpus
@@ -58,15 +58,14 @@ def test_sample_epoch_ngrams_are_contiguous_entity_text():
                                        doc_len=8)
     block = sample_epoch(corpus, SamplerConfig(n=4, z=2, m=8),
                          np.random.default_rng(2))
-    for i in range(len(block)):
-        inst = block[i]
-        lo = inst.positive_entity * 10
-        assert all(lo <= t < lo + 10 for t in inst.ngram)
+    for ngram, positive in zip(block.ngrams.tolist(), block.positives.tolist()):
+        lo = positive * 10
+        assert all(lo <= t < lo + 10 for t in ngram)
         found = False
-        for doc in corpus.documents_of(inst.positive_entity):
+        for doc in corpus.documents_of(positive):
             toks = doc.tokens.tolist()
             for s in range(len(toks) - 3):
-                if tuple(toks[s:s + 4]) == inst.ngram:
+                if toks[s:s + 4] == ngram:
                     found = True
         assert found
 
@@ -113,13 +112,12 @@ def test_instance_block_sequence_protocol():
     block = InstanceBlock(np.array([[1, 2], [3, 4]]), np.array([0, 1]),
                           np.array([[1], [0]]))
     assert len(block) == 2
-    inst = block[1]
-    assert inst == TrainingInstance((3, 4), 1, (0,))
-    sub = block[0:1]
+    sub = block[1:]
     assert isinstance(sub, InstanceBlock)
     assert len(sub) == 1
-    rebuilt = InstanceBlock.from_instances(list(block))
-    assert np.array_equal(rebuilt.ngrams, block.ngrams)
+    assert sub.ngrams.tolist() == [[3, 4]]
+    assert sub.positives.tolist() == [1]
+    assert sub.negatives.tolist() == [[0]]
 
 
 def test_instance_block_rejects_ragged_arrays():
