@@ -20,8 +20,8 @@ from .model import (Dims, ModelParams, TrainConfig, batch_gradients, batch_loss,
                     init_params, instance_log_prob, load_model, project,
                     save_model, similarity_prob)
 from .qlm import EntityLanguageModel, estimate, sweep_lambda
-from .retrieval import (RankedList, aggregate_entity_vectors, cosine,
-                        rank_entities, read_run, write_run)
+from .retrieval import (RankedList, aggregate_entity_vectors, rank_entities,
+                        read_run, write_run)
 from .sampling import (InstanceBlock, SamplerConfig, make_batches,
                        ngrams_per_entity_per_epoch, sample_epoch)
 from .text import (Corpus, Document, Vocabulary, build_vocabulary, encode_corpus,
@@ -42,8 +42,8 @@ __all__ = [
     "init_params", "instance_log_prob", "load_model", "project", "save_model",
     "similarity_prob",
     "EntityLanguageModel", "estimate", "sweep_lambda",
-    "RankedList", "aggregate_entity_vectors", "cosine", "rank_entities",
-    "read_run", "write_run",
+    "RankedList", "aggregate_entity_vectors", "rank_entities", "read_run",
+    "write_run",
     "InstanceBlock", "SamplerConfig", "make_batches",
     "ngrams_per_entity_per_epoch", "sample_epoch",
     "Corpus", "Document", "Vocabulary", "build_vocabulary", "encode_corpus",

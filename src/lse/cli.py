@@ -228,7 +228,7 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
     for tid in sorted(topic_set.topics):
         ids = vocabulary.encode(tokenize(topic_set.topics[tid]))
         try:
-            ranked.append(rank_entities(params, ids, entity_ids, tid))
+            ranked.append(rank_entities(params, ids, entity_ids, tid, top_k))
         except EmptyQueryError:
             skipped.append(tid)
     write_run(os.path.join(out_dir, "run.trec"), ranked, tag=run_tag, top_k=top_k)
@@ -264,7 +264,7 @@ def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
         if not ids:
             skipped.append(tid)
             continue
-        ranked.append(qlm_rank(model, corpus_data.entities, ids, tid))
+        ranked.append(qlm_rank(model, corpus_data.entities, ids, tid, top_k))
     write_run(os.path.join(out_dir, "run.trec"), ranked, tag=run_tag, top_k=top_k)
     _write_skipped(out_dir, skipped)
     manifest.write()

@@ -5,6 +5,7 @@ RankSVM trained by stochastic gradient descent with balanced pair sampling,
 vector approximation."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,9 +153,22 @@ class QIData:
     graphs: dict = field(default_factory=dict)
 
 
+def _valid_attribute(name, value):
+    """A missing or null value, a finite real price, or an integer (not bool)
+    sales rank or description length."""
+    if value is None:
+        return True
+    if isinstance(value, bool):
+        return False
+    if name == "price":
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, int)
+
+
 def load_qi_attributes(path):
     """JSON-lines: {"entity_id": str, "price": real?, "sales_rank": int?,
-    "description_length": int?}."""
+    "description_length": int?}; a value of another type is a DataError
+    naming the file and line."""
     attributes = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh):
@@ -166,9 +180,14 @@ def load_qi_attributes(path):
                 eid = rec["entity_id"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno + 1}: invalid attribute record") from exc
-            attributes[eid] = {"price": rec.get("price"),
-                               "sales_rank": rec.get("sales_rank"),
-                               "description_length": rec.get("description_length")}
+            attrs = {name: rec.get(name)
+                     for name in ("price", "sales_rank", "description_length")}
+            for name, value in attrs.items():
+                if not _valid_attribute(name, value):
+                    kind = "a finite number" if name == "price" else "an integer"
+                    raise DataError(f"{path}:{lineno + 1}: {name} must be {kind}, "
+                                    f"got {value!r}")
+            attributes[eid] = attrs
     return attributes
 
 
@@ -303,6 +322,7 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     only. Significance compares the full combination against qi+qlm by a
     paired t-test per metric."""
     topics = list(table.topics)
+    depth = max((cutoff, *ks))
     if len(topics) < folds:
         raise DataError(f"need at least {folds} topics for {folds}-fold cross-validation")
     base_config = ranker_config or RankerConfig()
@@ -337,7 +357,7 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
                                    groups=np.concatenate(group_parts))
             for tid in heldout:
                 scores = ranker.scores((table.matrices[tid][:, cols] - mean) / std)
-                runs[tid] = ranked_from_scores(tid, table.entity_ids, scores)
+                runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, depth)
         report = evaluate_run(runs, qrels, cutoff=cutoff, ks=ks)
         rows.append({"features": "+".join(combo),
                      "means": report.means,
@@ -413,8 +433,9 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
                                entropy=base_config.seed, spawn_key=(11, index)
                            ).generate_state(1)[0]))
         ideal = ideal_vector(tid, qrels, params.W_e, entity_ids, cfg)
-        ideal_run = rank_by_vector(params.W_e, ideal.vector, entity_ids, tid)
-        query_run = rank_by_vector(params.W_e, project(params, qids), entity_ids, tid)
+        ideal_run = rank_by_vector(params.W_e, ideal.vector, entity_ids, tid, cutoff)
+        query_run = rank_by_vector(params.W_e, project(params, qids), entity_ids, tid,
+                                   cutoff)
         return {"topic_id": tid, "status": "ok", "n_relevant": n_rel,
                 "ndcg_ideal": ndcg_fn(ideal_run, qrels, cutoff),
                 "ndcg_query": ndcg_fn(query_run, qrels, cutoff)}

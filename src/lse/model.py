@@ -319,22 +319,26 @@ class TrainConfig:
                 "validation_cutoff": self.validation_cutoff}
 
     @classmethod
+    def _convert(cls, key, value):
+        if key not in cls._KEYS:
+            raise DataError(f"unknown config key {key!r}")
+        kind, what = {"lambda": (float, "a number"),
+                      "precision": (str, "a string")}.get(key, (int, "an integer"))
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"config key {key!r} must be {what}, "
+                            f"got {value!r}") from exc
+
+    @classmethod
     def from_mapping(cls, mapping):
-        kwargs = {}
-        for key, value in mapping.items():
-            if key not in cls._KEYS:
-                raise DataError(f"unknown config key {key!r}")
-            if key == "lambda":
-                kwargs["weight_decay"] = float(value)
-            elif key == "precision":
-                kwargs["precision"] = str(value)
-            else:
-                kwargs[key] = int(value)
-        return cls(**kwargs)
+        return cls(**{"weight_decay" if key == "lambda" else key:
+                      cls._convert(key, value) for key, value in mapping.items()})
 
     @classmethod
     def from_file(cls, path):
-        """Parse a flat key = value file; blank lines and # comments ignored."""
+        """Parse a flat key = value file; blank lines and # comments ignored.
+        A bad key or value is a DataError naming the file and line."""
         mapping = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh):
@@ -346,8 +350,14 @@ class TrainConfig:
                 key, value = (part.strip() for part in line.split("=", 1))
                 if key in mapping:
                     raise DataError(f"{path}:{lineno + 1}: duplicate key {key!r}")
-                mapping[key] = value
-        return cls.from_mapping(mapping)
+                try:
+                    mapping[key] = cls._convert(key, value)
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno + 1}: {exc}") from exc
+        try:
+            return cls.from_mapping(mapping)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def to_file(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -399,15 +409,18 @@ def _read_header(path, blob):
     if not isinstance(ids, list) or len(ids) != dims.num_entities:
         raise DataError(f"{path}: header needs one entity id for each of the "
                         f"{dims.num_entities} entities")
+    if header.get("dtype") != "float64":
+        raise DataError(f"{path}: header dtype must be float64, "
+                        f"got {header.get('dtype')!r}")
     return header, dims
 
 
 def load_model(path):
     """Read a model container; returns (ModelParams, header dict).
 
-    The header must fit in the file, be lse-model JSON with positive dims,
-    and list one entity id per entity row; every failure is a DataError
-    naming the file."""
+    The header must fit in the file, be lse-model JSON with dtype float64 and
+    positive dims, and list one entity id per entity row; every failure is a
+    DataError naming the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))

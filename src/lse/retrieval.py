@@ -17,24 +17,25 @@ class RankedList:
     entries: list  # (entity_id, score) pairs
 
 
-def cosine(a, b):
-    """a.b / (|a||b|); 0.0 when either norm is zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DataError("vector length mismatch")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
+def ranked_from_scores(topic_id, entity_ids, scores, k=None):
+    """The first k (entity, score) pairs of the full ranking by descending
+    score and ascending id; the whole ranking when k is None.
 
-
-def ranked_from_scores(topic_id, entity_ids, scores):
-    """Sort (entity, score) pairs: descending score, ascending id on ties."""
-    order = sorted(range(len(entity_ids)),
-                   key=lambda i: (-scores[i], entity_ids[i]))
-    return RankedList(topic_id, [(entity_ids[i], float(scores[i])) for i in order])
+    Only entities scoring at least the k-th largest score are sorted, so the
+    id tie-break still decides among those tied at the cut."""
+    if k is not None and k < 1:
+        raise DataError(f"ranking depth must be at least 1, got {k}")
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(scores)
+    if k is None or k >= n:
+        candidates = np.arange(n)
+    else:
+        kth = np.partition(scores, n - k)[n - k]
+        candidates = np.flatnonzero(scores >= kth)
+    pairs = [(entity_ids[i], s)
+             for i, s in zip(candidates.tolist(), scores[candidates].tolist())]
+    pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+    return RankedList(topic_id, pairs[:k])
 
 
 def cosine_scores(matrix, vec):
@@ -49,20 +50,22 @@ def cosine_scores(matrix, vec):
     return out
 
 
-def rank_by_vector(matrix, vec, entity_ids, topic_id):
-    """Rank all entities by cosine similarity of their rows to vec."""
-    return ranked_from_scores(topic_id, entity_ids, cosine_scores(matrix, vec))
+def rank_by_vector(matrix, vec, entity_ids, topic_id, k=None):
+    """Rank all entities by cosine similarity of their rows to vec; keep the
+    top k (all when k is None)."""
+    return ranked_from_scores(topic_id, entity_ids, cosine_scores(matrix, vec), k)
 
 
-def rank_entities(params, query_token_ids, entity_ids, topic_id="q"):
-    """Project the query and rank every entity by cosine similarity.
+def rank_entities(params, query_token_ids, entity_ids, topic_id="q", k=None):
+    """Project the query, score every entity by cosine similarity and keep
+    the top k (all when k is None).
 
     Raises EmptyQueryError (carrying the topic id) when no tokens remain.
     """
     if len(query_token_ids) == 0:
         raise EmptyQueryError(topic_id)
     f = project(params, query_token_ids)
-    return rank_by_vector(params.W_e, f, entity_ids, topic_id)
+    return rank_by_vector(params.W_e, f, entity_ids, topic_id, k)
 
 
 def aggregate_entity_vectors(corpus, doc_vectors):

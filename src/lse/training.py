@@ -75,7 +75,8 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
 
         vndcg = None
         if val_queries:
-            runs = {tid: rank_entities(params, ids, corpus.entities, tid)
+            runs = {tid: rank_entities(params, ids, corpus.entities, tid,
+                                       config.validation_cutoff)
                     for tid, ids in val_queries}
             vndcg, _ = mean_ndcg(runs, validation_qrels, config.validation_cutoff)
         if vndcg is not None and (best_ndcg is None or vndcg > best_ndcg):

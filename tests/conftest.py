@@ -1,5 +1,7 @@
 """Shared fixtures: small hand-built corpora and synthetic benchmarks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,14 @@ def build_separable_corpus(num_entities=8, words_per=20, docs_per=10,
     names = [synth_word(i, j) for i in range(num_entities) for j in range(words_per)]
     vocab = Vocabulary(names, [docs_per * doc_len] * len(names), [docs_per] * len(names))
     return Corpus(entities, docs, assoc, total), vocab
+
+
+def profile_counts(corpus):
+    """Reference term counts: one Counter per entity profile, plus the corpus
+    Counter, counted token by token."""
+    per_entity = [Counter(corpus.profile_tokens(i).tolist())
+                  for i in range(corpus.num_entities)]
+    return per_entity, sum(per_entity, Counter())
 
 
 def separable_topics(num_entities=8, multi=4):

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.stats
 
 from conftest import (build_fusion_benchmark, build_separable_corpus,
-                      separable_topics)
+                      profile_counts, separable_topics)
 from lse.evaluation import (Qrels, evaluate_run, mean_ndcg, ndcg,
                             paired_t_test, precision_at_k)
 from lse.ltr import (RankerConfig, build_features, cross_validated_fusion,
@@ -131,22 +131,24 @@ def test_criterion_3_end_to_end_learnability():
 def test_criterion_4_lexical_model_oracle_and_sweep_grid():
     corpus, vocab = build_separable_corpus(num_entities=4, words_per=6,
                                            docs_per=3, doc_len=12, seed=5)
+    entity_counts, corpus_counts = profile_counts(corpus)
+    corpus_total = sum(corpus_counts.values())
+    present = sorted(corpus_counts)
     worst = 0.0
     for lam in (0.05, 0.5, 0.95):
         model = estimate(corpus, lam)
-        present = sorted(model.corpus_counts)
         rng = np.random.default_rng(17)
         for _ in range(30):
             query = [int(t) for t in rng.choice(present, size=5)]
             for entity_index in range(corpus.num_entities):
                 got = score(model, entity_index, query)
                 prob = 1.0
-                counts = model.entity_counts[entity_index]
-                total = model.entity_totals[entity_index]
+                counts = entity_counts[entity_index]
+                total = sum(counts.values())
                 for t in query:
-                    p_x = counts.get(t, 0) / total if total else 0.0
+                    p_x = counts[t] / total if total else 0.0
                     prob *= ((1.0 - lam) * p_x
-                             + lam * model.corpus_counts[t] / model.corpus_total)
+                             + lam * corpus_counts[t] / corpus_total)
                 worst = max(worst, abs(got - math.log(prob)))
     assert worst < 1e-12, f"max lexical score deviation {worst:.3e}"
 

@@ -220,7 +220,7 @@ def test_vocabulary_mismatch_exits_1(tmp_path):
     assert "does not match" in result.output
 
 
-GOOD_HEADER = {"format": "lse-model", "entity_ids": ["cam", "gui"],
+GOOD_HEADER = {"format": "lse-model", "dtype": "float64", "entity_ids": ["cam", "gui"],
                "dims": {"e_v": 2, "e_e": 2, "vocab_size": 1, "num_entities": 2}}
 
 
@@ -252,6 +252,19 @@ MALFORMED = {
     "model_entity_ids_disagree":
         ("model.lse", container(dict(GOOD_HEADER, entity_ids=["cam"])),
          ": header needs one entity id"),
+    "model_dtype_not_float64":
+        ("model.lse", container(dict(GOOD_HEADER, dtype="float32")),
+         ": header dtype must be float64, got 'float32'"),
+    "config_value_not_integer":
+        ("train.cfg", b"seed = 1\nepochs = two\n",
+         ":2: config key 'epochs' must be an integer, got 'two'"),
+    "qi_price_not_number":
+        ("attrs.jsonl", b'{"entity_id": "cam", "price": 3.5}\n'
+                        b'{"entity_id": "gui", "price": "cheap"}\n',
+         ":2: price must be a finite number, got 'cheap'"),
+    "qi_sales_rank_not_integer":
+        ("attrs.jsonl", b'{"entity_id": "cam", "sales_rank": "5", "price": null}\n',
+         ":1: sales_rank must be an integer, got '5'"),
 }
 
 
@@ -268,7 +281,10 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
     out = ["--out", str(tmp_path / "out")]
     args = {"qrels.txt": ["eval", str(run_file), str(qrels)],
             "vocab.tsv": ["qlm", str(corpus), str(vocab), str(topics)],
-            "model.lse": ["rank", str(bad), str(vocab), str(topics)]}[name]
+            "model.lse": ["rank", str(bad), str(vocab), str(topics)],
+            "train.cfg": ["train", str(corpus), str(vocab), "--config", str(bad)],
+            "attrs.jsonl": ["fuse", str(corpus), str(vocab), str(topics), str(qrels),
+                            "--qi-attrs", str(bad)]}[name]
     result = CliRunner().invoke(main, args + out)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import profile_counts
 from lse.errors import DataError
 from lse.evaluation import Qrels
-from lse.qlm import SWEEP_GRID, EntityLanguageModel, estimate, rank, score, sweep_lambda
+from lse.qlm import SWEEP_GRID, estimate, rank, score, sweep_lambda
 from lse.text import Corpus, Document, Vocabulary, build_vocabulary, encode_corpus
 
 A, B = 0, 1
@@ -22,9 +25,10 @@ def two_entity_corpus():
 
 def test_estimate_aggregates_counts():
     model = estimate(two_entity_corpus())
-    assert model.entity_counts == [{A: 2, B: 1}, {B: 1}]
-    assert model.entity_totals == [3, 1]
-    assert model.corpus_counts == {A: 2, B: 2}
+    postings = {t: [a.tolist() for a in model.postings(t)] for t in (A, B)}
+    assert postings == {A: [[0], [2]], B: [[0, 1], [1, 1]]}
+    assert model.entity_totals.tolist() == [3, 1]
+    assert model.corpus_counts.tolist() == [2, 2]
     assert model.corpus_total == 4
 
 
@@ -63,17 +67,18 @@ def test_score_log_domain_matches_direct_product():
         assoc[i] = [i]
         docs.append(Document(f"d{i}", f"e{i}", toks))
     corpus = Corpus([f"e{i}" for i in range(4)], docs, assoc, 120)
+    entity_counts, corpus_counts = profile_counts(corpus)
+    corpus_total = sum(corpus_counts.values())
+    present = sorted(corpus_counts)
     for lam in (0.1, 0.5, 0.9):
         model = estimate(corpus, lam)
-        present = sorted(model.corpus_counts)
         for _ in range(20):
             query = rng.choice(present, size=5).tolist()
             for e in range(4):
                 direct = 1.0
                 for t in query:
-                    p_x = (model.entity_counts[e].get(t, 0)
-                           / model.entity_totals[e])
-                    p_c = model.corpus_counts.get(t, 0) / model.corpus_total
+                    p_x = entity_counts[e][t] / sum(entity_counts[e].values())
+                    p_c = corpus_counts[t] / corpus_total
                     direct *= (1 - lam) * p_x + lam * p_c
                 assert score(model, e, query) == pytest.approx(
                     math.log(direct), abs=1e-12)
@@ -87,7 +92,7 @@ def test_lambda_one_is_query_independent_of_entity():
 
 def test_lambda_validation():
     with pytest.raises(DataError):
-        EntityLanguageModel([], [], {}, 0, lambda_jm=1.5)
+        estimate(two_entity_corpus()).with_lambda(1.5)
     with pytest.raises(DataError):
         estimate(two_entity_corpus(), -0.1)
 
@@ -95,7 +100,8 @@ def test_lambda_validation():
 def test_with_lambda_shares_counts():
     model = estimate(two_entity_corpus(), 0.5)
     other = model.with_lambda(0.25)
-    assert other.entity_counts is model.entity_counts
+    assert other.term_entities is model.term_entities
+    assert other.term_counts is model.term_counts
     assert other.lambda_jm == 0.25
 
 
@@ -105,6 +111,36 @@ def test_rank_orders_by_score_with_id_tie_break():
     assert [e for e, _ in ranked.entries] == ["e1", "e2"]
     tied = rank(model, ["e1", "e2"], [], "t2")
     assert [e for e, _ in tied.entries] == ["e1", "e2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_scores_equal_the_scalar_oracle(data):
+    n = data.draw(st.integers(1, 5), label="entities")
+    vocab_size = data.draw(st.integers(1, 6), label="vocab")
+    # An entity may have an empty profile; term ids past the corpus and ones
+    # no profile uses have zero corpus frequency.
+    profiles = data.draw(st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=8),
+                                  min_size=n, max_size=n), label="profiles")
+    docs = [Document(f"d{i}", f"e{i}", np.asarray(p, dtype=np.int32))
+            for i, p in enumerate(profiles)]
+    corpus = Corpus([f"e{i}" for i in range(n)], docs, {i: [i] for i in range(n)},
+                    sum(map(len, profiles)))
+    query = data.draw(st.lists(st.integers(0, vocab_size + 1), max_size=6),
+                      label="query")
+    query = query + query[:data.draw(st.integers(0, len(query)), label="repeats")]
+    lam = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="lambda")
+    model = estimate(corpus, lam)
+    got = dict(rank(model, corpus.entities, query).entries)
+    # Same arithmetic in the same order, so equal, not merely within 1e-12.
+    assert got == {eid: score(model, i, query) for i, eid in enumerate(corpus.entities)}
+
+
+def test_rank_keeps_the_top_k_of_the_full_ranking():
+    model = estimate(two_entity_corpus(), 0.5)
+    full = rank(model, ["e1", "e2"], [B], "t1").entries
+    assert rank(model, ["e1", "e2"], [B], "t1", k=1).entries == full[:1]
+    assert [e for e, _ in full] == ["e2", "e1"]
 
 
 def test_sweep_grid_shape():

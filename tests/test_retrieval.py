@@ -9,10 +9,31 @@ from hypothesis import strategies as st
 
 from lse.errors import DataError, EmptyQueryError
 from lse.model import ModelParams, project
-from lse.retrieval import (RankedList, aggregate_entity_vectors, cosine,
-                           cosine_scores, rank_by_vector, rank_entities,
-                           ranked_from_scores, read_run, write_run)
+from lse.retrieval import (RankedList, aggregate_entity_vectors, cosine_scores,
+                           rank_by_vector, rank_entities, ranked_from_scores,
+                           read_run, write_run)
 from lse.text import Corpus, Document
+
+
+def cosine(a, b):
+    """Reference cosine of two vectors: a.b / (|a||b|); 0.0 when either norm
+    is zero."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DataError("vector length mismatch")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(a @ b / (na * nb))
+
+
+def full_sort(entity_ids, scores):
+    """Reference ranking: every (entity, score) pair by descending score,
+    ascending id."""
+    order = sorted(range(len(entity_ids)), key=lambda i: (-scores[i], entity_ids[i]))
+    return [(entity_ids[i], float(scores[i])) for i in order]
 
 
 def test_cosine_fixture():
@@ -49,6 +70,34 @@ def test_cosine_scale_invariant():
 def test_ranked_from_scores_orders_and_breaks_ties_by_id():
     ranked = ranked_from_scores("t", ["b", "a", "c"], [1.0, 2.0, 1.0])
     assert ranked.entries == [("a", 2.0), ("b", 1.0), ("c", 1.0)]
+    cut = ranked_from_scores("t", ["d", "c", "b", "a"], [1.0, 1.0, 1.0, 1.0], k=2)
+    assert cut.entries == [("a", 1.0), ("b", 1.0)]
+
+
+SCORE_POOL = (float("-inf"), -1.5, 0.0, 0.25, 3.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_ranked_from_scores_top_k_is_prefix_of_full_sort(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    # Mostly a few shared values, so ties (also at the cut) and -inf are common.
+    scores = data.draw(st.lists(st.sampled_from(SCORE_POOL) | st.floats(-4.0, 4.0),
+                                min_size=n, max_size=n), label="scores")
+    ids = data.draw(st.permutations([f"x{i}" for i in range(n)]), label="ids")
+    k = data.draw(st.sampled_from([1, n - 1, n, n + 3, None])
+                  | st.integers(1, n), label="k")
+    if k == 0:
+        k = None
+    want = full_sort(ids, scores)
+    got = ranked_from_scores("t", ids, np.asarray(scores), k).entries
+    assert got == want[:k]
+    assert ranked_from_scores("t", ids, scores, k).entries == got
+
+
+def test_ranked_from_scores_rejects_depth_below_one():
+    with pytest.raises(DataError, match="at least 1"):
+        ranked_from_scores("t", ["a", "b"], [1.0, 2.0], k=0)
 
 
 def test_cosine_scores_matches_per_row_cosine():
