@@ -17,8 +17,7 @@ from .evaluation import (Qrels, TopicSet, correlations, evaluate_run,
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
                   ideal_vector, ideal_vector_report, pagerank, train_ranksvm)
 from .model import (Dims, ModelParams, TrainConfig, batch_gradients, batch_loss,
-                    init_params, instance_log_prob, load_model, project,
-                    save_model, similarity_prob)
+                    init_params, load_model, project, save_model)
 from .qlm import EntityLanguageModel, estimate, sweep_lambda
 from .retrieval import (RankedList, aggregate_entity_vectors, rank_entities,
                         read_run, write_run)
@@ -39,8 +38,7 @@ __all__ = [
     "QIData", "RankerConfig", "build_features", "cross_validated_fusion",
     "ideal_vector", "ideal_vector_report", "pagerank", "train_ranksvm",
     "Dims", "ModelParams", "TrainConfig", "batch_gradients", "batch_loss",
-    "init_params", "instance_log_prob", "load_model", "project", "save_model",
-    "similarity_prob",
+    "init_params", "load_model", "project", "save_model",
     "EntityLanguageModel", "estimate", "sweep_lambda",
     "RankedList", "aggregate_entity_vectors", "rank_entities", "read_run",
     "write_run",

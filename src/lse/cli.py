@@ -223,12 +223,14 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
     params, header = _load_model_checked(model, vocabulary)
     topic_set = TopicSet.load(topics)
     entity_ids = header["entity_ids"]
+    norms = np.linalg.norm(params.W_e, axis=1)
     ranked = []
     skipped = []
     for tid in sorted(topic_set.topics):
         ids = vocabulary.encode(tokenize(topic_set.topics[tid]))
         try:
-            ranked.append(rank_entities(params, ids, entity_ids, tid, top_k))
+            ranked.append(rank_entities(params, ids, entity_ids, tid, top_k,
+                                        norms))
         except EmptyQueryError:
             skipped.append(tid)
     write_run(os.path.join(out_dir, "run.trec"), ranked, tag=run_tag, top_k=top_k)

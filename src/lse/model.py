@@ -9,6 +9,7 @@ log-probabilities and adds (lambda / 2m) times the squared Frobenius norms of
 W_v, W and W_e; the bias b is not regularized.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -120,45 +121,49 @@ def _sigmoid(x):
     return out
 
 
-_PROB_LO = np.nextafter(0.0, 1.0)
-_PROB_HI = np.nextafter(1.0, 0.0)
-
-
-def similarity_prob(entity_vec, projected):
-    """sigma(e . f), clamped into the open interval (0, 1).
-
-    Numerically stable for arbitrarily large |e . f|.
-    """
-    a = np.asarray(entity_vec, dtype=np.float64)
-    b = np.asarray(projected, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DataError("vector length mismatch")
-    p = float(_sigmoid(np.array([a @ b]))[0])
-    return min(max(p, _PROB_LO), _PROB_HI)
-
-
-def instance_log_prob(params, ngram, positive, negatives):
-    """log sigma(e+ . f) + sum_k log(1 - sigma(e_k . f)), in log domain."""
-    f = project(params, ngram)
-    dpos = float(params.W_e[positive] @ f)
-    dneg = params.W_e[np.asarray(negatives, dtype=np.intp)] @ f
-    return float(-np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum())
-
-
 def _sq_norms(params):
     return (float(np.sum(params.W_v * params.W_v))
             + float(np.sum(params.W_e * params.W_e))
             + float(np.sum(params.W * params.W)))
 
 
+# Instances per chunk in _forward and in the scatters of
+# batch_loss_and_gradients: bounds the (chunk, z, e_E) negative gathers and
+# row products, and their flat indices, to about 10 MB each.
+_CHUNK = 512
+
+
+def _add_rows(out, index, rows):
+    """np.add.at(out, index, rows) for a C-contiguous 2-D out, bit for bit.
+
+    rows broadcasts to index.shape + (out.shape[1],). The scatter runs over
+    flat element indices, which NumPy's 1-D ufunc.at handles several times
+    faster than whole rows; every element still receives its addends in
+    the order the index lists them."""
+    d = out.shape[1]
+    flat = (index.astype(np.intp)[..., None] * d + np.arange(d)).reshape(-1)
+    values = np.broadcast_to(rows, index.shape + (d,)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, values)
+
+
 def _forward(params, ngrams, positives, negatives):
+    """Projections and NCE dot products of a batch, plus cneg = -sigma(dneg)
+    and Vneg = sum_k cneg_k e_k, the negatives' share of d logp / d f. The
+    negatives are gathered _CHUNK instances at a time, never all at once."""
     H = params.W_v.T[ngrams].mean(axis=1)          # (M, e_V)
     F = np.tanh(H @ params.W.T + params.b)         # (M, e_E)
     Epos = params.W_e[positives]                   # (M, e_E)
-    Eneg = params.W_e[negatives]                   # (M, z, e_E)
     dpos = np.einsum("me,me->m", Epos, F)
-    dneg = np.einsum("mke,me->mk", Eneg, F)
-    return H, F, Epos, Eneg, dpos, dneg
+    dneg = np.empty(negatives.shape, dtype=F.dtype)
+    cneg = np.empty(negatives.shape)
+    Vneg = np.empty(F.shape)
+    for lo in range(0, len(F), _CHUNK):
+        s = slice(lo, lo + _CHUNK)
+        Eneg = params.W_e[negatives[s]]            # (chunk, z, e_E)
+        dneg[s] = np.einsum("mke,me->mk", Eneg, F[s])
+        cneg[s] = -_sigmoid(dneg[s])
+        Vneg[s] = np.einsum("mk,mke->me", cneg[s], Eneg)
+    return H, F, Epos, dpos, dneg, cneg, Vneg
 
 
 def batch_loss(params, batch, weight_decay):
@@ -166,8 +171,8 @@ def batch_loss(params, batch, weight_decay):
     m = len(batch)
     if m == 0:
         raise DataError("batch is empty")
-    _, _, _, _, dpos, dneg = _forward(params, batch.ngrams, batch.positives,
-                                      batch.negatives)
+    _, _, _, dpos, dneg, _, _ = _forward(params, batch.ngrams,
+                                         batch.positives, batch.negatives)
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
     return float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
 
@@ -178,23 +183,27 @@ def batch_loss_and_gradients(params, batch, weight_decay):
     Gradients are exact for the batch loss. The per-instance pieces are
     sech^2 = 1 - f^2 reusing the forward tanh, a coefficient 1 - sigma for
     the positive dot and -sigma per negative dot, and a sparse scatter-add
-    (np.add.at, in index order, so reruns are bit-identical) into the
-    touched columns of W_v and rows of W_e; the (lambda / m) theta
+    into the touched columns of W_v and rows of W_e; the (lambda / m) theta
     regularizer term is dense over the three matrices and absent for b.
+    The scatters go through _add_rows, a flat-index np.add.at: first the
+    positives into W_e, then _CHUNK instances at a time the token rows and
+    the negatives. Each element receives its addends in index order, as
+    one np.add.at per scatter would give them, so the gradients are
+    bit-identical to that and across reruns.
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m = len(batch)
     if m == 0:
         raise DataError("batch is empty")
     n = ngrams.shape[1]
-    H, F, Epos, Eneg, dpos, dneg = _forward(params, ngrams, positives, negatives)
+    H, F, Epos, dpos, dneg, cneg, Vneg = _forward(params, ngrams, positives,
+                                                  negatives)
 
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
     loss = float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
 
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
-    cneg = -_sigmoid(dneg)                         # (M, z)
-    V = cpos[:, None] * Epos + np.einsum("mk,mke->me", cneg, Eneg)
+    V = cpos[:, None] * Epos + Vneg
     G = V * (1.0 - F * F)                          # d logp / d preactivation
 
     inv_m = 1.0 / m
@@ -203,16 +212,19 @@ def batch_loss_and_gradients(params, batch, weight_decay):
     g_W = -inv_m * (G.T @ H) + reg * params.W
 
     per_token = (G @ params.W) * (-inv_m / n)      # (M, e_V)
-    # np.add.at runs about twice as fast on contiguous rows as on the
-    # strided columns of W_v, so scatter into a (|V|, e_V) buffer first.
+    # _add_rows needs a C-contiguous out, and rows scatter faster than the
+    # strided columns of W_v, so the token gradients go into a (|V|, e_V)
+    # buffer first.
     token_rows = np.zeros(params.W_v.shape[::-1], dtype=per_token.dtype)
-    np.add.at(token_rows, ngrams, per_token[:, None, :])
+    g_We = reg * params.W_e
+    _add_rows(g_We, positives, (-inv_m * cpos)[:, None] * F)
+    wneg = -inv_m * cneg
+    for lo in range(0, m, _CHUNK):
+        s = slice(lo, lo + _CHUNK)
+        _add_rows(token_rows, ngrams[s], per_token[s, None, :])
+        _add_rows(g_We, negatives[s], wneg[s, :, None] * F[s, None, :])
     g_Wv = reg * params.W_v
     g_Wv += token_rows.T
-
-    g_We = reg * params.W_e
-    np.add.at(g_We, positives, (-inv_m * cpos)[:, None] * F)
-    np.add.at(g_We, negatives, (-inv_m * cneg)[:, :, None] * F[:, None, :])
 
     return loss, GradientSet(g_Wv, g_W, g_b, g_We)
 
@@ -365,10 +377,27 @@ class TrainConfig:
                 fh.write(f"{key} = {value}\n")
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A binary file handle on a temporary file in path's directory, renamed
+    over path on a clean exit and removed on any failure, so an interrupted
+    write never leaves a partial file at path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
     """Write the binary container: magic, header length, JSON header, then
     the four arrays row-major float64 little-endian in the order W_v, W, b,
-    W_e. A pretty-printed .meta.json sidecar mirrors the header."""
+    W_e. A pretty-printed .meta.json sidecar mirrors the header. Each file
+    is written to a temporary file first and renamed into place."""
     dims = params.dims
     header = {
         "format": "lse-model",
@@ -380,16 +409,15 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
         "config": dict(config) if config else {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name in PARAM_FIELDS:
             arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
             fh.write(arr.tobytes())
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _atomic_open(f"{path}.meta.json") as fh:
+        fh.write(json.dumps(header, indent=2, sort_keys=True).encode("utf-8") + b"\n")
 
 
 def _read_header(path, blob):

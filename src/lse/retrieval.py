@@ -38,10 +38,14 @@ def ranked_from_scores(topic_id, entity_ids, scores, k=None):
     return RankedList(topic_id, pairs[:k])
 
 
-def cosine_scores(matrix, vec):
-    """Cosine of vec against every row of matrix; zero-norm rows score 0."""
+def cosine_scores(matrix, vec, norms=None):
+    """Cosine of vec against every row of matrix; zero-norm rows score 0.
+
+    norms, when given, must be np.linalg.norm(matrix, axis=1): callers that
+    score many vectors against one matrix compute it once."""
     vec = np.asarray(vec, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
+    if norms is None:
+        norms = np.linalg.norm(matrix, axis=1)
     vnorm = np.linalg.norm(vec)
     denom = norms * vnorm
     raw = matrix @ vec
@@ -50,22 +54,25 @@ def cosine_scores(matrix, vec):
     return out
 
 
-def rank_by_vector(matrix, vec, entity_ids, topic_id, k=None):
+def rank_by_vector(matrix, vec, entity_ids, topic_id, k=None, norms=None):
     """Rank all entities by cosine similarity of their rows to vec; keep the
-    top k (all when k is None)."""
-    return ranked_from_scores(topic_id, entity_ids, cosine_scores(matrix, vec), k)
+    top k (all when k is None). norms is as for cosine_scores."""
+    return ranked_from_scores(topic_id, entity_ids,
+                              cosine_scores(matrix, vec, norms), k)
 
 
-def rank_entities(params, query_token_ids, entity_ids, topic_id="q", k=None):
+def rank_entities(params, query_token_ids, entity_ids, topic_id="q", k=None,
+                  norms=None):
     """Project the query, score every entity by cosine similarity and keep
-    the top k (all when k is None).
+    the top k (all when k is None). norms, when given, must be
+    np.linalg.norm(params.W_e, axis=1).
 
     Raises EmptyQueryError (carrying the topic id) when no tokens remain.
     """
     if len(query_token_ids) == 0:
         raise EmptyQueryError(topic_id)
     f = project(params, query_token_ids)
-    return rank_by_vector(params.W_e, f, entity_ids, topic_id, k)
+    return rank_by_vector(params.W_e, f, entity_ids, topic_id, k, norms)
 
 
 def aggregate_entity_vectors(corpus, doc_vectors):

@@ -1,13 +1,16 @@
 """Training loop: per-epoch sampling, batched gradient steps with Adam, and
 validation-based epoch selection."""
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LSEError
 from .evaluation import mean_ndcg
-from .model import AdamState, Dims, adam_step, batch_loss_and_gradients, init_params
+from .model import (PARAM_FIELDS, AdamState, Dims, adam_step,
+                    batch_loss_and_gradients, init_params)
 from .retrieval import rank_entities
 from .sampling import SamplerConfig, make_batches, sample_epoch
 from .text import tokenize
@@ -42,7 +45,8 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
     qrels are given, the epoch with the highest mean validation NDCG wins
     (ties go to the earlier epoch); otherwise the final epoch's parameters
     are returned. mean_batch_loss is the unweighted mean of per-batch
-    losses.
+    losses. A non-finite batch loss or gradient stops training with an
+    LSEError naming the epoch and the batch.
     """
     dtype = np.float32 if config.precision == "float32" else np.float64
     dims = Dims(config.e_v, config.e_e, vocab.size, corpus.num_entities)
@@ -67,16 +71,25 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
         t0 = time.perf_counter()
         block = sample_epoch(corpus, sampler, _epoch_rng(config.seed, epoch))
         losses = []
-        for batch in make_batches(block, config.m):
+        for number, batch in enumerate(make_batches(block, config.m), start=1):
             loss, grads = batch_loss_and_gradients(params, batch, config.weight_decay)
+            # A sum is finite only if every element is (or it overflowed,
+            # which is divergence too), so one reduction per array suffices.
+            bad = [] if math.isfinite(loss) else ["loss"]
+            bad += [f"{name} gradient" for name in PARAM_FIELDS
+                    if not np.isfinite(getattr(grads, name).sum())]
+            if bad:
+                raise LSEError(f"training diverged: non-finite {', '.join(bad)} "
+                               f"at epoch {epoch}, batch {number}")
             adam_step(params, grads, state)
             losses.append(loss)
         mean_loss = sum(losses) / len(losses)
 
         vndcg = None
         if val_queries:
+            norms = np.linalg.norm(params.W_e, axis=1)
             runs = {tid: rank_entities(params, ids, corpus.entities, tid,
-                                       config.validation_cutoff)
+                                       config.validation_cutoff, norms)
                     for tid, ids in val_queries}
             vndcg, _ = mean_ndcg(runs, validation_qrels, config.validation_cutoff)
         if vndcg is not None and (best_ndcg is None or vndcg > best_ndcg):

@@ -6,6 +6,7 @@ import struct
 import pytest
 from click.testing import CliRunner
 
+import lse.training
 from lse.cli import main
 from lse.model import MAGIC
 from lse.retrieval import read_run
@@ -289,6 +290,23 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {bad}{message}" in result.output
+
+
+def test_train_with_nan_loss_exits_1_without_model(tmp_path, monkeypatch):
+    corpus, _, _ = write_inputs(tmp_path)
+    runner = CliRunner()
+    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    step = lse.training.batch_loss_and_gradients
+    monkeypatch.setattr(lse.training, "batch_loss_and_gradients",
+                        lambda *args: (float("nan"), step(*args)[1]))
+    out = tmp_path / "model"
+    result = runner.invoke(main, ["train", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
+                                  "--out", str(out)] + TRAIN_FLAGS)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: training diverged: non-finite loss at epoch 1, batch 1" in result.output
+    assert "Traceback" not in result.output
+    assert not (out / "model.lse").exists()
 
 
 def test_all_oov_topic_listed_and_exit_zero(tmp_path):

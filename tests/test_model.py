@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lse.errors import DataError, LSEError
-from lse.model import (MAGIC, PARAM_FIELDS, AdamState, Dims, GradientSet,
-                       ModelParams, TrainConfig, adam_step, batch_gradients,
-                       batch_loss, batch_loss_and_gradients, init_params,
-                       instance_log_prob, load_model, max_relative_fd_error,
-                       project, save_model, similarity_prob)
+from lse.model import (_CHUNK, MAGIC, PARAM_FIELDS, AdamState, Dims, GradientSet,
+                       ModelParams, TrainConfig, _add_rows, _sigmoid, _sq_norms,
+                       adam_step, batch_gradients, batch_loss,
+                       batch_loss_and_gradients, init_params, load_model,
+                       max_relative_fd_error, project, save_model)
 from lse.sampling import InstanceBlock
 
 
@@ -38,6 +39,31 @@ def zero_params(e_v=4, e_e=3, vocab=6, entities=5):
 
 def sigma(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+_PROB_LO = np.nextafter(0.0, 1.0)
+_PROB_HI = np.nextafter(1.0, 0.0)
+
+
+def similarity_prob(entity_vec, projected):
+    """Scalar oracle: sigma(e . f), clamped into the open interval (0, 1);
+    stable for arbitrarily large |e . f|."""
+    a = np.asarray(entity_vec, dtype=np.float64)
+    b = np.asarray(projected, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DataError("vector length mismatch")
+    x = float(a @ b)
+    p = 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+    return min(max(p, _PROB_LO), _PROB_HI)
+
+
+def instance_log_prob(params, ngram, positive, negatives):
+    """Scalar oracle: log sigma(e+ . f) + sum_k log(1 - sigma(e_k . f)), in
+    log domain."""
+    f = project(params, ngram)
+    dpos = float(params.W_e[positive] @ f)
+    dneg = params.W_e[np.asarray(negatives, dtype=np.intp)] @ f
+    return float(-np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum())
 
 
 def naive_instance_prob(params, ngram, positive, negatives):
@@ -279,6 +305,106 @@ def test_batch_gradients_match_per_instance_loop(case):
         assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
 
 
+def test_batch_spanning_chunks_matches_per_instance_loop():
+    # m > 2 * _CHUNK, so the scatters and the negatives' forward pass cross
+    # two chunk boundaries and end in a partial chunk.
+    m = 2 * _CHUNK + 76
+    params, block = random_setup(23, m=m, n=3, z=4)
+    loss, grads = batch_loss_and_gradients(params, block, 0.01)
+    want = loop_batch_gradients(params, block, 0.01)
+    for name in PARAM_FIELDS:
+        assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
+    logps = [instance_log_prob(params, *inst) for inst in
+             zip(block.ngrams, block.positives, block.negatives)]
+    reg = 0.5 * 0.01 / m * _sq_norms(params)
+    assert loss == pytest.approx(-sum(logps) / m + reg, abs=1e-12)
+
+
+def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
+    """The training step with one whole-batch gather of the negatives and
+    one row-wise np.add.at per scatter: the bit-for-bit reference for the
+    chunked flat-index scatters."""
+    ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
+    m = len(batch)
+    n = ngrams.shape[1]
+    H = params.W_v.T[ngrams].mean(axis=1)
+    F = np.tanh(H @ params.W.T + params.b)
+    Epos = params.W_e[positives]
+    Eneg = params.W_e[negatives]
+    dpos = np.einsum("me,me->m", Epos, F)
+    dneg = np.einsum("mke,me->mk", Eneg, F)
+    logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
+    loss = float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
+    cpos = 1.0 - _sigmoid(dpos)
+    cneg = -_sigmoid(dneg)
+    V = cpos[:, None] * Epos + np.einsum("mk,mke->me", cneg, Eneg)
+    G = V * (1.0 - F * F)
+    inv_m = 1.0 / m
+    reg = weight_decay * inv_m
+    g_b = -inv_m * G.sum(axis=0)
+    g_W = -inv_m * (G.T @ H) + reg * params.W
+    per_token = (G @ params.W) * (-inv_m / n)
+    token_rows = np.zeros(params.W_v.shape[::-1], dtype=per_token.dtype)
+    np.add.at(token_rows, ngrams, per_token[:, None, :])
+    g_Wv = reg * params.W_v
+    g_Wv += token_rows.T
+    g_We = reg * params.W_e
+    np.add.at(g_We, positives, (-inv_m * cpos)[:, None] * F)
+    np.add.at(g_We, negatives, (-inv_m * cneg)[:, :, None] * F[:, None, :])
+    return loss, GradientSet(g_Wv, g_W, g_b, g_We)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_chunked_step_is_bit_identical_to_unchunked(dtype):
+    # Three full chunks and a partial one, drawn from pools of seven words
+    # and four entities so every row is hit many times within and across
+    # chunks.
+    dims = Dims(e_v=6, e_e=5, vocab_size=7, num_entities=4)
+    params, block = random_setup(29, dims=dims, m=3 * _CHUNK + 37, n=3, z=4)
+    params = params.astype(dtype)
+    loss, grads = batch_loss_and_gradients(params, block, 0.01)
+    want_loss, want = unchunked_batch_loss_and_gradients(params, block, 0.01)
+    assert loss == want_loss
+    for name in PARAM_FIELDS:
+        got, ref = getattr(grads, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+
+@st.composite
+def scatter_cases(draw):
+    """A nonzero float32 or float64 out of one or more rows and columns, a
+    1-D or 2-D index with repeats, and rows either full or broadcast across
+    the index's second axis (as the token-row scatter passes them)."""
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    finite = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)
+    out = draw(arrays(dtype, shape, elements=finite))
+    if draw(st.booleans()):
+        index_shape = (draw(st.integers(1, 9)),)
+    else:
+        index_shape = (draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    index = draw(arrays(np.int32, index_shape,
+                        elements=st.integers(0, shape[0] - 1)))
+    rows_shape = index_shape + (shape[1],)
+    if len(index_shape) == 2 and draw(st.booleans()):
+        rows_shape = (index_shape[0], 1, shape[1])
+    rows_dtype = draw(st.sampled_from((np.float32, np.float64)))
+    rows = draw(arrays(rows_dtype, rows_shape,
+                       elements=st.floats(-1e3, 1e3, width=32)))
+    return out, index, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(scatter_cases())
+def test_add_rows_is_bit_identical_to_add_at(case):
+    out, index, rows = case
+    want = out.copy()
+    np.add.at(want, index, rows)
+    got = out.copy()
+    _add_rows(got, index, rows)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_adam_first_step_magnitude_near_alpha():
     params = zero_params(e_v=2, e_e=2, vocab=2, entities=2)
     state = AdamState(params)
@@ -379,6 +505,25 @@ def test_save_is_byte_stable(tmp_path):
     save_model(a, params, vocab_sha256="x", entity_ids=["e"])
     save_model(b, params, vocab_sha256="x", entity_ids=["e"])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_save_leaves_no_partial_or_temporary_file(tmp_path):
+    params, _ = random_setup(18)
+    path = tmp_path / "model.lse"
+    # b cannot be converted to float64, so the write fails after W_v and W
+    # have gone to disk.
+    broken = ModelParams(params.W_v, params.W, np.array([object()] * 3),
+                         params.W_e)
+    with pytest.raises(TypeError):
+        save_model(path, broken, entity_ids=entity_names(params))
+    assert list(tmp_path.iterdir()) == []
+    save_model(path, params, entity_ids=entity_names(params))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_model(path, broken, entity_ids=entity_names(params))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.lse",
+                                                          "model.lse.meta.json"]
 
 
 def test_load_rejects_bad_magic(tmp_path):

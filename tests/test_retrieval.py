@@ -111,6 +111,21 @@ def test_cosine_scores_matches_per_row_cosine():
     assert scores[2] == 0.0
 
 
+def test_precomputed_norms_give_identical_scores_and_rankings():
+    rng = np.random.default_rng(3)
+    params = ModelParams(rng.normal(size=(3, 5)), rng.normal(size=(4, 3)),
+                         rng.normal(size=4), rng.normal(size=(9, 4)))
+    params.W_e[5] = 0.0
+    norms = np.linalg.norm(params.W_e, axis=1)
+    ids = [f"e{i}" for i in range(9)]
+    for query in ([0], [1, 4], [2, 2, 3]):
+        f = project(params, query)
+        assert (cosine_scores(params.W_e, f, norms).tobytes()
+                == cosine_scores(params.W_e, f).tobytes())
+        assert (rank_entities(params, query, ids, "t", 4, norms)
+                == rank_entities(params, query, ids, "t", 4))
+
+
 def test_rank_by_vector_ranks_best_alignment_first():
     matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]])
     ranked = rank_by_vector(matrix, np.array([1.0, 0.05]), ["x", "y", "z"], "t")

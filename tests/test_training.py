@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import lse.training
 from conftest import build_separable_corpus, separable_topics
+from lse.errors import LSEError
 from lse.evaluation import Qrels
-from lse.model import PARAM_FIELDS, TrainConfig
+from lse.model import PARAM_FIELDS, TrainConfig, batch_loss_and_gradients
 from lse.training import EpochLog, train, write_epoch_log
 
 
@@ -37,6 +39,26 @@ def test_train_is_deterministic(tiny_corpus):
     for name in PARAM_FIELDS:
         assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
     assert [e.mean_batch_loss for e in a.log] == [e.mean_batch_loss for e in b.log]
+
+
+def test_train_stops_on_non_finite_gradient(tiny_corpus, monkeypatch):
+    # Each epoch of tiny_corpus has 120 instances, 8 batches of m = 16, so
+    # the tenth step is the second batch of the second epoch.
+    corpus, vocab = tiny_corpus
+    calls = []
+
+    def poisoned(params, batch, weight_decay):
+        loss, grads = batch_loss_and_gradients(params, batch, weight_decay)
+        calls.append(len(batch))
+        if len(calls) == 10:
+            grads.W_e[0, 0] = np.inf
+        return loss, grads
+
+    monkeypatch.setattr(lse.training, "batch_loss_and_gradients", poisoned)
+    with pytest.raises(LSEError, match="non-finite W_e gradient at epoch 2, "
+                                       "batch 2$"):
+        train(corpus, vocab, tiny_config())
+    assert len(calls) == 10
 
 
 def test_train_seed_changes_the_run(tiny_corpus):
