@@ -18,7 +18,7 @@ from .evaluation import (Qrels, TopicSet, evaluate_run, paired_t_test,
                          significance_marker)
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
                   ideal_vector_report, load_graph, load_qi_attributes, GRAPH_NAMES)
-from .model import (Dims, TrainConfig, init_params, load_model,
+from .model import (Dims, TrainConfig, _atomic_open, init_params, load_model,
                     max_relative_fd_error, save_model)
 from .qlm import estimate as qlm_estimate
 from .qlm import rank as qlm_rank
@@ -82,10 +82,19 @@ class _Manifest:
             "started": self.started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
-        with open(os.path.join(self.out_dir, "manifest.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.out_dir, "manifest.json", payload)
+
+
+def _output(out_dir, name):
+    """A text handle on out_dir/name; the file appears only once complete."""
+    return _atomic_open(os.path.join(out_dir, name), "w", encoding="utf-8",
+                        newline="")
+
+
+def _write_json(out_dir, name, payload):
+    with _output(out_dir, name) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _prepare_out(out_dir):
@@ -201,8 +210,7 @@ def _load_model_checked(model_path, vocabulary):
 
 
 def _write_skipped(out_dir, skipped):
-    with open(os.path.join(out_dir, "skipped_topics.txt"), "w",
-              encoding="utf-8") as fh:
+    with _output(out_dir, "skipped_topics.txt") as fh:
         for tid in skipped:
             fh.write(f"{tid}\n")
 
@@ -290,8 +298,7 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
     qrels_data = Qrels.load(qrels)
     report = evaluate_run(read_run(run), qrels_data, cutoff=cutoff)
     metrics = [f"ndcg@{cutoff}", "p@5", "p@10"]
-    with open(os.path.join(out_dir, "per_topic.csv"), "w", encoding="utf-8",
-              newline="") as fh:
+    with _output(out_dir, "per_topic.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["topic_id"] + metrics)
         for tid, row in sorted(report.per_topic.items()):
@@ -311,9 +318,7 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
             except LSEError as exc:
                 significance[metric] = {"degenerate": str(exc)}
         aggregate["significance_vs_baseline"] = significance
-    with open(os.path.join(out_dir, "aggregate.json"), "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir, "aggregate.json", aggregate)
     manifest.write()
 
 
@@ -335,14 +340,11 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
     topic_set = TopicSet.load(topics)
     best, grid = sweep_lambda(corpus_data, topic_set.topics, Qrels.load(qrels),
                               vocabulary, cutoff=cutoff)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8",
-              newline="") as fh:
+    with _output(out_dir, "sweep.csv") as fh:
         fh.write("lambda_jm,mean_ndcg\n")
         for lam, mean in grid:
             fh.write(f"{lam!r},{mean!r}\n")
-    with open(os.path.join(out_dir, "best_lambda.json"), "w", encoding="utf-8") as fh:
-        json.dump({"best_lambda_jm": best}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir, "best_lambda.json", {"best_lambda_jm": best})
     _status(f"best lambda_jm = {best!r}")
     manifest.write()
 
@@ -406,8 +408,7 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
                                     ranker_config=RankerConfig(pair_samples=pair_samples,
                                                                seed=seed))
     metrics = [f"ndcg@{cutoff}", "p@5", "p@10"]
-    with open(os.path.join(out_dir, "fusion.csv"), "w", encoding="utf-8",
-              newline="") as fh:
+    with _output(out_dir, "fusion.csv") as fh:
         writer = csv.writer(fh)
         header = ["features"]
         for metric in metrics:
@@ -425,9 +426,7 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
                         for r in report.rows],
                "significance_full_vs_qi_qlm": report.significance,
                "folds": folds, "seed": seed}
-    with open(os.path.join(out_dir, "fusion.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir, "fusion.json", payload)
     manifest.write()
 
 
@@ -459,8 +458,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
                                cutoff=cutoff,
                                config=RankerConfig(pair_samples=pair_samples,
                                                    seed=seed))
-    with open(os.path.join(out_dir, "ideal.csv"), "w", encoding="utf-8",
-              newline="") as fh:
+    with _output(out_dir, "ideal.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["topic_id", "status", "n_relevant", "ndcg_ideal",
                          "ndcg_query"])
@@ -478,9 +476,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
         "mean_ndcg_query": (sum(r["ndcg_query"] for r in scored) / len(scored)
                             if scored else None),
     }
-    with open(os.path.join(out_dir, "ideal.json"), "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir, "ideal.json", aggregate)
     if skipped:
         _status(f"skipped {len(skipped)} topics (single or no relevant entity)")
     manifest.write()
@@ -513,12 +509,9 @@ def cmd_grad_check(seeds, eps, tolerance, out_dir):
     _status(f"max relative error {worst:.3e} over {seeds} seeds ({elapsed:.2f}s)")
     if out_dir:
         _prepare_out(out_dir)
-        with open(os.path.join(out_dir, "grad_check.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump({"results": results, "max_rel_err": worst,
-                       "tolerance": tolerance, "eps": eps}, fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir, "grad_check.json",
+                    {"results": results, "max_rel_err": worst,
+                     "tolerance": tolerance, "eps": eps})
     if worst >= tolerance:
         raise click.ClickException(f"gradient check failed: {worst:.3e} >= {tolerance}")
 

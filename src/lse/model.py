@@ -112,7 +112,10 @@ def project(params, token_ids):
 
 
 def _sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
+    """Logistic function in x's float dtype (float64 for any other input)."""
+    x = np.asarray(x)
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -155,8 +158,8 @@ def _forward(params, ngrams, positives, negatives):
     Epos = params.W_e[positives]                   # (M, e_E)
     dpos = np.einsum("me,me->m", Epos, F)
     dneg = np.empty(negatives.shape, dtype=F.dtype)
-    cneg = np.empty(negatives.shape)
-    Vneg = np.empty(F.shape)
+    cneg = np.empty(negatives.shape, dtype=F.dtype)
+    Vneg = np.empty(F.shape, dtype=F.dtype)
     for lo in range(0, len(F), _CHUNK):
         s = slice(lo, lo + _CHUNK)
         Eneg = params.W_e[negatives[s]]            # (chunk, z, e_E)
@@ -378,13 +381,13 @@ class TrainConfig:
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
-    """A binary file handle on a temporary file in path's directory, renamed
-    over path on a clean exit and removed on any failure, so an interrupted
-    write never leaves a partial file at path."""
+def _atomic_open(path, mode="wb", **kwargs):
+    """open(path, mode, **kwargs) on a temporary file in path's directory,
+    renamed over path on a clean exit and removed on any failure, so an
+    interrupted write never leaves a partial file at path."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

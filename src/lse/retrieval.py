@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyQueryError
-from .model import project
+from .model import _atomic_open, project
 
 
 @dataclass
@@ -101,7 +101,7 @@ def aggregate_entity_vectors(corpus, doc_vectors):
 
 def write_run(path, ranked_lists, tag="lse", top_k=100):
     """Write rankings in TREC run format, truncated to top_k per topic."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         for ranked in ranked_lists:
             for rank, (eid, score) in enumerate(ranked.entries[:top_k], start=1):
                 fh.write(f"{ranked.topic_id} Q0 {eid} {rank} {score!r} {tag}\n")

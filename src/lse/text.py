@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError
+from .model import _atomic_open
 
 NUM_TOKEN = "<num>"
 
@@ -103,7 +104,7 @@ class Vocabulary:
         return hashlib.sha256(self.to_tsv().encode("utf-8")).hexdigest()
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_tsv())
 
     @classmethod

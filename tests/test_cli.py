@@ -9,7 +9,8 @@ from click.testing import CliRunner
 import lse.training
 from lse.cli import main
 from lse.model import MAGIC
-from lse.retrieval import read_run
+from lse.retrieval import RankedList, read_run, write_run
+from lse.training import EpochLog, write_epoch_log
 
 CORPUS_LINES = [
     {"doc_id": "d1", "entity_id": "cam", "text": "digital camera zoom lens"},
@@ -290,6 +291,56 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {bad}{message}" in result.output
+
+
+@pytest.mark.parametrize("folds", ["1", "0", "-3"])
+def test_fuse_with_fewer_than_two_folds_exits_1(tmp_path, folds):
+    corpus, topics, qrels = write_inputs(tmp_path)
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    out = tmp_path / "fuse"
+    result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
+                                       str(qrels), "--out", str(out),
+                                       "--folds", folds])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: cross-validation needs at least 2 folds, got {folds}" in result.output
+    assert "Traceback" not in result.output
+    assert not (out / "fusion.csv").exists() and not (out / "fusion.json").exists()
+
+
+class Unprintable(float):
+    def __repr__(self):
+        raise RuntimeError("cannot format")
+
+
+def write_output(kind, path, fail):
+    """Write one output file of the given kind; with fail, the write raises
+    after the first line or field is out."""
+    from lse.cli import _write_json
+
+    if kind == "run":
+        ranked = RankedList("t1", [("cam", 2.0), ("gui", Unprintable(1.0) if fail else 1.0)])
+        write_run(path, [ranked])
+    elif kind == "epoch_log":
+        write_epoch_log(path, [EpochLog(1, 2.0, None, 0.5),
+                               EpochLog(2, Unprintable(1.0) if fail else 1.0, 0.3, 0.5)])
+    else:
+        _write_json(path.parent, path.name, {"a": 1, "b": object() if fail else 2})
+
+
+@pytest.mark.parametrize("kind", ["run", "epoch_log", "json"])
+def test_failed_output_write_leaves_no_partial_or_temporary_file(tmp_path, kind):
+    path = tmp_path / "output"
+    with pytest.raises((RuntimeError, TypeError)):
+        write_output(kind, path, fail=True)
+    assert list(tmp_path.iterdir()) == []
+    write_output(kind, path, fail=False)
+    before = path.read_bytes()
+    with pytest.raises((RuntimeError, TypeError)):
+        write_output(kind, path, fail=True)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["output"]
 
 
 def test_train_with_nan_loss_exits_1_without_model(tmp_path, monkeypatch):

@@ -1,20 +1,26 @@
 """PageRank, RankSVM, feature assembly, fold fusion, and the ideal-vector
 analysis."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lse.ltr
 from lse.errors import DataError
 from lse.ltr import (COMBOS, GRAPH_NAMES, QI_MASK_FEATURES,
-                     QI_VALUE_FEATURES, QIData, RankerConfig,
-                     _fold_partition, build_features, cross_validated_fusion,
-                     ideal_vector, ideal_vector_report, load_graph,
-                     load_qi_attributes, pagerank, qi_feature_matrix,
-                     train_ranksvm)
-from lse.evaluation import Qrels
-from lse.model import Dims, init_params
+                     QI_VALUE_FEATURES, QIData, RankerConfig, _fold_partition,
+                     _pair_rows, _pegasos, _standardize_fit, build_features,
+                     cross_validated_fusion, ideal_vector, ideal_vector_report,
+                     load_graph, load_qi_attributes, pagerank,
+                     qi_feature_matrix, train_ranksvm)
+from lse.evaluation import Qrels, evaluate_run, ndcg
+from lse.model import Dims, init_params, project
 from lse.qlm import estimate
-from lse.text import Corpus, Document, Vocabulary
+from lse.retrieval import rank_by_vector, ranked_from_scores
+from lse.text import Corpus, Document, Vocabulary, tokenize
 
 
 def small_corpus():
@@ -79,6 +85,103 @@ def test_pagerank_input_validation():
 
 
 # ---- RankSVM ----
+
+def oracle_train_ranksvm(rows, labels, config, groups=None):
+    """The single-fit Pegasos loop, one pair at a time: the reference the
+    lockstep trainer must match bit for bit. Returns the weights."""
+    rows = np.asarray(rows, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    groups = (np.zeros(len(rows), dtype=np.int64) if groups is None
+              else np.asarray(groups, dtype=np.int64))
+    pos_pool = []
+    pos_group_code = []
+    neg_lists = []
+    for g in np.unique(groups):
+        sel = groups == g
+        pos = np.flatnonzero(sel & (labels == 1))
+        neg = np.flatnonzero(sel & (labels == 0))
+        if len(pos) == 0 or len(neg) == 0:
+            continue
+        code = len(neg_lists)
+        neg_lists.append(neg)
+        pos_pool.append(pos)
+        pos_group_code.append(np.full(len(pos), code, dtype=np.int64))
+    pos_pool = np.concatenate(pos_pool)
+    pos_group_code = np.concatenate(pos_group_code)
+    neg_counts = np.array([len(neg) for neg in neg_lists], dtype=np.int64)
+    neg_starts = np.zeros(len(neg_lists), dtype=np.int64)
+    np.cumsum(neg_counts[:-1], out=neg_starts[1:])
+    neg_flat = np.concatenate(neg_lists)
+
+    rng = np.random.default_rng(config.seed)
+    t_total = config.pair_samples
+    pick = rng.integers(0, len(pos_pool), size=t_total)
+    gcode = pos_group_code[pick]
+    neg_local = np.floor(rng.random(t_total) * neg_counts[gcode]).astype(np.int64)
+    neg_rows = neg_flat[neg_starts[gcode] + neg_local]
+    diffs = rows[pos_pool[pick]] - rows[neg_rows]
+
+    lam = 1.0 / config.c
+    w = np.zeros(rows.shape[1])
+    for t in range(1, t_total + 1):
+        d = diffs[t - 1]
+        active = float(d @ w) < 1.0
+        w *= 1.0 - 1.0 / t
+        if active:
+            w += (1.0 / (lam * t)) * d
+    return w
+
+
+@st.composite
+def lockstep_fits(draw):
+    """K = 1-5 fits of one width (1-20 or 256), each with its own rows,
+    labels holding both classes, groups, seed and C, plus a chunk length in
+    steps that does not divide the shared pair count."""
+    width = draw(st.one_of(st.integers(1, 20), st.just(256)))
+    steps = draw(st.integers(2, 40))
+    pair_samples = steps * draw(st.integers(0, 4)) + draw(st.integers(1, steps - 1))
+    fits = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(2, 30))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = rng.normal(size=(n, width)) * draw(st.sampled_from([0.01, 1.0, 50.0]))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (1, 0)  # rows 0 and 1 share a group, so a pair exists
+        groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
+        groups[1] = groups[0]
+        fits.append((rows, labels, groups, RankerConfig(
+            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples,
+            seed=draw(st.integers(0, 2**32 - 1)))))
+    return fits, steps, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(lockstep_fits())
+def test_lockstep_weights_equal_the_single_fit_oracle(drawn):
+    fits, steps, standardize = drawn
+    k = len(fits)
+    width = fits[0][0].shape[1]
+    offsets = np.cumsum([0] + [len(rows) for rows, _, _, _ in fits])
+    pairs, means, stds, expected = [], [], [], []
+    for (rows, labels, groups, config), offset in zip(fits, offsets):
+        mean, std = _standardize_fit(rows)
+        p, q = _pair_rows(labels, groups, config)
+        pairs.append((p + offset, q + offset))
+        means.append(mean)
+        stds.append(std)
+        expected.append(oracle_train_ranksvm((rows - mean) / std if standardize
+                                             else rows, labels, config, groups))
+    stacked = np.concatenate([rows for rows, _, _, _ in fits])
+    with mock.patch.object(lse.ltr, "_CHUNK_VALUES", steps * k * width):
+        weights = _pegasos(stacked, pairs, [1.0 / config.c for _, _, _, config in fits],
+                           *((np.array(means), np.array(stds)) if standardize else ()))
+    assert weights.shape == (k, width)
+    for w, w_expected in zip(weights, expected):
+        assert w.tobytes() == w_expected.tobytes()
+    rows, labels, groups, config = fits[0]
+    assert (train_ranksvm(rows, labels, config, groups).weights.tobytes()
+            == oracle_train_ranksvm(rows, labels, config, groups).tobytes())
+
 
 def test_ranksvm_duplicated_column_matches_single_column():
     single = train_ranksvm([[2.0], [0.0]], [1, 0])
@@ -303,6 +406,41 @@ def test_cross_validated_fusion_needs_enough_topics():
     table, qrels = fusion_setup()
     with pytest.raises(DataError, match="fold"):
         cross_validated_fusion(table, qrels, folds=len(table.topics) + 1)
+    for folds in (1, 0, -3):
+        with pytest.raises(DataError, match="at least 2 folds"):
+            cross_validated_fusion(table, qrels, folds=folds)
+
+
+def test_cross_validated_fusion_equals_per_fold_oracle():
+    """Every fold trained alone by the oracle loop, on its z-scored training
+    topics, gives the same per-topic metrics as the lockstep folds."""
+    table, qrels = fusion_setup()
+    folds, seed, config = 4, 3, RankerConfig(c=0.5, pair_samples=700)
+    report = cross_validated_fusion(table, qrels, folds=folds, seed=seed,
+                                    cutoff=10, ks=(5,), ranker_config=config)
+    n = len(table.entity_ids)
+    partition = _fold_partition(table.topics, folds, seed)
+    for combo_index, (combo, row) in enumerate(zip(COMBOS, report.rows)):
+        cols = table.columns_for(combo)
+        runs = {}
+        for fold_index, heldout in enumerate(partition):
+            train = [t for t in table.topics if t not in heldout]
+            matrix = np.concatenate([table.matrices[t][:, cols] for t in train])
+            labels = np.concatenate([[qrels.grade(t, e) for e in table.entity_ids]
+                                     for t in train])
+            mean, std = _standardize_fit(matrix)
+            fold_seed = int(np.random.SeedSequence(
+                entropy=seed, spawn_key=(combo_index, fold_index)).generate_state(1)[0])
+            w = oracle_train_ranksvm(
+                (matrix - mean) / std, labels,
+                RankerConfig(c=config.c, pair_samples=config.pair_samples,
+                             seed=fold_seed),
+                np.repeat(np.arange(len(train)), n))
+            for tid in heldout:
+                scores = ((table.matrices[tid][:, cols] - mean) / std) @ w
+                runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, 10)
+        assert row["per_topic"] == evaluate_run(runs, qrels, cutoff=10,
+                                                ks=(5,)).per_topic
 
 
 # ---- ideal vectors ----
@@ -329,10 +467,12 @@ def test_ideal_vector_separates_relevant_directions():
 def report_setup():
     vocab = Vocabulary(["wa", "wb", "wc"], [3, 2, 1], [3, 2, 1])
     params = init_params(Dims(4, 3, vocab.size, 4), 0)
-    topics = {"ok": "wa wb", "single": "wa", "none": "wb", "oov": "zzz"}
+    topics = {"ok": "wa wb", "single": "wa", "none": "wb", "oov": "zzz",
+              "outside": "wa"}
     qrels = Qrels({("ok", "e0"): 1, ("ok", "e1"): 1,
                    ("single", "e2"): 1, ("none", "e0"): 0,
-                   ("oov", "e0"): 1, ("oov", "e1"): 1})
+                   ("oov", "e0"): 1, ("oov", "e1"): 1,
+                   ("outside", "e3"): 1, ("outside", "ghost"): 1})
     return params, vocab, topics, qrels, ["e0", "e1", "e2", "e3"]
 
 
@@ -349,6 +489,9 @@ def test_ideal_vector_report_statuses():
     assert by_topic["none"]["status"] == "skipped_no_relevant"
     assert by_topic["oov"]["status"] == "skipped_empty_query"
     assert by_topic["oov"]["n_relevant"] == 2
+    # one of its two relevant ids is not a model entity
+    assert by_topic["outside"]["status"] == "skipped_single_relevant"
+    assert by_topic["outside"]["n_relevant"] == 2
 
 
 def test_ideal_vector_report_is_deterministic():
@@ -357,3 +500,45 @@ def test_ideal_vector_report_is_deterministic():
     first = ideal_vector_report(params, vocab, topics, qrels, ids, config=cfg)
     second = ideal_vector_report(params, vocab, topics, qrels, ids, config=cfg)
     assert first == second
+
+
+def test_ideal_vector_report_equals_per_topic_oracle():
+    """Each eligible topic's ideal vector trained alone by the oracle loop
+    gives the same rankings and NDCGs as the lockstep report."""
+    rng = np.random.default_rng(7)
+    vocab = Vocabulary(["wa", "wb", "wc"], [3, 2, 1], [3, 2, 1])
+    params = init_params(Dims(4, 6, vocab.size, 12), 0)
+    params.W_e[3] = 0.0  # a zero row normalizes to zero
+    ids = [f"e{i:02d}" for i in range(12)]
+    topics, grades = {}, {}
+    for i in range(7):
+        topics[f"t{i}"] = "wa wc" if i % 3 else "wb"
+        for eid in rng.choice(ids, size=i % 5, replace=False):
+            grades[(f"t{i}", eid)] = 1
+    topics["oov"] = "zzz"
+    grades[("oov", "e00")] = grades[("oov", "e01")] = 1
+    qrels = Qrels(grades)
+    config = RankerConfig(c=2.0, pair_samples=900, seed=5)
+    rows = ideal_vector_report(params, vocab, topics, qrels, ids, cutoff=5,
+                               config=config)
+    norms = np.linalg.norm(params.W_e, axis=1, keepdims=True)
+    unit = np.divide(params.W_e, norms, out=np.zeros_like(params.W_e),
+                     where=norms > 0)
+    eligible = 0
+    for index, (tid, row) in enumerate(zip(sorted(topics), rows)):
+        assert row["topic_id"] == tid
+        if row["status"] != "ok":
+            assert row["ndcg_ideal"] is None and row["ndcg_query"] is None
+            continue
+        eligible += 1
+        labels = [1 if eid in qrels.relevant(tid) else 0 for eid in ids]
+        topic_seed = int(np.random.SeedSequence(
+            entropy=config.seed, spawn_key=(11, index)).generate_state(1)[0])
+        w = oracle_train_ranksvm(unit, labels, RankerConfig(
+            c=config.c, pair_samples=config.pair_samples, seed=topic_seed))
+        query = project(params, vocab.encode(tokenize(topics[tid])))
+        assert row["ndcg_ideal"] == ndcg(rank_by_vector(params.W_e, w, ids, tid, 5),
+                                         qrels, 5)
+        assert row["ndcg_query"] == ndcg(rank_by_vector(params.W_e, query, ids, tid, 5),
+                                         qrels, 5)
+    assert eligible >= 3

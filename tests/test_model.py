@@ -370,6 +370,14 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
+def test_float32_step_returns_float32_gradients():
+    params, block = random_setup(31, m=9, n=2, z=3)
+    loss, grads = batch_loss_and_gradients(params.astype(np.float32), block, 0.01)
+    assert math.isfinite(loss)
+    for name in PARAM_FIELDS:
+        assert getattr(grads, name).dtype == np.float32, name
+
+
 @st.composite
 def scatter_cases(draw):
     """A nonzero float32 or float64 out of one or more rows and columns, a
