@@ -16,8 +16,9 @@ from .evaluation import (Qrels, TopicSet, correlations, evaluate_run,
                          significance_marker)
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
                   ideal_vector, ideal_vector_report, pagerank, train_ranksvm)
-from .model import (Dims, ModelParams, TrainConfig, batch_gradients, batch_loss,
-                    init_params, load_model, project, save_model)
+from .model import (Dims, ModelParams, TrainConfig, batch_loss,
+                    batch_loss_and_gradients, init_params, load_model, project,
+                    save_model)
 from .qlm import EntityLanguageModel, estimate, sweep_lambda
 from .retrieval import (RankedList, aggregate_entity_vectors, rank_entities,
                         read_run, write_run)
@@ -37,8 +38,9 @@ __all__ = [
     "precision_at_k", "significance_marker",
     "QIData", "RankerConfig", "build_features", "cross_validated_fusion",
     "ideal_vector", "ideal_vector_report", "pagerank", "train_ranksvm",
-    "Dims", "ModelParams", "TrainConfig", "batch_gradients", "batch_loss",
-    "init_params", "load_model", "project", "save_model",
+    "Dims", "ModelParams", "TrainConfig", "batch_loss",
+    "batch_loss_and_gradients", "init_params", "load_model", "project",
+    "save_model",
     "EntityLanguageModel", "estimate", "sweep_lambda",
     "RankedList", "aggregate_entity_vectors", "rank_entities", "read_run",
     "write_run",

@@ -13,7 +13,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import EmptyQueryError, LSEError
+from .errors import DataError, EmptyQueryError, LSEError
 from .evaluation import (Qrels, TopicSet, evaluate_run, paired_t_test,
                          significance_marker)
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
@@ -370,6 +370,8 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
              lambda_jm, folds, seed, cutoff, pair_samples):
     """Cross-validated fusion of query-independent, lexical and latent
     features."""
+    if folds < 2:
+        raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
     _prepare_out(out_dir)
     inputs = {"corpus": corpus, "vocab": vocab, "topics": topics, "qrels": qrels}
     if model_path:

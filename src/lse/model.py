@@ -130,30 +130,62 @@ def _sq_norms(params):
             + float(np.sum(params.W * params.W)))
 
 
-# Instances per chunk in _forward and in the scatters of
-# batch_loss_and_gradients: bounds the (chunk, z, e_E) negative gathers and
-# row products, and their flat indices, to about 10 MB each.
+# Instances per chunk in _forward: bounds the (chunk, z, e_E) gathers of the
+# negatives' rows of W_e to about 10 MB.
 _CHUNK = 512
 
 
-def _add_rows(out, index, rows):
-    """np.add.at(out, index, rows) for a C-contiguous 2-D out, bit for bit.
+def _incidence(index, rows):
+    """CSR indptr and indices of the (m, k) id matrix index: row i lists the
+    ids index[i, 0], ..., index[i, k - 1] in order. The sparsetools kernels
+    do not check bounds, so an id outside [0, rows) is an IndexError here."""
+    m, k = index.shape
+    if index.min() < 0 or index.max() >= rows:
+        raise IndexError(f"id out of range for {rows} rows")
+    return (np.arange(0, m * k + 1, k, dtype=np.intp),
+            index.reshape(-1).astype(np.intp))
 
-    rows broadcasts to index.shape + (out.shape[1],). The scatter runs over
-    flat element indices, which NumPy's 1-D ufunc.at handles several times
-    faster than whole rows; every element still receives its addends in
-    the order the index lists them."""
-    d = out.shape[1]
-    flat = (index.astype(np.intp)[..., None] * d + np.arange(d)).reshape(-1)
-    values = np.broadcast_to(rows, index.shape + (d,)).reshape(-1)
-    np.add.at(out.reshape(-1), flat, values)
+
+def _gather_sum(table, index):
+    """Row i is table[index[i, 0]] + ... + table[index[i, k - 1]], added one
+    at a time in that order onto zero: one CSR product, without building the
+    (m, k, d) gather. This is table[index].sum(axis=1) bit for bit, except
+    that a sum of negative zeros only is +0.0."""
+    from scipy.sparse import _sparsetools
+    m, k = index.shape
+    out = np.zeros((m, table.shape[1]), dtype=table.dtype)
+    _sparsetools.csr_matvecs(m, len(table), table.shape[1],
+                             *_incidence(index, len(table)),
+                             np.ones(m * k, dtype=table.dtype),
+                             table.reshape(-1), out.reshape(-1))
+    return out
+
+
+def _scatter_add(out, index, coef, rows):
+    """np.add.at(out, index, coef[..., None] * rows[:, None, :]) for a
+    C-contiguous 2-D out, an (m, k) index, coef broadcasting to it and rows
+    (m, d) of out's dtype, bit for bit, as one CSC product: every element of
+    out receives its addends in (i, k) order, each product rounded before it
+    is added."""
+    from scipy.sparse import _sparsetools
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    m = len(index)
+    data = np.broadcast_to(coef, index.shape).astype(out.dtype).reshape(-1)
+    _sparsetools.csc_matvecs(len(out), m, out.shape[1],
+                             *_incidence(index, len(out)), data,
+                             rows.reshape(-1), out.reshape(-1))
 
 
 def _forward(params, ngrams, positives, negatives):
     """Projections and NCE dot products of a batch, plus cneg = -sigma(dneg)
     and Vneg = sum_k cneg_k e_k, the negatives' share of d logp / d f. The
-    negatives are gathered _CHUNK instances at a time, never all at once."""
-    H = params.W_v.T[ngrams].mean(axis=1)          # (M, e_V)
+    CSR gather reads contiguous rows, so the batch's distinct columns of W_v
+    are copied out first (never all |V| of them), and the negatives are
+    gathered _CHUNK instances at a time, never all at once."""
+    ids, slots = np.unique(ngrams, return_inverse=True)
+    H = _gather_sum(params.W_v.T[ids], slots.reshape(ngrams.shape))
+    H /= ngrams.shape[1]                           # (M, e_V), the mean
     F = np.tanh(H @ params.W.T + params.b)         # (M, e_E)
     Epos = params.W_e[positives]                   # (M, e_E)
     dpos = np.einsum("me,me->m", Epos, F)
@@ -188,10 +220,11 @@ def batch_loss_and_gradients(params, batch, weight_decay):
     the positive dot and -sigma per negative dot, and a sparse scatter-add
     into the touched columns of W_v and rows of W_e; the (lambda / m) theta
     regularizer term is dense over the three matrices and absent for b.
-    The scatters go through _add_rows, a flat-index np.add.at: first the
-    positives into W_e, then _CHUNK instances at a time the token rows and
-    the negatives. Each element receives its addends in index order, as
-    one np.add.at per scatter would give them, so the gradients are
+    The scatters are CSC products (_scatter_add): the token rows into a
+    zero (|V|, e_V) buffer that is then added to the regularizer of W_v,
+    and the positives, then the negatives, straight into the regularizer
+    of W_e. Each element receives its addends in index order, as one
+    np.add.at per scatter would give them, so the gradients are
     bit-identical to that and across reruns.
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
@@ -215,26 +248,15 @@ def batch_loss_and_gradients(params, batch, weight_decay):
     g_W = -inv_m * (G.T @ H) + reg * params.W
 
     per_token = (G @ params.W) * (-inv_m / n)      # (M, e_V)
-    # _add_rows needs a C-contiguous out, and rows scatter faster than the
-    # strided columns of W_v, so the token gradients go into a (|V|, e_V)
-    # buffer first.
     token_rows = np.zeros(params.W_v.shape[::-1], dtype=per_token.dtype)
-    g_We = reg * params.W_e
-    _add_rows(g_We, positives, (-inv_m * cpos)[:, None] * F)
-    wneg = -inv_m * cneg
-    for lo in range(0, m, _CHUNK):
-        s = slice(lo, lo + _CHUNK)
-        _add_rows(token_rows, ngrams[s], per_token[s, None, :])
-        _add_rows(g_We, negatives[s], wneg[s, :, None] * F[s, None, :])
+    _scatter_add(token_rows, ngrams, 1, per_token)
     g_Wv = reg * params.W_v
     g_Wv += token_rows.T
+    g_We = reg * params.W_e
+    _scatter_add(g_We, positives[:, None], (-inv_m * cpos)[:, None], F)
+    _scatter_add(g_We, negatives, -inv_m * cneg, F)
 
     return loss, GradientSet(g_Wv, g_W, g_b, g_We)
-
-
-def batch_gradients(params, batch, weight_decay):
-    """Exact analytic gradients of batch_loss."""
-    return batch_loss_and_gradients(params, batch, weight_decay)[1]
 
 
 def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
@@ -242,7 +264,7 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
     central differences of batch_loss; coordinates where both are below
     1e-8 in magnitude count as exact. Each coordinate of params is perturbed
     in place and restored."""
-    grads = batch_gradients(params, batch, weight_decay)
+    grads = batch_loss_and_gradients(params, batch, weight_decay)[1]
     worst = 0.0
     for name in PARAM_FIELDS:
         flat = getattr(params, name).reshape(-1)

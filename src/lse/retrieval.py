@@ -1,6 +1,7 @@
 """Cosine retrieval over entity representations, document-vector
 aggregation, and the TREC run file format."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,5 +125,7 @@ def read_run(path):
                 score = float(score)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno + 1}: bad rank or score") from exc
+            if math.isnan(score):
+                raise DataError(f"{path}:{lineno + 1}: score is NaN")
             runs.setdefault(topic_id, RankedList(topic_id, [])).entries.append((eid, score))
     return runs

@@ -110,6 +110,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path):
         id_to_token, frequency, document_frequency = [], [], []
+        first_line = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh):
                 line = line.rstrip("\n")
@@ -126,6 +127,10 @@ class Vocabulary:
                                     "integers") from None
                 if tok_id != len(id_to_token):
                     raise DataError(f"{path}:{lineno + 1}: ids must be dense and ordered")
+                if tok in first_line:
+                    raise DataError(f"{path}:{lineno + 1}: duplicate token {tok!r}, "
+                                    f"first on line {first_line[tok]}")
+                first_line[tok] = lineno + 1
                 id_to_token.append(tok)
                 frequency.append(freq)
                 document_frequency.append(df)

@@ -1,11 +1,16 @@
 """Command-line workflows, exercised through click's test runner."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import lse.cli
 import lse.training
 from lse.cli import main
 from lse.model import MAGIC
@@ -67,6 +72,31 @@ def workflow(tmp_path_factory):
                     "--out", str(root / "eval"), "--cutoff", "10",
                     "--baseline-run", str(root / "qlm" / "run.trec")])
     return root, corpus, topics, qrels, runner
+
+
+def test_retrieval_commands_never_import_scipy(workflow, tmp_path):
+    # Only the training step uses scipy, and imports it itself: a top-level
+    # import would add its start-up time and memory to every command.
+    root, corpus, topics, qrels, _ = workflow
+    vocab = root / "vocab" / "vocab.tsv"
+    commands = [["rank", root / "model" / "model.lse", vocab, topics,
+                 "--out", tmp_path / "rank"],
+                ["qlm", corpus, vocab, topics, "--out", tmp_path / "qlm"],
+                ["eval", tmp_path / "rank" / "run.trec", qrels,
+                 "--out", tmp_path / "eval"]]
+    code = ("import json, sys, lse.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    lse.cli.main(argv, standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(lse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([list(map(str, c)) for c in commands])],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "eval" / "per_topic.csv").exists()
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_build_vocab_outputs(workflow):
@@ -238,6 +268,11 @@ MALFORMED = {
         ("qrels.txt", b"t1 0 cam 1\nt2 0 gui yes\n", ":2: relevance grade"),
     "vocab_id_not_integer":
         ("vocab.tsv", b"camera\t0\t2\t2\nlens\tone\t2\t2\n", ":2: id and counts"),
+    "vocab_duplicate_token":
+        ("vocab.tsv", b"camera\t0\t2\t2\nlens\t1\t2\t2\ncamera\t2\t1\t1\n",
+         ":3: duplicate token 'camera', first on line 1"),
+    "run_score_nan":
+        ("run.trec", b"t1 Q0 cam 1 2.0 x\nt1 Q0 gui 2 nan x\n", ":2: score is NaN"),
     "model_header_without_dims":
         ("model.lse", container({"format": "lse-model", "entity_ids": []}),
          ": model header lacks valid dims"),
@@ -282,6 +317,7 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
     bad.write_bytes(content)
     out = ["--out", str(tmp_path / "out")]
     args = {"qrels.txt": ["eval", str(run_file), str(qrels)],
+            "run.trec": ["eval", str(run_file), str(qrels)],
             "vocab.tsv": ["qlm", str(corpus), str(vocab), str(topics)],
             "model.lse": ["rank", str(bad), str(vocab), str(topics)],
             "train.cfg": ["train", str(corpus), str(vocab), "--config", str(bad)],
@@ -307,6 +343,23 @@ def test_fuse_with_fewer_than_two_folds_exits_1(tmp_path, folds):
     assert f"Error: cross-validation needs at least 2 folds, got {folds}" in result.output
     assert "Traceback" not in result.output
     assert not (out / "fusion.csv").exists() and not (out / "fusion.json").exists()
+
+
+def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("fuse read its inputs before checking --folds")
+
+    monkeypatch.setattr(lse.cli, "load_raw_docs", unreachable)
+    monkeypatch.setattr(lse.cli, "build_features", unreachable)
+    corpus, topics, qrels = write_inputs(tmp_path)
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
+                                       str(qrels), "--out", str(tmp_path / "fuse"),
+                                       "--folds", "1"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error: cross-validation needs at least 2 folds, got 1" in result.output
 
 
 class Unprintable(float):

@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from lse.errors import DataError, LSEError
 from lse.model import (_CHUNK, MAGIC, PARAM_FIELDS, AdamState, Dims, GradientSet,
-                       ModelParams, TrainConfig, _add_rows, _sigmoid, _sq_norms,
-                       adam_step, batch_gradients, batch_loss,
+                       ModelParams, TrainConfig, _gather_sum, _scatter_add,
+                       _sigmoid, _sq_norms, adam_step, batch_loss,
                        batch_loss_and_gradients, init_params, load_model,
                        max_relative_fd_error, project, save_model)
 from lse.sampling import InstanceBlock
@@ -223,7 +223,7 @@ def test_gradient_of_untouched_embedding_is_pure_decay():
                  if t not in set(block.ngrams.ravel().tolist())]
     assert untouched
     lam = 0.01
-    grads = batch_gradients(params, block, lam)
+    grads = batch_loss_and_gradients(params, block, lam)[1]
     decay = lam * (1.0 / len(block))  # scalar shape matters for bit equality
     for t in untouched:
         assert np.array_equal(grads.W_v[:, t], decay * params.W_v[:, t])
@@ -231,8 +231,8 @@ def test_gradient_of_untouched_embedding_is_pure_decay():
 
 def test_bias_gradient_ignores_weight_decay():
     params, block = random_setup(6)
-    g0 = batch_gradients(params, block, 0.0)
-    g1 = batch_gradients(params, block, 0.5)
+    g0 = batch_loss_and_gradients(params, block, 0.0)[1]
+    g1 = batch_loss_and_gradients(params, block, 0.5)[1]
     assert np.array_equal(g0.b, g1.b)
     assert not np.array_equal(g0.W, g1.W)
 
@@ -241,7 +241,7 @@ def test_loss_and_gradients_share_forward():
     params, block = random_setup(7)
     loss, grads = batch_loss_and_gradients(params, block, 0.01)
     assert loss == batch_loss(params, block, 0.01)
-    only = batch_gradients(params, block, 0.01)
+    only = batch_loss_and_gradients(params, block, 0.01)[1]
     assert all(np.array_equal(getattr(grads, n), getattr(only, n))
                for n in PARAM_FIELDS)
 
@@ -299,7 +299,7 @@ def colliding_batches(draw):
 @given(colliding_batches())
 def test_batch_gradients_match_per_instance_loop(case):
     params, block, weight_decay = case
-    grads = batch_gradients(params, block, weight_decay)
+    grads = batch_loss_and_gradients(params, block, weight_decay)[1]
     want = loop_batch_gradients(params, block, weight_decay)
     for name in PARAM_FIELDS:
         assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
@@ -379,38 +379,56 @@ def test_float32_step_returns_float32_gradients():
 
 
 @st.composite
-def scatter_cases(draw):
-    """A nonzero float32 or float64 out of one or more rows and columns, a
-    1-D or 2-D index with repeats, and rows either full or broadcast across
-    the index's second axis (as the token-row scatter passes them)."""
+def sparse_cases(draw):
+    """A nonzero float32 or float64 target of one or more rows and columns,
+    an (m, k) id matrix with repeats that may leave rows unused,
+    coefficients that are 1, one per instance or one per id, and (m, d)
+    rows, all of the target's dtype."""
     dtype = draw(st.sampled_from((np.float32, np.float64)))
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)))
     finite = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8)
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)))
     out = draw(arrays(dtype, shape, elements=finite))
-    if draw(st.booleans()):
-        index_shape = (draw(st.integers(1, 9)),)
-    else:
-        index_shape = (draw(st.integers(1, 5)), draw(st.integers(1, 3)))
-    index = draw(arrays(np.int32, index_shape,
+    index = draw(arrays(np.int32, (draw(st.integers(1, 5)), draw(st.integers(1, 3))),
                         elements=st.integers(0, shape[0] - 1)))
-    rows_shape = index_shape + (shape[1],)
-    if len(index_shape) == 2 and draw(st.booleans()):
-        rows_shape = (index_shape[0], 1, shape[1])
-    rows_dtype = draw(st.sampled_from((np.float32, np.float64)))
-    rows = draw(arrays(rows_dtype, rows_shape,
-                       elements=st.floats(-1e3, 1e3, width=32)))
-    return out, index, rows
+    coef_shape = draw(st.sampled_from(((), (len(index), 1), index.shape)))
+    coef = (1 if coef_shape == () else
+            draw(arrays(dtype, coef_shape, elements=finite)))
+    rows = draw(arrays(dtype, (len(index), shape[1]), elements=finite))
+    return out, index, coef, rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(scatter_cases())
-def test_add_rows_is_bit_identical_to_add_at(case):
-    out, index, rows = case
+@given(sparse_cases())
+def test_scatter_add_is_bit_identical_to_add_at(case):
+    out, index, coef, rows = case
     want = out.copy()
-    np.add.at(want, index, rows)
+    np.add.at(want, index,
+              np.broadcast_to(coef, index.shape)[..., None] * rows[:, None, :])
     got = out.copy()
-    _add_rows(got, index, rows)
-    assert got.tobytes() == want.tobytes()
+    _scatter_add(got, index, coef, rows)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_cases())
+def test_gather_sum_adds_rows_in_order_from_zero(case):
+    table, index, _, _ = case
+    want = np.zeros((len(index), table.shape[1]), dtype=table.dtype)
+    for k in range(index.shape[1]):
+        want += table[index[:, k]]
+    got = _gather_sum(table, index)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_sparse_helpers_reject_out_of_range_ids(bad):
+    out = np.ones((3, 2))
+    index = np.array([[0, bad]])
+    with pytest.raises(IndexError):
+        _scatter_add(out, index, 1.0, np.ones((1, 2)))
+    with pytest.raises(IndexError):
+        _gather_sum(out, index)
+    assert np.array_equal(out, np.ones((3, 2)))
 
 
 def test_adam_first_step_magnitude_near_alpha():
@@ -435,8 +453,8 @@ def test_adam_two_steps_match_reference_formulas():
     m = {n: np.zeros_like(ref[n]) for n in PARAM_FIELDS}
     v = {n: np.zeros_like(ref[n]) for n in PARAM_FIELDS}
     for t in (1, 2):
-        grads = batch_gradients(
-            ModelParams(ref["W_v"], ref["W"], ref["b"], ref["W_e"]), block, 0.01)
+        grads = batch_loss_and_gradients(
+            ModelParams(ref["W_v"], ref["W"], ref["b"], ref["W_e"]), block, 0.01)[1]
         adam_step(params, grads, state)
         for n in PARAM_FIELDS:
             g = getattr(grads, n)
