@@ -8,20 +8,20 @@ evaluation and learning-to-rank harness around both.
 
 __version__ = "0.1.0"
 
-from . import errors, evaluation, ltr, model, qlm, retrieval, sampling, text, training
+from . import (errors, evaluation, files, ltr, model, qlm, retrieval, sampling,
+               text, training)
 from .errors import DataError, DegenerateStatisticError, EmptyQueryError, LSEError
 from .evaluation import (Qrels, TopicSet, correlations, evaluate_run,
                          idf_match_analysis, mean_ndcg, ndcg, paired_t_test,
                          permutation_test_correlation, precision_at_k,
                          significance_marker)
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
-                  ideal_vector, ideal_vector_report, pagerank, train_ranksvm)
+                  ideal_vector_report, pagerank)
 from .model import (Dims, ModelParams, TrainConfig, batch_loss,
                     batch_loss_and_gradients, init_params, load_model, project,
                     save_model)
 from .qlm import EntityLanguageModel, estimate, sweep_lambda
-from .retrieval import (RankedList, aggregate_entity_vectors, rank_entities,
-                        read_run, write_run)
+from .retrieval import RankedList, rank_entities, read_run, write_run
 from .sampling import (InstanceBlock, SamplerConfig, make_batches,
                        ngrams_per_entity_per_epoch, sample_epoch)
 from .text import (Corpus, Document, Vocabulary, build_vocabulary, encode_corpus,
@@ -30,20 +30,19 @@ from .training import TrainResult, train, write_epoch_log
 
 __all__ = [
     "__version__",
-    "errors", "evaluation", "ltr", "model", "qlm", "retrieval", "sampling",
-    "text", "training",
+    "errors", "evaluation", "files", "ltr", "model", "qlm", "retrieval",
+    "sampling", "text", "training",
     "DataError", "DegenerateStatisticError", "EmptyQueryError", "LSEError",
     "Qrels", "TopicSet", "correlations", "evaluate_run", "idf_match_analysis",
     "mean_ndcg", "ndcg", "paired_t_test", "permutation_test_correlation",
     "precision_at_k", "significance_marker",
     "QIData", "RankerConfig", "build_features", "cross_validated_fusion",
-    "ideal_vector", "ideal_vector_report", "pagerank", "train_ranksvm",
+    "ideal_vector_report", "pagerank",
     "Dims", "ModelParams", "TrainConfig", "batch_loss",
     "batch_loss_and_gradients", "init_params", "load_model", "project",
     "save_model",
     "EntityLanguageModel", "estimate", "sweep_lambda",
-    "RankedList", "aggregate_entity_vectors", "rank_entities", "read_run",
-    "write_run",
+    "RankedList", "rank_entities", "read_run", "write_run",
     "InstanceBlock", "SamplerConfig", "make_batches",
     "ngrams_per_entity_per_epoch", "sample_epoch",
     "Corpus", "Document", "Vocabulary", "build_vocabulary", "encode_corpus",

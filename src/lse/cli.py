@@ -16,9 +16,10 @@ from . import __version__
 from .errors import DataError, EmptyQueryError, LSEError
 from .evaluation import (Qrels, TopicSet, evaluate_run, paired_t_test,
                          significance_marker)
+from .files import atomic_open
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
                   ideal_vector_report, load_graph, load_qi_attributes, GRAPH_NAMES)
-from .model import (Dims, TrainConfig, _atomic_open, init_params, load_model,
+from .model import (Dims, TrainConfig, init_params, load_model,
                     max_relative_fd_error, save_model)
 from .qlm import estimate as qlm_estimate
 from .qlm import rank as qlm_rank
@@ -87,8 +88,7 @@ class _Manifest:
 
 def _output(out_dir, name):
     """A text handle on out_dir/name; the file appears only once complete."""
-    return _atomic_open(os.path.join(out_dir, name), "w", encoding="utf-8",
-                        newline="")
+    return atomic_open(os.path.join(out_dir, name))
 
 
 def _write_json(out_dir, name, payload):

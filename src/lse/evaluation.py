@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticError
+from .files import atomic_open, read_lines
 from .text import tokenize
 
 
@@ -20,29 +21,26 @@ class TopicSet:
 
     @classmethod
     def load(cls, path):
-        """TSV with a header row naming the split: 'topic_id<TAB><split>'."""
+        """TSV whose first non-blank line is a header naming the split:
+        'topic_id<TAB><split>'. An empty file is an empty test set."""
         topics = {}
-        split = "test"
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno + 1}: expected 2 tab-separated fields")
-                if lineno == 0:
-                    if parts[0] != "topic_id":
-                        raise DataError(f"{path}:1: missing header row")
-                    split = parts[1]
-                    continue
-                if parts[0] in topics:
-                    raise DataError(f"{path}:{lineno + 1}: duplicate topic id {parts[0]!r}")
+        split = None
+        for number, line in read_lines(path):
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{number}: expected 2 tab-separated fields")
+            if split is None:
+                if parts[0] != "topic_id":
+                    raise DataError(f"{path}:{number}: missing header row")
+                split = parts[1]
+            elif parts[0] in topics:
+                raise DataError(f"{path}:{number}: duplicate topic id {parts[0]!r}")
+            else:
                 topics[parts[0]] = parts[1]
-        return cls(topics, split)
+        return cls(topics, "test" if split is None else split)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path) as fh:
             fh.write(f"topic_id\t{self.split}\n")
             for tid, query in self.topics.items():
                 fh.write(f"{tid}\t{query}\n")
@@ -75,23 +73,19 @@ class Qrels:
     def load(cls, path):
         """TREC qrels format: 'topic_id 0 entity_id grade'."""
         grades = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 4:
-                    raise DataError(f"{path}:{lineno + 1}: expected 4 fields")
-                tid, _iter, eid, grade = parts
-                if grade not in ("0", "1"):
-                    raise DataError(f"{path}:{lineno + 1}: relevance grade must be "
-                                    f"0 or 1, got {grade!r}")
-                grades[(tid, eid)] = int(grade)
+        for number, line in read_lines(path):
+            parts = line.split()
+            if len(parts) != 4:
+                raise DataError(f"{path}:{number}: expected 4 fields")
+            tid, _iter, eid, grade = parts
+            if grade not in ("0", "1"):
+                raise DataError(f"{path}:{number}: relevance grade must be "
+                                f"0 or 1, got {grade!r}")
+            grades[(tid, eid)] = int(grade)
         return cls(grades)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path) as fh:
             for (tid, eid), grade in sorted(self.grades.items()):
                 fh.write(f"{tid} 0 {eid} {grade}\n")
 

@@ -1,0 +1,96 @@
+"""Text files in and out. Every input is read through read_lines (or its
+JSON-lines layer read_records) and every output is written through
+atomic_open, so malformed input always ends in a DataError naming the file
+and line, and an output file is either complete or absent."""
+
+import contextlib
+import json
+import os
+import sys
+
+from .errors import DataError
+
+# JSON value types a record field may be required to have, by the Python type
+# json.loads gives them, with the words an error uses.
+_KINDS = {str: "a string", int: "an integer", float: "a finite number",
+          list: "a list"}
+
+
+def read_lines(path):
+    """Yield (line number, line) for every line of the UTF-8 text file at
+    path that is not blank (empty or whitespace only). Lines keep everything
+    but their line ending, which may be \\n, \\r\\n or \\r. A byte sequence
+    that is not UTF-8 is a DataError naming the file and line; the file is
+    read one line at a time, never whole."""
+    # surrogateescape defers decode errors from the chunk being decoded to
+    # the line that holds the bad bytes: they arrive as lone surrogates, which
+    # valid UTF-8 never yields and which the encoder then rejects.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(f"{path}:{number}: not valid UTF-8") from None
+            if not line.isspace():
+                yield number, line.rstrip("\n")
+
+
+def _check_field(path, number, record, name, kind):
+    """DataError unless record[name] has the type kind, or kind is (type,
+    None) and the value is null or missing."""
+    value = record.get(name)
+    if isinstance(kind, tuple):
+        if value is None:
+            return
+        kind = kind[0]
+    elif name not in record:
+        raise DataError(f"{path}:{number}: record has no {name!r}")
+    if kind in (str, list):
+        ok = type(value) is kind
+    else:  # a bool is not a number, and a number must fit a float
+        ok = (type(value) in ((int, float) if kind is float else (int,))
+              and abs(value) <= sys.float_info.max)
+    if not ok:
+        raise DataError(f"{path}:{number}: {name} must be {_KINDS[kind]}, "
+                        f"got {value!r}")
+
+
+def read_records(path, fields):
+    """Yield (line number, record) for every non-blank line of a JSON-lines
+    file, each record a JSON object. fields maps a field name to the type
+    its value must have (str, int, float for any finite number, or list);
+    (type, None) also allows null or a missing field. Anything else is a
+    DataError naming the file and line."""
+    for number, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise DataError(f"{path}:{number}: invalid JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{path}:{number}: expected a JSON object")
+        for name, kind in fields.items():
+            # strings, the common case, skip the general check
+            if not (kind is str and type(record.get(name)) is str):
+                _check_field(path, number, record, name, kind)
+        yield number, record
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """A handle on a temporary file in path's directory, UTF-8 text with \\n
+    line endings for mode "w" or bytes for "wb". On a clean exit the file is
+    flushed to disk and renamed over path; on any failure it is removed, so
+    path never holds a partial file, not even after a power loss."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -4,14 +4,13 @@ RankSVM trained by stochastic gradient descent with balanced pair sampling,
 10-fold cross-validated feature fusion, and the per-topic ideal-retrieval-
 vector approximation."""
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticError
 from .evaluation import evaluate_run, paired_t_test, significance_marker
+from .files import read_lines, read_records
 from .model import project
 from .qlm import score as qlm_score
 from .retrieval import cosine_scores, rank_by_vector, ranked_from_scores
@@ -57,8 +56,9 @@ def pagerank(num_nodes, edges, damping=0.85, tol=1e-10, max_iter=200):
 
 @dataclass(frozen=True)
 class RankerConfig:
-    """RankSVM defaults: C=1.0, 1e5 sampled pairs, step size 1/(C
-    regularization * t)."""
+    """RankSVM defaults: C=1.0 and 1e5 sampled pairs. The objective is
+    (1/(2C))|w|^2 plus the mean hinge over the pairs; step t has learning
+    rate 1/(lambda t) with lambda = 1/C."""
 
     c: float = 1.0
     pair_samples: int = 100000
@@ -69,18 +69,15 @@ class RankerConfig:
             raise DataError("C must be positive and pair_samples at least 1")
 
 
-@dataclass
-class LinearRanker:
-    weights: np.ndarray
-    config: RankerConfig
-
-    def scores(self, rows):
-        return np.asarray(rows, dtype=np.float64) @ self.weights
-
-
 def _pair_rows(labels, groups, config):
-    """Row indices (relevant, non-relevant) of config.pair_samples sampled
-    pairs, drawn as train_ranksvm describes; groups=None is one group."""
+    """Row indices (relevant, non-relevant) of config.pair_samples pairs,
+    seeded by config.seed.
+
+    Pairs are formed within a group (groups=None treats all rows as one
+    group): a relevant row is drawn uniformly over all groups' relevant rows
+    and its partner uniformly with replacement from the same group's
+    non-relevant rows, which balances the classes regardless of their raw
+    distribution. Raises on single-class input."""
     groups = (np.zeros(len(labels), dtype=np.int64) if groups is None
               else np.asarray(groups, dtype=np.int64))
     pos_pool = []
@@ -147,26 +144,6 @@ def _pegasos(rows, pairs, lam, center=None, scale=None):
     return weights
 
 
-def train_ranksvm(rows, labels, config=None, groups=None):
-    """Pairwise hinge SGD over sampled (relevant, non-relevant) pairs.
-
-    Pairs are formed within a group (groups=None treats all rows as one
-    group): a relevant row is drawn uniformly over all groups' relevant rows
-    and its partner uniformly with replacement from the same group's
-    non-relevant rows, which balances the classes regardless of their raw
-    distribution. The objective is (1/(2C))|w|^2 plus mean hinge; step t
-    uses learning rate 1/(lambda_reg * t) with lambda_reg = 1/C. Seeded and
-    deterministic. Raises on single-class input.
-    """
-    config = config or RankerConfig()
-    rows = np.asarray(rows, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if rows.ndim != 2 or len(rows) != len(labels):
-        raise DataError("rows and labels disagree")
-    weights = _pegasos(rows, [_pair_rows(labels, groups, config)], [1.0 / config.c])
-    return LinearRanker(weights[0], config)
-
-
 @dataclass
 class QIData:
     """Optional per-entity attributes and related-product graphs.
@@ -180,56 +157,28 @@ class QIData:
     graphs: dict = field(default_factory=dict)
 
 
-def _valid_attribute(name, value):
-    """A missing or null value, a finite real price, or an integer (not bool)
-    sales rank or description length."""
-    if value is None:
-        return True
-    if isinstance(value, bool):
-        return False
-    if name == "price":
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, int)
+# Attribute record fields, each optional: (JSON type, None) as read_records
+# takes it.
+_ATTRIBUTES = {"price": (float, None), "sales_rank": (int, None),
+               "description_length": (int, None)}
 
 
 def load_qi_attributes(path):
     """JSON-lines: {"entity_id": str, "price": real?, "sales_rank": int?,
     "description_length": int?}; a value of another type is a DataError
     naming the file and line."""
-    attributes = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                eid = rec["entity_id"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno + 1}: invalid attribute record") from exc
-            attrs = {name: rec.get(name)
-                     for name in ("price", "sales_rank", "description_length")}
-            for name, value in attrs.items():
-                if not _valid_attribute(name, value):
-                    kind = "a finite number" if name == "price" else "an integer"
-                    raise DataError(f"{path}:{lineno + 1}: {name} must be {kind}, "
-                                    f"got {value!r}")
-            attributes[eid] = attrs
-    return attributes
+    return {rec["entity_id"]: {name: rec.get(name) for name in _ATTRIBUTES}
+            for _, rec in read_records(path, {"entity_id": str, **_ATTRIBUTES})}
 
 
 def load_graph(path):
     """Edge-list TSV: src_entity <TAB> dst_entity."""
     edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno + 1}: expected 2 tab-separated fields")
-            edges.append((parts[0], parts[1]))
+    for number, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{number}: expected 2 tab-separated fields")
+        edges.append((parts[0], parts[1]))
     return edges
 
 
@@ -413,31 +362,11 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     return FusionReport(rows, significance, folds, seed)
 
 
-@dataclass
-class IdealVector:
-    topic_id: str
-    vector: np.ndarray
-
-
 def _unit_rows(w_e):
     """(w_e's rows over their L2 norms, zero rows kept zero; the norms)."""
     norms = np.linalg.norm(w_e, axis=1)
     return np.divide(w_e, norms[:, None], out=np.zeros_like(w_e),
                      where=norms[:, None] > 0), norms
-
-
-def ideal_vector(topic_id, qrels, w_e, entity_ids, config=None):
-    """Approximate the best retrieval direction for a topic by training a
-    pairwise ranker whose features are the L2-normalized entity rows.
-
-    Topics with fewer than two relevant entities are skipped (returns
-    None)."""
-    labels = _relevance_labels(qrels, topic_id, entity_ids)
-    if int(labels.sum()) < 2:
-        return None
-    w_e = np.asarray(w_e, dtype=np.float64)
-    ranker = train_ranksvm(_unit_rows(w_e)[0], labels, config)
-    return IdealVector(topic_id, ranker.weights)
 
 
 def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,

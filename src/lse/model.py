@@ -9,7 +9,6 @@ log-probabilities and adds (lambda / 2m) times the squared Frobenius norms of
 W_v, W and W_e; the bias b is not regularized.
 """
 
-import contextlib
 import json
 import os
 import struct
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LSEError
+from .files import atomic_open, read_lines
 
 MAGIC = b"LSEM0001"
 PARAM_FIELDS = ("W_v", "W", "b", "W_e")
@@ -377,45 +377,28 @@ class TrainConfig:
         """Parse a flat key = value file; blank lines and # comments ignored.
         A bad key or value is a DataError naming the file and line."""
         mapping = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno + 1}: expected key = value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key in mapping:
-                    raise DataError(f"{path}:{lineno + 1}: duplicate key {key!r}")
-                try:
-                    mapping[key] = cls._convert(key, value)
-                except DataError as exc:
-                    raise DataError(f"{path}:{lineno + 1}: {exc}") from exc
+        for number, line in read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataError(f"{path}:{number}: expected key = value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in mapping:
+                raise DataError(f"{path}:{number}: duplicate key {key!r}")
+            try:
+                mapping[key] = cls._convert(key, value)
+            except DataError as exc:
+                raise DataError(f"{path}:{number}: {exc}") from exc
         try:
             return cls.from_mapping(mapping)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
 
     def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for key, value in self.as_dict().items():
                 fh.write(f"{key} = {value}\n")
-
-
-@contextlib.contextmanager
-def _atomic_open(path, mode="wb", **kwargs):
-    """open(path, mode, **kwargs) on a temporary file in path's directory,
-    renamed over path on a clean exit and removed on any failure, so an
-    interrupted write never leaves a partial file at path."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
@@ -434,14 +417,14 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
         "config": dict(config) if config else {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with _atomic_open(path) as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name in PARAM_FIELDS:
             arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
             fh.write(arr.tobytes())
-    with _atomic_open(f"{path}.meta.json") as fh:
+    with atomic_open(f"{path}.meta.json", "wb") as fh:
         fh.write(json.dumps(header, indent=2, sort_keys=True).encode("utf-8") + b"\n")
 
 

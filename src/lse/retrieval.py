@@ -1,5 +1,5 @@
-"""Cosine retrieval over entity representations, document-vector
-aggregation, and the TREC run file format."""
+"""Cosine retrieval over entity representations and the TREC run file
+format."""
 
 import math
 from dataclasses import dataclass
@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyQueryError
-from .model import _atomic_open, project
+from .files import atomic_open, read_lines
+from .model import project
 
 
 @dataclass
@@ -76,33 +77,9 @@ def rank_entities(params, query_token_ids, entity_ids, topic_id="q", k=None,
     return rank_by_vector(params.W_e, f, entity_ids, topic_id, k, norms)
 
 
-def aggregate_entity_vectors(corpus, doc_vectors):
-    """Sum each entity's document vectors (unit weights).
-
-    doc_vectors maps doc_id -> vector; a missing or length-mismatched vector
-    is an error naming the document.
-    """
-    dim = None
-    vectors = {}
-    for doc in corpus.documents:
-        if doc.doc_id not in doc_vectors:
-            raise DataError(f"missing vector for document {doc.doc_id!r}")
-        v = np.asarray(doc_vectors[doc.doc_id], dtype=np.float64)
-        if dim is None:
-            dim = v.shape[0]
-        elif v.shape[0] != dim:
-            raise DataError(f"vector for document {doc.doc_id!r} has wrong length")
-        vectors[doc.doc_id] = v
-    out = np.zeros((corpus.num_entities, dim), dtype=np.float64)
-    for i in range(corpus.num_entities):
-        for j in corpus.association[i]:
-            out[i] += vectors[corpus.documents[j].doc_id]
-    return out
-
-
 def write_run(path, ranked_lists, tag="lse", top_k=100):
     """Write rankings in TREC run format, truncated to top_k per topic."""
-    with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         for ranked in ranked_lists:
             for rank, (eid, score) in enumerate(ranked.entries[:top_k], start=1):
                 fh.write(f"{ranked.topic_id} Q0 {eid} {rank} {score!r} {tag}\n")
@@ -111,21 +88,17 @@ def write_run(path, ranked_lists, tag="lse", top_k=100):
 def read_run(path):
     """Parse a TREC run file into {topic_id: RankedList}, order preserved."""
     runs = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6 or parts[1] != "Q0":
-                raise DataError(f"{path}:{lineno + 1}: malformed run line")
-            topic_id, _, eid, rank, score, _tag = parts
-            try:
-                int(rank)
-                score = float(score)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno + 1}: bad rank or score") from exc
-            if math.isnan(score):
-                raise DataError(f"{path}:{lineno + 1}: score is NaN")
-            runs.setdefault(topic_id, RankedList(topic_id, [])).entries.append((eid, score))
+    for number, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 6 or parts[1] != "Q0":
+            raise DataError(f"{path}:{number}: malformed run line")
+        topic_id, _, eid, rank, score, _tag = parts
+        try:
+            int(rank)
+            score = float(score)
+        except ValueError as exc:
+            raise DataError(f"{path}:{number}: bad rank or score") from exc
+        if math.isnan(score):
+            raise DataError(f"{path}:{number}: score is NaN")
+        runs.setdefault(topic_id, RankedList(topic_id, [])).entries.append((eid, score))
     return runs

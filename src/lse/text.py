@@ -2,7 +2,6 @@
 and benchmark topics built from category hierarchies."""
 
 import hashlib
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -11,7 +10,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError
-from .model import _atomic_open
+from .files import atomic_open, read_lines, read_records
 
 NUM_TOKEN = "<num>"
 
@@ -104,36 +103,34 @@ class Vocabulary:
         return hashlib.sha256(self.to_tsv().encode("utf-8")).hexdigest()
 
     def save(self, path):
-        with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path) as fh:
             fh.write(self.to_tsv())
 
     @classmethod
     def load(cls, path):
         id_to_token, frequency, document_frequency = [], [], []
         first_line = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise DataError(f"{path}:{lineno + 1}: expected 4 tab-separated fields")
-                tok, tok_id, freq, df = parts
-                try:
-                    tok_id, freq, df = int(tok_id), int(freq), int(df)
-                except ValueError:
-                    raise DataError(f"{path}:{lineno + 1}: id and counts must be "
-                                    "integers") from None
-                if tok_id != len(id_to_token):
-                    raise DataError(f"{path}:{lineno + 1}: ids must be dense and ordered")
-                if tok in first_line:
-                    raise DataError(f"{path}:{lineno + 1}: duplicate token {tok!r}, "
-                                    f"first on line {first_line[tok]}")
-                first_line[tok] = lineno + 1
-                id_to_token.append(tok)
-                frequency.append(freq)
-                document_frequency.append(df)
+        for number, line in read_lines(path):
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise DataError(f"{path}:{number}: expected 4 tab-separated fields")
+            tok, tok_id, freq, df = parts
+            try:
+                tok_id, freq, df = int(tok_id), int(freq), int(df)
+            except ValueError:
+                raise DataError(f"{path}:{number}: id and counts must be "
+                                "integers") from None
+            if tok_id != len(id_to_token):
+                raise DataError(f"{path}:{number}: ids must be dense and ordered")
+            if tok in first_line:
+                raise DataError(f"{path}:{number}: duplicate token {tok!r}, "
+                                f"first on line {first_line[tok]}")
+            first_line[tok] = number
+            id_to_token.append(tok)
+            frequency.append(freq)
+            document_frequency.append(df)
+        if not id_to_token:
+            raise DataError(f"{path}: vocabulary is empty")
         return cls(id_to_token, frequency, document_frequency)
 
 
@@ -268,35 +265,24 @@ def topics_from_categories(records):
 
 
 def load_raw_docs(path):
-    """Read a JSON-lines corpus: one {"doc_id", "entity_id", "text"} per line."""
+    """Read a JSON-lines corpus: one {"doc_id", "entity_id", "text"} per line,
+    all three strings, with distinct doc ids and at least one document."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno + 1}: invalid JSON ({exc})") from exc
-            try:
-                docs.append((rec["doc_id"], rec["entity_id"], rec["text"]))
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno + 1}: record missing doc_id/entity_id/text") from exc
+    first_line = {}
+    for number, rec in read_records(path, {"doc_id": str, "entity_id": str,
+                                           "text": str}):
+        doc_id = rec["doc_id"]
+        if doc_id in first_line:
+            raise DataError(f"{path}:{number}: duplicate doc_id {doc_id!r}, "
+                            f"first on line {first_line[doc_id]}")
+        first_line[doc_id] = number
+        docs.append((doc_id, rec["entity_id"], rec["text"]))
+    if not docs:
+        raise DataError(f"{path}: corpus has no documents")
     return docs
 
 
 def load_categories(path):
     """Read JSON-lines category records: {"path": [...], "entity_ids": [...]}."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                records.append((list(rec["path"]), list(rec["entity_ids"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno + 1}: invalid category record ({exc})") from exc
-    return records
+    return [(rec["path"], rec["entity_ids"])
+            for _, rec in read_records(path, {"path": list, "entity_ids": list})]

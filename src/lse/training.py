@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import LSEError
 from .evaluation import mean_ndcg
-from .model import (PARAM_FIELDS, AdamState, Dims, _atomic_open, adam_step,
+from .files import atomic_open
+from .model import (PARAM_FIELDS, AdamState, Dims, adam_step,
                     batch_loss_and_gradients, init_params)
 from .retrieval import rank_entities
 from .sampling import SamplerConfig, make_batches, sample_epoch
@@ -110,7 +111,7 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
 
 def write_epoch_log(path, logs):
     """CSV with columns epoch, mean_batch_loss, validation_ndcg, wall_seconds."""
-    with _atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch,mean_batch_loss,validation_ndcg,wall_seconds\n")
         for entry in logs:
             vn = "" if entry.validation_ndcg is None else repr(entry.validation_ndcg)

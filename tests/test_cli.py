@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lse.cli
 import lse.training
@@ -302,6 +304,43 @@ MALFORMED = {
     "qi_sales_rank_not_integer":
         ("attrs.jsonl", b'{"entity_id": "cam", "sales_rank": "5", "price": null}\n',
          ":1: sales_rank must be an integer, got '5'"),
+    "qi_entity_id_list":
+        ("attrs.jsonl", b'{"entity_id": ["cam"], "price": 3.5}\n',
+         ":1: entity_id must be a string, got ['cam']"),
+    # text mode decodes 8 KB at a time: the bad byte must still be placed
+    # on its own line, not on the first line of its chunk
+    "corpus_not_utf8_past_8kb":
+        ("corpus.jsonl", b"".join(b'{"doc_id": "d%d", "entity_id": "cam", '
+                                  b'"text": "digital camera"}\n' % i for i in range(200))
+         + b'{"doc_id": "bad", "entity_id": "cam", "text": "caf\xe9"}\n',
+         ":201: not valid UTF-8"),
+    "corpus_text_not_string":
+        ("corpus.jsonl", b'{"doc_id": "d1", "entity_id": "cam", "text": 5}\n',
+         ":1: text must be a string, got 5"),
+    "corpus_entity_id_list":
+        ("corpus.jsonl", b'{"doc_id": "d1", "entity_id": ["cam"], "text": "lens"}\n',
+         ":1: entity_id must be a string, got ['cam']"),
+    "corpus_doc_id_list":
+        ("corpus.jsonl", b'{"doc_id": ["d1"], "entity_id": "cam", "text": "lens"}\n',
+         ":1: doc_id must be a string, got ['d1']"),
+    "corpus_record_not_object":
+        ("corpus.jsonl", b'["d1", "cam", "lens"]\n', ":1: expected a JSON object"),
+    "topics_not_utf8":
+        ("topics.tsv", b"topic_id\ttest\nt1\tcam\xe9ra\n", ":2: not valid UTF-8"),
+    "qrels_not_utf8":
+        ("qrels.txt", b"t1 0 cam 1\nt2 0 gu\xffi 1\n", ":2: not valid UTF-8"),
+    "vocab_not_utf8":
+        ("vocab.tsv", b"camera\t0\t2\t2\nl\xe9ns\t1\t2\t2\n", ":2: not valid UTF-8"),
+    "vocab_empty": ("vocab.tsv", b"", ": vocabulary is empty"),
+    "run_not_utf8":
+        ("run.trec", b"t1 Q0 cam 1 2.0 x\nt1 Q0 g\xfeui 2 1.0 x\n", ":2: not valid UTF-8"),
+    "config_not_utf8":
+        ("train.cfg", b"seed = 1\n# \xe9\n", ":2: not valid UTF-8"),
+    "qi_not_utf8":
+        ("attrs.jsonl", b'{"entity_id": "cam"}\n{"entity_id": "g\xe9"}\n',
+         ":2: not valid UTF-8"),
+    "graph_not_utf8":
+        ("graph.tsv", b"cam\tgui\ngui\tp\xe9a\n", ":2: not valid UTF-8"),
 }
 
 
@@ -316,13 +355,17 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
     bad = tmp_path / name
     bad.write_bytes(content)
     out = ["--out", str(tmp_path / "out")]
-    args = {"qrels.txt": ["eval", str(run_file), str(qrels)],
+    args = {"corpus.jsonl": ["build-vocab", str(corpus)],
+            "topics.tsv": ["qlm", str(corpus), str(vocab), str(topics)],
+            "qrels.txt": ["eval", str(run_file), str(qrels)],
             "run.trec": ["eval", str(run_file), str(qrels)],
             "vocab.tsv": ["qlm", str(corpus), str(vocab), str(topics)],
             "model.lse": ["rank", str(bad), str(vocab), str(topics)],
             "train.cfg": ["train", str(corpus), str(vocab), "--config", str(bad)],
             "attrs.jsonl": ["fuse", str(corpus), str(vocab), str(topics), str(qrels),
-                            "--qi-attrs", str(bad)]}[name]
+                            "--qi-attrs", str(bad)],
+            "graph.tsv": ["fuse", str(corpus), str(vocab), str(topics), str(qrels),
+                          "--graph", f"also_bought={bad}"]}[name]
     result = CliRunner().invoke(main, args + out)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
@@ -489,3 +532,104 @@ def test_version_flag():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "lse" in result.output
+
+
+# ---- fuzzing every text input of build-vocab, qlm, eval, train and fuse ----
+
+FUZZ_FILES = {
+    "config": ("train.cfg", b"e_v = 4\ne_e = 3\nn = 2\nz = 2\nm = 8\nepochs = 1\n"
+                            b"seed = 0  # root seed\n"),
+    "run": ("run.trec", b"t1 Q0 cam 1 2.5 x\nt1 Q0 gui 2 1.0 x\nt2 Q0 gui 1 0.5 x\n"
+                        b"t5 Q0 vio 1 0.25 x\n"),
+    "attrs": ("attrs.jsonl", b'{"entity_id": "cam", "price": 3.5, "sales_rank": 4}\n'
+                             b'{"entity_id": "gui", "description_length": 12}\n'),
+    "graph": ("graph.tsv", b"cam\tgui\ngui\tpia\nvio\tcam\n"),
+}
+
+# command -> (the inputs fuzzed, its argv with {input} placeholders)
+FUZZ_COMMANDS = {
+    "build-vocab": (("corpus",), ["build-vocab", "{corpus}"]),
+    "qlm": (("corpus", "vocab", "topics"), ["qlm", "{corpus}", "{vocab}", "{topics}"]),
+    "eval": (("run", "qrels"), ["eval", "{run}", "{qrels}"]),
+    "train": (("config",), ["train", "{corpus}", "{vocab}", "--config", "{config}"]),
+    "fuse": (("attrs", "graph"),
+             ["fuse", "{corpus}", "{vocab}", "{topics}", "{qrels}", "--qi-attrs",
+              "{attrs}", "--graph", "also_bought={graph}", "--folds", "2",
+              "--pair-samples", "50"]),
+}
+
+# what separates the columns of each non-JSON input
+FUZZ_SEPARATORS = {"vocab": b"\t", "topics": b"\t", "graph": b"\t", "qrels": b" ",
+                   "run": b" ", "config": b"="}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Valid inputs for every fuzzed command: name -> path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus, topics, qrels = write_inputs(root)
+    run_ok(CliRunner(), ["build-vocab", str(corpus), "--out", str(root)])
+    paths = {"corpus": corpus, "topics": topics, "qrels": qrels,
+             "vocab": root / "vocab.tsv"}
+    for name, (file_name, content) in FUZZ_FILES.items():
+        paths[name] = root / file_name
+        paths[name].write_bytes(content)
+    return paths
+
+
+@st.composite
+def mutations(draw, data, name):
+    """data with one mutation: cut short, one byte flipped, one byte
+    inserted, or one line's column dropped; in JSON lines, a field is
+    dropped or its value swapped for one of another JSON type."""
+    lines = data.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["truncate", "flip", "insert", "drop", "swap"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind in ("flip", "insert"):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(1, 255) if kind == "flip" else st.integers(0, 255))
+        if kind == "flip":
+            return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
+        return data[:at] + bytes([byte]) + data[at:]
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index].rstrip(b"\n")
+    if name in FUZZ_SEPARATORS:
+        fields = line.split(FUZZ_SEPARATORS[name])
+        del fields[draw(st.integers(0, len(fields) - 1))]
+        line = FUZZ_SEPARATORS[name].join(fields)
+    else:
+        record = json.loads(line)
+        key = draw(st.sampled_from(sorted(record)))
+        if kind == "drop":
+            del record[key]
+        else:
+            record[key] = draw(st.sampled_from([None, True, 7, -2.5, 1e300, "s", [],
+                                                ["x"], {}]))
+        line = json.dumps(record).encode()
+    return b"".join(lines[:index] + [line + b"\n"] + lines[index + 1:])
+
+
+@pytest.mark.parametrize("command,name", [(command, name)
+                                          for command, (names, _) in FUZZ_COMMANDS.items()
+                                          for name in names])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_input_exits_0_or_1_naming_it(fuzz_inputs, tmp_path, command, name,
+                                              data):
+    path = tmp_path / fuzz_inputs[name].name
+    path.write_bytes(data.draw(mutations(fuzz_inputs[name].read_bytes(), name)))
+    paths = {key: str(path if key == name else value)
+             for key, value in fuzz_inputs.items()}
+    args = [arg.format(**paths) for arg in FUZZ_COMMANDS[command][1]]
+    result = CliRunner().invoke(main, args + ["--out", str(tmp_path / "out")])
+    if result.exit_code != 0:
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
+            result.output
+        assert "Traceback" not in result.output
+        # A window n longer than every document is a valid config that does
+        # not suit this corpus (--n 9 fails the same way), so no file is named.
+        assert (f"Error: {path}" in result.output
+                or "Error: window larger than all documents" in result.output), \
+            result.output

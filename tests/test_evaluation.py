@@ -40,6 +40,14 @@ def test_topic_set_rejects_missing_header_and_duplicates(tmp_path):
         TopicSet.load(path)
 
 
+def test_topic_set_header_is_the_first_non_blank_line(tmp_path):
+    path = tmp_path / "topics.tsv"
+    path.write_text("\n  \ntopic_id\tdev\n\nt1\tcamera\n")
+    loaded = TopicSet.load(path)
+    assert loaded.topics == {"t1": "camera"}
+    assert loaded.split == "dev"
+
+
 def test_qrels_round_trip_and_accessors(tmp_path):
     qrels = Qrels({("t1", "e1"): 1, ("t1", "e2"): 0, ("t2", "e1"): 1})
     path = tmp_path / "qrels.txt"

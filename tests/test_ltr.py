@@ -13,9 +13,8 @@ from lse.errors import DataError
 from lse.ltr import (COMBOS, GRAPH_NAMES, QI_MASK_FEATURES,
                      QI_VALUE_FEATURES, QIData, RankerConfig, _fold_partition,
                      _pair_rows, _pegasos, _standardize_fit, build_features,
-                     cross_validated_fusion, ideal_vector, ideal_vector_report,
-                     load_graph, load_qi_attributes, pagerank,
-                     qi_feature_matrix, train_ranksvm)
+                     cross_validated_fusion, ideal_vector_report, load_graph,
+                     load_qi_attributes, pagerank, qi_feature_matrix)
 from lse.evaluation import Qrels, evaluate_run, ndcg
 from lse.model import Dims, init_params, project
 from lse.qlm import estimate
@@ -178,51 +177,48 @@ def test_lockstep_weights_equal_the_single_fit_oracle(drawn):
     assert weights.shape == (k, width)
     for w, w_expected in zip(weights, expected):
         assert w.tobytes() == w_expected.tobytes()
-    rows, labels, groups, config = fits[0]
-    assert (train_ranksvm(rows, labels, config, groups).weights.tobytes()
-            == oracle_train_ranksvm(rows, labels, config, groups).tobytes())
+
+
+def fit_ranksvm(rows, labels, config=RankerConfig(), groups=None):
+    """One RankSVM fit, as fuse and ideal-vector train each of theirs."""
+    pairs = _pair_rows(np.asarray(labels), groups, config)
+    return _pegasos(np.asarray(rows, dtype=np.float64), [pairs], [1.0 / config.c])[0]
 
 
 def test_ranksvm_duplicated_column_matches_single_column():
-    single = train_ranksvm([[2.0], [0.0]], [1, 0])
-    dup = train_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0])
-    assert dup.weights[0] == pytest.approx(dup.weights[1], rel=1e-12)
-    s1 = single.scores([[2.0], [0.0]])
-    s2 = dup.scores([[2.0, 2.0], [0.0, 0.0]])
+    single = fit_ranksvm([[2.0], [0.0]], [1, 0])
+    dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0])
+    assert dup[0] == pytest.approx(dup[1], rel=1e-12)
+    s1 = np.array([[2.0], [0.0]]) @ single
+    s2 = np.array([[2.0, 2.0], [0.0, 0.0]]) @ dup
     assert np.max(np.abs(s1 - s2)) < 1e-6
 
 
 def test_ranksvm_orders_separable_data():
-    rows = [[1.0, 0.0], [0.9, 0.1], [0.1, 0.9], [0.0, 1.0]]
-    ranker = train_ranksvm(rows, [1, 1, 0, 0],
-                           RankerConfig(pair_samples=2000, seed=3))
-    scores = ranker.scores(rows)
+    rows = np.array([[1.0, 0.0], [0.9, 0.1], [0.1, 0.9], [0.0, 1.0]])
+    scores = rows @ fit_ranksvm(rows, [1, 1, 0, 0],
+                                RankerConfig(pair_samples=2000, seed=3))
     assert min(scores[:2]) > max(scores[2:])
 
 
 def test_ranksvm_is_seed_deterministic():
     rows = np.random.default_rng(0).normal(size=(12, 3))
     labels = [1, 0] * 6
-    a = train_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=9))
-    b = train_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=9))
-    c = train_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=10))
-    assert np.array_equal(a.weights, b.weights)
-    assert not np.array_equal(a.weights, c.weights)
+    a = fit_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=9))
+    b = fit_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=9))
+    c = fit_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=10))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_ranksvm_rejects_single_class():
     with pytest.raises(DataError, match="single class"):
-        train_ranksvm([[1.0], [2.0]], [1, 1])
+        _pair_rows(np.array([1, 1]), None, RankerConfig())
 
 
 def test_ranksvm_rejects_groups_without_both_classes():
     with pytest.raises(DataError, match="both a relevant"):
-        train_ranksvm([[1.0], [0.0]], [1, 0], groups=[0, 1])
-
-
-def test_ranksvm_rejects_mismatched_shapes():
-    with pytest.raises(DataError):
-        train_ranksvm([[1.0], [0.0]], [1, 0, 1])
+        _pair_rows(np.array([1, 0]), [0, 1], RankerConfig())
 
 
 def test_ranker_config_validation():
@@ -445,23 +441,31 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
 
 # ---- ideal vectors ----
 
+def entity_params(w_e):
+    """A model whose entity rows are w_e, with a three-word vocabulary."""
+    vocab = Vocabulary(["wa", "wb", "wc"], [3, 2, 1], [3, 2, 1])
+    params = init_params(Dims(4, w_e.shape[1], vocab.size, len(w_e)), 0)
+    params.W_e[:] = w_e
+    return params, vocab
+
+
 def test_ideal_vector_skips_single_relevant():
-    qrels = Qrels({("t", "e0"): 1})
-    w_e = np.eye(3)
-    assert ideal_vector("t", qrels, w_e, ["e0", "e1", "e2"]) is None
+    params, vocab = entity_params(np.eye(3))
+    rows = ideal_vector_report(params, vocab, {"t": "wa"}, Qrels({("t", "e0"): 1}),
+                               ["e0", "e1", "e2"])
+    assert rows == [{"topic_id": "t", "status": "skipped_single_relevant",
+                     "n_relevant": 1, "ndcg_ideal": None, "ndcg_query": None}]
 
 
 def test_ideal_vector_separates_relevant_directions():
-    from lse.retrieval import rank_by_vector
-
-    w_e = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [0.0, -1.0]])
-    ids = ["e0", "e1", "e2", "e3"]
+    params, vocab = entity_params(np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0],
+                                            [0.0, -1.0]]))
     qrels = Qrels({("t", "e0"): 1, ("t", "e1"): 1})
-    result = ideal_vector("t", qrels, w_e, ids,
-                          RankerConfig(pair_samples=2000, seed=1))
-    assert result.topic_id == "t"
-    top2 = {eid for eid, _ in rank_by_vector(w_e, result.vector, ids, "t").entries[:2]}
-    assert top2 == {"e0", "e1"}
+    rows = ideal_vector_report(params, vocab, {"t": "wa"}, qrels,
+                               ["e0", "e1", "e2", "e3"], cutoff=2,
+                               config=RankerConfig(pair_samples=2000, seed=1))
+    assert rows[0]["status"] == "ok"
+    assert rows[0]["ndcg_ideal"] == 1.0  # the two relevant entities rank first
 
 
 def report_setup():

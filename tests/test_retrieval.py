@@ -1,4 +1,4 @@
-"""Cosine ranking, vector aggregation, and the run file format."""
+"""Cosine ranking and the run file format."""
 
 import math
 
@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from lse.errors import DataError, EmptyQueryError
 from lse.model import ModelParams, project
-from lse.retrieval import (RankedList, aggregate_entity_vectors, cosine_scores,
-                           rank_by_vector, rank_entities, ranked_from_scores,
-                           read_run, write_run)
-from lse.text import Corpus, Document
+from lse.retrieval import (RankedList, cosine_scores, rank_by_vector,
+                           rank_entities, ranked_from_scores, read_run, write_run)
 
 
 def cosine(a, b):
@@ -149,33 +147,6 @@ def test_rank_entities_rejects_empty_query():
                          np.zeros((1, 1)))
     with pytest.raises(EmptyQueryError, match="'t9'"):
         rank_entities(params, [], ["e0"], "t9")
-
-
-def make_corpus():
-    docs = [Document("d1", "e1", np.asarray([0], dtype=np.int32)),
-            Document("d2", "e1", np.asarray([1], dtype=np.int32)),
-            Document("d3", "e2", np.asarray([2], dtype=np.int32))]
-    return Corpus(["e1", "e2"], docs, {0: [0, 1], 1: [2]}, 3)
-
-
-def test_aggregate_entity_vectors_sums_with_unit_weights():
-    corpus = make_corpus()
-    vecs = {"d1": [1.0, 0.0], "d2": [0.5, 2.0], "d3": [0.0, 3.0]}
-    out = aggregate_entity_vectors(corpus, vecs)
-    assert np.allclose(out, [[1.5, 2.0], [0.0, 3.0]], atol=1e-15)
-
-
-def test_aggregate_entity_vectors_names_missing_document():
-    corpus = make_corpus()
-    with pytest.raises(DataError, match="'d2'"):
-        aggregate_entity_vectors(corpus, {"d1": [1.0], "d3": [1.0]})
-
-
-def test_aggregate_entity_vectors_rejects_length_mismatch():
-    corpus = make_corpus()
-    vecs = {"d1": [1.0, 0.0], "d2": [0.5], "d3": [0.0, 3.0]}
-    with pytest.raises(DataError, match="'d2'"):
-        aggregate_entity_vectors(corpus, vecs)
 
 
 def test_write_run_format_and_truncation(tmp_path):
