@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from . import (errors, evaluation, files, ltr, model, qlm, retrieval, sampling,
                text, training)
 from .errors import DataError, DegenerateStatisticError, EmptyQueryError, LSEError
-from .evaluation import (Qrels, TopicSet, correlations, evaluate_run,
-                         idf_match_analysis, mean_ndcg, ndcg, paired_t_test,
+from .evaluation import (Qrels, TopicSet, compare_runs, correlations,
+                         evaluate_run, idf_match_analysis, ndcg, paired_t_test,
                          permutation_test_correlation, precision_at_k,
                          significance_marker)
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
@@ -33,8 +33,8 @@ __all__ = [
     "errors", "evaluation", "files", "ltr", "model", "qlm", "retrieval",
     "sampling", "text", "training",
     "DataError", "DegenerateStatisticError", "EmptyQueryError", "LSEError",
-    "Qrels", "TopicSet", "correlations", "evaluate_run", "idf_match_analysis",
-    "mean_ndcg", "ndcg", "paired_t_test", "permutation_test_correlation",
+    "Qrels", "TopicSet", "compare_runs", "correlations", "evaluate_run",
+    "idf_match_analysis", "ndcg", "paired_t_test", "permutation_test_correlation",
     "precision_at_k", "significance_marker",
     "QIData", "RankerConfig", "build_features", "cross_validated_fusion",
     "ideal_vector_report", "pagerank",

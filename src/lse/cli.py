@@ -2,6 +2,7 @@
 lexical baseline, evaluation, the smoothing sweep, feature fusion, the
 ideal-vector analysis, and a gradient self-check."""
 
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -13,9 +14,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DataError, EmptyQueryError, LSEError
-from .evaluation import (Qrels, TopicSet, evaluate_run, paired_t_test,
-                         significance_marker)
+from .errors import DataError, LSEError
+from .evaluation import Qrels, TopicSet, compare_runs, evaluate_run
 from .files import atomic_open
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
                   ideal_vector_report, load_graph, load_qi_attributes, GRAPH_NAMES)
@@ -25,15 +25,17 @@ from .qlm import estimate as qlm_estimate
 from .qlm import rank as qlm_rank
 from .qlm import sweep_lambda
 from .retrieval import rank_entities, read_run, write_run
-from .sampling import InstanceBlock
+from .sampling import InstanceBlock, ngrams_per_entity_per_epoch
 from .text import Vocabulary, build_vocabulary, encode_corpus, load_raw_docs, tokenize
 from .training import train, write_epoch_log
 
 
-def _resolve_input(ctx, param, value):
-    """Join relative inputs against LSE_DATA_DIR; missing files exit 2."""
-    if value is None:
-        return None
+_INPUTS = "lse.inputs"  # ctx.meta key: manifest name -> resolved path
+
+
+def _record_input(ctx, name, value):
+    """Join a relative input against LSE_DATA_DIR and record it under name
+    for the manifest; a missing file exits 2."""
     path = value
     if not os.path.isabs(path) and not os.path.exists(path):
         root = os.environ.get("LSE_DATA_DIR")
@@ -43,11 +45,37 @@ def _resolve_input(ctx, param, value):
                 path = candidate
     if not os.path.exists(path):
         raise click.BadParameter(f"{value}: no such file")
+    ctx.meta.setdefault(_INPUTS, {})[name] = path
     return path
+
+
+def _resolve_input(ctx, param, value):
+    """Callback of an input file parameter; the manifest names the input
+    after the parameter, less a _path suffix."""
+    if value is not None:
+        return _record_input(ctx, param.name.removesuffix("_path"), value)
+
+
+def _resolve_graphs(ctx, param, values):
+    """--graph NAME=PATH values as {name: path}, each recorded as graph_<name>."""
+    graphs = {}
+    for value in values:
+        name, sep, path = value.partition("=")
+        if not sep:
+            raise click.BadParameter("--graph expects NAME=PATH")
+        if name not in GRAPH_NAMES:
+            raise click.BadParameter(f"unknown graph name {name!r}")
+        graphs[name] = _record_input(ctx, f"graph_{name}", path)
+    return graphs
 
 
 def _input_argument(name):
     return click.argument(name, type=click.Path(dir_okay=False), callback=_resolve_input)
+
+
+def _input_option(*decls, help=None):
+    return click.option(*decls, default=None, type=click.Path(dir_okay=False),
+                        callback=_resolve_input, help=help)
 
 
 def _out_option():
@@ -63,27 +91,25 @@ def _sha256_file(path):
     return digest.hexdigest()
 
 
-class _Manifest:
-    def __init__(self, command, out_dir, config, inputs, seed=None):
-        self.command = command
-        self.out_dir = out_dir
-        self.config = config
-        self.inputs = inputs
-        self.seed = seed
-        self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+def _now():
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    def write(self):
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "inputs": {name: {"path": str(path), "sha256": _sha256_file(path)}
-                       for name, path in self.inputs.items()},
-            "seed": self.seed,
-            "version": __version__,
-            "started": self.started,
-            "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        }
-        _write_json(self.out_dir, "manifest.json", payload)
+
+@contextlib.contextmanager
+def _run(out_dir, config, seed=None):
+    """Make out_dir, run the command body, then write out_dir/manifest.json:
+    the command, its config and seed, and the path and SHA-256 of every input
+    the command line named."""
+    ctx = click.get_current_context()
+    os.makedirs(out_dir, exist_ok=True)
+    started = _now()
+    yield
+    inputs = ctx.meta.get(_INPUTS, {})
+    _write_json(out_dir, "manifest.json", {
+        "command": ctx.command.name, "config": config,
+        "inputs": {name: {"path": str(path), "sha256": _sha256_file(path)}
+                   for name, path in inputs.items()},
+        "seed": seed, "version": __version__, "started": started, "finished": _now()})
 
 
 def _output(out_dir, name):
@@ -95,10 +121,6 @@ def _write_json(out_dir, name, payload):
     with _output(out_dir, name) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _prepare_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
 
 
 def _status(msg):
@@ -127,15 +149,12 @@ def main():
               help="Vocabulary cap.")
 def cmd_build_vocab(corpus, out_dir, max_size):
     """Build the pruned vocabulary from a JSON-lines corpus."""
-    _prepare_out(out_dir)
-    manifest = _Manifest("build-vocab", out_dir, {"max_size": max_size},
-                         {"corpus": corpus})
-    raw = load_raw_docs(corpus)
-    _status(f"building vocabulary from {len(raw)} documents")
-    vocab = build_vocabulary(raw, max_size)
-    vocab.save(os.path.join(out_dir, "vocab.tsv"))
-    _status(f"retained {vocab.size} tokens")
-    manifest.write()
+    with _run(out_dir, {"max_size": max_size}):
+        raw = load_raw_docs(corpus)
+        _status(f"building vocabulary from {len(raw)} documents")
+        vocab = build_vocabulary(raw, max_size, source=corpus)
+        vocab.save(os.path.join(out_dir, "vocab.tsv"))
+        _status(f"retained {vocab.size} tokens")
 
 
 def _load_train_config(config_path, overrides):
@@ -153,9 +172,7 @@ def _load_train_config(config_path, overrides):
 @_input_argument("corpus")
 @_input_argument("vocab")
 @_out_option()
-@click.option("--config", "config_path", default=None,
-              type=click.Path(dir_okay=False), callback=_resolve_input,
-              help="key = value training config file.")
+@_input_option("--config", "config_path", help="key = value training config file.")
 @click.option("--seed", type=int, default=None, help="Root seed (overrides config).")
 @click.option("--epochs", type=int, default=None)
 @click.option("--e-v", "e_v", type=int, default=None)
@@ -165,41 +182,32 @@ def _load_train_config(config_path, overrides):
 @click.option("--m", type=int, default=None)
 @click.option("--lambda", "weight_decay", type=float, default=None)
 @click.option("--precision", type=click.Choice(["float32", "float64"]), default=None)
-@click.option("--validation-topics", default=None, type=click.Path(dir_okay=False),
-              callback=_resolve_input)
-@click.option("--validation-qrels", default=None, type=click.Path(dir_okay=False),
-              callback=_resolve_input)
+@_input_option("--validation-topics")
+@_input_option("--validation-qrels")
 def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
               validation_qrels, **overrides):
     """Train the model and write the container, epoch log and manifest."""
     config = _load_train_config(config_path, overrides)
-    _prepare_out(out_dir)
-    inputs = {"corpus": corpus, "vocab": vocab}
-    if config_path:
-        inputs["config"] = config_path
-    if validation_topics:
-        inputs["validation_topics"] = validation_topics
-    if validation_qrels:
-        inputs["validation_qrels"] = validation_qrels
-    manifest = _Manifest("train", out_dir, config.as_dict(), inputs, config.seed)
+    with _run(out_dir, config.as_dict(), config.seed):
+        vocabulary = Vocabulary.load(vocab)
+        corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
+        if ngrams_per_entity_per_epoch(corpus_data, config.n) == 0:
+            raise DataError(f"{corpus}: window n = {config.n} is longer than "
+                            "every document")
+        topics = TopicSet.load(validation_topics).topics if validation_topics else None
+        qrels = Qrels.load(validation_qrels) if validation_qrels else None
 
-    vocabulary = Vocabulary.load(vocab)
-    corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
-    topics = TopicSet.load(validation_topics).topics if validation_topics else None
-    qrels = Qrels.load(validation_qrels) if validation_qrels else None
+        def progress(entry):
+            vn = "-" if entry.validation_ndcg is None else f"{entry.validation_ndcg:.4f}"
+            _status(f"epoch {entry.epoch}: loss {entry.mean_batch_loss:.6f} "
+                    f"validation_ndcg {vn} ({entry.wall_seconds:.1f}s)")
 
-    def progress(entry):
-        vn = "-" if entry.validation_ndcg is None else f"{entry.validation_ndcg:.4f}"
-        _status(f"epoch {entry.epoch}: loss {entry.mean_batch_loss:.6f} "
-                f"validation_ndcg {vn} ({entry.wall_seconds:.1f}s)")
-
-    result = train(corpus_data, vocabulary, config, topics, qrels, progress)
-    _status(f"kept epoch {result.best_epoch}")
-    save_model(os.path.join(out_dir, "model.lse"), result.params,
-               vocab_sha256=vocabulary.sha256(), entity_ids=corpus_data.entities,
-               config=config.as_dict())
-    write_epoch_log(os.path.join(out_dir, "epochs.csv"), result.log)
-    manifest.write()
+        result = train(corpus_data, vocabulary, config, topics, qrels, progress)
+        _status(f"kept epoch {result.best_epoch}")
+        save_model(os.path.join(out_dir, "model.lse"), result.params,
+                   vocab_sha256=vocabulary.sha256(), entity_ids=corpus_data.entities,
+                   config=config.as_dict())
+        write_epoch_log(os.path.join(out_dir, "epochs.csv"), result.log)
 
 
 def _load_model_checked(model_path, vocabulary):
@@ -209,10 +217,23 @@ def _load_model_checked(model_path, vocabulary):
     return params, header
 
 
-def _write_skipped(out_dir, skipped):
+def _rank_topics(out_dir, vocabulary, topics, top_k, run_tag, rank):
+    """Write run.trec with rank(topic_id, query token ids) for every topic in
+    id order, and skipped_topics.txt with the topics whose query has no
+    in-vocabulary token."""
+    topic_set = TopicSet.load(topics)
+    ranked, skipped = [], []
+    for tid in sorted(topic_set.topics):
+        ids = vocabulary.encode(tokenize(topic_set.topics[tid]))
+        if ids:
+            ranked.append(rank(tid, ids))
+        else:
+            skipped.append(tid)
+    write_run(os.path.join(out_dir, "run.trec"), ranked, tag=run_tag, top_k=top_k)
     with _output(out_dir, "skipped_topics.txt") as fh:
-        for tid in skipped:
-            fh.write(f"{tid}\n")
+        fh.writelines(f"{tid}\n" for tid in skipped)
+    if skipped:
+        _status(f"skipped {len(skipped)} all-out-of-vocabulary topics")
 
 
 @main.command("rank")
@@ -224,28 +245,13 @@ def _write_skipped(out_dir, skipped):
 @click.option("--run-tag", default="lse", show_default=True)
 def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
     """Rank all entities for every topic with the trained model."""
-    _prepare_out(out_dir)
-    manifest = _Manifest("rank", out_dir, {"top_k": top_k, "run_tag": run_tag},
-                         {"model": model, "vocab": vocab, "topics": topics})
-    vocabulary = Vocabulary.load(vocab)
-    params, header = _load_model_checked(model, vocabulary)
-    topic_set = TopicSet.load(topics)
-    entity_ids = header["entity_ids"]
-    norms = np.linalg.norm(params.W_e, axis=1)
-    ranked = []
-    skipped = []
-    for tid in sorted(topic_set.topics):
-        ids = vocabulary.encode(tokenize(topic_set.topics[tid]))
-        try:
-            ranked.append(rank_entities(params, ids, entity_ids, tid, top_k,
-                                        norms))
-        except EmptyQueryError:
-            skipped.append(tid)
-    write_run(os.path.join(out_dir, "run.trec"), ranked, tag=run_tag, top_k=top_k)
-    _write_skipped(out_dir, skipped)
-    if skipped:
-        _status(f"skipped {len(skipped)} all-out-of-vocabulary topics")
-    manifest.write()
+    with _run(out_dir, {"top_k": top_k, "run_tag": run_tag}):
+        vocabulary = Vocabulary.load(vocab)
+        params, header = _load_model_checked(model, vocabulary)
+        norms = np.linalg.norm(params.W_e, axis=1)
+        _rank_topics(out_dir, vocabulary, topics, top_k, run_tag,
+                     lambda tid, ids: rank_entities(params, ids, header["entity_ids"],
+                                                    tid, top_k, norms))
 
 
 @main.command("qlm")
@@ -259,25 +265,13 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
 @click.option("--run-tag", default="qlm", show_default=True)
 def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
     """Rank all entities for every topic with the smoothed lexical model."""
-    _prepare_out(out_dir)
-    manifest = _Manifest("qlm", out_dir,
-                         {"lambda_jm": lambda_jm, "top_k": top_k, "run_tag": run_tag},
-                         {"corpus": corpus, "vocab": vocab, "topics": topics})
-    vocabulary = Vocabulary.load(vocab)
-    corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
-    model = qlm_estimate(corpus_data, lambda_jm)
-    topic_set = TopicSet.load(topics)
-    ranked = []
-    skipped = []
-    for tid in sorted(topic_set.topics):
-        ids = vocabulary.encode(tokenize(topic_set.topics[tid]))
-        if not ids:
-            skipped.append(tid)
-            continue
-        ranked.append(qlm_rank(model, corpus_data.entities, ids, tid, top_k))
-    write_run(os.path.join(out_dir, "run.trec"), ranked, tag=run_tag, top_k=top_k)
-    _write_skipped(out_dir, skipped)
-    manifest.write()
+    with _run(out_dir, {"lambda_jm": lambda_jm, "top_k": top_k, "run_tag": run_tag}):
+        vocabulary = Vocabulary.load(vocab)
+        corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
+        model = qlm_estimate(corpus_data, lambda_jm)
+        _rank_topics(out_dir, vocabulary, topics, top_k, run_tag,
+                     lambda tid, ids: qlm_rank(model, corpus_data.entities, ids, tid,
+                                               top_k))
 
 
 @main.command("eval")
@@ -285,41 +279,23 @@ def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
 @_input_argument("qrels")
 @_out_option()
 @click.option("--cutoff", default=100, show_default=True)
-@click.option("--baseline-run", default=None, type=click.Path(dir_okay=False),
-              callback=_resolve_input,
-              help="Second run for the paired significance test.")
+@_input_option("--baseline-run", help="Second run for the paired significance test.")
 def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
     """Score a run against qrels; optionally test against a baseline run."""
-    _prepare_out(out_dir)
-    inputs = {"run": run, "qrels": qrels}
-    if baseline_run:
-        inputs["baseline_run"] = baseline_run
-    manifest = _Manifest("eval", out_dir, {"cutoff": cutoff}, inputs)
-    qrels_data = Qrels.load(qrels)
-    report = evaluate_run(read_run(run), qrels_data, cutoff=cutoff)
-    metrics = [f"ndcg@{cutoff}", "p@5", "p@10"]
-    with _output(out_dir, "per_topic.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic_id"] + metrics)
-        for tid, row in sorted(report.per_topic.items()):
-            writer.writerow([tid] + [repr(row[m]) for m in metrics])
-    aggregate = {"means": report.means, "excluded_topics": report.excluded,
-                 "num_topics": len(report.per_topic), "cutoff": cutoff}
-    if baseline_run:
-        base = evaluate_run(read_run(baseline_run), qrels_data, cutoff=cutoff)
-        shared = sorted(set(report.per_topic) & set(base.per_topic))
-        significance = {}
-        for metric in metrics:
-            try:
-                t, p = paired_t_test([report.per_topic[tid][metric] for tid in shared],
-                                     [base.per_topic[tid][metric] for tid in shared])
-                significance[metric] = {"t": t, "p": p,
-                                        "marker": significance_marker(p)}
-            except LSEError as exc:
-                significance[metric] = {"degenerate": str(exc)}
-        aggregate["significance_vs_baseline"] = significance
-    _write_json(out_dir, "aggregate.json", aggregate)
-    manifest.write()
+    with _run(out_dir, {"cutoff": cutoff}):
+        qrels_data = Qrels.load(qrels)
+        report = evaluate_run(read_run(run), qrels_data, cutoff=cutoff)
+        with _output(out_dir, "per_topic.csv") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["topic_id", *report.means])
+            for tid, row in sorted(report.per_topic.items()):
+                writer.writerow([tid] + [repr(row[m]) for m in report.means])
+        aggregate = {"means": report.means, "excluded_topics": report.excluded,
+                     "num_topics": len(report.per_topic), "cutoff": cutoff}
+        if baseline_run:
+            base = evaluate_run(read_run(baseline_run), qrels_data, cutoff=cutoff)
+            aggregate["significance_vs_baseline"] = compare_runs(report, base)
+        _write_json(out_dir, "aggregate.json", aggregate)
 
 
 @main.command("sweep-lambda")
@@ -331,22 +307,18 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
 @click.option("--cutoff", default=100, show_default=True)
 def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
     """Sweep the smoothing weight over 0.0..1.0 in steps of 0.05."""
-    _prepare_out(out_dir)
-    manifest = _Manifest("sweep-lambda", out_dir, {"cutoff": cutoff},
-                         {"corpus": corpus, "vocab": vocab, "topics": topics,
-                          "qrels": qrels})
-    vocabulary = Vocabulary.load(vocab)
-    corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
-    topic_set = TopicSet.load(topics)
-    best, grid = sweep_lambda(corpus_data, topic_set.topics, Qrels.load(qrels),
-                              vocabulary, cutoff=cutoff)
-    with _output(out_dir, "sweep.csv") as fh:
-        fh.write("lambda_jm,mean_ndcg\n")
-        for lam, mean in grid:
-            fh.write(f"{lam!r},{mean!r}\n")
-    _write_json(out_dir, "best_lambda.json", {"best_lambda_jm": best})
-    _status(f"best lambda_jm = {best!r}")
-    manifest.write()
+    with _run(out_dir, {"cutoff": cutoff}):
+        vocabulary = Vocabulary.load(vocab)
+        corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
+        topic_set = TopicSet.load(topics)
+        best, grid = sweep_lambda(corpus_data, topic_set.topics, Qrels.load(qrels),
+                                  vocabulary, cutoff=cutoff)
+        with _output(out_dir, "sweep.csv") as fh:
+            fh.write("lambda_jm,mean_ndcg\n")
+            for lam, mean in grid:
+                fh.write(f"{lam!r},{mean!r}\n")
+        _write_json(out_dir, "best_lambda.json", {"best_lambda_jm": best})
+        _status(f"best lambda_jm = {best!r}")
 
 
 @main.command("fuse")
@@ -355,11 +327,9 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
 @_input_argument("topics")
 @_input_argument("qrels")
 @_out_option()
-@click.option("--model", "model_path", default=None, type=click.Path(dir_okay=False),
-              callback=_resolve_input, help="Trained model container.")
-@click.option("--qi-attrs", default=None, type=click.Path(dir_okay=False),
-              callback=_resolve_input, help="JSON-lines entity attributes.")
-@click.option("--graph", "graphs", multiple=True,
+@_input_option("--model", "model_path", help="Trained model container.")
+@_input_option("--qi-attrs", help="JSON-lines entity attributes.")
+@click.option("--graph", "graphs", multiple=True, callback=_resolve_graphs,
               help="NAME=PATH edge list; NAME one of " + ", ".join(GRAPH_NAMES) + ".")
 @click.option("--lambda-jm", default=0.5, show_default=True)
 @click.option("--folds", default=10, show_default=True)
@@ -372,64 +342,45 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
     features."""
     if folds < 2:
         raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
-    _prepare_out(out_dir)
-    inputs = {"corpus": corpus, "vocab": vocab, "topics": topics, "qrels": qrels}
-    if model_path:
-        inputs["model"] = model_path
-    if qi_attrs:
-        inputs["qi_attrs"] = qi_attrs
-    qi = QIData()
-    if qi_attrs:
-        qi.attributes = load_qi_attributes(qi_attrs)
-    for graph_arg in graphs:
-        if "=" not in graph_arg:
-            raise click.BadParameter("--graph expects NAME=PATH")
-        name, _, path = graph_arg.partition("=")
-        if name not in GRAPH_NAMES:
-            raise click.BadParameter(f"unknown graph name {name!r}")
-        path = _resolve_input(None, None, path)
-        inputs[f"graph_{name}"] = path
-        qi.graphs[name] = load_graph(path)
-    manifest = _Manifest("fuse", out_dir,
-                         {"lambda_jm": lambda_jm, "folds": folds, "cutoff": cutoff,
-                          "pair_samples": pair_samples}, inputs, seed)
-
-    vocabulary = Vocabulary.load(vocab)
-    corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
-    params = None
-    if model_path:
-        params, _ = _load_model_checked(model_path, vocabulary)
-    qlm_model = qlm_estimate(corpus_data, lambda_jm)
-    topic_set = TopicSet.load(topics)
-    qrels_data = Qrels.load(qrels)
-    _status(f"assembling features for {len(topic_set.topics)} topics")
-    table = build_features(topic_set.topics, corpus_data, vocabulary, qlm_model,
-                           params, qi)
-    report = cross_validated_fusion(table, qrels_data, folds=folds, seed=seed,
-                                    cutoff=cutoff,
-                                    ranker_config=RankerConfig(pair_samples=pair_samples,
-                                                               seed=seed))
-    metrics = [f"ndcg@{cutoff}", "p@5", "p@10"]
-    with _output(out_dir, "fusion.csv") as fh:
-        writer = csv.writer(fh)
-        header = ["features"]
-        for metric in metrics:
-            header += [metric, f"{metric}_sig"]
-        writer.writerow(header)
-        for row in report.rows:
-            out_row = [row["features"]]
-            is_full = row["features"] == "qi+qlm+lse"
+    config = {"lambda_jm": lambda_jm, "folds": folds, "cutoff": cutoff,
+              "pair_samples": pair_samples}
+    with _run(out_dir, config, seed):
+        qi = QIData(load_qi_attributes(qi_attrs) if qi_attrs else {},
+                    {name: load_graph(path) for name, path in graphs.items()})
+        vocabulary = Vocabulary.load(vocab)
+        corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
+        params = None
+        if model_path:
+            params, _ = _load_model_checked(model_path, vocabulary)
+        qlm_model = qlm_estimate(corpus_data, lambda_jm)
+        topic_set = TopicSet.load(topics)
+        qrels_data = Qrels.load(qrels)
+        _status(f"assembling features for {len(topic_set.topics)} topics")
+        table = build_features(topic_set.topics, corpus_data, vocabulary, qlm_model,
+                               params, qi)
+        report = cross_validated_fusion(
+            table, qrels_data, folds=folds, seed=seed, cutoff=cutoff,
+            ranker_config=RankerConfig(pair_samples=pair_samples, seed=seed))
+        metrics = list(report.rows[0]["means"])
+        with _output(out_dir, "fusion.csv") as fh:
+            writer = csv.writer(fh)
+            header = ["features"]
             for metric in metrics:
-                out_row.append(repr(row["means"][metric]))
-                sig = report.significance.get(metric, {})
-                out_row.append(sig.get("marker", "") if is_full else "")
-            writer.writerow(out_row)
-    payload = {"rows": [{"features": r["features"], "means": r["means"]}
-                        for r in report.rows],
-               "significance_full_vs_qi_qlm": report.significance,
-               "folds": folds, "seed": seed}
-    _write_json(out_dir, "fusion.json", payload)
-    manifest.write()
+                header += [metric, f"{metric}_sig"]
+            writer.writerow(header)
+            for row in report.rows:
+                out_row = [row["features"]]
+                is_full = row["features"] == "qi+qlm+lse"
+                for metric in metrics:
+                    out_row.append(repr(row["means"][metric]))
+                    sig = report.significance.get(metric, {})
+                    out_row.append(sig.get("marker", "") if is_full else "")
+                writer.writerow(out_row)
+        payload = {"rows": [{"features": r["features"], "means": r["means"]}
+                            for r in report.rows],
+                   "significance_full_vs_qi_qlm": report.significance,
+                   "folds": folds, "seed": seed}
+        _write_json(out_dir, "fusion.json", payload)
 
 
 @main.command("ideal-vector")
@@ -447,41 +398,37 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
 
     Topics with a single relevant entity are skipped and listed as such in
     the report."""
-    _prepare_out(out_dir)
-    manifest = _Manifest("ideal-vector", out_dir,
-                         {"cutoff": cutoff, "pair_samples": pair_samples},
-                         {"model": model, "vocab": vocab, "topics": topics,
-                          "qrels": qrels}, seed)
-    vocabulary = Vocabulary.load(vocab)
-    params, header = _load_model_checked(model, vocabulary)
-    topic_set = TopicSet.load(topics)
-    rows = ideal_vector_report(params, vocabulary, topic_set.topics,
-                               Qrels.load(qrels), header["entity_ids"],
-                               cutoff=cutoff,
-                               config=RankerConfig(pair_samples=pair_samples,
-                                                   seed=seed))
-    with _output(out_dir, "ideal.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic_id", "status", "n_relevant", "ndcg_ideal",
-                         "ndcg_query"])
-        for row in rows:
-            writer.writerow([row["topic_id"], row["status"], row["n_relevant"],
-                             "" if row["ndcg_ideal"] is None else repr(row["ndcg_ideal"]),
-                             "" if row["ndcg_query"] is None else repr(row["ndcg_query"])])
-    scored = [row for row in rows if row["status"] == "ok"]
-    skipped = [row["topic_id"] for row in rows if row["status"] != "ok"]
-    aggregate = {
-        "num_scored": len(scored),
-        "skipped": skipped,
-        "mean_ndcg_ideal": (sum(r["ndcg_ideal"] for r in scored) / len(scored)
-                            if scored else None),
-        "mean_ndcg_query": (sum(r["ndcg_query"] for r in scored) / len(scored)
-                            if scored else None),
-    }
-    _write_json(out_dir, "ideal.json", aggregate)
-    if skipped:
-        _status(f"skipped {len(skipped)} topics (single or no relevant entity)")
-    manifest.write()
+    with _run(out_dir, {"cutoff": cutoff, "pair_samples": pair_samples}, seed):
+        vocabulary = Vocabulary.load(vocab)
+        params, header = _load_model_checked(model, vocabulary)
+        topic_set = TopicSet.load(topics)
+        rows = ideal_vector_report(params, vocabulary, topic_set.topics,
+                                   Qrels.load(qrels), header["entity_ids"],
+                                   cutoff=cutoff,
+                                   config=RankerConfig(pair_samples=pair_samples,
+                                                       seed=seed))
+        with _output(out_dir, "ideal.csv") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["topic_id", "status", "n_relevant", "ndcg_ideal",
+                             "ndcg_query"])
+            for row in rows:
+                writer.writerow(
+                    [row["topic_id"], row["status"], row["n_relevant"],
+                     "" if row["ndcg_ideal"] is None else repr(row["ndcg_ideal"]),
+                     "" if row["ndcg_query"] is None else repr(row["ndcg_query"])])
+        scored = [row for row in rows if row["status"] == "ok"]
+        skipped = [row["topic_id"] for row in rows if row["status"] != "ok"]
+        aggregate = {
+            "num_scored": len(scored),
+            "skipped": skipped,
+            "mean_ndcg_ideal": (sum(r["ndcg_ideal"] for r in scored) / len(scored)
+                                if scored else None),
+            "mean_ndcg_query": (sum(r["ndcg_query"] for r in scored) / len(scored)
+                                if scored else None),
+        }
+        _write_json(out_dir, "ideal.json", aggregate)
+        if skipped:
+            _status(f"skipped {len(skipped)} topics (single or no relevant entity)")
 
 
 @main.command("grad-check")
@@ -510,7 +457,7 @@ def cmd_grad_check(seeds, eps, tolerance, out_dir):
     elapsed = time.perf_counter() - t0
     _status(f"max relative error {worst:.3e} over {seeds} seeds ({elapsed:.2f}s)")
     if out_dir:
-        _prepare_out(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         _write_json(out_dir, "grad_check.json",
                     {"results": results, "max_rel_err": worst,
                      "tolerance": tolerance, "eps": eps})

@@ -118,21 +118,6 @@ def precision_at_k(ranked, qrels, k):
     return hits / k
 
 
-def mean_ndcg(runs, qrels, cutoff=100):
-    """Mean NDCG over topics with at least one relevant entity.
-
-    Returns (mean or None, excluded topic ids).
-    """
-    values = []
-    excluded = []
-    for tid in sorted(runs):
-        if qrels.relevant(tid):
-            values.append(ndcg(runs[tid], qrels, cutoff))
-        else:
-            excluded.append(tid)
-    return (sum(values) / len(values) if values else None), excluded
-
-
 @dataclass
 class EvalReport:
     per_topic: dict   # topic_id -> {metric: value}
@@ -253,6 +238,22 @@ def significance_marker(p):
     if p < 0.1:
         return "*"
     return ""
+
+
+def compare_runs(report, baseline):
+    """Paired t-test of two EvalReports on each metric of report.means, over
+    the topics both score: metric -> {"t", "p", "marker"}, or
+    {"degenerate": reason} when the test is undefined."""
+    shared = [tid for tid in report.per_topic if tid in baseline.per_topic]
+    out = {}
+    for metric in report.means:
+        try:
+            t, p = paired_t_test([report.per_topic[tid][metric] for tid in shared],
+                                 [baseline.per_topic[tid][metric] for tid in shared])
+            out[metric] = {"t": t, "p": p, "marker": significance_marker(p)}
+        except (DataError, DegenerateStatisticError) as exc:
+            out[metric] = {"degenerate": str(exc)}
+    return out
 
 
 def average_ranks(values):

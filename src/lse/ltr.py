@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DegenerateStatisticError
-from .evaluation import evaluate_run, paired_t_test, significance_marker
+from .errors import DataError
+from .evaluation import compare_runs, evaluate_run
 from .files import read_lines, read_records
 from .model import project
 from .qlm import score as qlm_score
@@ -268,8 +268,16 @@ def build_features(topics, corpus, vocab, qlm_model, params, qi=None):
 
 
 def _standardize_fit(matrix):
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+    """Column means and standard deviations. A column whose plain statistics
+    overflow (finite values near 1e154 or more) is divided by its largest
+    magnitude first and its statistics scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = matrix.mean(axis=0), matrix.std(axis=0)
+    wide = ~(np.isfinite(mean) & np.isfinite(std))
+    if wide.any():
+        scale = np.abs(matrix[:, wide]).max(axis=0)
+        scaled = matrix[:, wide] / scale
+        mean[wide], std[wide] = scaled.mean(axis=0) * scale, scaled.std(axis=0) * scale
     std = np.where(std > 0, std, 1.0)  # constant columns center to zero
     return mean, std
 
@@ -320,7 +328,7 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     labels = np.array([_relevance_labels(qrels, tid, table.entity_ids)
                        for tid in topics])
 
-    rows = []
+    rows, reports = [], []
     for combo_index, combo in enumerate(COMBOS):
         cols = table.columns_for(combo)
         # every topic's rows, topic-major; a fold trains on some topics' blocks
@@ -343,22 +351,14 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
                 scores = ((table.matrices[tid][:, cols] - mean) / std) @ w
                 runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, depth)
         report = evaluate_run(runs, qrels, cutoff=cutoff, ks=ks)
+        reports.append(report)
         rows.append({"features": "+".join(combo),
                      "means": report.means,
                      "per_topic": report.per_topic,
                      "excluded": report.excluded})
 
-    full = rows[COMBOS.index(("qi", "qlm", "lse"))]
-    lexical = rows[COMBOS.index(("qi", "qlm"))]
-    significance = {}
-    shared = [tid for tid in full["per_topic"] if tid in lexical["per_topic"]]
-    for metric in full["means"]:
-        try:
-            t, p = paired_t_test([full["per_topic"][tid][metric] for tid in shared],
-                                 [lexical["per_topic"][tid][metric] for tid in shared])
-            significance[metric] = {"t": t, "p": p, "marker": significance_marker(p)}
-        except (DataError, DegenerateStatisticError):
-            significance[metric] = {"degenerate": True}
+    significance = compare_runs(reports[COMBOS.index(("qi", "qlm", "lse"))],
+                                reports[COMBOS.index(("qi", "qlm"))])
     return FusionReport(rows, significance, folds, seed)
 
 

@@ -129,7 +129,7 @@ def sweep_lambda(corpus, topics, qrels, vocab, cutoff=100):
     """Evaluate mean NDCG at each of the 21 grid points 0.0, 0.05, ..., 1.0
     and return (best_lambda, [(lambda, mean_ndcg)]); ties prefer smaller
     lambda."""
-    from .evaluation import mean_ndcg
+    from .evaluation import evaluate_run
 
     if not topics:
         raise DataError("no validation topics for the sweep")
@@ -145,7 +145,7 @@ def sweep_lambda(corpus, topics, qrels, vocab, cutoff=100):
         model = base.with_lambda(lam)
         runs = {tid: rank(model, corpus.entities, ids, tid, cutoff)
                 for tid, ids in queries.items()}
-        mean, _excluded = mean_ndcg(runs, qrels, cutoff)
+        mean = evaluate_run(runs, qrels, cutoff, ks=()).means[f"ndcg@{cutoff}"]
         if mean is None:
             raise DataError("no sweep topic has a relevant entity")
         grid.append((lam, mean))

@@ -134,11 +134,11 @@ class Vocabulary:
         return cls(id_to_token, frequency, document_frequency)
 
 
-def build_vocabulary(raw_docs, max_size=Vocabulary.MAX_SIZE):
+def build_vocabulary(raw_docs, max_size=Vocabulary.MAX_SIZE, source="corpus"):
     """Count tokens over all documents and keep the max_size most frequent.
 
-    Ties at the cutoff are broken lexicographically. Raises DataError when
-    no token survives tokenization.
+    Ties at the cutoff are broken lexicographically. Raises DataError naming
+    source, the documents' file, when no token survives tokenization.
     """
     if max_size < 1:
         raise DataError("max_size must be at least 1")
@@ -151,7 +151,7 @@ def build_vocabulary(raw_docs, max_size=Vocabulary.MAX_SIZE):
         frequency.update(toks)
         document_frequency.update(set(toks))
     if not frequency:
-        raise DataError("no tokens survive filtering")
+        raise DataError(f"{source}: no tokens survive filtering")
     retained = sorted(frequency, key=lambda t: (-frequency[t], t))[:max_size]
     return Vocabulary(retained,
                       [frequency[t] for t in retained],

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LSEError
-from .evaluation import mean_ndcg
+from .evaluation import evaluate_run
 from .files import atomic_open
 from .model import (PARAM_FIELDS, AdamState, Dims, adam_step,
                     batch_loss_and_gradients, init_params)
@@ -92,7 +92,8 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
             runs = {tid: rank_entities(params, ids, corpus.entities, tid,
                                        config.validation_cutoff, norms)
                     for tid, ids in val_queries}
-            vndcg, _ = mean_ndcg(runs, validation_qrels, config.validation_cutoff)
+            report = evaluate_run(runs, validation_qrels, config.validation_cutoff, ks=())
+            vndcg = report.means[f"ndcg@{report.cutoff}"]
         if vndcg is not None and (best_ndcg is None or vndcg > best_ndcg):
             best_ndcg = vndcg
             best_params = params.copy()

@@ -325,6 +325,9 @@ MALFORMED = {
          ":1: doc_id must be a string, got ['d1']"),
     "corpus_record_not_object":
         ("corpus.jsonl", b'["d1", "cam", "lens"]\n', ":1: expected a JSON object"),
+    "corpus_all_stopwords":
+        ("corpus.jsonl", b'{"doc_id": "d1", "entity_id": "cam", "text": "the of"}\n',
+         ": no tokens survive filtering"),
     "topics_not_utf8":
         ("topics.tsv", b"topic_id\ttest\nt1\tcam\xe9ra\n", ":2: not valid UTF-8"),
     "qrels_not_utf8":
@@ -526,6 +529,77 @@ def test_fuse_rejects_unknown_graph_name(tmp_path):
                                   "--graph", "bogus=whatever.tsv"])
     assert result.exit_code == 2
     assert "unknown graph name" in result.output
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("graph,message", [
+    ("also_bought", "--graph expects NAME=PATH"),
+    ("also_bought=missing.tsv", "missing.tsv: no such file"),
+])
+def test_bad_graph_exits_2_before_writing_anything(tmp_path, graph, message):
+    corpus, topics, qrels = write_inputs(tmp_path)
+    (tmp_path / "graph.tsv").write_text("cam\tgui\n")
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    out = tmp_path / "f"
+    result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
+                                       str(qrels), "--out", str(out), "--graph", graph],
+                                env={"LSE_DATA_DIR": str(tmp_path)})
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_window_longer_than_every_document_exits_1_naming_corpus_and_n(tmp_path):
+    corpus, _, _ = write_inputs(tmp_path)
+    runner = CliRunner()
+    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    result = runner.invoke(main, ["train", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
+                                  "--out", str(tmp_path / "m")] + TRAIN_FLAGS
+                           + ["--n", "9"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert (f"Error: {corpus}: window n = 9 is longer than every document"
+            in result.output)
+
+
+# command -> (argv, the exact manifest input names its argv records)
+MANIFEST_COMMANDS = {
+    "build-vocab": (["build-vocab", "{corpus}"], {"corpus"}),
+    "train": (["train", "{corpus}", "{vocab}", "--config", "{config}",
+               "--validation-topics", "{topics}", "--validation-qrels", "{qrels}"],
+              {"corpus", "vocab", "config", "validation_topics", "validation_qrels"}),
+    "rank": (["rank", "{model}", "{vocab}", "{topics}"], {"model", "vocab", "topics"}),
+    "qlm": (["qlm", "{corpus}", "{vocab}", "{topics}"], {"corpus", "vocab", "topics"}),
+    "eval": (["eval", "{run}", "{qrels}", "--baseline-run", "{run}"],
+             {"run", "qrels", "baseline_run"}),
+    "sweep-lambda": (["sweep-lambda", "{corpus}", "{vocab}", "{topics}", "{qrels}"],
+                     {"corpus", "vocab", "topics", "qrels"}),
+    "fuse": (["fuse", "{corpus}", "{vocab}", "{topics}", "{qrels}", "--model", "{model}",
+              "--qi-attrs", "{attrs}", "--graph", "also_bought={graph}", "--folds", "2",
+              "--pair-samples", "50"],
+             {"corpus", "vocab", "topics", "qrels", "model", "qi_attrs",
+              "graph_also_bought"}),
+    "ideal-vector": (["ideal-vector", "{model}", "{vocab}", "{topics}", "{qrels}",
+                      "--pair-samples", "50"], {"model", "vocab", "topics", "qrels"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
+def test_manifest_records_command_and_every_input(workflow, fuzz_inputs, tmp_path,
+                                                  command):
+    root = workflow[0]
+    paths = {name: str(path) for name, path in fuzz_inputs.items()}
+    paths.update(vocab=str(root / "vocab" / "vocab.tsv"),
+                 model=str(root / "model" / "model.lse"))
+    argv, names = MANIFEST_COMMANDS[command]
+    run_ok(CliRunner(), [arg.format(**paths) for arg in argv]
+           + ["--out", str(tmp_path / "out")])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["inputs"]) == names
+    for entry in manifest["inputs"].values():
+        assert len(entry["sha256"]) == 64 and os.path.exists(entry["path"])
 
 
 def test_version_flag():
@@ -629,7 +703,7 @@ def test_mutated_input_exits_0_or_1_naming_it(fuzz_inputs, tmp_path, command, na
             result.output
         assert "Traceback" not in result.output
         # A window n longer than every document is a valid config that does
-        # not suit this corpus (--n 9 fails the same way), so no file is named.
+        # not suit this corpus (--n 9 fails the same way): the corpus is named.
         assert (f"Error: {path}" in result.output
-                or "Error: window larger than all documents" in result.output), \
+                or f"Error: {paths['corpus']}: window n = " in result.output), \
             result.output

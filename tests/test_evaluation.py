@@ -8,8 +8,8 @@ import scipy.special
 import scipy.stats
 
 from lse.errors import DataError, DegenerateStatisticError
-from lse.evaluation import (Qrels, TopicSet, average_ranks, correlations,
-                            evaluate_run, idf_match_analysis, mean_ndcg, ndcg,
+from lse.evaluation import (Qrels, TopicSet, average_ranks, compare_runs,
+                            correlations, evaluate_run, idf_match_analysis, ndcg,
                             paired_t_test, permutation_test_correlation,
                             precision_at_k, regularized_incomplete_beta,
                             significance_marker, student_t_two_sided_p)
@@ -110,10 +110,11 @@ def test_precision_at_k_uses_k_denominator():
 def test_mean_ndcg_excludes_and_reports_topics_without_relevants():
     qrels = Qrels({("t1", "e1"): 1, ("t2", "e9"): 0})
     runs = {"t1": ranked("t1", ["e1", "e2"]), "t2": ranked("t2", ["e1", "e2"])}
-    mean, excluded = mean_ndcg(runs, qrels)
-    assert mean == pytest.approx(1.0, abs=1e-12)
-    assert excluded == ["t2"]
-    assert mean_ndcg({}, qrels) == (None, [])
+    report = evaluate_run(runs, qrels, ks=())
+    assert report.means == {"ndcg@100": pytest.approx(1.0, abs=1e-12)}
+    assert report.excluded == ["t2"]
+    empty = evaluate_run({}, qrels, ks=())
+    assert (empty.means, empty.excluded) == ({"ndcg@100": None}, [])
 
 
 def test_evaluate_run_reports_all_metrics():
@@ -170,6 +171,25 @@ def test_paired_t_test_degenerate_and_size_errors():
         paired_t_test([1], [0])
     with pytest.raises(DataError):
         paired_t_test([1, 2], [0])
+
+
+def test_compare_runs_tests_shared_topics_and_gives_degenerate_reasons():
+    qrels = Qrels({("t1", "e1"): 1, ("t2", "e2"): 1, ("t3", "e1"): 1, ("t4", "e1"): 1})
+    better = {"t1": ranked("t1", ["e1", "e2"]), "t2": ranked("t2", ["e2", "e1"]),
+              "t3": ranked("t3", ["e1", "e2"]), "t4": ranked("t4", ["e1"])}
+    worse = {"t1": ranked("t1", ["e2", "e1"]), "t2": ranked("t2", ["e2", "e1"]),
+             "t3": ranked("t3", ["e2", "e1"])}
+    report = evaluate_run(better, qrels, cutoff=10, ks=(1,))
+    baseline = evaluate_run(worse, qrels, cutoff=10, ks=(1,))
+    result = compare_runs(report, baseline)
+    assert list(result) == ["ndcg@10", "p@1"]
+    t, p = paired_t_test([1.0, 1.0, 1.0], [1 / math.log2(3), 1.0, 1 / math.log2(3)])
+    assert result["ndcg@10"] == {"t": t, "p": p, "marker": significance_marker(p)}
+    assert compare_runs(report, report) == {
+        "ndcg@10": {"degenerate": "differences have zero variance"},
+        "p@1": {"degenerate": "differences have zero variance"}}
+    assert compare_runs(report, evaluate_run({}, qrels, cutoff=10, ks=(1,)))[
+        "p@1"] == {"degenerate": "paired t-test needs at least 2 pairs"}
 
 
 def test_significance_marker_thresholds():

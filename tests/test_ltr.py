@@ -546,3 +546,12 @@ def test_ideal_vector_report_equals_per_topic_oracle():
         assert row["ndcg_query"] == ndcg(rank_by_vector(params.W_e, query, ids, tid, 5),
                                          qrels, 5)
     assert eligible >= 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_standardize_fit_scales_a_column_whose_statistics_overflow():
+    # prices 1e300 and 2 square past the float range in a plain std
+    matrix = np.array([[1e300, 3.0], [2.0, 5.0]])
+    mean, std = _standardize_fit(matrix)
+    np.testing.assert_allclose((matrix - mean) / std, [[1.0, -1.0], [-1.0, 1.0]])
+    assert (mean[1], std[1]) == (matrix[:, 1].mean(), matrix[:, 1].std())
