@@ -65,6 +65,8 @@ def _resolve_graphs(ctx, param, values):
             raise click.BadParameter("--graph expects NAME=PATH")
         if name not in GRAPH_NAMES:
             raise click.BadParameter(f"unknown graph name {name!r}")
+        if name in graphs:
+            raise click.BadParameter(f"graph name {name!r} given more than once")
         graphs[name] = _record_input(ctx, f"graph_{name}", path)
     return graphs
 

@@ -117,26 +117,40 @@ def _pair_rows(labels, groups, config):
 _CHUNK_VALUES = 1 << 16
 
 
-def _pegasos(rows, pairs, lam, center=None, scale=None):
+def _index_dtype(num_rows):
+    """int32 for pair indices into num_rows rows when it fits, else intp."""
+    return np.int32 if num_rows <= np.iinfo(np.int32).max else np.intp
+
+
+def _pegasos(rows, pos, neg, lam, center=None, scale=None, mask=None):
     """Weights (K, width) of K RankSVM fits trained in lockstep.
 
-    pairs[k] is fit k's (pos, neg) row indices, all of one length. Step t of
-    fit k takes d = rows[pos[t-1]] - rows[neg[t-1]] (rows z-scored by
-    center[k], scale[k] when given) and does the single-fit update: active =
-    d.w < 1, w *= 1 - 1/t, w += d / (lam[k] t) if active. A step costs the
-    same few NumPy calls for any K, and each fit's weights are bit-identical
-    to training it alone. Differences are gathered (steps, K, width)."""
-    pos, neg = (np.stack(side, axis=1) for side in zip(*pairs))
+    pos and neg are (steps, K) row indices. Step t of fit k takes d =
+    rows[pos[t-1, k]] - rows[neg[t-1, k]], of rows z-scored by center[k],
+    scale[k] when given and set to 0 where the boolean mask[k] is False, and
+    does the single-fit update: active = d.w < 1, w *= 1 - 1/t, w += d /
+    (lam[k] t) if active. A step costs the same few NumPy calls for any K.
+    Each fit's weights are bit-identical to training it alone on its mask's
+    columns while the dot product sums in column order, so that the masked
+    zeros change no sum (OpenBLAS's does below 16 columns). Each chunk of
+    steps gathers two (steps, K, width) blocks, z-scores them in place and
+    reuses them for the differences and the scaled updates."""
     lam = np.asarray(lam, dtype=np.float64)
     weights = np.zeros((pos.shape[1], rows.shape[1]))
+    unused = None if mask is None else ~np.asarray(mask, dtype=bool)
     steps = max(1, _CHUNK_VALUES // weights.size)
     for lo in range(0, len(pos), steps):
-        a, b = rows[pos[lo:lo + steps]], rows[neg[lo:lo + steps]]
+        diffs = np.take(rows, pos[lo:lo + steps], axis=0)
+        updates = np.take(rows, neg[lo:lo + steps], axis=0)
         if center is not None:
-            a, b = (a - center) / scale, (b - center) / scale
-        diffs = a - b
+            for block in (diffs, updates):
+                np.subtract(block, center, out=block)
+                np.divide(block, scale, out=block)
+        np.subtract(diffs, updates, out=diffs)
+        if unused is not None:
+            np.copyto(diffs, 0.0, where=unused)
         t = np.arange(lo + 1, lo + len(diffs) + 1, dtype=np.float64)
-        updates = (1.0 / (lam * t[:, None]))[:, :, None] * diffs
+        np.multiply((1.0 / (lam * t[:, None]))[:, :, None], diffs, out=updates)
         for d, u, decay in zip(diffs, updates, (1.0 - 1.0 / t).tolist()):
             active = np.vecdot(d, weights, keepdims=True) < 1.0
             weights *= decay
@@ -229,12 +243,10 @@ class FeatureTable:
         for block in blocks:
             if block == "qi":
                 cols.extend(range(len(QI_VALUE_FEATURES) + len(QI_MASK_FEATURES)))
-            elif block == "qlm":
-                cols.append(self.feature_names.index("qlm"))
-            elif block == "lse":
-                cols.append(self.feature_names.index("lse"))
+            elif block in ("qlm", "lse") and block in self.feature_names:
+                cols.append(self.feature_names.index(block))
             else:
-                raise DataError(f"unknown feature block {block!r}")
+                raise DataError(f"no feature block {block!r} in the table")
         return np.asarray(cols, dtype=np.intp)
 
 
@@ -242,10 +254,12 @@ def build_features(topics, corpus, vocab, qlm_model, params, qi=None):
     """Assemble per-(topic, entity) feature rows over the full entity pool.
 
     Columns: the QI block, then the lexical log-likelihood, then the cosine
-    of the projected query. A query whose tokens are all out of vocabulary
-    gets zero query-dependent columns; a -inf lexical score is replaced by
-    (the topic's smallest finite score - 1)."""
-    names = QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm", "lse")
+    of the projected query, left out when params is None. A query whose
+    tokens are all out of vocabulary gets zero query-dependent columns; a
+    -inf lexical score is replaced by (the topic's smallest finite score -
+    1)."""
+    names = QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm",)
+    names += () if params is None else ("lse",)
     qi_block = qi_feature_matrix(corpus, qi)
     n = corpus.num_entities
     norms = None if params is None else np.linalg.norm(params.W_e, axis=1)
@@ -253,7 +267,6 @@ def build_features(topics, corpus, vocab, qlm_model, params, qi=None):
     for tid in sorted(topics):
         qids = vocab.encode(tokenize(topics[tid]))
         qlm_col = np.zeros(n)
-        lse_col = np.zeros(n)
         if qids:
             qlm_col = np.array([qlm_score(qlm_model, i, qids) for i in range(n)])
             finite = qlm_col[np.isfinite(qlm_col)]
@@ -261,9 +274,11 @@ def build_features(topics, corpus, vocab, qlm_model, params, qi=None):
                 qlm_col = np.zeros(n)
             elif len(finite) < n:
                 qlm_col[~np.isfinite(qlm_col)] = finite.min() - 1.0
-            if params is not None:
-                lse_col = cosine_scores(params.W_e, project(params, qids), norms)
-        matrices[tid] = np.column_stack([qi_block, qlm_col, lse_col])
+        columns = [qi_block, qlm_col]
+        if params is not None:
+            columns.append(cosine_scores(params.W_e, project(params, qids), norms)
+                           if qids else np.zeros(n))
+        matrices[tid] = np.column_stack(columns)
     return FeatureTable(names, list(corpus.entities), sorted(topics), matrices)
 
 
@@ -311,11 +326,13 @@ def _spawned_seed(entropy, spawn_key):
 
 def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10),
                            ranker_config=None):
-    """Run the four feature combinations under a seeded topic-level fold
-    partition; per fold, train on the other folds' topics and score the held
-    out ones. Features are z-scored with statistics fit on training folds
-    only, and a combination's folds train in lockstep. Significance compares
-    the full combination against qi+qlm by a paired t-test per metric."""
+    """Run the feature combinations of COMBOS whose blocks the table has
+    under a seeded topic-level fold partition; per fold, train on the other
+    folds' topics and score the held out ones. Features are z-scored with
+    statistics fit on training folds only, and every combination's folds
+    train in one lockstep loop. Significance compares the full combination
+    against qi+qlm by a paired t-test per metric; without an lse column each
+    metric's entry is degenerate."""
     topics = list(table.topics)
     depth = max((cutoff, *ks))
     if folds < 2:
@@ -324,41 +341,56 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
         raise DataError(f"need at least {folds} topics for {folds}-fold cross-validation")
     base_config = ranker_config or RankerConfig()
     partition = _fold_partition(topics, folds, seed)
+    combos = [combo for combo in COMBOS
+              if all(block == "qi" or block in table.feature_names for block in combo)]
     n = len(table.entity_ids)
     labels = np.array([_relevance_labels(qrels, tid, table.entity_ids)
                        for tid in topics])
+    # every topic's rows, topic-major; a fold trains on some topics' blocks
+    stacked = np.concatenate([table.matrices[tid] for tid in topics])
+    train_sets, stats = [], []
+    for heldout in partition:
+        train = [p for p, tid in enumerate(topics) if tid not in heldout]
+        index = (n * np.array(train)[:, None] + np.arange(n)).ravel()
+        train_sets.append((index, labels[train].ravel(),
+                           np.repeat(np.arange(len(train)), n)))
+        stats.append(_standardize_fit(stacked[index]))
+    fits = [(combo, f) for combo in combos for f in range(folds)]
+    masks = np.zeros((len(fits), stacked.shape[1]), dtype=bool)
+    pos = np.empty((base_config.pair_samples, len(fits)), dtype=_index_dtype(len(stacked)))
+    neg = np.empty_like(pos)
+    for k, (combo, f) in enumerate(fits):
+        masks[k, table.columns_for(combo)] = True
+        index, train_labels, groups = train_sets[f]
+        p, q = _pair_rows(train_labels, groups, RankerConfig(
+            c=base_config.c, pair_samples=base_config.pair_samples,
+            seed=_spawned_seed(seed, (COMBOS.index(combo), f))))
+        pos[:, k], neg[:, k] = index[p], index[q]
+    # a fit is z-scored by its fold's statistics on every column and the mask
+    # keeps its own; a column's statistics over C-ordered rows do not depend
+    # on the other columns, so they equal those of the combination's alone
+    centers, scales = (np.array(side)[[f for _, f in fits]] for side in zip(*stats))
+    weights = _pegasos(stacked, pos, neg, np.full(len(fits), 1.0 / base_config.c),
+                       centers, scales, masks)
 
-    rows, reports = [], []
-    for combo_index, combo in enumerate(COMBOS):
+    runs = {combo: {} for combo in combos}
+    for (combo, f), w, mean, std in zip(fits, weights, centers, scales):
         cols = table.columns_for(combo)
-        # every topic's rows, topic-major; a fold trains on some topics' blocks
-        stacked = np.concatenate([table.matrices[tid][:, cols] for tid in topics])
-        pairs, stats = [], []
-        for fold_index, heldout in enumerate(partition):
-            train = [p for p, tid in enumerate(topics) if tid not in heldout]
-            index = (n * np.array(train)[:, None] + np.arange(n)).ravel()
-            stats.append(_standardize_fit(stacked[index]))
-            cfg = RankerConfig(c=base_config.c, pair_samples=base_config.pair_samples,
-                               seed=_spawned_seed(seed, (combo_index, fold_index)))
-            p, q = _pair_rows(labels[train].ravel(), np.repeat(np.arange(len(train)), n),
-                              cfg)
-            pairs.append((index[p], index[q]))
-        means, stds = (np.array(side) for side in zip(*stats))
-        weights = _pegasos(stacked, pairs, [1.0 / base_config.c] * folds, means, stds)
-        runs = {}
-        for heldout, mean, std, w in zip(partition, means, stds, weights):
-            for tid in heldout:
-                scores = ((table.matrices[tid][:, cols] - mean) / std) @ w
-                runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, depth)
-        report = evaluate_run(runs, qrels, cutoff=cutoff, ks=ks)
-        reports.append(report)
-        rows.append({"features": "+".join(combo),
-                     "means": report.means,
-                     "per_topic": report.per_topic,
-                     "excluded": report.excluded})
+        for tid in partition[f]:
+            scores = ((table.matrices[tid][:, cols] - mean[cols]) / std[cols]) @ w[cols]
+            runs[combo][tid] = ranked_from_scores(tid, table.entity_ids, scores, depth)
+    reports = {combo: evaluate_run(runs[combo], qrels, cutoff=cutoff, ks=ks)
+               for combo in combos}
+    rows = [{"features": "+".join(combo), "means": report.means,
+             "per_topic": report.per_topic, "excluded": report.excluded}
+            for combo, report in reports.items()]
 
-    significance = compare_runs(reports[COMBOS.index(("qi", "qlm", "lse"))],
-                                reports[COMBOS.index(("qi", "qlm"))])
+    if ("qi", "qlm", "lse") in reports:
+        significance = compare_runs(reports["qi", "qlm", "lse"], reports["qi", "qlm"])
+    else:
+        significance = {metric: {"degenerate": "no model was given, so there is no "
+                                               "qi+qlm+lse run to compare"}
+                        for metric in rows[0]["means"]}
     return FusionReport(rows, significance, folds, seed)
 
 
@@ -381,7 +413,7 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
 
     base_config = config or RankerConfig()
     rows = []
-    queries, pairs = [], []  # per eligible topic
+    eligible = []  # (row, qids, labels, ranker config) per topic with status ok
     for index, tid in enumerate(sorted(topics)):
         n_rel = len(qrels.relevant(tid))
         labels = _relevance_labels(qrels, tid, entity_ids)
@@ -394,16 +426,20 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
                "ndcg_ideal": None, "ndcg_query": None}
         rows.append(row)
         if status == "ok":
-            cfg = RankerConfig(c=base_config.c, pair_samples=base_config.pair_samples,
-                               seed=_spawned_seed(base_config.seed, (11, index)))
-            queries.append((row, qids))
-            pairs.append(_pair_rows(labels, None, cfg))
-    if not queries:
+            eligible.append((row, qids, labels, RankerConfig(
+                c=base_config.c, pair_samples=base_config.pair_samples,
+                seed=_spawned_seed(base_config.seed, (11, index)))))
+    if not eligible:
         return rows
+    pos = np.empty((base_config.pair_samples, len(eligible)),
+                   dtype=_index_dtype(len(entity_ids)))
+    neg = np.empty_like(pos)
+    for k, (_, _, labels, cfg) in enumerate(eligible):
+        pos[:, k], neg[:, k] = _pair_rows(labels, None, cfg)
     w_e = np.asarray(params.W_e, dtype=np.float64)
     unit, norms = _unit_rows(w_e)
-    weights = _pegasos(unit, pairs, [1.0 / base_config.c] * len(pairs))
-    for (row, qids), w in zip(queries, weights):
+    weights = _pegasos(unit, pos, neg, np.full(len(eligible), 1.0 / base_config.c))
+    for (row, qids, _, _), w in zip(eligible, weights):
         tid = row["topic_id"]
         ideal_run = rank_by_vector(w_e, w, entity_ids, tid, cutoff, norms)
         query_run = rank_by_vector(w_e, project(params, qids), entity_ids, tid,

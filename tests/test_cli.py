@@ -209,6 +209,21 @@ def test_fuse_reports_all_combinations(workflow):
     assert "graph_also_bought" in manifest["inputs"]
 
 
+def test_fuse_without_model_reports_qi_and_qi_qlm_only(workflow, tmp_path):
+    root, corpus, topics, qrels, runner = workflow
+    run_ok(runner, ["fuse", str(corpus), str(root / "vocab" / "vocab.tsv"),
+                    str(topics), str(qrels), "--out", str(tmp_path / "fuse"),
+                    "--folds", "2", "--pair-samples", "300", "--cutoff", "10"])
+    lines = (tmp_path / "fuse" / "fusion.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["qi", "qi+qlm"]
+    payload = json.loads((tmp_path / "fuse" / "fusion.json").read_text())
+    assert [row["features"] for row in payload["rows"]] == ["qi", "qi+qlm"]
+    significance = payload["significance_full_vs_qi_qlm"]
+    assert set(significance) == {"ndcg@10", "p@5", "p@10"}
+    for entry in significance.values():
+        assert list(entry) == ["degenerate"] and "no model" in entry["degenerate"]
+
+
 def test_grad_check_passes_and_writes_report(tmp_path):
     runner = CliRunner()
     result = run_ok(runner, ["grad-check", "--seeds", "2",
@@ -547,6 +562,22 @@ def test_bad_graph_exits_2_before_writing_anything(tmp_path, graph, message):
                                 env={"LSE_DATA_DIR": str(tmp_path)})
     assert result.exit_code == 2, result.output
     assert message in result.output
+    assert not out.exists()
+
+
+def test_repeated_graph_name_exits_2_before_writing_anything(tmp_path):
+    corpus, topics, qrels = write_inputs(tmp_path)
+    for name in ("a.tsv", "b.tsv"):
+        (tmp_path / name).write_text("cam\tgui\n")
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    out = tmp_path / "f"
+    result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
+                                       str(qrels), "--out", str(out),
+                                       "--graph", f"also_bought={tmp_path / 'a.tsv'}",
+                                       "--graph", f"also_bought={tmp_path / 'b.tsv'}"])
+    assert result.exit_code == 2, result.output
+    assert "graph name 'also_bought' given more than once" in result.output
     assert not out.exists()
 
 

@@ -172,17 +172,86 @@ def test_lockstep_weights_equal_the_single_fit_oracle(drawn):
                                              else rows, labels, config, groups))
     stacked = np.concatenate([rows for rows, _, _, _ in fits])
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", steps * k * width):
-        weights = _pegasos(stacked, pairs, [1.0 / config.c for _, _, _, config in fits],
+        weights = _pegasos(stacked, *pair_columns(pairs),
+                           [1.0 / config.c for _, _, _, config in fits],
                            *((np.array(means), np.array(stds)) if standardize else ()))
     assert weights.shape == (k, width)
     for w, w_expected in zip(weights, expected):
         assert w.tobytes() == w_expected.tobytes()
 
 
+def pair_columns(pairs):
+    """_pegasos' (steps, K) int32 pos and neg arrays of K (pos, neg) pairs."""
+    return (np.stack(side, axis=1).astype(np.int32) for side in zip(*pairs))
+
+
+@st.composite
+def mixed_width_fits(draw):
+    """K = 1-5 fits on column subsets of one matrix of width 3-12 (fuse's
+    widths), each with its own rows, labels, groups, seed and C, every
+    column non-zero. Fit 0 leaves out one inner column, as qi+lse leaves out
+    qlm; the others use any non-empty subset."""
+    width = draw(st.integers(3, 12))
+    steps = draw(st.integers(2, 40))
+    pair_samples = steps * draw(st.integers(0, 4)) + draw(st.integers(1, steps - 1))
+    gap = draw(st.integers(1, width - 2))
+    fits = []
+    for index in range(draw(st.integers(1, 5))):
+        used = ([c != gap for c in range(width)] if index == 0 else
+                draw(st.lists(st.booleans(), min_size=width, max_size=width)
+                     .filter(any)))
+        n = draw(st.integers(2, 30))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rows = (rng.normal(size=(n, width)) + 3.0) * draw(st.sampled_from([0.01, 1.0, 50.0]))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (1, 0)  # rows 0 and 1 share a group, so a pair exists
+        groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
+        groups[1] = groups[0]
+        fits.append((rows, np.flatnonzero(used), labels, groups, RankerConfig(
+            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples,
+            seed=draw(st.integers(0, 2**32 - 1)))))
+    return fits, steps, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_width_fits())
+def test_masked_lockstep_weights_equal_the_oracle_on_each_fits_own_columns(drawn):
+    """Fits that use different columns of one matrix, as fuse's combinations
+    do, each get the oracle's weights on their own narrow rows, byte for
+    byte, and 0 on the columns they leave out. A fit's z-scoring uses
+    statistics of all its rows' columns, as fuse's do."""
+    fits, steps, standardize = drawn
+    k = len(fits)
+    width = fits[0][0].shape[1]
+    offsets = np.cumsum([0] + [len(rows) for rows, _, _, _, _ in fits])
+    pairs, masks, means, stds, expected = [], [], [], [], []
+    for (rows, cols, labels, groups, config), offset in zip(fits, offsets):
+        mean, std = _standardize_fit(rows)
+        p, q = _pair_rows(labels, groups, config)
+        pairs.append((p + offset, q + offset))
+        masks.append(np.isin(np.arange(width), cols))
+        means.append(mean)
+        stds.append(std)
+        narrow = rows[:, cols]
+        if standardize:
+            narrow = (narrow - mean[cols]) / std[cols]
+        expected.append(oracle_train_ranksvm(narrow, labels, config, groups))
+    stacked = np.concatenate([rows for rows, _, _, _, _ in fits])
+    with mock.patch.object(lse.ltr, "_CHUNK_VALUES", steps * k * width):
+        weights = _pegasos(stacked, *pair_columns(pairs),
+                           [1.0 / config.c for _, _, _, _, config in fits],
+                           *((np.array(means), np.array(stds)) if standardize
+                             else (None, None)), np.array(masks))
+    for w, mask, (_, cols, _, _, _), w_expected in zip(weights, masks, fits, expected):
+        assert w[cols].tobytes() == w_expected.tobytes()
+        assert not w[~mask].any()
+
+
 def fit_ranksvm(rows, labels, config=RankerConfig(), groups=None):
     """One RankSVM fit, as fuse and ideal-vector train each of theirs."""
     pairs = _pair_rows(np.asarray(labels), groups, config)
-    return _pegasos(np.asarray(rows, dtype=np.float64), [pairs], [1.0 / config.c])[0]
+    return _pegasos(np.asarray(rows, dtype=np.float64), *pair_columns([pairs]),
+                    [1.0 / config.c])[0]
 
 
 def test_ranksvm_duplicated_column_matches_single_column():
@@ -335,11 +404,14 @@ def test_build_features_zeroes_query_columns_when_out_of_vocabulary():
     assert np.array_equal(table.matrices["t"][:, 11], np.zeros(3))
 
 
-def test_build_features_without_model_leaves_semantic_column_zero():
+def test_build_features_without_model_leaves_out_the_lse_column():
     corpus, vocab, qlm_model, _, topics = features_setup(params=None)
     table = build_features(topics, corpus, vocab, qlm_model, None)
-    assert np.array_equal(table.matrices["t1"][:, 11], np.zeros(3))
+    assert table.feature_names == QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm",)
+    assert table.matrices["t1"].shape == (3, 11)
     assert np.any(table.matrices["t1"][:, 10] != 0)
+    with pytest.raises(DataError):
+        table.columns_for(("lse",))
 
 
 def test_columns_for_blocks():
@@ -437,6 +509,46 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
                 runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, 10)
         assert row["per_topic"] == evaluate_run(runs, qrels, cutoff=10,
                                                 ks=(5,)).per_topic
+
+
+def test_cross_validated_fusion_without_lse_trains_only_qi_and_qi_qlm():
+    """Without a model the table has no lse column: the two combinations
+    left give the same rows as with one, and significance is degenerate."""
+    from conftest import build_fusion_benchmark
+
+    corpus, vocab, _, topics, grades = build_fusion_benchmark()
+    table = build_features(topics, corpus, vocab, estimate(corpus, 0.5), None)
+    with_model, qrels = fusion_setup()
+    kwargs = dict(folds=4, seed=2, cutoff=10, ks=(5,),
+                  ranker_config=RankerConfig(pair_samples=600))
+    report = cross_validated_fusion(table, qrels, **kwargs)
+    assert [row["features"] for row in report.rows] == ["qi", "qi+qlm"]
+    assert report.rows == cross_validated_fusion(with_model, qrels, **kwargs).rows[:2]
+    assert set(report.significance) == {"ndcg@10", "p@5"}
+    for stats in report.significance.values():
+        assert set(stats) == {"degenerate"}
+        assert "no model" in stats["degenerate"]
+
+
+def test_each_command_trains_its_rankers_in_one_pegasos_call():
+    calls = []
+
+    def counting(rows, pos, neg, *args, **kwargs):
+        calls.append(pos.shape[1])
+        return _pegasos(rows, pos, neg, *args, **kwargs)
+
+    table, qrels = fusion_setup()
+    with mock.patch.object(lse.ltr, "_pegasos", counting):
+        cross_validated_fusion(table, qrels, folds=3, seed=0, cutoff=10, ks=(5,),
+                               ranker_config=RankerConfig(pair_samples=200))
+        assert calls == [len(COMBOS) * 3]
+        calls.clear()
+        params, vocab, topics, qrels, ids = report_setup()
+        topics["ok2"] = "wb wc"
+        qrels = Qrels({**qrels.grades, ("ok2", "e1"): 1, ("ok2", "e3"): 1})
+        rows = ideal_vector_report(params, vocab, topics, qrels, ids,
+                                   config=RankerConfig(pair_samples=200))
+    assert calls == [sum(row["status"] == "ok" for row in rows)] == [2]
 
 
 # ---- ideal vectors ----
