@@ -130,9 +130,10 @@ def _sq_norms(params):
             + float(np.sum(params.W * params.W)))
 
 
-# Instances per chunk in _forward: bounds the (chunk, z, e_E) gathers of the
-# negatives' rows of W_e to about 10 MB.
-_CHUNK = 512
+# Bytes per gather of the negatives' rows of W_e: about 1 MB keeps each
+# (chunk, z, e_E) block and the einsums over it in cache (102 instances in
+# float32 and 51 in float64 at the default z and e_E).
+_CHUNK_BYTES = 1 << 20
 
 
 def _incidence(index, rows):
@@ -177,49 +178,56 @@ def _scatter_add(out, index, coef, rows):
                              rows.reshape(-1), out.reshape(-1))
 
 
-def _forward(params, ngrams, positives, negatives):
-    """Projections and NCE dot products of a batch, plus cneg = -sigma(dneg)
-    and Vneg = sum_k cneg_k e_k, the negatives' share of d logp / d f. The
-    CSR gather reads contiguous rows, so the batch's distinct columns of W_v
-    are copied out first (never all |V| of them), and the negatives are
-    gathered _CHUNK instances at a time, never all at once."""
+def _forward(params, batch):
+    """Mean token embeddings H, projections F, the positives' rows Epos of
+    W_e and their NCE dot products dpos. The CSR gather reads contiguous
+    rows, so the batch's distinct columns of W_v are copied out first
+    (never all |V| of them)."""
+    ngrams = batch.ngrams
     ids, slots = np.unique(ngrams, return_inverse=True)
     H = _gather_sum(params.W_v.T[ids], slots.reshape(ngrams.shape))
     H /= ngrams.shape[1]                           # (M, e_V), the mean
     F = np.tanh(H @ params.W.T + params.b)         # (M, e_E)
-    Epos = params.W_e[positives]                   # (M, e_E)
+    Epos = params.W_e[batch.positives]             # (M, e_E)
     dpos = np.einsum("me,me->m", Epos, F)
-    dneg = np.empty(negatives.shape, dtype=F.dtype)
-    cneg = np.empty(negatives.shape, dtype=F.dtype)
-    Vneg = np.empty(F.shape, dtype=F.dtype)
-    for lo in range(0, len(F), _CHUNK):
-        s = slice(lo, lo + _CHUNK)
-        Eneg = params.W_e[negatives[s]]            # (chunk, z, e_E)
-        dneg[s] = np.einsum("mke,me->mk", Eneg, F[s])
-        cneg[s] = -_sigmoid(dneg[s])
-        Vneg[s] = np.einsum("mk,mke->me", cneg[s], Eneg)
-    return H, F, Epos, dpos, dneg, cneg, Vneg
+    return H, F, Epos, dpos
+
+
+def _negative_rows(W_e, negatives):
+    """(s, W_e[negatives[s]]) for consecutive slices s of the instances,
+    each gather about _CHUNK_BYTES (at least one instance), so the negatives
+    are never gathered all at once."""
+    step = max(1, _CHUNK_BYTES // (negatives.shape[1] * W_e.shape[1] * W_e.itemsize))
+    for lo in range(0, len(negatives), step):
+        s = slice(lo, lo + step)
+        yield s, W_e[negatives[s]]                 # (chunk, z, e_E)
+
+
+def _nce_loss(params, dpos, dneg, weight_decay):
+    logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
+    return float(-logp.mean() + 0.5 * weight_decay / len(dpos) * _sq_norms(params))
 
 
 def batch_loss(params, batch, weight_decay):
     """Mean negated instance log-probability plus the weight-decay term."""
-    m = len(batch)
-    if m == 0:
+    if len(batch) == 0:
         raise DataError("batch is empty")
-    _, _, _, dpos, dneg, _, _ = _forward(params, batch.ngrams,
-                                         batch.positives, batch.negatives)
-    logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
-    return float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
+    _, F, _, dpos = _forward(params, batch)
+    dneg = np.concatenate([np.einsum("mke,me->mk", Eneg, F[s])
+                           for s, Eneg in _negative_rows(params.W_e, batch.negatives)])
+    return _nce_loss(params, dpos, dneg, weight_decay)
 
 
 def batch_loss_and_gradients(params, batch, weight_decay):
     """One forward/backward pass; returns (loss, GradientSet).
 
-    Gradients are exact for the batch loss. The per-instance pieces are
-    sech^2 = 1 - f^2 reusing the forward tanh, a coefficient 1 - sigma for
-    the positive dot and -sigma per negative dot, and a sparse scatter-add
-    into the touched columns of W_v and rows of W_e; the (lambda / m) theta
-    regularizer term is dense over the three matrices and absent for b.
+    Gradients are exact for the batch loss, and the loss is batch_loss's
+    bit for bit. The per-instance pieces are sech^2 = 1 - f^2 reusing the
+    forward tanh, a coefficient 1 - sigma for the positive dot and -sigma
+    per negative dot (cneg, folded into Vneg = sum_k cneg_k e_k chunk by
+    chunk), and a sparse scatter-add into the touched columns of W_v and
+    rows of W_e; the (lambda / m) theta regularizer term is dense over the
+    three matrices and absent for b.
     The scatters are CSC products (_scatter_add): the token rows into a
     zero (|V|, e_V) buffer that is then added to the regularizer of W_v,
     and the positives, then the negatives, straight into the regularizer
@@ -232,11 +240,15 @@ def batch_loss_and_gradients(params, batch, weight_decay):
     if m == 0:
         raise DataError("batch is empty")
     n = ngrams.shape[1]
-    H, F, Epos, dpos, dneg, cneg, Vneg = _forward(params, ngrams, positives,
-                                                  negatives)
-
-    logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
-    loss = float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
+    H, F, Epos, dpos = _forward(params, batch)
+    dneg = np.empty(negatives.shape, dtype=F.dtype)
+    cneg = np.empty_like(dneg)
+    Vneg = np.empty_like(F)
+    for s, Eneg in _negative_rows(params.W_e, negatives):
+        dneg[s] = np.einsum("mke,me->mk", Eneg, F[s])
+        cneg[s] = -_sigmoid(dneg[s])
+        Vneg[s] = np.einsum("mk,mke->me", cneg[s], Eneg)
+    loss = _nce_loss(params, dpos, dneg, weight_decay)
 
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
     V = cpos[:, None] * Epos + Vneg
@@ -321,7 +333,8 @@ class TrainConfig:
 
     weight_decay is the L2 coefficient (the config-file key is "lambda").
     Adam runs at alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-8. precision
-    selects the training dtype; models are always persisted as float64.
+    selects the training dtype, which is also the dtype the model is saved
+    in (loading promotes it to float64).
     validation_cutoff is the NDCG cutoff used for best-epoch selection.
     """
 
@@ -333,7 +346,7 @@ class TrainConfig:
     weight_decay: float = 0.01
     epochs: int = 15
     seed: int = 0
-    precision: str = "float64"
+    precision: str = "float32"
     validation_cutoff: int = 100
 
     _KEYS = ("e_v", "e_e", "n", "z", "m", "lambda", "epochs", "seed",
@@ -401,17 +414,23 @@ class TrainConfig:
                 fh.write(f"{key} = {value}\n")
 
 
+# Array encodings of the container, by the header's dtype.
+_CONTAINER_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
+
+
 def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
     """Write the binary container: magic, header length, JSON header, then
-    the four arrays row-major float64 little-endian in the order W_v, W, b,
-    W_e. A pretty-printed .meta.json sidecar mirrors the header. Each file
-    is written to a temporary file first and renamed into place."""
+    the four arrays row-major little-endian in the order W_v, W, b, W_e, in
+    the params' dtype (float32 or float64, named by the header's dtype). A
+    pretty-printed .meta.json sidecar mirrors the header. Each file is
+    written to a temporary file first and renamed into place."""
     dims = params.dims
+    dtype = params.dtype.name
     header = {
         "format": "lse-model",
         "dims": {"e_v": dims.e_v, "e_e": dims.e_e,
                  "vocab_size": dims.vocab_size, "num_entities": dims.num_entities},
-        "dtype": "float64",
+        "dtype": dtype,
         "vocab_sha256": vocab_sha256,
         "entity_ids": list(entity_ids),
         "config": dict(config) if config else {},
@@ -422,7 +441,8 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for name in PARAM_FIELDS:
-            arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
+            arr = np.ascontiguousarray(getattr(params, name),
+                                       dtype=_CONTAINER_DTYPES[dtype])
             fh.write(arr.tobytes())
     with atomic_open(f"{path}.meta.json", "wb") as fh:
         fh.write(json.dumps(header, indent=2, sort_keys=True).encode("utf-8") + b"\n")
@@ -445,18 +465,24 @@ def _read_header(path, blob):
     if not isinstance(ids, list) or len(ids) != dims.num_entities:
         raise DataError(f"{path}: header needs one entity id for each of the "
                         f"{dims.num_entities} entities")
-    if header.get("dtype") != "float64":
-        raise DataError(f"{path}: header dtype must be float64, "
-                        f"got {header.get('dtype')!r}")
-    return header, dims
+    if not all(isinstance(eid, str) for eid in ids) or len(set(ids)) != len(ids):
+        raise DataError(f"{path}: header entity_ids must be distinct strings")
+    dtype = header.get("dtype")
+    if not isinstance(dtype, str) or dtype not in _CONTAINER_DTYPES:
+        raise DataError(f"{path}: header dtype must be float32 or float64, "
+                        f"got {dtype!r}")
+    return header, dims, _CONTAINER_DTYPES[dtype]
 
 
 def load_model(path):
-    """Read a model container; returns (ModelParams, header dict).
+    """Read a model container; returns (ModelParams, header dict), the
+    arrays as float64 whatever the container's dtype (float32 promotes
+    exactly).
 
-    The header must fit in the file, be lse-model JSON with dtype float64 and
-    positive dims, and list one entity id per entity row; every failure is a
-    DataError naming the file."""
+    The header must fit in the file, be lse-model JSON with dtype float32
+    or float64 and positive dims, and list one distinct string entity id
+    per entity row, and every array value must be finite; every failure is
+    a DataError naming the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
@@ -468,7 +494,7 @@ def load_model(path):
         (hlen,) = struct.unpack("<Q", field)
         if hlen > size - len(MAGIC) - 8:
             raise DataError(f"{path}: header length {hlen} exceeds the file")
-        header, d = _read_header(path, fh.read(hlen))
+        header, d, dtype = _read_header(path, fh.read(hlen))
         shapes = {"W_v": (d.e_v, d.vocab_size),
                   "W": (d.e_e, d.e_v),
                   "b": (d.e_e,),
@@ -477,10 +503,16 @@ def load_model(path):
         for name in PARAM_FIELDS:
             shape = shapes[name]
             count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
+            buf = fh.read(count * dtype.itemsize)
+            if len(buf) != count * dtype.itemsize:
                 raise DataError(f"{path}: truncated array {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            raw = np.frombuffer(buf, dtype=dtype)
+            # min and max propagate NaN and reach any infinity, so both are
+            # finite exactly when every element is, with no temporary array
+            if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
+                raise DataError(f"{path}: array {name} holds a non-finite value")
+            # the one copy: writable, owning its memory, float64
+            arrays[name] = raw.astype(np.float64).reshape(shape)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after arrays")
     return ModelParams(arrays["W_v"], arrays["W"], arrays["b"], arrays["W_e"]), header

@@ -44,10 +44,11 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
     Each epoch samples a fresh shuffled instance stream, walks it in batches
     of m, and applies one Adam step per batch. When validation topics and
     qrels are given, the epoch with the highest mean validation NDCG wins
-    (ties go to the earlier epoch); otherwise the final epoch's parameters
-    are returned. mean_batch_loss is the unweighted mean of per-batch
-    losses. A non-finite batch loss or gradient stops training with an
-    LSEError naming the epoch and the batch.
+    (ties go to the earlier epoch), scored as `rank` scores the saved
+    model; otherwise the final epoch's parameters are returned.
+    mean_batch_loss is the unweighted mean of per-batch losses. A
+    non-finite batch loss or gradient stops training with an LSEError
+    naming the epoch and the batch.
     """
     dtype = np.float32 if config.precision == "float32" else np.float64
     dims = Dims(config.e_v, config.e_e, vocab.size, corpus.num_entities)
@@ -88,8 +89,11 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
 
         vndcg = None
         if val_queries:
-            norms = np.linalg.norm(params.W_e, axis=1)
-            runs = {tid: rank_entities(params, ids, corpus.entities, tid,
+            # Rank with the float64 promotion of the parameters, which is
+            # what load_model gives `rank` from the saved model.
+            scored = params.astype(np.float64)
+            norms = np.linalg.norm(scored.W_e, axis=1)
+            runs = {tid: rank_entities(scored, ids, corpus.entities, tid,
                                        config.validation_cutoff, norms)
                     for tid, ids in val_queries}
             report = evaluate_run(runs, validation_qrels, config.validation_cutoff, ks=())

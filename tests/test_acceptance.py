@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 import scipy.stats
 
 from conftest import (build_fusion_benchmark, build_separable_corpus,
@@ -58,11 +59,12 @@ def direct_sigmoid_product_loss(params, block, weight_decay):
     return -total / m + reg
 
 
-@functools.lru_cache(maxsize=1)
-def separable_training():
-    """Train once on the separable benchmark; shared by several checks."""
+@functools.lru_cache(maxsize=2)
+def separable_training(precision):
+    """Train once per precision on the separable benchmark; shared by
+    several checks."""
     corpus, vocab = build_separable_corpus()
-    result = train(corpus, vocab, TrainConfig(**SEPARABLE_CONFIG))
+    result = train(corpus, vocab, TrainConfig(**SEPARABLE_CONFIG, precision=precision))
     return corpus, vocab, result
 
 
@@ -111,9 +113,10 @@ def test_criterion_2_loss_formula_oracle():
     assert elapsed < 5.0, f"loss oracle took {elapsed:.1f}s"
 
 
-def test_criterion_3_end_to_end_learnability():
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_criterion_3_end_to_end_learnability(precision):
     start = time.perf_counter()
-    corpus, vocab, result = separable_training()
+    corpus, vocab, result = separable_training(precision)
     losses = [entry.mean_batch_loss for entry in result.log]
     first3 = sum(losses[:3]) / 3.0
     last3 = sum(losses[-3:]) / 3.0
@@ -185,7 +188,7 @@ def test_criterion_5_metric_fixtures():
 
 def test_criterion_6_ideal_vector_gap():
     start = time.perf_counter()
-    corpus, vocab, result = separable_training()
+    corpus, vocab, result = separable_training(TrainConfig.precision)
     topics, grades = separable_topics()
     rows = ideal_vector_report(result.params, vocab, topics, Qrels(grades),
                                corpus.entities)

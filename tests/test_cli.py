@@ -1,5 +1,6 @@
 """Command-line workflows, exercised through click's test runner."""
 
+import csv
 import json
 import os
 import struct
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -254,6 +256,27 @@ def test_data_dir_resolves_relative_inputs(tmp_path):
     assert manifest["inputs"]["corpus"]["path"] == str(corpus)
 
 
+def test_validation_ndcg_is_what_rank_gives_the_saved_model(tmp_path):
+    # float32 training saves a float32 model, which `rank` reads as its
+    # float64 promotion; validation must have scored that promotion.
+    corpus, topics, qrels = write_inputs(tmp_path)
+    runner = CliRunner()
+    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    vocab = str(tmp_path / "v" / "vocab.tsv")
+    run_ok(runner, ["train", str(corpus), vocab, "--out", str(tmp_path / "m"),
+                    "--precision", "float32", "--validation-topics", str(topics),
+                    "--validation-qrels", str(qrels)] + TRAIN_FLAGS + ["--epochs", "4"])
+    model = tmp_path / "m" / "model.lse"
+    assert json.loads((tmp_path / "m" / "model.lse.meta.json").read_text())["dtype"] == "float32"
+    with open(tmp_path / "m" / "epochs.csv", encoding="utf-8") as fh:
+        best = max(float(row["validation_ndcg"]) for row in csv.DictReader(fh))
+    run_ok(runner, ["rank", str(model), vocab, str(topics), "--out", str(tmp_path / "r")])
+    run_ok(runner, ["eval", str(tmp_path / "r" / "run.trec"), str(qrels),
+                    "--out", str(tmp_path / "e")])
+    aggregate = json.loads((tmp_path / "e" / "aggregate.json").read_text())
+    assert aggregate["means"]["ndcg@100"] == best
+
+
 def test_vocabulary_mismatch_exits_1(tmp_path):
     corpus, topics, _ = write_inputs(tmp_path)
     runner = CliRunner()
@@ -277,6 +300,12 @@ def container(header, declared_length=None):
     blob = header if isinstance(header, bytes) else json.dumps(header).encode()
     length = len(blob) if declared_length is None else declared_length
     return MAGIC + struct.pack("<Q", length) + blob
+
+
+def model_file(values, dtype="float64", **header):
+    """A GOOD_HEADER container holding the 12 array values W_v, W, b, W_e."""
+    arrays = np.array(values, dtype={"float32": "<f4", "float64": "<f8"}[dtype])
+    return container(dict(GOOD_HEADER, dtype=dtype, **header)) + arrays.tobytes()
 
 
 # file to corrupt, its bytes, and what the error must say after the path
@@ -306,9 +335,21 @@ MALFORMED = {
     "model_entity_ids_disagree":
         ("model.lse", container(dict(GOOD_HEADER, entity_ids=["cam"])),
          ": header needs one entity id"),
-    "model_dtype_not_float64":
-        ("model.lse", container(dict(GOOD_HEADER, dtype="float32")),
-         ": header dtype must be float64, got 'float32'"),
+    "model_dtype_float16":
+        ("model.lse", container(dict(GOOD_HEADER, dtype="float16")),
+         ": header dtype must be float32 or float64, got 'float16'"),
+    "model_entity_ids_repeated":
+        ("model.lse", model_file([0.5] * 12, entity_ids=["cam", "cam"]),
+         ": header entity_ids must be distinct strings"),
+    "model_entity_ids_not_strings":
+        ("model.lse", model_file([0.5] * 12, entity_ids=[1, 2]),
+         ": header entity_ids must be distinct strings"),
+    "model_value_nan":
+        ("model.lse", model_file([0.5] * 10 + [np.nan, 0.5]),
+         ": array W_e holds a non-finite value"),
+    "model_float32_value_inf":
+        ("model.lse", model_file([np.inf] + [0.5] * 11, dtype="float32"),
+         ": array W_v holds a non-finite value"),
     "config_value_not_integer":
         ("train.cfg", b"seed = 1\nepochs = two\n",
          ":2: config key 'epochs' must be an integer, got 'two'"),

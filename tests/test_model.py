@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lse.model
 from lse.errors import DataError, LSEError
-from lse.model import (_CHUNK, MAGIC, PARAM_FIELDS, AdamState, Dims, GradientSet,
+from lse.model import (MAGIC, PARAM_FIELDS, AdamState, Dims, GradientSet,
                        ModelParams, TrainConfig, _gather_sum, _scatter_add,
                        _sigmoid, _sq_norms, adam_step, batch_loss,
                        batch_loss_and_gradients, init_params, load_model,
@@ -26,6 +28,17 @@ def random_setup(seed, dims=Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5),
                           rng.integers(0, dims.num_entities, size=m),
                           rng.integers(0, dims.num_entities, size=(m, z)))
     return params, block
+
+
+def chunked(instances, z, e_e, dtype=np.float64):
+    """Size the negatives' gathers to `instances` instances of z rows of
+    e_e values each."""
+    return mock.patch.object(lse.model, "_CHUNK_BYTES",
+                             instances * z * e_e * np.dtype(dtype).itemsize)
+
+
+# Instances per negatives' gather in the chunk-crossing tests below.
+CHUNK = 64
 
 
 def entity_names(params):
@@ -238,9 +251,10 @@ def test_bias_gradient_ignores_weight_decay():
 
 
 def test_loss_and_gradients_share_forward():
-    params, block = random_setup(7)
-    loss, grads = batch_loss_and_gradients(params, block, 0.01)
-    assert loss == batch_loss(params, block, 0.01)
+    params, block = random_setup(7, m=2 * CHUNK + 5, z=4)
+    with chunked(CHUNK, 4, params.dims.e_e):
+        loss, grads = batch_loss_and_gradients(params, block, 0.01)
+        assert loss == batch_loss(params, block, 0.01)
     only = batch_loss_and_gradients(params, block, 0.01)[1]
     assert all(np.array_equal(getattr(grads, n), getattr(only, n))
                for n in PARAM_FIELDS)
@@ -306,11 +320,12 @@ def test_batch_gradients_match_per_instance_loop(case):
 
 
 def test_batch_spanning_chunks_matches_per_instance_loop():
-    # m > 2 * _CHUNK, so the scatters and the negatives' forward pass cross
-    # two chunk boundaries and end in a partial chunk.
-    m = 2 * _CHUNK + 76
+    # m > 2 * CHUNK, so the negatives' forward pass crosses two chunk
+    # boundaries and ends in a partial chunk.
+    m = 2 * CHUNK + 76
     params, block = random_setup(23, m=m, n=3, z=4)
-    loss, grads = batch_loss_and_gradients(params, block, 0.01)
+    with chunked(CHUNK, 4, params.dims.e_e):
+        loss, grads = batch_loss_and_gradients(params, block, 0.01)
     want = loop_batch_gradients(params, block, 0.01)
     for name in PARAM_FIELDS:
         assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
@@ -323,7 +338,7 @@ def test_batch_spanning_chunks_matches_per_instance_loop():
 def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     """The training step with one whole-batch gather of the negatives and
     one row-wise np.add.at per scatter: the bit-for-bit reference for the
-    chunked flat-index scatters."""
+    chunked gathers and the sparse-product scatters."""
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m = len(batch)
     n = ngrams.shape[1]
@@ -360,14 +375,25 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
     # and four entities so every row is hit many times within and across
     # chunks.
     dims = Dims(e_v=6, e_e=5, vocab_size=7, num_entities=4)
-    params, block = random_setup(29, dims=dims, m=3 * _CHUNK + 37, n=3, z=4)
+    params, block = random_setup(29, dims=dims, m=3 * CHUNK + 37, n=3, z=4)
     params = params.astype(dtype)
-    loss, grads = batch_loss_and_gradients(params, block, 0.01)
+    with chunked(CHUNK, 4, dims.e_e, dtype):
+        loss, grads = batch_loss_and_gradients(params, block, 0.01)
     want_loss, want = unchunked_batch_loss_and_gradients(params, block, 0.01)
     assert loss == want_loss
     for name in PARAM_FIELDS:
         got, ref = getattr(grads, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype, instances", [(np.float32, 102), (np.float64, 51)])
+def test_negative_gathers_are_sized_in_bytes(dtype, instances):
+    # The default z and e_E: chunks of about 1 MB whatever the dtype.
+    W_e = np.zeros((7, 256), dtype=dtype)
+    negatives = np.zeros((4 * instances + 3, 10), dtype=np.intp)
+    chunks = list(lse.model._negative_rows(W_e, negatives))
+    assert [len(rows) for _, rows in chunks] == [instances] * 4 + [3]
+    assert chunks[0][1].nbytes <= lse.model._CHUNK_BYTES < 2 * chunks[0][1].nbytes
 
 
 def test_float32_step_returns_float32_gradients():
@@ -471,7 +497,7 @@ def test_adam_two_steps_match_reference_formulas():
 def test_train_config_defaults():
     assert TrainConfig().as_dict() == {
         "e_v": 300, "e_e": 256, "n": 4, "z": 10, "m": 4096, "lambda": 0.01,
-        "epochs": 15, "seed": 0, "precision": "float64",
+        "epochs": 15, "seed": 0, "precision": "float32",
         "validation_cutoff": 100,
     }
 
@@ -572,12 +598,34 @@ def test_load_rejects_truncated_and_padded(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_values(tmp_path, dtype, bad):
+    dims = Dims(e_v=4, e_e=3, vocab_size=6, num_entities=40)
+    params = random_setup(19, dims=dims)[0].astype(dtype)
+    path = tmp_path / "model.lse"
+    for i in (0, 61, params.W_e.size - 1):
+        broken = params.copy()
+        broken.W_e.reshape(-1)[i] = bad
+        save_model(path, broken, entity_ids=entity_names(params))
+        with pytest.raises(DataError, match="array W_e holds a non-finite value"):
+            load_model(path)
+
+
 def test_save_load_float32_promotes_to_float64(tmp_path):
     params, _ = random_setup(16)
     params32 = params.astype(np.float32)
-    path = tmp_path / "model.lse"
-    save_model(path, params32, entity_ids=entity_names(params))
-    loaded, header = load_model(path)
+    path32, path64 = tmp_path / "model32.lse", tmp_path / "model64.lse"
+    save_model(path32, params32, entity_ids=entity_names(params))
+    save_model(path64, params, entity_ids=entity_names(params))
+    loaded, header = load_model(path32)
+    assert header["dtype"] == "float32"
+    assert load_model(path64)[1]["dtype"] == "float64"
+    array_bytes = sum(getattr(params, name).nbytes for name in PARAM_FIELDS)
+    # the headers differ only in the dtype's name, which is as long
+    assert path64.stat().st_size - path32.stat().st_size == array_bytes // 2
     assert loaded.dtype == np.float64
-    assert header["dtype"] == "float64"
-    assert np.allclose(loaded.W, params32.W.astype(np.float64), atol=0, rtol=0)
+    promoted = params32.astype(np.float64)
+    for name in PARAM_FIELDS:
+        assert getattr(loaded, name).tobytes() == getattr(promoted, name).tobytes(), name
+
