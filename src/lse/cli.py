@@ -344,8 +344,9 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
     features."""
     if folds < 2:
         raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
+    ranker = RankerConfig(pair_samples=pair_samples, seed=seed)
     config = {"lambda_jm": lambda_jm, "folds": folds, "cutoff": cutoff,
-              "pair_samples": pair_samples}
+              "pair_samples": pair_samples, "batch": ranker.batch}
     with _run(out_dir, config, seed):
         qi = QIData(load_qi_attributes(qi_attrs) if qi_attrs else {},
                     {name: load_graph(path) for name, path in graphs.items()})
@@ -362,7 +363,7 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
                                params, qi)
         report = cross_validated_fusion(
             table, qrels_data, folds=folds, seed=seed, cutoff=cutoff,
-            ranker_config=RankerConfig(pair_samples=pair_samples, seed=seed))
+            ranker_config=ranker)
         metrics = list(report.rows[0]["means"])
         with _output(out_dir, "fusion.csv") as fh:
             writer = csv.writer(fh)
@@ -400,15 +401,15 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
 
     Topics with a single relevant entity are skipped and listed as such in
     the report."""
-    with _run(out_dir, {"cutoff": cutoff, "pair_samples": pair_samples}, seed):
+    ranker = RankerConfig(pair_samples=pair_samples, seed=seed)
+    config = {"cutoff": cutoff, "pair_samples": pair_samples, "batch": ranker.batch}
+    with _run(out_dir, config, seed):
         vocabulary = Vocabulary.load(vocab)
         params, header = _load_model_checked(model, vocabulary)
         topic_set = TopicSet.load(topics)
         rows = ideal_vector_report(params, vocabulary, topic_set.topics,
                                    Qrels.load(qrels), header["entity_ids"],
-                                   cutoff=cutoff,
-                                   config=RankerConfig(pair_samples=pair_samples,
-                                                       seed=seed))
+                                   cutoff=cutoff, config=ranker)
         with _output(out_dir, "ideal.csv") as fh:
             writer = csv.writer(fh)
             writer.writerow(["topic_id", "status", "n_relevant", "ndcg_ideal",

@@ -90,13 +90,21 @@ class Qrels:
                 fh.write(f"{tid} 0 {eid} {grade}\n")
 
 
+def check_cutoff(cutoff):
+    """Raise DataError for an NDCG cutoff below 1, which has no ideal DCG."""
+    if cutoff < 1:
+        raise DataError(f"cutoff must be at least 1, got {cutoff}")
+
+
 def ndcg(ranked, qrels, cutoff=100):
     """Binary-gain DCG at the cutoff over the ideal DCG.
 
     The discount at rank r (1-based) is 1/log2(r + 1); the ideal DCG counts
     the topic's full relevant set even when some of it is missing from the
-    ranking. Raises DataError for a topic with no relevant entities.
+    ranking. Raises DataError for a cutoff below 1 or a topic with no
+    relevant entities.
     """
+    check_cutoff(cutoff)
     rel = qrels.relevant(ranked.topic_id)
     if not rel:
         raise DataError(f"topic {ranked.topic_id!r} has no relevant entities")
@@ -127,7 +135,9 @@ class EvalReport:
 
 
 def evaluate_run(runs, qrels, cutoff=100, ks=(5, 10)):
-    """Per-topic and mean NDCG@cutoff and P@k for every topic in runs."""
+    """Per-topic and mean NDCG@cutoff and P@k for every topic in runs; a
+    cutoff below 1 is a DataError."""
+    check_cutoff(cutoff)
     per_topic = {}
     excluded = []
     for tid in sorted(runs):

@@ -1,15 +1,15 @@
 """Pairwise linear ranking: query-independent features (PageRank over
 related-product graphs, price, description length, reciprocal sales rank),
-RankSVM trained by stochastic gradient descent with balanced pair sampling,
-10-fold cross-validated feature fusion, and the per-topic ideal-retrieval-
-vector approximation."""
+RankSVM (Joachims, KDD 2002) trained by mini-batch Pegasos over balanced
+pair samples, 10-fold cross-validated feature fusion, and the per-topic
+ideal-retrieval-vector approximation."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError
-from .evaluation import compare_runs, evaluate_run
+from .evaluation import check_cutoff, compare_runs, evaluate_run
 from .files import read_lines, read_records
 from .model import project
 from .qlm import score as qlm_score
@@ -56,17 +56,24 @@ def pagerank(num_nodes, edges, damping=0.85, tol=1e-10, max_iter=200):
 
 @dataclass(frozen=True)
 class RankerConfig:
-    """RankSVM defaults: C=1.0 and 1e5 sampled pairs. The objective is
-    (1/(2C))|w|^2 plus the mean hinge over the pairs; step t has learning
-    rate 1/(lambda t) with lambda = 1/C."""
+    """RankSVM defaults: C=1.0, 1e5 sampled pairs and 1000 pairs per step.
+    The objective is (1/(2C))|w|^2 plus the mean hinge over the pairs,
+    minimised by mini-batch Pegasos (Shalev-Shwartz, Singer, Srebro & Cotter,
+    Math. Programming 2011, section 2.3): step t averages the subgradients of
+    the next `batch` pairs and has learning rate 1/(lambda t) with lambda =
+    1/C, so the pairs take ceil(pair_samples / batch) steps. batch=1 is
+    single-pair Pegasos."""
 
     c: float = 1.0
     pair_samples: int = 100000
+    batch: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.c <= 0 or self.pair_samples < 1:
             raise DataError("C must be positive and pair_samples at least 1")
+        if self.batch < 1:
+            raise DataError(f"batch must be at least 1, got {self.batch}")
 
 
 def _pair_rows(labels, groups, config):
@@ -112,8 +119,8 @@ def _pair_rows(labels, groups, config):
     return pos_pool[pick], neg_flat[neg_starts[gcode] + neg_local]
 
 
-# Values (512 KB) per chunk of gathered pair differences: on a 2-vCPU x86-64
-# host, ideal-vector ran 1.6x faster with chunks this size than with 8 MB.
+# Values (512 KB) per gathered block of pair differences: a bound on the
+# memory the gathered step sum takes whatever the batch, fits and width.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -122,40 +129,105 @@ def _index_dtype(num_rows):
     return np.int32 if num_rows <= np.iinfo(np.int32).max else np.intp
 
 
-def _pegasos(rows, pos, neg, lam, center=None, scale=None, mask=None):
-    """Weights (K, width) of K RankSVM fits trained in lockstep.
+def _pegasos(rows, pos, neg, lam, center=None, scale=None, mask=None, batch=1):
+    """Weights (K, width) of K RankSVM fits trained in lockstep by mini-batch
+    Pegasos (Shalev-Shwartz, Singer, Srebro & Cotter, Math. Programming 2011,
+    section 2.3).
 
-    pos and neg are (steps, K) row indices. Step t of fit k takes d =
-    rows[pos[t-1, k]] - rows[neg[t-1, k]], of rows z-scored by center[k],
-    scale[k] when given and set to 0 where the boolean mask[k] is False, and
-    does the single-fit update: active = d.w < 1, w *= 1 - 1/t, w += d /
-    (lam[k] t) if active. A step costs the same few NumPy calls for any K.
-    Each fit's weights are bit-identical to training it alone on its mask's
-    columns while the dot product sums in column order, so that the masked
-    zeros change no sum (OpenBLAS's does below 16 columns). Each chunk of
-    steps gathers two (steps, K, width) blocks, z-scores them in place and
-    reuses them for the differences and the scaled updates."""
+    pos and neg are (pairs, K) row indices. Pair i of fit k has the
+    difference d = rows[pos[i, k]] - rows[neg[i, k]], of rows z-scored by
+    center[k], scale[k] when given. Step t takes the batch B of pairs
+    (t-1)b .. tb-1 (the last one may be shorter) and sets w = (1 - 1/t) w +
+    (sum of the d in B with d.w < 1) / (lam[k] t |B|), every margin measured
+    against the weights before the step, and the sum set to 0 where the
+    boolean mask[k] is False, so that w stays 0 there. A step costs the same
+    few NumPy calls for any K.
+
+    The step sums come from _scored_steps when scoring all R rows (K R width
+    values) costs less than gathering the pairs' rows (2 b K width), else
+    from _gathered_steps. At b = 1 the gathered sum is d itself and this is
+    the single-pair loop: each fit's weights are bit-identical to training it
+    alone on its mask's columns while the dot product sums in column order,
+    so that the masked columns' zero products change no sum (OpenBLAS's does
+    below 16 columns)."""
     lam = np.asarray(lam, dtype=np.float64)
     weights = np.zeros((pos.shape[1], rows.shape[1]))
     unused = None if mask is None else ~np.asarray(mask, dtype=bool)
-    steps = max(1, _CHUNK_VALUES // weights.size)
-    for lo in range(0, len(pos), steps):
-        diffs = np.take(rows, pos[lo:lo + steps], axis=0)
-        updates = np.take(rows, neg[lo:lo + steps], axis=0)
-        if center is not None:
-            for block in (diffs, updates):
-                np.subtract(block, center, out=block)
-                np.divide(block, scale, out=block)
-        np.subtract(diffs, updates, out=diffs)
+    steps = _scored_steps if len(rows) < 2 * batch else _gathered_steps
+    for t, (total, active, size) in enumerate(
+            steps(rows, pos, neg, batch, weights, center, scale), start=1):
         if unused is not None:
-            np.copyto(diffs, 0.0, where=unused)
-        t = np.arange(lo + 1, lo + len(diffs) + 1, dtype=np.float64)
-        np.multiply((1.0 / (lam * t[:, None]))[:, :, None], diffs, out=updates)
-        for d, u, decay in zip(diffs, updates, (1.0 - 1.0 / t).tolist()):
-            active = np.vecdot(d, weights, keepdims=True) < 1.0
-            weights *= decay
-            np.add(weights, u, out=weights, where=active)
+            total[unused] = 0.0
+        weights *= 1.0 - 1.0 / t
+        np.multiply((1.0 / (lam * (t * size)))[:, None], total, out=total)
+        np.add(weights, total, out=weights, where=active)
     return weights
+
+
+def _gathered_steps(rows, pos, neg, batch, weights, center, scale):
+    """Yield each step's (K, width) sum of its active pairs' d, a (K, 1) flag
+    of fits with an active pair, and the step's pair count, against the
+    weights as they are when the step is asked for.
+
+    The pairs' rows are gathered in blocks of at most _CHUNK_VALUES values,
+    each several whole steps or a part of one step, and z-scored in place; a
+    step's margins and sum are taken on its rows in each block."""
+    block = max(1, _CHUNK_VALUES // weights.size)
+    if block >= batch:
+        block -= block % batch
+    total = active = None
+    for lo in range(0, len(pos), block):
+        diffs = np.take(rows, pos[lo:lo + block], axis=0)
+        others = np.take(rows, neg[lo:lo + block], axis=0)
+        if center is not None:
+            for side in (diffs, others):
+                np.subtract(side, center, out=side)
+                np.divide(side, scale, out=side)
+        np.subtract(diffs, others, out=diffs)
+        start, hi = lo, lo + len(diffs)
+        while start < hi:
+            first = start - start % batch  # the step's first pair
+            last = min(first + batch, len(pos))
+            end = min(hi, last)
+            d = diffs[start - lo:end - lo]
+            hits = (np.vecdot(d, weights) < 1.0).T.astype(np.float64)
+            # the pairs run along the last axis of a C-ordered (K, width, n)
+            # block, so that each sum adds in the same order whatever K and
+            # width are
+            part = np.multiply(d.transpose(1, 2, 0), hits[:, None, :],
+                               order="C").sum(axis=-1)
+            hit = hits.any(axis=1, keepdims=True)
+            if total is None:
+                total, active = part, hit
+            else:
+                total += part
+                active |= hit
+            if end == last:
+                yield total, active, last - first
+                total = active = None
+            start = end
+
+
+def _scored_steps(rows, pos, neg, batch, weights, center, scale):
+    """Yield what _gathered_steps does, scoring every row once per step
+    instead of gathering pairs.
+
+    Fit k's z-scored rows score rows @ (w_k / scale[k]) less a constant that
+    the margins S[p] - S[q] cancel, and the sum of its active pairs' d is the
+    (K, R) signed count of their rows times rows, over scale[k]."""
+    fits, num_rows = weights.shape[0], len(rows)
+    offsets = np.arange(fits) * num_rows
+    fit = np.arange(fits)
+    for lo in range(0, len(pos), batch):
+        p, q = pos[lo:lo + batch], neg[lo:lo + batch]
+        scores = rows @ (weights if scale is None else weights / scale).T
+        hits = scores[p, fit] - scores[q, fit] < 1.0
+        counts = (np.bincount((p + offsets)[hits], minlength=fits * num_rows)
+                  - np.bincount((q + offsets)[hits], minlength=fits * num_rows))
+        total = counts.reshape(fits, num_rows) @ rows
+        if scale is not None:
+            total /= scale
+        yield total, hits.any(axis=0)[:, None], len(p)
 
 
 @dataclass
@@ -339,6 +411,7 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
         raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
     if len(topics) < folds:
         raise DataError(f"need at least {folds} topics for {folds}-fold cross-validation")
+    check_cutoff(cutoff)
     base_config = ranker_config or RankerConfig()
     partition = _fold_partition(topics, folds, seed)
     combos = [combo for combo in COMBOS
@@ -362,16 +435,15 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     for k, (combo, f) in enumerate(fits):
         masks[k, table.columns_for(combo)] = True
         index, train_labels, groups = train_sets[f]
-        p, q = _pair_rows(train_labels, groups, RankerConfig(
-            c=base_config.c, pair_samples=base_config.pair_samples,
-            seed=_spawned_seed(seed, (COMBOS.index(combo), f))))
+        p, q = _pair_rows(train_labels, groups, replace(
+            base_config, seed=_spawned_seed(seed, (COMBOS.index(combo), f))))
         pos[:, k], neg[:, k] = index[p], index[q]
     # a fit is z-scored by its fold's statistics on every column and the mask
     # keeps its own; a column's statistics over C-ordered rows do not depend
     # on the other columns, so they equal those of the combination's alone
     centers, scales = (np.array(side)[[f for _, f in fits]] for side in zip(*stats))
     weights = _pegasos(stacked, pos, neg, np.full(len(fits), 1.0 / base_config.c),
-                       centers, scales, masks)
+                       centers, scales, masks, batch=base_config.batch)
 
     runs = {combo: {} for combo in combos}
     for (combo, f), w, mean, std in zip(fits, weights, centers, scales):
@@ -411,6 +483,7 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
     skipped_no_relevant, skipped_empty_query."""
     from .evaluation import ndcg as ndcg_fn
 
+    check_cutoff(cutoff)
     base_config = config or RankerConfig()
     rows = []
     eligible = []  # (row, qids, labels, ranker config) per topic with status ok
@@ -426,9 +499,8 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
                "ndcg_ideal": None, "ndcg_query": None}
         rows.append(row)
         if status == "ok":
-            eligible.append((row, qids, labels, RankerConfig(
-                c=base_config.c, pair_samples=base_config.pair_samples,
-                seed=_spawned_seed(base_config.seed, (11, index)))))
+            eligible.append((row, qids, labels, replace(
+                base_config, seed=_spawned_seed(base_config.seed, (11, index)))))
     if not eligible:
         return rows
     pos = np.empty((base_config.pair_samples, len(eligible)),
@@ -438,7 +510,8 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
         pos[:, k], neg[:, k] = _pair_rows(labels, None, cfg)
     w_e = np.asarray(params.W_e, dtype=np.float64)
     unit, norms = _unit_rows(w_e)
-    weights = _pegasos(unit, pos, neg, np.full(len(eligible), 1.0 / base_config.c))
+    weights = _pegasos(unit, pos, neg, np.full(len(eligible), 1.0 / base_config.c),
+                       batch=base_config.batch)
     for (row, qids, _, _), w in zip(eligible, weights):
         tid = row["topic_id"]
         ideal_run = rank_by_vector(w_e, w, entity_ids, tid, cutoff, norms)

@@ -15,8 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lse.cli
+import lse.ltr
 import lse.training
 from lse.cli import main
+from lse.ltr import RankerConfig
 from lse.model import MAGIC
 from lse.retrieval import RankedList, read_run, write_run
 from lse.training import EpochLog, write_epoch_log
@@ -184,6 +186,9 @@ def test_ideal_vector_skips_single_relevant_topics(workflow):
     assert aggregate["num_scored"] == 1
     assert sorted(aggregate["skipped"]) == ["t1", "t2", "t3"]
     assert 0.0 <= aggregate["mean_ndcg_ideal"] <= 1.0
+    manifest = json.loads((root / "ideal" / "manifest.json").read_text())
+    assert manifest["config"] == {"cutoff": 100, "pair_samples": 500,
+                                  "batch": RankerConfig().batch}
 
 
 def test_fuse_reports_all_combinations(workflow):
@@ -209,6 +214,8 @@ def test_fuse_reports_all_combinations(workflow):
     assert set(payload["significance_full_vs_qi_qlm"]) == {"ndcg@10", "p@5", "p@10"}
     manifest = json.loads((root / "fuse" / "manifest.json").read_text())
     assert "graph_also_bought" in manifest["inputs"]
+    assert manifest["config"] == {"lambda_jm": 0.5, "folds": 2, "cutoff": 10,
+                                  "pair_samples": 300, "batch": RankerConfig().batch}
 
 
 def test_fuse_without_model_reports_qi_and_qi_qlm_only(workflow, tmp_path):
@@ -462,6 +469,29 @@ def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Error: cross-validation needs at least 2 folds, got 1" in result.output
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-2"])
+@pytest.mark.parametrize("command", ["eval", "fuse", "ideal-vector"])
+def test_cutoff_below_one_exits_1_before_any_ranker_trains(workflow, tmp_path,
+                                                           monkeypatch, command,
+                                                           cutoff):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("a RankSVM trained before the cutoff was checked")
+
+    monkeypatch.setattr(lse.ltr, "_pegasos", unreachable)
+    root, corpus, topics, qrels, _ = workflow
+    vocab, model = root / "vocab" / "vocab.tsv", root / "model" / "model.lse"
+    args = {"eval": ["eval", root / "rank" / "run.trec", qrels],
+            "fuse": ["fuse", corpus, vocab, topics, qrels, "--model", model,
+                     "--folds", "2"],
+            "ideal-vector": ["ideal-vector", model, vocab, topics, qrels]}[command]
+    result = CliRunner().invoke(main, [str(a) for a in args]
+                                + ["--out", str(tmp_path / "out"), "--cutoff", cutoff])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: cutoff must be at least 1, got {cutoff}" in result.output
+    assert "Traceback" not in result.output
 
 
 class Unprintable(float):

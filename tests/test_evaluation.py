@@ -127,6 +127,16 @@ def test_evaluate_run_reports_all_metrics():
     assert report.excluded == []
 
 
+@pytest.mark.parametrize("cutoff", [0, -2])
+def test_cutoff_below_one_is_a_data_error(cutoff):
+    qrels = Qrels({("t1", "e1"): 1})
+    with pytest.raises(DataError, match=f"cutoff must be at least 1, got {cutoff}"):
+        ndcg(ranked("t1", ["e1"]), qrels, cutoff)
+    for runs in ({"t1": ranked("t1", ["e1"])}, {}):
+        with pytest.raises(DataError, match="cutoff must be at least 1"):
+            evaluate_run(runs, qrels, cutoff=cutoff)
+
+
 def test_incomplete_beta_matches_scipy_oracle():
     for a in (0.5, 1.0, 2.5, 7.0):
         for b in (0.5, 1.5, 4.0):

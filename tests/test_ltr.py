@@ -1,6 +1,7 @@
 """PageRank, RankSVM, feature assembly, fold fusion, and the ideal-vector
 analysis."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -86,8 +87,9 @@ def test_pagerank_input_validation():
 # ---- RankSVM ----
 
 def oracle_train_ranksvm(rows, labels, config, groups=None):
-    """The single-fit Pegasos loop, one pair at a time: the reference the
-    lockstep trainer must match bit for bit. Returns the weights."""
+    """The single-fit mini-batch Pegasos loop over config.batch pairs per
+    step, one pair at a time: the reference the lockstep trainer must match
+    bit for bit at batch 1. Returns the weights."""
     rows = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     groups = (np.zeros(len(rows), dtype=np.int64) if groups is None
@@ -122,13 +124,19 @@ def oracle_train_ranksvm(rows, labels, config, groups=None):
 
     lam = 1.0 / config.c
     w = np.zeros(rows.shape[1])
-    for t in range(1, t_total + 1):
-        d = diffs[t - 1]
-        active = float(d @ w) < 1.0
+    for t, lo in enumerate(range(0, t_total, config.batch), start=1):
+        batch = diffs[lo:lo + config.batch]
+        active = [d for d in batch if float(d @ w) < 1.0]
         w *= 1.0 - 1.0 / t
         if active:
-            w += (1.0 / (lam * t)) * d
+            w += (1.0 / (lam * t * len(batch))) * sum(active[1:], active[0])
     return w
+
+
+def hinge_objective(w, diffs, c):
+    """The RankSVM objective (1/(2C))|w|^2 plus the mean hinge of the pair
+    differences."""
+    return float(w @ w) / (2.0 * c) + float(np.maximum(0.0, 1.0 - diffs @ w).mean())
 
 
 @st.composite
@@ -149,7 +157,7 @@ def lockstep_fits(draw):
         groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
         groups[1] = groups[0]
         fits.append((rows, labels, groups, RankerConfig(
-            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples,
+            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples, batch=1,
             seed=draw(st.integers(0, 2**32 - 1)))))
     return fits, steps, draw(st.booleans())
 
@@ -208,7 +216,7 @@ def mixed_width_fits(draw):
         groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
         groups[1] = groups[0]
         fits.append((rows, np.flatnonzero(used), labels, groups, RankerConfig(
-            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples,
+            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples, batch=1,
             seed=draw(st.integers(0, 2**32 - 1)))))
     return fits, steps, draw(st.booleans())
 
@@ -247,16 +255,143 @@ def test_masked_lockstep_weights_equal_the_oracle_on_each_fits_own_columns(drawn
         assert not w[~mask].any()
 
 
+@settings(max_examples=100, deadline=None)
+@given(mixed_width_fits(), st.integers(2, 40), st.integers(1, 60))
+def test_masked_lockstep_minibatch_weights_equal_each_fits_narrow_fit(drawn, batch,
+                                                                       block):
+    """At a batch b > 1 too, each fit of a masked lockstep call gets the
+    weights of the same call on its own columns alone, byte for byte, and 0
+    on the columns it leaves out. Both calls gather blocks of the same
+    number of pairs, so that each step's sum adds the same parts; the rows
+    are padded with unreferenced ones so that gathering costs less than
+    scoring."""
+    fits, _, standardize = drawn
+    k = len(fits)
+    width = fits[0][0].shape[1]
+    offsets = np.cumsum([0] + [len(rows) for rows, _, _, _, _ in fits])
+    pairs, masks, means, stds = [], [], [], []
+    for (rows, cols, labels, groups, config), offset in zip(fits, offsets):
+        mean, std = _standardize_fit(rows)
+        p, q = _pair_rows(labels, groups, config)
+        pairs.append((p + offset, q + offset))
+        masks.append(np.isin(np.arange(width), cols))
+        means.append(mean)
+        stds.append(std)
+    stacked = np.concatenate([rows for rows, _, _, _, _ in fits]
+                             + [np.ones((2 * batch, width))])
+    lams = [1.0 / config.c for _, _, _, _, config in fits]
+    pos, neg = pair_columns(pairs)
+    stats = (np.array(means), np.array(stds)) if standardize else (None, None)
+    with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * k * width):
+        weights = _pegasos(stacked, pos, neg, lams, *stats, np.array(masks),
+                           batch=batch)
+    for index, (w, mask, (_, cols, _, _, _)) in enumerate(zip(weights, masks, fits)):
+        narrow_stats = ((means[index][cols][None], stds[index][cols][None])
+                        if standardize else (None, None))
+        with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * len(cols)):
+            narrow = _pegasos(np.ascontiguousarray(stacked[:, cols]),
+                              pos[:, index:index + 1], neg[:, index:index + 1],
+                              lams[index:index + 1], *narrow_stats, batch=batch)[0]
+        assert w[cols].tobytes() == narrow.tobytes()
+        assert not w[~mask].any()
+
+
 def fit_ranksvm(rows, labels, config=RankerConfig(), groups=None):
     """One RankSVM fit, as fuse and ideal-vector train each of theirs."""
     pairs = _pair_rows(np.asarray(labels), groups, config)
     return _pegasos(np.asarray(rows, dtype=np.float64), *pair_columns([pairs]),
-                    [1.0 / config.c])[0]
+                    [1.0 / config.c], batch=config.batch)[0]
+
+
+@pytest.mark.parametrize("pair_samples, batch", [(10, 4), (23, 5), (9, 7), (3, 8)])
+def test_minibatch_steps_average_each_batch_including_a_partial_last_one(
+        pair_samples, batch):
+    """Step t averages the active pairs of pairs (t-1)b .. tb-1, the last
+    step over the pair_samples mod b pairs left; gathered (R >= 2b) and
+    scored (R < 2b) steps both match the mini-batch oracle."""
+    rng = np.random.default_rng(pair_samples)
+    rows = rng.normal(size=(12, 5))
+    labels = np.tile([1, 0, 0], 4)
+    config = RankerConfig(c=0.3, pair_samples=pair_samples, batch=batch, seed=batch)
+    expected = oracle_train_ranksvm(rows, labels, config)
+    np.testing.assert_allclose(fit_ranksvm(rows, labels, config), expected,
+                               rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_scored_and_gathered_step_sums_agree(standardize):
+    """One problem trained through each step source: ideal-vector's plain
+    rows, and fuse's z-scored, masked ones. Scoring every row and counting
+    the active pairs gives the gathered sums' weights to rounding."""
+    rng = np.random.default_rng(17)
+    rows = rng.normal(size=(60, 9)) * 4.0 + 2.0
+    labels = rng.integers(0, 2, size=60)
+    fits, batch = 4, 45  # 2b > R = 60: the cost rule scores
+    configs = [RankerConfig(c=c, pair_samples=400, batch=batch, seed=seed)
+               for seed, c in enumerate((0.2, 1.0, 3.0, 8.0))]
+    pos, neg = pair_columns([_pair_rows(labels, None, cfg) for cfg in configs])
+    lams = [1.0 / cfg.c for cfg in configs]
+    extra = ()
+    if standardize:
+        mean, std = _standardize_fit(rows)
+        masks = rng.random((fits, 9)) < 0.7
+        masks[:, 0] = True
+        extra = (np.tile(mean, (fits, 1)), np.tile(std, (fits, 1)), masks)
+
+    def unreachable(*_args):
+        raise AssertionError("the other step source was chosen")
+
+    with mock.patch.object(lse.ltr, "_gathered_steps", unreachable):
+        scored = _pegasos(rows, pos, neg, lams, *extra, batch=batch)
+    with mock.patch.object(lse.ltr, "_scored_steps", lse.ltr._gathered_steps):
+        gathered = _pegasos(rows, pos, neg, lams, *extra, batch=batch)
+    np.testing.assert_allclose(scored, gathered, rtol=1e-12,
+                               atol=1e-12 * np.abs(gathered).max())
+    if standardize:
+        assert not scored[~masks].any()
+
+
+@st.composite
+def objective_problems(draw):
+    """One fit's rows (4-40 of width 1-20, any scale, z-scored), labels with
+    both classes, C, 500-3000 pairs and a batch of 2-50."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, width = draw(st.integers(4, 40)), draw(st.integers(1, 20))
+    rows = rng.normal(size=(n, width)) * draw(st.sampled_from([0.01, 1.0, 50.0]))
+    mean, std = _standardize_fit(rows)
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (1, 0)
+    return ((rows - mean) / std, labels, RankerConfig(
+        c=draw(st.floats(0.05, 20.0)), pair_samples=draw(st.integers(500, 3000)),
+        batch=draw(st.integers(2, 50)), seed=draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(objective_problems())
+def test_minibatch_objective_is_within_pegasos_bound_of_single_pair_steps(problem):
+    """Mini-batches minimise the same objective: on the sampled pairs, the
+    b > 1 weights' hinge objective exceeds the b = 1 weights' by at most
+    Pegasos' bound for its T = ceil(pairs / b) steps, G^2 (1 + ln T) /
+    (2 lambda T), with G = 2 max|d| bounding every subgradient (|w| stays
+    below max|d| / lambda)."""
+    rows, labels, config = problem
+    pos, neg = _pair_rows(labels, None, config)
+    diffs = rows[pos] - rows[neg]
+    single = hinge_objective(fit_ranksvm(rows, labels, replace(config, batch=1)),
+                             diffs, config.c)
+    batched = hinge_objective(fit_ranksvm(rows, labels, config), diffs, config.c)
+    steps = -(-config.pair_samples // config.batch)
+    g_squared = 4.0 * float((diffs * diffs).sum(axis=1).max())
+    bound = g_squared * (1.0 + np.log(steps)) * config.c / (2.0 * steps)
+    assert batched - single <= bound
 
 
 def test_ranksvm_duplicated_column_matches_single_column():
-    single = fit_ranksvm([[2.0], [0.0]], [1, 0])
-    dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0])
+    # 1e5 single-pair steps bring both fits to the optimum, where their scores
+    # agree; the default batch's 100 steps leave the last iterates ~1/t away
+    config = RankerConfig(batch=1)
+    single = fit_ranksvm([[2.0], [0.0]], [1, 0], config)
+    dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0], config)
     assert dup[0] == pytest.approx(dup[1], rel=1e-12)
     s1 = np.array([[2.0], [0.0]]) @ single
     s2 = np.array([[2.0, 2.0], [0.0, 0.0]]) @ dup
@@ -295,6 +430,9 @@ def test_ranker_config_validation():
         RankerConfig(c=0.0)
     with pytest.raises(DataError):
         RankerConfig(pair_samples=0)
+    for batch in (0, -1):
+        with pytest.raises(DataError, match="batch must be at least 1"):
+            RankerConfig(batch=batch)
 
 
 # ---- query-independent data ----
@@ -483,7 +621,7 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
     """Every fold trained alone by the oracle loop, on its z-scored training
     topics, gives the same per-topic metrics as the lockstep folds."""
     table, qrels = fusion_setup()
-    folds, seed, config = 4, 3, RankerConfig(c=0.5, pair_samples=700)
+    folds, seed, config = 4, 3, RankerConfig(c=0.5, pair_samples=700, batch=1)
     report = cross_validated_fusion(table, qrels, folds=folds, seed=seed,
                                     cutoff=10, ks=(5,), ranker_config=config)
     n = len(table.entity_ids)
@@ -499,11 +637,9 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
             mean, std = _standardize_fit(matrix)
             fold_seed = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(combo_index, fold_index)).generate_state(1)[0])
-            w = oracle_train_ranksvm(
-                (matrix - mean) / std, labels,
-                RankerConfig(c=config.c, pair_samples=config.pair_samples,
-                             seed=fold_seed),
-                np.repeat(np.arange(len(train)), n))
+            w = oracle_train_ranksvm((matrix - mean) / std, labels,
+                                     replace(config, seed=fold_seed),
+                                     np.repeat(np.arange(len(train)), n))
             for tid in heldout:
                 scores = ((table.matrices[tid][:, cols] - mean) / std) @ w
                 runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, 10)
@@ -634,7 +770,7 @@ def test_ideal_vector_report_equals_per_topic_oracle():
     topics["oov"] = "zzz"
     grades[("oov", "e00")] = grades[("oov", "e01")] = 1
     qrels = Qrels(grades)
-    config = RankerConfig(c=2.0, pair_samples=900, seed=5)
+    config = RankerConfig(c=2.0, pair_samples=900, batch=1, seed=5)
     rows = ideal_vector_report(params, vocab, topics, qrels, ids, cutoff=5,
                                config=config)
     norms = np.linalg.norm(params.W_e, axis=1, keepdims=True)
@@ -650,8 +786,7 @@ def test_ideal_vector_report_equals_per_topic_oracle():
         labels = [1 if eid in qrels.relevant(tid) else 0 for eid in ids]
         topic_seed = int(np.random.SeedSequence(
             entropy=config.seed, spawn_key=(11, index)).generate_state(1)[0])
-        w = oracle_train_ranksvm(unit, labels, RankerConfig(
-            c=config.c, pair_samples=config.pair_samples, seed=topic_seed))
+        w = oracle_train_ranksvm(unit, labels, replace(config, seed=topic_seed))
         query = project(params, vocab.encode(tokenize(topics[tid])))
         assert row["ndcg_ideal"] == ndcg(rank_by_vector(params.W_e, w, ids, tid, 5),
                                          qrels, 5)
