@@ -18,7 +18,8 @@ from .errors import DataError, LSEError
 from .evaluation import Qrels, TopicSet, compare_runs, evaluate_run
 from .files import atomic_open
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
-                  ideal_vector_report, load_graph, load_qi_attributes, GRAPH_NAMES)
+                  ideal_vector_report, load_graph, load_qi_attributes,
+                  pegasos_batch, GRAPH_NAMES)
 from .model import (Dims, TrainConfig, init_params, load_model,
                     max_relative_fd_error, save_model)
 from .qlm import estimate as qlm_estimate
@@ -344,9 +345,8 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
     features."""
     if folds < 2:
         raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
-    ranker = RankerConfig(pair_samples=pair_samples, seed=seed)
     config = {"lambda_jm": lambda_jm, "folds": folds, "cutoff": cutoff,
-              "pair_samples": pair_samples, "batch": ranker.batch}
+              "pair_samples": pair_samples, "batch": pegasos_batch(pair_samples)}
     with _run(out_dir, config, seed):
         qi = QIData(load_qi_attributes(qi_attrs) if qi_attrs else {},
                     {name: load_graph(path) for name, path in graphs.items()})
@@ -363,7 +363,7 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
                                params, qi)
         report = cross_validated_fusion(
             table, qrels_data, folds=folds, seed=seed, cutoff=cutoff,
-            ranker_config=ranker)
+            ranker_config=RankerConfig(pair_samples=pair_samples, seed=seed))
         metrics = list(report.rows[0]["means"])
         with _output(out_dir, "fusion.csv") as fh:
             writer = csv.writer(fh)
@@ -401,15 +401,17 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
 
     Topics with a single relevant entity are skipped and listed as such in
     the report."""
-    ranker = RankerConfig(pair_samples=pair_samples, seed=seed)
-    config = {"cutoff": cutoff, "pair_samples": pair_samples, "batch": ranker.batch}
+    config = {"cutoff": cutoff, "pair_samples": pair_samples,
+              "batch": pegasos_batch(pair_samples)}
     with _run(out_dir, config, seed):
         vocabulary = Vocabulary.load(vocab)
         params, header = _load_model_checked(model, vocabulary)
         topic_set = TopicSet.load(topics)
         rows = ideal_vector_report(params, vocabulary, topic_set.topics,
                                    Qrels.load(qrels), header["entity_ids"],
-                                   cutoff=cutoff, config=ranker)
+                                   cutoff=cutoff,
+                                   config=RankerConfig(pair_samples=pair_samples,
+                                                       seed=seed))
         with _output(out_dir, "ideal.csv") as fh:
             writer = csv.writer(fh)
             writer.writerow(["topic_id", "status", "n_relevant", "ndcg_ideal",

@@ -56,24 +56,30 @@ def pagerank(num_nodes, edges, damping=0.85, tol=1e-10, max_iter=200):
 
 @dataclass(frozen=True)
 class RankerConfig:
-    """RankSVM defaults: C=1.0, 1e5 sampled pairs and 1000 pairs per step.
-    The objective is (1/(2C))|w|^2 plus the mean hinge over the pairs,
-    minimised by mini-batch Pegasos (Shalev-Shwartz, Singer, Srebro & Cotter,
-    Math. Programming 2011, section 2.3): step t averages the subgradients of
-    the next `batch` pairs and has learning rate 1/(lambda t) with lambda =
-    1/C, so the pairs take ceil(pair_samples / batch) steps. batch=1 is
-    single-pair Pegasos."""
+    """RankSVM defaults: C=1.0 and 1e5 sampled pairs. The objective is
+    (1/(2C))|w|^2 plus the mean hinge over the pairs, minimised by
+    mini-batch Pegasos (_pegasos) over pegasos_batch(pair_samples) pairs per
+    step."""
 
     c: float = 1.0
     pair_samples: int = 100000
-    batch: int = 1000
     seed: int = 0
 
     def __post_init__(self):
         if self.c <= 0 or self.pair_samples < 1:
             raise DataError("C must be positive and pair_samples at least 1")
-        if self.batch < 1:
-            raise DataError(f"batch must be at least 1, got {self.batch}")
+
+
+# the fewest Pegasos steps a fit of at least this many pairs takes
+_MIN_STEPS = 100
+
+
+def pegasos_batch(pair_samples):
+    """Pairs per Pegasos step for a fit of pair_samples pairs: 1000 at the
+    default 1e5, so that a fit takes 100 steps, and 1 below 200 pairs.
+    Every fit takes at least min(pair_samples, _MIN_STEPS) steps and fewer
+    than 2 _MIN_STEPS."""
+    return max(1, pair_samples // _MIN_STEPS)
 
 
 def _pair_rows(labels, groups, config):
@@ -143,13 +149,14 @@ def _pegasos(rows, pos, neg, lam, center=None, scale=None, mask=None, batch=1):
     boolean mask[k] is False, so that w stays 0 there. A step costs the same
     few NumPy calls for any K.
 
-    The step sums come from _scored_steps when scoring all R rows (K R width
-    values) costs less than gathering the pairs' rows (2 b K width), else
-    from _gathered_steps. At b = 1 the gathered sum is d itself and this is
-    the single-pair loop: each fit's weights are bit-identical to training it
-    alone on its mask's columns while the dot product sums in column order,
-    so that the masked columns' zero products change no sum (OpenBLAS's does
-    below 16 columns)."""
+    The step sums come from _scored_steps when R < 2b, else from
+    _gathered_steps. Scoring is the faster source, but it holds (K, R)
+    tables per step where gathering holds byte-bounded blocks; R < 2b keeps
+    those tables smaller than the 2 b K rows the step reads. At b = 1 the
+    gathered sum is d itself and this is the single-pair loop: each fit's
+    weights are bit-identical to training it alone on its mask's columns
+    while the dot product sums in column order, so that the masked columns'
+    zero products change no sum (OpenBLAS's does below 16 columns)."""
     lam = np.asarray(lam, dtype=np.float64)
     weights = np.zeros((pos.shape[1], rows.shape[1]))
     unused = None if mask is None else ~np.asarray(mask, dtype=bool)
@@ -443,7 +450,8 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     # on the other columns, so they equal those of the combination's alone
     centers, scales = (np.array(side)[[f for _, f in fits]] for side in zip(*stats))
     weights = _pegasos(stacked, pos, neg, np.full(len(fits), 1.0 / base_config.c),
-                       centers, scales, masks, batch=base_config.batch)
+                       centers, scales, masks,
+                       batch=pegasos_batch(base_config.pair_samples))
 
     runs = {combo: {} for combo in combos}
     for (combo, f), w, mean, std in zip(fits, weights, centers, scales):
@@ -511,7 +519,7 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
     w_e = np.asarray(params.W_e, dtype=np.float64)
     unit, norms = _unit_rows(w_e)
     weights = _pegasos(unit, pos, neg, np.full(len(eligible), 1.0 / base_config.c),
-                       batch=base_config.batch)
+                       batch=pegasos_batch(base_config.pair_samples))
     for (row, qids, _, _), w in zip(eligible, weights):
         tid = row["topic_id"]
         ideal_run = rank_by_vector(w_e, w, entity_ids, tid, cutoff, norms)

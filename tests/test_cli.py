@@ -18,7 +18,6 @@ import lse.cli
 import lse.ltr
 import lse.training
 from lse.cli import main
-from lse.ltr import RankerConfig
 from lse.model import MAGIC
 from lse.retrieval import RankedList, read_run, write_run
 from lse.training import EpochLog, write_epoch_log
@@ -188,7 +187,7 @@ def test_ideal_vector_skips_single_relevant_topics(workflow):
     assert 0.0 <= aggregate["mean_ndcg_ideal"] <= 1.0
     manifest = json.loads((root / "ideal" / "manifest.json").read_text())
     assert manifest["config"] == {"cutoff": 100, "pair_samples": 500,
-                                  "batch": RankerConfig().batch}
+                                  "batch": 5}
 
 
 def test_fuse_reports_all_combinations(workflow):
@@ -215,7 +214,7 @@ def test_fuse_reports_all_combinations(workflow):
     manifest = json.loads((root / "fuse" / "manifest.json").read_text())
     assert "graph_also_bought" in manifest["inputs"]
     assert manifest["config"] == {"lambda_jm": 0.5, "folds": 2, "cutoff": 10,
-                                  "pair_samples": 300, "batch": RankerConfig().batch}
+                                  "pair_samples": 300, "batch": 3}
 
 
 def test_fuse_without_model_reports_qi_and_qi_qlm_only(workflow, tmp_path):

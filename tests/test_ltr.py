@@ -15,7 +15,8 @@ from lse.ltr import (COMBOS, GRAPH_NAMES, QI_MASK_FEATURES,
                      QI_VALUE_FEATURES, QIData, RankerConfig, _fold_partition,
                      _pair_rows, _pegasos, _standardize_fit, build_features,
                      cross_validated_fusion, ideal_vector_report, load_graph,
-                     load_qi_attributes, pagerank, qi_feature_matrix)
+                     load_qi_attributes, pagerank, pegasos_batch,
+                     qi_feature_matrix)
 from lse.evaluation import Qrels, evaluate_run, ndcg
 from lse.model import Dims, init_params, project
 from lse.qlm import estimate
@@ -86,10 +87,10 @@ def test_pagerank_input_validation():
 
 # ---- RankSVM ----
 
-def oracle_train_ranksvm(rows, labels, config, groups=None):
-    """The single-fit mini-batch Pegasos loop over config.batch pairs per
-    step, one pair at a time: the reference the lockstep trainer must match
-    bit for bit at batch 1. Returns the weights."""
+def oracle_train_ranksvm(rows, labels, config, groups=None, batch=1):
+    """The single-fit mini-batch Pegasos loop over batch pairs per step, one
+    pair at a time: the reference the lockstep trainer must match bit for
+    bit at batch 1. Returns the weights."""
     rows = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     groups = (np.zeros(len(rows), dtype=np.int64) if groups is None
@@ -124,12 +125,12 @@ def oracle_train_ranksvm(rows, labels, config, groups=None):
 
     lam = 1.0 / config.c
     w = np.zeros(rows.shape[1])
-    for t, lo in enumerate(range(0, t_total, config.batch), start=1):
-        batch = diffs[lo:lo + config.batch]
-        active = [d for d in batch if float(d @ w) < 1.0]
+    for t, lo in enumerate(range(0, t_total, batch), start=1):
+        step = diffs[lo:lo + batch]
+        active = [d for d in step if float(d @ w) < 1.0]
         w *= 1.0 - 1.0 / t
         if active:
-            w += (1.0 / (lam * t * len(batch))) * sum(active[1:], active[0])
+            w += (1.0 / (lam * t * len(step))) * sum(active[1:], active[0])
     return w
 
 
@@ -157,7 +158,7 @@ def lockstep_fits(draw):
         groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
         groups[1] = groups[0]
         fits.append((rows, labels, groups, RankerConfig(
-            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples, batch=1,
+            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples,
             seed=draw(st.integers(0, 2**32 - 1)))))
     return fits, steps, draw(st.booleans())
 
@@ -216,7 +217,7 @@ def mixed_width_fits(draw):
         groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
         groups[1] = groups[0]
         fits.append((rows, np.flatnonzero(used), labels, groups, RankerConfig(
-            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples, batch=1,
+            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples,
             seed=draw(st.integers(0, 2**32 - 1)))))
     return fits, steps, draw(st.booleans())
 
@@ -296,11 +297,13 @@ def test_masked_lockstep_minibatch_weights_equal_each_fits_narrow_fit(drawn, bat
         assert not w[~mask].any()
 
 
-def fit_ranksvm(rows, labels, config=RankerConfig(), groups=None):
-    """One RankSVM fit, as fuse and ideal-vector train each of theirs."""
+def fit_ranksvm(rows, labels, config=RankerConfig(), groups=None, batch=None):
+    """One RankSVM fit, as fuse and ideal-vector train each of theirs unless
+    batch is given."""
     pairs = _pair_rows(np.asarray(labels), groups, config)
     return _pegasos(np.asarray(rows, dtype=np.float64), *pair_columns([pairs]),
-                    [1.0 / config.c], batch=config.batch)[0]
+                    [1.0 / config.c],
+                    batch=batch or pegasos_batch(config.pair_samples))[0]
 
 
 @pytest.mark.parametrize("pair_samples, batch", [(10, 4), (23, 5), (9, 7), (3, 8)])
@@ -312,9 +315,9 @@ def test_minibatch_steps_average_each_batch_including_a_partial_last_one(
     rng = np.random.default_rng(pair_samples)
     rows = rng.normal(size=(12, 5))
     labels = np.tile([1, 0, 0], 4)
-    config = RankerConfig(c=0.3, pair_samples=pair_samples, batch=batch, seed=batch)
-    expected = oracle_train_ranksvm(rows, labels, config)
-    np.testing.assert_allclose(fit_ranksvm(rows, labels, config), expected,
+    config = RankerConfig(c=0.3, pair_samples=pair_samples, seed=batch)
+    expected = oracle_train_ranksvm(rows, labels, config, batch=batch)
+    np.testing.assert_allclose(fit_ranksvm(rows, labels, config, batch=batch), expected,
                                rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -327,7 +330,7 @@ def test_scored_and_gathered_step_sums_agree(standardize):
     rows = rng.normal(size=(60, 9)) * 4.0 + 2.0
     labels = rng.integers(0, 2, size=60)
     fits, batch = 4, 45  # 2b > R = 60: the cost rule scores
-    configs = [RankerConfig(c=c, pair_samples=400, batch=batch, seed=seed)
+    configs = [RankerConfig(c=c, pair_samples=400, seed=seed)
                for seed, c in enumerate((0.2, 1.0, 3.0, 8.0))]
     pos, neg = pair_columns([_pair_rows(labels, None, cfg) for cfg in configs])
     lams = [1.0 / cfg.c for cfg in configs]
@@ -354,7 +357,7 @@ def test_scored_and_gathered_step_sums_agree(standardize):
 @st.composite
 def objective_problems(draw):
     """One fit's rows (4-40 of width 1-20, any scale, z-scored), labels with
-    both classes, C, 500-3000 pairs and a batch of 2-50."""
+    both classes, C, 500-3000 pairs, and a batch of 2-50."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, width = draw(st.integers(4, 40)), draw(st.integers(1, 20))
     rows = rng.normal(size=(n, width)) * draw(st.sampled_from([0.01, 1.0, 50.0]))
@@ -363,7 +366,7 @@ def objective_problems(draw):
     labels[:2] = (1, 0)
     return ((rows - mean) / std, labels, RankerConfig(
         c=draw(st.floats(0.05, 20.0)), pair_samples=draw(st.integers(500, 3000)),
-        batch=draw(st.integers(2, 50)), seed=draw(st.integers(0, 2**32 - 1))))
+        seed=draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 50)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -374,25 +377,37 @@ def test_minibatch_objective_is_within_pegasos_bound_of_single_pair_steps(proble
     Pegasos' bound for its T = ceil(pairs / b) steps, G^2 (1 + ln T) /
     (2 lambda T), with G = 2 max|d| bounding every subgradient (|w| stays
     below max|d| / lambda)."""
-    rows, labels, config = problem
+    rows, labels, config, batch = problem
     pos, neg = _pair_rows(labels, None, config)
     diffs = rows[pos] - rows[neg]
-    single = hinge_objective(fit_ranksvm(rows, labels, replace(config, batch=1)),
-                             diffs, config.c)
-    batched = hinge_objective(fit_ranksvm(rows, labels, config), diffs, config.c)
-    steps = -(-config.pair_samples // config.batch)
+    single = hinge_objective(fit_ranksvm(rows, labels, config, batch=1), diffs,
+                             config.c)
+    batched = hinge_objective(fit_ranksvm(rows, labels, config, batch=batch), diffs,
+                              config.c)
+    steps = -(-config.pair_samples // batch)
     g_squared = 4.0 * float((diffs * diffs).sum(axis=1).max())
     bound = g_squared * (1.0 + np.log(steps)) * config.c / (2.0 * steps)
     assert batched - single <= bound
 
 
 def test_ranksvm_duplicated_column_matches_single_column():
-    # 1e5 single-pair steps bring both fits to the optimum, where their scores
-    # agree; the default batch's 100 steps leave the last iterates ~1/t away
-    config = RankerConfig(batch=1)
+    """Both fits' optima score the one pair d at the margin 1. Every pair
+    is d, so each of the T steps is all active or all not, and its score
+    s_t = d.w_t, with a = C |d|^2 >= 1, stays within a / t of 1: a step from
+    below adds a / t to (1 - 1/t) s_{t-1}, one from above only shrinks it."""
+    config = RankerConfig()
+    steps = -(-config.pair_samples // pegasos_batch(config.pair_samples))
     single = fit_ranksvm([[2.0], [0.0]], [1, 0], config)
     dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0], config)
     assert dup[0] == pytest.approx(dup[1], rel=1e-12)
+    s1 = np.array([[2.0], [0.0]]) @ single
+    s2 = np.array([[2.0, 2.0], [0.0, 0.0]]) @ dup
+    assert s1[1] == s2[1] == 0.0
+    for score, norm_squared in ((s1[0], 4.0), (s2[0], 8.0)):
+        assert abs(score - 1.0) <= config.c * norm_squared / steps
+    # one pair per step takes 1e5 steps, which bring both to the optimum
+    single = fit_ranksvm([[2.0], [0.0]], [1, 0], config, batch=1)
+    dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0], config, batch=1)
     s1 = np.array([[2.0], [0.0]]) @ single
     s2 = np.array([[2.0, 2.0], [0.0, 0.0]]) @ dup
     assert np.max(np.abs(s1 - s2)) < 1e-6
@@ -430,9 +445,14 @@ def test_ranker_config_validation():
         RankerConfig(c=0.0)
     with pytest.raises(DataError):
         RankerConfig(pair_samples=0)
-    for batch in (0, -1):
-        with pytest.raises(DataError, match="batch must be at least 1"):
-            RankerConfig(batch=batch)
+
+
+@pytest.mark.parametrize("pair_samples, batch", [
+    (1, 1), (99, 1), (100, 1), (199, 1), (200, 2), (299, 2), (300, 3), (20000, 200),
+    (100000, 1000), (123456, 1234)])
+def test_pegasos_batch_keeps_at_least_100_steps(pair_samples, batch):
+    assert pegasos_batch(pair_samples) == batch
+    assert min(pair_samples, 100) <= -(-pair_samples // batch) < 200
 
 
 # ---- query-independent data ----
@@ -621,9 +641,10 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
     """Every fold trained alone by the oracle loop, on its z-scored training
     topics, gives the same per-topic metrics as the lockstep folds."""
     table, qrels = fusion_setup()
-    folds, seed, config = 4, 3, RankerConfig(c=0.5, pair_samples=700, batch=1)
-    report = cross_validated_fusion(table, qrels, folds=folds, seed=seed,
-                                    cutoff=10, ks=(5,), ranker_config=config)
+    folds, seed, config = 4, 3, RankerConfig(c=0.5, pair_samples=700)
+    with mock.patch.object(lse.ltr, "_MIN_STEPS", config.pair_samples):  # b = 1
+        report = cross_validated_fusion(table, qrels, folds=folds, seed=seed,
+                                        cutoff=10, ks=(5,), ranker_config=config)
     n = len(table.entity_ids)
     partition = _fold_partition(table.topics, folds, seed)
     for combo_index, (combo, row) in enumerate(zip(COMBOS, report.rows)):
@@ -667,24 +688,26 @@ def test_cross_validated_fusion_without_lse_trains_only_qi_and_qi_qlm():
 
 
 def test_each_command_trains_its_rankers_in_one_pegasos_call():
+    """One call per command, at pegasos_batch's 2 pairs per step for 200
+    pairs."""
     calls = []
 
     def counting(rows, pos, neg, *args, **kwargs):
-        calls.append(pos.shape[1])
+        calls.append((pos.shape[1], kwargs["batch"]))
         return _pegasos(rows, pos, neg, *args, **kwargs)
 
     table, qrels = fusion_setup()
     with mock.patch.object(lse.ltr, "_pegasos", counting):
         cross_validated_fusion(table, qrels, folds=3, seed=0, cutoff=10, ks=(5,),
                                ranker_config=RankerConfig(pair_samples=200))
-        assert calls == [len(COMBOS) * 3]
+        assert calls == [(len(COMBOS) * 3, 2)]
         calls.clear()
         params, vocab, topics, qrels, ids = report_setup()
         topics["ok2"] = "wb wc"
         qrels = Qrels({**qrels.grades, ("ok2", "e1"): 1, ("ok2", "e3"): 1})
         rows = ideal_vector_report(params, vocab, topics, qrels, ids,
                                    config=RankerConfig(pair_samples=200))
-    assert calls == [sum(row["status"] == "ok" for row in rows)] == [2]
+    assert calls == [(sum(row["status"] == "ok" for row in rows), 2)] == [(2, 2)]
 
 
 # ---- ideal vectors ----
@@ -770,9 +793,10 @@ def test_ideal_vector_report_equals_per_topic_oracle():
     topics["oov"] = "zzz"
     grades[("oov", "e00")] = grades[("oov", "e01")] = 1
     qrels = Qrels(grades)
-    config = RankerConfig(c=2.0, pair_samples=900, batch=1, seed=5)
-    rows = ideal_vector_report(params, vocab, topics, qrels, ids, cutoff=5,
-                               config=config)
+    config = RankerConfig(c=2.0, pair_samples=900, seed=5)
+    with mock.patch.object(lse.ltr, "_MIN_STEPS", config.pair_samples):  # b = 1
+        rows = ideal_vector_report(params, vocab, topics, qrels, ids, cutoff=5,
+                                   config=config)
     norms = np.linalg.norm(params.W_e, axis=1, keepdims=True)
     unit = np.divide(params.W_e, norms, out=np.zeros_like(params.W_e),
                      where=norms > 0)
