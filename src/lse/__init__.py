@@ -24,7 +24,7 @@ from .qlm import EntityLanguageModel, estimate, sweep_lambda
 from .retrieval import RankedList, rank_entities, read_run, write_run
 from .sampling import (InstanceBlock, SamplerConfig, make_batches,
                        ngrams_per_entity_per_epoch, sample_epoch)
-from .text import (Corpus, Document, Vocabulary, build_vocabulary, encode_corpus,
+from .text import (Corpus, Vocabulary, build_vocabulary, encode_corpus,
                    extract_topic_query, tokenize, topics_from_categories)
 from .training import TrainResult, train, write_epoch_log
 
@@ -45,7 +45,7 @@ __all__ = [
     "RankedList", "rank_entities", "read_run", "write_run",
     "InstanceBlock", "SamplerConfig", "make_batches",
     "ngrams_per_entity_per_epoch", "sample_epoch",
-    "Corpus", "Document", "Vocabulary", "build_vocabulary", "encode_corpus",
+    "Corpus", "Vocabulary", "build_vocabulary", "encode_corpus",
     "extract_topic_query", "tokenize", "topics_from_categories",
     "TrainResult", "train", "write_epoch_log",
 ]

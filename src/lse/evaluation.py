@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateStatisticError
 from .files import atomic_open, read_lines
+from .qlm import estimate
 from .text import tokenize
 
 
@@ -352,28 +353,21 @@ def idf_match_analysis(corpus, vocab, topics, qrels):
     unmatched lists topics with no lexically matched term.
     """
     n_profiles = corpus.num_entities
-    profile_sets = []
-    df = {}
-    for i in range(n_profiles):
-        toks = set(corpus.profile_tokens(i).tolist())
-        profile_sets.append(toks)
-        for t in toks:
-            df[t] = df.get(t, 0) + 1
+    profiles = estimate(corpus)
     per_topic = {}
     unmatched = []
     for tid in sorted(topics):
-        qids = []
-        seen = set()
-        for t in vocab.encode(tokenize(topics[tid])):
-            if t not in seen:
-                seen.add(t)
-                qids.append(t)
-        rel_idx = [corpus.entity_index[eid] for eid in qrels.relevant(tid)
-                   if eid in corpus.entity_index]
-        matched = [t for t in qids
-                   if any(t in profile_sets[e] for e in rel_idx)]
-        if not matched:
+        relevant = [corpus.entity_index[eid] for eid in qrels.relevant(tid)
+                    if eid in corpus.entity_index]
+        # df(t) is the length of t's postings; t matches when they hold a
+        # relevant entity.
+        dfs = []
+        for t in dict.fromkeys(vocab.encode(tokenize(topics[tid]))):
+            holders = profiles.postings(t)[0] if profiles.corpus_count(t) else ()
+            if np.isin(relevant, holders).any():
+                dfs.append(len(holders))
+        if not dfs:
             unmatched.append(tid)
             continue
-        per_topic[tid] = sum(math.log(n_profiles / df[t]) for t in matched) / len(matched)
+        per_topic[tid] = sum(math.log(n_profiles / df) for df in dfs) / len(dfs)
     return per_topic, unmatched

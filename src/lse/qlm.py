@@ -57,10 +57,9 @@ def estimate(corpus, lambda_jm=0.5):
     n = corpus.num_entities
     if n < 1:
         raise DataError("corpus has no entities")
-    profiles = [corpus.profile_tokens(i) for i in range(n)]
-    entity_totals = np.array([len(p) for p in profiles], dtype=np.int64)
-    tokens = np.concatenate(profiles).astype(np.int64)
-    owners = np.repeat(np.arange(n, dtype=np.int64), entity_totals)
+    tokens = corpus.tokens.astype(np.int64)
+    owners = np.repeat(corpus.doc_entity.astype(np.int64), np.diff(corpus.doc_ptr))
+    entity_totals = np.bincount(owners, minlength=n)
     vocab_size = int(tokens.max()) + 1 if len(tokens) else 0
     keys, term_counts = np.unique(tokens * n + owners, return_counts=True)
     corpus_counts = np.bincount(tokens, minlength=vocab_size)
@@ -129,8 +128,9 @@ def sweep_lambda(corpus, topics, qrels, vocab, cutoff=100):
     """Evaluate mean NDCG at each of the 21 grid points 0.0, 0.05, ..., 1.0
     and return (best_lambda, [(lambda, mean_ndcg)]); ties prefer smaller
     lambda."""
-    from .evaluation import evaluate_run
+    from .evaluation import check_cutoff, evaluate_run
 
+    check_cutoff(cutoff)
     if not topics:
         raise DataError("no validation topics for the sweep")
     queries = {tid: vocab.encode(tokenize(q)) for tid, q in topics.items()}

@@ -45,12 +45,16 @@ class InstanceBlock:
                              self.negatives[rows])
 
 
+def _eligible(corpus, n):
+    """Number of n-gram start positions in each document."""
+    return np.maximum(np.diff(corpus.doc_ptr) - n + 1, 0)
+
+
 def ngrams_per_entity_per_epoch(corpus, n):
     """Per-entity sample budget: ceil of (total eligible n-gram positions) / |X|."""
     if n < 1:
         raise DataError("window size must be at least 1")
-    total = sum(max(len(d.tokens) - n + 1, 0) for d in corpus.documents)
-    return -(-total // corpus.num_entities)
+    return -(-int(_eligible(corpus, n).sum()) // corpus.num_entities)
 
 
 def sample_epoch(corpus, config, rng):
@@ -65,50 +69,42 @@ def sample_epoch(corpus, config, rng):
 
     The generator is consumed in a committed order so equal seeds give
     byte-identical epochs: per-entity position draws in ascending entity
-    index, then the negatives matrix, then the shuffle permutation.
+    index, each over the entity's start positions in ascending order, then
+    the negatives matrix, then the shuffle permutation.
     """
     n, z = config.n, config.z
     budget = ngrams_per_entity_per_epoch(corpus, n)
     if budget == 0:
         raise DataError("window larger than all documents")
 
-    lengths = np.array([len(d.tokens) for d in corpus.documents], dtype=np.int64)
-    offsets = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    tokens_flat = (np.concatenate([d.tokens for d in corpus.documents])
-                   if len(corpus.documents) else np.empty(0, dtype=np.int32))
-    eligible = np.maximum(lengths - n + 1, 0)
-
-    entity_codes = []
-    for i in range(corpus.num_entities):
-        parts = [offsets[j] + np.arange(eligible[j], dtype=np.int64)
-                 for j in corpus.association[i] if eligible[j] > 0]
-        entity_codes.append(np.concatenate(parts) if parts
-                            else np.empty(0, dtype=np.int64))
-
-    starts_parts = []
-    pos_parts = []
-    skipped = []
-    for i in range(corpus.num_entities):
-        codes = entity_codes[i]
-        if len(codes) == 0:
-            skipped.append(i)
-            continue
-        picks = rng.integers(0, len(codes), size=budget)
-        starts_parts.append(codes[picks])
-        pos_parts.append(np.full(budget, i, dtype=np.int32))
+    # Every start position, grouped by entity: documents in a stable sort by
+    # entity (so in input order within one), each one's starts ascending.
+    order = np.argsort(corpus.doc_entity, kind="stable")
+    eligible = _eligible(corpus, n)[order]
+    ends = np.cumsum(eligible)
+    positions = (np.repeat(corpus.doc_ptr[order] - (ends - eligible), eligible)
+                 + np.arange(ends[-1]))
+    last_doc = np.cumsum(np.bincount(corpus.doc_entity, minlength=corpus.num_entities))
+    entity_end = np.concatenate(([0], ends))[last_doc]
+    sizes = np.diff(entity_end, prepend=0)
+    kept = np.flatnonzero(sizes)
+    skipped = np.flatnonzero(sizes == 0).tolist()
     if skipped:
         log.warning("%d of %d entities have no eligible n-gram positions",
                     len(skipped), corpus.num_entities)
 
-    starts = np.concatenate(starts_parts)
-    positives = np.concatenate(pos_parts)
+    starts = np.empty((len(kept), budget), dtype=np.int64)
+    for row, (end, size) in enumerate(zip(entity_end[kept].tolist(),
+                                          sizes[kept].tolist())):
+        starts[row] = positions[end - size + rng.integers(0, size, size=budget)]
+    starts = starts.ravel()
+    positives = np.repeat(kept.astype(np.int32), budget)
     count = len(starts)
     negatives = rng.integers(0, corpus.num_entities, size=(count, z)).astype(np.int32)
     perm = rng.permutation(count)
 
     starts = starts[perm]
-    ngrams = tokens_flat[starts[:, None] + np.arange(n)]
+    ngrams = corpus.tokens[starts[:, None] + np.arange(n)]
     return InstanceBlock(ngrams, positives[perm], negatives[perm], skipped)
 
 

@@ -3,6 +3,7 @@ and benchmark topics built from category hierarchies."""
 
 import hashlib
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -158,29 +159,27 @@ def build_vocabulary(raw_docs, max_size=Vocabulary.MAX_SIZE, source="corpus"):
                       [document_frequency[t] for t in retained])
 
 
-@dataclass(frozen=True)
-class Document:
-    doc_id: str
-    entity_id: str
-    tokens: np.ndarray  # vocabulary ids, int32
-
-
 @dataclass
 class Corpus:
-    """Entities with their encoded documents.
+    """Encoded documents laid end to end in one token array.
 
-    entities is ordered by first appearance in the input; association maps
-    entity index -> indices into documents.
+    The j-th document holds the ids tokens[doc_ptr[j]:doc_ptr[j + 1]], is
+    named doc_ids[j] and belongs to entity doc_entity[j], an index into
+    entities, which is ordered by first appearance in the input.
     """
 
+    tokens: np.ndarray  # int32
+    doc_ptr: np.ndarray  # int64, one offset per document plus the end
+    doc_entity: np.ndarray  # int32
+    doc_ids: list
     entities: list
-    documents: list
-    association: dict
-    total_tokens: int
     dropped_tokens: int = 0
     entity_index: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.tokens = np.asarray(self.tokens, dtype=np.int32)
+        self.doc_ptr = np.asarray(self.doc_ptr, dtype=np.int64)
+        self.doc_entity = np.asarray(self.doc_entity, dtype=np.int32)
         if not self.entity_index:
             self.entity_index = {e: i for i, e in enumerate(self.entities)}
 
@@ -188,25 +187,20 @@ class Corpus:
     def num_entities(self):
         return len(self.entities)
 
-    def documents_of(self, entity_index):
-        return [self.documents[j] for j in self.association[entity_index]]
-
-    def profile_tokens(self, entity_index):
-        """All token ids of the entity's documents, concatenated."""
-        docs = self.documents_of(entity_index)
-        if not docs:
-            return np.empty(0, dtype=np.int32)
-        return np.concatenate([d.tokens for d in docs])
+    @property
+    def total_tokens(self):
+        return len(self.tokens)
 
 
 def encode_corpus(raw_docs, vocab):
-    """Encode raw documents against vocab; entities ordered by first appearance."""
-    entities = []
+    """Encode raw documents against vocab into one Corpus; entities ordered by
+    first appearance."""
+    tokens = array("i")
+    doc_ptr = [0]
+    doc_ids = []
+    doc_entity = []
     entity_index = {}
-    documents = []
-    association = {}
     seen = set()
-    total = 0
     dropped = 0
     for doc_id, entity_id, text in raw_docs:
         if doc_id in seen:
@@ -215,16 +209,14 @@ def encode_corpus(raw_docs, vocab):
         toks = tokenize(text)
         ids = vocab.encode(toks)
         dropped += len(toks) - len(ids)
-        total += len(ids)
-        if entity_id not in entity_index:
-            entity_index[entity_id] = len(entities)
-            entities.append(entity_id)
-            association[entity_index[entity_id]] = []
-        association[entity_index[entity_id]].append(len(documents))
-        documents.append(Document(doc_id, entity_id, np.asarray(ids, dtype=np.int32)))
-    if not documents:
+        tokens.extend(ids)
+        doc_ptr.append(len(tokens))
+        doc_ids.append(doc_id)
+        doc_entity.append(entity_index.setdefault(entity_id, len(entity_index)))
+    if not doc_ids:
         raise DataError("corpus has no documents")
-    return Corpus(entities, documents, association, total, dropped, entity_index)
+    return Corpus(tokens, doc_ptr, doc_entity, doc_ids, list(entity_index), dropped,
+                  entity_index)
 
 
 def extract_topic_query(path):

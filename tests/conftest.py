@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lse.model import ModelParams
-from lse.text import Corpus, Document, Vocabulary
+from lse.text import Corpus, Vocabulary
 
 
 def synth_word(i, j):
@@ -14,32 +14,45 @@ def synth_word(i, j):
     return "v" + chr(97 + i) + chr(97 + j)
 
 
+def make_corpus(documents, entities=None):
+    """Corpus of (entity id, token ids) documents named d0, d1, ...; entities
+    default to their order of first appearance."""
+    if entities is None:
+        entities = list(dict.fromkeys(e for e, _ in documents))
+    index = {e: i for i, e in enumerate(entities)}
+    tokens = [np.asarray(toks, dtype=np.int32) for _, toks in documents]
+    return Corpus(np.concatenate([np.empty(0, dtype=np.int32)] + tokens),
+                  np.cumsum([0] + [len(t) for t in tokens]),
+                  [index[e] for e, _ in documents],
+                  [f"d{j}" for j in range(len(documents))], entities)
+
+
+def documents(corpus):
+    """(entity index, token ids) of each document, in corpus order."""
+    for j, e in enumerate(corpus.doc_entity.tolist()):
+        yield e, corpus.tokens[corpus.doc_ptr[j]:corpus.doc_ptr[j + 1]]
+
+
 def build_separable_corpus(num_entities=8, words_per=20, docs_per=10,
                            doc_len=30, seed=123):
     """Entities with mutually disjoint vocabularies; trivially learnable."""
     rng = np.random.default_rng(seed)
-    entities = [f"e{i}" for i in range(num_entities)]
     docs = []
-    assoc = {}
-    total = 0
     for i in range(num_entities):
-        assoc[i] = []
         lo = i * words_per
-        for d in range(docs_per):
-            toks = rng.integers(lo, lo + words_per, size=doc_len).astype(np.int32)
-            assoc[i].append(len(docs))
-            docs.append(Document(f"e{i}d{d}", f"e{i}", toks))
-            total += doc_len
+        for _ in range(docs_per):
+            docs.append((f"e{i}", rng.integers(lo, lo + words_per, size=doc_len)))
     names = [synth_word(i, j) for i in range(num_entities) for j in range(words_per)]
     vocab = Vocabulary(names, [docs_per * doc_len] * len(names), [docs_per] * len(names))
-    return Corpus(entities, docs, assoc, total), vocab
+    return make_corpus(docs), vocab
 
 
 def profile_counts(corpus):
     """Reference term counts: one Counter per entity profile, plus the corpus
     Counter, counted token by token."""
-    per_entity = [Counter(corpus.profile_tokens(i).tolist())
-                  for i in range(corpus.num_entities)]
+    per_entity = [Counter() for _ in range(corpus.num_entities)]
+    for e, toks in documents(corpus):
+        per_entity[e].update(toks.tolist())
     return per_entity, sum(per_entity, Counter())
 
 
@@ -79,16 +92,12 @@ def build_fusion_benchmark():
 
     entities = [f"p{i:02d}" for i in range(num_entities)]
     docs = []
-    assoc = {}
-    total = 0
     for i in range(num_entities):
         toks = list(fill_ids)
         if i < 10:
             toks = [vocab.token_to_id[lex[i]]] * 3 + toks
-        assoc[i] = [len(docs)]
-        docs.append(Document(f"d{i}", entities[i], np.asarray(toks, dtype=np.int32)))
-        total += len(toks)
-    corpus = Corpus(entities, docs, assoc, total)
+        docs.append((entities[i], toks))
+    corpus = make_corpus(docs)
 
     e_v = len(names)
     e_e = 32

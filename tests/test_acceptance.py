@@ -15,7 +15,7 @@ import pytest
 import scipy.stats
 
 from conftest import (build_fusion_benchmark, build_separable_corpus,
-                      profile_counts, separable_topics)
+                      documents, make_corpus, profile_counts, separable_topics)
 from lse.evaluation import (Qrels, evaluate_run, ndcg,
                             paired_t_test, precision_at_k)
 from lse.ltr import (RankerConfig, build_features, cross_validated_fusion,
@@ -25,7 +25,7 @@ from lse.model import (Dims, TrainConfig, batch_loss, init_params,
 from lse.qlm import SWEEP_GRID, estimate, score, sweep_lambda
 from lse.retrieval import RankedList, rank_entities, write_run
 from lse.sampling import InstanceBlock, SamplerConfig, sample_epoch
-from lse.text import Corpus, Document, Vocabulary, tokenize
+from lse.text import Vocabulary, tokenize
 from lse.training import _epoch_rng, train, write_epoch_log
 
 SEPARABLE_CONFIG = dict(e_v=32, e_e=16, n=4, z=5, m=64, epochs=15, seed=0)
@@ -288,24 +288,19 @@ def build_scaling_corpus(num_entities=1024, num_docs=20000, doc_len=50,
     entities = [f"x{i:04d}" for i in range(num_entities)]
     tokens = rng.integers(0, vocab_size, size=(num_docs, doc_len),
                           dtype=np.int32)
-    docs = []
-    assoc = {i: [] for i in range(num_entities)}
-    for d in range(num_docs):
-        e = int(owners[d])
-        assoc[e].append(d)
-        docs.append(Document(f"x{e:04d}d{d}", entities[e], tokens[d]))
     letters = "abcdefghijklmnopqrstuvwxyz"
     names = ["q" + "".join(t) for t in itertools.islice(
         itertools.product(letters, repeat=3), vocab_size)]
     vocab = Vocabulary(names, [1] * vocab_size, [1] * vocab_size)
-    return Corpus(entities, docs, assoc, num_docs * doc_len), vocab
+    return make_corpus([(entities[e], toks) for e, toks in zip(owners, tokens)],
+                       entities), vocab
 
 
 def test_criterion_9_scaling_smoke():
     corpus, vocab = build_scaling_corpus()
     config = TrainConfig(epochs=1)
-    positions = sum(max(len(d.tokens) - config.n + 1, 0)
-                    for d in corpus.documents)
+    positions = sum(max(len(toks) - config.n + 1, 0)
+                    for _, toks in documents(corpus))
     budget = -(-positions // corpus.num_entities)
     sampler = SamplerConfig(n=config.n, z=config.z, m=config.m)
     block = sample_epoch(corpus, sampler, _epoch_rng(config.seed, 1))

@@ -471,7 +471,7 @@ def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("cutoff", ["0", "-2"])
-@pytest.mark.parametrize("command", ["eval", "fuse", "ideal-vector"])
+@pytest.mark.parametrize("command", ["eval", "fuse", "ideal-vector", "sweep-lambda"])
 def test_cutoff_below_one_exits_1_before_any_ranker_trains(workflow, tmp_path,
                                                            monkeypatch, command,
                                                            cutoff):
@@ -484,7 +484,8 @@ def test_cutoff_below_one_exits_1_before_any_ranker_trains(workflow, tmp_path,
     args = {"eval": ["eval", root / "rank" / "run.trec", qrels],
             "fuse": ["fuse", corpus, vocab, topics, qrels, "--model", model,
                      "--folds", "2"],
-            "ideal-vector": ["ideal-vector", model, vocab, topics, qrels]}[command]
+            "ideal-vector": ["ideal-vector", model, vocab, topics, qrels],
+            "sweep-lambda": ["sweep-lambda", corpus, vocab, topics, qrels]}[command]
     result = CliRunner().invoke(main, [str(a) for a in args]
                                 + ["--out", str(tmp_path / "out"), "--cutoff", cutoff])
     assert result.exit_code == 1, result.output

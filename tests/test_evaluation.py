@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from conftest import make_corpus
 from lse.errors import DataError, DegenerateStatisticError
 from lse.evaluation import (Qrels, TopicSet, average_ranks, compare_runs,
                             correlations, evaluate_run, idf_match_analysis, ndcg,
@@ -14,7 +15,7 @@ from lse.evaluation import (Qrels, TopicSet, average_ranks, compare_runs,
                             precision_at_k, regularized_incomplete_beta,
                             significance_marker, student_t_two_sided_p)
 from lse.retrieval import RankedList
-from lse.text import Corpus, Document, Vocabulary
+from lse.text import Vocabulary
 
 
 def ranked(topic, ids):
@@ -297,10 +298,7 @@ def test_permutation_test_validation():
 
 def idf_fixture():
     # profiles: e0 {0, 1}, e1 {0}, e2 {2}
-    docs = [Document("d0", "e0", np.asarray([0, 1, 1], dtype=np.int32)),
-            Document("d1", "e1", np.asarray([0], dtype=np.int32)),
-            Document("d2", "e2", np.asarray([2], dtype=np.int32))]
-    corpus = Corpus(["e0", "e1", "e2"], docs, {0: [0], 1: [1], 2: [2]}, 5)
+    corpus = make_corpus([("e0", [0, 1, 1]), ("e1", [0]), ("e2", [2])])
     vocab = Vocabulary(["alpha", "beta", "gamma"], [3, 1, 1], [2, 1, 1])
     return corpus, vocab
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_corpus
 import lse.ltr
 from lse.errors import DataError
 from lse.ltr import (COMBOS, GRAPH_NAMES, QI_MASK_FEATURES,
@@ -21,14 +22,11 @@ from lse.evaluation import Qrels, evaluate_run, ndcg
 from lse.model import Dims, init_params, project
 from lse.qlm import estimate
 from lse.retrieval import rank_by_vector, ranked_from_scores
-from lse.text import Corpus, Document, Vocabulary, tokenize
+from lse.text import Vocabulary, tokenize
 
 
 def small_corpus():
-    docs = [Document("d0", "e0", np.asarray([0, 0, 1], dtype=np.int32)),
-            Document("d1", "e1", np.asarray([1, 2], dtype=np.int32)),
-            Document("d2", "e2", np.asarray([2], dtype=np.int32))]
-    return Corpus(["e0", "e1", "e2"], docs, {0: [0], 1: [1], 2: [2]}, 6)
+    return make_corpus([("e0", [0, 0, 1]), ("e1", [1, 2]), ("e2", [2])])
 
 
 def feature_vocab():

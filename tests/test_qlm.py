@@ -7,20 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import profile_counts
+from conftest import make_corpus, profile_counts
 from lse.errors import DataError
 from lse.evaluation import Qrels
 from lse.qlm import SWEEP_GRID, estimate, rank, score, sweep_lambda
-from lse.text import Corpus, Document, Vocabulary, build_vocabulary, encode_corpus
+from lse.text import Vocabulary, build_vocabulary, encode_corpus
 
 A, B = 0, 1
 
 
 def two_entity_corpus():
     """Profiles [a,a,b] and [b]; corpus counts {a:2, b:2}."""
-    docs = [Document("d1", "e1", np.asarray([A, A, B], dtype=np.int32)),
-            Document("d2", "e2", np.asarray([B], dtype=np.int32))]
-    return Corpus(["e1", "e2"], docs, {0: [0], 1: [1]}, 4)
+    return make_corpus([("e1", [A, A, B]), ("e2", [B])])
 
 
 def test_estimate_aggregates_counts():
@@ -38,9 +36,7 @@ def test_score_interpolation_fixture():
 
 
 def test_score_empty_profile_uses_corpus_model_only():
-    docs = [Document("d1", "e1", np.asarray([A], dtype=np.int32)),
-            Document("d2", "e2", np.asarray([], dtype=np.int32))]
-    corpus = Corpus(["e1", "e2"], docs, {0: [0], 1: [1]}, 1)
+    corpus = make_corpus([("e1", [A]), ("e2", [])])
     model = estimate(corpus, 0.5)
     assert score(model, 1, [A]) == pytest.approx(math.log(0.5 * 1.0), abs=1e-12)
 
@@ -60,13 +56,7 @@ def test_score_drops_terms_unseen_in_corpus():
 
 def test_score_log_domain_matches_direct_product():
     rng = np.random.default_rng(0)
-    docs = []
-    assoc = {}
-    for i in range(4):
-        toks = rng.integers(0, 12, size=30).astype(np.int32)
-        assoc[i] = [i]
-        docs.append(Document(f"d{i}", f"e{i}", toks))
-    corpus = Corpus([f"e{i}" for i in range(4)], docs, assoc, 120)
+    corpus = make_corpus([(f"e{i}", rng.integers(0, 12, size=30)) for i in range(4)])
     entity_counts, corpus_counts = profile_counts(corpus)
     corpus_total = sum(corpus_counts.values())
     present = sorted(corpus_counts)
@@ -122,10 +112,7 @@ def test_rank_scores_equal_the_scalar_oracle(data):
     # no profile uses have zero corpus frequency.
     profiles = data.draw(st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=8),
                                   min_size=n, max_size=n), label="profiles")
-    docs = [Document(f"d{i}", f"e{i}", np.asarray(p, dtype=np.int32))
-            for i, p in enumerate(profiles)]
-    corpus = Corpus([f"e{i}" for i in range(n)], docs, {i: [i] for i in range(n)},
-                    sum(map(len, profiles)))
+    corpus = make_corpus([(f"e{i}", p) for i, p in enumerate(profiles)])
     query = data.draw(st.lists(st.integers(0, vocab_size + 1), max_size=6),
                       label="query")
     query = query + query[:data.draw(st.integers(0, len(query)), label="repeats")]
@@ -174,8 +161,7 @@ def test_sweep_emits_full_grid_and_best():
 
 
 def test_sweep_ties_prefer_smaller_lambda():
-    docs = [Document("d1", "only", np.asarray([A, B], dtype=np.int32))]
-    corpus = Corpus(["only"], docs, {0: [0]}, 2)
+    corpus = make_corpus([("only", [A, B])])
     vocab = Vocabulary(["aa", "bb"], [1, 1], [1, 1])
     best, grid = sweep_lambda(corpus, {"t1": "aa"}, Qrels({("t1", "only"): 1}),
                               vocab)

@@ -2,28 +2,69 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lse.errors import DataError
 from lse.sampling import (InstanceBlock, SamplerConfig, make_batches,
                           ngrams_per_entity_per_epoch, sample_epoch)
-from lse.text import Corpus, Document
 
-from conftest import build_separable_corpus
+from conftest import build_separable_corpus, documents, make_corpus
 
 
 def corpus_with_lengths(lengths, owners):
-    docs = []
-    assoc = {}
-    entities = sorted(set(owners), key=owners.index)
-    total = 0
-    for d, (length, owner) in enumerate(zip(lengths, owners)):
-        idx = entities.index(owner)
-        assoc.setdefault(idx, []).append(d)
-        docs.append(Document(f"d{d}", owner, np.arange(length, dtype=np.int32)))
-        total += length
-    for i in range(len(entities)):
-        assoc.setdefault(i, [])
-    return Corpus(entities, docs, assoc, total)
+    return make_corpus([(owner, np.arange(length))
+                        for length, owner in zip(lengths, owners)])
+
+
+def oracle_sample_epoch(corpus, config, rng):
+    """Reference sampler: gathers each entity's start positions document by
+    document through an entity -> documents map, then makes sample_epoch's
+    generator calls in the same order."""
+    n, z = config.n, config.z
+    docs = list(documents(corpus))
+    lengths = np.array([len(toks) for _, toks in docs], dtype=np.int64)
+    total = sum(max(length - n + 1, 0) for length in lengths.tolist())
+    budget = -(-total // corpus.num_entities)
+    if budget == 0:
+        raise DataError("window larger than all documents")
+    owned = {i: [] for i in range(corpus.num_entities)}
+    for j, (entity, _) in enumerate(docs):
+        owned[entity].append(j)
+
+    offsets = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    tokens_flat = np.concatenate([toks for _, toks in docs])
+    eligible = np.maximum(lengths - n + 1, 0)
+
+    entity_codes = []
+    for i in range(corpus.num_entities):
+        parts = [offsets[j] + np.arange(eligible[j], dtype=np.int64)
+                 for j in owned[i] if eligible[j] > 0]
+        entity_codes.append(np.concatenate(parts) if parts
+                            else np.empty(0, dtype=np.int64))
+
+    starts_parts = []
+    pos_parts = []
+    skipped = []
+    for i in range(corpus.num_entities):
+        codes = entity_codes[i]
+        if len(codes) == 0:
+            skipped.append(i)
+            continue
+        picks = rng.integers(0, len(codes), size=budget)
+        starts_parts.append(codes[picks])
+        pos_parts.append(np.full(budget, i, dtype=np.int32))
+
+    starts = np.concatenate(starts_parts)
+    positives = np.concatenate(pos_parts)
+    count = len(starts)
+    negatives = rng.integers(0, corpus.num_entities, size=(count, z)).astype(np.int32)
+    perm = rng.permutation(count)
+
+    starts = starts[perm]
+    ngrams = tokens_flat[starts[:, None] + np.arange(n)]
+    return InstanceBlock(ngrams, positives[perm], negatives[perm], skipped)
 
 
 def test_budget_rounds_up_over_entities():
@@ -62,8 +103,8 @@ def test_sample_epoch_ngrams_are_contiguous_entity_text():
         lo = positive * 10
         assert all(lo <= t < lo + 10 for t in ngram)
         found = False
-        for doc in corpus.documents_of(positive):
-            toks = doc.tokens.tolist()
+        for j in np.flatnonzero(corpus.doc_entity == positive):
+            toks = corpus.tokens[corpus.doc_ptr[j]:corpus.doc_ptr[j + 1]].tolist()
             for s in range(len(toks) - 3):
                 if toks[s:s + 4] == ngram:
                     found = True
@@ -106,6 +147,34 @@ def test_sample_epoch_skips_entities_without_positions():
                          np.random.default_rng(0))
     assert block.skipped_entities == (2,)
     assert set(np.unique(block.positives)) == {0, 1}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sample_epoch_equals_the_per_document_oracle(data):
+    num_entities = data.draw(st.integers(1, 5), label="entities")
+    # Owners interleave; a document may be empty or shorter than the window,
+    # and an entity may own no document at all.
+    docs = data.draw(st.lists(st.tuples(st.integers(0, num_entities - 1),
+                                        st.lists(st.integers(0, 9), max_size=8)),
+                              min_size=1, max_size=10), label="documents")
+    entities = [f"e{i}" for i in range(num_entities)]
+    corpus = make_corpus([(entities[e], toks) for e, toks in docs], entities)
+    config = SamplerConfig(n=data.draw(st.integers(1, 4), label="n"),
+                           z=data.draw(st.integers(1, 3), label="z"), m=8)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    try:
+        expected = oracle_sample_epoch(corpus, config, np.random.default_rng(seed))
+    except DataError:
+        with pytest.raises(DataError, match="window larger than all documents"):
+            sample_epoch(corpus, config, np.random.default_rng(seed))
+        return
+    got = sample_epoch(corpus, config, np.random.default_rng(seed))
+    for name in ("ngrams", "positives", "negatives"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+    assert got.skipped_entities == expected.skipped_entities
 
 
 def test_instance_block_sequence_protocol():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lse.errors import DataError
-from lse.text import (NUM_TOKEN, STOPWORDS, Corpus, Document, Vocabulary,
+from lse.text import (NUM_TOKEN, STOPWORDS, Corpus, Vocabulary,
                       build_vocabulary, encode_corpus, extract_topic_query,
                       load_categories, load_raw_docs, tokenize,
                       topics_from_categories)
@@ -114,20 +114,24 @@ def test_truncate_changes_digest():
     assert vocab.truncate(2).sha256() != vocab.sha256()
 
 
-def test_encode_corpus_association_and_order():
+def test_encode_corpus_doc_entity_and_order():
     docs = [("d1", "e1", "aa bb"), ("d2", "e1", "bb"), ("d3", "e2", "aa")]
     vocab = build_vocabulary(docs)
     corpus = encode_corpus(docs, vocab)
     assert corpus.entities == ["e1", "e2"]
-    assert corpus.association == {0: [0, 1], 1: [2]}
-    assert corpus.documents[0].tokens.dtype == np.int32
+    assert corpus.doc_ids == ["d1", "d2", "d3"]
+    assert corpus.doc_entity.tolist() == [0, 0, 1]
+    assert corpus.doc_ptr.tolist() == [0, 2, 3, 4]
+    assert corpus.tokens.dtype == np.int32
+    assert corpus.doc_ptr.dtype == np.int64
+    assert corpus.doc_entity.dtype == np.int32
 
 
 def test_encode_corpus_keeps_empty_documents():
     docs = [("d1", "e1", "aa"), ("d2", "e2", "zz zz")]
     vocab = build_vocabulary([("d1", "e1", "aa")])
     corpus = encode_corpus(docs, vocab)
-    assert len(corpus.documents[1].tokens) == 0
+    assert corpus.doc_ptr.tolist() == [0, 1, 1]
     assert corpus.dropped_tokens == 2
 
 
@@ -151,12 +155,45 @@ def test_encode_corpus_rejects_empty_input():
         encode_corpus([], vocab)
 
 
-def test_profile_tokens_concatenates_documents():
+def test_encode_corpus_lays_documents_end_to_end():
     docs = [("d1", "e1", "aa bb"), ("d2", "e1", "cc")]
     vocab = build_vocabulary(docs)
     corpus = encode_corpus(docs, vocab)
-    expected = vocab.encode(["aa", "bb", "cc"])
-    assert corpus.profile_tokens(0).tolist() == expected
+    assert corpus.tokens.tolist() == vocab.encode(["aa", "bb", "cc"])
+    assert corpus.total_tokens == 3
+
+
+# Words of every kind the tokenizer treats differently: in and out of the
+# vocabulary, stopwords, numbers, the literal placeholder and punctuation.
+ENCODER_WORDS = ("aa", "bb", "camera", "lens", "zz", "qq", "the", "of", "12", "3.5",
+                 "2,000", NUM_TOKEN, "mp3", "a-b", "!!", "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_encode_corpus_matches_per_document_oracle(data):
+    vocab_words = data.draw(st.lists(st.sampled_from(["aa", "bb", "camera", "lens",
+                                                      "mp", NUM_TOKEN]),
+                                     min_size=1, unique=True), label="vocab")
+    vocab = Vocabulary(vocab_words, [1] * len(vocab_words), [1] * len(vocab_words))
+    raw = data.draw(st.lists(st.tuples(st.sampled_from(["e0", "e1", "e2", "e3"]),
+                                       st.lists(st.sampled_from(ENCODER_WORDS),
+                                                max_size=8)),
+                             min_size=1, max_size=8), label="documents")
+    raw = [(f"d{j}", entity, " ".join(words)) for j, (entity, words) in enumerate(raw)]
+    corpus = encode_corpus(raw, vocab)
+    entities = list(dict.fromkeys(entity for _, entity, _ in raw))
+    assert corpus.entities == entities
+    assert corpus.doc_ids == [doc_id for doc_id, _, _ in raw]
+    dropped = 0
+    for j, (_, entity, text) in enumerate(raw):
+        toks = tokenize(text)
+        ids = vocab.encode(toks)
+        dropped += len(toks) - len(ids)
+        assert corpus.tokens[corpus.doc_ptr[j]:corpus.doc_ptr[j + 1]].tolist() == ids
+        assert corpus.doc_entity[j] == entities.index(entity)
+    assert corpus.doc_ptr[-1] == corpus.total_tokens == len(corpus.tokens)
+    assert corpus.dropped_tokens == dropped
 
 
 def test_extract_topic_query_uses_sublevels_in_title_order():
@@ -224,7 +261,6 @@ def test_load_categories_reports_bad_record(tmp_path):
 
 
 def test_corpus_entity_index_autofilled():
-    doc = Document("d1", "e1", np.asarray([0], dtype=np.int32))
-    corpus = Corpus(["e1"], [doc], {0: [0]}, 1)
+    corpus = Corpus([0], [0, 1], [0], ["d1"], ["e1"])
     assert corpus.entity_index == {"e1": 0}
     assert corpus.num_entities == 1
