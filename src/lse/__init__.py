@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from . import (errors, evaluation, files, ltr, model, qlm, retrieval, sampling,
                text, training)
-from .errors import DataError, DegenerateStatisticError, EmptyQueryError, LSEError
+from .errors import DataError, DegenerateStatisticError, LSEError
 from .evaluation import (Qrels, TopicSet, compare_runs, correlations,
                          evaluate_run, idf_match_analysis, ndcg, paired_t_test,
                          permutation_test_correlation, precision_at_k,
@@ -24,7 +24,7 @@ from .qlm import EntityLanguageModel, estimate, sweep_lambda
 from .retrieval import RankedList, rank_entities, read_run, write_run
 from .sampling import (InstanceBlock, SamplerConfig, make_batches,
                        ngrams_per_entity_per_epoch, sample_epoch)
-from .text import (Corpus, Vocabulary, build_vocabulary, encode_corpus,
+from .text import (Corpus, Vocabulary, build_vocabulary, encode_corpus, encode_topics,
                    extract_topic_query, tokenize, topics_from_categories)
 from .training import TrainResult, train, write_epoch_log
 
@@ -32,7 +32,7 @@ __all__ = [
     "__version__",
     "errors", "evaluation", "files", "ltr", "model", "qlm", "retrieval",
     "sampling", "text", "training",
-    "DataError", "DegenerateStatisticError", "EmptyQueryError", "LSEError",
+    "DataError", "DegenerateStatisticError", "LSEError",
     "Qrels", "TopicSet", "compare_runs", "correlations", "evaluate_run",
     "idf_match_analysis", "ndcg", "paired_t_test", "permutation_test_correlation",
     "precision_at_k", "significance_marker",
@@ -45,7 +45,7 @@ __all__ = [
     "RankedList", "rank_entities", "read_run", "write_run",
     "InstanceBlock", "SamplerConfig", "make_batches",
     "ngrams_per_entity_per_epoch", "sample_epoch",
-    "Corpus", "Vocabulary", "build_vocabulary", "encode_corpus",
+    "Corpus", "Vocabulary", "build_vocabulary", "encode_corpus", "encode_topics",
     "extract_topic_query", "tokenize", "topics_from_categories",
     "TrainResult", "train", "write_epoch_log",
 ]

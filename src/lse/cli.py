@@ -27,7 +27,7 @@ from .qlm import rank as qlm_rank
 from .qlm import sweep_lambda
 from .retrieval import rank_entities, read_run, write_run
 from .sampling import InstanceBlock, ngrams_per_entity_per_epoch
-from .text import Vocabulary, build_vocabulary, encode_corpus, load_raw_docs, tokenize
+from .text import Vocabulary, build_vocabulary, encode_corpus, encode_topics, load_raw_docs
 from .training import train, write_epoch_log
 
 
@@ -190,6 +190,9 @@ def _load_train_config(config_path, overrides):
 def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
               validation_qrels, **overrides):
     """Train the model and write the container, epoch log and manifest."""
+    if (validation_topics is None) != (validation_qrels is None):
+        raise click.UsageError("--validation-topics and --validation-qrels must be "
+                               "given together")
     config = _load_train_config(config_path, overrides)
     with _run(out_dir, config.as_dict(), config.seed):
         vocabulary = Vocabulary.load(vocab)
@@ -197,7 +200,7 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
         if ngrams_per_entity_per_epoch(corpus_data, config.n) == 0:
             raise DataError(f"{corpus}: window n = {config.n} is longer than "
                             "every document")
-        topics = TopicSet.load(validation_topics).topics if validation_topics else None
+        queries = _queries(validation_topics, vocabulary) if validation_topics else None
         qrels = Qrels.load(validation_qrels) if validation_qrels else None
 
         def progress(entry):
@@ -205,7 +208,7 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
             _status(f"epoch {entry.epoch}: loss {entry.mean_batch_loss:.6f} "
                     f"validation_ndcg {vn} ({entry.wall_seconds:.1f}s)")
 
-        result = train(corpus_data, vocabulary, config, topics, qrels, progress)
+        result = train(corpus_data, vocabulary, config, queries, qrels, progress)
         _status(f"kept epoch {result.best_epoch}")
         save_model(os.path.join(out_dir, "model.lse"), result.params,
                    vocab_sha256=vocabulary.sha256(), entity_ids=corpus_data.entities,
@@ -220,14 +223,16 @@ def _load_model_checked(model_path, vocabulary):
     return params, header
 
 
-def _rank_topics(out_dir, vocabulary, topics, top_k, run_tag, rank):
-    """Write run.trec with rank(topic_id, query token ids) for every topic in
-    id order, and skipped_topics.txt with the topics whose query has no
-    in-vocabulary token."""
-    topic_set = TopicSet.load(topics)
+def _queries(path, vocabulary):
+    """encode_topics of the topics file at path."""
+    return encode_topics(TopicSet.load(path).topics, vocabulary)
+
+
+def _rank_topics(out_dir, queries, top_k, run_tag, rank):
+    """Write run.trec with rank(topic_id, query token ids) for every query in
+    order, and skipped_topics.txt with the topics whose query is empty."""
     ranked, skipped = [], []
-    for tid in sorted(topic_set.topics):
-        ids = vocabulary.encode(tokenize(topic_set.topics[tid]))
+    for tid, ids in queries.items():
         if ids:
             ranked.append(rank(tid, ids))
         else:
@@ -244,7 +249,7 @@ def _rank_topics(out_dir, vocabulary, topics, top_k, run_tag, rank):
 @_input_argument("vocab")
 @_input_argument("topics")
 @_out_option()
-@click.option("--top-k", default=100, show_default=True)
+@click.option("--top-k", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--run-tag", default="lse", show_default=True)
 def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
     """Rank all entities for every topic with the trained model."""
@@ -252,7 +257,7 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
         vocabulary = Vocabulary.load(vocab)
         params, header = _load_model_checked(model, vocabulary)
         norms = np.linalg.norm(params.W_e, axis=1)
-        _rank_topics(out_dir, vocabulary, topics, top_k, run_tag,
+        _rank_topics(out_dir, _queries(topics, vocabulary), top_k, run_tag,
                      lambda tid, ids: rank_entities(params, ids, header["entity_ids"],
                                                     tid, top_k, norms))
 
@@ -264,7 +269,7 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
 @_out_option()
 @click.option("--lambda-jm", default=0.5, show_default=True,
               help="Jelinek-Mercer interpolation weight.")
-@click.option("--top-k", default=100, show_default=True)
+@click.option("--top-k", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--run-tag", default="qlm", show_default=True)
 def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
     """Rank all entities for every topic with the smoothed lexical model."""
@@ -272,7 +277,7 @@ def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
         vocabulary = Vocabulary.load(vocab)
         corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
         model = qlm_estimate(corpus_data, lambda_jm)
-        _rank_topics(out_dir, vocabulary, topics, top_k, run_tag,
+        _rank_topics(out_dir, _queries(topics, vocabulary), top_k, run_tag,
                      lambda tid, ids: qlm_rank(model, corpus_data.entities, ids, tid,
                                                top_k))
 
@@ -313,9 +318,8 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
     with _run(out_dir, {"cutoff": cutoff}):
         vocabulary = Vocabulary.load(vocab)
         corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
-        topic_set = TopicSet.load(topics)
-        best, grid = sweep_lambda(corpus_data, topic_set.topics, Qrels.load(qrels),
-                                  vocabulary, cutoff=cutoff)
+        best, grid = sweep_lambda(corpus_data, _queries(topics, vocabulary),
+                                  Qrels.load(qrels), cutoff=cutoff)
         with _output(out_dir, "sweep.csv") as fh:
             fh.write("lambda_jm,mean_ndcg\n")
             for lam, mean in grid:
@@ -356,11 +360,10 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
         if model_path:
             params, _ = _load_model_checked(model_path, vocabulary)
         qlm_model = qlm_estimate(corpus_data, lambda_jm)
-        topic_set = TopicSet.load(topics)
+        queries = _queries(topics, vocabulary)
         qrels_data = Qrels.load(qrels)
-        _status(f"assembling features for {len(topic_set.topics)} topics")
-        table = build_features(topic_set.topics, corpus_data, vocabulary, qlm_model,
-                               params, qi)
+        _status(f"assembling features for {len(queries)} topics")
+        table = build_features(queries, corpus_data, qlm_model, params, qi)
         report = cross_validated_fusion(
             table, qrels_data, folds=folds, seed=seed, cutoff=cutoff,
             ranker_config=RankerConfig(pair_samples=pair_samples, seed=seed))
@@ -406,8 +409,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
     with _run(out_dir, config, seed):
         vocabulary = Vocabulary.load(vocab)
         params, header = _load_model_checked(model, vocabulary)
-        topic_set = TopicSet.load(topics)
-        rows = ideal_vector_report(params, vocabulary, topic_set.topics,
+        rows = ideal_vector_report(params, _queries(topics, vocabulary),
                                    Qrels.load(qrels), header["entity_ids"],
                                    cutoff=cutoff,
                                    config=RankerConfig(pair_samples=pair_samples,
@@ -437,7 +439,8 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
 
 
 @main.command("grad-check")
-@click.option("--seeds", default=10, show_default=True, help="Random restarts.")
+@click.option("--seeds", default=10, show_default=True, type=click.IntRange(min=1),
+              help="Random restarts.")
 @click.option("--eps", default=1e-5, show_default=True)
 @click.option("--tolerance", default=1e-4, show_default=True)
 @click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False),

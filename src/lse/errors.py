@@ -9,13 +9,5 @@ class DataError(LSEError):
     """Malformed, inconsistent, or degenerate input data."""
 
 
-class EmptyQueryError(LSEError):
-    """A query has no in-vocabulary tokens left after encoding."""
-
-    def __init__(self, topic_id):
-        self.topic_id = topic_id
-        super().__init__(f"query for topic {topic_id!r} has no in-vocabulary tokens")
-
-
 class DegenerateStatisticError(LSEError):
     """A statistic is undefined for the given sample (e.g. zero variance)."""

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticError
-from .files import atomic_open, read_lines
+from .files import atomic_open, check_unique, read_lines
 from .qlm import estimate
-from .text import tokenize
 
 
 @dataclass
@@ -25,6 +24,7 @@ class TopicSet:
         """TSV whose first non-blank line is a header naming the split:
         'topic_id<TAB><split>'. An empty file is an empty test set."""
         topics = {}
+        first_line = {}
         split = None
         for number, line in read_lines(path):
             parts = line.split("\t")
@@ -34,9 +34,8 @@ class TopicSet:
                 if parts[0] != "topic_id":
                     raise DataError(f"{path}:{number}: missing header row")
                 split = parts[1]
-            elif parts[0] in topics:
-                raise DataError(f"{path}:{number}: duplicate topic id {parts[0]!r}")
             else:
+                check_unique(first_line, parts[0], path, number, "topic id {!r}")
                 topics[parts[0]] = parts[1]
         return cls(topics, "test" if split is None else split)
 
@@ -72,8 +71,10 @@ class Qrels:
 
     @classmethod
     def load(cls, path):
-        """TREC qrels format: 'topic_id 0 entity_id grade'."""
+        """TREC qrels format: 'topic_id 0 entity_id grade', each (topic,
+        entity) pair on one line only."""
         grades = {}
+        first_line = {}
         for number, line in read_lines(path):
             parts = line.split()
             if len(parts) != 4:
@@ -82,6 +83,8 @@ class Qrels:
             if grade not in ("0", "1"):
                 raise DataError(f"{path}:{number}: relevance grade must be "
                                 f"0 or 1, got {grade!r}")
+            check_unique(first_line, (tid, eid), path, number,
+                         "entity {0[1]!r} for topic {0[0]!r}")
             grades[(tid, eid)] = int(grade)
         return cls(grades)
 
@@ -344,9 +347,9 @@ def permutation_test_correlation(x, y, iterations=10000, seed=0, method="pearson
     return (1 + hits) / (1 + iterations)
 
 
-def idf_match_analysis(corpus, vocab, topics, qrels):
-    """Per topic, the mean IDF of distinct query terms that occur in at
-    least one relevant entity's profile.
+def idf_match_analysis(corpus, queries, qrels):
+    """Per topic of queries ({topic_id: token ids}), the mean IDF of distinct
+    query terms that occur in at least one relevant entity's profile.
 
     IDF(t) = ln(N / df(t)) with N the number of entity profiles and df the
     number of profiles containing t. Returns (per_topic, unmatched) where
@@ -356,13 +359,13 @@ def idf_match_analysis(corpus, vocab, topics, qrels):
     profiles = estimate(corpus)
     per_topic = {}
     unmatched = []
-    for tid in sorted(topics):
+    for tid, ids in sorted(queries.items()):
         relevant = [corpus.entity_index[eid] for eid in qrels.relevant(tid)
                     if eid in corpus.entity_index]
         # df(t) is the length of t's postings; t matches when they hold a
         # relevant entity.
         dfs = []
-        for t in dict.fromkeys(vocab.encode(tokenize(topics[tid]))):
+        for t in dict.fromkeys(ids):
             holders = profiles.postings(t)[0] if profiles.corpus_count(t) else ()
             if np.isin(relevant, holders).any():
                 dfs.append(len(holders))

@@ -36,6 +36,15 @@ def read_lines(path):
                 yield number, line.rstrip("\n")
 
 
+def check_unique(first_line, key, path, number, what):
+    """Record that key first appears on line number of path; a key already
+    recorded is a DataError naming what.format(key) and both lines."""
+    if key in first_line:
+        raise DataError(f"{path}:{number}: duplicate {what.format(key)}, first on "
+                        f"line {first_line[key]}")
+    first_line[key] = number
+
+
 def _check_field(path, number, record, name, kind):
     """DataError unless record[name] has the type kind, or kind is (type,
     None) and the value is null or missing."""

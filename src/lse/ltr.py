@@ -9,12 +9,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .evaluation import check_cutoff, compare_runs, evaluate_run
+from .evaluation import check_cutoff, compare_runs, evaluate_run, ndcg
 from .files import read_lines, read_records
 from .model import project
 from .qlm import score as qlm_score
 from .retrieval import cosine_scores, rank_by_vector, ranked_from_scores
-from .text import tokenize
 
 GRAPH_NAMES = ("also_bought", "also_viewed", "bought_together", "buy_after_viewing")
 
@@ -329,22 +328,21 @@ class FeatureTable:
         return np.asarray(cols, dtype=np.intp)
 
 
-def build_features(topics, corpus, vocab, qlm_model, params, qi=None):
-    """Assemble per-(topic, entity) feature rows over the full entity pool.
+def build_features(queries, corpus, qlm_model, params, qi=None):
+    """Assemble per-(topic, entity) feature rows over the full entity pool
+    for queries ({topic_id: token ids}).
 
     Columns: the QI block, then the lexical log-likelihood, then the cosine
-    of the projected query, left out when params is None. A query whose
-    tokens are all out of vocabulary gets zero query-dependent columns; a
-    -inf lexical score is replaced by (the topic's smallest finite score -
-    1)."""
+    of the projected query, left out when params is None. An empty query
+    gets zero query-dependent columns; a -inf lexical score is replaced by
+    (the topic's smallest finite score - 1)."""
     names = QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm",)
     names += () if params is None else ("lse",)
     qi_block = qi_feature_matrix(corpus, qi)
     n = corpus.num_entities
     norms = None if params is None else np.linalg.norm(params.W_e, axis=1)
     matrices = {}
-    for tid in sorted(topics):
-        qids = vocab.encode(tokenize(topics[tid]))
+    for tid, qids in sorted(queries.items()):
         qlm_col = np.zeros(n)
         if qids:
             qlm_col = np.array([qlm_score(qlm_model, i, qids) for i in range(n)])
@@ -358,7 +356,7 @@ def build_features(topics, corpus, vocab, qlm_model, params, qi=None):
             columns.append(cosine_scores(params.W_e, project(params, qids), norms)
                            if qids else np.zeros(n))
         matrices[tid] = np.column_stack(columns)
-    return FeatureTable(names, list(corpus.entities), sorted(topics), matrices)
+    return FeatureTable(names, list(corpus.entities), sorted(queries), matrices)
 
 
 def _standardize_fit(matrix):
@@ -481,24 +479,21 @@ def _unit_rows(w_e):
                      where=norms[:, None] > 0), norms
 
 
-def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
-                        config=None):
+def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100, config=None):
     """Per-topic comparison of the ideal-vector ranking against the
-    projected-query ranking; eligible topics' ideal vectors train in lockstep.
+    projected-query ranking for queries ({topic_id: token ids}); eligible
+    topics' ideal vectors train in lockstep.
 
     Returns a list of rows {topic_id, status, n_relevant, ndcg_ideal,
     ndcg_query}; status is one of ok, skipped_single_relevant,
     skipped_no_relevant, skipped_empty_query."""
-    from .evaluation import ndcg as ndcg_fn
-
     check_cutoff(cutoff)
     base_config = config or RankerConfig()
     rows = []
     eligible = []  # (row, qids, labels, ranker config) per topic with status ok
-    for index, tid in enumerate(sorted(topics)):
+    for index, (tid, qids) in enumerate(sorted(queries.items())):
         n_rel = len(qrels.relevant(tid))
         labels = _relevance_labels(qrels, tid, entity_ids)
-        qids = vocab.encode(tokenize(topics[tid]))
         # relevant ids outside entity_ids do not count towards the two needed
         status = ("skipped_no_relevant" if n_rel == 0
                   else "skipped_single_relevant" if labels.sum() < 2
@@ -525,6 +520,6 @@ def ideal_vector_report(params, vocab, topics, qrels, entity_ids, cutoff=100,
         ideal_run = rank_by_vector(w_e, w, entity_ids, tid, cutoff, norms)
         query_run = rank_by_vector(w_e, project(params, qids), entity_ids, tid,
                                    cutoff, norms)
-        row["ndcg_ideal"] = ndcg_fn(ideal_run, qrels, cutoff)
-        row["ndcg_query"] = ndcg_fn(query_run, qrels, cutoff)
+        row["ndcg_ideal"] = ndcg(ideal_run, qrels, cutoff)
+        row["ndcg_query"] = ndcg(query_run, qrels, cutoff)
     return rows

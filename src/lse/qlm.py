@@ -7,7 +7,6 @@ import numpy as np
 
 from .errors import DataError
 from .retrieval import ranked_from_scores
-from .text import tokenize
 
 
 class EntityLanguageModel:
@@ -124,16 +123,15 @@ def rank(model, entity_ids, query_token_ids, topic_id="q", k=None):
 SWEEP_GRID = tuple(i / 20 for i in range(21))
 
 
-def sweep_lambda(corpus, topics, qrels, vocab, cutoff=100):
-    """Evaluate mean NDCG at each of the 21 grid points 0.0, 0.05, ..., 1.0
-    and return (best_lambda, [(lambda, mean_ndcg)]); ties prefer smaller
-    lambda."""
+def sweep_lambda(corpus, queries, qrels, cutoff=100):
+    """Evaluate mean NDCG of queries ({topic_id: token ids}) at each of the
+    21 grid points 0.0, 0.05, ..., 1.0 and return (best_lambda,
+    [(lambda, mean_ndcg)]); ties prefer smaller lambda."""
     from .evaluation import check_cutoff, evaluate_run
 
     check_cutoff(cutoff)
-    if not topics:
+    if not queries:
         raise DataError("no validation topics for the sweep")
-    queries = {tid: vocab.encode(tokenize(q)) for tid, q in topics.items()}
     queries = {tid: ids for tid, ids in queries.items() if ids}
     if not queries:
         raise DataError("all sweep topics have empty encoded queries")

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyQueryError
-from .files import atomic_open, read_lines
+from .errors import DataError
+from .files import atomic_open, check_unique, read_lines
 from .model import project
 
 
@@ -67,12 +67,7 @@ def rank_entities(params, query_token_ids, entity_ids, topic_id="q", k=None,
                   norms=None):
     """Project the query, score every entity by cosine similarity and keep
     the top k (all when k is None). norms, when given, must be
-    np.linalg.norm(params.W_e, axis=1).
-
-    Raises EmptyQueryError (carrying the topic id) when no tokens remain.
-    """
-    if len(query_token_ids) == 0:
-        raise EmptyQueryError(topic_id)
+    np.linalg.norm(params.W_e, axis=1). An empty query raises LSEError."""
     f = project(params, query_token_ids)
     return rank_by_vector(params.W_e, f, entity_ids, topic_id, k, norms)
 
@@ -86,8 +81,10 @@ def write_run(path, ranked_lists, tag="lse", top_k=100):
 
 
 def read_run(path):
-    """Parse a TREC run file into {topic_id: RankedList}, order preserved."""
+    """Parse a TREC run file into {topic_id: RankedList}, order preserved; an
+    entity listed twice for one topic is a DataError."""
     runs = {}
+    first_line = {}
     for number, line in read_lines(path):
         parts = line.split()
         if len(parts) != 6 or parts[1] != "Q0":
@@ -100,5 +97,7 @@ def read_run(path):
             raise DataError(f"{path}:{number}: bad rank or score") from exc
         if math.isnan(score):
             raise DataError(f"{path}:{number}: score is NaN")
+        check_unique(first_line, (topic_id, eid), path, number,
+                     "entity {0[1]!r} for topic {0[0]!r}")
         runs.setdefault(topic_id, RankedList(topic_id, [])).entries.append((eid, score))
     return runs

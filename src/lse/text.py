@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_open, read_lines, read_records
+from .files import atomic_open, check_unique, read_lines, read_records
 
 NUM_TOKEN = "<num>"
 
@@ -123,10 +123,7 @@ class Vocabulary:
                                 "integers") from None
             if tok_id != len(id_to_token):
                 raise DataError(f"{path}:{number}: ids must be dense and ordered")
-            if tok in first_line:
-                raise DataError(f"{path}:{number}: duplicate token {tok!r}, "
-                                f"first on line {first_line[tok]}")
-            first_line[tok] = number
+            check_unique(first_line, tok, path, number, "token {!r}")
             id_to_token.append(tok)
             frequency.append(freq)
             document_frequency.append(df)
@@ -219,6 +216,12 @@ def encode_corpus(raw_docs, vocab):
                   entity_index)
 
 
+def encode_topics(topics, vocab):
+    """Encode topic_id -> query text against vocab into {topic_id: token ids},
+    in topic-id order; a query with no in-vocabulary token encodes to []."""
+    return {tid: vocab.encode(tokenize(topics[tid])) for tid in sorted(topics)}
+
+
 def extract_topic_query(path):
     """Build a topic query from a category path: tokenize the titles from the
     second level onward and de-duplicate words keeping the first
@@ -264,10 +267,7 @@ def load_raw_docs(path):
     for number, rec in read_records(path, {"doc_id": str, "entity_id": str,
                                            "text": str}):
         doc_id = rec["doc_id"]
-        if doc_id in first_line:
-            raise DataError(f"{path}:{number}: duplicate doc_id {doc_id!r}, "
-                            f"first on line {first_line[doc_id]}")
-        first_line[doc_id] = number
+        check_unique(first_line, doc_id, path, number, "doc_id {!r}")
         docs.append((doc_id, rec["entity_id"], rec["text"]))
     if not docs:
         raise DataError(f"{path}: corpus has no documents")

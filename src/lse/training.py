@@ -14,7 +14,6 @@ from .model import (PARAM_FIELDS, AdamState, Dims, adam_step,
                     batch_loss_and_gradients, init_params)
 from .retrieval import rank_entities
 from .sampling import SamplerConfig, make_batches, sample_epoch
-from .text import tokenize
 
 
 @dataclass
@@ -37,15 +36,16 @@ def _epoch_rng(seed, epoch):
                                                         spawn_key=(1, epoch)))
 
 
-def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
+def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
           progress=None):
     """Run the configured number of epochs and keep the best one.
 
     Each epoch samples a fresh shuffled instance stream, walks it in batches
-    of m, and applies one Adam step per batch. When validation topics and
-    qrels are given, the epoch with the highest mean validation NDCG wins
-    (ties go to the earlier epoch), scored as `rank` scores the saved
-    model; otherwise the final epoch's parameters are returned.
+    of m, and applies one Adam step per batch. When validation queries
+    ({topic_id: token ids}) and qrels are given, the epoch with the highest
+    mean validation NDCG over the non-empty queries wins (ties go to the
+    earlier epoch), scored as `rank` scores the saved model; otherwise the
+    final epoch's parameters are returned. vocab gives the vocabulary size.
     mean_batch_loss is the unweighted mean of per-batch losses. A
     non-finite batch loss or gradient stops training with an LSEError
     naming the epoch and the batch.
@@ -59,11 +59,9 @@ def train(corpus, vocab, config, validation_topics=None, validation_qrels=None,
     sampler = SamplerConfig(n=config.n, z=config.z, m=config.m)
 
     val_queries = []
-    if validation_topics and validation_qrels is not None:
-        for tid in sorted(validation_topics):
-            ids = vocab.encode(tokenize(validation_topics[tid]))
-            if ids:
-                val_queries.append((tid, ids))
+    if validation_queries and validation_qrels is not None:
+        val_queries = [(tid, ids) for tid, ids in sorted(validation_queries.items())
+                       if ids]
 
     logs = []
     best_ndcg = None

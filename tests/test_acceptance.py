@@ -25,7 +25,7 @@ from lse.model import (Dims, TrainConfig, batch_loss, init_params,
 from lse.qlm import SWEEP_GRID, estimate, score, sweep_lambda
 from lse.retrieval import RankedList, rank_entities, write_run
 from lse.sampling import InstanceBlock, SamplerConfig, sample_epoch
-from lse.text import Vocabulary, tokenize
+from lse.text import Vocabulary, encode_topics
 from lse.training import _epoch_rng, train, write_epoch_log
 
 SEPARABLE_CONFIG = dict(e_v=32, e_e=16, n=4, z=5, m=64, epochs=15, seed=0)
@@ -69,11 +69,8 @@ def separable_training(precision):
 
 
 def rank_topics(params, vocab, corpus, topics):
-    runs = {}
-    for tid, query in topics.items():
-        ids = vocab.encode(tokenize(query))
-        runs[tid] = rank_entities(params, ids, corpus.entities, tid)
-    return runs
+    return {tid: rank_entities(params, ids, corpus.entities, tid)
+            for tid, ids in encode_topics(topics, vocab).items()}
 
 
 def test_criterion_1_gradient_fidelity():
@@ -157,7 +154,7 @@ def test_criterion_4_lexical_model_oracle_and_sweep_grid():
     assert worst < 1e-12, f"max lexical score deviation {worst:.3e}"
 
     topics, grades = separable_topics(num_entities=4, multi=0)
-    best, grid = sweep_lambda(corpus, topics, Qrels(grades), vocab)
+    best, grid = sweep_lambda(corpus, encode_topics(topics, vocab), Qrels(grades))
     assert len(grid) == 21
     assert [lam for lam, _ in grid] == list(SWEEP_GRID)
     assert SWEEP_GRID[0] == 0.0 and SWEEP_GRID[-1] == 1.0
@@ -190,8 +187,8 @@ def test_criterion_6_ideal_vector_gap():
     start = time.perf_counter()
     corpus, vocab, result = separable_training(TrainConfig.precision)
     topics, grades = separable_topics()
-    rows = ideal_vector_report(result.params, vocab, topics, Qrels(grades),
-                               corpus.entities)
+    rows = ideal_vector_report(result.params, encode_topics(topics, vocab),
+                               Qrels(grades), corpus.entities)
     by_status = {}
     for row in rows:
         by_status.setdefault(row["status"], []).append(row)
@@ -211,7 +208,8 @@ def test_criterion_7_fusion_dominates_subsets():
     start = time.perf_counter()
     corpus, vocab, params, topics, grades = build_fusion_benchmark()
     qrels = Qrels(grades)
-    table = build_features(topics, corpus, vocab, estimate(corpus, 0.5), params)
+    table = build_features(encode_topics(topics, vocab), corpus, estimate(corpus, 0.5),
+                           params)
     report = cross_validated_fusion(table, qrels, folds=10, seed=0,
                                     ranker_config=RankerConfig(pair_samples=20000))
     means = {row["features"]: row["means"]["ndcg@100"] for row in report.rows}
@@ -246,19 +244,19 @@ def produce_artifacts(out):
         {"means": report.means, "per_topic": report.per_topic},
         sort_keys=True, indent=2) + "\n")
 
-    _best, grid = sweep_lambda(corpus, topics, qrels, vocab)
+    queries = encode_topics(topics, vocab)
+    _best, grid = sweep_lambda(corpus, queries, qrels)
     (out / "sweep.csv").write_text(
         "".join(f"{lam!r},{mean!r}\n" for lam, mean in grid))
 
-    rows = ideal_vector_report(result.params, vocab, topics, qrels,
-                               corpus.entities)
+    rows = ideal_vector_report(result.params, queries, qrels, corpus.entities)
     (out / "ideal.csv").write_text("".join(
         f"{r['topic_id']},{r['status']},{r['n_relevant']},"
         f"{r['ndcg_ideal']!r},{r['ndcg_query']!r}\n" for r in rows))
 
     fcorpus, fvocab, fparams, ftopics, fgrades = build_fusion_benchmark()
-    table = build_features(ftopics, fcorpus, fvocab, estimate(fcorpus, 0.5),
-                           fparams)
+    table = build_features(encode_topics(ftopics, fvocab), fcorpus,
+                           estimate(fcorpus, 0.5), fparams)
     freport = cross_validated_fusion(table, Qrels(fgrades), folds=10, seed=0,
                                      ranker_config=RankerConfig(pair_samples=20000))
     (out / "fusion.json").write_text(json.dumps(

@@ -250,6 +250,36 @@ def test_missing_input_exits_2(tmp_path):
     assert "no such file" in result.output
 
 
+@pytest.mark.parametrize("given", ["--validation-topics", "--validation-qrels"])
+def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, given):
+    corpus, topics, qrels = write_inputs(tmp_path)
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    path = {"--validation-topics": topics, "--validation-qrels": qrels}[given]
+    out = tmp_path / "m"
+    result = CliRunner().invoke(main, ["train", str(corpus), str(vocab), "--out", str(out),
+                                       given, str(path)] + TRAIN_FLAGS)
+    assert result.exit_code == 2, result.output
+    assert ("--validation-topics and --validation-qrels must be given together"
+            in result.output)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "qlm", "grad-check"])
+def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, command):
+    root, corpus, topics, _, runner = workflow
+    vocab = root / "vocab" / "vocab.tsv"
+    out = tmp_path / "out"
+    args, option = {
+        "rank": (["rank", root / "model" / "model.lse", vocab, topics], "--top-k"),
+        "qlm": (["qlm", corpus, vocab, topics], "--top-k"),
+        "grad-check": (["grad-check"], "--seeds")}[command]
+    result = runner.invoke(main, list(map(str, args)) + ["--out", str(out), option, "0"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert not out.exists()
+
+
 def test_data_dir_resolves_relative_inputs(tmp_path):
     corpus, _, _ = write_inputs(tmp_path)
     runner = CliRunner()
@@ -323,8 +353,14 @@ MALFORMED = {
     "vocab_duplicate_token":
         ("vocab.tsv", b"camera\t0\t2\t2\nlens\t1\t2\t2\ncamera\t2\t1\t1\n",
          ":3: duplicate token 'camera', first on line 1"),
+    "qrels_duplicate_pair":
+        ("qrels.txt", b"t1 0 cam 1\nt1 0 cam 0\n",
+         ":2: duplicate entity 'cam' for topic 't1', first on line 1"),
     "run_score_nan":
         ("run.trec", b"t1 Q0 cam 1 2.0 x\nt1 Q0 gui 2 nan x\n", ":2: score is NaN"),
+    "run_duplicate_entity":
+        ("run.trec", b"t1 Q0 cam 1 0.9 x\nt1 Q0 cam 2 0.8 x\n",
+         ":2: duplicate entity 'cam' for topic 't1', first on line 1"),
     "model_header_without_dims":
         ("model.lse", container({"format": "lse-model", "entity_ids": []}),
          ": model header lacks valid dims"),

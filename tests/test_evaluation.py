@@ -15,7 +15,6 @@ from lse.evaluation import (Qrels, TopicSet, average_ranks, compare_runs,
                             precision_at_k, regularized_incomplete_beta,
                             significance_marker, student_t_two_sided_p)
 from lse.retrieval import RankedList
-from lse.text import Vocabulary
 
 
 def ranked(topic, ids):
@@ -37,7 +36,7 @@ def test_topic_set_rejects_missing_header_and_duplicates(tmp_path):
     with pytest.raises(DataError, match="header"):
         TopicSet.load(path)
     path.write_text("topic_id\ttest\nt1\tcamera\nt1\tlens\n")
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=":3: duplicate topic id 't1', first on line 2"):
         TopicSet.load(path)
 
 
@@ -58,6 +57,14 @@ def test_qrels_round_trip_and_accessors(tmp_path):
     assert loaded.relevant("t1") == frozenset({"e1"})
     assert loaded.grade("t1", "e9") == 0
     assert loaded.topics() == ["t1", "t2"]
+
+
+def test_qrels_load_rejects_a_repeated_topic_entity_pair(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("t1 0 cam 1\nt2 0 cam 1\n\nt1 0 cam 0\n")
+    with pytest.raises(DataError, match=":4: duplicate entity 'cam' for topic 't1', "
+                                        "first on line 1"):
+        Qrels.load(path)
 
 
 def test_qrels_rejects_graded_relevance():
@@ -296,28 +303,23 @@ def test_permutation_test_validation():
         permutation_test_correlation(x, x, method="kendall")
 
 
-def idf_fixture():
+def idf_corpus():
     # profiles: e0 {0, 1}, e1 {0}, e2 {2}
-    corpus = make_corpus([("e0", [0, 1, 1]), ("e1", [0]), ("e2", [2])])
-    vocab = Vocabulary(["alpha", "beta", "gamma"], [3, 1, 1], [2, 1, 1])
-    return corpus, vocab
+    return make_corpus([("e0", [0, 1, 1]), ("e1", [0]), ("e2", [2])])
 
 
 def test_idf_match_analysis_means_matched_terms_only():
-    corpus, vocab = idf_fixture()
-    topics = {"t1": "alpha gamma", "t2": "gamma"}
+    queries = {"t1": [0, 2], "t2": [2]}
     qrels = Qrels({("t1", "e0"): 1, ("t2", "e1"): 1})
-    per_topic, unmatched = idf_match_analysis(corpus, vocab, topics, qrels)
-    # t1: alpha matches e0 (idf ln(3/2)); gamma absent from e0's profile
+    per_topic, unmatched = idf_match_analysis(idf_corpus(), queries, qrels)
+    # t1: term 0 matches e0 (idf ln(3/2)); term 2 absent from e0's profile
     assert per_topic == {"t1": pytest.approx(math.log(3.0 / 2.0), abs=1e-12)}
     assert unmatched == ["t2"]
 
 
 def test_idf_match_analysis_averages_distinct_terms():
-    corpus, vocab = idf_fixture()
-    topics = {"t1": "alpha beta alpha"}
     qrels = Qrels({("t1", "e0"): 1})
-    per_topic, unmatched = idf_match_analysis(corpus, vocab, topics, qrels)
+    per_topic, unmatched = idf_match_analysis(idf_corpus(), {"t1": [0, 1, 0]}, qrels)
     expected = (math.log(3.0 / 2.0) + math.log(3.0)) / 2.0
     assert per_topic["t1"] == pytest.approx(expected, abs=1e-12)
     assert unmatched == []

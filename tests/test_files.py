@@ -93,3 +93,34 @@ def test_only_the_files_module_opens_text_files():
     assert offenders == {}
     assert _text_mode_opens('open(p)\nopen(p, "rb")\nopen(p, mode="w")\n'
                             'open(p, m)\n') == [1, 3, 4]
+
+
+def _text_to_id_calls(source):
+    """Line numbers of tokenize calls and of .encode calls given an argument
+    that is not a string constant (str.encode("utf-8") is not a query)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        args = node.args + [k.value for k in node.keywords]
+        if name == "tokenize" or (
+                name == "encode" and isinstance(func, ast.Attribute)
+                and not all(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                            for a in args)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_text_module_turns_text_into_token_ids():
+    offenders = {}
+    for module in sorted(Path(lse.__file__).parent.glob("*.py")):
+        if module.name != "text.py":
+            found = _text_to_id_calls(module.read_text(encoding="utf-8"))
+            if found:
+                offenders[module.name] = found
+    assert offenders == {}
+    assert _text_to_id_calls('tokenize(q)\ns.encode("utf-8")\nv.encode(tokenize(q))\n'
+                             'text.tokenize(q)\nv.encode(ids)\ns.encode(encoding=e)\n'
+                             's.encode()\n') == [1, 3, 4, 5, 6]

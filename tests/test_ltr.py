@@ -22,15 +22,11 @@ from lse.evaluation import Qrels, evaluate_run, ndcg
 from lse.model import Dims, init_params, project
 from lse.qlm import estimate
 from lse.retrieval import rank_by_vector, ranked_from_scores
-from lse.text import Vocabulary, tokenize
+from lse.text import encode_topics
 
 
 def small_corpus():
     return make_corpus([("e0", [0, 0, 1]), ("e1", [1, 2]), ("e2", [2])])
-
-
-def feature_vocab():
-    return Vocabulary(["alpha", "beta", "gamma"], [3, 2, 2], [1, 2, 2])
 
 
 # ---- PageRank ----
@@ -518,13 +514,13 @@ def test_qi_feature_matrix_without_data():
 # ---- feature assembly ----
 
 def features_setup(lambda_jm=0.5, params="init"):
+    """small_corpus over a three-word vocabulary and two queries of its ids."""
     corpus = small_corpus()
-    vocab = feature_vocab()
     qlm_model = estimate(corpus, lambda_jm)
     if params == "init":
-        params = init_params(Dims(4, 3, vocab.size, corpus.num_entities), 0)
-    topics = {"t1": "alpha beta", "t0": "gamma"}
-    return corpus, vocab, qlm_model, params, topics
+        params = init_params(Dims(4, 3, 3, corpus.num_entities), 0)
+    queries = {"t1": [0, 1], "t0": [2]}
+    return corpus, qlm_model, params, queries
 
 
 def test_build_features_columns_match_component_scores():
@@ -532,12 +528,12 @@ def test_build_features_columns_match_component_scores():
     from lse.qlm import score
     from lse.retrieval import cosine_scores
 
-    corpus, vocab, qlm_model, params, topics = features_setup()
-    table = build_features(topics, corpus, vocab, qlm_model, params)
+    corpus, qlm_model, params, queries = features_setup()
+    table = build_features(queries, corpus, qlm_model, params)
     assert table.feature_names == QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm", "lse")
     assert table.topics == ["t0", "t1"]
     assert table.entity_ids == ["e0", "e1", "e2"]
-    qids = vocab.encode(["alpha", "beta"])
+    qids = queries["t1"]
     expected_qlm = [score(qlm_model, i, qids) for i in range(3)]
     assert np.allclose(table.matrices["t1"][:, 10], expected_qlm, atol=1e-12)
     expected_lse = cosine_scores(params.W_e, project(params, qids))
@@ -545,8 +541,8 @@ def test_build_features_columns_match_component_scores():
 
 
 def test_build_features_replaces_minus_inf():
-    corpus, vocab, qlm_model, params, _ = features_setup(lambda_jm=0.0)
-    table = build_features({"t": "alpha"}, corpus, vocab, qlm_model, params)
+    corpus, qlm_model, params, _ = features_setup(lambda_jm=0.0)
+    table = build_features({"t": [0]}, corpus, qlm_model, params)
     col = table.matrices["t"][:, 10]
     assert np.all(np.isfinite(col))
     # only e0's profile contains alpha; the others sit one below its score
@@ -554,15 +550,15 @@ def test_build_features_replaces_minus_inf():
 
 
 def test_build_features_zeroes_query_columns_when_out_of_vocabulary():
-    corpus, vocab, qlm_model, params, _ = features_setup()
-    table = build_features({"t": "zzz qqq"}, corpus, vocab, qlm_model, params)
+    corpus, qlm_model, params, _ = features_setup()
+    table = build_features({"t": []}, corpus, qlm_model, params)
     assert np.array_equal(table.matrices["t"][:, 10], np.zeros(3))
     assert np.array_equal(table.matrices["t"][:, 11], np.zeros(3))
 
 
 def test_build_features_without_model_leaves_out_the_lse_column():
-    corpus, vocab, qlm_model, _, topics = features_setup(params=None)
-    table = build_features(topics, corpus, vocab, qlm_model, None)
+    corpus, qlm_model, _, queries = features_setup(params=None)
+    table = build_features(queries, corpus, qlm_model, None)
     assert table.feature_names == QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm",)
     assert table.matrices["t1"].shape == (3, 11)
     assert np.any(table.matrices["t1"][:, 10] != 0)
@@ -571,8 +567,8 @@ def test_build_features_without_model_leaves_out_the_lse_column():
 
 
 def test_columns_for_blocks():
-    corpus, vocab, qlm_model, params, topics = features_setup()
-    table = build_features(topics, corpus, vocab, qlm_model, params)
+    corpus, qlm_model, params, queries = features_setup()
+    table = build_features(queries, corpus, qlm_model, params)
     assert table.columns_for(("qi",)).tolist() == list(range(10))
     assert table.columns_for(("qi", "qlm")).tolist() == list(range(10)) + [10]
     assert table.columns_for(("lse",)).tolist() == [11]
@@ -597,7 +593,7 @@ def fusion_setup():
     corpus, vocab, params, topics, grades = build_fusion_benchmark()
     qrels = Qrels(grades)
     qlm_model = estimate(corpus, 0.5)
-    table = build_features(topics, corpus, vocab, qlm_model, params)
+    table = build_features(encode_topics(topics, vocab), corpus, qlm_model, params)
     return table, qrels
 
 
@@ -672,7 +668,8 @@ def test_cross_validated_fusion_without_lse_trains_only_qi_and_qi_qlm():
     from conftest import build_fusion_benchmark
 
     corpus, vocab, _, topics, grades = build_fusion_benchmark()
-    table = build_features(topics, corpus, vocab, estimate(corpus, 0.5), None)
+    table = build_features(encode_topics(topics, vocab), corpus, estimate(corpus, 0.5),
+                           None)
     with_model, qrels = fusion_setup()
     kwargs = dict(folds=4, seed=2, cutoff=10, ks=(5,),
                   ranker_config=RankerConfig(pair_samples=600))
@@ -700,10 +697,10 @@ def test_each_command_trains_its_rankers_in_one_pegasos_call():
                                ranker_config=RankerConfig(pair_samples=200))
         assert calls == [(len(COMBOS) * 3, 2)]
         calls.clear()
-        params, vocab, topics, qrels, ids = report_setup()
-        topics["ok2"] = "wb wc"
+        params, queries, qrels, ids = report_setup()
+        queries["ok2"] = [1, 2]
         qrels = Qrels({**qrels.grades, ("ok2", "e1"): 1, ("ok2", "e3"): 1})
-        rows = ideal_vector_report(params, vocab, topics, qrels, ids,
+        rows = ideal_vector_report(params, queries, qrels, ids,
                                    config=RankerConfig(pair_samples=200))
     assert calls == [(sum(row["status"] == "ok" for row in rows), 2)] == [(2, 2)]
 
@@ -712,25 +709,23 @@ def test_each_command_trains_its_rankers_in_one_pegasos_call():
 
 def entity_params(w_e):
     """A model whose entity rows are w_e, with a three-word vocabulary."""
-    vocab = Vocabulary(["wa", "wb", "wc"], [3, 2, 1], [3, 2, 1])
-    params = init_params(Dims(4, w_e.shape[1], vocab.size, len(w_e)), 0)
+    params = init_params(Dims(4, w_e.shape[1], 3, len(w_e)), 0)
     params.W_e[:] = w_e
-    return params, vocab
+    return params
 
 
 def test_ideal_vector_skips_single_relevant():
-    params, vocab = entity_params(np.eye(3))
-    rows = ideal_vector_report(params, vocab, {"t": "wa"}, Qrels({("t", "e0"): 1}),
-                               ["e0", "e1", "e2"])
+    rows = ideal_vector_report(entity_params(np.eye(3)), {"t": [0]},
+                               Qrels({("t", "e0"): 1}), ["e0", "e1", "e2"])
     assert rows == [{"topic_id": "t", "status": "skipped_single_relevant",
                      "n_relevant": 1, "ndcg_ideal": None, "ndcg_query": None}]
 
 
 def test_ideal_vector_separates_relevant_directions():
-    params, vocab = entity_params(np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0],
-                                            [0.0, -1.0]]))
+    params = entity_params(np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0],
+                                     [0.0, -1.0]]))
     qrels = Qrels({("t", "e0"): 1, ("t", "e1"): 1})
-    rows = ideal_vector_report(params, vocab, {"t": "wa"}, qrels,
+    rows = ideal_vector_report(params, {"t": [0]}, qrels,
                                ["e0", "e1", "e2", "e3"], cutoff=2,
                                config=RankerConfig(pair_samples=2000, seed=1))
     assert rows[0]["status"] == "ok"
@@ -738,20 +733,19 @@ def test_ideal_vector_separates_relevant_directions():
 
 
 def report_setup():
-    vocab = Vocabulary(["wa", "wb", "wc"], [3, 2, 1], [3, 2, 1])
-    params = init_params(Dims(4, 3, vocab.size, 4), 0)
-    topics = {"ok": "wa wb", "single": "wa", "none": "wb", "oov": "zzz",
-              "outside": "wa"}
+    """A three-word model, one query per report status and four entities."""
+    params = init_params(Dims(4, 3, 3, 4), 0)
+    queries = {"ok": [0, 1], "single": [0], "none": [1], "oov": [], "outside": [0]}
     qrels = Qrels({("ok", "e0"): 1, ("ok", "e1"): 1,
                    ("single", "e2"): 1, ("none", "e0"): 0,
                    ("oov", "e0"): 1, ("oov", "e1"): 1,
                    ("outside", "e3"): 1, ("outside", "ghost"): 1})
-    return params, vocab, topics, qrels, ["e0", "e1", "e2", "e3"]
+    return params, queries, qrels, ["e0", "e1", "e2", "e3"]
 
 
 def test_ideal_vector_report_statuses():
-    params, vocab, topics, qrels, ids = report_setup()
-    rows = ideal_vector_report(params, vocab, topics, qrels, ids,
+    params, queries, qrels, ids = report_setup()
+    rows = ideal_vector_report(params, queries, qrels, ids,
                                config=RankerConfig(pair_samples=1000))
     by_topic = {row["topic_id"]: row for row in rows}
     assert by_topic["ok"]["status"] == "ok"
@@ -768,10 +762,10 @@ def test_ideal_vector_report_statuses():
 
 
 def test_ideal_vector_report_is_deterministic():
-    params, vocab, topics, qrels, ids = report_setup()
+    params, queries, qrels, ids = report_setup()
     cfg = RankerConfig(pair_samples=1000)
-    first = ideal_vector_report(params, vocab, topics, qrels, ids, config=cfg)
-    second = ideal_vector_report(params, vocab, topics, qrels, ids, config=cfg)
+    first = ideal_vector_report(params, queries, qrels, ids, config=cfg)
+    second = ideal_vector_report(params, queries, qrels, ids, config=cfg)
     assert first == second
 
 
@@ -779,27 +773,26 @@ def test_ideal_vector_report_equals_per_topic_oracle():
     """Each eligible topic's ideal vector trained alone by the oracle loop
     gives the same rankings and NDCGs as the lockstep report."""
     rng = np.random.default_rng(7)
-    vocab = Vocabulary(["wa", "wb", "wc"], [3, 2, 1], [3, 2, 1])
-    params = init_params(Dims(4, 6, vocab.size, 12), 0)
+    params = init_params(Dims(4, 6, 3, 12), 0)
     params.W_e[3] = 0.0  # a zero row normalizes to zero
     ids = [f"e{i:02d}" for i in range(12)]
-    topics, grades = {}, {}
+    queries, grades = {}, {}
     for i in range(7):
-        topics[f"t{i}"] = "wa wc" if i % 3 else "wb"
+        queries[f"t{i}"] = [0, 2] if i % 3 else [1]
         for eid in rng.choice(ids, size=i % 5, replace=False):
             grades[(f"t{i}", eid)] = 1
-    topics["oov"] = "zzz"
+    queries["oov"] = []
     grades[("oov", "e00")] = grades[("oov", "e01")] = 1
     qrels = Qrels(grades)
     config = RankerConfig(c=2.0, pair_samples=900, seed=5)
     with mock.patch.object(lse.ltr, "_MIN_STEPS", config.pair_samples):  # b = 1
-        rows = ideal_vector_report(params, vocab, topics, qrels, ids, cutoff=5,
+        rows = ideal_vector_report(params, queries, qrels, ids, cutoff=5,
                                    config=config)
     norms = np.linalg.norm(params.W_e, axis=1, keepdims=True)
     unit = np.divide(params.W_e, norms, out=np.zeros_like(params.W_e),
                      where=norms > 0)
     eligible = 0
-    for index, (tid, row) in enumerate(zip(sorted(topics), rows)):
+    for index, (tid, row) in enumerate(zip(sorted(queries), rows)):
         assert row["topic_id"] == tid
         if row["status"] != "ok":
             assert row["ndcg_ideal"] is None and row["ndcg_query"] is None
@@ -809,7 +802,7 @@ def test_ideal_vector_report_equals_per_topic_oracle():
         topic_seed = int(np.random.SeedSequence(
             entropy=config.seed, spawn_key=(11, index)).generate_state(1)[0])
         w = oracle_train_ranksvm(unit, labels, replace(config, seed=topic_seed))
-        query = project(params, vocab.encode(tokenize(topics[tid])))
+        query = project(params, queries[tid])
         assert row["ndcg_ideal"] == ndcg(rank_by_vector(params.W_e, w, ids, tid, 5),
                                          qrels, 5)
         assert row["ndcg_query"] == ndcg(rank_by_vector(params.W_e, query, ids, tid, 5),

@@ -11,7 +11,7 @@ from conftest import make_corpus, profile_counts
 from lse.errors import DataError
 from lse.evaluation import Qrels
 from lse.qlm import SWEEP_GRID, estimate, rank, score, sweep_lambda
-from lse.text import Vocabulary, build_vocabulary, encode_corpus
+from lse.text import build_vocabulary, encode_corpus, encode_topics
 
 A, B = 0, 1
 
@@ -144,14 +144,14 @@ def sweep_setup():
            ("d4", "gui", "guitar amp strings")]
     vocab = build_vocabulary(raw)
     corpus = encode_corpus(raw, vocab)
-    topics = {"t1": "camera lens", "t2": "guitar strings"}
+    queries = encode_topics({"t1": "camera lens", "t2": "guitar strings"}, vocab)
     qrels = Qrels({("t1", "cam"): 1, ("t2", "gui"): 1})
-    return corpus, topics, qrels, vocab
+    return corpus, queries, qrels
 
 
 def test_sweep_emits_full_grid_and_best():
-    corpus, topics, qrels, vocab = sweep_setup()
-    best, grid = sweep_lambda(corpus, topics, qrels, vocab)
+    corpus, queries, qrels = sweep_setup()
+    best, grid = sweep_lambda(corpus, queries, qrels)
     assert len(grid) == 21
     assert [lam for lam, _ in grid] == list(SWEEP_GRID)
     assert all(0.0 <= v <= 1.0 for _, v in grid)
@@ -162,16 +162,14 @@ def test_sweep_emits_full_grid_and_best():
 
 def test_sweep_ties_prefer_smaller_lambda():
     corpus = make_corpus([("only", [A, B])])
-    vocab = Vocabulary(["aa", "bb"], [1, 1], [1, 1])
-    best, grid = sweep_lambda(corpus, {"t1": "aa"}, Qrels({("t1", "only"): 1}),
-                              vocab)
+    best, grid = sweep_lambda(corpus, {"t1": [A]}, Qrels({("t1", "only"): 1}))
     assert all(v == 1.0 for _, v in grid)
     assert best == 0.0
 
 
 def test_sweep_rejects_unusable_topics():
-    corpus, _, qrels, vocab = sweep_setup()
-    with pytest.raises(DataError):
-        sweep_lambda(corpus, {}, qrels, vocab)
-    with pytest.raises(DataError):
-        sweep_lambda(corpus, {"t1": "zzz qqq"}, qrels, vocab)
+    corpus, _, qrels = sweep_setup()
+    with pytest.raises(DataError, match="no validation topics"):
+        sweep_lambda(corpus, {}, qrels)
+    with pytest.raises(DataError, match="empty encoded queries"):
+        sweep_lambda(corpus, {"t1": []}, qrels)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lse.errors import DataError, EmptyQueryError
+from lse.errors import DataError, LSEError
 from lse.model import ModelParams, project
 from lse.retrieval import (RankedList, cosine_scores, rank_by_vector,
                            rank_entities, ranked_from_scores, read_run, write_run)
@@ -151,7 +151,7 @@ def test_rank_entities_projects_and_ranks():
 def test_rank_entities_rejects_empty_query():
     params = ModelParams(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1),
                          np.zeros((1, 1)))
-    with pytest.raises(EmptyQueryError, match="'t9'"):
+    with pytest.raises(LSEError, match="empty"):
         rank_entities(params, [], ["e0"], "t9")
 
 
@@ -176,6 +176,14 @@ def test_read_run_groups_topics_in_order(tmp_path):
     runs = read_run(path)
     assert [e for e, _ in runs["t1"].entries] == ["e1", "e2"]
     assert list(runs) == ["t1", "t2"]
+
+
+def test_read_run_rejects_an_entity_listed_twice_for_a_topic(tmp_path):
+    path = tmp_path / "run.trec"
+    path.write_text("t1 Q0 cam 1 0.9 x\nt2 Q0 cam 1 0.7 x\nt1 Q0 cam 2 0.8 x\n")
+    with pytest.raises(DataError, match=":3: duplicate entity 'cam' for topic 't1', "
+                                        "first on line 1"):
+        read_run(path)
 
 
 @pytest.mark.parametrize("line", [

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from lse.errors import DataError
 from lse.text import (NUM_TOKEN, STOPWORDS, Corpus, Vocabulary,
-                      build_vocabulary, encode_corpus, extract_topic_query,
+                      build_vocabulary, encode_corpus, encode_topics,
+                      extract_topic_query,
                       load_categories, load_raw_docs, tokenize,
                       topics_from_categories)
 
@@ -194,6 +195,13 @@ def test_encode_corpus_matches_per_document_oracle(data):
         assert corpus.doc_entity[j] == entities.index(entity)
     assert corpus.doc_ptr[-1] == corpus.total_tokens == len(corpus.tokens)
     assert corpus.dropped_tokens == dropped
+
+
+def test_encode_topics_orders_by_topic_id_and_keeps_empty_queries():
+    vocab = Vocabulary(["camera", "lens", NUM_TOKEN], [3, 2, 1], [2, 2, 1])
+    queries = encode_topics({"t2": "The LENS, 35 camera!", "t10": "xylophone",
+                             "t1": "camera zoom lens"}, vocab)
+    assert list(queries.items()) == [("t1", [0, 1]), ("t10", []), ("t2", [1, 2, 0])]
 
 
 def test_extract_topic_query_uses_sublevels_in_title_order():

@@ -8,6 +8,7 @@ from conftest import build_separable_corpus, separable_topics
 from lse.errors import LSEError
 from lse.evaluation import Qrels
 from lse.model import PARAM_FIELDS, TrainConfig, batch_loss_and_gradients
+from lse.text import encode_topics
 from lse.training import EpochLog, train, write_epoch_log
 
 
@@ -88,7 +89,7 @@ def test_train_validation_selects_best_epoch():
     topics = {tid: q for tid, q in all_topics.items() if tid.startswith("s")}
     qrels = Qrels({k: v for k, v in grades.items() if k[0].startswith("s")})
     config = TrainConfig(e_v=32, e_e=16, n=4, z=5, m=64, epochs=4, seed=0)
-    result = train(corpus, vocab, config, topics, qrels)
+    result = train(corpus, vocab, config, encode_topics(topics, vocab), qrels)
     ndcgs = [e.validation_ndcg for e in result.log]
     assert all(v is not None for v in ndcgs)
     best = max(ndcgs)
@@ -98,7 +99,9 @@ def test_train_validation_selects_best_epoch():
 def test_train_all_oov_validation_falls_back_to_last_epoch(tiny_corpus):
     corpus, vocab = tiny_corpus
     qrels = Qrels({("t", "e0"): 1})
-    result = train(corpus, vocab, tiny_config(), {"t": "zzz"}, qrels)
+    queries = encode_topics({"t": "zzz"}, vocab)
+    assert queries == {"t": []}
+    result = train(corpus, vocab, tiny_config(), queries, qrels)
     assert result.best_epoch == tiny_config().epochs
     assert all(e.validation_ndcg is None for e in result.log)
 
