@@ -101,15 +101,16 @@ def _now():
 @contextlib.contextmanager
 def _run(out_dir, config, seed=None):
     """Make out_dir, run the command body, then write out_dir/manifest.json:
-    the command, its config and seed, and the path and SHA-256 of every input
-    the command line named."""
+    the command, its config and seed, the path and SHA-256 of every input the
+    command line named, and the counts the body put in the dict it is given."""
     ctx = click.get_current_context()
     os.makedirs(out_dir, exist_ok=True)
     started = _now()
-    yield
+    counts = {}
+    yield counts
     inputs = ctx.meta.get(_INPUTS, {})
     _write_json(out_dir, "manifest.json", {
-        "command": ctx.command.name, "config": config,
+        "command": ctx.command.name, "config": config, "counts": counts,
         "inputs": {name: {"path": str(path), "sha256": _sha256_file(path)}
                    for name, path in inputs.items()},
         "seed": seed, "version": __version__, "started": started, "finished": _now()})
@@ -194,9 +195,9 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
         raise click.UsageError("--validation-topics and --validation-qrels must be "
                                "given together")
     config = _load_train_config(config_path, overrides)
-    with _run(out_dir, config.as_dict(), config.seed):
+    with _run(out_dir, config.as_dict(), config.seed) as counts:
         vocabulary = Vocabulary.load(vocab)
-        corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
+        corpus_data = _corpus(corpus, vocabulary, counts)
         if ngrams_per_entity_per_epoch(corpus_data, config.n) == 0:
             raise DataError(f"{corpus}: window n = {config.n} is longer than "
                             "every document")
@@ -221,6 +222,15 @@ def _load_model_checked(model_path, vocabulary):
     if header.get("vocab_sha256") and header["vocab_sha256"] != vocabulary.sha256():
         raise LSEError("vocabulary does not match the one the model was trained with")
     return params, header
+
+
+def _corpus(path, vocabulary, counts):
+    """encode_corpus of the corpus file at path; its document, token and
+    dropped-token counts go into counts for the manifest."""
+    corpus = encode_corpus(load_raw_docs(path), vocabulary)
+    counts.update(documents=len(corpus.doc_ids), tokens=corpus.total_tokens,
+                  dropped_tokens=corpus.dropped_tokens)
+    return corpus
 
 
 def _queries(path, vocabulary):
@@ -273,9 +283,10 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
 @click.option("--run-tag", default="qlm", show_default=True)
 def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
     """Rank all entities for every topic with the smoothed lexical model."""
-    with _run(out_dir, {"lambda_jm": lambda_jm, "top_k": top_k, "run_tag": run_tag}):
+    with _run(out_dir, {"lambda_jm": lambda_jm, "top_k": top_k,
+                        "run_tag": run_tag}) as counts:
         vocabulary = Vocabulary.load(vocab)
-        corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
+        corpus_data = _corpus(corpus, vocabulary, counts)
         model = qlm_estimate(corpus_data, lambda_jm)
         _rank_topics(out_dir, _queries(topics, vocabulary), top_k, run_tag,
                      lambda tid, ids: qlm_rank(model, corpus_data.entities, ids, tid,
@@ -315,9 +326,9 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
 @click.option("--cutoff", default=100, show_default=True)
 def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
     """Sweep the smoothing weight over 0.0..1.0 in steps of 0.05."""
-    with _run(out_dir, {"cutoff": cutoff}):
+    with _run(out_dir, {"cutoff": cutoff}) as counts:
         vocabulary = Vocabulary.load(vocab)
-        corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
+        corpus_data = _corpus(corpus, vocabulary, counts)
         best, grid = sweep_lambda(corpus_data, _queries(topics, vocabulary),
                                   Qrels.load(qrels), cutoff=cutoff)
         with _output(out_dir, "sweep.csv") as fh:
@@ -351,11 +362,11 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
         raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
     config = {"lambda_jm": lambda_jm, "folds": folds, "cutoff": cutoff,
               "pair_samples": pair_samples, "batch": pegasos_batch(pair_samples)}
-    with _run(out_dir, config, seed):
+    with _run(out_dir, config, seed) as counts:
         qi = QIData(load_qi_attributes(qi_attrs) if qi_attrs else {},
                     {name: load_graph(path) for name, path in graphs.items()})
         vocabulary = Vocabulary.load(vocab)
-        corpus_data = encode_corpus(load_raw_docs(corpus), vocabulary)
+        corpus_data = _corpus(corpus, vocabulary, counts)
         params = None
         if model_path:
             params, _ = _load_model_checked(model_path, vocabulary)
@@ -441,7 +452,8 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
 @main.command("grad-check")
 @click.option("--seeds", default=10, show_default=True, type=click.IntRange(min=1),
               help="Random restarts.")
-@click.option("--eps", default=1e-5, show_default=True)
+@click.option("--eps", default=1e-5, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 @click.option("--tolerance", default=1e-4, show_default=True)
 @click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False),
               help="Optional directory for a JSON report.")

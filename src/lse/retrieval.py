@@ -19,6 +19,11 @@ class RankedList:
     entries: list  # (entity_id, score) pairs
 
 
+def _rank_order(pair):
+    """Sort key of an (entity_id, score) pair in RankedList order."""
+    return -pair[1], pair[0]
+
+
 def ranked_from_scores(topic_id, entity_ids, scores, k=None):
     """The first k (entity, score) pairs of the full ranking by descending
     score and ascending id; the whole ranking when k is None.
@@ -36,7 +41,7 @@ def ranked_from_scores(topic_id, entity_ids, scores, k=None):
         candidates = np.flatnonzero(scores >= kth)
     pairs = [(entity_ids[i], s)
              for i, s in zip(candidates.tolist(), scores[candidates].tolist())]
-    pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+    pairs.sort(key=_rank_order)
     return RankedList(topic_id, pairs[:k])
 
 
@@ -81,8 +86,10 @@ def write_run(path, ranked_lists, tag="lse", top_k=100):
 
 
 def read_run(path):
-    """Parse a TREC run file into {topic_id: RankedList}, order preserved; an
-    entity listed twice for one topic is a DataError."""
+    """Parse a TREC run file into {topic_id: RankedList}, topics in file
+    order and each topic's entries by descending score and ascending entity
+    id (the rank column is not used); an entity listed twice for one topic is
+    a DataError."""
     runs = {}
     first_line = {}
     for number, line in read_lines(path):
@@ -100,4 +107,6 @@ def read_run(path):
         check_unique(first_line, (topic_id, eid), path, number,
                      "entity {0[1]!r} for topic {0[0]!r}")
         runs.setdefault(topic_id, RankedList(topic_id, [])).entries.append((eid, score))
+    for ranked in runs.values():
+        ranked.entries.sort(key=_rank_order)
     return runs

@@ -189,9 +189,40 @@ class Corpus:
         return len(self.tokens)
 
 
+def _text_encoder(vocab):
+    """A function from text to (ids, dropped): ids is
+    vocab.encode(tokenize(text)) and dropped counts the tokens tokenize keeps
+    that vocab lacks, found with one findall and one dict lookup per token."""
+    # Entries tokenize never emits as themselves (stopwords, digit-leading
+    # tokens) never match; a miss then falls through tokenize's rules.
+    lookup = {tok: i for tok, i in vocab.token_to_id.items()
+              if tok not in STOPWORDS and not tok[:1].isdigit()}
+    num_id = lookup.get(NUM_TOKEN)
+    findall = _TOKEN_RE.findall
+
+    def encode(text):
+        ids = []
+        dropped = 0
+        for tok in findall(text.lower()):
+            i = lookup.get(tok)
+            if i is None:
+                if tok[0].isdigit():
+                    tok, i = NUM_TOKEN, num_id
+                if tok in STOPWORDS:
+                    continue
+                if i is None:
+                    dropped += 1
+                    continue
+            ids.append(i)
+        return ids, dropped
+
+    return encode
+
+
 def encode_corpus(raw_docs, vocab):
     """Encode raw documents against vocab into one Corpus; entities ordered by
     first appearance."""
+    encode = _text_encoder(vocab)
     tokens = array("i")
     doc_ptr = [0]
     doc_ids = []
@@ -203,9 +234,8 @@ def encode_corpus(raw_docs, vocab):
         if doc_id in seen:
             raise DataError(f"duplicate doc_id {doc_id!r}")
         seen.add(doc_id)
-        toks = tokenize(text)
-        ids = vocab.encode(toks)
-        dropped += len(toks) - len(ids)
+        ids, missed = encode(text)
+        dropped += missed
         tokens.extend(ids)
         doc_ptr.append(len(tokens))
         doc_ids.append(doc_id)
@@ -219,7 +249,8 @@ def encode_corpus(raw_docs, vocab):
 def encode_topics(topics, vocab):
     """Encode topic_id -> query text against vocab into {topic_id: token ids},
     in topic-id order; a query with no in-vocabulary token encodes to []."""
-    return {tid: vocab.encode(tokenize(topics[tid])) for tid in sorted(topics)}
+    encode = _text_encoder(vocab)
+    return {tid: encode(topics[tid])[0] for tid in sorted(topics)}
 
 
 def extract_topic_query(path):

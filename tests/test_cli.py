@@ -20,6 +20,7 @@ import lse.training
 from lse.cli import main
 from lse.model import MAGIC
 from lse.retrieval import RankedList, read_run, write_run
+from lse.text import Vocabulary, encode_corpus, load_raw_docs
 from lse.training import EpochLog, write_epoch_log
 
 CORPUS_LINES = [
@@ -232,6 +233,39 @@ def test_fuse_without_model_reports_qi_and_qi_qlm_only(workflow, tmp_path):
         assert list(entry) == ["degenerate"] and "no model" in entry["degenerate"]
 
 
+def test_eval_ranks_each_topic_by_score_not_line_order(tmp_path):
+    run = tmp_path / "run.trec"
+    run.write_text("t1 Q0 gui 1 0.1 x\nt1 Q0 cam 2 0.9 x\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("t1 0 cam 1\n")
+    run_ok(CliRunner(), ["eval", str(run), str(qrels), "--out", str(tmp_path / "e")])
+    aggregate = json.loads((tmp_path / "e" / "aggregate.json").read_text())
+    assert aggregate["means"]["ndcg@100"] == 1.0
+
+
+def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
+    root, corpus, topics, qrels, runner = workflow
+    # a vocabulary lacking most corpus words, so some tokens are dropped
+    vocab = tmp_path / "vocab.tsv"
+    Vocabulary.load(root / "vocab" / "vocab.tsv").truncate(12).save(vocab)
+    expected = encode_corpus(load_raw_docs(corpus), Vocabulary.load(vocab))
+    assert expected.dropped_tokens > 0
+    commands = {
+        "train": ["train", corpus, vocab] + TRAIN_FLAGS,
+        "qlm": ["qlm", corpus, vocab, topics],
+        "sweep-lambda": ["sweep-lambda", corpus, vocab, topics, qrels],
+        "fuse": ["fuse", corpus, vocab, topics, qrels, "--folds", "2",
+                 "--pair-samples", "300"]}
+    for command, args in commands.items():
+        run_ok(runner, list(map(str, args)) + ["--out", str(tmp_path / command)])
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["counts"] == {"documents": len(CORPUS_LINES),
+                                      "tokens": expected.total_tokens,
+                                      "dropped_tokens": expected.dropped_tokens}, command
+    manifest = json.loads((root / "rank" / "manifest.json").read_text())
+    assert manifest["counts"] == {}
+
+
 def test_grad_check_passes_and_writes_report(tmp_path):
     runner = CliRunner()
     result = run_ok(runner, ["grad-check", "--seeds", "2",
@@ -277,6 +311,15 @@ def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, command):
     result = runner.invoke(main, list(map(str, args)) + ["--out", str(out), option, "0"])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["0", "-1e-5"])
+def test_grad_check_eps_not_above_zero_exits_2_naming_it(tmp_path, eps):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["grad-check", "--eps", eps, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--eps'" in result.output
     assert not out.exists()
 
 

@@ -178,6 +178,14 @@ def test_read_run_groups_topics_in_order(tmp_path):
     assert list(runs) == ["t1", "t2"]
 
 
+def test_read_run_orders_entries_by_score_then_entity_id(tmp_path):
+    path = tmp_path / "run.trec"
+    path.write_text("t1 Q0 gui 1 0.1 x\nt1 Q0 cam 2 0.9 x\n"
+                    "t1 Q0 vio 3 0.5 x\nt1 Q0 pia 4 0.5 x\n")
+    assert read_run(path)["t1"].entries == [("cam", 0.9), ("pia", 0.5), ("vio", 0.5),
+                                            ("gui", 0.1)]
+
+
 def test_read_run_rejects_an_entity_listed_twice_for_a_topic(tmp_path):
     path = tmp_path / "run.trec"
     path.write_text("t1 Q0 cam 1 0.9 x\nt2 Q0 cam 1 0.7 x\nt1 Q0 cam 2 0.8 x\n")

@@ -165,23 +165,36 @@ def test_encode_corpus_lays_documents_end_to_end():
 
 
 # Words of every kind the tokenizer treats differently: in and out of the
-# vocabulary, stopwords, numbers, the literal placeholder and punctuation.
+# vocabulary, stopwords, numbers, the literal placeholder, uppercase,
+# non-ASCII letters and punctuation.
 ENCODER_WORDS = ("aa", "bb", "camera", "lens", "zz", "qq", "the", "of", "12", "3.5",
-                 "2,000", NUM_TOKEN, "mp3", "a-b", "!!", "")
+                 "2,000", NUM_TOKEN, "mp3", "a-b", "!!", "", "Camera", "THE", "é",
+                 "caméra", "x<num>y", "<12", "12aa")
+# The vocabulary may hold entries tokenize never emits as themselves (a
+# stopword, a digit-leading token) and may lack the placeholder.
+VOCAB_WORDS = ("aa", "bb", "camera", "lens", "mp", "x", "y", NUM_TOKEN, "the", "12")
+
+
+def _drawn_vocab(data):
+    words = data.draw(st.lists(st.sampled_from(VOCAB_WORDS), min_size=1, unique=True),
+                      label="vocab")
+    return Vocabulary(words, [1] * len(words), [1] * len(words))
+
+
+def _drawn_text(data):
+    words = data.draw(st.lists(st.tuples(st.sampled_from(ENCODER_WORDS),
+                                         st.sampled_from([" ", "\t", "\n", ", "])),
+                               max_size=8), label="words")
+    return "".join(word + sep for word, sep in words)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_encode_corpus_matches_per_document_oracle(data):
-    vocab_words = data.draw(st.lists(st.sampled_from(["aa", "bb", "camera", "lens",
-                                                      "mp", NUM_TOKEN]),
-                                     min_size=1, unique=True), label="vocab")
-    vocab = Vocabulary(vocab_words, [1] * len(vocab_words), [1] * len(vocab_words))
-    raw = data.draw(st.lists(st.tuples(st.sampled_from(["e0", "e1", "e2", "e3"]),
-                                       st.lists(st.sampled_from(ENCODER_WORDS),
-                                                max_size=8)),
-                             min_size=1, max_size=8), label="documents")
-    raw = [(f"d{j}", entity, " ".join(words)) for j, (entity, words) in enumerate(raw)]
+    vocab = _drawn_vocab(data)
+    owners = data.draw(st.lists(st.sampled_from(["e0", "e1", "e2", "e3"]),
+                                min_size=1, max_size=8), label="owners")
+    raw = [(f"d{j}", entity, _drawn_text(data)) for j, entity in enumerate(owners)]
     corpus = encode_corpus(raw, vocab)
     entities = list(dict.fromkeys(entity for _, entity, _ in raw))
     assert corpus.entities == entities
@@ -195,6 +208,17 @@ def test_encode_corpus_matches_per_document_oracle(data):
         assert corpus.doc_entity[j] == entities.index(entity)
     assert corpus.doc_ptr[-1] == corpus.total_tokens == len(corpus.tokens)
     assert corpus.dropped_tokens == dropped
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_encode_topics_matches_per_query_oracle(data):
+    vocab = _drawn_vocab(data)
+    ids = data.draw(st.lists(st.sampled_from(["t1", "t2", "t10", "a"]), unique=True),
+                    label="topic ids")
+    topics = {tid: _drawn_text(data) for tid in ids}
+    expected = {tid: vocab.encode(tokenize(q)) for tid, q in sorted(topics.items())}
+    assert list(encode_topics(topics, vocab).items()) == list(expected.items())
 
 
 def test_encode_topics_orders_by_topic_id_and_keeps_empty_queries():
