@@ -4,6 +4,7 @@ ideal-vector analysis, and a gradient self-check."""
 
 import contextlib
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -162,14 +163,11 @@ def cmd_build_vocab(corpus, out_dir, max_size):
 
 
 def _load_train_config(config_path, overrides):
+    """The config file's TrainConfig (or the defaults) with every flag given
+    on the command line in place of its value."""
     config = TrainConfig.from_file(config_path) if config_path else TrainConfig()
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    if fields:
-        merged = config.as_dict()
-        for key, value in fields.items():
-            merged["lambda" if key == "weight_decay" else key] = value
-        config = TrainConfig.from_mapping(merged)
-    return config
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items()
+                                          if v is not None})
 
 
 @main.command("train")
@@ -310,7 +308,10 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
             for tid, row in sorted(report.per_topic.items()):
                 writer.writerow([tid] + [repr(row[m]) for m in report.means])
         aggregate = {"means": report.means, "excluded_topics": report.excluded,
+                     "missing_topics": report.missing,
                      "num_topics": len(report.per_topic), "cutoff": cutoff}
+        if report.missing:
+            _status(f"{len(report.missing)} judged topics have no line in the run")
         if baseline_run:
             base = evaluate_run(read_run(baseline_run), qrels_data, cutoff=cutoff)
             aggregate["significance_vs_baseline"] = compare_runs(report, base)
@@ -456,31 +457,34 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
               type=click.FloatRange(min=0, min_open=True))
 @click.option("--tolerance", default=1e-4, show_default=True)
 @click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False),
-              help="Optional directory for a JSON report.")
+              help="Optional directory for a JSON report and manifest.")
 def cmd_grad_check(seeds, eps, tolerance, out_dir):
     """Check analytic gradients against central finite differences on small
-    random models; exits 1 when the tolerance is exceeded."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    results = []
-    for seed in range(seeds):
-        for weight_decay in (0.0, 0.01):
-            rng = np.random.default_rng(seed)
-            dims = Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5)
-            params = init_params(dims, rng)
-            block = InstanceBlock(rng.integers(0, 6, size=(3, 2)),
-                                  rng.integers(0, 5, size=3),
-                                  rng.integers(0, 5, size=(3, 2)))
-            err = max_relative_fd_error(params, block, weight_decay, eps)
-            worst = max(worst, err)
-            results.append({"seed": seed, "lambda": weight_decay, "max_rel_err": err})
-    elapsed = time.perf_counter() - t0
-    _status(f"max relative error {worst:.3e} over {seeds} seeds ({elapsed:.2f}s)")
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_json(out_dir, "grad_check.json",
-                    {"results": results, "max_rel_err": worst,
-                     "tolerance": tolerance, "eps": eps})
+    random models; exits 1 when the tolerance is exceeded, after writing
+    the report."""
+    config = {"seeds": seeds, "eps": eps, "tolerance": tolerance}
+    with _run(out_dir, config) if out_dir else contextlib.nullcontext():
+        t0 = time.perf_counter()
+        worst = 0.0
+        results = []
+        for seed in range(seeds):
+            for weight_decay in (0.0, 0.01):
+                rng = np.random.default_rng(seed)
+                dims = Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5)
+                params = init_params(dims, rng)
+                block = InstanceBlock(rng.integers(0, 6, size=(3, 2)),
+                                      rng.integers(0, 5, size=3),
+                                      rng.integers(0, 5, size=(3, 2)))
+                err = max_relative_fd_error(params, block, weight_decay, eps)
+                worst = max(worst, err)
+                results.append({"seed": seed, "lambda": weight_decay,
+                                "max_rel_err": err})
+        elapsed = time.perf_counter() - t0
+        _status(f"max relative error {worst:.3e} over {seeds} seeds ({elapsed:.2f}s)")
+        if out_dir:
+            _write_json(out_dir, "grad_check.json",
+                        {"results": results, "max_rel_err": worst,
+                         "tolerance": tolerance, "eps": eps})
     if worst >= tolerance:
         raise click.ClickException(f"gradient check failed: {worst:.3e} >= {tolerance}")
 

@@ -135,12 +135,15 @@ class EvalReport:
     per_topic: dict   # topic_id -> {metric: value}
     means: dict       # metric -> mean over included topics
     excluded: list    # topic ids with no relevant entity
+    missing: list     # qrels topics with a relevant entity but no run line
     cutoff: int
 
 
 def evaluate_run(runs, qrels, cutoff=100, ks=(5, 10)):
     """Per-topic and mean NDCG@cutoff and P@k for every topic in runs; a
-    cutoff below 1 is a DataError."""
+    cutoff below 1 is a DataError. Means are over the scored topics only,
+    as trec_eval computes them without -c; the qrels topics with a relevant
+    entity that runs leaves out are listed as missing."""
     check_cutoff(cutoff)
     per_topic = {}
     excluded = []
@@ -157,7 +160,8 @@ def evaluate_run(runs, qrels, cutoff=100, ks=(5, 10)):
     for metric in metrics:
         vals = [row[metric] for row in per_topic.values()]
         means[metric] = sum(vals) / len(vals) if vals else None
-    return EvalReport(per_topic, means, excluded, cutoff)
+    missing = [tid for tid in qrels.topics() if qrels.relevant(tid) and tid not in runs]
+    return EvalReport(per_topic, means, excluded, missing, cutoff)
 
 
 def _betacf(a, b, x):

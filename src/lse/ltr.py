@@ -345,7 +345,7 @@ def build_features(queries, corpus, qlm_model, params, qi=None):
     for tid, qids in sorted(queries.items()):
         qlm_col = np.zeros(n)
         if qids:
-            qlm_col = np.array([qlm_score(qlm_model, i, qids) for i in range(n)])
+            qlm_col = qlm_score(qlm_model, slice(None), qids)
             finite = qlm_col[np.isfinite(qlm_col)]
             if len(finite) == 0:
                 qlm_col = np.zeros(n)

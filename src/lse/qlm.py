@@ -68,56 +68,41 @@ def estimate(corpus, lambda_jm=0.5):
                                corpus_counts, lambda_jm)
 
 
-def score(model, entity_index, query_token_ids):
-    """Sum of log smoothed term probabilities; -inf when a term probability
-    is zero (lambda_jm = 0 and the term is unseen in the profile). Terms with
-    zero corpus frequency are dropped.
+def score(model, entities, query_token_ids):
+    """Log-likelihood of the query under every profile's smoothed model,
+    indexed by entities (an int, an index array or slice(None)).
 
-    One entity at a time: the reference that `rank`'s array arithmetic must
-    reproduce."""
-    lam = model.lambda_jm
-    total = int(model.entity_totals[entity_index])
-    ctotal = model.corpus_total
-    s = 0.0
-    for t in query_token_ids:
-        t = int(t)
-        cc = model.corpus_count(t)
-        if cc == 0:
-            continue
-        entities, counts = model.postings(t)
-        j = int(np.searchsorted(entities, entity_index))
-        c = int(counts[j]) if j < len(entities) and entities[j] == entity_index else 0
-        p_x = c / total if total else 0.0
-        p = (1.0 - lam) * p_x + lam * (cc / ctotal)
-        s += math.log(p) if p > 0.0 else float("-inf")
-    return s
-
-
-def rank(model, entity_ids, query_token_ids, topic_id="q", k=None):
-    """Score every entity for the query and keep the top k (all when k is
-    None); ties broken by ascending entity id.
-
-    Per query term, every entity gets the background log-probability and the
-    entities in the term's postings get their smoothed one, with the
-    arithmetic of `score` in the same order, so the scores are equal."""
+    Per counted query term, in query order, every profile gets the
+    background log-probability and the profiles in the term's postings get
+    their smoothed one. Terms with zero corpus frequency are dropped; a
+    score is -inf when a term probability is zero (lambda_jm = 0 and the
+    term is unseen in the profile)."""
     lam = model.lambda_jm
     ctotal = model.corpus_total
-    scores = np.zeros(len(entity_ids))
+    scores = np.zeros(len(model.entity_totals))
     for t in query_token_ids:
         t = int(t)
         cc = model.corpus_count(t)
         if cc == 0:
             continue
         background = lam * (cc / ctotal)
-        entities, counts = model.postings(t)
-        p = (1.0 - lam) * (counts / model.entity_totals[entities]) + background
-        term = np.full(len(entity_ids),
+        postings, counts = model.postings(t)
+        p = (1.0 - lam) * (counts / model.entity_totals[postings]) + background
+        term = np.full(len(scores),
                        math.log(background) if background > 0.0 else float("-inf"))
         # math.log, not np.log: NumPy's vectorised log can differ from the
-        # C library's in the last bit, and score uses the latter.
-        term[entities] = list(map(math.log, p.tolist()))
+        # C library's in the last bit, and the scores must equal those of a
+        # scalar loop over one profile.
+        term[postings] = list(map(math.log, p.tolist()))
         scores += term
-    return ranked_from_scores(topic_id, entity_ids, scores, k)
+    return scores[entities]
+
+
+def rank(model, entity_ids, query_token_ids, topic_id="q", k=None):
+    """Score every entity for the query and keep the top k (all when k is
+    None); ties broken by ascending entity id."""
+    return ranked_from_scores(topic_id, entity_ids,
+                              score(model, slice(None), query_token_ids), k)
 
 
 SWEEP_GRID = tuple(i / 20 for i in range(21))

@@ -1,5 +1,6 @@
 """Shared fixtures: small hand-built corpora and synthetic benchmarks."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -54,6 +55,27 @@ def profile_counts(corpus):
     for e, toks in documents(corpus):
         per_entity[e].update(toks.tolist())
     return per_entity, sum(per_entity, Counter())
+
+
+def scalar_qlm_score(model, entity_index, query_token_ids):
+    """Reference for lse.qlm.score: one profile's query log-likelihood, term
+    by term, finding the profile's count in each term's postings by binary
+    search. Sums in query order from 0.0, so a correct vectorised score
+    equals it exactly."""
+    lam = model.lambda_jm
+    total = int(model.entity_totals[entity_index])
+    s = 0.0
+    for t in query_token_ids:
+        cc = model.corpus_count(int(t))
+        if cc == 0:
+            continue
+        entities, counts = model.postings(int(t))
+        j = int(np.searchsorted(entities, entity_index))
+        c = int(counts[j]) if j < len(entities) and entities[j] == entity_index else 0
+        p_x = c / total if total else 0.0
+        p = (1.0 - lam) * p_x + lam * (cc / model.corpus_total)
+        s += math.log(p) if p > 0.0 else float("-inf")
+    return s
 
 
 def separable_topics(num_entities=8, multi=4):

@@ -89,7 +89,14 @@ def test_retrieval_commands_never_import_scipy(workflow, tmp_path):
                  "--out", tmp_path / "rank"],
                 ["qlm", corpus, vocab, topics, "--out", tmp_path / "qlm"],
                 ["eval", tmp_path / "rank" / "run.trec", qrels,
-                 "--out", tmp_path / "eval"]]
+                 "--out", tmp_path / "eval"],
+                ["sweep-lambda", corpus, vocab, topics, qrels,
+                 "--out", tmp_path / "sweep"],
+                ["fuse", corpus, vocab, topics, qrels, "--out", tmp_path / "fuse",
+                 "--model", root / "model" / "model.lse", "--folds", "2",
+                 "--pair-samples", "300"],
+                ["ideal-vector", root / "model" / "model.lse", vocab, topics, qrels,
+                 "--out", tmp_path / "ideal", "--pair-samples", "300"]]
     code = ("import json, sys, lse.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    lse.cli.main(argv, standalone_mode=False)\n"
@@ -101,7 +108,9 @@ def test_retrieval_commands_never_import_scipy(workflow, tmp_path):
         [sys.executable, "-c", code, json.dumps([list(map(str, c)) for c in commands])],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert (tmp_path / "eval" / "per_topic.csv").exists()
+    for output in ("eval/per_topic.csv", "sweep/sweep.csv", "fuse/fusion.json",
+                   "ideal/ideal.json"):
+        assert (tmp_path / output).exists(), output
     assert result.stdout.splitlines()[-1] == "[]"
 
 
@@ -243,6 +252,20 @@ def test_eval_ranks_each_topic_by_score_not_line_order(tmp_path):
     assert aggregate["means"]["ndcg@100"] == 1.0
 
 
+def test_eval_lists_judged_topics_the_run_leaves_out(tmp_path):
+    _, _, qrels = write_inputs(tmp_path)
+    run = tmp_path / "run.trec"
+    run.write_text("t1 Q0 cam 1 0.9 x\n")
+    result = run_ok(CliRunner(), ["eval", str(run), str(qrels),
+                                  "--out", str(tmp_path / "e")])
+    aggregate = json.loads((tmp_path / "e" / "aggregate.json").read_text())
+    assert aggregate["missing_topics"] == ["t2", "t3", "t5"]
+    # means stay over the scored topics
+    assert aggregate["num_topics"] == 1
+    assert aggregate["means"]["ndcg@100"] == 1.0
+    assert "3 judged topics have no line in the run" in result.output
+
+
 def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
     root, corpus, topics, qrels, runner = workflow
     # a vocabulary lacking most corpus words, so some tokens are dropped
@@ -274,6 +297,18 @@ def test_grad_check_passes_and_writes_report(tmp_path):
     report = json.loads((tmp_path / "gc" / "grad_check.json").read_text())
     assert report["max_rel_err"] < 1e-4
     assert len(report["results"]) == 4
+    manifest = json.loads((tmp_path / "gc" / "manifest.json").read_text())
+    assert manifest["command"] == "grad-check"
+    assert manifest["config"] == {"seeds": 2, "eps": 1e-5, "tolerance": 1e-4}
+    # a failing check exits 1 and still leaves its report and manifest
+    failed = runner.invoke(main, ["grad-check", "--seeds", "1", "--tolerance", "0",
+                                  "--out", str(tmp_path / "bad")])
+    assert failed.exit_code == 1, failed.output
+    assert "gradient check failed" in failed.output
+    report = json.loads((tmp_path / "bad" / "grad_check.json").read_text())
+    assert report["tolerance"] == 0 and len(report["results"]) == 2
+    manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert manifest["config"]["tolerance"] == 0
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -659,6 +694,22 @@ def test_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["e_v"] == 8
     lines = (tmp_path / "m" / "epochs.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--epochs", "0", "must be positive"),
+    ("--lambda", "-0.5", "weight decay must be non-negative")])
+def test_bad_train_flag_value_exits_1_before_writing_anything(tmp_path, flag, value,
+                                                              message):
+    corpus, _, _ = write_inputs(tmp_path)
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    out = tmp_path / "m"
+    result = CliRunner().invoke(main, ["train", str(corpus), str(vocab),
+                                       "--out", str(out), flag, value])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert not out.exists()
 
 
 def test_rerun_is_byte_identical_outside_timestamps(tmp_path):

@@ -121,8 +121,11 @@ def test_mean_ndcg_excludes_and_reports_topics_without_relevants():
     report = evaluate_run(runs, qrels, ks=())
     assert report.means == {"ndcg@100": pytest.approx(1.0, abs=1e-12)}
     assert report.excluded == ["t2"]
+    assert report.missing == []
     empty = evaluate_run({}, qrels, ks=())
     assert (empty.means, empty.excluded) == ({"ndcg@100": None}, [])
+    # t2 has no relevant entity, so leaving it out is not a miss
+    assert empty.missing == ["t1"]
 
 
 def test_evaluate_run_reports_all_metrics():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus
+from conftest import make_corpus, scalar_qlm_score
 import lse.ltr
 from lse.errors import DataError
 from lse.ltr import (COMBOS, GRAPH_NAMES, QI_MASK_FEATURES,
@@ -525,7 +525,6 @@ def features_setup(lambda_jm=0.5, params="init"):
 
 def test_build_features_columns_match_component_scores():
     from lse.model import project
-    from lse.qlm import score
     from lse.retrieval import cosine_scores
 
     corpus, qlm_model, params, queries = features_setup()
@@ -534,10 +533,24 @@ def test_build_features_columns_match_component_scores():
     assert table.topics == ["t0", "t1"]
     assert table.entity_ids == ["e0", "e1", "e2"]
     qids = queries["t1"]
-    expected_qlm = [score(qlm_model, i, qids) for i in range(3)]
-    assert np.allclose(table.matrices["t1"][:, 10], expected_qlm, atol=1e-12)
     expected_lse = cosine_scores(params.W_e, project(params, qids))
     assert np.allclose(table.matrices["t1"][:, 11], expected_lse, atol=1e-12)
+
+
+@pytest.mark.parametrize("lambda_jm", [0.0, 0.3, 1.0])
+def test_build_features_qlm_column_is_the_scalar_oracle(lambda_jm):
+    corpus = make_corpus([("e0", [0, 0, 1]), ("e1", [1, 2]), ("e2", [2]), ("e3", []),
+                          ("e4", [3, 1, 1])])
+    qlm_model = estimate(corpus, lambda_jm)
+    queries = {"a": [0], "b": [2, 9, 2, 1], "c": [9], "d": [3, 0]}
+    table = build_features(queries, corpus, qlm_model, None)
+    for tid, qids in queries.items():
+        expected = np.array([scalar_qlm_score(qlm_model, i, qids) for i in range(5)])
+        finite = expected[np.isfinite(expected)]
+        # -inf sits one below the topic's smallest finite score; a topic
+        # with no finite score gets an all-zero column
+        expected[~np.isfinite(expected)] = finite.min() - 1.0 if len(finite) else 0.0
+        assert table.matrices[tid][:, 10].tolist() == expected.tolist(), tid
 
 
 def test_build_features_replaces_minus_inf():

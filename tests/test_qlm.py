@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, profile_counts
+from conftest import make_corpus, profile_counts, scalar_qlm_score
 from lse.errors import DataError
 from lse.evaluation import Qrels
 from lse.qlm import SWEEP_GRID, estimate, rank, score, sweep_lambda
@@ -103,7 +103,7 @@ def test_rank_orders_by_score_with_id_tie_break():
     assert [e for e, _ in tied.entries] == ["e1", "e2"]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_rank_scores_equal_the_scalar_oracle(data):
     n = data.draw(st.integers(1, 5), label="entities")
@@ -116,11 +116,20 @@ def test_rank_scores_equal_the_scalar_oracle(data):
     query = data.draw(st.lists(st.integers(0, vocab_size + 1), max_size=6),
                       label="query")
     query = query + query[:data.draw(st.integers(0, len(query)), label="repeats")]
-    lam = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="lambda")
+    lam = data.draw(st.sampled_from([0.0, 1.0])
+                    | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    label="lambda")
     model = estimate(corpus, lam)
-    got = dict(rank(model, corpus.entities, query).entries)
     # Same arithmetic in the same order, so equal, not merely within 1e-12.
-    assert got == {eid: score(model, i, query) for i, eid in enumerate(corpus.entities)}
+    oracle = [scalar_qlm_score(model, i, query) for i in range(n)]
+    assert score(model, slice(None), query).tolist() == oracle
+    index = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="index")
+    assert score(model, np.array(index, dtype=np.intp), query).tolist() == [
+        oracle[i] for i in index]
+    i = data.draw(st.integers(0, n - 1), label="one")
+    assert score(model, i, query) == oracle[i]
+    assert dict(rank(model, corpus.entities, query).entries) == dict(
+        zip(corpus.entities, oracle))
 
 
 def test_rank_keeps_the_top_k_of_the_full_ranking():
