@@ -8,6 +8,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 import time
 
@@ -236,20 +237,23 @@ def _queries(path, vocabulary):
     return encode_topics(TopicSet.load(path).topics, vocabulary)
 
 
-def _rank_topics(out_dir, queries, top_k, run_tag, rank):
-    """Write run.trec with rank(topic_id, query token ids) for every query in
-    order, and skipped_topics.txt with the topics whose query is empty."""
-    ranked, skipped = [], []
-    for tid, ids in queries.items():
-        if ids:
-            ranked.append(rank(tid, ids))
-        else:
-            skipped.append(tid)
-    write_run(os.path.join(out_dir, "run.trec"), ranked, tag=run_tag, top_k=top_k)
+def _write_skipped(out_dir, queries):
+    """Write skipped_topics.txt with the topics whose query is empty (all out
+    of vocabulary) and report their count."""
+    skipped = [tid for tid, ids in queries.items() if not ids]
     with _output(out_dir, "skipped_topics.txt") as fh:
         fh.writelines(f"{tid}\n" for tid in skipped)
     if skipped:
         _status(f"skipped {len(skipped)} all-out-of-vocabulary topics")
+
+
+def _rank_topics(out_dir, queries, top_k, run_tag, rank):
+    """Write run.trec with rank(topic_id, query token ids) for every
+    non-empty query in order, and skipped_topics.txt."""
+    write_run(os.path.join(out_dir, "run.trec"),
+              [rank(tid, ids) for tid, ids in queries.items() if ids],
+              tag=run_tag, top_k=top_k)
+    _write_skipped(out_dir, queries)
 
 
 @main.command("rank")
@@ -330,13 +334,14 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
     with _run(out_dir, {"cutoff": cutoff}) as counts:
         vocabulary = Vocabulary.load(vocab)
         corpus_data = _corpus(corpus, vocabulary, counts)
-        best, grid = sweep_lambda(corpus_data, _queries(topics, vocabulary),
-                                  Qrels.load(qrels), cutoff=cutoff)
+        queries = _queries(topics, vocabulary)
+        best, grid = sweep_lambda(corpus_data, queries, Qrels.load(qrels), cutoff=cutoff)
         with _output(out_dir, "sweep.csv") as fh:
             fh.write("lambda_jm,mean_ndcg\n")
             for lam, mean in grid:
                 fh.write(f"{lam!r},{mean!r}\n")
         _write_json(out_dir, "best_lambda.json", {"best_lambda_jm": best})
+        _write_skipped(out_dir, queries)
         _status(f"best lambda_jm = {best!r}")
 
 
@@ -450,18 +455,26 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
             _status(f"skipped {len(skipped)} topics (single or no relevant entity)")
 
 
+def _finite(ctx, param, value):
+    """Option callback: NaN or infinity exits 2 naming the option."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"must be finite, got {value}")
+    return value
+
+
 @main.command("grad-check")
 @click.option("--seeds", default=10, show_default=True, type=click.IntRange(min=1),
               help="Random restarts.")
 @click.option("--eps", default=1e-5, show_default=True,
-              type=click.FloatRange(min=0, min_open=True))
-@click.option("--tolerance", default=1e-4, show_default=True)
+              type=click.FloatRange(min=0, min_open=True), callback=_finite)
+@click.option("--tolerance", default=1e-4, show_default=True, callback=_finite)
 @click.option("--out", "out_dir", default=None, type=click.Path(file_okay=False),
               help="Optional directory for a JSON report and manifest.")
 def cmd_grad_check(seeds, eps, tolerance, out_dir):
     """Check analytic gradients against central finite differences on small
-    random models; exits 1 when the tolerance is exceeded, after writing
-    the report."""
+    random models; exits 1 unless the worst relative error is below the
+    tolerance (a non-finite gradient or difference counts as infinite), after
+    writing the report."""
     config = {"seeds": seeds, "eps": eps, "tolerance": tolerance}
     with _run(out_dir, config) if out_dir else contextlib.nullcontext():
         t0 = time.perf_counter()
@@ -485,7 +498,7 @@ def cmd_grad_check(seeds, eps, tolerance, out_dir):
             _write_json(out_dir, "grad_check.json",
                         {"results": results, "max_rel_err": worst,
                          "tolerance": tolerance, "eps": eps})
-    if worst >= tolerance:
+    if not worst < tolerance:
         raise click.ClickException(f"gradient check failed: {worst:.3e} >= {tolerance}")
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticError
-from .files import atomic_open, check_unique, read_lines
+from .files import check_unique, read_lines
 from .qlm import estimate
 
 
@@ -39,12 +39,6 @@ class TopicSet:
                 topics[parts[0]] = parts[1]
         return cls(topics, "test" if split is None else split)
 
-    def save(self, path):
-        with atomic_open(path) as fh:
-            fh.write(f"topic_id\t{self.split}\n")
-            for tid, query in self.topics.items():
-                fh.write(f"{tid}\t{query}\n")
-
 
 class Qrels:
     """Binary relevance grades keyed by (topic_id, entity_id)."""
@@ -59,9 +53,6 @@ class Qrels:
             self.grades[(tid, eid)] = grade
             if grade:
                 self._relevant.setdefault(tid, set()).add(eid)
-
-    def grade(self, topic_id, entity_id):
-        return self.grades.get((topic_id, entity_id), 0)
 
     def relevant(self, topic_id):
         return frozenset(self._relevant.get(topic_id, ()))
@@ -87,11 +78,6 @@ class Qrels:
                          "entity {0[1]!r} for topic {0[0]!r}")
             grades[(tid, eid)] = int(grade)
         return cls(grades)
-
-    def save(self, path):
-        with atomic_open(path) as fh:
-            for (tid, eid), grade in sorted(self.grades.items()):
-                fh.write(f"{tid} 0 {eid} {grade}\n")
 
 
 def check_cutoff(cutoff):

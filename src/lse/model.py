@@ -9,7 +9,9 @@ log-probabilities and adds (lambda / 2m) times the squared Frobenius norms of
 W_v, W and W_e; the bias b is not regularized.
 """
 
+import dataclasses
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LSEError
-from .files import atomic_open, read_lines
+from .files import atomic_open, check_unique, read_lines
 
 MAGIC = b"LSEM0001"
 PARAM_FIELDS = ("W_v", "W", "b", "W_e")
@@ -36,7 +38,7 @@ class Dims:
 
 
 class ModelParams:
-    """The four learnable arrays.
+    """The four learnable arrays, or the batch loss's gradients of them.
 
     W_v: (e_V, |V|), column i = embedding of word id i.
     W:   (e_E, e_V), the word-to-entity linear map.
@@ -70,14 +72,6 @@ class ModelParams:
     def astype(self, dtype):
         return ModelParams(self.W_v.astype(dtype), self.W.astype(dtype),
                            self.b.astype(dtype), self.W_e.astype(dtype))
-
-
-@dataclass
-class GradientSet:
-    W_v: np.ndarray
-    W: np.ndarray
-    b: np.ndarray
-    W_e: np.ndarray
 
 
 def init_params(dims, seed, dtype=np.float64):
@@ -219,7 +213,7 @@ def batch_loss(params, batch, weight_decay):
 
 
 def batch_loss_and_gradients(params, batch, weight_decay):
-    """One forward/backward pass; returns (loss, GradientSet).
+    """One forward/backward pass; returns (loss, gradients as ModelParams).
 
     Gradients are exact for the batch loss, and the loss is batch_loss's
     bit for bit. The per-instance pieces are sech^2 = 1 - f^2 reusing the
@@ -268,13 +262,14 @@ def batch_loss_and_gradients(params, batch, weight_decay):
     _scatter_add(g_We, positives[:, None], (-inv_m * cpos)[:, None], F)
     _scatter_add(g_We, negatives, -inv_m * cneg, F)
 
-    return loss, GradientSet(g_Wv, g_W, g_b, g_We)
+    return loss, ModelParams(g_Wv, g_W, g_b, g_We)
 
 
 def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
     """Max per-coordinate relative error of the analytic gradients against
     central differences of batch_loss; coordinates where both are below
-    1e-8 in magnitude count as exact. Each coordinate of params is perturbed
+    1e-8 in magnitude count as exact, and a non-finite analytic gradient or
+    difference as an infinite error. Each coordinate of params is perturbed
     in place and restored."""
     grads = batch_loss_and_gradients(params, batch, weight_decay)[1]
     worst = 0.0
@@ -289,6 +284,8 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
             down = batch_loss(params, batch, weight_decay)
             flat[i] = orig
             fd = (up - down) / (2.0 * eps)
+            if not (math.isfinite(analytic[i]) and math.isfinite(fd)):
+                return math.inf
             denom = max(abs(analytic[i]), abs(fd))
             if denom < 1e-8:
                 continue
@@ -297,14 +294,16 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
 
 
 class AdamState:
-    """Adam accumulators; moments start at zero, t increments per update."""
+    """Adam accumulators at Kingma & Ba's constants; moments start at zero,
+    t increments per update."""
 
-    def __init__(self, params, alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    alpha = 0.001
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params):
         self.t = 0
-        self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
         self.v = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
 
@@ -332,9 +331,8 @@ class TrainConfig:
     """Training configuration.
 
     weight_decay is the L2 coefficient (the config-file key is "lambda").
-    Adam runs at alpha=0.001, beta1=0.9, beta2=0.999, eps=1e-8. precision
-    selects the training dtype, which is also the dtype the model is saved
-    in (loading promotes it to float64).
+    precision selects the training dtype, which is also the dtype the model
+    is saved in (loading promotes it to float64).
     validation_cutoff is the NDCG cutoff used for best-epoch selection.
     """
 
@@ -349,47 +347,32 @@ class TrainConfig:
     precision: str = "float32"
     validation_cutoff: int = 100
 
-    _KEYS = ("e_v", "e_e", "n", "z", "m", "lambda", "epochs", "seed",
-             "precision", "validation_cutoff")
+    # Fields whose config-file and manifest key is not their name.
+    _RENAMED = {"weight_decay": "lambda"}
 
     def __post_init__(self):
         if min(self.e_v, self.e_e, self.n, self.z, self.m, self.epochs) < 1:
             raise DataError("dimensions, window, negatives, batch size and epochs must be positive")
-        if self.weight_decay < 0:
-            raise DataError("weight decay must be non-negative")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise DataError("weight decay must be non-negative and finite, "
+                            f"got {self.weight_decay!r}")
         if self.precision not in ("float32", "float64"):
             raise DataError("precision must be float32 or float64")
         if self.validation_cutoff < 1:
             raise DataError("validation cutoff must be positive")
 
     def as_dict(self):
-        return {"e_v": self.e_v, "e_e": self.e_e, "n": self.n, "z": self.z,
-                "m": self.m, "lambda": self.weight_decay, "epochs": self.epochs,
-                "seed": self.seed, "precision": self.precision,
-                "validation_cutoff": self.validation_cutoff}
-
-    @classmethod
-    def _convert(cls, key, value):
-        if key not in cls._KEYS:
-            raise DataError(f"unknown config key {key!r}")
-        kind, what = {"lambda": (float, "a number"),
-                      "precision": (str, "a string")}.get(key, (int, "an integer"))
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"config key {key!r} must be {what}, "
-                            f"got {value!r}") from exc
-
-    @classmethod
-    def from_mapping(cls, mapping):
-        return cls(**{"weight_decay" if key == "lambda" else key:
-                      cls._convert(key, value) for key, value in mapping.items()})
+        return {self._RENAMED.get(f.name, f.name): getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
     @classmethod
     def from_file(cls, path):
-        """Parse a flat key = value file; blank lines and # comments ignored.
-        A bad key or value is a DataError naming the file and line."""
-        mapping = {}
+        """Parse a flat key = value file, one key per field; blank lines and
+        # comments ignored. A bad key or value is a DataError naming the
+        file and line."""
+        fields = {cls._RENAMED.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+        values = {}
+        first_line = {}
         for number, line in read_lines(path):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -397,21 +380,20 @@ class TrainConfig:
             if "=" not in line:
                 raise DataError(f"{path}:{number}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in mapping:
-                raise DataError(f"{path}:{number}: duplicate key {key!r}")
+            if key not in fields:
+                raise DataError(f"{path}:{number}: unknown config key {key!r}")
+            check_unique(first_line, key, path, number, "key {!r}")
+            kind = fields[key].type
             try:
-                mapping[key] = cls._convert(key, value)
-            except DataError as exc:
-                raise DataError(f"{path}:{number}: {exc}") from exc
+                values[fields[key].name] = kind(value)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise DataError(f"{path}:{number}: config key {key!r} must be "
+                                f"{what}, got {value!r}") from None
         try:
-            return cls.from_mapping(mapping)
+            return cls(**values)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
-
-    def to_file(self, path):
-        with atomic_open(path) as fh:
-            for key, value in self.as_dict().items():
-                fh.write(f"{key} = {value}\n")
 
 
 # Array encodings of the container, by the header's dtype.

@@ -46,8 +46,9 @@ class Vocabulary:
     """Bidirectional token/id map with corpus statistics.
 
     Ids are assigned in frequency-rank order (most frequent first, ties
-    broken lexicographically), so truncation to k tokens is a prefix
-    operation. Capped at 65536 entries so every id fits in 16 bits.
+    broken lexicographically), so a vocabulary built with a smaller cap is
+    a prefix of the id range. Capped at 65536 entries so every id fits in
+    16 bits.
     """
 
     MAX_SIZE = 65536
@@ -68,9 +69,6 @@ class Vocabulary:
     def size(self):
         return len(self.id_to_token)
 
-    def __len__(self):
-        return len(self.id_to_token)
-
     def __eq__(self, other):
         if not isinstance(other, Vocabulary):
             return NotImplemented
@@ -78,21 +76,10 @@ class Vocabulary:
                 and self.frequency == other.frequency
                 and self.document_frequency == other.document_frequency)
 
-    def __contains__(self, token):
-        return token in self.token_to_id
-
     def encode(self, tokens):
         """Map tokens to ids, silently dropping out-of-vocabulary tokens."""
         t2i = self.token_to_id
         return [t2i[t] for t in tokens if t in t2i]
-
-    def truncate(self, k):
-        """Keep the k highest-ranked tokens (a prefix of the id range)."""
-        if k < 1:
-            raise DataError("truncation size must be at least 1")
-        k = min(k, self.size)
-        return Vocabulary(self.id_to_token[:k], self.frequency[:k],
-                          self.document_frequency[:k])
 
     def to_tsv(self):
         lines = []

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from hypothesis import strategies as st
 
 import lse.cli
 import lse.ltr
+import lse.model
 import lse.training
 from lse.cli import main
 from lse.model import MAGIC
 from lse.retrieval import RankedList, read_run, write_run
-from lse.text import Vocabulary, encode_corpus, load_raw_docs
+from lse.text import Vocabulary, build_vocabulary, encode_corpus, load_raw_docs
 from lse.training import EpochLog, write_epoch_log
 
 CORPUS_LINES = [
@@ -177,6 +180,7 @@ def test_sweep_lambda_emits_full_grid(workflow):
     best = json.loads((root / "sweep" / "best_lambda.json").read_text())
     grid = [float(line.split(",")[0]) for line in lines[1:]]
     assert best["best_lambda_jm"] in grid
+    assert (root / "sweep" / "skipped_topics.txt").read_text() == ""
 
 
 def test_ideal_vector_skips_single_relevant_topics(workflow):
@@ -270,7 +274,7 @@ def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
     root, corpus, topics, qrels, runner = workflow
     # a vocabulary lacking most corpus words, so some tokens are dropped
     vocab = tmp_path / "vocab.tsv"
-    Vocabulary.load(root / "vocab" / "vocab.tsv").truncate(12).save(vocab)
+    build_vocabulary(load_raw_docs(corpus), max_size=12).save(vocab)
     expected = encode_corpus(load_raw_docs(corpus), Vocabulary.load(vocab))
     assert expected.dropped_tokens > 0
     commands = {
@@ -356,6 +360,33 @@ def test_grad_check_eps_not_above_zero_exits_2_naming_it(tmp_path, eps):
     assert result.exit_code == 2, result.output
     assert "Invalid value for '--eps'" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--eps", "--tolerance"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_grad_check_non_finite_option_exits_2_naming_it(tmp_path, option, value):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["grad-check", option, value, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}': must be finite" in result.output
+    assert not out.exists()
+
+
+def test_grad_check_fails_on_a_nan_gradient(tmp_path):
+    step = lse.model.batch_loss_and_gradients
+
+    def nan_gradient(*args):
+        loss, grads = step(*args)
+        grads.W_e[:] = np.nan
+        return loss, grads
+
+    with mock.patch.object(lse.model, "batch_loss_and_gradients", nan_gradient):
+        result = CliRunner().invoke(main, ["grad-check", "--seeds", "1",
+                                           "--out", str(tmp_path / "gc")])
+    assert result.exit_code == 1, result.output
+    assert "gradient check failed: inf >= 0.0001" in result.output
+    report = json.loads((tmp_path / "gc" / "grad_check.json").read_text())
+    assert report["max_rel_err"] == math.inf
 
 
 def test_data_dir_resolves_relative_inputs(tmp_path):
@@ -678,6 +709,22 @@ def test_all_oov_topic_listed_and_exit_zero(tmp_path):
     assert (tmp_path / "q" / "skipped_topics.txt").read_text() == "t9\n"
 
 
+def test_sweep_lambda_lists_all_oov_topics(tmp_path):
+    corpus, _, qrels = write_inputs(tmp_path)
+    topics = tmp_path / "oov.tsv"
+    topics.write_text("topic_id\ttest\nt1\tcamera\nt2\tzzzz\n")
+    runner = CliRunner()
+    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    vocab = tmp_path / "v" / "vocab.tsv"
+    result = run_ok(runner, ["sweep-lambda", str(corpus), str(vocab), str(topics),
+                             str(qrels), "--out", str(tmp_path / "s")])
+    assert (tmp_path / "s" / "skipped_topics.txt").read_text() == "t2\n"
+    assert "skipped 1 all-out-of-vocabulary topics" in result.output
+    # every grid point's mean is t1's alone
+    lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(lines) == 21 and all(line.endswith(",1.0") for line in lines)
+
+
 def test_config_file_with_flag_override(tmp_path):
     corpus, _, _ = write_inputs(tmp_path)
     config = tmp_path / "train.cfg"
@@ -698,7 +745,9 @@ def test_config_file_with_flag_override(tmp_path):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--epochs", "0", "must be positive"),
-    ("--lambda", "-0.5", "weight decay must be non-negative")])
+    ("--lambda", "-0.5", "weight decay must be non-negative"),
+    ("--lambda", "nan", "weight decay must be non-negative and finite, got nan"),
+    ("--lambda", "inf", "weight decay must be non-negative and finite, got inf")])
 def test_bad_train_flag_value_exits_1_before_writing_anything(tmp_path, flag, value,
                                                               message):
     corpus, _, _ = write_inputs(tmp_path)

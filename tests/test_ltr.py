@@ -660,8 +660,8 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
         for fold_index, heldout in enumerate(partition):
             train = [t for t in table.topics if t not in heldout]
             matrix = np.concatenate([table.matrices[t][:, cols] for t in train])
-            labels = np.concatenate([[qrels.grade(t, e) for e in table.entity_ids]
-                                     for t in train])
+            labels = np.concatenate([[qrels.grades.get((t, e), 0)
+                                      for e in table.entity_ids] for t in train])
             mean, std = _standardize_fit(matrix)
             fold_seed = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(combo_index, fold_index)).generate_state(1)[0])

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import lse.model
 from lse.errors import DataError, LSEError
-from lse.model import (MAGIC, PARAM_FIELDS, AdamState, Dims, GradientSet,
+from lse.model import (MAGIC, PARAM_FIELDS, AdamState, Dims,
                        ModelParams, TrainConfig, _gather_sum, _scatter_add,
                        _sigmoid, _sq_norms, adam_step, batch_loss,
                        batch_loss_and_gradients, init_params, load_model,
@@ -230,6 +230,23 @@ def test_gradients_match_finite_differences():
         assert max_relative_fd_error(params, block, lam) < 1e-6
 
 
+@pytest.mark.parametrize("broken", ["gradient", "loss"])
+def test_fd_check_counts_non_finite_values_as_infinite_error(broken):
+    # max() keeps its first argument against NaN, so a NaN must not reach it
+    params, block = random_setup(17)
+    step = lse.model.batch_loss_and_gradients
+
+    def nan_gradient(*args):
+        loss, grads = step(*args)
+        grads.W[0, 0] = np.nan
+        return loss, grads
+
+    patch = ({"batch_loss_and_gradients": nan_gradient} if broken == "gradient"
+             else {"batch_loss": lambda *args: math.nan})
+    with mock.patch.multiple(lse.model, **patch):
+        assert max_relative_fd_error(params, block, 0.01) == math.inf
+
+
 def test_gradient_of_untouched_embedding_is_pure_decay():
     params, block = random_setup(5)
     untouched = [t for t in range(params.dims.vocab_size)
@@ -366,7 +383,7 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     g_We = reg * params.W_e
     np.add.at(g_We, positives, (-inv_m * cpos)[:, None] * F)
     np.add.at(g_We, negatives, (-inv_m * cneg)[:, :, None] * F[:, None, :])
-    return loss, GradientSet(g_Wv, g_W, g_b, g_We)
+    return loss, ModelParams(g_Wv, g_W, g_b, g_We)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -460,7 +477,7 @@ def test_sparse_helpers_reject_out_of_range_ids(bad):
 def test_adam_first_step_magnitude_near_alpha():
     params = zero_params(e_v=2, e_e=2, vocab=2, entities=2)
     state = AdamState(params)
-    grads = GradientSet(np.full((2, 2), 2.0), np.full((2, 2), -3.0),
+    grads = ModelParams(np.full((2, 2), 2.0), np.full((2, 2), -3.0),
                         np.full(2, 1.0), np.full((2, 2), 0.5))
     adam_step(params, grads, state)
     assert state.t == 1
@@ -503,9 +520,13 @@ def test_train_config_defaults():
 
 
 def test_train_config_file_round_trip(tmp_path):
-    cfg = TrainConfig(e_v=16, weight_decay=0.5, precision="float32", seed=9)
+    # every field off its default, so no key can be dropped or misnamed
+    cfg = TrainConfig(e_v=16, e_e=8, n=3, z=5, m=64, weight_decay=0.5, epochs=2,
+                      seed=9, precision="float64", validation_cutoff=20)
+    defaults = TrainConfig().as_dict()
+    assert all(value != defaults[key] for key, value in cfg.as_dict().items())
     path = tmp_path / "train.cfg"
-    cfg.to_file(path)
+    path.write_text("".join(f"{key} = {value}\n" for key, value in cfg.as_dict().items()))
     assert TrainConfig.from_file(path) == cfg
 
 
@@ -520,17 +541,32 @@ def test_train_config_parses_comments_and_lambda_key(tmp_path):
 def test_train_config_rejects_duplicate_and_unknown_keys(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text("epochs = 3\nepochs = 4\n")
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=":2: duplicate key 'epochs', first on line 1"):
         TrainConfig.from_file(path)
-    with pytest.raises(DataError, match="unknown config key"):
-        TrainConfig.from_mapping({"bogus": 1})
+    # the field name is not a key when the field is renamed
+    for line in ("bogus = 1", "weight_decay = 0.1"):
+        path.write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(DataError, match=":2: unknown config key"):
+            TrainConfig.from_file(path)
+    path.write_text("seed = 1\nlambda = lots\n")
+    with pytest.raises(DataError, match=":2: config key 'lambda' must be a number"):
+        TrainConfig.from_file(path)
+    path.write_text("seed = 1\nno equals sign\n")
+    with pytest.raises(DataError, match=":2: expected key = value"):
+        TrainConfig.from_file(path)
 
 
-def test_train_config_validation():
+def test_train_config_validation(tmp_path):
     with pytest.raises(DataError):
         TrainConfig(epochs=0)
-    with pytest.raises(DataError):
-        TrainConfig(weight_decay=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(DataError, match=f"non-negative and finite, got {bad!r}"):
+            TrainConfig(weight_decay=bad)
+    path = tmp_path / "train.cfg"
+    path.write_text("lambda = nan\n")
+    with pytest.raises(DataError, match="train.cfg: weight decay must be non-negative "
+                                        "and finite, got nan"):
+        TrainConfig.from_file(path)
     with pytest.raises(DataError):
         TrainConfig(precision="float16")
 

@@ -65,7 +65,10 @@ def test_build_vocabulary_breaks_frequency_ties_lexicographically():
 def test_build_vocabulary_truncation_consistency():
     docs = [("d1", "e1", "aa bb cc dd aa bb cc aa bb aa")]
     full = build_vocabulary(docs)
-    assert full.truncate(2) == build_vocabulary(docs, max_size=2)
+    capped = build_vocabulary(docs, max_size=2)
+    assert capped == Vocabulary(full.id_to_token[:2], full.frequency[:2],
+                                full.document_frequency[:2])
+    assert build_vocabulary(docs, max_size=9) == full
 
 
 def test_build_vocabulary_rejects_empty_and_bad_sizes():
@@ -111,8 +114,9 @@ def test_vocabulary_load_rejects_shuffled_ids(tmp_path):
 
 
 def test_truncate_changes_digest():
-    vocab = build_vocabulary([("d1", "e1", "aa bb cc aa bb aa")])
-    assert vocab.truncate(2).sha256() != vocab.sha256()
+    docs = [("d1", "e1", "aa bb cc aa bb aa")]
+    assert (build_vocabulary(docs, max_size=2).sha256()
+            != build_vocabulary(docs).sha256())
 
 
 def test_encode_corpus_doc_entity_and_order():
