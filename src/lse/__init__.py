@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 from . import (errors, evaluation, files, ltr, model, qlm, retrieval, sampling,
                text, training)
 from .errors import DataError, DegenerateStatisticError, LSEError
-from .evaluation import (Qrels, TopicSet, compare_runs, correlations,
-                         evaluate_run, idf_match_analysis, ndcg, paired_t_test,
-                         permutation_test_correlation, precision_at_k,
-                         significance_marker)
+from .evaluation import (Qrels, TopicSet, compare_runs, evaluate_run, ndcg,
+                         paired_t_test, precision_at_k, significance_marker)
 from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
                   ideal_vector_report, pagerank)
 from .model import (Dims, ModelParams, TrainConfig, batch_loss,
@@ -25,7 +23,7 @@ from .retrieval import RankedList, rank_entities, read_run, write_run
 from .sampling import (InstanceBlock, SamplerConfig, make_batches,
                        ngrams_per_entity_per_epoch, sample_epoch)
 from .text import (Corpus, Vocabulary, build_vocabulary, encode_corpus, encode_topics,
-                   extract_topic_query, tokenize, topics_from_categories)
+                   tokenize)
 from .training import TrainResult, train, write_epoch_log
 
 __all__ = [
@@ -33,8 +31,7 @@ __all__ = [
     "errors", "evaluation", "files", "ltr", "model", "qlm", "retrieval",
     "sampling", "text", "training",
     "DataError", "DegenerateStatisticError", "LSEError",
-    "Qrels", "TopicSet", "compare_runs", "correlations", "evaluate_run",
-    "idf_match_analysis", "ndcg", "paired_t_test", "permutation_test_correlation",
+    "Qrels", "TopicSet", "compare_runs", "evaluate_run", "ndcg", "paired_t_test",
     "precision_at_k", "significance_marker",
     "QIData", "RankerConfig", "build_features", "cross_validated_fusion",
     "ideal_vector_report", "pagerank",
@@ -46,6 +43,6 @@ __all__ = [
     "InstanceBlock", "SamplerConfig", "make_batches",
     "ngrams_per_entity_per_epoch", "sample_epoch",
     "Corpus", "Vocabulary", "build_vocabulary", "encode_corpus", "encode_topics",
-    "extract_topic_query", "tokenize", "topics_from_categories",
+    "tokenize",
     "TrainResult", "train", "write_epoch_log",
 ]

@@ -125,7 +125,7 @@ def _output(out_dir, name):
 
 def _write_json(out_dir, name, payload):
     with _output(out_dir, name) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -219,7 +219,11 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
 def _load_model_checked(model_path, vocabulary):
     params, header = load_model(model_path)
     if header.get("vocab_sha256") and header["vocab_sha256"] != vocabulary.sha256():
-        raise LSEError("vocabulary does not match the one the model was trained with")
+        raise DataError(f"{model_path}: vocabulary does not match the one the model "
+                        "was trained with")
+    if params.dims.vocab_size != vocabulary.size:
+        raise DataError(f"{model_path}: model has {params.dims.vocab_size} word "
+                        f"embeddings but the vocabulary has {vocabulary.size} words")
     return params, header
 
 
@@ -237,23 +241,24 @@ def _queries(path, vocabulary):
     return encode_topics(TopicSet.load(path).topics, vocabulary)
 
 
-def _write_skipped(out_dir, queries):
+def _write_skipped(out_dir, queries, counts):
     """Write skipped_topics.txt with the topics whose query is empty (all out
-    of vocabulary) and report their count."""
+    of vocabulary), and put their count into counts and on stderr."""
     skipped = [tid for tid, ids in queries.items() if not ids]
     with _output(out_dir, "skipped_topics.txt") as fh:
         fh.writelines(f"{tid}\n" for tid in skipped)
+    counts["skipped_topics"] = len(skipped)
     if skipped:
         _status(f"skipped {len(skipped)} all-out-of-vocabulary topics")
 
 
-def _rank_topics(out_dir, queries, top_k, run_tag, rank):
+def _rank_topics(out_dir, counts, queries, top_k, run_tag, rank):
     """Write run.trec with rank(topic_id, query token ids) for every
-    non-empty query in order, and skipped_topics.txt."""
+    non-empty query in order, and skipped_topics.txt (counted in counts)."""
     write_run(os.path.join(out_dir, "run.trec"),
               [rank(tid, ids) for tid, ids in queries.items() if ids],
               tag=run_tag, top_k=top_k)
-    _write_skipped(out_dir, queries)
+    _write_skipped(out_dir, queries, counts)
 
 
 @main.command("rank")
@@ -265,11 +270,11 @@ def _rank_topics(out_dir, queries, top_k, run_tag, rank):
 @click.option("--run-tag", default="lse", show_default=True)
 def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
     """Rank all entities for every topic with the trained model."""
-    with _run(out_dir, {"top_k": top_k, "run_tag": run_tag}):
+    with _run(out_dir, {"top_k": top_k, "run_tag": run_tag}) as counts:
         vocabulary = Vocabulary.load(vocab)
         params, header = _load_model_checked(model, vocabulary)
         norms = np.linalg.norm(params.W_e, axis=1)
-        _rank_topics(out_dir, _queries(topics, vocabulary), top_k, run_tag,
+        _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, run_tag,
                      lambda tid, ids: rank_entities(params, ids, header["entity_ids"],
                                                     tid, top_k, norms))
 
@@ -290,7 +295,7 @@ def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
         vocabulary = Vocabulary.load(vocab)
         corpus_data = _corpus(corpus, vocabulary, counts)
         model = qlm_estimate(corpus_data, lambda_jm)
-        _rank_topics(out_dir, _queries(topics, vocabulary), top_k, run_tag,
+        _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, run_tag,
                      lambda tid, ids: qlm_rank(model, corpus_data.entities, ids, tid,
                                                top_k))
 
@@ -303,7 +308,7 @@ def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
 @_input_option("--baseline-run", help="Second run for the paired significance test.")
 def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
     """Score a run against qrels; optionally test against a baseline run."""
-    with _run(out_dir, {"cutoff": cutoff}):
+    with _run(out_dir, {"cutoff": cutoff}) as counts:
         qrels_data = Qrels.load(qrels)
         report = evaluate_run(read_run(run), qrels_data, cutoff=cutoff)
         with _output(out_dir, "per_topic.csv") as fh:
@@ -314,6 +319,7 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
         aggregate = {"means": report.means, "excluded_topics": report.excluded,
                      "missing_topics": report.missing,
                      "num_topics": len(report.per_topic), "cutoff": cutoff}
+        counts["missing_topics"] = len(report.missing)
         if report.missing:
             _status(f"{len(report.missing)} judged topics have no line in the run")
         if baseline_run:
@@ -341,7 +347,7 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
             for lam, mean in grid:
                 fh.write(f"{lam!r},{mean!r}\n")
         _write_json(out_dir, "best_lambda.json", {"best_lambda_jm": best})
-        _write_skipped(out_dir, queries)
+        _write_skipped(out_dir, queries, counts)
         _status(f"best lambda_jm = {best!r}")
 
 
@@ -423,7 +429,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
     the report."""
     config = {"cutoff": cutoff, "pair_samples": pair_samples,
               "batch": pegasos_batch(pair_samples)}
-    with _run(out_dir, config, seed):
+    with _run(out_dir, config, seed) as counts:
         vocabulary = Vocabulary.load(vocab)
         params, header = _load_model_checked(model, vocabulary)
         rows = ideal_vector_report(params, _queries(topics, vocabulary),
@@ -451,6 +457,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
                                 if scored else None),
         }
         _write_json(out_dir, "ideal.json", aggregate)
+        counts["skipped_topics"] = len(skipped)
         if skipped:
             _status(f"skipped {len(skipped)} topics (single or no relevant entity)")
 
@@ -460,6 +467,11 @@ def _finite(ctx, param, value):
     if not math.isfinite(value):
         raise click.BadParameter(f"must be finite, got {value}")
     return value
+
+
+def _finite_or_none(value):
+    """value, or None (JSON null) when it is NaN or infinite."""
+    return value if math.isfinite(value) else None
 
 
 @main.command("grad-check")
@@ -491,12 +503,13 @@ def cmd_grad_check(seeds, eps, tolerance, out_dir):
                 err = max_relative_fd_error(params, block, weight_decay, eps)
                 worst = max(worst, err)
                 results.append({"seed": seed, "lambda": weight_decay,
-                                "max_rel_err": err})
+                                "max_rel_err": _finite_or_none(err)})
         elapsed = time.perf_counter() - t0
         _status(f"max relative error {worst:.3e} over {seeds} seeds ({elapsed:.2f}s)")
         if out_dir:
             _write_json(out_dir, "grad_check.json",
-                        {"results": results, "max_rel_err": worst,
+                        {"results": results, "max_rel_err": _finite_or_none(worst),
+                         "non_finite": not math.isfinite(worst),
                          "tolerance": tolerance, "eps": eps})
     if not worst < tolerance:
         raise click.ClickException(f"gradient check failed: {worst:.3e} >= {tolerance}")

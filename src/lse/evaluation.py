@@ -1,6 +1,5 @@
-"""Ground truth handling and measurement: NDCG, Precision@k, the paired
-t-test, rank correlations, a permutation test, and the per-topic IDF
-analysis of lexically matched query terms."""
+"""Ground truth handling and measurement: NDCG, Precision@k and the paired
+t-test."""
 
 import math
 from dataclasses import dataclass
@@ -9,7 +8,6 @@ import numpy as np
 
 from .errors import DataError, DegenerateStatisticError
 from .files import check_unique, read_lines
-from .qlm import estimate
 
 
 @dataclass
@@ -259,108 +257,3 @@ def compare_runs(report, baseline):
             out[metric] = {"degenerate": str(exc)}
     return out
 
-
-def average_ranks(values):
-    """1-based ranks with ties assigned the average of their positions."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v), dtype=np.float64)
-    i = 0
-    sv = v[order]
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def _pearson(x, y):
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
-    if denom == 0.0:
-        raise DegenerateStatisticError("constant sequence has no defined correlation")
-    return float(dx @ dy) / denom
-
-
-def correlations(x, y):
-    """(spearman r, pearson r); Spearman is Pearson on average ranks."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError("correlation inputs must be equal-length 1-d sequences")
-    if len(x) < 3:
-        raise DataError("correlation needs at least 3 points")
-    return _pearson(average_ranks(x), average_ranks(y)), _pearson(x, y)
-
-
-def permutation_test_correlation(x, y, iterations=10000, seed=0, method="pearson"):
-    """Two-sided permutation p-value for the correlation of x and y.
-
-    Shuffles y; p = (1 + #{|r_perm| >= |r_obs|}) / (1 + iterations).
-    Spearman permutes the rank transform (ranking commutes with
-    permutation).
-    """
-    if iterations < 1000:
-        raise DataError("permutation test needs at least 1000 iterations")
-    if method not in ("pearson", "spearman"):
-        raise DataError("method must be pearson or spearman")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError("correlation inputs must be equal-length 1-d sequences")
-    if method == "spearman":
-        x = average_ranks(x)
-        y = average_ranks(y)
-    dx = x - x.mean()
-    sx = math.sqrt(float(dx @ dx))
-    dy = y - y.mean()
-    sy = math.sqrt(float(dy @ dy))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateStatisticError("constant sequence has no defined correlation")
-    # same arithmetic as the permuted statistics so exact ties count as hits
-    r_obs = abs(float(dy @ dx)) / (sx * sy)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    chunk = 2048
-    done = 0
-    while done < iterations:
-        size = min(chunk, iterations - done)
-        perms = np.tile(y, (size, 1))
-        rng.permuted(perms, axis=1, out=perms)
-        # centering and scale are permutation-invariant
-        r = np.abs((perms - y.mean()) @ dx) / (sx * sy)
-        hits += int(np.count_nonzero(r >= r_obs))
-        done += size
-    return (1 + hits) / (1 + iterations)
-
-
-def idf_match_analysis(corpus, queries, qrels):
-    """Per topic of queries ({topic_id: token ids}), the mean IDF of distinct
-    query terms that occur in at least one relevant entity's profile.
-
-    IDF(t) = ln(N / df(t)) with N the number of entity profiles and df the
-    number of profiles containing t. Returns (per_topic, unmatched) where
-    unmatched lists topics with no lexically matched term.
-    """
-    n_profiles = corpus.num_entities
-    profiles = estimate(corpus)
-    per_topic = {}
-    unmatched = []
-    for tid, ids in sorted(queries.items()):
-        relevant = [corpus.entity_index[eid] for eid in qrels.relevant(tid)
-                    if eid in corpus.entity_index]
-        # df(t) is the length of t's postings; t matches when they hold a
-        # relevant entity.
-        dfs = []
-        for t in dict.fromkeys(ids):
-            holders = profiles.postings(t)[0] if profiles.corpus_count(t) else ()
-            if np.isin(relevant, holders).any():
-                dfs.append(len(holders))
-        if not dfs:
-            unmatched.append(tid)
-            continue
-        per_topic[tid] = sum(math.log(n_profiles / df) for df in dfs) / len(dfs)
-    return per_topic, unmatched

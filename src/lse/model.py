@@ -197,31 +197,21 @@ def _negative_rows(W_e, negatives):
         yield s, W_e[negatives[s]]                 # (chunk, z, e_E)
 
 
-def _nce_loss(params, dpos, dneg, weight_decay):
-    logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
-    return float(-logp.mean() + 0.5 * weight_decay / len(dpos) * _sq_norms(params))
-
-
 def batch_loss(params, batch, weight_decay):
     """Mean negated instance log-probability plus the weight-decay term."""
-    if len(batch) == 0:
-        raise DataError("batch is empty")
-    _, F, _, dpos = _forward(params, batch)
-    dneg = np.concatenate([np.einsum("mke,me->mk", Eneg, F[s])
-                           for s, Eneg in _negative_rows(params.W_e, batch.negatives)])
-    return _nce_loss(params, dpos, dneg, weight_decay)
+    return batch_loss_and_gradients(params, batch, weight_decay)[0]
 
 
 def batch_loss_and_gradients(params, batch, weight_decay):
     """One forward/backward pass; returns (loss, gradients as ModelParams).
 
-    Gradients are exact for the batch loss, and the loss is batch_loss's
-    bit for bit. The per-instance pieces are sech^2 = 1 - f^2 reusing the
-    forward tanh, a coefficient 1 - sigma for the positive dot and -sigma
-    per negative dot (cneg, folded into Vneg = sum_k cneg_k e_k chunk by
-    chunk), and a sparse scatter-add into the touched columns of W_v and
-    rows of W_e; the (lambda / m) theta regularizer term is dense over the
-    three matrices and absent for b.
+    The loss is the mean negated instance log-probability plus the
+    weight-decay term, and the gradients are exact for it. The per-instance
+    pieces are sech^2 = 1 - f^2 reusing the forward tanh, a coefficient
+    1 - sigma for the positive dot and -sigma per negative dot (cneg, folded
+    into Vneg = sum_k cneg_k e_k chunk by chunk), and a sparse scatter-add
+    into the touched columns of W_v and rows of W_e; the (lambda / m) theta
+    regularizer term is dense over the three matrices and absent for b.
     The scatters are CSC products (_scatter_add): the token rows into a
     zero (|V|, e_V) buffer that is then added to the regularizer of W_v,
     and the positives, then the negatives, straight into the regularizer
@@ -242,7 +232,8 @@ def batch_loss_and_gradients(params, batch, weight_decay):
         dneg[s] = np.einsum("mke,me->mk", Eneg, F[s])
         cneg[s] = -_sigmoid(dneg[s])
         Vneg[s] = np.einsum("mk,mke->me", cneg[s], Eneg)
-    loss = _nce_loss(params, dpos, dneg, weight_decay)
+    logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
+    loss = float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
 
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
     V = cpos[:, None] * Epos + Vneg

@@ -1,5 +1,5 @@
-"""Text pipeline: tokenization, vocabulary construction, corpus encoding,
-and benchmark topics built from category hierarchies."""
+"""Text pipeline: tokenization, vocabulary construction, and corpus and
+topic encoding."""
 
 import hashlib
 import re
@@ -240,43 +240,6 @@ def encode_topics(topics, vocab):
     return {tid: encode(topics[tid])[0] for tid in sorted(topics)}
 
 
-def extract_topic_query(path):
-    """Build a topic query from a category path: tokenize the titles from the
-    second level onward and de-duplicate words keeping the first
-    occurrence."""
-    if len(path) < 2:
-        raise DataError("category path has fewer than two levels")
-    words = [tok for title in path[1:] for tok in tokenize(title)]
-    return " ".join(dict.fromkeys(words))
-
-
-def topics_from_categories(records):
-    """Turn (path, entity_ids) records into topics and binary relevance.
-
-    Topic ids are c<index> over the input order; paths with fewer than two
-    levels or an empty extracted query are skipped. Returns
-    (topics, qrels, skipped_indices) where topics maps topic_id -> query and
-    qrels maps (topic_id, entity_id) -> 1.
-    """
-    topics = {}
-    qrels = {}
-    skipped = []
-    for i, (path, entity_ids) in enumerate(records):
-        try:
-            query = extract_topic_query(path)
-        except DataError:
-            skipped.append(i)
-            continue
-        if not query:
-            skipped.append(i)
-            continue
-        tid = f"c{i:04d}"
-        topics[tid] = query
-        for eid in entity_ids:
-            qrels[(tid, eid)] = 1
-    return topics, qrels, skipped
-
-
 def load_raw_docs(path):
     """Read a JSON-lines corpus: one {"doc_id", "entity_id", "text"} per line,
     all three strings, with distinct doc ids and at least one document."""
@@ -291,8 +254,3 @@ def load_raw_docs(path):
         raise DataError(f"{path}: corpus has no documents")
     return docs
 
-
-def load_categories(path):
-    """Read JSON-lines category records: {"path": [...], "entity_ids": [...]}."""
-    return [(rec["path"], rec["entity_ids"])
-            for _, rec in read_records(path, {"path": list, "entity_ids": list})]

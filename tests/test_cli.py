@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import os
 import struct
 import subprocess
@@ -21,7 +20,7 @@ import lse.ltr
 import lse.model
 import lse.training
 from lse.cli import main
-from lse.model import MAGIC
+from lse.model import MAGIC, Dims, init_params, save_model
 from lse.retrieval import RankedList, read_run, write_run
 from lse.text import Vocabulary, build_vocabulary, encode_corpus, load_raw_docs
 from lse.training import EpochLog, write_epoch_log
@@ -202,6 +201,7 @@ def test_ideal_vector_skips_single_relevant_topics(workflow):
     manifest = json.loads((root / "ideal" / "manifest.json").read_text())
     assert manifest["config"] == {"cutoff": 100, "pair_samples": 500,
                                   "batch": 5}
+    assert manifest["counts"] == {"skipped_topics": 3}
 
 
 def test_fuse_reports_all_combinations(workflow):
@@ -268,6 +268,8 @@ def test_eval_lists_judged_topics_the_run_leaves_out(tmp_path):
     assert aggregate["num_topics"] == 1
     assert aggregate["means"]["ndcg@100"] == 1.0
     assert "3 judged topics have no line in the run" in result.output
+    manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
+    assert manifest["counts"] == {"missing_topics": 3}
 
 
 def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
@@ -283,14 +285,18 @@ def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
         "sweep-lambda": ["sweep-lambda", corpus, vocab, topics, qrels],
         "fuse": ["fuse", corpus, vocab, topics, qrels, "--folds", "2",
                  "--pair-samples", "300"]}
+    encoding = {"documents": len(CORPUS_LINES), "tokens": expected.total_tokens,
+                "dropped_tokens": expected.dropped_tokens}
+    # the commands that write skipped_topics.txt also count its topics
+    skipped = {"qlm": {"skipped_topics": 0}, "sweep-lambda": {"skipped_topics": 0}}
     for command, args in commands.items():
         run_ok(runner, list(map(str, args)) + ["--out", str(tmp_path / command)])
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
-        assert manifest["counts"] == {"documents": len(CORPUS_LINES),
-                                      "tokens": expected.total_tokens,
-                                      "dropped_tokens": expected.dropped_tokens}, command
-    manifest = json.loads((root / "rank" / "manifest.json").read_text())
-    assert manifest["counts"] == {}
+        assert manifest["counts"] == {**encoding, **skipped.get(command, {})}, command
+    for command, counts in (("rank", {"skipped_topics": 0}),
+                            ("eval", {"missing_topics": 0})):
+        manifest = json.loads((root / command / "manifest.json").read_text())
+        assert manifest["counts"] == counts, command
 
 
 def test_grad_check_passes_and_writes_report(tmp_path):
@@ -300,6 +306,7 @@ def test_grad_check_passes_and_writes_report(tmp_path):
     assert "max relative error" in result.output
     report = json.loads((tmp_path / "gc" / "grad_check.json").read_text())
     assert report["max_rel_err"] < 1e-4
+    assert report["non_finite"] is False
     assert len(report["results"]) == 4
     manifest = json.loads((tmp_path / "gc" / "manifest.json").read_text())
     assert manifest["command"] == "grad-check"
@@ -385,8 +392,15 @@ def test_grad_check_fails_on_a_nan_gradient(tmp_path):
                                            "--out", str(tmp_path / "gc")])
     assert result.exit_code == 1, result.output
     assert "gradient check failed: inf >= 0.0001" in result.output
-    report = json.loads((tmp_path / "gc" / "grad_check.json").read_text())
-    assert report["max_rel_err"] == math.inf
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    # strict JSON: NaN and Infinity are not numbers there
+    report = json.loads((tmp_path / "gc" / "grad_check.json").read_text(),
+                        parse_constant=reject)
+    assert report["max_rel_err"] is None and report["non_finite"] is True
+    assert [r["max_rel_err"] for r in report["results"]] == [None, None]
 
 
 def test_data_dir_resolves_relative_inputs(tmp_path):
@@ -434,7 +448,29 @@ def test_vocabulary_mismatch_exits_1(tmp_path):
                                   str(tmp_path / "v2" / "vocab.tsv"),
                                   str(topics), "--out", str(tmp_path / "r")])
     assert result.exit_code == 1
-    assert "does not match" in result.output
+    model = tmp_path / "m" / "model.lse"
+    assert f"Error: {model}: vocabulary does not match" in result.output
+
+
+@pytest.mark.parametrize("command", ["rank", "fuse", "ideal-vector"])
+def test_model_vocabulary_size_mismatch_exits_1_naming_the_model(tmp_path, command):
+    # a container saved without a vocabulary hash is checked by size
+    corpus, topics, qrels = write_inputs(tmp_path)
+    model = tmp_path / "model.lse"
+    save_model(model, init_params(Dims(e_v=2, e_e=2, vocab_size=2, num_entities=2), 0),
+               entity_ids=["cam", "gui"])
+    vocab = tmp_path / "vocab.tsv"
+    Vocabulary(["camera", "guitar", "lens"], [2, 2, 2], [1, 1, 1]).save(vocab)
+    argv = {"rank": ["rank", model, vocab, topics],
+            "fuse": ["fuse", corpus, vocab, topics, qrels, "--model", model],
+            "ideal-vector": ["ideal-vector", model, vocab, topics, qrels]}[command]
+    result = CliRunner().invoke(main, list(map(str, argv))
+                                + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {model}: model has 2 word embeddings but the "
+                      "vocabulary has 3 words"]
 
 
 GOOD_HEADER = {"format": "lse-model", "dtype": "float64", "entity_ids": ["cam", "gui"],
@@ -707,6 +743,9 @@ def test_all_oov_topic_listed_and_exit_zero(tmp_path):
     run_ok(runner, ["qlm", str(corpus), str(vocab), str(oov_topics),
                     "--out", str(tmp_path / "q")])
     assert (tmp_path / "q" / "skipped_topics.txt").read_text() == "t9\n"
+    for out in ("r", "q"):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["counts"]["skipped_topics"] == 1, out
 
 
 def test_sweep_lambda_lists_all_oov_topics(tmp_path):
@@ -720,6 +759,8 @@ def test_sweep_lambda_lists_all_oov_topics(tmp_path):
                              str(qrels), "--out", str(tmp_path / "s")])
     assert (tmp_path / "s" / "skipped_topics.txt").read_text() == "t2\n"
     assert "skipped 1 all-out-of-vocabulary topics" in result.output
+    manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+    assert manifest["counts"]["skipped_topics"] == 1
     # every grid point's mean is t1's alone
     lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
     assert len(lines) == 21 and all(line.endswith(",1.0") for line in lines)

@@ -7,13 +7,11 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from conftest import make_corpus
 from lse.errors import DataError, DegenerateStatisticError
-from lse.evaluation import (Qrels, TopicSet, average_ranks, compare_runs,
-                            correlations, evaluate_run, idf_match_analysis, ndcg,
-                            paired_t_test, permutation_test_correlation,
-                            precision_at_k, regularized_incomplete_beta,
-                            significance_marker, student_t_two_sided_p)
+from lse.evaluation import (Qrels, TopicSet, compare_runs, evaluate_run, ndcg,
+                            paired_t_test, precision_at_k,
+                            regularized_incomplete_beta, significance_marker,
+                            student_t_two_sided_p)
 from lse.retrieval import RankedList
 
 
@@ -219,109 +217,3 @@ def test_significance_marker_thresholds():
     assert significance_marker(0.05) == "*"
     assert significance_marker(0.099) == "*"
     assert significance_marker(0.1) == ""
-
-
-def test_average_ranks_matches_scipy():
-    for values in ([3, 1, 4, 1, 5], [2.5, 2.5, 2.5], [1, 2, 3, 4]):
-        assert np.allclose(average_ranks(values),
-                           scipy.stats.rankdata(values), atol=1e-12)
-
-
-def test_correlations_return_order_and_values():
-    x = [1.0, 2.0, 3.0, 4.0, 5.0]
-    y = [math.exp(v) for v in x]  # monotone but curved
-    spearman, pearson = correlations(x, y)
-    assert spearman == pytest.approx(1.0, abs=1e-12)
-    assert pearson == pytest.approx(scipy.stats.pearsonr(x, y).statistic,
-                                    abs=1e-12)
-    assert pearson < 0.95
-
-
-def test_correlations_match_scipy_with_ties():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        x = rng.integers(0, 5, size=15).astype(float)
-        y = rng.integers(0, 5, size=15).astype(float)
-        if len(set(x.tolist())) < 2 or len(set(y.tolist())) < 2:
-            continue
-        spearman, pearson = correlations(x, y)
-        assert spearman == pytest.approx(
-            scipy.stats.spearmanr(x, y).statistic, abs=1e-12)
-        assert pearson == pytest.approx(
-            scipy.stats.pearsonr(x, y).statistic, abs=1e-12)
-
-
-def test_correlations_input_validation():
-    with pytest.raises(DataError):
-        correlations([1, 2], [1, 2])
-    with pytest.raises(DegenerateStatisticError):
-        correlations([1, 1, 1], [1, 2, 3])
-
-
-def test_permutation_test_is_seed_deterministic():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=12)
-    y = rng.normal(size=12)
-    p1 = permutation_test_correlation(x, y, iterations=2000, seed=5)
-    p2 = permutation_test_correlation(x, y, iterations=2000, seed=5)
-    assert p1 == p2
-    assert 0.0 < p1 <= 1.0
-
-
-def test_permutation_test_small_case_matches_enumeration():
-    # n=3: two of the six orderings give |r| = 1, so p ≈ 1/3
-    p = permutation_test_correlation([1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
-                                     iterations=3000, seed=0)
-    assert 0.25 < p < 0.42
-
-
-def test_permutation_test_detects_strong_correlation():
-    rng = np.random.default_rng(2)
-    x = np.arange(24, dtype=float)
-    y = x + rng.normal(scale=0.3, size=24)
-    p = permutation_test_correlation(x, y, iterations=1000, seed=1)
-    assert p < 0.01
-    p_s = permutation_test_correlation(x, y, iterations=1000, seed=1,
-                                       method="spearman")
-    assert p_s < 0.01
-
-
-def test_permutation_test_spearman_invariant_to_monotone_transform():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=15)
-    y = rng.normal(size=15)
-    p1 = permutation_test_correlation(x, y, iterations=1000, seed=3,
-                                      method="spearman")
-    p2 = permutation_test_correlation(np.exp(x), y, iterations=1000, seed=3,
-                                      method="spearman")
-    assert p1 == p2
-
-
-def test_permutation_test_validation():
-    x = [1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(DataError):
-        permutation_test_correlation(x, x, iterations=999)
-    with pytest.raises(DataError):
-        permutation_test_correlation(x, x, method="kendall")
-
-
-def idf_corpus():
-    # profiles: e0 {0, 1}, e1 {0}, e2 {2}
-    return make_corpus([("e0", [0, 1, 1]), ("e1", [0]), ("e2", [2])])
-
-
-def test_idf_match_analysis_means_matched_terms_only():
-    queries = {"t1": [0, 2], "t2": [2]}
-    qrels = Qrels({("t1", "e0"): 1, ("t2", "e1"): 1})
-    per_topic, unmatched = idf_match_analysis(idf_corpus(), queries, qrels)
-    # t1: term 0 matches e0 (idf ln(3/2)); term 2 absent from e0's profile
-    assert per_topic == {"t1": pytest.approx(math.log(3.0 / 2.0), abs=1e-12)}
-    assert unmatched == ["t2"]
-
-
-def test_idf_match_analysis_averages_distinct_terms():
-    qrels = Qrels({("t1", "e0"): 1})
-    per_topic, unmatched = idf_match_analysis(idf_corpus(), {"t1": [0, 1, 0]}, qrels)
-    expected = (math.log(3.0 / 2.0) + math.log(3.0)) / 2.0
-    assert per_topic["t1"] == pytest.approx(expected, abs=1e-12)
-    assert unmatched == []

@@ -1,4 +1,4 @@
-"""Text pipeline: tokenizer, vocabulary, corpus encoding, category topics."""
+"""Text pipeline: tokenizer, vocabulary, corpus and topic encoding."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from lse.errors import DataError
 from lse.text import (NUM_TOKEN, STOPWORDS, Corpus, Vocabulary,
                       build_vocabulary, encode_corpus, encode_topics,
-                      extract_topic_query,
-                      load_categories, load_raw_docs, tokenize,
-                      topics_from_categories)
+                      load_raw_docs, tokenize)
 
 
 def test_tokenize_punctuation_number_and_stopword():
@@ -232,36 +230,6 @@ def test_encode_topics_orders_by_topic_id_and_keeps_empty_queries():
     assert list(queries.items()) == [("t1", [0, 1]), ("t10", []), ("t2", [1, 2, 0])]
 
 
-def test_extract_topic_query_uses_sublevels_in_title_order():
-    path = ["Electronics", "Camera & Photo", "Digital Camera Lenses"]
-    assert extract_topic_query(path) == "camera photo digital lenses"
-
-
-def test_extract_topic_query_deduplicates():
-    assert extract_topic_query(["A", "B", "B"]) == "b"
-
-
-def test_extract_topic_query_rejects_short_paths():
-    with pytest.raises(DataError):
-        extract_topic_query(["OnlyOneLevel"])
-
-
-def test_extract_topic_query_drops_stopwords():
-    assert extract_topic_query(["Root", "The Best of Cameras"]) == "best cameras"
-
-
-def test_topics_from_categories_ids_and_skips():
-    records = [
-        (["Root", "Cameras"], ["e1", "e2"]),
-        (["Lonely"], ["e3"]),
-        (["Root", "The Of"], ["e4"]),
-    ]
-    topics, qrels, skipped = topics_from_categories(records)
-    assert topics == {"c0000": "cameras"}
-    assert qrels == {("c0000", "e1"): 1, ("c0000", "e2"): 1}
-    assert skipped == [1, 2]
-
-
 def test_load_raw_docs_round_trip(tmp_path):
     path = tmp_path / "docs.jsonl"
     path.write_text('{"doc_id": "d1", "entity_id": "e1", "text": "aa"}\n\n'
@@ -281,19 +249,6 @@ def test_load_raw_docs_reports_missing_field(tmp_path):
     path.write_text('{"doc_id": "d1"}\n')
     with pytest.raises(DataError, match=":1"):
         load_raw_docs(path)
-
-
-def test_load_categories(tmp_path):
-    path = tmp_path / "cats.jsonl"
-    path.write_text('{"path": ["Root", "Leaf"], "entity_ids": ["e1"]}\n')
-    assert load_categories(path) == [(["Root", "Leaf"], ["e1"])]
-
-
-def test_load_categories_reports_bad_record(tmp_path):
-    path = tmp_path / "cats.jsonl"
-    path.write_text('{"path": ["Root"]}\n')
-    with pytest.raises(DataError, match=":1"):
-        load_categories(path)
 
 
 def test_corpus_entity_index_autofilled():
