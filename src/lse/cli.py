@@ -19,9 +19,9 @@ from . import __version__
 from .errors import DataError, LSEError
 from .evaluation import Qrels, TopicSet, compare_runs, evaluate_run
 from .files import atomic_open
-from .ltr import (QIData, RankerConfig, build_features, cross_validated_fusion,
-                  ideal_vector_report, load_graph, load_qi_attributes,
-                  pegasos_batch, GRAPH_NAMES)
+from .ltr import (build_features, cross_validated_fusion, ideal_vector_report,
+                  load_graph, load_qi_attributes, pegasos_batch, GRAPH_NAMES,
+                  PAIR_SAMPLES)
 from .model import (Dims, TrainConfig, init_params, load_model,
                     max_relative_fd_error, save_model)
 from .qlm import estimate as qlm_estimate
@@ -176,7 +176,8 @@ def _load_train_config(config_path, overrides):
 @_input_argument("vocab")
 @_out_option()
 @_input_option("--config", "config_path", help="key = value training config file.")
-@click.option("--seed", type=int, default=None, help="Root seed (overrides config).")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Root seed (overrides config).")
 @click.option("--epochs", type=int, default=None)
 @click.option("--e-v", "e_v", type=int, default=None)
 @click.option("--e-e", "e_e", type=int, default=None)
@@ -209,6 +210,10 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
                     f"validation_ndcg {vn} ({entry.wall_seconds:.1f}s)")
 
         result = train(corpus_data, vocabulary, config, queries, qrels, progress)
+        counts["skipped_entities"] = len(result.skipped_entities)
+        if result.skipped_entities:
+            _status(f"skipped {len(result.skipped_entities)} of {corpus_data.num_entities} "
+                    f"entities with no document of n = {config.n} tokens or more")
         _status(f"kept epoch {result.best_epoch}")
         save_model(os.path.join(out_dir, "model.lse"), result.params,
                    vocab_sha256=vocabulary.sha256(), entity_ids=corpus_data.entities,
@@ -363,9 +368,10 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
               help="NAME=PATH edge list; NAME one of " + ", ".join(GRAPH_NAMES) + ".")
 @click.option("--lambda-jm", default=0.5, show_default=True)
 @click.option("--folds", default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--cutoff", default=100, show_default=True)
-@click.option("--pair-samples", default=100000, show_default=True)
+@click.option("--pair-samples", default=PAIR_SAMPLES, show_default=True,
+              type=click.IntRange(min=1))
 def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs,
              lambda_jm, folds, seed, cutoff, pair_samples):
     """Cross-validated fusion of query-independent, lexical and latent
@@ -375,21 +381,23 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
     config = {"lambda_jm": lambda_jm, "folds": folds, "cutoff": cutoff,
               "pair_samples": pair_samples, "batch": pegasos_batch(pair_samples)}
     with _run(out_dir, config, seed) as counts:
-        qi = QIData(load_qi_attributes(qi_attrs) if qi_attrs else {},
-                    {name: load_graph(path) for name, path in graphs.items()})
+        attributes = load_qi_attributes(qi_attrs) if qi_attrs else {}
+        edges = {name: load_graph(path) for name, path in graphs.items()}
         vocabulary = Vocabulary.load(vocab)
         corpus_data = _corpus(corpus, vocabulary, counts)
         params = None
         if model_path:
-            params, _ = _load_model_checked(model_path, vocabulary)
+            params, header = _load_model_checked(model_path, vocabulary)
+            if header["entity_ids"] != corpus_data.entities:
+                raise DataError(f"{model_path}: the model's entities are not those of "
+                                f"{corpus} in the same order")
         qlm_model = qlm_estimate(corpus_data, lambda_jm)
         queries = _queries(topics, vocabulary)
         qrels_data = Qrels.load(qrels)
         _status(f"assembling features for {len(queries)} topics")
-        table = build_features(queries, corpus_data, qlm_model, params, qi)
-        report = cross_validated_fusion(
-            table, qrels_data, folds=folds, seed=seed, cutoff=cutoff,
-            ranker_config=RankerConfig(pair_samples=pair_samples, seed=seed))
+        table = build_features(queries, corpus_data, qlm_model, params, attributes, edges)
+        report = cross_validated_fusion(table, qrels_data, folds=folds, seed=seed,
+                                        cutoff=cutoff, pair_samples=pair_samples)
         metrics = list(report.rows[0]["means"])
         with _output(out_dir, "fusion.csv") as fh:
             writer = csv.writer(fh)
@@ -419,8 +427,9 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
 @_input_argument("qrels")
 @_out_option()
 @click.option("--cutoff", default=100, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--pair-samples", default=100000, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
+@click.option("--pair-samples", default=PAIR_SAMPLES, show_default=True,
+              type=click.IntRange(min=1))
 def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
                      pair_samples):
     """Compare per-topic ideal retrieval vectors against projected queries.
@@ -434,9 +443,8 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
         params, header = _load_model_checked(model, vocabulary)
         rows = ideal_vector_report(params, _queries(topics, vocabulary),
                                    Qrels.load(qrels), header["entity_ids"],
-                                   cutoff=cutoff,
-                                   config=RankerConfig(pair_samples=pair_samples,
-                                                       seed=seed))
+                                   cutoff=cutoff, pair_samples=pair_samples,
+                                   seed=seed)
         with _output(out_dir, "ideal.csv") as fh:
             writer = csv.writer(fh)
             writer.writerow(["topic_id", "status", "n_relevant", "ndcg_ideal",

@@ -4,7 +4,7 @@ RankSVM (Joachims, KDD 2002) trained by mini-batch Pegasos over balanced
 pair samples, 10-fold cross-validated feature fusion, and the per-topic
 ideal-retrieval-vector approximation."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,21 +53,8 @@ def pagerank(num_nodes, edges, damping=0.85, tol=1e-10, max_iter=200):
     return p
 
 
-@dataclass(frozen=True)
-class RankerConfig:
-    """RankSVM defaults: C=1.0 and 1e5 sampled pairs. The objective is
-    (1/(2C))|w|^2 plus the mean hinge over the pairs, minimised by
-    mini-batch Pegasos (_pegasos) over pegasos_batch(pair_samples) pairs per
-    step."""
-
-    c: float = 1.0
-    pair_samples: int = 100000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.c <= 0 or self.pair_samples < 1:
-            raise DataError("C must be positive and pair_samples at least 1")
-
+# the pairs sampled per RankSVM fit unless a caller sets another count
+PAIR_SAMPLES = 100000
 
 # the fewest Pegasos steps a fit of at least this many pairs takes
 _MIN_STEPS = 100
@@ -81,15 +68,17 @@ def pegasos_batch(pair_samples):
     return max(1, pair_samples // _MIN_STEPS)
 
 
-def _pair_rows(labels, groups, config):
-    """Row indices (relevant, non-relevant) of config.pair_samples pairs,
-    seeded by config.seed.
+def _pair_rows(labels, groups, pair_samples, seed):
+    """Row indices (relevant, non-relevant) of pair_samples pairs (at least
+    1), drawn by a generator seeded with seed.
 
     Pairs are formed within a group (groups=None treats all rows as one
     group): a relevant row is drawn uniformly over all groups' relevant rows
     and its partner uniformly with replacement from the same group's
     non-relevant rows, which balances the classes regardless of their raw
     distribution. Raises on single-class input."""
+    if pair_samples < 1:
+        raise DataError(f"pair_samples must be at least 1, got {pair_samples}")
     groups = (np.zeros(len(labels), dtype=np.int64) if groups is None
               else np.asarray(groups, dtype=np.int64))
     pos_pool = []
@@ -116,11 +105,10 @@ def _pair_rows(labels, groups, config):
     np.cumsum(neg_counts[:-1], out=neg_starts[1:])
     neg_flat = np.concatenate(neg_lists)
 
-    rng = np.random.default_rng(config.seed)
-    t_total = config.pair_samples
-    pick = rng.integers(0, len(pos_pool), size=t_total)
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(pos_pool), size=pair_samples)
     gcode = pos_group_code[pick]
-    neg_local = np.floor(rng.random(t_total) * neg_counts[gcode]).astype(np.int64)
+    neg_local = np.floor(rng.random(pair_samples) * neg_counts[gcode]).astype(np.int64)
     return pos_pool[pick], neg_flat[neg_starts[gcode] + neg_local]
 
 
@@ -134,16 +122,17 @@ def _index_dtype(num_rows):
     return np.int32 if num_rows <= np.iinfo(np.int32).max else np.intp
 
 
-def _pegasos(rows, pos, neg, lam, center=None, scale=None, mask=None, batch=1):
+def _pegasos(rows, pos, neg, center=None, scale=None, mask=None, batch=1):
     """Weights (K, width) of K RankSVM fits trained in lockstep by mini-batch
     Pegasos (Shalev-Shwartz, Singer, Srebro & Cotter, Math. Programming 2011,
-    section 2.3).
+    section 2.3). Each fit minimises (1/2)|w|^2 plus the mean hinge over its
+    pairs: RankSVM at C = 1, which is Pegasos at lambda = 1.
 
     pos and neg are (pairs, K) row indices. Pair i of fit k has the
     difference d = rows[pos[i, k]] - rows[neg[i, k]], of rows z-scored by
     center[k], scale[k] when given. Step t takes the batch B of pairs
     (t-1)b .. tb-1 (the last one may be shorter) and sets w = (1 - 1/t) w +
-    (sum of the d in B with d.w < 1) / (lam[k] t |B|), every margin measured
+    (sum of the d in B with d.w < 1) / (t |B|), every margin measured
     against the weights before the step, and the sum set to 0 where the
     boolean mask[k] is False, so that w stays 0 there. A step costs the same
     few NumPy calls for any K.
@@ -156,7 +145,6 @@ def _pegasos(rows, pos, neg, lam, center=None, scale=None, mask=None, batch=1):
     weights are bit-identical to training it alone on its mask's columns
     while the dot product sums in column order, so that the masked columns'
     zero products change no sum (OpenBLAS's does below 16 columns)."""
-    lam = np.asarray(lam, dtype=np.float64)
     weights = np.zeros((pos.shape[1], rows.shape[1]))
     unused = None if mask is None else ~np.asarray(mask, dtype=bool)
     steps = _scored_steps if len(rows) < 2 * batch else _gathered_steps
@@ -165,7 +153,7 @@ def _pegasos(rows, pos, neg, lam, center=None, scale=None, mask=None, batch=1):
         if unused is not None:
             total[unused] = 0.0
         weights *= 1.0 - 1.0 / t
-        np.multiply((1.0 / (lam * (t * size)))[:, None], total, out=total)
+        total *= 1.0 / (t * size)
         np.add(weights, total, out=weights, where=active)
     return weights
 
@@ -236,19 +224,6 @@ def _scored_steps(rows, pos, neg, batch, weights, center, scale):
         yield total, hits.any(axis=0)[:, None], len(p)
 
 
-@dataclass
-class QIData:
-    """Optional per-entity attributes and related-product graphs.
-
-    attributes maps entity_id -> {price, sales_rank, description_length}
-    with missing values as None; graphs maps a name from GRAPH_NAMES to an
-    edge list of (src_entity_id, dst_entity_id).
-    """
-
-    attributes: dict = field(default_factory=dict)
-    graphs: dict = field(default_factory=dict)
-
-
 # Attribute record fields, each optional: (JSON type, None) as read_records
 # takes it.
 _ATTRIBUTES = {"price": (float, None), "sales_rank": (int, None),
@@ -274,13 +249,15 @@ def load_graph(path):
     return edges
 
 
-def qi_feature_matrix(corpus, qi):
+def qi_feature_matrix(corpus, attributes, graphs):
     """Per-entity query-independent block: the 7 value features followed by
-    the 3 presence masks. Missing attributes are imputed as 0 with the mask
-    cleared; graph edges naming unknown entities are dropped."""
+    the 3 presence masks, from attributes (load_qi_attributes' entity_id ->
+    {price, sales_rank, description_length}) and graphs (a name of
+    GRAPH_NAMES -> (src_entity_id, dst_entity_id) edges). Missing attributes
+    are imputed as 0 with the mask cleared; graph edges naming unknown
+    entities are dropped."""
     n = corpus.num_entities
     out = np.zeros((n, len(QI_VALUE_FEATURES) + len(QI_MASK_FEATURES)))
-    attributes = qi.attributes if qi else {}
     for i, eid in enumerate(corpus.entities):
         attrs = attributes.get(eid, {})
         price = attrs.get("price")
@@ -295,7 +272,6 @@ def qi_feature_matrix(corpus, qi):
         if salesrank is not None and salesrank > 0:
             out[i, 2] = 1.0 / float(salesrank)
             out[i, 9] = 1.0
-    graphs = qi.graphs if qi else {}
     for k, name in enumerate(GRAPH_NAMES):
         edges = []
         for sid, did in graphs.get(name, ()):
@@ -328,9 +304,10 @@ class FeatureTable:
         return np.asarray(cols, dtype=np.intp)
 
 
-def build_features(queries, corpus, qlm_model, params, qi=None):
+def build_features(queries, corpus, qlm_model, params, attributes=None, graphs=None):
     """Assemble per-(topic, entity) feature rows over the full entity pool
-    for queries ({topic_id: token ids}).
+    for queries ({topic_id: token ids}), with qi_feature_matrix's attributes
+    and graphs (none when None).
 
     Columns: the QI block, then the lexical log-likelihood, then the cosine
     of the projected query, left out when params is None. An empty query
@@ -338,7 +315,7 @@ def build_features(queries, corpus, qlm_model, params, qi=None):
     (the topic's smallest finite score - 1)."""
     names = QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm",)
     names += () if params is None else ("lse",)
-    qi_block = qi_feature_matrix(corpus, qi)
+    qi_block = qi_feature_matrix(corpus, attributes or {}, graphs or {})
     n = corpus.num_entities
     norms = None if params is None else np.linalg.norm(params.W_e, axis=1)
     matrices = {}
@@ -378,8 +355,6 @@ def _standardize_fit(matrix):
 class FusionReport:
     rows: list          # {"features", "means", "per_topic"}
     significance: dict  # metric -> {"t", "p", "marker"} or {"degenerate"}
-    folds: int
-    seed: int
 
 
 COMBOS = (("qi",), ("qi", "qlm"), ("qi", "lse"), ("qi", "qlm", "lse"))
@@ -402,10 +377,11 @@ def _spawned_seed(entropy, spawn_key):
 
 
 def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10),
-                           ranker_config=None):
+                           pair_samples=PAIR_SAMPLES):
     """Run the feature combinations of COMBOS whose blocks the table has
     under a seeded topic-level fold partition; per fold, train on the other
-    folds' topics and score the held out ones. Features are z-scored with
+    folds' topics, with a RankSVM of pair_samples pairs, and score the held
+    out ones. Features are z-scored with
     statistics fit on training folds only, and every combination's folds
     train in one lockstep loop. Significance compares the full combination
     against qi+qlm by a paired t-test per metric; without an lse column each
@@ -417,7 +393,6 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     if len(topics) < folds:
         raise DataError(f"need at least {folds} topics for {folds}-fold cross-validation")
     check_cutoff(cutoff)
-    base_config = ranker_config or RankerConfig()
     partition = _fold_partition(topics, folds, seed)
     combos = [combo for combo in COMBOS
               if all(block == "qi" or block in table.feature_names for block in combo)]
@@ -435,21 +410,20 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
         stats.append(_standardize_fit(stacked[index]))
     fits = [(combo, f) for combo in combos for f in range(folds)]
     masks = np.zeros((len(fits), stacked.shape[1]), dtype=bool)
-    pos = np.empty((base_config.pair_samples, len(fits)), dtype=_index_dtype(len(stacked)))
+    pos = np.empty((pair_samples, len(fits)), dtype=_index_dtype(len(stacked)))
     neg = np.empty_like(pos)
     for k, (combo, f) in enumerate(fits):
         masks[k, table.columns_for(combo)] = True
         index, train_labels, groups = train_sets[f]
-        p, q = _pair_rows(train_labels, groups, replace(
-            base_config, seed=_spawned_seed(seed, (COMBOS.index(combo), f))))
+        p, q = _pair_rows(train_labels, groups, pair_samples,
+                          _spawned_seed(seed, (COMBOS.index(combo), f)))
         pos[:, k], neg[:, k] = index[p], index[q]
     # a fit is z-scored by its fold's statistics on every column and the mask
     # keeps its own; a column's statistics over C-ordered rows do not depend
     # on the other columns, so they equal those of the combination's alone
     centers, scales = (np.array(side)[[f for _, f in fits]] for side in zip(*stats))
-    weights = _pegasos(stacked, pos, neg, np.full(len(fits), 1.0 / base_config.c),
-                       centers, scales, masks,
-                       batch=pegasos_batch(base_config.pair_samples))
+    weights = _pegasos(stacked, pos, neg, centers, scales, masks,
+                       batch=pegasos_batch(pair_samples))
 
     runs = {combo: {} for combo in combos}
     for (combo, f), w, mean, std in zip(fits, weights, centers, scales):
@@ -469,7 +443,7 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
         significance = {metric: {"degenerate": "no model was given, so there is no "
                                                "qi+qlm+lse run to compare"}
                         for metric in rows[0]["means"]}
-    return FusionReport(rows, significance, folds, seed)
+    return FusionReport(rows, significance)
 
 
 def _unit_rows(w_e):
@@ -479,18 +453,19 @@ def _unit_rows(w_e):
                      where=norms[:, None] > 0), norms
 
 
-def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100, config=None):
+def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
+                        pair_samples=PAIR_SAMPLES, seed=0):
     """Per-topic comparison of the ideal-vector ranking against the
     projected-query ranking for queries ({topic_id: token ids}); eligible
-    topics' ideal vectors train in lockstep.
+    topics' ideal vectors, RankSVMs of pair_samples pairs each, train in
+    lockstep.
 
     Returns a list of rows {topic_id, status, n_relevant, ndcg_ideal,
     ndcg_query}; status is one of ok, skipped_single_relevant,
     skipped_no_relevant, skipped_empty_query."""
     check_cutoff(cutoff)
-    base_config = config or RankerConfig()
     rows = []
-    eligible = []  # (row, qids, labels, ranker config) per topic with status ok
+    eligible = []  # (row, qids, labels, pair seed) per topic with status ok
     for index, (tid, qids) in enumerate(sorted(queries.items())):
         n_rel = len(qrels.relevant(tid))
         labels = _relevance_labels(qrels, tid, entity_ids)
@@ -502,19 +477,16 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100, config=N
                "ndcg_ideal": None, "ndcg_query": None}
         rows.append(row)
         if status == "ok":
-            eligible.append((row, qids, labels, replace(
-                base_config, seed=_spawned_seed(base_config.seed, (11, index)))))
+            eligible.append((row, qids, labels, _spawned_seed(seed, (11, index))))
     if not eligible:
         return rows
-    pos = np.empty((base_config.pair_samples, len(eligible)),
-                   dtype=_index_dtype(len(entity_ids)))
+    pos = np.empty((pair_samples, len(eligible)), dtype=_index_dtype(len(entity_ids)))
     neg = np.empty_like(pos)
-    for k, (_, _, labels, cfg) in enumerate(eligible):
-        pos[:, k], neg[:, k] = _pair_rows(labels, None, cfg)
+    for k, (_, _, labels, pair_seed) in enumerate(eligible):
+        pos[:, k], neg[:, k] = _pair_rows(labels, None, pair_samples, pair_seed)
     w_e = np.asarray(params.W_e, dtype=np.float64)
     unit, norms = _unit_rows(w_e)
-    weights = _pegasos(unit, pos, neg, np.full(len(eligible), 1.0 / base_config.c),
-                       batch=pegasos_batch(base_config.pair_samples))
+    weights = _pegasos(unit, pos, neg, batch=pegasos_batch(pair_samples))
     for (row, qids, _, _), w in zip(eligible, weights):
         tid = row["topic_id"]
         ideal_run = rank_by_vector(w_e, w, entity_ids, tid, cutoff, norms)

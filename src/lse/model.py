@@ -351,6 +351,8 @@ class TrainConfig:
             raise DataError("precision must be float32 or float64")
         if self.validation_cutoff < 1:
             raise DataError("validation cutoff must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
 
     def as_dict(self):
         return {self._RENAMED.get(f.name, f.name): getattr(self, f.name)

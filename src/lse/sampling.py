@@ -1,14 +1,11 @@
 """Per-epoch training instances: n-grams with a positive entity and z
 uniformly sampled negatives, under a stratified per-entity budget."""
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -89,9 +86,6 @@ def sample_epoch(corpus, config, rng):
     sizes = np.diff(entity_end, prepend=0)
     kept = np.flatnonzero(sizes)
     skipped = np.flatnonzero(sizes == 0).tolist()
-    if skipped:
-        log.warning("%d of %d entities have no eligible n-gram positions",
-                    len(skipped), corpus.num_entities)
 
     starts = np.empty((len(kept), budget), dtype=np.int64)
     for row, (end, size) in enumerate(zip(entity_end[kept].tolist(),

@@ -29,6 +29,7 @@ class TrainResult:
     params: object
     log: list
     best_epoch: int
+    skipped_entities: tuple  # indices of entities with no n-gram to sample
 
 
 def _epoch_rng(seed, epoch):
@@ -48,7 +49,8 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
     final epoch's parameters are returned. vocab gives the vocabulary size.
     mean_batch_loss is the unweighted mean of per-batch losses. A
     non-finite batch loss or gradient stops training with an LSEError
-    naming the epoch and the batch.
+    naming the epoch and the batch. skipped_entities are the entities that
+    sample_epoch leaves out, the same in every epoch.
     """
     dtype = np.float32 if config.precision == "float32" else np.float64
     dims = Dims(config.e_v, config.e_e, vocab.size, corpus.num_entities)
@@ -109,7 +111,7 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
     if best_params is None:
         best_params = params
         best_epoch = config.epochs
-    return TrainResult(best_params, logs, best_epoch)
+    return TrainResult(best_params, logs, best_epoch, block.skipped_entities)
 
 
 def write_epoch_log(path, logs):

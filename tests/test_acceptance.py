@@ -18,8 +18,7 @@ from conftest import (build_fusion_benchmark, build_separable_corpus,
                       documents, make_corpus, profile_counts, separable_topics)
 from lse.evaluation import (Qrels, evaluate_run, ndcg,
                             paired_t_test, precision_at_k)
-from lse.ltr import (RankerConfig, build_features, cross_validated_fusion,
-                     ideal_vector_report)
+from lse.ltr import build_features, cross_validated_fusion, ideal_vector_report
 from lse.model import (Dims, TrainConfig, batch_loss, init_params,
                        max_relative_fd_error, save_model)
 from lse.qlm import SWEEP_GRID, estimate, score, sweep_lambda
@@ -210,8 +209,7 @@ def test_criterion_7_fusion_dominates_subsets():
     qrels = Qrels(grades)
     table = build_features(encode_topics(topics, vocab), corpus, estimate(corpus, 0.5),
                            params)
-    report = cross_validated_fusion(table, qrels, folds=10, seed=0,
-                                    ranker_config=RankerConfig(pair_samples=20000))
+    report = cross_validated_fusion(table, qrels, folds=10, seed=0, pair_samples=20000)
     means = {row["features"]: row["means"]["ndcg@100"] for row in report.rows}
     elapsed = time.perf_counter() - start
     assert means["qi+qlm+lse"] >= means["qi+qlm"], means
@@ -258,7 +256,7 @@ def produce_artifacts(out):
     table = build_features(encode_topics(ftopics, fvocab), fcorpus,
                            estimate(fcorpus, 0.5), fparams)
     freport = cross_validated_fusion(table, Qrels(fgrades), folds=10, seed=0,
-                                     ranker_config=RankerConfig(pair_samples=20000))
+                                     pair_samples=20000)
     (out / "fusion.json").write_text(json.dumps(
         {"rows": [{"features": r["features"], "means": r["means"]}
                   for r in freport.rows],

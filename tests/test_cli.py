@@ -287,8 +287,10 @@ def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
                  "--pair-samples", "300"]}
     encoding = {"documents": len(CORPUS_LINES), "tokens": expected.total_tokens,
                 "dropped_tokens": expected.dropped_tokens}
-    # the commands that write skipped_topics.txt also count its topics
-    skipped = {"qlm": {"skipped_topics": 0}, "sweep-lambda": {"skipped_topics": 0}}
+    # the commands that write skipped_topics.txt also count its topics, and
+    # train counts the entities it has no n-gram to sample from
+    skipped = {"train": {"skipped_entities": 0}, "qlm": {"skipped_topics": 0},
+               "sweep-lambda": {"skipped_topics": 0}}
     for command, args in commands.items():
         run_ok(runner, list(map(str, args)) + ["--out", str(tmp_path / command)])
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
@@ -345,18 +347,51 @@ def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, giv
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["rank", "qlm", "grad-check"])
+@pytest.mark.parametrize("command", ["rank", "qlm", "grad-check", "fuse", "ideal-vector"])
 def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, command):
-    root, corpus, topics, _, runner = workflow
+    root, corpus, topics, qrels, runner = workflow
     vocab = root / "vocab" / "vocab.tsv"
+    model = root / "model" / "model.lse"
     out = tmp_path / "out"
     args, option = {
-        "rank": (["rank", root / "model" / "model.lse", vocab, topics], "--top-k"),
+        "rank": (["rank", model, vocab, topics], "--top-k"),
         "qlm": (["qlm", corpus, vocab, topics], "--top-k"),
-        "grad-check": (["grad-check"], "--seeds")}[command]
+        "grad-check": (["grad-check"], "--seeds"),
+        "fuse": (["fuse", corpus, vocab, topics, qrels, "--model", model],
+                 "--pair-samples"),
+        "ideal-vector": (["ideal-vector", model, vocab, topics, qrels],
+                         "--pair-samples")}[command]
     result = runner.invoke(main, list(map(str, args)) + ["--out", str(out), option, "0"])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "train-config", "fuse", "ideal-vector"])
+def test_negative_seed_exits_before_writing_anything(workflow, tmp_path, command):
+    """A flag exits 2 naming --seed; a config file's seed exits 1 naming the
+    file."""
+    root, corpus, topics, qrels, runner = workflow
+    vocab = root / "vocab" / "vocab.tsv"
+    model = root / "model" / "model.lse"
+    config = tmp_path / "train.cfg"
+    config.write_text("seed = -3\n")
+    out = tmp_path / "out"
+    args = {"train": ["train", corpus, vocab, "--seed", "-1"],
+            "train-config": ["train", corpus, vocab, "--config", config],
+            "fuse": ["fuse", corpus, vocab, topics, qrels, "--model", model,
+                     "--seed", "-1"],
+            "ideal-vector": ["ideal-vector", model, vocab, topics, qrels,
+                             "--seed", "-1"]}[command]
+    result = runner.invoke(main, list(map(str, args)) + ["--out", str(out)])
+    assert isinstance(result.exception, SystemExit), result.output
+    assert "Traceback" not in result.output
+    if command == "train-config":
+        assert result.exit_code == 1
+        assert f"Error: {config}: seed must be non-negative, got -3" in result.output
+    else:
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed'" in result.output
     assert not out.exists()
 
 
@@ -537,6 +572,8 @@ MALFORMED = {
     "model_float32_value_inf":
         ("model.lse", model_file([np.inf] + [0.5] * 11, dtype="float32"),
          ": array W_v holds a non-finite value"),
+    "config_seed_negative":
+        ("train.cfg", b"seed = -3\n", ": seed must be non-negative, got -3"),
     "config_value_not_integer":
         ("train.cfg", b"seed = 1\nepochs = two\n",
          ":2: config key 'epochs' must be an integer, got 'two'"),
@@ -870,6 +907,47 @@ def test_repeated_graph_name_exits_2_before_writing_anything(tmp_path):
     assert result.exit_code == 2, result.output
     assert "graph name 'also_bought' given more than once" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change", ["reversed", "missing_entity"])
+def test_fuse_rejects_a_model_trained_on_other_entities(workflow, tmp_path, change):
+    """The model's entity rows must be the corpus's entities in corpus order:
+    the corpus read in reverse, or without one entity's documents, exits 1
+    naming the model and the corpus."""
+    root, _, topics, qrels, runner = workflow
+    lines = (list(reversed(CORPUS_LINES)) if change == "reversed"
+             else [r for r in CORPUS_LINES if r["entity_id"] != "pia"])
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    model = root / "model" / "model.lse"
+    result = runner.invoke(main, ["fuse", str(corpus), str(root / "vocab" / "vocab.tsv"),
+                                  str(topics), str(qrels), "--model", str(model),
+                                  "--folds", "2", "--pair-samples", "50",
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {model}: the model's entities are not those of "
+                      f"{corpus} in the same order"]
+
+
+def test_train_counts_entities_without_an_ngram_once(tmp_path):
+    """An entity whose documents are all shorter than n is left out of
+    sampling: the manifest counts it and stderr says so once, not per
+    epoch."""
+    corpus, _, _ = write_inputs(tmp_path)
+    with corpus.open("a") as fh:
+        fh.write(json.dumps({"doc_id": "d9", "entity_id": "amp", "text": "lens"}) + "\n")
+    runner = CliRunner()
+    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    result = run_ok(runner, ["train", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
+                             "--out", str(tmp_path / "m")] + TRAIN_FLAGS)
+    manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert manifest["counts"]["skipped_entities"] == 1
+    assert manifest["config"]["epochs"] == 2
+    skipped = [line for line in result.output.splitlines() if "skipped" in line]
+    assert skipped == ["skipped 1 of 5 entities with no document of n = 2 tokens "
+                       "or more"]
 
 
 def test_window_longer_than_every_document_exits_1_naming_corpus_and_n(tmp_path):

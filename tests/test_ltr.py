@@ -1,7 +1,6 @@
 """PageRank, RankSVM, feature assembly, fold fusion, and the ideal-vector
 analysis."""
 
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +12,7 @@ from conftest import make_corpus, scalar_qlm_score
 import lse.ltr
 from lse.errors import DataError
 from lse.ltr import (COMBOS, GRAPH_NAMES, QI_MASK_FEATURES,
-                     QI_VALUE_FEATURES, QIData, RankerConfig, _fold_partition,
+                     QI_VALUE_FEATURES, _fold_partition,
                      _pair_rows, _pegasos, _standardize_fit, build_features,
                      cross_validated_fusion, ideal_vector_report, load_graph,
                      load_qi_attributes, pagerank, pegasos_batch,
@@ -81,7 +80,7 @@ def test_pagerank_input_validation():
 
 # ---- RankSVM ----
 
-def oracle_train_ranksvm(rows, labels, config, groups=None, batch=1):
+def oracle_train_ranksvm(rows, labels, pair_samples, seed, groups=None, batch=1):
     """The single-fit mini-batch Pegasos loop over batch pairs per step, one
     pair at a time: the reference the lockstep trainer must match bit for
     bit at batch 1. Returns the weights."""
@@ -109,36 +108,34 @@ def oracle_train_ranksvm(rows, labels, config, groups=None, batch=1):
     np.cumsum(neg_counts[:-1], out=neg_starts[1:])
     neg_flat = np.concatenate(neg_lists)
 
-    rng = np.random.default_rng(config.seed)
-    t_total = config.pair_samples
-    pick = rng.integers(0, len(pos_pool), size=t_total)
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(pos_pool), size=pair_samples)
     gcode = pos_group_code[pick]
-    neg_local = np.floor(rng.random(t_total) * neg_counts[gcode]).astype(np.int64)
+    neg_local = np.floor(rng.random(pair_samples) * neg_counts[gcode]).astype(np.int64)
     neg_rows = neg_flat[neg_starts[gcode] + neg_local]
     diffs = rows[pos_pool[pick]] - rows[neg_rows]
 
-    lam = 1.0 / config.c
     w = np.zeros(rows.shape[1])
-    for t, lo in enumerate(range(0, t_total, batch), start=1):
+    for t, lo in enumerate(range(0, pair_samples, batch), start=1):
         step = diffs[lo:lo + batch]
         active = [d for d in step if float(d @ w) < 1.0]
         w *= 1.0 - 1.0 / t
         if active:
-            w += (1.0 / (lam * t * len(step))) * sum(active[1:], active[0])
+            w += (1.0 / (t * len(step))) * sum(active[1:], active[0])
     return w
 
 
-def hinge_objective(w, diffs, c):
-    """The RankSVM objective (1/(2C))|w|^2 plus the mean hinge of the pair
+def hinge_objective(w, diffs):
+    """The RankSVM objective (1/2)|w|^2 plus the mean hinge of the pair
     differences."""
-    return float(w @ w) / (2.0 * c) + float(np.maximum(0.0, 1.0 - diffs @ w).mean())
+    return float(w @ w) / 2.0 + float(np.maximum(0.0, 1.0 - diffs @ w).mean())
 
 
 @st.composite
 def lockstep_fits(draw):
     """K = 1-5 fits of one width (1-20 or 256), each with its own rows,
-    labels holding both classes, groups, seed and C, plus a chunk length in
-    steps that does not divide the shared pair count."""
+    labels holding both classes, groups and seed, the shared pair count, a
+    chunk length in steps that does not divide it, and whether to z-score."""
     width = draw(st.one_of(st.integers(1, 20), st.just(256)))
     steps = draw(st.integers(2, 40))
     pair_samples = steps * draw(st.integers(0, 4)) + draw(st.integers(1, steps - 1))
@@ -151,32 +148,30 @@ def lockstep_fits(draw):
         labels[:2] = (1, 0)  # rows 0 and 1 share a group, so a pair exists
         groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
         groups[1] = groups[0]
-        fits.append((rows, labels, groups, RankerConfig(
-            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples,
-            seed=draw(st.integers(0, 2**32 - 1)))))
-    return fits, steps, draw(st.booleans())
+        fits.append((rows, labels, groups, draw(st.integers(0, 2**32 - 1))))
+    return fits, pair_samples, steps, draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
 @given(lockstep_fits())
 def test_lockstep_weights_equal_the_single_fit_oracle(drawn):
-    fits, steps, standardize = drawn
+    fits, pair_samples, steps, standardize = drawn
     k = len(fits)
     width = fits[0][0].shape[1]
     offsets = np.cumsum([0] + [len(rows) for rows, _, _, _ in fits])
     pairs, means, stds, expected = [], [], [], []
-    for (rows, labels, groups, config), offset in zip(fits, offsets):
+    for (rows, labels, groups, seed), offset in zip(fits, offsets):
         mean, std = _standardize_fit(rows)
-        p, q = _pair_rows(labels, groups, config)
+        p, q = _pair_rows(labels, groups, pair_samples, seed)
         pairs.append((p + offset, q + offset))
         means.append(mean)
         stds.append(std)
         expected.append(oracle_train_ranksvm((rows - mean) / std if standardize
-                                             else rows, labels, config, groups))
+                                             else rows, labels, pair_samples, seed,
+                                             groups))
     stacked = np.concatenate([rows for rows, _, _, _ in fits])
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", steps * k * width):
         weights = _pegasos(stacked, *pair_columns(pairs),
-                           [1.0 / config.c for _, _, _, config in fits],
                            *((np.array(means), np.array(stds)) if standardize else ()))
     assert weights.shape == (k, width)
     for w, w_expected in zip(weights, expected):
@@ -191,9 +186,10 @@ def pair_columns(pairs):
 @st.composite
 def mixed_width_fits(draw):
     """K = 1-5 fits on column subsets of one matrix of width 3-12 (fuse's
-    widths), each with its own rows, labels, groups, seed and C, every
-    column non-zero. Fit 0 leaves out one inner column, as qi+lse leaves out
-    qlm; the others use any non-empty subset."""
+    widths), each with its own rows, labels, groups and seed, every
+    column non-zero, with the shared pair count, chunk length and z-scoring
+    flag of lockstep_fits. Fit 0 leaves out one inner column, as qi+lse
+    leaves out qlm; the others use any non-empty subset."""
     width = draw(st.integers(3, 12))
     steps = draw(st.integers(2, 40))
     pair_samples = steps * draw(st.integers(0, 4)) + draw(st.integers(1, steps - 1))
@@ -210,10 +206,9 @@ def mixed_width_fits(draw):
         labels[:2] = (1, 0)  # rows 0 and 1 share a group, so a pair exists
         groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
         groups[1] = groups[0]
-        fits.append((rows, np.flatnonzero(used), labels, groups, RankerConfig(
-            c=draw(st.floats(0.05, 20.0)), pair_samples=pair_samples,
-            seed=draw(st.integers(0, 2**32 - 1)))))
-    return fits, steps, draw(st.booleans())
+        fits.append((rows, np.flatnonzero(used), labels, groups,
+                     draw(st.integers(0, 2**32 - 1))))
+    return fits, pair_samples, steps, draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,14 +218,14 @@ def test_masked_lockstep_weights_equal_the_oracle_on_each_fits_own_columns(drawn
     do, each get the oracle's weights on their own narrow rows, byte for
     byte, and 0 on the columns they leave out. A fit's z-scoring uses
     statistics of all its rows' columns, as fuse's do."""
-    fits, steps, standardize = drawn
+    fits, pair_samples, steps, standardize = drawn
     k = len(fits)
     width = fits[0][0].shape[1]
     offsets = np.cumsum([0] + [len(rows) for rows, _, _, _, _ in fits])
     pairs, masks, means, stds, expected = [], [], [], [], []
-    for (rows, cols, labels, groups, config), offset in zip(fits, offsets):
+    for (rows, cols, labels, groups, seed), offset in zip(fits, offsets):
         mean, std = _standardize_fit(rows)
-        p, q = _pair_rows(labels, groups, config)
+        p, q = _pair_rows(labels, groups, pair_samples, seed)
         pairs.append((p + offset, q + offset))
         masks.append(np.isin(np.arange(width), cols))
         means.append(mean)
@@ -238,11 +233,11 @@ def test_masked_lockstep_weights_equal_the_oracle_on_each_fits_own_columns(drawn
         narrow = rows[:, cols]
         if standardize:
             narrow = (narrow - mean[cols]) / std[cols]
-        expected.append(oracle_train_ranksvm(narrow, labels, config, groups))
+        expected.append(oracle_train_ranksvm(narrow, labels, pair_samples, seed,
+                                             groups))
     stacked = np.concatenate([rows for rows, _, _, _, _ in fits])
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", steps * k * width):
         weights = _pegasos(stacked, *pair_columns(pairs),
-                           [1.0 / config.c for _, _, _, _, config in fits],
                            *((np.array(means), np.array(stds)) if standardize
                              else (None, None)), np.array(masks))
     for w, mask, (_, cols, _, _, _), w_expected in zip(weights, masks, fits, expected):
@@ -260,25 +255,24 @@ def test_masked_lockstep_minibatch_weights_equal_each_fits_narrow_fit(drawn, bat
     number of pairs, so that each step's sum adds the same parts; the rows
     are padded with unreferenced ones so that gathering costs less than
     scoring."""
-    fits, _, standardize = drawn
+    fits, pair_samples, _, standardize = drawn
     k = len(fits)
     width = fits[0][0].shape[1]
     offsets = np.cumsum([0] + [len(rows) for rows, _, _, _, _ in fits])
     pairs, masks, means, stds = [], [], [], []
-    for (rows, cols, labels, groups, config), offset in zip(fits, offsets):
+    for (rows, cols, labels, groups, seed), offset in zip(fits, offsets):
         mean, std = _standardize_fit(rows)
-        p, q = _pair_rows(labels, groups, config)
+        p, q = _pair_rows(labels, groups, pair_samples, seed)
         pairs.append((p + offset, q + offset))
         masks.append(np.isin(np.arange(width), cols))
         means.append(mean)
         stds.append(std)
     stacked = np.concatenate([rows for rows, _, _, _, _ in fits]
                              + [np.ones((2 * batch, width))])
-    lams = [1.0 / config.c for _, _, _, _, config in fits]
     pos, neg = pair_columns(pairs)
     stats = (np.array(means), np.array(stds)) if standardize else (None, None)
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * k * width):
-        weights = _pegasos(stacked, pos, neg, lams, *stats, np.array(masks),
+        weights = _pegasos(stacked, pos, neg, *stats, np.array(masks),
                            batch=batch)
     for index, (w, mask, (_, cols, _, _, _)) in enumerate(zip(weights, masks, fits)):
         narrow_stats = ((means[index][cols][None], stds[index][cols][None])
@@ -286,18 +280,17 @@ def test_masked_lockstep_minibatch_weights_equal_each_fits_narrow_fit(drawn, bat
         with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * len(cols)):
             narrow = _pegasos(np.ascontiguousarray(stacked[:, cols]),
                               pos[:, index:index + 1], neg[:, index:index + 1],
-                              lams[index:index + 1], *narrow_stats, batch=batch)[0]
+                              *narrow_stats, batch=batch)[0]
         assert w[cols].tobytes() == narrow.tobytes()
         assert not w[~mask].any()
 
 
-def fit_ranksvm(rows, labels, config=RankerConfig(), groups=None, batch=None):
+def fit_ranksvm(rows, labels, pair_samples=lse.ltr.PAIR_SAMPLES, seed=0, batch=None):
     """One RankSVM fit, as fuse and ideal-vector train each of theirs unless
     batch is given."""
-    pairs = _pair_rows(np.asarray(labels), groups, config)
+    pairs = _pair_rows(np.asarray(labels), None, pair_samples, seed)
     return _pegasos(np.asarray(rows, dtype=np.float64), *pair_columns([pairs]),
-                    [1.0 / config.c],
-                    batch=batch or pegasos_batch(config.pair_samples))[0]
+                    batch=batch or pegasos_batch(pair_samples))[0]
 
 
 @pytest.mark.parametrize("pair_samples, batch", [(10, 4), (23, 5), (9, 7), (3, 8)])
@@ -309,9 +302,9 @@ def test_minibatch_steps_average_each_batch_including_a_partial_last_one(
     rng = np.random.default_rng(pair_samples)
     rows = rng.normal(size=(12, 5))
     labels = np.tile([1, 0, 0], 4)
-    config = RankerConfig(c=0.3, pair_samples=pair_samples, seed=batch)
-    expected = oracle_train_ranksvm(rows, labels, config, batch=batch)
-    np.testing.assert_allclose(fit_ranksvm(rows, labels, config, batch=batch), expected,
+    expected = oracle_train_ranksvm(rows, labels, pair_samples, batch, batch=batch)
+    np.testing.assert_allclose(fit_ranksvm(rows, labels, pair_samples, batch, batch=batch),
+                               expected,
                                rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -324,10 +317,7 @@ def test_scored_and_gathered_step_sums_agree(standardize):
     rows = rng.normal(size=(60, 9)) * 4.0 + 2.0
     labels = rng.integers(0, 2, size=60)
     fits, batch = 4, 45  # 2b > R = 60: the cost rule scores
-    configs = [RankerConfig(c=c, pair_samples=400, seed=seed)
-               for seed, c in enumerate((0.2, 1.0, 3.0, 8.0))]
-    pos, neg = pair_columns([_pair_rows(labels, None, cfg) for cfg in configs])
-    lams = [1.0 / cfg.c for cfg in configs]
+    pos, neg = pair_columns([_pair_rows(labels, None, 400, seed) for seed in range(fits)])
     extra = ()
     if standardize:
         mean, std = _standardize_fit(rows)
@@ -339,9 +329,9 @@ def test_scored_and_gathered_step_sums_agree(standardize):
         raise AssertionError("the other step source was chosen")
 
     with mock.patch.object(lse.ltr, "_gathered_steps", unreachable):
-        scored = _pegasos(rows, pos, neg, lams, *extra, batch=batch)
+        scored = _pegasos(rows, pos, neg, *extra, batch=batch)
     with mock.patch.object(lse.ltr, "_scored_steps", lse.ltr._gathered_steps):
-        gathered = _pegasos(rows, pos, neg, lams, *extra, batch=batch)
+        gathered = _pegasos(rows, pos, neg, *extra, batch=batch)
     np.testing.assert_allclose(scored, gathered, rtol=1e-12,
                                atol=1e-12 * np.abs(gathered).max())
     if standardize:
@@ -351,16 +341,15 @@ def test_scored_and_gathered_step_sums_agree(standardize):
 @st.composite
 def objective_problems(draw):
     """One fit's rows (4-40 of width 1-20, any scale, z-scored), labels with
-    both classes, C, 500-3000 pairs, and a batch of 2-50."""
+    both classes, 500-3000 pairs, a seed, and a batch of 2-50."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, width = draw(st.integers(4, 40)), draw(st.integers(1, 20))
     rows = rng.normal(size=(n, width)) * draw(st.sampled_from([0.01, 1.0, 50.0]))
     mean, std = _standardize_fit(rows)
     labels = rng.integers(0, 2, size=n)
     labels[:2] = (1, 0)
-    return ((rows - mean) / std, labels, RankerConfig(
-        c=draw(st.floats(0.05, 20.0)), pair_samples=draw(st.integers(500, 3000)),
-        seed=draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 50)))
+    return ((rows - mean) / std, labels, draw(st.integers(500, 3000)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 50)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,39 +358,39 @@ def test_minibatch_objective_is_within_pegasos_bound_of_single_pair_steps(proble
     """Mini-batches minimise the same objective: on the sampled pairs, the
     b > 1 weights' hinge objective exceeds the b = 1 weights' by at most
     Pegasos' bound for its T = ceil(pairs / b) steps, G^2 (1 + ln T) /
-    (2 lambda T), with G = 2 max|d| bounding every subgradient (|w| stays
-    below max|d| / lambda)."""
-    rows, labels, config, batch = problem
-    pos, neg = _pair_rows(labels, None, config)
+    (2 lambda T) at lambda = 1, with G = 2 max|d| bounding every subgradient
+    (|w| stays below max|d| / lambda)."""
+    rows, labels, pair_samples, seed, batch = problem
+    pos, neg = _pair_rows(labels, None, pair_samples, seed)
     diffs = rows[pos] - rows[neg]
-    single = hinge_objective(fit_ranksvm(rows, labels, config, batch=1), diffs,
-                             config.c)
-    batched = hinge_objective(fit_ranksvm(rows, labels, config, batch=batch), diffs,
-                              config.c)
-    steps = -(-config.pair_samples // batch)
+    single = hinge_objective(fit_ranksvm(rows, labels, pair_samples, seed, batch=1),
+                             diffs)
+    batched = hinge_objective(fit_ranksvm(rows, labels, pair_samples, seed,
+                                          batch=batch), diffs)
+    steps = -(-pair_samples // batch)
     g_squared = 4.0 * float((diffs * diffs).sum(axis=1).max())
-    bound = g_squared * (1.0 + np.log(steps)) * config.c / (2.0 * steps)
+    bound = g_squared * (1.0 + np.log(steps)) / (2.0 * steps)
     assert batched - single <= bound
 
 
 def test_ranksvm_duplicated_column_matches_single_column():
     """Both fits' optima score the one pair d at the margin 1. Every pair
     is d, so each of the T steps is all active or all not, and its score
-    s_t = d.w_t, with a = C |d|^2 >= 1, stays within a / t of 1: a step from
+    s_t = d.w_t, with a = |d|^2 >= 1, stays within a / t of 1: a step from
     below adds a / t to (1 - 1/t) s_{t-1}, one from above only shrinks it."""
-    config = RankerConfig()
-    steps = -(-config.pair_samples // pegasos_batch(config.pair_samples))
-    single = fit_ranksvm([[2.0], [0.0]], [1, 0], config)
-    dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0], config)
+    pair_samples = lse.ltr.PAIR_SAMPLES
+    steps = -(-pair_samples // pegasos_batch(pair_samples))
+    single = fit_ranksvm([[2.0], [0.0]], [1, 0])
+    dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0])
     assert dup[0] == pytest.approx(dup[1], rel=1e-12)
     s1 = np.array([[2.0], [0.0]]) @ single
     s2 = np.array([[2.0, 2.0], [0.0, 0.0]]) @ dup
     assert s1[1] == s2[1] == 0.0
     for score, norm_squared in ((s1[0], 4.0), (s2[0], 8.0)):
-        assert abs(score - 1.0) <= config.c * norm_squared / steps
+        assert abs(score - 1.0) <= norm_squared / steps
     # one pair per step takes 1e5 steps, which bring both to the optimum
-    single = fit_ranksvm([[2.0], [0.0]], [1, 0], config, batch=1)
-    dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0], config, batch=1)
+    single = fit_ranksvm([[2.0], [0.0]], [1, 0], batch=1)
+    dup = fit_ranksvm([[2.0, 2.0], [0.0, 0.0]], [1, 0], batch=1)
     s1 = np.array([[2.0], [0.0]]) @ single
     s2 = np.array([[2.0, 2.0], [0.0, 0.0]]) @ dup
     assert np.max(np.abs(s1 - s2)) < 1e-6
@@ -409,36 +398,34 @@ def test_ranksvm_duplicated_column_matches_single_column():
 
 def test_ranksvm_orders_separable_data():
     rows = np.array([[1.0, 0.0], [0.9, 0.1], [0.1, 0.9], [0.0, 1.0]])
-    scores = rows @ fit_ranksvm(rows, [1, 1, 0, 0],
-                                RankerConfig(pair_samples=2000, seed=3))
+    scores = rows @ fit_ranksvm(rows, [1, 1, 0, 0], pair_samples=2000, seed=3)
     assert min(scores[:2]) > max(scores[2:])
 
 
 def test_ranksvm_is_seed_deterministic():
     rows = np.random.default_rng(0).normal(size=(12, 3))
     labels = [1, 0] * 6
-    a = fit_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=9))
-    b = fit_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=9))
-    c = fit_ranksvm(rows, labels, RankerConfig(pair_samples=500, seed=10))
+    a = fit_ranksvm(rows, labels, pair_samples=500, seed=9)
+    b = fit_ranksvm(rows, labels, pair_samples=500, seed=9)
+    c = fit_ranksvm(rows, labels, pair_samples=500, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_ranksvm_rejects_single_class():
     with pytest.raises(DataError, match="single class"):
-        _pair_rows(np.array([1, 1]), None, RankerConfig())
+        _pair_rows(np.array([1, 1]), None, 100, 0)
 
 
 def test_ranksvm_rejects_groups_without_both_classes():
     with pytest.raises(DataError, match="both a relevant"):
-        _pair_rows(np.array([1, 0]), [0, 1], RankerConfig())
+        _pair_rows(np.array([1, 0]), [0, 1], 100, 0)
 
 
-def test_ranker_config_validation():
-    with pytest.raises(DataError):
-        RankerConfig(c=0.0)
-    with pytest.raises(DataError):
-        RankerConfig(pair_samples=0)
+def test_pair_rows_rejects_fewer_than_one_pair():
+    for pair_samples in (0, -5):
+        with pytest.raises(DataError, match="pair_samples must be at least 1"):
+            _pair_rows(np.array([1, 0]), None, pair_samples, 0)
 
 
 @pytest.mark.parametrize("pair_samples, batch", [
@@ -482,11 +469,11 @@ def test_load_graph_round_trip_and_errors(tmp_path):
 
 def test_qi_feature_matrix_values_and_masks():
     corpus = small_corpus()
-    qi = QIData(attributes={
+    attributes = {
         "e0": {"price": 9.99, "sales_rank": 4, "description_length": 120},
         "e1": {"price": None, "sales_rank": 0, "description_length": None},
-    })
-    out = qi_feature_matrix(corpus, qi)
+    }
+    out = qi_feature_matrix(corpus, attributes, {})
     assert out.shape == (3, 10)
     assert out[0, 0] == 9.99 and out[0, 7] == 1.0
     assert out[0, 1] == 120.0 and out[0, 8] == 1.0
@@ -498,15 +485,14 @@ def test_qi_feature_matrix_values_and_masks():
 
 def test_qi_feature_matrix_pagerank_columns():
     corpus = small_corpus()
-    qi = QIData(graphs={"also_bought": [("e0", "e2"), ("ghost", "e0")]})
-    out = qi_feature_matrix(corpus, qi)
+    out = qi_feature_matrix(corpus, {}, {"also_bought": [("e0", "e2"), ("ghost", "e0")]})
     assert np.allclose(out[:, 3], pagerank(3, [(0, 2)]), atol=1e-12)
     for k in range(1, len(GRAPH_NAMES)):
         assert np.allclose(out[:, 3 + k], 1.0 / 3.0, atol=1e-15)
 
 
 def test_qi_feature_matrix_without_data():
-    out = qi_feature_matrix(small_corpus(), None)
+    out = qi_feature_matrix(small_corpus(), {}, {})
     assert np.array_equal(out[:, [0, 1, 2, 7, 8, 9]], np.zeros((3, 6)))
     assert np.allclose(out[:, 3:7], 1.0 / 3.0, atol=1e-15)
 
@@ -613,8 +599,7 @@ def fusion_setup():
 def test_cross_validated_fusion_report_structure():
     table, qrels = fusion_setup()
     report = cross_validated_fusion(table, qrels, folds=4, seed=0, cutoff=10,
-                                    ks=(5,),
-                                    ranker_config=RankerConfig(pair_samples=2000))
+                                    ks=(5,), pair_samples=2000)
     assert [row["features"] for row in report.rows] == [
         "qi", "qi+qlm", "qi+lse", "qi+qlm+lse"]
     for row in report.rows:
@@ -623,13 +608,11 @@ def test_cross_validated_fusion_report_structure():
     assert set(report.significance) == {"ndcg@10", "p@5"}
     for stats in report.significance.values():
         assert stats.get("degenerate") or {"t", "p", "marker"} <= set(stats)
-    assert report.folds == 4 and report.seed == 0
 
 
 def test_cross_validated_fusion_is_deterministic():
     table, qrels = fusion_setup()
-    kwargs = dict(folds=4, seed=1, cutoff=10, ks=(5,),
-                  ranker_config=RankerConfig(pair_samples=1000))
+    kwargs = dict(folds=4, seed=1, cutoff=10, ks=(5,), pair_samples=1000)
     a = cross_validated_fusion(table, qrels, **kwargs)
     b = cross_validated_fusion(table, qrels, **kwargs)
     assert [r["means"] for r in a.rows] == [r["means"] for r in b.rows]
@@ -648,10 +631,10 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
     """Every fold trained alone by the oracle loop, on its z-scored training
     topics, gives the same per-topic metrics as the lockstep folds."""
     table, qrels = fusion_setup()
-    folds, seed, config = 4, 3, RankerConfig(c=0.5, pair_samples=700)
-    with mock.patch.object(lse.ltr, "_MIN_STEPS", config.pair_samples):  # b = 1
+    folds, seed, pair_samples = 4, 3, 700
+    with mock.patch.object(lse.ltr, "_MIN_STEPS", pair_samples):  # b = 1
         report = cross_validated_fusion(table, qrels, folds=folds, seed=seed,
-                                        cutoff=10, ks=(5,), ranker_config=config)
+                                        cutoff=10, ks=(5,), pair_samples=pair_samples)
     n = len(table.entity_ids)
     partition = _fold_partition(table.topics, folds, seed)
     for combo_index, (combo, row) in enumerate(zip(COMBOS, report.rows)):
@@ -665,9 +648,8 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
             mean, std = _standardize_fit(matrix)
             fold_seed = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(combo_index, fold_index)).generate_state(1)[0])
-            w = oracle_train_ranksvm((matrix - mean) / std, labels,
-                                     replace(config, seed=fold_seed),
-                                     np.repeat(np.arange(len(train)), n))
+            w = oracle_train_ranksvm((matrix - mean) / std, labels, pair_samples,
+                                     fold_seed, np.repeat(np.arange(len(train)), n))
             for tid in heldout:
                 scores = ((table.matrices[tid][:, cols] - mean) / std) @ w
                 runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, 10)
@@ -684,8 +666,7 @@ def test_cross_validated_fusion_without_lse_trains_only_qi_and_qi_qlm():
     table = build_features(encode_topics(topics, vocab), corpus, estimate(corpus, 0.5),
                            None)
     with_model, qrels = fusion_setup()
-    kwargs = dict(folds=4, seed=2, cutoff=10, ks=(5,),
-                  ranker_config=RankerConfig(pair_samples=600))
+    kwargs = dict(folds=4, seed=2, cutoff=10, ks=(5,), pair_samples=600)
     report = cross_validated_fusion(table, qrels, **kwargs)
     assert [row["features"] for row in report.rows] == ["qi", "qi+qlm"]
     assert report.rows == cross_validated_fusion(with_model, qrels, **kwargs).rows[:2]
@@ -707,14 +688,13 @@ def test_each_command_trains_its_rankers_in_one_pegasos_call():
     table, qrels = fusion_setup()
     with mock.patch.object(lse.ltr, "_pegasos", counting):
         cross_validated_fusion(table, qrels, folds=3, seed=0, cutoff=10, ks=(5,),
-                               ranker_config=RankerConfig(pair_samples=200))
+                               pair_samples=200)
         assert calls == [(len(COMBOS) * 3, 2)]
         calls.clear()
         params, queries, qrels, ids = report_setup()
         queries["ok2"] = [1, 2]
         qrels = Qrels({**qrels.grades, ("ok2", "e1"): 1, ("ok2", "e3"): 1})
-        rows = ideal_vector_report(params, queries, qrels, ids,
-                                   config=RankerConfig(pair_samples=200))
+        rows = ideal_vector_report(params, queries, qrels, ids, pair_samples=200)
     assert calls == [(sum(row["status"] == "ok" for row in rows), 2)] == [(2, 2)]
 
 
@@ -740,7 +720,7 @@ def test_ideal_vector_separates_relevant_directions():
     qrels = Qrels({("t", "e0"): 1, ("t", "e1"): 1})
     rows = ideal_vector_report(params, {"t": [0]}, qrels,
                                ["e0", "e1", "e2", "e3"], cutoff=2,
-                               config=RankerConfig(pair_samples=2000, seed=1))
+                               pair_samples=2000, seed=1)
     assert rows[0]["status"] == "ok"
     assert rows[0]["ndcg_ideal"] == 1.0  # the two relevant entities rank first
 
@@ -758,8 +738,7 @@ def report_setup():
 
 def test_ideal_vector_report_statuses():
     params, queries, qrels, ids = report_setup()
-    rows = ideal_vector_report(params, queries, qrels, ids,
-                               config=RankerConfig(pair_samples=1000))
+    rows = ideal_vector_report(params, queries, qrels, ids, pair_samples=1000)
     by_topic = {row["topic_id"]: row for row in rows}
     assert by_topic["ok"]["status"] == "ok"
     assert 0.0 <= by_topic["ok"]["ndcg_ideal"] <= 1.0
@@ -776,9 +755,8 @@ def test_ideal_vector_report_statuses():
 
 def test_ideal_vector_report_is_deterministic():
     params, queries, qrels, ids = report_setup()
-    cfg = RankerConfig(pair_samples=1000)
-    first = ideal_vector_report(params, queries, qrels, ids, config=cfg)
-    second = ideal_vector_report(params, queries, qrels, ids, config=cfg)
+    first = ideal_vector_report(params, queries, qrels, ids, pair_samples=1000)
+    second = ideal_vector_report(params, queries, qrels, ids, pair_samples=1000)
     assert first == second
 
 
@@ -797,10 +775,10 @@ def test_ideal_vector_report_equals_per_topic_oracle():
     queries["oov"] = []
     grades[("oov", "e00")] = grades[("oov", "e01")] = 1
     qrels = Qrels(grades)
-    config = RankerConfig(c=2.0, pair_samples=900, seed=5)
-    with mock.patch.object(lse.ltr, "_MIN_STEPS", config.pair_samples):  # b = 1
+    pair_samples, seed = 900, 5
+    with mock.patch.object(lse.ltr, "_MIN_STEPS", pair_samples):  # b = 1
         rows = ideal_vector_report(params, queries, qrels, ids, cutoff=5,
-                                   config=config)
+                                   pair_samples=pair_samples, seed=seed)
     norms = np.linalg.norm(params.W_e, axis=1, keepdims=True)
     unit = np.divide(params.W_e, norms, out=np.zeros_like(params.W_e),
                      where=norms > 0)
@@ -813,8 +791,8 @@ def test_ideal_vector_report_equals_per_topic_oracle():
         eligible += 1
         labels = [1 if eid in qrels.relevant(tid) else 0 for eid in ids]
         topic_seed = int(np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(11, index)).generate_state(1)[0])
-        w = oracle_train_ranksvm(unit, labels, replace(config, seed=topic_seed))
+            entropy=seed, spawn_key=(11, index)).generate_state(1)[0])
+        w = oracle_train_ranksvm(unit, labels, pair_samples, topic_seed)
         query = project(params, queries[tid])
         assert row["ndcg_ideal"] == ndcg(rank_by_vector(params.W_e, w, ids, tid, 5),
                                          qrels, 5)
