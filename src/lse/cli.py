@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import time
 
 import click
@@ -104,12 +105,19 @@ def _now():
 def _run(out_dir, config, seed=None):
     """Make out_dir, run the command body, then write out_dir/manifest.json:
     the command, its config and seed, the path and SHA-256 of every input the
-    command line named, and the counts the body put in the dict it is given."""
+    command line named, and the counts the body put in the dict it is given.
+    If the body fails, out_dir goes with its files, unless it existed before."""
     ctx = click.get_current_context()
+    made = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     started = _now()
     counts = {}
-    yield counts
+    try:
+        yield counts
+    except BaseException:
+        if made:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        raise
     inputs = ctx.meta.get(_INPUTS, {})
     _write_json(out_dir, "manifest.json", {
         "command": ctx.command.name, "config": config, "counts": counts,
@@ -309,7 +317,7 @@ def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
 @_input_argument("run")
 @_input_argument("qrels")
 @_out_option()
-@click.option("--cutoff", default=100, show_default=True)
+@click.option("--cutoff", default=100, show_default=True, type=click.IntRange(min=1))
 @_input_option("--baseline-run", help="Second run for the paired significance test.")
 def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
     """Score a run against qrels; optionally test against a baseline run."""
@@ -317,7 +325,7 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
         qrels_data = Qrels.load(qrels)
         report = evaluate_run(read_run(run), qrels_data, cutoff=cutoff)
         with _output(out_dir, "per_topic.csv") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["topic_id", *report.means])
             for tid, row in sorted(report.per_topic.items()):
                 writer.writerow([tid] + [repr(row[m]) for m in report.means])
@@ -339,7 +347,7 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
 @_input_argument("topics")
 @_input_argument("qrels")
 @_out_option()
-@click.option("--cutoff", default=100, show_default=True)
+@click.option("--cutoff", default=100, show_default=True, type=click.IntRange(min=1))
 def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
     """Sweep the smoothing weight over 0.0..1.0 in steps of 0.05."""
     with _run(out_dir, {"cutoff": cutoff}) as counts:
@@ -367,17 +375,15 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
 @click.option("--graph", "graphs", multiple=True, callback=_resolve_graphs,
               help="NAME=PATH edge list; NAME one of " + ", ".join(GRAPH_NAMES) + ".")
 @click.option("--lambda-jm", default=0.5, show_default=True)
-@click.option("--folds", default=10, show_default=True)
+@click.option("--folds", default=10, show_default=True, type=click.IntRange(min=2))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--cutoff", default=100, show_default=True)
+@click.option("--cutoff", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--pair-samples", default=PAIR_SAMPLES, show_default=True,
               type=click.IntRange(min=1))
 def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs,
              lambda_jm, folds, seed, cutoff, pair_samples):
     """Cross-validated fusion of query-independent, lexical and latent
     features."""
-    if folds < 2:
-        raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
     config = {"lambda_jm": lambda_jm, "folds": folds, "cutoff": cutoff,
               "pair_samples": pair_samples, "batch": pegasos_batch(pair_samples)}
     with _run(out_dir, config, seed) as counts:
@@ -400,7 +406,7 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
                                         cutoff=cutoff, pair_samples=pair_samples)
         metrics = list(report.rows[0]["means"])
         with _output(out_dir, "fusion.csv") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             header = ["features"]
             for metric in metrics:
                 header += [metric, f"{metric}_sig"]
@@ -426,7 +432,7 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
 @_input_argument("topics")
 @_input_argument("qrels")
 @_out_option()
-@click.option("--cutoff", default=100, show_default=True)
+@click.option("--cutoff", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--pair-samples", default=PAIR_SAMPLES, show_default=True,
               type=click.IntRange(min=1))
@@ -446,7 +452,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
                                    cutoff=cutoff, pair_samples=pair_samples,
                                    seed=seed)
         with _output(out_dir, "ideal.csv") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["topic_id", "status", "n_relevant", "ndcg_ideal",
                              "ndcg_query"])
             for row in rows:

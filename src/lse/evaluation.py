@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticError
-from .files import check_unique, read_lines
+from .files import check_id, check_unique, read_lines
 
 
 @dataclass
@@ -20,7 +20,8 @@ class TopicSet:
     @classmethod
     def load(cls, path):
         """TSV whose first non-blank line is a header naming the split:
-        'topic_id<TAB><split>'. An empty file is an empty test set."""
+        'topic_id<TAB><split>'. An empty file is an empty test set; each id
+        passes check_id."""
         topics = {}
         first_line = {}
         split = None
@@ -34,6 +35,7 @@ class TopicSet:
                 split = parts[1]
             else:
                 check_unique(first_line, parts[0], path, number, "topic id {!r}")
+                check_id(parts[0], f"{path}:{number}", "topic id")
                 topics[parts[0]] = parts[1]
         return cls(topics, "test" if split is None else split)
 
@@ -78,24 +80,15 @@ class Qrels:
         return cls(grades)
 
 
-def check_cutoff(cutoff):
-    """Raise DataError for an NDCG cutoff below 1, which has no ideal DCG."""
-    if cutoff < 1:
-        raise DataError(f"cutoff must be at least 1, got {cutoff}")
-
-
 def ndcg(ranked, qrels, cutoff=100):
     """Binary-gain DCG at the cutoff over the ideal DCG.
 
     The discount at rank r (1-based) is 1/log2(r + 1); the ideal DCG counts
     the topic's full relevant set even when some of it is missing from the
-    ranking. Raises DataError for a cutoff below 1 or a topic with no
-    relevant entities.
+    ranking. A cutoff below 1, or a topic without a relevant entity, has an
+    ideal DCG of 0: a ZeroDivisionError.
     """
-    check_cutoff(cutoff)
     rel = qrels.relevant(ranked.topic_id)
-    if not rel:
-        raise DataError(f"topic {ranked.topic_id!r} has no relevant entities")
     dcg = 0.0
     for r, (eid, _score) in enumerate(ranked.entries[:cutoff], start=1):
         if eid in rel:
@@ -124,11 +117,9 @@ class EvalReport:
 
 
 def evaluate_run(runs, qrels, cutoff=100, ks=(5, 10)):
-    """Per-topic and mean NDCG@cutoff and P@k for every topic in runs; a
-    cutoff below 1 is a DataError. Means are over the scored topics only,
-    as trec_eval computes them without -c; the qrels topics with a relevant
-    entity that runs leaves out are listed as missing."""
-    check_cutoff(cutoff)
+    """Per-topic and mean NDCG@cutoff and P@k for every topic in runs, means
+    over the scored topics only (trec_eval without -c); the qrels topics with
+    a relevant entity that runs leaves out are listed as missing."""
     per_topic = {}
     excluded = []
     for tid in sorted(runs):

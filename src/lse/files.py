@@ -45,6 +45,12 @@ def check_unique(first_line, key, path, number, what):
     first_line[key] = number
 
 
+def check_id(value, where, what):
+    """DataError at where unless value is a non-empty id without whitespace."""
+    if value.split() != [value]:
+        raise DataError(f"{where}: {what} {value!r} is empty or holds whitespace")
+
+
 def _check_field(path, number, record, name, kind):
     """DataError unless record[name] has the type kind, or kind is (type,
     None) and the value is null or missing."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .evaluation import check_cutoff, compare_runs, evaluate_run, ndcg
+from .evaluation import compare_runs, evaluate_run, ndcg
 from .files import read_lines, read_records
 from .model import project
 from .qlm import score as qlm_score
@@ -24,15 +24,16 @@ QI_MASK_FEATURES = ("price_present", "description_length_present",
                     "sales_rank_present")
 
 
-def pagerank(num_nodes, edges, damping=0.85, tol=1e-10, max_iter=200):
+# PageRank's damping factor, and its stopping rule: an L1 change below the
+# tolerance, or the iteration cap
+PAGERANK_DAMPING, PAGERANK_TOL, PAGERANK_MAX_ITER = 0.85, 1e-10, 200
+
+
+def pagerank(num_nodes, edges):
     """Power iteration on the column-stochastic transition with uniform
-    teleport; dangling mass is redistributed uniformly. Stops when the L1
-    change drops below tol or at max_iter. An empty edge list gives uniform
-    scores."""
-    if not 0.0 < damping < 1.0:
-        raise DataError("damping must lie strictly between 0 and 1")
-    if num_nodes < 1:
-        raise DataError("graph needs at least one node")
+    teleport at PAGERANK_DAMPING; dangling mass is redistributed uniformly.
+    An empty edge list gives uniform scores, and an edge endpoint outside
+    [0, num_nodes) is a DataError."""
     if not edges:
         return np.full(num_nodes, 1.0 / num_nodes)
     src = np.asarray([e[0] for e in edges], dtype=np.intp)
@@ -42,13 +43,14 @@ def pagerank(num_nodes, edges, damping=0.85, tol=1e-10, max_iter=200):
     outdeg = np.bincount(src, minlength=num_nodes).astype(np.float64)
     dangling = outdeg == 0
     p = np.full(num_nodes, 1.0 / num_nodes)
-    for _ in range(max_iter):
+    for _ in range(PAGERANK_MAX_ITER):
         contrib = p[src] / outdeg[src]
         new = np.bincount(dst, weights=contrib, minlength=num_nodes)
-        new = damping * (new + p[dangling].sum() / num_nodes) + (1.0 - damping) / num_nodes
+        new = (PAGERANK_DAMPING * (new + p[dangling].sum() / num_nodes)
+               + (1.0 - PAGERANK_DAMPING) / num_nodes)
         delta = float(np.abs(new - p).sum())
         p = new
-        if delta < tol:
+        if delta < PAGERANK_TOL:
             break
     return p
 
@@ -64,21 +66,21 @@ def pegasos_batch(pair_samples):
     """Pairs per Pegasos step for a fit of pair_samples pairs: 1000 at the
     default 1e5, so that a fit takes 100 steps, and 1 below 200 pairs.
     Every fit takes at least min(pair_samples, _MIN_STEPS) steps and fewer
-    than 2 _MIN_STEPS."""
+    than 2 _MIN_STEPS. A pair_samples below 1 is a DataError."""
+    if pair_samples < 1:
+        raise DataError(f"pair_samples must be at least 1, got {pair_samples}")
     return max(1, pair_samples // _MIN_STEPS)
 
 
 def _pair_rows(labels, groups, pair_samples, seed):
-    """Row indices (relevant, non-relevant) of pair_samples pairs (at least
-    1), drawn by a generator seeded with seed.
+    """Row indices (relevant, non-relevant) of pair_samples pairs, drawn by
+    a generator seeded with seed.
 
     Pairs are formed within a group (groups=None treats all rows as one
     group): a relevant row is drawn uniformly over all groups' relevant rows
     and its partner uniformly with replacement from the same group's
     non-relevant rows, which balances the classes regardless of their raw
     distribution. Raises on single-class input."""
-    if pair_samples < 1:
-        raise DataError(f"pair_samples must be at least 1, got {pair_samples}")
     groups = (np.zeros(len(labels), dtype=np.int64) if groups is None
               else np.asarray(groups, dtype=np.int64))
     pos_pool = []
@@ -297,10 +299,8 @@ class FeatureTable:
         for block in blocks:
             if block == "qi":
                 cols.extend(range(len(QI_VALUE_FEATURES) + len(QI_MASK_FEATURES)))
-            elif block in ("qlm", "lse") and block in self.feature_names:
-                cols.append(self.feature_names.index(block))
             else:
-                raise DataError(f"no feature block {block!r} in the table")
+                cols.append(self.feature_names.index(block))
         return np.asarray(cols, dtype=np.intp)
 
 
@@ -388,11 +388,9 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     metric's entry is degenerate."""
     topics = list(table.topics)
     depth = max((cutoff, *ks))
-    if folds < 2:
-        raise DataError(f"cross-validation needs at least 2 folds, got {folds}")
+    batch = pegasos_batch(pair_samples)
     if len(topics) < folds:
         raise DataError(f"need at least {folds} topics for {folds}-fold cross-validation")
-    check_cutoff(cutoff)
     partition = _fold_partition(topics, folds, seed)
     combos = [combo for combo in COMBOS
               if all(block == "qi" or block in table.feature_names for block in combo)]
@@ -422,8 +420,7 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     # keeps its own; a column's statistics over C-ordered rows do not depend
     # on the other columns, so they equal those of the combination's alone
     centers, scales = (np.array(side)[[f for _, f in fits]] for side in zip(*stats))
-    weights = _pegasos(stacked, pos, neg, centers, scales, masks,
-                       batch=pegasos_batch(pair_samples))
+    weights = _pegasos(stacked, pos, neg, centers, scales, masks, batch=batch)
 
     runs = {combo: {} for combo in combos}
     for (combo, f), w, mean, std in zip(fits, weights, centers, scales):
@@ -463,7 +460,7 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
     Returns a list of rows {topic_id, status, n_relevant, ndcg_ideal,
     ndcg_query}; status is one of ok, skipped_single_relevant,
     skipped_no_relevant, skipped_empty_query."""
-    check_cutoff(cutoff)
+    batch = pegasos_batch(pair_samples)
     rows = []
     eligible = []  # (row, qids, labels, pair seed) per topic with status ok
     for index, (tid, qids) in enumerate(sorted(queries.items())):
@@ -486,7 +483,7 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
         pos[:, k], neg[:, k] = _pair_rows(labels, None, pair_samples, pair_seed)
     w_e = np.asarray(params.W_e, dtype=np.float64)
     unit, norms = _unit_rows(w_e)
-    weights = _pegasos(unit, pos, neg, batch=pegasos_batch(pair_samples))
+    weights = _pegasos(unit, pos, neg, batch=batch)
     for (row, qids, _, _), w in zip(eligible, weights):
         tid = row["topic_id"]
         ideal_run = rank_by_vector(w_e, w, entity_ids, tid, cutoff, norms)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LSEError
-from .files import atomic_open, check_unique, read_lines
+from .files import atomic_open, check_id, check_unique, read_lines
 
 MAGIC = b"LSEM0001"
 PARAM_FIELDS = ("W_v", "W", "b", "W_e")
@@ -221,8 +221,6 @@ def batch_loss_and_gradients(params, batch, weight_decay):
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m = len(batch)
-    if m == 0:
-        raise DataError("batch is empty")
     n = ngrams.shape[1]
     H, F, Epos, dpos = _forward(params, batch)
     dneg = np.empty(negatives.shape, dtype=F.dtype)
@@ -442,6 +440,8 @@ def _read_header(path, blob):
                         f"{dims.num_entities} entities")
     if not all(isinstance(eid, str) for eid in ids) or len(set(ids)) != len(ids):
         raise DataError(f"{path}: header entity_ids must be distinct strings")
+    for eid in ids:
+        check_id(eid, path, "header entity id")
     dtype = header.get("dtype")
     if not isinstance(dtype, str) or dtype not in _CONTAINER_DTYPES:
         raise DataError(f"{path}: header dtype must be float32 or float64, "
@@ -455,9 +455,9 @@ def load_model(path):
     exactly).
 
     The header must fit in the file, be lse-model JSON with dtype float32
-    or float64 and positive dims, and list one distinct string entity id
-    per entity row, and every array value must be finite; every failure is
-    a DataError naming the file."""
+    or float64 and positive dims, and list one distinct entity id per row
+    that passes check_id, and every array value must be finite; each failure
+    is a DataError naming the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))

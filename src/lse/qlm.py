@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .evaluation import check_cutoff, evaluate_run
+from .evaluation import evaluate_run
 from .retrieval import ranked_from_scores
 
 
@@ -113,7 +113,6 @@ def sweep_lambda(corpus, queries, qrels, cutoff=100):
     """Evaluate mean NDCG of queries ({topic_id: token ids}) at each of the
     21 grid points 0.0, 0.05, ..., 1.0 and return (best_lambda,
     [(lambda, mean_ndcg)]); ties prefer smaller lambda."""
-    check_cutoff(cutoff)
     if not queries:
         raise DataError("no validation topics for the sweep")
     queries = {tid: ids for tid, ids in queries.items() if ids}

@@ -30,8 +30,6 @@ def ranked_from_scores(topic_id, entity_ids, scores, k=None):
 
     Only entities scoring at least the k-th largest score are sorted, so the
     id tie-break still decides among those tied at the cut."""
-    if k is not None and k < 1:
-        raise DataError(f"ranking depth must be at least 1, got {k}")
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     if k is None or k >= n:

@@ -31,8 +31,6 @@ class InstanceBlock:
         self.positives = np.asarray(positives, dtype=np.int32)
         self.negatives = np.asarray(negatives, dtype=np.int32)
         self.skipped_entities = tuple(skipped_entities)
-        if not (len(self.ngrams) == len(self.positives) == len(self.negatives)):
-            raise DataError("instance block arrays disagree in length")
 
     def __len__(self):
         return len(self.positives)
@@ -105,8 +103,4 @@ def sample_epoch(corpus, config, rng):
 def make_batches(instances, m):
     """Chunk an instance stream into consecutive batches of m; the final
     partial batch is kept."""
-    if len(instances) == 0:
-        raise DataError("cannot batch an empty instance stream")
-    if m < 1:
-        raise DataError("batch size must be at least 1")
     return [instances[i:i + m] for i in range(0, len(instances), m)]

@@ -5,13 +5,13 @@ import hashlib
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_open, check_unique, read_lines, read_records
+from .files import atomic_open, check_id, check_unique, read_lines, read_records
 
 NUM_TOKEN = "<num>"
 
@@ -157,15 +157,8 @@ class Corpus:
     doc_entity: np.ndarray  # int32
     doc_ids: list
     entities: list
-    dropped_tokens: int = 0
-    entity_index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.tokens = np.asarray(self.tokens, dtype=np.int32)
-        self.doc_ptr = np.asarray(self.doc_ptr, dtype=np.int64)
-        self.doc_entity = np.asarray(self.doc_entity, dtype=np.int32)
-        if not self.entity_index:
-            self.entity_index = {e: i for i, e in enumerate(self.entities)}
+    dropped_tokens: int
+    entity_index: dict  # entity id -> its index in entities
 
     @property
     def num_entities(self):
@@ -207,30 +200,25 @@ def _text_encoder(vocab):
 
 
 def encode_corpus(raw_docs, vocab):
-    """Encode raw documents against vocab into one Corpus; entities ordered by
-    first appearance."""
+    """Encode raw documents (as load_raw_docs returns them) against vocab into
+    one Corpus; entities ordered by first appearance."""
     encode = _text_encoder(vocab)
     tokens = array("i")
     doc_ptr = [0]
     doc_ids = []
     doc_entity = []
     entity_index = {}
-    seen = set()
     dropped = 0
     for doc_id, entity_id, text in raw_docs:
-        if doc_id in seen:
-            raise DataError(f"duplicate doc_id {doc_id!r}")
-        seen.add(doc_id)
         ids, missed = encode(text)
         dropped += missed
         tokens.extend(ids)
         doc_ptr.append(len(tokens))
         doc_ids.append(doc_id)
         doc_entity.append(entity_index.setdefault(entity_id, len(entity_index)))
-    if not doc_ids:
-        raise DataError("corpus has no documents")
-    return Corpus(tokens, doc_ptr, doc_entity, doc_ids, list(entity_index), dropped,
-                  entity_index)
+    return Corpus(np.asarray(tokens, dtype=np.int32), np.asarray(doc_ptr, dtype=np.int64),
+                  np.asarray(doc_entity, dtype=np.int32), doc_ids, list(entity_index),
+                  dropped, entity_index)
 
 
 def encode_topics(topics, vocab):
@@ -242,13 +230,14 @@ def encode_topics(topics, vocab):
 
 def load_raw_docs(path):
     """Read a JSON-lines corpus: one {"doc_id", "entity_id", "text"} per line,
-    all three strings, with distinct doc ids and at least one document."""
+    all strings, doc ids distinct, entity ids passing check_id; not empty."""
     docs = []
     first_line = {}
     for number, rec in read_records(path, {"doc_id": str, "entity_id": str,
                                            "text": str}):
         doc_id = rec["doc_id"]
         check_unique(first_line, doc_id, path, number, "doc_id {!r}")
+        check_id(rec["entity_id"], f"{path}:{number}", "entity_id")
         docs.append((doc_id, rec["entity_id"], rec["text"]))
     if not docs:
         raise DataError(f"{path}: corpus has no documents")

@@ -23,9 +23,9 @@ def make_corpus(documents, entities=None):
     index = {e: i for i, e in enumerate(entities)}
     tokens = [np.asarray(toks, dtype=np.int32) for _, toks in documents]
     return Corpus(np.concatenate([np.empty(0, dtype=np.int32)] + tokens),
-                  np.cumsum([0] + [len(t) for t in tokens]),
-                  [index[e] for e, _ in documents],
-                  [f"d{j}" for j in range(len(documents))], entities)
+                  np.cumsum([0] + [len(t) for t in tokens], dtype=np.int64),
+                  np.array([index[e] for e, _ in documents], dtype=np.int32),
+                  [f"d{j}" for j in range(len(documents))], entities, 0, index)
 
 
 def documents(corpus):

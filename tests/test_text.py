@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lse.errors import DataError
-from lse.text import (NUM_TOKEN, STOPWORDS, Corpus, Vocabulary,
+from lse.text import (NUM_TOKEN, STOPWORDS, Vocabulary,
                       build_vocabulary, encode_corpus, encode_topics,
                       load_raw_docs, tokenize)
 
@@ -146,16 +146,19 @@ def test_encode_corpus_token_accounting():
     assert corpus.total_tokens + corpus.dropped_tokens == raw_total
 
 
-def test_encode_corpus_rejects_duplicate_doc_id():
-    vocab = build_vocabulary([("d", "e", "aa")])
-    with pytest.raises(DataError, match="duplicate doc_id"):
-        encode_corpus([("d1", "e1", "aa"), ("d1", "e2", "aa")], vocab)
+def test_load_raw_docs_rejects_duplicate_doc_id(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text('{"doc_id": "d1", "entity_id": "e1", "text": "aa"}\n'
+                    '{"doc_id": "d1", "entity_id": "e2", "text": "aa"}\n')
+    with pytest.raises(DataError, match=r":2: duplicate doc_id 'd1', first on line 1"):
+        load_raw_docs(path)
 
 
-def test_encode_corpus_rejects_empty_input():
-    vocab = build_vocabulary([("d", "e", "aa")])
-    with pytest.raises(DataError):
-        encode_corpus([], vocab)
+def test_load_raw_docs_rejects_empty_corpus(tmp_path):
+    path = tmp_path / "docs.jsonl"
+    path.write_text("\n")
+    with pytest.raises(DataError, match="corpus has no documents"):
+        load_raw_docs(path)
 
 
 def test_encode_corpus_lays_documents_end_to_end():
@@ -249,9 +252,3 @@ def test_load_raw_docs_reports_missing_field(tmp_path):
     path.write_text('{"doc_id": "d1"}\n')
     with pytest.raises(DataError, match=":1"):
         load_raw_docs(path)
-
-
-def test_corpus_entity_index_autofilled():
-    corpus = Corpus([0], [0, 1], [0], ["d1"], ["e1"])
-    assert corpus.entity_index == {"e1": 0}
-    assert corpus.num_entities == 1
