@@ -364,9 +364,8 @@ def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, giv
     *(pytest.param(command, "--cutoff", value, id=f"{command}-cutoff{value}")
       for command in ("eval", "sweep-lambda", "fuse", "ideal-vector")
       for value in ("0", "-2")),
-    # --folds 1 is test_fuse_checks_folds_before_reading_any_input's case
     *(pytest.param("fuse", "--folds", value, id=f"fuse-folds{value}")
-      for value in ("0", "-3"))])
+      for value in ("1", "0", "-3"))])
 def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, monkeypatch,
                                                   command, option, value):
     """A count below its range (--folds below 2) exits 2 naming the option,
