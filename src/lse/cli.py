@@ -106,17 +106,19 @@ def _run(out_dir, config, seed=None):
     """Make out_dir, run the command body, then write out_dir/manifest.json:
     the command, its config and seed, the path and SHA-256 of every input the
     command line named, and the counts the body put in the dict it is given.
-    If the body fails, out_dir goes with its files, unless it existed before."""
+    If the body fails, every directory made for out_dir goes, files and all."""
     ctx = click.get_current_context()
-    made = not os.path.exists(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    made, parent = None, os.path.abspath(out_dir)  # the topmost directory made
+    while not os.path.exists(parent):
+        made, parent = parent, os.path.dirname(parent)
     started = _now()
     counts = {}
     try:
+        os.makedirs(out_dir, exist_ok=True)
         yield counts
     except BaseException:
         if made:
-            shutil.rmtree(out_dir, ignore_errors=True)
+            shutil.rmtree(made, ignore_errors=True)
         raise
     inputs = ctx.meta.get(_INPUTS, {})
     _write_json(out_dir, "manifest.json", {
@@ -141,6 +143,13 @@ def _status(msg):
     click.echo(msg, err=True)
 
 
+def _finite(ctx, param, value):
+    """Option callback: NaN or infinity exits 2 naming the option."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"must be finite, got {value}")
+    return value
+
+
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
@@ -160,7 +169,7 @@ def main():
 @_input_argument("corpus")
 @_out_option()
 @click.option("--max-size", default=Vocabulary.MAX_SIZE, show_default=True,
-              help="Vocabulary cap.")
+              type=click.IntRange(1, Vocabulary.MAX_SIZE), help="Vocabulary cap.")
 def cmd_build_vocab(corpus, out_dir, max_size):
     """Build the pruned vocabulary from a JSON-lines corpus."""
     with _run(out_dir, {"max_size": max_size}):
@@ -244,7 +253,7 @@ def _corpus(path, vocabulary, counts):
     """encode_corpus of the corpus file at path; its document, token and
     dropped-token counts go into counts for the manifest."""
     corpus = encode_corpus(load_raw_docs(path), vocabulary)
-    counts.update(documents=len(corpus.doc_ids), tokens=corpus.total_tokens,
+    counts.update(documents=len(corpus.doc_ptr) - 1, tokens=corpus.total_tokens,
                   dropped_tokens=corpus.dropped_tokens)
     return corpus
 
@@ -298,6 +307,7 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
 @_input_argument("topics")
 @_out_option()
 @click.option("--lambda-jm", default=0.5, show_default=True,
+              type=click.FloatRange(0, 1), callback=_finite,
               help="Jelinek-Mercer interpolation weight.")
 @click.option("--top-k", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--run-tag", default="qlm", show_default=True)
@@ -354,7 +364,8 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
         vocabulary = Vocabulary.load(vocab)
         corpus_data = _corpus(corpus, vocabulary, counts)
         queries = _queries(topics, vocabulary)
-        best, grid = sweep_lambda(corpus_data, queries, Qrels.load(qrels), cutoff=cutoff)
+        best, grid = sweep_lambda(corpus_data, queries, Qrels.load(qrels), cutoff=cutoff,
+                                  source=qrels)
         with _output(out_dir, "sweep.csv") as fh:
             fh.write("lambda_jm,mean_ndcg\n")
             for lam, mean in grid:
@@ -374,7 +385,8 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
 @_input_option("--qi-attrs", help="JSON-lines entity attributes.")
 @click.option("--graph", "graphs", multiple=True, callback=_resolve_graphs,
               help="NAME=PATH edge list; NAME one of " + ", ".join(GRAPH_NAMES) + ".")
-@click.option("--lambda-jm", default=0.5, show_default=True)
+@click.option("--lambda-jm", default=0.5, show_default=True,
+              type=click.FloatRange(0, 1), callback=_finite)
 @click.option("--folds", default=10, show_default=True, type=click.IntRange(min=2))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--cutoff", default=100, show_default=True, type=click.IntRange(min=1))
@@ -474,13 +486,6 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
         counts["skipped_topics"] = len(skipped)
         if skipped:
             _status(f"skipped {len(skipped)} topics (single or no relevant entity)")
-
-
-def _finite(ctx, param, value):
-    """Option callback: NaN or infinity exits 2 naming the option."""
-    if not math.isfinite(value):
-        raise click.BadParameter(f"must be finite, got {value}")
-    return value
 
 
 def _finite_or_none(value):

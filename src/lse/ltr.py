@@ -139,8 +139,8 @@ def _pegasos(rows, pos, neg, center=None, scale=None, mask=None, batch=1):
     boolean mask[k] is False, so that w stays 0 there. A step costs the same
     few NumPy calls for any K.
 
-    The step sums come from _scored_steps when R < 2b, else from
-    _gathered_steps. Scoring is the faster source, but it holds (K, R)
+    The step sums come from _scored_sum when R < 2b, else from
+    _gathered_sum. Scoring is the faster source, but it holds (K, R)
     tables per step where gathering holds byte-bounded blocks; R < 2b keeps
     those tables smaller than the 2 b K rows the step reads. At b = 1 the
     gathered sum is d itself and this is the single-pair loop: each fit's
@@ -149,29 +149,25 @@ def _pegasos(rows, pos, neg, center=None, scale=None, mask=None, batch=1):
     zero products change no sum (OpenBLAS's does below 16 columns)."""
     weights = np.zeros((pos.shape[1], rows.shape[1]))
     unused = None if mask is None else ~np.asarray(mask, dtype=bool)
-    steps = _scored_steps if len(rows) < 2 * batch else _gathered_steps
-    for t, (total, active, size) in enumerate(
-            steps(rows, pos, neg, batch, weights, center, scale), start=1):
+    step_sum = _scored_sum if len(rows) < 2 * batch else _gathered_sum
+    for t, lo in enumerate(range(0, len(pos), batch), start=1):
+        p, q = pos[lo:lo + batch], neg[lo:lo + batch]
+        total, active = step_sum(rows, p, q, weights, center, scale)
         if unused is not None:
             total[unused] = 0.0
         weights *= 1.0 - 1.0 / t
-        total *= 1.0 / (t * size)
+        total *= 1.0 / (t * len(p))
         np.add(weights, total, out=weights, where=active)
     return weights
 
 
-def _gathered_steps(rows, pos, neg, batch, weights, center, scale):
-    """Yield each step's (K, width) sum of its active pairs' d, a (K, 1) flag
-    of fits with an active pair, and the step's pair count, against the
-    weights as they are when the step is asked for.
-
-    The pairs' rows are gathered in blocks of at most _CHUNK_VALUES values,
-    each several whole steps or a part of one step, and z-scored in place; a
-    step's margins and sum are taken on its rows in each block."""
+def _gathered_sum(rows, pos, neg, weights, center, scale):
+    """One step's (K, width) sum of its active pairs' d and a (K, 1) flag of
+    fits with an active pair, for the (n, K) pairs pos and neg. The pairs'
+    rows are gathered and z-scored in place in blocks of at most
+    _CHUNK_VALUES values, counted from the step's first pair."""
     block = max(1, _CHUNK_VALUES // weights.size)
-    if block >= batch:
-        block -= block % batch
-    total = active = None
+    total, active = np.zeros(weights.shape), np.zeros((len(weights), 1), dtype=bool)
     for lo in range(0, len(pos), block):
         diffs = np.take(rows, pos[lo:lo + block], axis=0)
         others = np.take(rows, neg[lo:lo + block], axis=0)
@@ -180,50 +176,34 @@ def _gathered_steps(rows, pos, neg, batch, weights, center, scale):
                 np.subtract(side, center, out=side)
                 np.divide(side, scale, out=side)
         np.subtract(diffs, others, out=diffs)
-        start, hi = lo, lo + len(diffs)
-        while start < hi:
-            first = start - start % batch  # the step's first pair
-            last = min(first + batch, len(pos))
-            end = min(hi, last)
-            d = diffs[start - lo:end - lo]
-            hits = (np.vecdot(d, weights) < 1.0).T.astype(np.float64)
-            # the pairs run along the last axis of a C-ordered (K, width, n)
-            # block, so that each sum adds in the same order whatever K and
-            # width are
-            part = np.multiply(d.transpose(1, 2, 0), hits[:, None, :],
-                               order="C").sum(axis=-1)
-            hit = hits.any(axis=1, keepdims=True)
-            if total is None:
-                total, active = part, hit
-            else:
-                total += part
-                active |= hit
-            if end == last:
-                yield total, active, last - first
-                total = active = None
-            start = end
+        hits = (np.vecdot(diffs, weights) < 1.0).T.astype(np.float64)
+        # the pairs run along the last axis of a C-ordered (K, width, n)
+        # block, so that each sum adds in the same order whatever K and
+        # width are
+        total += np.multiply(diffs.transpose(1, 2, 0), hits[:, None, :],
+                             order="C").sum(axis=-1)
+        active |= hits.any(axis=1, keepdims=True)
+    return total, active
 
 
-def _scored_steps(rows, pos, neg, batch, weights, center, scale):
-    """Yield what _gathered_steps does, scoring every row once per step
-    instead of gathering pairs.
+def _scored_sum(rows, pos, neg, weights, center, scale):
+    """What _gathered_sum returns, scoring every row once instead of
+    gathering pairs.
 
     Fit k's z-scored rows score rows @ (w_k / scale[k]) less a constant that
     the margins S[p] - S[q] cancel, and the sum of its active pairs' d is the
     (K, R) signed count of their rows times rows, over scale[k]."""
     fits, num_rows = weights.shape[0], len(rows)
-    offsets = np.arange(fits) * num_rows
     fit = np.arange(fits)
-    for lo in range(0, len(pos), batch):
-        p, q = pos[lo:lo + batch], neg[lo:lo + batch]
-        scores = rows @ (weights if scale is None else weights / scale).T
-        hits = scores[p, fit] - scores[q, fit] < 1.0
-        counts = (np.bincount((p + offsets)[hits], minlength=fits * num_rows)
-                  - np.bincount((q + offsets)[hits], minlength=fits * num_rows))
-        total = counts.reshape(fits, num_rows) @ rows
-        if scale is not None:
-            total /= scale
-        yield total, hits.any(axis=0)[:, None], len(p)
+    offsets = fit * num_rows
+    scores = rows @ (weights if scale is None else weights / scale).T
+    hits = scores[pos, fit] - scores[neg, fit] < 1.0
+    counts = (np.bincount((pos + offsets)[hits], minlength=fits * num_rows)
+              - np.bincount((neg + offsets)[hits], minlength=fits * num_rows))
+    total = counts.reshape(fits, num_rows) @ rows
+    if scale is not None:
+        total /= scale
+    return total, hits.any(axis=0)[:, None]
 
 
 # Attribute record fields, each optional: (JSON type, None) as read_records

@@ -109,15 +109,18 @@ def rank(model, entity_ids, query_token_ids, topic_id="q", k=None):
 SWEEP_GRID = tuple(i / 20 for i in range(21))
 
 
-def sweep_lambda(corpus, queries, qrels, cutoff=100):
+def sweep_lambda(corpus, queries, qrels, cutoff=100, source="qrels"):
     """Evaluate mean NDCG of queries ({topic_id: token ids}) at each of the
     21 grid points 0.0, 0.05, ..., 1.0 and return (best_lambda,
-    [(lambda, mean_ndcg)]); ties prefer smaller lambda."""
+    [(lambda, mean_ndcg)]); ties prefer smaller lambda. Qrels that judge no
+    query's topic relevant are a DataError naming source, their file."""
     if not queries:
         raise DataError("no validation topics for the sweep")
     queries = {tid: ids for tid, ids in queries.items() if ids}
     if not queries:
         raise DataError("all sweep topics have empty encoded queries")
+    if not any(qrels.relevant(tid) for tid in queries):
+        raise DataError(f"{source}: no sweep topic has a relevant entity")
     base = estimate(corpus, 0.0)
     grid = []
     best_lambda = None
@@ -127,8 +130,6 @@ def sweep_lambda(corpus, queries, qrels, cutoff=100):
         runs = {tid: rank(model, corpus.entities, ids, tid, cutoff)
                 for tid, ids in queries.items()}
         mean = evaluate_run(runs, qrels, cutoff, ks=()).means[f"ndcg@{cutoff}"]
-        if mean is None:
-            raise DataError("no sweep topic has a relevant entity")
         grid.append((lam, mean))
         if best_score is None or mean > best_score:
             best_score = mean

@@ -127,8 +127,6 @@ def build_vocabulary(raw_docs, max_size=Vocabulary.MAX_SIZE, source="corpus"):
     """
     if max_size < 1:
         raise DataError("max_size must be at least 1")
-    if max_size > Vocabulary.MAX_SIZE:
-        raise DataError("max_size exceeds the 16-bit id limit")
     frequency = Counter()
     document_frequency = Counter()
     for _doc_id, _entity_id, text in raw_docs:
@@ -147,15 +145,14 @@ def build_vocabulary(raw_docs, max_size=Vocabulary.MAX_SIZE, source="corpus"):
 class Corpus:
     """Encoded documents laid end to end in one token array.
 
-    The j-th document holds the ids tokens[doc_ptr[j]:doc_ptr[j + 1]], is
-    named doc_ids[j] and belongs to entity doc_entity[j], an index into
-    entities, which is ordered by first appearance in the input.
+    The j-th document holds the ids tokens[doc_ptr[j]:doc_ptr[j + 1]] and
+    belongs to entity doc_entity[j], an index into entities, which is
+    ordered by first appearance in the input.
     """
 
     tokens: np.ndarray  # int32
     doc_ptr: np.ndarray  # int64, one offset per document plus the end
     doc_entity: np.ndarray  # int32
-    doc_ids: list
     entities: list
     dropped_tokens: int
     entity_index: dict  # entity id -> its index in entities
@@ -205,19 +202,17 @@ def encode_corpus(raw_docs, vocab):
     encode = _text_encoder(vocab)
     tokens = array("i")
     doc_ptr = [0]
-    doc_ids = []
     doc_entity = []
     entity_index = {}
     dropped = 0
-    for doc_id, entity_id, text in raw_docs:
+    for _doc_id, entity_id, text in raw_docs:
         ids, missed = encode(text)
         dropped += missed
         tokens.extend(ids)
         doc_ptr.append(len(tokens))
-        doc_ids.append(doc_id)
         doc_entity.append(entity_index.setdefault(entity_id, len(entity_index)))
     return Corpus(np.asarray(tokens, dtype=np.int32), np.asarray(doc_ptr, dtype=np.int64),
-                  np.asarray(doc_entity, dtype=np.int32), doc_ids, list(entity_index),
+                  np.asarray(doc_entity, dtype=np.int32), list(entity_index),
                   dropped, entity_index)
 
 

@@ -16,8 +16,8 @@ def synth_word(i, j):
 
 
 def make_corpus(documents, entities=None):
-    """Corpus of (entity id, token ids) documents named d0, d1, ...; entities
-    default to their order of first appearance."""
+    """Corpus of (entity id, token ids) documents; entities default to their
+    order of first appearance."""
     if entities is None:
         entities = list(dict.fromkeys(e for e, _ in documents))
     index = {e: i for i, e in enumerate(entities)}
@@ -25,7 +25,7 @@ def make_corpus(documents, entities=None):
     return Corpus(np.concatenate([np.empty(0, dtype=np.int32)] + tokens),
                   np.cumsum([0] + [len(t) for t in tokens], dtype=np.int64),
                   np.array([index[e] for e, _ in documents], dtype=np.int32),
-                  [f"d{j}" for j in range(len(documents))], entities, 0, index)
+                  entities, 0, index)
 
 
 def documents(corpus):

@@ -365,16 +365,22 @@ def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, giv
       for command in ("eval", "sweep-lambda", "fuse", "ideal-vector")
       for value in ("0", "-2")),
     *(pytest.param("fuse", "--folds", value, id=f"fuse-folds{value}")
-      for value in ("1", "0", "-3"))])
+      for value in ("1", "0", "-3")),
+    *(pytest.param("build-vocab", "--max-size", value, id=f"build-vocab-max-size{value}")
+      for value in ("0", "65537")),
+    *(pytest.param(command, "--lambda-jm", value, id=f"{command}-lambda-jm{value}")
+      for command in ("qlm", "fuse") for value in ("2", "-1", "nan"))])
 def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, monkeypatch,
                                                   command, option, value):
-    """A count below its range (--folds below 2) exits 2 naming the option,
+    """A count below its range (--folds below 2), a --max-size above the
+    vocabulary cap or a --lambda-jm outside [0, 1] exits 2 naming the option,
     before any input is read or the output directory is made."""
     root, corpus, topics, qrels, runner = workflow
     vocab = root / "vocab" / "vocab.tsv"
     model = root / "model" / "model.lse"
     out = tmp_path / "out"
-    args = {"rank": ["rank", model, vocab, topics],
+    args = {"build-vocab": ["build-vocab", corpus],
+            "rank": ["rank", model, vocab, topics],
             "qlm": ["qlm", corpus, vocab, topics],
             "grad-check": ["grad-check"],
             "eval": ["eval", root / "rank" / "run.trec", qrels],
@@ -712,6 +718,28 @@ def test_failed_command_keeps_an_out_directory_that_existed(tmp_path):
     assert (out / "aggregate.json").read_text() == "{}\n"
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_command_removes_the_parent_directories_it_made(tmp_path, existing):
+    """A failed command run with --out n1/n2/n3 removes the topmost of those
+    directories that it made; a parent that existed keeps its contents."""
+    _, _, qrels = write_inputs(tmp_path)
+    run_file = tmp_path / "run.trec"
+    run_file.write_text("t1 Q0 cam 1 2.0 x\nt1 Q0 gui 2\n")
+    top = tmp_path / "n1"
+    if existing:
+        top.mkdir()
+        (top / "keep.txt").write_text("kept\n")
+    result = CliRunner().invoke(main, ["eval", str(run_file), str(qrels),
+                                       "--out", str(top / "n2" / "n3")])
+    assert result.exit_code == 1, result.output
+    assert f"Error: {run_file}:2: malformed run line" in result.output
+    if existing:
+        assert [p.name for p in top.iterdir()] == ["keep.txt"]
+        assert (top / "keep.txt").read_text() == "kept\n"
+    else:
+        assert not top.exists()
+
+
 def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("fuse read its inputs before checking --folds")
@@ -1027,7 +1055,7 @@ def test_version_flag():
     assert "lse" in result.output
 
 
-# ---- fuzzing every text input of build-vocab, qlm, eval, train and fuse ----
+# ---- fuzzing every input of every command that reads files ----
 
 FUZZ_FILES = {
     "config": ("train.cfg", b"e_v = 4\ne_e = 3\nn = 2\nz = 2\nm = 8\nepochs = 1\n"
@@ -1044,7 +1072,12 @@ FUZZ_COMMANDS = {
     "build-vocab": (("corpus",), ["build-vocab", "{corpus}"]),
     "qlm": (("corpus", "vocab", "topics"), ["qlm", "{corpus}", "{vocab}", "{topics}"]),
     "eval": (("run", "qrels"), ["eval", "{run}", "{qrels}"]),
-    "train": (("config",), ["train", "{corpus}", "{vocab}", "--config", "{config}"]),
+    "train": (("config", "corpus"), ["train", "{corpus}", "{vocab}", "--config", "{config}"]),
+    "rank": (("model", "vocab", "topics"), ["rank", "{model}", "{vocab}", "{topics}"]),
+    "sweep-lambda": (("qrels",), ["sweep-lambda", "{corpus}", "{vocab}", "{topics}",
+                                  "{qrels}"]),
+    "ideal-vector": (("model", "qrels"), ["ideal-vector", "{model}", "{vocab}", "{topics}",
+                                          "{qrels}", "--pair-samples", "50"]),
     "fuse": (("attrs", "graph"),
              ["fuse", "{corpus}", "{vocab}", "{topics}", "{qrels}", "--qi-attrs",
               "{attrs}", "--graph", "also_bought={graph}", "--folds", "2",
@@ -1062,8 +1095,10 @@ def fuzz_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     corpus, topics, qrels = write_inputs(root)
     run_ok(CliRunner(), ["build-vocab", str(corpus), "--out", str(root)])
+    run_ok(CliRunner(), ["train", str(corpus), str(root / "vocab.tsv"),
+                         "--out", str(root / "model")] + TRAIN_FLAGS)
     paths = {"corpus": corpus, "topics": topics, "qrels": qrels,
-             "vocab": root / "vocab.tsv"}
+             "vocab": root / "vocab.tsv", "model": root / "model" / "model.lse"}
     for name, (file_name, content) in FUZZ_FILES.items():
         paths[name] = root / file_name
         paths[name].write_bytes(content)
@@ -1073,10 +1108,11 @@ def fuzz_inputs(tmp_path_factory):
 @st.composite
 def mutations(draw, data, name):
     """data with one mutation: cut short, one byte flipped, one byte
-    inserted, or one line's column dropped; in JSON lines, a field is
-    dropped or its value swapped for one of another JSON type."""
+    inserted, or, in a text input, one line's column dropped; in JSON lines,
+    a field is dropped or its value swapped for one of another JSON type."""
     lines = data.splitlines(keepends=True)
-    kind = draw(st.sampled_from(["truncate", "flip", "insert", "drop", "swap"]))
+    kind = draw(st.sampled_from(["truncate", "flip", "insert"]
+                                + ([] if name == "model" else ["drop", "swap"])))
     if kind == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))]
     if kind in ("flip", "insert"):
@@ -1123,6 +1159,8 @@ def test_mutated_input_exits_0_or_1_naming_it(fuzz_inputs, tmp_path, command, na
         assert "Traceback" not in result.output
         # A window n longer than every document is a valid config that does
         # not suit this corpus (--n 9 fails the same way): the corpus is named.
+        # A vocabulary that loads but is not the model's names the model.
         assert (f"Error: {path}" in result.output
-                or f"Error: {paths['corpus']}: window n = " in result.output), \
-            result.output
+                or f"Error: {paths['corpus']}: window n = " in result.output
+                or f"Error: {paths['model']}: vocabulary does not match"
+                in result.output), result.output

@@ -297,14 +297,17 @@ def test_minibatch_steps_average_each_batch_including_a_partial_last_one(
         pair_samples, batch):
     """Step t averages the active pairs of pairs (t-1)b .. tb-1, the last
     step over the pair_samples mod b pairs left; gathered (R >= 2b) and
-    scored (R < 2b) steps both match the mini-batch oracle."""
+    scored (R < 2b) steps both match the mini-batch oracle, also when a
+    gathered step is summed over blocks of 1 or 3 pairs."""
     rng = np.random.default_rng(pair_samples)
     rows = rng.normal(size=(12, 5))
     labels = np.tile([1, 0, 0], 4)
     expected = oracle_train_ranksvm(rows, labels, pair_samples, batch, batch=batch)
-    np.testing.assert_allclose(fit_ranksvm(rows, labels, pair_samples, batch, batch=batch),
-                               expected,
-                               rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    for chunk in (lse.ltr._CHUNK_VALUES, rows.shape[1], 3 * rows.shape[1]):
+        with mock.patch.object(lse.ltr, "_CHUNK_VALUES", chunk):
+            weights = fit_ranksvm(rows, labels, pair_samples, batch, batch=batch)
+        np.testing.assert_allclose(weights, expected,
+                                   rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("standardize", [False, True])
@@ -327,9 +330,9 @@ def test_scored_and_gathered_step_sums_agree(standardize):
     def unreachable(*_args):
         raise AssertionError("the other step source was chosen")
 
-    with mock.patch.object(lse.ltr, "_gathered_steps", unreachable):
+    with mock.patch.object(lse.ltr, "_gathered_sum", unreachable):
         scored = _pegasos(rows, pos, neg, *extra, batch=batch)
-    with mock.patch.object(lse.ltr, "_scored_steps", lse.ltr._gathered_steps):
+    with mock.patch.object(lse.ltr, "_scored_sum", lse.ltr._gathered_sum):
         gathered = _pegasos(rows, pos, neg, *extra, batch=batch)
     np.testing.assert_allclose(scored, gathered, rtol=1e-12,
                                atol=1e-12 * np.abs(gathered).max())

@@ -182,3 +182,5 @@ def test_sweep_rejects_unusable_topics():
         sweep_lambda(corpus, {}, qrels)
     with pytest.raises(DataError, match="empty encoded queries"):
         sweep_lambda(corpus, {"t1": []}, qrels)
+    with pytest.raises(DataError, match="^judged.txt: no sweep topic has a relevant"):
+        sweep_lambda(corpus, {"t9": [A]}, qrels, source="judged.txt")
