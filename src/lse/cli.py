@@ -195,12 +195,12 @@ def _load_train_config(config_path, overrides):
 @_input_option("--config", "config_path", help="key = value training config file.")
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Root seed (overrides config).")
-@click.option("--epochs", type=int, default=None)
-@click.option("--e-v", "e_v", type=int, default=None)
-@click.option("--e-e", "e_e", type=int, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--z", type=int, default=None)
-@click.option("--m", type=int, default=None)
+@click.option("--epochs", type=click.IntRange(min=1), default=None)
+@click.option("--e-v", "e_v", type=click.IntRange(min=1), default=None)
+@click.option("--e-e", "e_e", type=click.IntRange(min=1), default=None)
+@click.option("--n", type=click.IntRange(min=1), default=None)
+@click.option("--z", type=click.IntRange(min=1), default=None)
+@click.option("--m", type=click.IntRange(min=1), default=None)
 @click.option("--lambda", "weight_decay", type=float, default=None)
 @click.option("--precision", type=click.Choice(["float32", "float64"]), default=None)
 @_input_option("--validation-topics")

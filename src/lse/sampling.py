@@ -10,34 +10,48 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Window length n, negatives per instance z, and the batch size m the
-    instances are consumed in."""
+    """Window length n, negatives per instance z and the batch size m of an epoch."""
 
     n: int
     z: int
     m: int
 
-    def __post_init__(self):
-        if self.n < 1 or self.z < 1 or self.m < 1:
-            raise DataError("n, z and m must all be at least 1")
-
 
 class InstanceBlock:
-    """Columnar storage for a stream of training instances: ngrams (N, n),
-    positives (N,) and negatives (N, z). Slicing rows gives a new block."""
+    """One batch of instances: int32 ngrams (M, n), positives (M,), negatives (M, z)."""
 
-    def __init__(self, ngrams, positives, negatives, skipped_entities=()):
+    def __init__(self, ngrams, positives, negatives):
         self.ngrams = np.asarray(ngrams, dtype=np.int32)
         self.positives = np.asarray(positives, dtype=np.int32)
         self.negatives = np.asarray(negatives, dtype=np.int32)
-        self.skipped_entities = tuple(skipped_entities)
 
     def __len__(self):
         return len(self.positives)
 
-    def __getitem__(self, rows):
-        return InstanceBlock(self.ngrams[rows], self.positives[rows],
-                             self.negatives[rows])
+
+@dataclass(frozen=True, eq=False)
+class Epoch:
+    """One shuffled epoch held as drawn: the instances' starts in tokens and
+    their z negatives in draw order, where row r is entity kept[r // budget],
+    and the shuffle permutation. Iterating gathers and yields the shuffled
+    InstanceBlock batches of m (the last one partial); len counts instances."""
+
+    windows: np.ndarray  # a read-only (len(tokens) - n + 1, n) view of tokens
+    m: int
+    kept: np.ndarray  # int32, the entities with a start position, ascending
+    budget: int
+    starts: np.ndarray  # int32 (int64 from 2**31 tokens on), in draw order
+    negatives: np.ndarray  # int32 (len(starts), z), in draw order
+    perm: np.ndarray
+    skipped_entities: tuple  # the entities with no start position
+
+    def __len__(self):
+        return len(self.perm)
+
+    def __iter__(self):
+        for rows in np.split(self.perm, range(self.m, len(self.perm), self.m)):
+            yield InstanceBlock(self.windows[self.starts[rows]],
+                                self.kept[rows // self.budget], self.negatives[rows])
 
 
 def _eligible(corpus, n):
@@ -47,8 +61,6 @@ def _eligible(corpus, n):
 
 def ngrams_per_entity_per_epoch(corpus, n):
     """Per-entity sample budget: ceil of (total eligible n-gram positions) / |X|."""
-    if n < 1:
-        raise DataError("window size must be at least 1")
     return -(-int(_eligible(corpus, n).sum()) // corpus.num_entities)
 
 
@@ -59,23 +71,21 @@ def sample_epoch(corpus, config, rng):
     exactly B instances (B = the per-entity budget), positions drawn
     uniformly over its (document, start) pairs with replacement. Each
     instance gets z negatives drawn uniformly with replacement from all
-    entities; negatives are not filtered against the positive. The instance
-    stream is shuffled before return.
+    entities; negatives are not filtered against the positive.
 
     The generator is consumed in a committed order so equal seeds give
     byte-identical epochs: per-entity position draws in ascending entity
     index, each over the entity's start positions in ascending order, then
     the negatives matrix, then the shuffle permutation.
     """
-    n, z = config.n, config.z
-    budget = ngrams_per_entity_per_epoch(corpus, n)
+    budget = ngrams_per_entity_per_epoch(corpus, config.n)
     if budget == 0:
         raise DataError("window larger than all documents")
 
     # Every start position, grouped by entity: documents in a stable sort by
     # entity (so in input order within one), each one's starts ascending.
     order = np.argsort(corpus.doc_entity, kind="stable")
-    eligible = _eligible(corpus, n)[order]
+    eligible = _eligible(corpus, config.n)[order]
     ends = np.cumsum(eligible)
     positions = (np.repeat(corpus.doc_ptr[order] - (ends - eligible), eligible)
                  + np.arange(ends[-1]))
@@ -83,24 +93,13 @@ def sample_epoch(corpus, config, rng):
     entity_end = np.concatenate(([0], ends))[last_doc]
     sizes = np.diff(entity_end, prepend=0)
     kept = np.flatnonzero(sizes)
-    skipped = np.flatnonzero(sizes == 0).tolist()
-
-    starts = np.empty((len(kept), budget), dtype=np.int64)
+    starts = np.empty((len(kept), budget),
+                      dtype=np.int32 if corpus.total_tokens < 2**31 else np.int64)
     for row, (end, size) in enumerate(zip(entity_end[kept].tolist(),
                                           sizes[kept].tolist())):
         starts[row] = positions[end - size + rng.integers(0, size, size=budget)]
-    starts = starts.ravel()
-    positives = np.repeat(kept.astype(np.int32), budget)
-    count = len(starts)
-    negatives = rng.integers(0, corpus.num_entities, size=(count, z)).astype(np.int32)
-    perm = rng.permutation(count)
-
-    starts = starts[perm]
-    ngrams = corpus.tokens[starts[:, None] + np.arange(n)]
-    return InstanceBlock(ngrams, positives[perm], negatives[perm], skipped)
-
-
-def make_batches(instances, m):
-    """Chunk an instance stream into consecutive batches of m; the final
-    partial batch is kept."""
-    return [instances[i:i + m] for i in range(0, len(instances), m)]
+    del positions  # one int64 per start position: free it before the negatives
+    negatives = rng.integers(0, corpus.num_entities, (starts.size, config.z), np.int32)
+    return Epoch(np.lib.stride_tricks.sliding_window_view(corpus.tokens, config.n),
+                 config.m, kept.astype(np.int32), budget, starts.ravel(), negatives,
+                 rng.permutation(starts.size), tuple(np.flatnonzero(sizes == 0).tolist()))

@@ -13,7 +13,7 @@ from .files import atomic_open
 from .model import (PARAM_FIELDS, AdamState, Dims, adam_step,
                     batch_loss_and_gradients, init_params)
 from .retrieval import rank_entities
-from .sampling import SamplerConfig, make_batches, sample_epoch
+from .sampling import SamplerConfig, sample_epoch
 
 
 @dataclass
@@ -71,9 +71,9 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
     best_epoch = None
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
-        block = sample_epoch(corpus, sampler, _epoch_rng(config.seed, epoch))
+        instances = sample_epoch(corpus, sampler, _epoch_rng(config.seed, epoch))
         losses = []
-        for number, batch in enumerate(make_batches(block, config.m), start=1):
+        for number, batch in enumerate(instances, start=1):
             loss, grads = batch_loss_and_gradients(params, batch, config.weight_decay)
             # A sum is finite only if every element is (or it overflowed,
             # which is divergence too), so one reduction per array suffices.
@@ -86,6 +86,7 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
             adam_step(params, grads, state)
             losses.append(loss)
         mean_loss = sum(losses) / len(losses)
+        skipped, instances = instances.skipped_entities, None  # free for the next draw
 
         vndcg = None
         if val_queries:
@@ -111,7 +112,7 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
     if best_params is None:
         best_params = params
         best_epoch = config.epochs
-    return TrainResult(best_params, logs, best_epoch, block.skipped_entities)
+    return TrainResult(best_params, logs, best_epoch, skipped)
 
 
 def write_epoch_log(path, logs):

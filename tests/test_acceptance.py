@@ -299,10 +299,11 @@ def test_criterion_9_scaling_smoke():
                     for _, toks in documents(corpus))
     budget = -(-positions // corpus.num_entities)
     sampler = SamplerConfig(n=config.n, z=config.z, m=config.m)
-    block = sample_epoch(corpus, sampler, _epoch_rng(config.seed, 1))
-    assert len(block) == budget * corpus.num_entities
-    assert np.all(np.bincount(block.positives,
-                              minlength=corpus.num_entities) == budget)
+    epoch = sample_epoch(corpus, sampler, _epoch_rng(config.seed, 1))
+    assert len(epoch) == budget * corpus.num_entities
+    counts = sum(np.bincount(batch.positives, minlength=corpus.num_entities)
+                 for batch in epoch)
+    assert np.all(counts == budget)
 
     start = time.perf_counter()
     result = train(corpus, vocab, config)

@@ -369,7 +369,9 @@ def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, giv
     *(pytest.param("build-vocab", "--max-size", value, id=f"build-vocab-max-size{value}")
       for value in ("0", "65537")),
     *(pytest.param(command, "--lambda-jm", value, id=f"{command}-lambda-jm{value}")
-      for command in ("qlm", "fuse") for value in ("2", "-1", "nan"))])
+      for command in ("qlm", "fuse") for value in ("2", "-1", "nan")),
+    *(pytest.param("train", option, "0", id=f"train{option[1:]}0")
+      for option in ("--epochs", "--e-v", "--e-e", "--n", "--z", "--m"))])
 def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, monkeypatch,
                                                   command, option, value):
     """A count below its range (--folds below 2), a --max-size above the
@@ -380,6 +382,7 @@ def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, monkeypatc
     model = root / "model" / "model.lse"
     out = tmp_path / "out"
     args = {"build-vocab": ["build-vocab", corpus],
+            "train": ["train", corpus, vocab],
             "rank": ["rank", model, vocab, topics],
             "qlm": ["qlm", corpus, vocab, topics],
             "grad-check": ["grad-check"],
@@ -867,15 +870,20 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--epochs", "0", "must be positive"),
     ("--lambda", "-0.5", "weight decay must be non-negative"),
     ("--lambda", "nan", "weight decay must be non-negative and finite, got nan"),
-    ("--lambda", "inf", "weight decay must be non-negative and finite, got inf")])
+    ("--lambda", "inf", "weight decay must be non-negative and finite, got inf"),
+    # a count in a config file has no range type: TrainConfig names the file
+    ("--config", "m = 0\n", "train.cfg: dimensions, window, negatives, batch size "
+                             "and epochs must be positive")])
 def test_bad_train_flag_value_exits_1_before_writing_anything(tmp_path, flag, value,
                                                               message):
     corpus, _, _ = write_inputs(tmp_path)
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("camera\t0\t2\t2\n")
+    if flag == "--config":
+        (tmp_path / "train.cfg").write_text(value)
+        value = str(tmp_path / "train.cfg")
     out = tmp_path / "m"
     result = CliRunner().invoke(main, ["train", str(corpus), str(vocab),
                                        "--out", str(out), flag, value])

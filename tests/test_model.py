@@ -219,9 +219,10 @@ def test_batch_loss_nonnegative_and_decomposes_regularizer():
 
 
 def test_batch_loss_rejects_empty_batch():
-    params, block = random_setup(0)
+    params, block = random_setup(0, m=0)
+    assert len(block) == 0
     with pytest.raises(ValueError):
-        batch_loss(params, block[0:0], 0.0)
+        batch_loss(params, block, 0.0)
 
 
 def test_gradients_match_finite_differences():
@@ -557,8 +558,9 @@ def test_train_config_rejects_duplicate_and_unknown_keys(tmp_path):
 
 
 def test_train_config_validation(tmp_path):
-    with pytest.raises(DataError):
-        TrainConfig(epochs=0)
+    for count in ("epochs", "n", "z", "m"):
+        with pytest.raises(DataError, match="must be positive"):
+            TrainConfig(**{count: 0})
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(DataError, match=f"non-negative and finite, got {bad!r}"):
             TrainConfig(weight_decay=bad)

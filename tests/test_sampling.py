@@ -1,13 +1,17 @@
 """Epoch sampling: budgets, negatives, determinism, batching."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lse.errors import DataError
-from lse.sampling import (InstanceBlock, SamplerConfig, make_batches,
-                          ngrams_per_entity_per_epoch, sample_epoch)
+from lse.sampling import (InstanceBlock, SamplerConfig, ngrams_per_entity_per_epoch,
+                          sample_epoch)
+from lse.text import Corpus
 
 from conftest import build_separable_corpus, documents, make_corpus
 
@@ -17,10 +21,22 @@ def corpus_with_lengths(lengths, owners):
                         for length, owner in zip(lengths, owners)])
 
 
+def concatenated(batches):
+    """The batches of an epoch as one InstanceBlock, in the order given."""
+    return InstanceBlock(*(np.concatenate([getattr(b, name) for b in batches])
+                           for name in ("ngrams", "positives", "negatives")))
+
+
+def sampled(corpus, config, seed):
+    """sample_epoch's instances, all in one InstanceBlock."""
+    return concatenated(sample_epoch(corpus, config, np.random.default_rng(seed)))
+
+
 def oracle_sample_epoch(corpus, config, rng):
     """Reference sampler: gathers each entity's start positions document by
     document through an entity -> documents map, then makes sample_epoch's
-    generator calls in the same order."""
+    generator calls in the same order. Returns the whole shuffled epoch as
+    one InstanceBlock and the skipped entities."""
     n, z = config.n, config.z
     docs = list(documents(corpus))
     lengths = np.array([len(toks) for _, toks in docs], dtype=np.int64)
@@ -64,7 +80,7 @@ def oracle_sample_epoch(corpus, config, rng):
 
     starts = starts[perm]
     ngrams = tokens_flat[starts[:, None] + np.arange(n)]
-    return InstanceBlock(ngrams, positives[perm], negatives[perm], skipped)
+    return InstanceBlock(ngrams, positives[perm], negatives[perm]), tuple(skipped)
 
 
 def test_budget_rounds_up_over_entities():
@@ -87,7 +103,7 @@ def test_sample_epoch_rejects_oversized_window():
 def test_sample_epoch_gives_each_entity_its_budget():
     corpus, _ = build_separable_corpus(num_entities=4, docs_per=3, doc_len=10)
     config = SamplerConfig(n=4, z=3, m=16)
-    block = sample_epoch(corpus, config, np.random.default_rng(1))
+    block = sampled(corpus, config, 1)
     budget = ngrams_per_entity_per_epoch(corpus, 4)
     counts = np.bincount(block.positives, minlength=4)
     assert counts.tolist() == [budget] * 4
@@ -97,8 +113,7 @@ def test_sample_epoch_gives_each_entity_its_budget():
 def test_sample_epoch_ngrams_are_contiguous_entity_text():
     corpus, _ = build_separable_corpus(num_entities=3, words_per=10, docs_per=2,
                                        doc_len=8)
-    block = sample_epoch(corpus, SamplerConfig(n=4, z=2, m=8),
-                         np.random.default_rng(2))
+    block = sampled(corpus, SamplerConfig(n=4, z=2, m=8), 2)
     for ngram, positive in zip(block.ngrams.tolist(), block.positives.tolist()):
         lo = positive * 10
         assert all(lo <= t < lo + 10 for t in ngram)
@@ -113,8 +128,7 @@ def test_sample_epoch_ngrams_are_contiguous_entity_text():
 
 def test_sample_epoch_negatives_unfiltered_and_in_range():
     corpus, _ = build_separable_corpus(num_entities=2, docs_per=2, doc_len=12)
-    block = sample_epoch(corpus, SamplerConfig(n=4, z=10, m=8),
-                         np.random.default_rng(3))
+    block = sampled(corpus, SamplerConfig(n=4, z=10, m=8), 3)
     assert block.negatives.shape[1] == 10
     assert block.negatives.min() >= 0 and block.negatives.max() < 2
     # uniform draws over 2 entities must hit the positive sometimes
@@ -124,9 +138,7 @@ def test_sample_epoch_negatives_unfiltered_and_in_range():
 def test_sample_epoch_deterministic_per_seed():
     corpus, _ = build_separable_corpus(num_entities=3, docs_per=2, doc_len=10)
     config = SamplerConfig(n=2, z=3, m=8)
-    a = sample_epoch(corpus, config, np.random.default_rng(7))
-    b = sample_epoch(corpus, config, np.random.default_rng(7))
-    c = sample_epoch(corpus, config, np.random.default_rng(8))
+    a, b, c = (sampled(corpus, config, seed) for seed in (7, 7, 8))
     assert np.array_equal(a.ngrams, b.ngrams)
     assert np.array_equal(a.positives, b.positives)
     assert np.array_equal(a.negatives, b.negatives)
@@ -136,17 +148,15 @@ def test_sample_epoch_deterministic_per_seed():
 
 def test_sample_epoch_shuffles_instances():
     corpus, _ = build_separable_corpus(num_entities=4, docs_per=3, doc_len=12)
-    block = sample_epoch(corpus, SamplerConfig(n=3, z=2, m=8),
-                         np.random.default_rng(5))
+    block = sampled(corpus, SamplerConfig(n=3, z=2, m=8), 5)
     assert not np.all(np.diff(block.positives) >= 0)
 
 
 def test_sample_epoch_skips_entities_without_positions():
     corpus = corpus_with_lengths([6, 6, 2], ["e1", "e2", "e3"])
-    block = sample_epoch(corpus, SamplerConfig(n=4, z=2, m=8),
-                         np.random.default_rng(0))
-    assert block.skipped_entities == (2,)
-    assert set(np.unique(block.positives)) == {0, 1}
+    epoch = sample_epoch(corpus, SamplerConfig(n=4, z=2, m=8), np.random.default_rng(0))
+    assert epoch.skipped_entities == (2,)
+    assert set(np.unique(concatenated(epoch).positives)) == {0, 1}
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,47 +170,80 @@ def test_sample_epoch_equals_the_per_document_oracle(data):
                               min_size=1, max_size=10), label="documents")
     entities = [f"e{i}" for i in range(num_entities)]
     corpus = make_corpus([(entities[e], toks) for e, toks in docs], entities)
+    m = data.draw(st.integers(1, 8), label="m")
     config = SamplerConfig(n=data.draw(st.integers(1, 4), label="n"),
-                           z=data.draw(st.integers(1, 3), label="z"), m=8)
+                           z=data.draw(st.integers(1, 3), label="z"), m=m)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     try:
-        expected = oracle_sample_epoch(corpus, config, np.random.default_rng(seed))
+        expected, skipped = oracle_sample_epoch(corpus, config,
+                                                np.random.default_rng(seed))
     except DataError:
         with pytest.raises(DataError, match="window larger than all documents"):
             sample_epoch(corpus, config, np.random.default_rng(seed))
         return
-    got = sample_epoch(corpus, config, np.random.default_rng(seed))
+    epoch = sample_epoch(corpus, config, np.random.default_rng(seed))
+    batches = list(epoch)
+    count = len(expected)
+    assert len(epoch) == count
+    assert [len(b) for b in batches] == [m] * (count // m) + [count % m] * (count % m > 0)
+    got = concatenated(batches)
     for name in ("ngrams", "positives", "negatives"):
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), name
-    assert got.skipped_entities == expected.skipped_entities
+    assert epoch.skipped_entities == skipped
 
 
-def test_instance_block_sequence_protocol():
-    block = InstanceBlock(np.array([[1, 2], [3, 4]]), np.array([0, 1]),
-                          np.array([[1], [0]]))
-    assert len(block) == 2
-    sub = block[1:]
-    assert isinstance(sub, InstanceBlock)
-    assert len(sub) == 1
-    assert sub.ngrams.tolist() == [[3, 4]]
-    assert sub.positives.tolist() == [1]
-    assert sub.negatives.tolist() == [[0]]
+@pytest.mark.parametrize("size", [1, 3, 100001, 1_000_000])
+def test_int32_draws_equal_int64_draws_and_leave_the_same_stream(size):
+    """sample_epoch draws its negatives as int32 and must keep the values and
+    the generator state of the default int64 draw. That is NumPy behaviour,
+    not a documented promise, so it is pinned here."""
+    for hi in (1, 2, 3, 7, 255, 256, 257, 10000, 65535, 65536, 65537, 2**24 + 1,
+               2**30, 2**31 - 1):
+        wide, narrow = np.random.default_rng(hi), np.random.default_rng(hi)
+        a = wide.integers(0, hi, size)
+        b = narrow.integers(0, hi, size, dtype=np.int32)
+        assert b.dtype == np.int32
+        assert np.array_equal(a, b), hi
+        assert wide.bit_generator.state == narrow.bit_generator.state, hi
 
 
-def test_make_batches_sizes_and_final_partial():
-    block = InstanceBlock(np.zeros((7, 2)), np.zeros(7), np.zeros((7, 3)))
-    batches = make_batches(block, 3)
-    assert [len(b) for b in batches] == [3, 3, 1]
+def test_starts_are_int64_from_2_31_tokens_on_with_the_same_batches():
+    corpus, _ = build_separable_corpus(num_entities=3, docs_per=2, doc_len=10)
+
+    class Huge(Corpus):
+        total_tokens = 2**31
+
+    huge = Huge(**{f.name: getattr(corpus, f.name) for f in dataclasses.fields(corpus)})
+    config = SamplerConfig(n=3, z=2, m=4)
+    narrow, wide = (sample_epoch(c, config, np.random.default_rng(4)) for c in (corpus, huge))
+    assert (narrow.starts.dtype, wide.starts.dtype) == (np.int32, np.int64)
+    for a, b in zip(narrow, wide, strict=True):
+        for name in ("ngrams", "positives", "negatives"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
-
-
-def test_sampler_config_validation():
-    with pytest.raises(DataError):
-        SamplerConfig(n=0, z=1, m=1)
-    with pytest.raises(DataError):
-        SamplerConfig(n=1, z=0, m=1)
-    with pytest.raises(DataError):
-        SamplerConfig(n=1, z=1, m=0)
+def test_epoch_memory_per_instance_is_bounded():
+    """Sampling an epoch and walking all its batches holds the start
+    positions, negatives and permutation, not a copy of every instance: the
+    traced peak stays under 70 B per instance (n = 4, z = 10)."""
+    rng = np.random.default_rng(0)
+    num_entities, num_docs = 10000, 20000
+    owners = np.concatenate([np.arange(num_entities),
+                             rng.integers(0, num_entities, num_docs - num_entities)])
+    corpus = make_corpus([(owner, rng.integers(0, 5000, size=length))
+                          for owner, length in zip(owners.tolist(),
+                                                   rng.integers(1, 100, num_docs).tolist())],
+                         list(range(num_entities)))
+    assert 900_000 < corpus.total_tokens < 1_100_000
+    tracemalloc.start()
+    try:
+        epoch = sample_epoch(corpus, SamplerConfig(n=4, z=10, m=4096),
+                             np.random.default_rng(1))
+        walked = sum(len(batch) for batch in epoch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == len(epoch) > 800_000
+    assert peak / len(epoch) < 70, f"{peak / len(epoch):.1f} B per instance"

@@ -1,5 +1,7 @@
 """Training loop behavior: determinism, epoch selection, and the log file."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,24 @@ def test_train_stops_on_non_finite_gradient(tiny_corpus, monkeypatch):
                                        "batch 2$"):
         train(corpus, vocab, tiny_config())
     assert len(calls) == 10
+
+
+def test_train_lets_each_epoch_go_before_drawing_the_next(tiny_corpus, monkeypatch):
+    """An epoch's draws are the largest thing training holds, so two epochs'
+    worth must never be alive at once."""
+    corpus, vocab = tiny_corpus
+    drawn = []
+    original = lse.training.sample_epoch
+
+    def sample_epoch(*args):
+        assert all(ref() is None for ref in drawn), "the previous epoch is still held"
+        epoch = original(*args)
+        drawn.append(weakref.ref(epoch))
+        return epoch
+
+    monkeypatch.setattr(lse.training, "sample_epoch", sample_epoch)
+    result = train(corpus, vocab, tiny_config())
+    assert len(drawn) == 3 and result.skipped_entities == ()
 
 
 def test_train_seed_changes_the_run(tiny_corpus):
