@@ -194,6 +194,17 @@ def test_sample_epoch_equals_the_per_document_oracle(data):
     assert epoch.skipped_entities == skipped
 
 
+def test_make_batches_sizes_and_final_partial():
+    corpus = corpus_with_lengths([7], ["e1"])
+    epoch = sample_epoch(corpus, SamplerConfig(n=1, z=2, m=3), np.random.default_rng(0))
+    batches = list(epoch)
+    assert len(epoch) == 7
+    assert [len(b) for b in batches] == [3, 3, 1]
+    for b in batches:
+        assert isinstance(b, InstanceBlock)
+        assert b.ngrams.shape == (len(b), 1) and b.negatives.shape == (len(b), 2)
+
+
 @pytest.mark.parametrize("size", [1, 3, 100001, 1_000_000])
 def test_int32_draws_equal_int64_draws_and_leave_the_same_stream(size):
     """sample_epoch draws its negatives as int32 and must keep the values and
