@@ -10,7 +10,9 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
+import sys
 import time
 
 import click
@@ -101,11 +103,28 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _peak_rss_mb(status="/proc/self/status"):
+    """The process's peak resident set size so far, in MiB: VmHWM from
+    status where that file exists, else ru_maxrss (KiB on Linux, bytes on
+    macOS). VmHWM starts afresh at exec, where Linux carries the exec-ing
+    process's high-water mark into ru_maxrss."""
+    try:
+        with open(status, "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024  # "VmHWM:  1234 kB"
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 @contextlib.contextmanager
 def _run(out_dir, config, seed=None):
     """Make out_dir, run the command body, then write out_dir/manifest.json:
     the command, its config and seed, the path and SHA-256 of every input the
-    command line named, and the counts the body put in the dict it is given.
+    command line named, the counts the body put in the dict it is given, and
+    the process's peak RSS in MiB at the end of the body (peak_rss_mb).
     If the body fails, every directory made for out_dir goes, files and all."""
     ctx = click.get_current_context()
     made, parent = None, os.path.abspath(out_dir)  # the topmost directory made
@@ -123,6 +142,7 @@ def _run(out_dir, config, seed=None):
     inputs = ctx.meta.get(_INPUTS, {})
     _write_json(out_dir, "manifest.json", {
         "command": ctx.command.name, "config": config, "counts": counts,
+        "peak_rss_mb": _peak_rss_mb(),
         "inputs": {name: {"path": str(path), "sha256": _sha256_file(path)}
                    for name, path in inputs.items()},
         "seed": seed, "version": __version__, "started": started, "finished": _now()})

@@ -65,6 +65,7 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
         val_queries = [(tid, ids) for tid, ids in sorted(validation_queries.items())
                        if ids]
 
+    grads = None  # the gradient buffers, allocated by the first step and reused
     logs = []
     best_ndcg = None
     best_params = None
@@ -74,7 +75,8 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
         instances = sample_epoch(corpus, sampler, _epoch_rng(config.seed, epoch))
         losses = []
         for number, batch in enumerate(instances, start=1):
-            loss, grads = batch_loss_and_gradients(params, batch, config.weight_decay)
+            loss, grads = batch_loss_and_gradients(params, batch,
+                                                   config.weight_decay, grads)
             # A sum is finite only if every element is (or it overflowed,
             # which is divergence too), so one reduction per array suffices.
             bad = [] if math.isfinite(loss) else ["loss"]

@@ -144,6 +144,22 @@ def test_train_outputs(workflow):
     assert manifest["seed"] == 0
     assert manifest["config"]["e_v"] == 8
     assert manifest["config"]["lambda"] == 0.01
+    assert manifest["peak_rss_mb"] > 0
+
+
+def test_peak_rss_reads_vmhwm_where_the_status_file_exists(tmp_path):
+    status = tmp_path / "status"
+    status.write_text("Name:\tpython\nVmPeak:\t  999999 kB\nVmHWM:\t    2560 kB\n")
+    assert lse.cli._peak_rss_mb(str(status)) == 2.5
+
+
+@pytest.mark.parametrize("platform, maxrss", [("linux", 3 << 10), ("darwin", 3 << 20)])
+def test_peak_rss_falls_back_to_ru_maxrss_in_its_platform_unit(tmp_path, monkeypatch,
+                                                               platform, maxrss):
+    monkeypatch.setattr(lse.cli.sys, "platform", platform)
+    monkeypatch.setattr(lse.cli.resource, "getrusage",
+                        lambda who: mock.Mock(ru_maxrss=maxrss))
+    assert lse.cli._peak_rss_mb(str(tmp_path / "absent")) == 3.0
 
 
 def test_rank_covers_every_topic_and_entity(workflow):

@@ -50,8 +50,8 @@ def test_train_stops_on_non_finite_gradient(tiny_corpus, monkeypatch):
     corpus, vocab = tiny_corpus
     calls = []
 
-    def poisoned(params, batch, weight_decay):
-        loss, grads = batch_loss_and_gradients(params, batch, weight_decay)
+    def poisoned(params, batch, weight_decay, out=None):
+        loss, grads = batch_loss_and_gradients(params, batch, weight_decay, out)
         calls.append(len(batch))
         if len(calls) == 10:
             grads.W_e[0, 0] = np.inf
@@ -62,6 +62,20 @@ def test_train_stops_on_non_finite_gradient(tiny_corpus, monkeypatch):
                                        "batch 2$"):
         train(corpus, vocab, tiny_config())
     assert len(calls) == 10
+
+
+def test_train_fills_one_gradient_set_on_every_step(tiny_corpus, monkeypatch):
+    corpus, vocab = tiny_corpus
+    given = []
+
+    def step(params, batch, weight_decay, out=None):
+        given.append(out)
+        return batch_loss_and_gradients(params, batch, weight_decay, out)
+
+    monkeypatch.setattr(lse.training, "batch_loss_and_gradients", step)
+    train(corpus, vocab, tiny_config())
+    assert len(given) == 24 and given[0] is None and given[1] is not None
+    assert all(out is given[1] for out in given[1:])
 
 
 def test_train_lets_each_epoch_go_before_drawing_the_next(tiny_corpus, monkeypatch):
