@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import resource
 import shutil
 import sys
@@ -119,12 +120,28 @@ def _peak_rss_mb(status="/proc/self/status"):
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
+# the environment variables that set BLAS and OpenMP thread counts
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment():
+    """The Python and NumPy versions, the BLAS NumPy was built against (from
+    numpy.__config__.CONFIG, which costs microseconds where
+    np.show_config costs a tenth of a second) and the thread variables,
+    None when unset."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {name: os.environ.get(name) for name in _THREAD_VARS}}
+
+
 @contextlib.contextmanager
 def _run(out_dir, config, seed=None):
     """Make out_dir, run the command body, then write out_dir/manifest.json:
     the command, its config and seed, the path and SHA-256 of every input the
     command line named, the counts the body put in the dict it is given, and
-    the process's peak RSS in MiB at the end of the body (peak_rss_mb).
+    the process's peak RSS in MiB at the end of the body (peak_rss_mb) and
+    the _environment it ran in.
     If the body fails, every directory made for out_dir goes, files and all."""
     ctx = click.get_current_context()
     made, parent = None, os.path.abspath(out_dir)  # the topmost directory made
@@ -142,7 +159,7 @@ def _run(out_dir, config, seed=None):
     inputs = ctx.meta.get(_INPUTS, {})
     _write_json(out_dir, "manifest.json", {
         "command": ctx.command.name, "config": config, "counts": counts,
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": _peak_rss_mb(), "environment": _environment(),
         "inputs": {name: {"path": str(path), "sha256": _sha256_file(path)}
                    for name, path in inputs.items()},
         "seed": seed, "version": __version__, "started": started, "finished": _now()})

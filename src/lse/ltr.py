@@ -72,68 +72,82 @@ def pegasos_batch(pair_samples):
     return max(1, pair_samples // _MIN_STEPS)
 
 
-def _pair_rows(labels, groups, pair_samples, seed):
-    """Row indices (relevant, non-relevant) of pair_samples pairs, drawn by
-    a generator seeded with seed.
-
-    Pairs are formed within a group (groups=None treats all rows as one
-    group): a relevant row is drawn uniformly over all groups' relevant rows
-    and its partner uniformly with replacement from the same group's
-    non-relevant rows, which balances the classes regardless of their raw
-    distribution. Raises on single-class input."""
+def _pair_pools(labels, groups=None):
+    """A fit's pair pools over rows with labels in groups (groups=None treats
+    all rows as one group), as four arrays: the relevant rows of the groups
+    that also hold non-relevant ones, in group order; per such row, the
+    start and count of its group's rows in the fourth array; and the flat
+    non-relevant rows of those groups. Raises on single-class input."""
     groups = (np.zeros(len(labels), dtype=np.int64) if groups is None
               else np.asarray(groups, dtype=np.int64))
-    pos_pool = []
-    pos_group_code = []
-    neg_lists = []
+    pools, size = [], 0
     for g in np.unique(groups):
         sel = groups == g
         pos = np.flatnonzero(sel & (labels == 1))
         neg = np.flatnonzero(sel & (labels == 0))
-        if len(pos) == 0 or len(neg) == 0:
-            continue
-        code = len(neg_lists)
-        neg_lists.append(neg)
-        pos_pool.append(pos)
-        pos_group_code.append(np.full(len(pos), code, dtype=np.int64))
-    if not pos_pool:
+        if len(pos) and len(neg):
+            pools.append((pos, np.full(len(pos), size), np.full(len(pos), len(neg)), neg))
+            size += len(neg)
+    if not pools:
         if len(np.unique(labels)) < 2:
             raise DataError("training data has a single class")
         raise DataError("no group contains both a relevant and a non-relevant row")
-    pos_pool = np.concatenate(pos_pool)
-    pos_group_code = np.concatenate(pos_group_code)
-    neg_counts = np.array([len(neg) for neg in neg_lists], dtype=np.int64)
-    neg_starts = np.zeros(len(neg_lists), dtype=np.int64)
-    np.cumsum(neg_counts[:-1], out=neg_starts[1:])
-    neg_flat = np.concatenate(neg_lists)
-
-    rng = np.random.default_rng(seed)
-    pick = rng.integers(0, len(pos_pool), size=pair_samples)
-    gcode = pos_group_code[pick]
-    neg_local = np.floor(rng.random(pair_samples) * neg_counts[gcode]).astype(np.int64)
-    return pos_pool[pick], neg_flat[neg_starts[gcode] + neg_local]
+    return tuple(np.concatenate(side) for side in zip(*pools))
 
 
-# Values (512 KB) per gathered block of pair differences: a bound on the
-# memory the gathered step sum takes whatever the batch, fits and width.
+# Values (512 KB) per gathered block of pair differences, per skipped draw
+# of a pair stream and per fit-wide block it draws (unless one step holds
+# more): a bound on the memory each takes whatever the batch, fits and width.
 _CHUNK_VALUES = 1 << 16
 
 
-def _index_dtype(num_rows):
-    """int32 for pair indices into num_rows rows when it fits, else intp."""
-    return np.int32 if num_rows <= np.iinfo(np.int32).max else np.intp
+def _pair_steps(pools, sources, seeds, pair_samples, batch):
+    """Per Pegasos step, the (n, K) row indices (relevant, non-relevant) of
+    K fits' next n = batch pairs (fewer in the last step), so that no more
+    than a few steps' pairs are held at once.
+
+    Fit k draws from pools[sources[k]], a _pair_pools tuple: a relevant row
+    uniformly over all its groups' relevant rows, and its partner uniformly
+    with replacement from the same group's non-relevant rows, which balances
+    the classes whatever their raw distribution. Its pairs are those that
+    one generator seeded with seeds[k] gives drawing all pair_samples picks
+    and then all partners: one such generator draws the picks as the steps
+    go, and another the partners, once it has skipped the pair_samples
+    picks. The index arithmetic runs for all K fits at once."""
+    firsts = np.cumsum([0] + [len(pool[0]) for pool in pools])
+    pos, starts, counts, neg = (np.concatenate(side) for side in zip(*pools))
+    # each pool's starts count from its first row in the concatenated neg
+    starts += np.repeat(np.cumsum([0] + [len(pool[3]) for pool in pools[:-1]]),
+                        np.diff(firsts))
+    offsets, sizes = firsts[sources], np.diff(firsts)[sources]
+    picks = [np.random.default_rng(seed) for seed in seeds]
+    partners = [np.random.default_rng(seed) for seed in seeds]
+    for rng, size in zip(partners, sizes):
+        for lo in range(0, pair_samples, _CHUNK_VALUES):
+            rng.integers(0, size, size=min(_CHUNK_VALUES, pair_samples - lo))
+    # whole steps' pairs at a time, at most _CHUNK_VALUES per fit-wide draw
+    span = batch * max(1, _CHUNK_VALUES // (batch * len(seeds)))
+    for lo in range(0, pair_samples, span):
+        n = min(span, pair_samples - lo)
+        at = np.column_stack([rng.integers(0, size, size=n)
+                              for rng, size in zip(picks, sizes)]) + offsets
+        local = np.floor(np.column_stack([rng.random(n) for rng in partners])
+                         * counts[at]).astype(np.int64)
+        p, q = pos[at], neg[starts[at] + local]
+        yield from ((p[i:i + batch], q[i:i + batch]) for i in range(0, n, batch))
 
 
-def _pegasos(rows, pos, neg, center=None, scale=None, mask=None, batch=1):
-    """Weights (K, width) of K RankSVM fits trained in lockstep by mini-batch
-    Pegasos (Shalev-Shwartz, Singer, Srebro & Cotter, Math. Programming 2011,
-    section 2.3). Each fit minimises (1/2)|w|^2 plus the mean hinge over its
-    pairs: RankSVM at C = 1, which is Pegasos at lambda = 1.
+def _pegasos(rows, steps, fits, center=None, scale=None, mask=None, batch=1):
+    """Weights (K, width) of K = fits RankSVM fits trained in lockstep by
+    mini-batch Pegasos (Shalev-Shwartz, Singer, Srebro & Cotter, Math.
+    Programming 2011, section 2.3). Each fit minimises (1/2)|w|^2 plus the
+    mean hinge over its pairs: RankSVM at C = 1, which is Pegasos at
+    lambda = 1.
 
-    pos and neg are (pairs, K) row indices. Pair i of fit k has the
-    difference d = rows[pos[i, k]] - rows[neg[i, k]], of rows z-scored by
-    center[k], scale[k] when given. Step t takes the batch B of pairs
-    (t-1)b .. tb-1 (the last one may be shorter) and sets w = (1 - 1/t) w +
+    Step t takes the (n, K) row indices (p, q) that steps yields t-th (n = b
+    but in a shorter last step) as its batch B: pair i of fit k has the
+    difference d = rows[p[i, k]] - rows[q[i, k]], of rows z-scored by
+    center[k], scale[k] when given. The step sets w = (1 - 1/t) w +
     (sum of the d in B with d.w < 1) / (t |B|), every margin measured
     against the weights before the step, and the sum set to 0 where the
     boolean mask[k] is False, so that w stays 0 there. A step costs the same
@@ -147,11 +161,10 @@ def _pegasos(rows, pos, neg, center=None, scale=None, mask=None, batch=1):
     weights are bit-identical to training it alone on its mask's columns
     while the dot product sums in column order, so that the masked columns'
     zero products change no sum (OpenBLAS's does below 16 columns)."""
-    weights = np.zeros((pos.shape[1], rows.shape[1]))
+    weights = np.zeros((fits, rows.shape[1]))
     unused = None if mask is None else ~np.asarray(mask, dtype=bool)
     step_sum = _scored_sum if len(rows) < 2 * batch else _gathered_sum
-    for t, lo in enumerate(range(0, len(pos), batch), start=1):
-        p, q = pos[lo:lo + batch], neg[lo:lo + batch]
+    for t, (p, q) in enumerate(steps, start=1):
         total, active = step_sum(rows, p, q, weights, center, scale)
         if unused is not None:
             total[unused] = 0.0
@@ -379,28 +392,25 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
                        for tid in topics])
     # every topic's rows, topic-major; a fold trains on some topics' blocks
     stacked = np.concatenate([table.matrices[tid] for tid in topics])
-    train_sets, stats = [], []
+    pools, stats = [], []  # per fold: its pair pools, as stacked rows
     for heldout in partition:
         train = [p for p, tid in enumerate(topics) if tid not in heldout]
         index = (n * np.array(train)[:, None] + np.arange(n)).ravel()
-        train_sets.append((index, labels[train].ravel(),
-                           np.repeat(np.arange(len(train)), n)))
         stats.append(_standardize_fit(stacked[index]))
+        pos, starts, counts, neg = _pair_pools(labels[train].ravel(),
+                                               np.repeat(np.arange(len(train)), n))
+        pools.append((index[pos], starts, counts, index[neg]))
     fits = [(combo, f) for combo in combos for f in range(folds)]
     masks = np.zeros((len(fits), stacked.shape[1]), dtype=bool)
-    pos = np.empty((pair_samples, len(fits)), dtype=_index_dtype(len(stacked)))
-    neg = np.empty_like(pos)
-    for k, (combo, f) in enumerate(fits):
+    for k, (combo, _) in enumerate(fits):
         masks[k, table.columns_for(combo)] = True
-        index, train_labels, groups = train_sets[f]
-        p, q = _pair_rows(train_labels, groups, pair_samples,
-                          _spawned_seed(seed, (COMBOS.index(combo), f)))
-        pos[:, k], neg[:, k] = index[p], index[q]
     # a fit is z-scored by its fold's statistics on every column and the mask
     # keeps its own; a column's statistics over C-ordered rows do not depend
     # on the other columns, so they equal those of the combination's alone
     centers, scales = (np.array(side)[[f for _, f in fits]] for side in zip(*stats))
-    weights = _pegasos(stacked, pos, neg, centers, scales, masks, batch=batch)
+    seeds = [_spawned_seed(seed, (COMBOS.index(combo), f)) for combo, f in fits]
+    steps = _pair_steps(pools, [f for _, f in fits], seeds, pair_samples, batch)
+    weights = _pegasos(stacked, steps, len(fits), centers, scales, masks, batch=batch)
 
     runs = {combo: {} for combo in combos}
     for (combo, f), w, mean, std in zip(fits, weights, centers, scales):
@@ -442,7 +452,7 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
     skipped_no_relevant, skipped_empty_query."""
     batch = pegasos_batch(pair_samples)
     rows = []
-    eligible = []  # (row, qids, labels, pair seed) per topic with status ok
+    eligible = []  # (row, qids, pair pools, pair seed) per topic with status ok
     for index, (tid, qids) in enumerate(sorted(queries.items())):
         n_rel = len(qrels.relevant(tid))
         labels = _relevance_labels(qrels, tid, entity_ids)
@@ -454,16 +464,15 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
                "ndcg_ideal": None, "ndcg_query": None}
         rows.append(row)
         if status == "ok":
-            eligible.append((row, qids, labels, _spawned_seed(seed, (11, index))))
+            eligible.append((row, qids, _pair_pools(labels),
+                             _spawned_seed(seed, (11, index))))
     if not eligible:
         return rows
-    pos = np.empty((pair_samples, len(eligible)), dtype=_index_dtype(len(entity_ids)))
-    neg = np.empty_like(pos)
-    for k, (_, _, labels, pair_seed) in enumerate(eligible):
-        pos[:, k], neg[:, k] = _pair_rows(labels, None, pair_samples, pair_seed)
+    _, _, pools, seeds = zip(*eligible)
+    steps = _pair_steps(pools, range(len(pools)), seeds, pair_samples, batch)
     w_e = np.asarray(params.W_e, dtype=np.float64)
     unit, norms = _unit_rows(w_e)
-    weights = _pegasos(unit, pos, neg, batch=batch)
+    weights = _pegasos(unit, steps, len(eligible), batch=batch)
     for (row, qids, _, _), w in zip(eligible, weights):
         tid = row["topic_id"]
         ideal_run = rank_by_vector(w_e, w, entity_ids, tid, cutoff, norms)

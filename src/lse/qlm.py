@@ -1,8 +1,6 @@
 """Lexical baseline: per-entity profile language models with Jelinek-Mercer
 smoothing against the corpus model, scored in log domain."""
 
-import math
-
 import numpy as np
 
 from .errors import DataError
@@ -89,12 +87,9 @@ def score(model, entities, query_token_ids):
         background = lam * (cc / ctotal)
         postings, counts = model.postings(t)
         p = (1.0 - lam) * (counts / model.entity_totals[postings]) + background
-        term = np.full(len(scores),
-                       math.log(background) if background > 0.0 else float("-inf"))
-        # math.log, not np.log: NumPy's vectorised log can differ from the
-        # C library's in the last bit, and the scores must equal those of a
-        # scalar loop over one profile.
-        term[postings] = list(map(math.log, p.tolist()))
+        with np.errstate(divide="ignore"):  # a zero background logs to -inf
+            term = np.full(len(scores), np.log(background))
+            term[postings] = np.log(p)
         scores += term
     return scores[entities]
 

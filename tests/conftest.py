@@ -1,6 +1,5 @@
 """Shared fixtures: small hand-built corpora and synthetic benchmarks."""
 
-import math
 from collections import Counter
 
 import numpy as np
@@ -74,8 +73,46 @@ def scalar_qlm_score(model, entity_index, query_token_ids):
         c = int(counts[j]) if j < len(entities) and entities[j] == entity_index else 0
         p_x = c / total if total else 0.0
         p = (1.0 - lam) * p_x + lam * (cc / model.corpus_total)
-        s += math.log(p) if p > 0.0 else float("-inf")
+        s += float(np.log(p)) if p > 0.0 else float("-inf")
     return s
+
+
+def pair_rows(labels, groups, pair_samples, seed):
+    """Reference for the pairs lse.ltr._pair_steps streams: row indices
+    (relevant, non-relevant) of all pair_samples pairs at once, drawn by one
+    generator seeded with seed, every pick first and then every partner.
+
+    Pairs are formed within a group (groups=None treats all rows as one
+    group): a relevant row is drawn uniformly over all groups' relevant rows
+    and its partner uniformly with replacement from the same group's
+    non-relevant rows."""
+    groups = (np.zeros(len(labels), dtype=np.int64) if groups is None
+              else np.asarray(groups, dtype=np.int64))
+    pos_pool = []
+    pos_group_code = []
+    neg_lists = []
+    for g in np.unique(groups):
+        sel = groups == g
+        pos = np.flatnonzero(sel & (labels == 1))
+        neg = np.flatnonzero(sel & (labels == 0))
+        if len(pos) == 0 or len(neg) == 0:
+            continue
+        code = len(neg_lists)
+        neg_lists.append(neg)
+        pos_pool.append(pos)
+        pos_group_code.append(np.full(len(pos), code, dtype=np.int64))
+    pos_pool = np.concatenate(pos_pool)
+    pos_group_code = np.concatenate(pos_group_code)
+    neg_counts = np.array([len(neg) for neg in neg_lists], dtype=np.int64)
+    neg_starts = np.zeros(len(neg_lists), dtype=np.int64)
+    np.cumsum(neg_counts[:-1], out=neg_starts[1:])
+    neg_flat = np.concatenate(neg_lists)
+
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(pos_pool), size=pair_samples)
+    gcode = pos_group_code[pick]
+    neg_local = np.floor(rng.random(pair_samples) * neg_counts[gcode]).astype(np.int64)
+    return pos_pool[pick], neg_flat[neg_starts[gcode] + neg_local]
 
 
 def separable_topics(num_entities=8, multi=4):

@@ -162,6 +162,25 @@ def test_peak_rss_falls_back_to_ru_maxrss_in_its_platform_unit(tmp_path, monkeyp
     assert lse.cli._peak_rss_mb(str(tmp_path / "absent")) == 3.0
 
 
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    """Versions and the BLAS thread variables, None where one is unset."""
+    import platform
+
+    corpus, _, _ = write_inputs(tmp_path)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    run_ok(CliRunner(), ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                    "MKL_NUM_THREADS": "3"}}
+    assert isinstance(blas["name"], str) and blas["name"]
+
+
 def test_rank_covers_every_topic_and_entity(workflow):
     root = workflow[0]
     runs = read_run(root / "rank" / "run.trec")
