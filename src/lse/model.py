@@ -10,10 +10,13 @@ W_v, W and W_e; the bias b is not regularized.
 """
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +87,7 @@ def init_params(dims, seed, dtype=np.float64):
 
     def glorot(rows, cols):
         bound = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
+        return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype, copy=False)
 
     W_v = glorot(dims.e_v, dims.vocab_size)
     W = glorot(dims.e_e, dims.e_v)
@@ -142,18 +145,33 @@ def _incidence(index, rows):
             index.reshape(-1).astype(np.intp))
 
 
+def _sparsetools():
+    """SciPy's compiled sparsetools kernels, loaded by themselves: importing
+    them through scipy.sparse runs that package's __init__, which imports
+    some 300 modules and adds about 16 MB of resident memory. The module is
+    kept in sys.modules under its own name, so later calls and a later
+    import of scipy.sparse reuse it."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy_dir, "sparse")])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def _gather_sum(table, index):
     """Row i is table[index[i, 0]] + ... + table[index[i, k - 1]], added one
     at a time in that order onto zero: one CSR product, without building the
     (m, k, d) gather. This is table[index].sum(axis=1) bit for bit, except
     that a sum of negative zeros only is +0.0."""
-    from scipy.sparse import _sparsetools
     m, k = index.shape
     out = np.zeros((m, table.shape[1]), dtype=table.dtype)
-    _sparsetools.csr_matvecs(m, len(table), table.shape[1],
-                             *_incidence(index, len(table)),
-                             np.ones(m * k, dtype=table.dtype),
-                             table.reshape(-1), out.reshape(-1))
+    _sparsetools().csr_matvecs(m, len(table), table.shape[1],
+                               *_incidence(index, len(table)),
+                               np.ones(m * k, dtype=table.dtype),
+                               table.reshape(-1), out.reshape(-1))
     return out
 
 
@@ -163,14 +181,13 @@ def _scatter_add(out, index, coef, rows):
     (m, d) of out's dtype, bit for bit, as one CSC product: every element of
     out receives its addends in (i, k) order, each product rounded before it
     is added."""
-    from scipy.sparse import _sparsetools
     if not out.flags.c_contiguous:
         raise ValueError("scatter target must be C-contiguous")
     m = len(index)
     data = np.broadcast_to(coef, index.shape).astype(out.dtype).reshape(-1)
-    _sparsetools.csc_matvecs(len(out), m, out.shape[1],
-                             *_incidence(index, len(out)), data,
-                             rows.reshape(-1), out.reshape(-1))
+    _sparsetools().csc_matvecs(len(out), m, out.shape[1],
+                               *_incidence(index, len(out)), data,
+                               rows.reshape(-1), out.reshape(-1))
 
 
 def _forward(params, batch):
@@ -211,10 +228,11 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     The loss is the mean negated instance log-probability plus the
     weight-decay term, and the gradients are exact for it. The per-instance
     pieces are sech^2 = 1 - f^2 reusing the forward tanh, a coefficient
-    1 - sigma for the positive dot and -sigma per negative dot (cneg, folded
-    into Vneg = sum_k cneg_k e_k chunk by chunk), and a sparse scatter-add
-    into the touched columns of W_v and rows of W_e; the (lambda / m) theta
-    regularizer term is dense over the three matrices and absent for b.
+    1 - sigma for the positive dot and -sigma per negative dot (cneg; chunk
+    by chunk, Vneg = sum_k cneg_k e_k is added onto the positive's term and
+    the sum scaled by sech^2), and a sparse scatter-add into the touched
+    columns of W_v and rows of W_e; the (lambda / m) theta regularizer term
+    is dense over the three matrices and absent for b.
     The scatters are CSC products (_scatter_add): the token rows into a
     zero (|V|, e_V) buffer that is then added to the regularizer of W_v,
     and the positives, then the negatives, straight into the regularizer
@@ -225,11 +243,12 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     The gradients go into out, a C-contiguous ModelParams shaped like
     params, which is returned (allocated when None); train passes the same
     one on every step, so a step never holds two gradient sets. The
-    activations are reused in place (V and then G in Epos, 1 - F^2 in Vneg,
-    G W in H), each operation keeping its operands and order, so the bytes
-    are those of the out-of-place expressions. A float32 step plus Adam at
-    m = 4096, e_V = 300, e_E = 256, |V| = 2000, |X| = 1024 peaks about
-    20 MiB of traced memory above its inputs (36 MiB allocating afresh).
+    activations are reused in place (V and then G in Epos, G W in H), and
+    Vneg and 1 - F^2 are never whole-batch arrays; each element keeps its
+    operands and their order, so the bytes are those of the out-of-place
+    expressions. A float32 step plus Adam at m = 4096, e_V = 300,
+    e_E = 256, |V| = 2000, |X| = 1024 peaks about 16 MiB of traced memory
+    above its inputs (36 MiB allocating afresh).
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m = len(batch)
@@ -238,23 +257,18 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
         out = ModelParams(*(np.empty_like(getattr(params, name))
                             for name in PARAM_FIELDS))
     H, F, Epos, dpos = _forward(params, batch)
-    dneg = np.empty(negatives.shape, dtype=F.dtype)
-    cneg = np.empty_like(dneg)
-    Vneg = np.empty_like(F)
-    for s, Eneg in _negative_rows(params.W_e, negatives):
-        dneg[s] = np.einsum("mke,me->mk", Eneg, F[s])
-        cneg[s] = -_sigmoid(dneg[s])
-        Vneg[s] = np.einsum("mk,mke->me", cneg[s], Eneg)
-    logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
-    loss = float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
-
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
     G = Epos
     G *= cpos[:, None]
-    G += Vneg                                      # V = cpos e+ + Vneg
-    sech2 = np.multiply(F, F, out=Vneg)
-    np.subtract(1.0, sech2, out=sech2)
-    G *= sech2                                     # d logp / d preactivation
+    dneg = np.empty(negatives.shape, dtype=F.dtype)
+    cneg = np.empty_like(dneg)
+    for s, Eneg in _negative_rows(params.W_e, negatives):
+        dneg[s] = np.einsum("mke,me->mk", Eneg, F[s])
+        cneg[s] = -_sigmoid(dneg[s])
+        G[s] += np.einsum("mk,mke->me", cneg[s], Eneg)  # V = cpos e+ + Vneg
+        G[s] *= 1.0 - F[s] * F[s]                  # d logp / d preactivation
+    logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
+    loss = float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
 
     inv_m = 1.0 / m
     reg = weight_decay * inv_m
@@ -446,7 +460,7 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
         for name in PARAM_FIELDS:
             arr = np.ascontiguousarray(getattr(params, name),
                                        dtype=_CONTAINER_DTYPES[dtype])
-            fh.write(arr.tobytes())
+            fh.write(arr)
     with atomic_open(f"{path}.meta.json", "wb") as fh:
         fh.write(json.dumps(header, indent=2, sort_keys=True).encode("utf-8") + b"\n")
 
@@ -506,18 +520,15 @@ def load_model(path):
                   "W_e": (d.num_entities, d.e_e)}
         arrays = {}
         for name in PARAM_FIELDS:
-            shape = shapes[name]
-            count = int(np.prod(shape))
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
+            raw = np.empty(shapes[name], dtype=dtype)
+            if fh.readinto(raw) != raw.nbytes:
                 raise DataError(f"{path}: truncated array {name}")
-            raw = np.frombuffer(buf, dtype=dtype)
             # min and max propagate NaN and reach any infinity, so both are
             # finite exactly when every element is, with no temporary array
             if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
                 raise DataError(f"{path}: array {name} holds a non-finite value")
-            # the one copy: writable, owning its memory, float64
-            arrays[name] = raw.astype(np.float64).reshape(shape)
+            # float32 promotes in one copy; float64 is read in place
+            arrays[name] = raw.astype(np.float64, copy=False)
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after arrays")
     return ModelParams(arrays["W_v"], arrays["W"], arrays["b"], arrays["W_e"]), header

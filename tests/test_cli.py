@@ -82,12 +82,15 @@ def workflow(tmp_path_factory):
     return root, corpus, topics, qrels, runner
 
 
-def test_retrieval_commands_never_import_scipy(workflow, tmp_path):
-    # Only the training step uses scipy, and imports it itself: a top-level
-    # import would add its start-up time and memory to every command.
+def test_no_command_imports_the_scipy_package(workflow, tmp_path):
+    # Only the training step uses scipy, and loads its compiled sparsetools
+    # kernels by themselves: importing scipy, or scipy.sparse, would add
+    # their start-up time and memory to every command. The commands other
+    # than train load nothing of scipy at all.
     root, corpus, topics, qrels, _ = workflow
     vocab = root / "vocab" / "vocab.tsv"
-    commands = [["rank", root / "model" / "model.lse", vocab, topics,
+    commands = [["build-vocab", corpus, "--out", tmp_path / "vocab"],
+                ["rank", root / "model" / "model.lse", vocab, topics,
                  "--out", tmp_path / "rank"],
                 ["qlm", corpus, vocab, topics, "--out", tmp_path / "qlm"],
                 ["eval", tmp_path / "rank" / "run.trec", qrels,
@@ -99,21 +102,25 @@ def test_retrieval_commands_never_import_scipy(workflow, tmp_path):
                  "--pair-samples", "300"],
                 ["ideal-vector", root / "model" / "model.lse", vocab, topics, qrels,
                  "--out", tmp_path / "ideal", "--pair-samples", "300"]]
+    train = [["train", corpus, vocab, "--out", tmp_path / "train", *TRAIN_FLAGS]]
+    # the scipy modules loaded after the other commands, then after train
     code = ("import json, sys, lse.cli\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    lse.cli.main(argv, standalone_mode=False)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "for group in json.loads(sys.argv[1]):\n"
+            "    for argv in group:\n"
+            "        lse.cli.main(argv, standalone_mode=False)\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(lse.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    groups = [[list(map(str, c)) for c in group] for group in (commands, train)]
     result = subprocess.run(
-        [sys.executable, "-c", code, json.dumps([list(map(str, c)) for c in commands])],
+        [sys.executable, "-c", code, json.dumps(groups)],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    for output in ("eval/per_topic.csv", "sweep/sweep.csv", "fuse/fusion.json",
-                   "ideal/ideal.json"):
+    for output in ("vocab/vocab.tsv", "eval/per_topic.csv", "sweep/sweep.csv",
+                   "fuse/fusion.json", "ideal/ideal.json", "train/model.lse"):
         assert (tmp_path / output).exists(), output
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stdout.splitlines()[-2:] == ["[]", "['scipy.sparse._sparsetools']"]
     # every text output, the workflow's train and eval outputs too, ends its
     # lines in \n alone
     written = [p for p in [*tmp_path.rglob("*"), *root.rglob("*")]
