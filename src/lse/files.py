@@ -46,9 +46,14 @@ def check_unique(first_line, key, path, number, what):
 
 
 def check_id(value, where, what):
-    """DataError at where unless value is a non-empty id without whitespace."""
+    """DataError at where unless value is a non-empty id without whitespace
+    that UTF-8 can encode (a JSON escape can give a lone surrogate)."""
     if value.split() != [value]:
         raise DataError(f"{where}: {what} {value!r} is empty or holds whitespace")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"{where}: {what} {value!r} is not valid UTF-8") from None
 
 
 def _check_field(path, number, record, name, kind):

@@ -7,6 +7,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -15,8 +16,10 @@ from .files import atomic_open, check_id, check_unique, read_lines, read_records
 
 NUM_TOKEN = "<num>"
 
+# A number; its leading [0-9] lets the regex engine skip ahead to a digit.
+_NUMBER = r"[0-9][0-9]*(?:[.,\-][0-9]+)*"
 # The literal <num> alternative keeps tokenize idempotent on its own output.
-_TOKEN_RE = re.compile(r"<num>|[0-9]+(?:[.,\-][0-9]+)*|[a-z]+")
+_TOKEN_RE = re.compile(rf"<num>|{_NUMBER}|[a-z]+")
 
 
 def _load_stopwords():
@@ -166,61 +169,67 @@ class Corpus:
         return len(self.tokens)
 
 
-def _text_encoder(vocab):
-    """A function from text to (ids, dropped): ids is
-    vocab.encode(tokenize(text)) and dropped counts the tokens tokenize keeps
-    that vocab lacks, found with one findall and one dict lookup per token."""
-    # Entries tokenize never emits as themselves (stopwords, digit-leading
-    # tokens) never match; a miss then falls through tokenize's rules.
-    lookup = {tok: i for tok, i in vocab.token_to_id.items()
-              if tok not in STOPWORDS and not tok[:1].isdigit()}
-    num_id = lookup.get(NUM_TOKEN)
-    findall = _TOKEN_RE.findall
+# Bytes a _TOKEN_RE match can hold; every other byte, non-ASCII ones
+# included, becomes a space. Then each <num> and number becomes a lone \x01
+# byte, what is left of .,-<> a space, and the end of a text a lone NUL
+# byte, so split() leaves words of letters, \x01 and NUL.
+_LETTERS = bytes(range(ord("a"), ord("z") + 1))
+_TO_SPACE = bytes(c if c in _LETTERS + b"0123456789.,-<>" else 32 for c in range(256))
+_TO_LETTERS = bytes(c if c in _LETTERS + b"\x00\x01" else 32 for c in range(256))
+_NUMBER_RE = re.compile(_NUMBER.encode())
+_BLOCK_DOCS = 32  # texts per block; larger blocks raise train's peak RSS
+_SKIP, _END, _MISS = -1, -2, -3
 
-    def encode(text):
-        ids = []
-        dropped = 0
-        for tok in findall(text.lower()):
-            i = lookup.get(tok)
-            if i is None:
-                if tok[0].isdigit():
-                    tok, i = NUM_TOKEN, num_id
-                if tok in STOPWORDS:
-                    continue
-                if i is None:
-                    dropped += 1
-                    continue
-            ids.append(i)
-        return ids, dropped
 
-    return encode
+def _encode_texts(texts, vocab):
+    """(tokens, doc_ptr, dropped) of texts laid end to end: text j's ids are
+    vocab.encode(tokenize(text j)), and dropped counts the tokens tokenize
+    keeps that vocab lacks. A block of texts takes one regular-expression
+    pass for numbers, one split and one dict lookup per token."""
+    lookup = {tok.encode(): i for tok, i in vocab.token_to_id.items()
+              if tok.isascii() and tok.isalpha() and tok.islower()}
+    lookup.update(dict.fromkeys((w.encode() for w in STOPWORDS), _SKIP))
+    lookup[b"\x00"] = _END
+    lookup[b"\x01"] = vocab.token_to_id.get(NUM_TOKEN, _MISS)
+
+    tokens, doc_ptr, dropped = array("i"), array("q", [0]), 0
+    texts = iter(texts)
+    while block := list(islice(texts, _BLOCK_DOCS)):
+        joined = b"".join(t.lower().encode("utf-8", "surrogatepass").translate(_TO_SPACE)
+                          + b" \x00 " for t in block).replace(b"<num>", b" \x01 ")
+        pieces = _NUMBER_RE.sub(b" \x01 ", joined).translate(_TO_LETTERS).split()
+        codes = np.fromiter(map(lookup.get, pieces, repeat(_MISS)), np.int32, len(pieces))
+        found = codes >= 0
+        doc_ptr.frombytes((np.cumsum(found, dtype=np.int64)[codes == _END]
+                           + len(tokens)).tobytes())
+        tokens.frombytes(codes[found].tobytes())
+        dropped += int(np.count_nonzero(codes == _MISS))
+    return np.asarray(tokens, dtype=np.int32), np.asarray(doc_ptr, dtype=np.int64), dropped
 
 
 def encode_corpus(raw_docs, vocab):
-    """Encode raw documents (as load_raw_docs returns them) against vocab into
-    one Corpus; entities ordered by first appearance."""
-    encode = _text_encoder(vocab)
-    tokens = array("i")
-    doc_ptr = [0]
-    doc_entity = []
+    """Encode raw documents (as load_raw_docs returns them; any iterable,
+    read once) against vocab into one Corpus; entities ordered by first
+    appearance."""
     entity_index = {}
-    dropped = 0
-    for _doc_id, entity_id, text in raw_docs:
-        ids, missed = encode(text)
-        dropped += missed
-        tokens.extend(ids)
-        doc_ptr.append(len(tokens))
-        doc_entity.append(entity_index.setdefault(entity_id, len(entity_index)))
-    return Corpus(np.asarray(tokens, dtype=np.int32), np.asarray(doc_ptr, dtype=np.int64),
-                  np.asarray(doc_entity, dtype=np.int32), list(entity_index),
-                  dropped, entity_index)
+    doc_entity = array("i")
+
+    def texts():
+        for _doc_id, entity_id, text in raw_docs:
+            doc_entity.append(entity_index.setdefault(entity_id, len(entity_index)))
+            yield text
+
+    tokens, doc_ptr, dropped = _encode_texts(texts(), vocab)
+    return Corpus(tokens, doc_ptr, np.asarray(doc_entity, dtype=np.int32),
+                  list(entity_index), dropped, entity_index)
 
 
 def encode_topics(topics, vocab):
     """Encode topic_id -> query text against vocab into {topic_id: token ids},
     in topic-id order; a query with no in-vocabulary token encodes to []."""
-    encode = _text_encoder(vocab)
-    return {tid: encode(topics[tid])[0] for tid in sorted(topics)}
+    ids = sorted(topics)
+    tokens, ptr, _ = _encode_texts((topics[tid] for tid in ids), vocab)
+    return {tid: tokens[ptr[j]:ptr[j + 1]].tolist() for j, tid in enumerate(ids)}
 
 
 def load_raw_docs(path):

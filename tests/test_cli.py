@@ -567,6 +567,26 @@ def test_vocabulary_mismatch_exits_1(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+def test_qlm_rejects_a_lone_surrogate_entity_id_naming_the_line(tmp_path):
+    """A JSON escape can put a lone surrogate in a string. In text the
+    tokenizer ignores it; in an entity id, which the run file holds, it is a
+    DataError naming the line, not a traceback when the run is written."""
+    corpus, topics, _ = write_inputs(tmp_path)
+    runner = CliRunner()
+    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    args = [str(corpus), str(tmp_path / "v" / "vocab.tsv"), str(topics)]
+    lines = corpus.read_text()
+    corpus.write_text('{"doc_id": "d0", "entity_id": "cam", "text": "lens\\ud800"}\n' + lines)
+    run_ok(runner, ["qlm", *args, "--out", str(tmp_path / "ok")])
+    corpus.write_text('{"doc_id": "d0", "entity_id": "cam\\ud800", "text": "lens"}\n' + lines)
+    result = runner.invoke(main, ["qlm", *args, "--out", str(tmp_path / "q")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert (f"Error: {corpus}:1: entity_id 'cam\\ud800' is not valid UTF-8"
+            in result.output)
+    assert not (tmp_path / "q").exists()
+
+
 @pytest.mark.parametrize("command", ["rank", "fuse", "ideal-vector"])
 def test_model_vocabulary_size_mismatch_exits_1_naming_the_model(tmp_path, command):
     # a container saved without a vocabulary hash is checked by size
@@ -1184,7 +1204,7 @@ def mutations(draw, data, name):
             del record[key]
         else:
             record[key] = draw(st.sampled_from([None, True, 7, -2.5, 1e300, "s", [],
-                                                ["x"], {}]))
+                                                ["x"], {}, "x\ud800"]))
         line = json.dumps(record).encode()
     return b"".join(lines[:index] + [line + b"\n"] + lines[index + 1:])
 
