@@ -402,7 +402,7 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
         corpus_data = _corpus(corpus, vocabulary, counts)
         queries = _queries(topics, vocabulary)
         best, grid = sweep_lambda(corpus_data, queries, Qrels.load(qrels), cutoff=cutoff,
-                                  source=qrels)
+                                  source=qrels, topics_source=topics)
         with _output(out_dir, "sweep.csv") as fh:
             fh.write("lambda_jm,mean_ndcg\n")
             for lam, mean in grid:
@@ -451,8 +451,8 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
         qrels_data = Qrels.load(qrels)
         _status(f"assembling features for {len(queries)} topics")
         table = build_features(queries, corpus_data, qlm_model, params, attributes, edges)
-        report = cross_validated_fusion(table, qrels_data, folds=folds, seed=seed,
-                                        cutoff=cutoff, pair_samples=pair_samples)
+        report = cross_validated_fusion(table, qrels_data, folds=folds, seed=seed, cutoff=cutoff,
+                                        pair_samples=pair_samples, source=topics)
         metrics = list(report.rows[0]["means"])
         with _output(out_dir, "fusion.csv") as fh:
             writer = csv.writer(fh, lineterminator="\n")

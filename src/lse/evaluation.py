@@ -12,32 +12,29 @@ from .files import check_id, check_unique, read_lines
 
 @dataclass
 class TopicSet:
-    """topic_id -> query string, tagged with the split it belongs to."""
+    """topic_id -> query string."""
 
     topics: dict
-    split: str = "test"
 
     @classmethod
     def load(cls, path):
-        """TSV whose first non-blank line is a header naming the split:
-        'topic_id<TAB><split>'. An empty file is an empty test set; each id
-        passes check_id."""
-        topics = {}
-        first_line = {}
-        split = None
+        """TSV whose first non-blank line is the header 'topic_id<TAB><label>'
+        (the label is not read); empty is an empty set; ids pass check_id."""
+        topics, first_line = {}, {}
+        header = False
         for number, line in read_lines(path):
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}:{number}: expected 2 tab-separated fields")
-            if split is None:
+            if not header:
                 if parts[0] != "topic_id":
                     raise DataError(f"{path}:{number}: missing header row")
-                split = parts[1]
+                header = True
             else:
                 check_unique(first_line, parts[0], path, number, "topic id {!r}")
                 check_id(parts[0], f"{path}:{number}", "topic id")
                 topics[parts[0]] = parts[1]
-        return cls(topics, "test" if split is None else split)
+        return cls(topics)
 
 
 class Qrels:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DataError
 from .evaluation import compare_runs, evaluate_run, ndcg
-from .files import read_lines, read_records
+from .files import check_unique, read_lines, read_records
 from .model import project
 from .qlm import score as qlm_score
 from .retrieval import cosine_scores, rank_by_vector, ranked_from_scores
@@ -227,10 +227,13 @@ _ATTRIBUTES = {"price": (float, None), "sales_rank": (int, None),
 
 def load_qi_attributes(path):
     """JSON-lines: {"entity_id": str, "price": real?, "sales_rank": int?,
-    "description_length": int?}; a value of another type is a DataError
-    naming the file and line."""
-    return {rec["entity_id"]: {name: rec.get(name) for name in _ATTRIBUTES}
-            for _, rec in read_records(path, {"entity_id": str, **_ATTRIBUTES})}
+    "description_length": int?}; a value of another type or a repeated
+    entity id is a DataError naming the file and line."""
+    attributes, first_line = {}, {}
+    for number, rec in read_records(path, {"entity_id": str, **_ATTRIBUTES}):
+        check_unique(first_line, rec["entity_id"], path, number, "entity_id {!r}")
+        attributes[rec["entity_id"]] = {name: rec.get(name) for name in _ATTRIBUTES}
+    return attributes
 
 
 def load_graph(path):
@@ -370,20 +373,22 @@ def _spawned_seed(entropy, spawn_key):
 
 
 def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10),
-                           pair_samples=PAIR_SAMPLES):
+                           pair_samples=PAIR_SAMPLES, source="topics"):
     """Run the feature combinations of COMBOS whose blocks the table has
     under a seeded topic-level fold partition; per fold, train on the other
     folds' topics, with a RankSVM of pair_samples pairs, and score the held
-    out ones. Features are z-scored with
-    statistics fit on training folds only, and every combination's folds
-    train in one lockstep loop. Significance compares the full combination
-    against qi+qlm by a paired t-test per metric; without an lse column each
-    metric's entry is degenerate."""
+    out ones. Features are z-scored with statistics fit on training folds
+    only, and every combination's folds train in one lockstep loop.
+    Significance compares the full combination against qi+qlm by a paired
+    t-test per metric; without an lse column each metric's entry is
+    degenerate. Fewer topics than folds is a DataError naming source, their
+    file."""
     topics = list(table.topics)
     depth = max((cutoff, *ks))
     batch = pegasos_batch(pair_samples)
     if len(topics) < folds:
-        raise DataError(f"need at least {folds} topics for {folds}-fold cross-validation")
+        raise DataError(f"{source}: need at least {folds} topics for {folds}-fold "
+                        "cross-validation")
     partition = _fold_partition(topics, folds, seed)
     combos = [combo for combo in COMBOS
               if all(block == "qi" or block in table.feature_names for block in combo)]

@@ -104,16 +104,17 @@ def rank(model, entity_ids, query_token_ids, topic_id="q", k=None):
 SWEEP_GRID = tuple(i / 20 for i in range(21))
 
 
-def sweep_lambda(corpus, queries, qrels, cutoff=100, source="qrels"):
+def sweep_lambda(corpus, queries, qrels, cutoff=100, source="qrels", topics_source="topics"):
     """Evaluate mean NDCG of queries ({topic_id: token ids}) at each of the
     21 grid points 0.0, 0.05, ..., 1.0 and return (best_lambda,
-    [(lambda, mean_ndcg)]); ties prefer smaller lambda. Qrels that judge no
-    query's topic relevant are a DataError naming source, their file."""
+    [(lambda, mean_ndcg)]); ties prefer smaller lambda. A DataError names
+    topics_source, the queries' file, when no query is non-empty, and source,
+    the qrels' file, when they judge no query's topic relevant."""
     if not queries:
-        raise DataError("no validation topics for the sweep")
+        raise DataError(f"{topics_source}: no validation topics for the sweep")
     queries = {tid: ids for tid, ids in queries.items() if ids}
     if not queries:
-        raise DataError("all sweep topics have empty encoded queries")
+        raise DataError(f"{topics_source}: all sweep topics have empty encoded queries")
     if not any(qrels.relevant(tid) for tid in queries):
         raise DataError(f"{source}: no sweep topic has a relevant entity")
     base = estimate(corpus, 0.0)

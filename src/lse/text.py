@@ -16,11 +16,6 @@ from .files import atomic_open, check_id, check_unique, read_lines, read_records
 
 NUM_TOKEN = "<num>"
 
-# A number; its leading [0-9] lets the regex engine skip ahead to a digit.
-_NUMBER = r"[0-9][0-9]*(?:[.,\-][0-9]+)*"
-# The literal <num> alternative keeps tokenize idempotent on its own output.
-_TOKEN_RE = re.compile(rf"<num>|{_NUMBER}|[a-z]+")
-
 
 def _load_stopwords():
     text = (resources.files("lse") / "data" / "stopwords.txt").read_text("utf-8")
@@ -30,19 +25,35 @@ def _load_stopwords():
 STOPWORDS = _load_stopwords()
 
 
-def tokenize(text):
-    """Lowercase, strip punctuation, replace purely numeric tokens by <num>,
-    and drop stopwords.
+# The tokenization rule. A token is a run of ASCII letters, a number (ASCII
+# digits, groups joined by single .,-) or the literal <num>, which keeps
+# tokenize idempotent on its own output. Every byte no token can hold,
+# non-ASCII ones included, becomes a space. Then each <num> and number
+# becomes a lone \x01 byte, what is left of .,-<> a space, and the end of a
+# text a lone NUL byte, so split() leaves words of letters, \x01 and NUL.
+_LETTERS = bytes(range(ord("a"), ord("z") + 1))
+_TO_SPACE = bytes(c if c in _LETTERS + b"0123456789.,-<>" else 32 for c in range(256))
+_TO_LETTERS = bytes(c if c in _LETTERS + b"\x00\x01" else 32 for c in range(256))
+# Its leading [0-9] lets the regex engine skip ahead to a digit.
+_NUMBER_RE = re.compile(rb"[0-9][0-9]*(?:[.,\-][0-9]+)*")
+_BLOCK_DOCS = 32  # texts per block; larger blocks raise train's peak RSS
 
-    Returns a list of token strings; empty input yields an empty list.
-    """
-    out = []
-    for tok in _TOKEN_RE.findall(text.lower()):
-        if tok[0].isdigit():
-            tok = NUM_TOKEN
-        if tok not in STOPWORDS:
-            out.append(tok)
-    return out
+
+def _split(texts):
+    """Yield each block of _BLOCK_DOCS texts as its pieces: per text, its
+    words of letters and b"\x01" for each number or <num>, then b"\x00"."""
+    texts = iter(texts)
+    while block := list(islice(texts, _BLOCK_DOCS)):
+        joined = b"".join(t.lower().encode("utf-8", "surrogatepass").translate(_TO_SPACE)
+                          + b" \x00 " for t in block).replace(b"<num>", b" \x01 ")
+        yield _NUMBER_RE.sub(b" \x01 ", joined).translate(_TO_LETTERS).split()
+
+
+def tokenize(text):
+    """The tokens of text, as a list of strings: _split's pieces of text
+    alone, with <num> for each number and stopwords dropped."""
+    words = b" ".join(next(_split([text]))).decode().replace("\x01", NUM_TOKEN).split()
+    return [tok for tok in words[:-1] if tok not in STOPWORDS]  # [:-1] drops the NUL
 
 
 class Vocabulary:
@@ -169,23 +180,13 @@ class Corpus:
         return len(self.tokens)
 
 
-# Bytes a _TOKEN_RE match can hold; every other byte, non-ASCII ones
-# included, becomes a space. Then each <num> and number becomes a lone \x01
-# byte, what is left of .,-<> a space, and the end of a text a lone NUL
-# byte, so split() leaves words of letters, \x01 and NUL.
-_LETTERS = bytes(range(ord("a"), ord("z") + 1))
-_TO_SPACE = bytes(c if c in _LETTERS + b"0123456789.,-<>" else 32 for c in range(256))
-_TO_LETTERS = bytes(c if c in _LETTERS + b"\x00\x01" else 32 for c in range(256))
-_NUMBER_RE = re.compile(_NUMBER.encode())
-_BLOCK_DOCS = 32  # texts per block; larger blocks raise train's peak RSS
 _SKIP, _END, _MISS = -1, -2, -3
 
 
 def _encode_texts(texts, vocab):
     """(tokens, doc_ptr, dropped) of texts laid end to end: text j's ids are
     vocab.encode(tokenize(text j)), and dropped counts the tokens tokenize
-    keeps that vocab lacks. A block of texts takes one regular-expression
-    pass for numbers, one split and one dict lookup per token."""
+    keeps that vocab lacks. Each of _split's pieces takes one dict lookup."""
     lookup = {tok.encode(): i for tok, i in vocab.token_to_id.items()
               if tok.isascii() and tok.isalpha() and tok.islower()}
     lookup.update(dict.fromkeys((w.encode() for w in STOPWORDS), _SKIP))
@@ -193,11 +194,7 @@ def _encode_texts(texts, vocab):
     lookup[b"\x01"] = vocab.token_to_id.get(NUM_TOKEN, _MISS)
 
     tokens, doc_ptr, dropped = array("i"), array("q", [0]), 0
-    texts = iter(texts)
-    while block := list(islice(texts, _BLOCK_DOCS)):
-        joined = b"".join(t.lower().encode("utf-8", "surrogatepass").translate(_TO_SPACE)
-                          + b" \x00 " for t in block).replace(b"<num>", b" \x01 ")
-        pieces = _NUMBER_RE.sub(b" \x01 ", joined).translate(_TO_LETTERS).split()
+    for pieces in _split(texts):
         codes = np.fromiter(map(lookup.get, pieces, repeat(_MISS)), np.int32, len(pieces))
         found = codes >= 0
         doc_ptr.frombytes((np.cumsum(found, dtype=np.int64)[codes == _END]

@@ -734,6 +734,11 @@ MALFORMED = {
     "qi_not_utf8":
         ("attrs.jsonl", b'{"entity_id": "cam"}\n{"entity_id": "g\xe9"}\n',
          ":2: not valid UTF-8"),
+    # a second record for an entity would silently replace the first
+    "qi_repeated_entity":
+        ("attrs.jsonl", b'{"entity_id": "cam", "price": 1.0}\n{"entity_id": "gui"}\n'
+                        b'{"entity_id": "cam", "price": 9.0}\n',
+         ":3: duplicate entity_id 'cam', first on line 1"),
     "graph_not_utf8":
         ("graph.tsv", b"cam\tgui\ngui\tp\xe9a\n", ":2: not valid UTF-8"),
 }
@@ -911,6 +916,25 @@ def test_sweep_lambda_lists_all_oov_topics(tmp_path):
     # every grid point's mean is t1's alone
     lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
     assert len(lines) == 21 and all(line.endswith(",1.0") for line in lines)
+
+
+@pytest.mark.parametrize("command, queries, message", [
+    ("sweep-lambda", "", ": no validation topics for the sweep"),
+    ("sweep-lambda", "t1\tzzzz\n", ": all sweep topics have empty encoded queries"),
+    ("fuse", "t1\tcamera\n", ": need at least 2 topics for 2-fold cross-validation")])
+def test_too_few_usable_topics_exits_1_naming_the_topics_file(tmp_path, command, queries,
+                                                              message):
+    corpus, _, qrels = write_inputs(tmp_path)
+    topics = tmp_path / "few.tsv"
+    topics.write_text("topic_id\ttest\n" + queries)
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    result = CliRunner().invoke(main, [command, str(corpus), str(vocab), str(topics),
+                                       str(qrels), "--out", str(tmp_path / "out"),
+                                       *(["--folds", "2"] if command == "fuse" else [])])
+    assert result.exit_code == 1, result.output
+    assert f"Error: {topics}{message}" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -24,7 +24,6 @@ def test_topic_set_round_trip(tmp_path):
     path.write_text("topic_id\tdev\nt1\tcamera lens\nt2\tguitar\n")
     loaded = TopicSet.load(path)
     assert loaded.topics == {"t1": "camera lens", "t2": "guitar"}
-    assert loaded.split == "dev"
 
 
 def test_topic_set_rejects_missing_header_and_duplicates(tmp_path):
@@ -42,7 +41,6 @@ def test_topic_set_header_is_the_first_non_blank_line(tmp_path):
     path.write_text("\n  \ntopic_id\tdev\n\nt1\tcamera\n")
     loaded = TopicSet.load(path)
     assert loaded.topics == {"t1": "camera"}
-    assert loaded.split == "dev"
 
 
 def test_qrels_round_trip_and_accessors(tmp_path):

@@ -702,8 +702,10 @@ def test_cross_validated_fusion_is_deterministic():
 
 def test_cross_validated_fusion_needs_enough_topics():
     table, qrels = fusion_setup()
-    with pytest.raises(DataError, match="fold"):
+    with pytest.raises(DataError, match="^topics: need at least"):
         cross_validated_fusion(table, qrels, folds=len(table.topics) + 1)
+    with pytest.raises(DataError, match="^few.tsv: need at least"):
+        cross_validated_fusion(table, qrels, folds=len(table.topics) + 1, source="few.tsv")
     # fewer than 2 folds (which `fuse --folds` rejects) still raises
     for folds in (1, 0, -3):
         with pytest.raises((IndexError, ValueError)):

@@ -178,9 +178,9 @@ def test_sweep_ties_prefer_smaller_lambda():
 
 def test_sweep_rejects_unusable_topics():
     corpus, _, qrels = sweep_setup()
-    with pytest.raises(DataError, match="no validation topics"):
+    with pytest.raises(DataError, match="^topics: no validation topics"):
         sweep_lambda(corpus, {}, qrels)
-    with pytest.raises(DataError, match="empty encoded queries"):
-        sweep_lambda(corpus, {"t1": []}, qrels)
+    with pytest.raises(DataError, match="^dev.tsv: all sweep topics have empty encoded"):
+        sweep_lambda(corpus, {"t1": []}, qrels, topics_source="dev.tsv")
     with pytest.raises(DataError, match="^judged.txt: no sweep topic has a relevant"):
         sweep_lambda(corpus, {"t9": [A]}, qrels, source="judged.txt")

@@ -1,6 +1,9 @@
 """Text pipeline: tokenizer, vocabulary, corpus and topic encoding."""
 
+import random
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +15,20 @@ from lse.errors import DataError
 from lse.text import (NUM_TOKEN, STOPWORDS, Vocabulary,
                       build_vocabulary, encode_corpus, encode_topics,
                       load_raw_docs, tokenize)
+
+
+# The tokenization rule as one regular expression, independent of the byte
+# tables that lse.text cuts text with: the literal placeholder, a number
+# (ASCII digits, groups joined by single .,-) or a run of ASCII letters.
+_ORACLE_RE = re.compile(r"<num>|[0-9]+(?:[.,\-][0-9]+)*|[a-z]+")
+
+
+def oracle_tokenize(text):
+    """What tokenize returns: each match of _ORACLE_RE in the lowercased
+    text, with <num> for each number, less the stopwords."""
+    toks = (NUM_TOKEN if tok[0].isdigit() else tok
+            for tok in _ORACLE_RE.findall(text.lower()))
+    return [tok for tok in toks if tok not in STOPWORDS]
 
 
 def test_tokenize_punctuation_number_and_stopword():
@@ -210,7 +227,7 @@ def test_encode_corpus_matches_per_document_oracle(data):
     assert corpus.entities == entities
     dropped = 0
     for j, (_, entity, text) in enumerate(raw):
-        toks = tokenize(text)
+        toks = oracle_tokenize(text)
         ids = vocab.encode(toks)
         dropped += len(toks) - len(ids)
         assert corpus.tokens[corpus.doc_ptr[j]:corpus.doc_ptr[j + 1]].tolist() == ids
@@ -219,17 +236,48 @@ def test_encode_corpus_matches_per_document_oracle(data):
     assert corpus.dropped_tokens == dropped
 
 
+# Every ASCII character inside a word, inside a number and around a word; a
+# byte table that keeps or drops a character the regular expression does
+# not splits or joins a token here.
+ASCII_TEXTS = [t for c in map(chr, range(128)) for t in (f"ab{c}cd", f"12{c}34", f"{c}ab{c}")]
+
+
+def test_tokenize_matches_the_oracle_on_every_ascii_character():
+    for t in ASCII_TEXTS:
+        assert tokenize(t) == oracle_tokenize(t), repr(t)
+
+
 def test_encoder_agrees_with_tokenize_on_every_ascii_character():
-    # The encoder's byte alphabet is a copy of _TOKEN_RE's; a character the
-    # regular expression gains but the copy lacks splits a word here.
-    texts = [t for c in map(chr, range(128)) for t in (f"ab{c}cd", f"12{c}34", f"{c}ab{c}")]
-    words = sorted({tok for t in texts for tok in tokenize(t)} | {"ab", "cd"})
+    words = sorted({tok for t in ASCII_TEXTS for tok in oracle_tokenize(t)} | {"ab", "cd"})
     vocab = Vocabulary(words, [1] * len(words), [1] * len(words))
-    corpus = encode_corpus([(f"d{j}", "e", t) for j, t in enumerate(texts)], vocab)
-    for j, t in enumerate(texts):
+    corpus = encode_corpus([(f"d{j}", "e", t) for j, t in enumerate(ASCII_TEXTS)], vocab)
+    for j, t in enumerate(ASCII_TEXTS):
         got = corpus.tokens[corpus.doc_ptr[j]:corpus.doc_ptr[j + 1]].tolist()
-        assert got == vocab.encode(tokenize(t)), repr(t)
+        assert got == vocab.encode(oracle_tokenize(t)), repr(t)
     assert corpus.dropped_tokens == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tokenize_matches_the_oracle(data):
+    t = _drawn_text(data)
+    assert tokenize(t) == oracle_tokenize(t)
+
+
+def test_build_vocabulary_counts_the_oracle_tokens_of_a_punctuated_corpus():
+    rng = random.Random(3)
+    seps = (" ", ", ", ".", "-", "\n", "(", ")", "'s ")
+    docs = [(f"d{j}", "e", "".join(rng.choice(ENCODER_WORDS) + rng.choice(seps)
+                                   for _ in range(12))) for j in range(60)]
+    frequency, document_frequency = Counter(), Counter()
+    for _, _, t in docs:
+        toks = oracle_tokenize(t)
+        frequency.update(toks)
+        document_frequency.update(set(toks))
+    vocab = build_vocabulary(docs)
+    assert dict(zip(vocab.id_to_token, vocab.frequency)) == frequency
+    assert dict(zip(vocab.id_to_token, vocab.document_frequency)) == document_frequency
+    assert vocab.id_to_token == sorted(frequency, key=lambda t: (-frequency[t], t))
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,7 +327,8 @@ def test_encode_topics_matches_per_query_oracle(data):
     ids = data.draw(st.lists(st.sampled_from(["t1", "t2", "t10", "a"]), unique=True),
                     label="topic ids")
     topics = {tid: _drawn_text(data) for tid in ids}
-    expected = {tid: vocab.encode(tokenize(q)) for tid, q in sorted(topics.items())}
+    expected = {tid: vocab.encode(oracle_tokenize(q))
+                for tid, q in sorted(topics.items())}
     assert list(encode_topics(topics, vocab).items()) == list(expected.items())
 
 
