@@ -31,7 +31,7 @@ from .model import (Dims, TrainConfig, init_params, load_model,
 from .qlm import estimate as qlm_estimate
 from .qlm import rank as qlm_rank
 from .qlm import sweep_lambda
-from .retrieval import rank_entities, read_run, write_run
+from .retrieval import rank_queries, read_run, write_run
 from .sampling import InstanceBlock, ngrams_per_entity_per_epoch
 from .text import Vocabulary, build_vocabulary, encode_corpus, encode_topics, load_raw_docs
 from .training import train, write_epoch_log
@@ -93,10 +93,14 @@ def _out_option():
 
 
 def _sha256_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    """The SHA-256 hex digest of the regular file at path, read through one
+    reused buffer; None for anything else (a pipe, say), which stays unread."""
+    if not os.path.isfile(path):
+        return None
+    digest, buf = hashlib.sha256(), bytearray(1 << 18)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            digest.update(memoryview(buf)[:size])
     return digest.hexdigest()
 
 
@@ -312,10 +316,10 @@ def _write_skipped(out_dir, queries, counts):
 
 
 def _rank_topics(out_dir, counts, queries, top_k, run_tag, rank):
-    """Write run.trec with rank(topic_id, query token ids) for every
-    non-empty query in order, and skipped_topics.txt (counted in counts)."""
+    """Write run.trec with the ranked lists rank(pairs) gives for the (topic
+    id, token ids) pairs of the non-empty queries, and skipped_topics.txt."""
     write_run(os.path.join(out_dir, "run.trec"),
-              [rank(tid, ids) for tid, ids in queries.items() if ids],
+              rank([(tid, ids) for tid, ids in queries.items() if ids]),
               tag=run_tag, top_k=top_k)
     _write_skipped(out_dir, queries, counts)
 
@@ -332,10 +336,8 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
     with _run(out_dir, {"top_k": top_k, "run_tag": run_tag}) as counts:
         vocabulary = Vocabulary.load(vocab)
         params, header = _load_model_checked(model, vocabulary)
-        norms = np.linalg.norm(params.W_e, axis=1)
         _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, run_tag,
-                     lambda tid, ids: rank_entities(params, ids, header["entity_ids"],
-                                                    tid, top_k, norms))
+                     lambda pairs: rank_queries(params, pairs, header["entity_ids"], top_k))
 
 
 @main.command("qlm")
@@ -356,8 +358,8 @@ def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
         corpus_data = _corpus(corpus, vocabulary, counts)
         model = qlm_estimate(corpus_data, lambda_jm)
         _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, run_tag,
-                     lambda tid, ids: qlm_rank(model, corpus_data.entities, ids, tid,
-                                               top_k))
+                     lambda pairs: [qlm_rank(model, corpus_data.entities, ids, tid, top_k)
+                                    for tid, ids in pairs])
 
 
 @main.command("eval")

@@ -10,6 +10,10 @@ from .errors import DataError
 from .files import atomic_open, check_unique, read_lines
 from .model import project
 
+# rank_queries scores as many topics per matrix product as fit in this many
+# float64 scores (8 MiB)
+_BLOCK_SCORES = 1 << 20
+
 
 @dataclass
 class RankedList:
@@ -44,19 +48,20 @@ def ranked_from_scores(topic_id, entity_ids, scores, k=None):
 
 
 def cosine_scores(matrix, vec, norms=None):
-    """Cosine of vec against every row of matrix; zero-norm rows score 0.
+    """Cosine of vec against every row of matrix; zero-norm rows and a zero
+    vec score 0. A (q, d) stack of vecs gives (q, n) scores from one product.
 
     norms, when given, must be np.linalg.norm(matrix, axis=1): callers that
     score many vectors against one matrix compute it once."""
     vec = np.asarray(vec, dtype=np.float64)
     if norms is None:
         norms = np.linalg.norm(matrix, axis=1)
-    vnorm = np.linalg.norm(vec)
-    denom = norms * vnorm
-    raw = matrix @ vec
-    out = np.zeros(len(matrix), dtype=np.float64)
-    np.divide(raw, denom, out=out, where=denom > 0)
-    return out
+    out = vec @ matrix.T if vec.ndim == 2 else (matrix @ vec)[None]
+    for row, v in zip(out, np.atleast_2d(vec)):  # in place: no (q, n) temporaries
+        denom = norms * np.linalg.norm(v)
+        np.divide(row, denom, out=row, where=denom > 0)
+        row[~(denom > 0)] = 0.0
+    return out if vec.ndim == 2 else out[0]
 
 
 def rank_by_vector(matrix, vec, entity_ids, topic_id, k=None, norms=None):
@@ -73,6 +78,23 @@ def rank_entities(params, query_token_ids, entity_ids, topic_id="q", k=None,
     np.linalg.norm(params.W_e, axis=1). An empty query raises LSEError."""
     f = project(params, query_token_ids)
     return rank_by_vector(params.W_e, f, entity_ids, topic_id, k, norms)
+
+
+def rank_queries(params, queries, entity_ids, k=None):
+    """rank_entities of each (topic_id, query token ids) pair of the list
+    queries, in order. The projected queries of a block of topics are scored
+    with one matrix product, so a score's last bits can differ from
+    rank_entities'."""
+    norms = np.linalg.norm(params.W_e, axis=1)
+    step = max(1, _BLOCK_SCORES // len(norms))
+    ranked = []
+    for start in range(0, len(queries), step):
+        block = queries[start:start + step]
+        scores = cosine_scores(params.W_e, np.stack([project(params, ids)
+                                                     for _, ids in block]), norms)
+        ranked += [ranked_from_scores(tid, entity_ids, row, k)
+                   for (tid, _), row in zip(block, scores)]
+    return ranked
 
 
 def write_run(path, ranked_lists, tag="lse", top_k=100):

@@ -1,6 +1,7 @@
 """Command-line workflows, exercised through click's test runner."""
 
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -18,11 +19,14 @@ from hypothesis import strategies as st
 import lse.cli
 import lse.ltr
 import lse.model
+import lse.retrieval
 import lse.training
 from lse.cli import main
-from lse.model import MAGIC, Dims, init_params, save_model
-from lse.retrieval import RankedList, read_run, write_run
-from lse.text import Vocabulary, build_vocabulary, encode_corpus, load_raw_docs
+from lse.evaluation import TopicSet
+from lse.model import MAGIC, Dims, init_params, load_model, save_model
+from lse.retrieval import RankedList, rank_entities, read_run, write_run
+from lse.text import (Vocabulary, build_vocabulary, encode_corpus, encode_topics,
+                      load_raw_docs)
 from lse.training import EpochLog, write_epoch_log
 
 CORPUS_LINES = [
@@ -53,6 +57,10 @@ def write_inputs(root):
     qrels.write_text("t1 0 cam 1\nt2 0 gui 1\nt3 0 pia 1\n"
                      "t5 0 gui 1\nt5 0 vio 1\n")
     return corpus, topics, qrels
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run_ok(runner, args, **kwargs):
@@ -137,7 +145,7 @@ def test_build_vocab_outputs(workflow):
     assert "camera\t" in vocab_text and "guitar\t" in vocab_text
     manifest = json.loads((root / "vocab" / "manifest.json").read_text())
     assert manifest["command"] == "build-vocab"
-    assert len(manifest["inputs"]["corpus"]["sha256"]) == 64
+    assert manifest["inputs"]["corpus"]["sha256"] == sha256_of(workflow[1])
     assert {"started", "finished", "version"} <= set(manifest)
 
 
@@ -900,6 +908,70 @@ def test_all_oov_topic_listed_and_exit_zero(tmp_path):
         assert manifest["counts"]["skipped_topics"] == 1, out
 
 
+@pytest.mark.parametrize("command, names", [("rank", {"model", "vocab", "topics"}),
+                                            ("qlm", {"corpus", "vocab", "topics"}),
+                                            ("eval", {"run", "qrels", "baseline_run"})])
+def test_manifest_digests_are_the_sha256_of_each_input(workflow, command, names):
+    manifest = json.loads((workflow[0] / command / "manifest.json").read_text())
+    assert set(manifest["inputs"]) == names
+    for entry in manifest["inputs"].values():
+        assert entry["sha256"] == sha256_of(entry["path"])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_piped_input_is_read_once_and_records_a_null_digest(workflow, tmp_path):
+    """A corpus given as a pipe (as `<(cat corpus.jsonl)` gives it) is read by
+    the command alone, and the manifest records no digest for it."""
+    root, corpus, topics = workflow[:3]
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, corpus.read_bytes())  # fits in the pipe's buffer
+        os.close(write_end)
+        run_ok(CliRunner(), ["qlm", f"/dev/fd/{read_end}", str(root / "vocab" / "vocab.tsv"),
+                             str(topics), "--out", str(tmp_path / "q")])
+    finally:
+        os.close(read_end)
+    assert ((tmp_path / "q" / "run.trec").read_bytes()
+            == (root / "qlm" / "run.trec").read_bytes())
+    inputs = json.loads((tmp_path / "q" / "manifest.json").read_text())["inputs"]
+    assert inputs["corpus"]["sha256"] is None
+    assert inputs["vocab"]["sha256"] == sha256_of(root / "vocab" / "vocab.tsv")
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 3])
+@pytest.mark.parametrize("lines", [["t1\tcamera lens", "t9\txylophone", "t2\tguitar",
+                                    "t5\tstrings wood", "t4\tpiano violin"],
+                                   ["t3\tpiano keys"]])
+def test_rank_ranks_each_topic_as_rank_entities_ranks_it_alone(workflow, tmp_path,
+                                                               monkeypatch, lines, block):
+    """rank scores a block of topics in one matrix product; the topic, entity
+    and rank columns are those of ranking each topic alone, the scores agree
+    to rounding, and an all-out-of-vocabulary topic is still skipped, with
+    one, two or three topics per block or all in one. One topic is a one-row
+    stack."""
+    root = workflow[0]
+    vocab, model = root / "vocab" / "vocab.tsv", root / "model" / "model.lse"
+    params, header = load_model(model)
+    if block:
+        monkeypatch.setattr(lse.retrieval, "_BLOCK_SCORES", block * len(header["entity_ids"]))
+    topics = tmp_path / "topics.tsv"
+    topics.write_text("topic_id\ttest\n" + "".join(line + "\n" for line in lines))
+    run_ok(CliRunner(), ["rank", str(model), str(vocab), str(topics), "--top-k", "3",
+                         "--out", str(tmp_path / "r")])
+    queries = encode_topics(TopicSet.load(topics).topics, Vocabulary.load(vocab))
+    want = [(tid, eid, rank, score) for tid, ids in queries.items() if ids
+            for rank, (eid, score) in enumerate(
+                rank_entities(params, ids, header["entity_ids"], tid, 3).entries, 1)]
+    got = [line.split() for line in (tmp_path / "r" / "run.trec").read_text().splitlines()]
+    assert [(t, e, int(r)) for t, _, e, r, _, _ in got] == [w[:3] for w in want]
+    assert len({t for t, *_ in got}) == len(lines) - (len(lines) > 1)
+    np.testing.assert_allclose([float(g[4]) for g in got], [w[3] for w in want],
+                               rtol=1e-12, atol=1e-12)
+    skipped = "t9\n" if len(lines) > 1 else ""
+    assert (tmp_path / "r" / "skipped_topics.txt").read_text() == skipped
+    assert [tid for tid, ids in queries.items() if not ids] == skipped.split()
+
+
 def test_sweep_lambda_lists_all_oov_topics(tmp_path):
     corpus, _, qrels = write_inputs(tmp_path)
     topics = tmp_path / "oov.tsv"
@@ -1140,7 +1212,7 @@ def test_manifest_records_command_and_every_input(workflow, fuzz_inputs, tmp_pat
     assert manifest["command"] == command
     assert set(manifest["inputs"]) == names
     for entry in manifest["inputs"].values():
-        assert len(entry["sha256"]) == 64 and os.path.exists(entry["path"])
+        assert entry["sha256"] == sha256_of(entry["path"])
 
 
 def test_version_flag():

@@ -131,6 +131,33 @@ def test_precomputed_norms_give_identical_scores_and_rankings():
                 == rank_entities(params, query, ids, "t", 4))
 
 
+# zero, or a magnitude whose square stays normal
+ENTRY = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stacked_vectors_score_as_each_vector_alone(data):
+    """Each row of a stack's scores lies within 1e-12 of scoring its vector
+    alone, relative to the cosine scale 1; zero-norm rows and zero vectors
+    score exactly 0, with and without precomputed norms."""
+    n, d, q = (data.draw(st.integers(1, hi), label=label)
+               for hi, label in ((12, "n"), (6, "d"), (5, "q")))
+    matrix = np.array(data.draw(st.lists(st.lists(ENTRY, min_size=d, max_size=d),
+                                         min_size=n, max_size=n), label="matrix"))
+    stack = np.array(data.draw(st.lists(st.lists(ENTRY, min_size=d, max_size=d),
+                                        min_size=q, max_size=q), label="stack"))
+    norms = np.linalg.norm(matrix, axis=1)
+    for given_norms in (None, norms):
+        scores = cosine_scores(matrix, stack, given_norms)
+        assert scores.shape == (q, n)
+        for j in range(q):
+            alone = cosine_scores(matrix, stack[j], given_norms)
+            np.testing.assert_allclose(scores[j], alone, rtol=1e-12, atol=1e-12)
+            zero = (norms == 0) | (not stack[j].any())
+            assert (scores[j][zero] == 0).all() and (alone[zero] == 0).all()
+
+
 def test_rank_by_vector_ranks_best_alignment_first():
     matrix = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]])
     ranked = rank_by_vector(matrix, np.array([1.0, 0.05]), ["x", "y", "z"], "t")
