@@ -3,11 +3,9 @@ lexical baseline, evaluation, the smoothing sweep, feature fusion, the
 ideal-vector analysis, and a gradient self-check."""
 
 import contextlib
-import csv
 import dataclasses
 import datetime
 import hashlib
-import json
 import math
 import os
 import platform
@@ -22,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, LSEError
 from .evaluation import Qrels, TopicSet, compare_runs, evaluate_run
-from .files import atomic_open
+from .files import atomic_open, write_csv, write_json
 from .ltr import (build_features, cross_validated_fusion, ideal_vector_report,
                   load_graph, load_qi_attributes, pegasos_batch, GRAPH_NAMES,
                   PAIR_SAMPLES)
@@ -161,23 +159,12 @@ def _run(out_dir, config, seed=None):
             shutil.rmtree(made, ignore_errors=True)
         raise
     inputs = ctx.meta.get(_INPUTS, {})
-    _write_json(out_dir, "manifest.json", {
+    write_json(os.path.join(out_dir, "manifest.json"), {
         "command": ctx.command.name, "config": config, "counts": counts,
         "peak_rss_mb": _peak_rss_mb(), "environment": _environment(),
         "inputs": {name: {"path": str(path), "sha256": _sha256_file(path)}
                    for name, path in inputs.items()},
         "seed": seed, "version": __version__, "started": started, "finished": _now()})
-
-
-def _output(out_dir, name):
-    """A text handle on out_dir/name; the file appears only once complete."""
-    return atomic_open(os.path.join(out_dir, name))
-
-
-def _write_json(out_dir, name, payload):
-    with _output(out_dir, name) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
 
 
 def _status(msg):
@@ -308,7 +295,7 @@ def _write_skipped(out_dir, queries, counts):
     """Write skipped_topics.txt with the topics whose query is empty (all out
     of vocabulary), and put their count into counts and on stderr."""
     skipped = [tid for tid, ids in queries.items() if not ids]
-    with _output(out_dir, "skipped_topics.txt") as fh:
+    with atomic_open(os.path.join(out_dir, "skipped_topics.txt")) as fh:
         fh.writelines(f"{tid}\n" for tid in skipped)
     counts["skipped_topics"] = len(skipped)
     if skipped:
@@ -373,11 +360,9 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
     with _run(out_dir, {"cutoff": cutoff}) as counts:
         qrels_data = Qrels.load(qrels)
         report = evaluate_run(read_run(run), qrels_data, cutoff=cutoff)
-        with _output(out_dir, "per_topic.csv") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["topic_id", *report.means])
-            for tid, row in sorted(report.per_topic.items()):
-                writer.writerow([tid] + [repr(row[m]) for m in report.means])
+        write_csv(os.path.join(out_dir, "per_topic.csv"), ["topic_id", *report.means],
+                  ([tid, *(row[m] for m in report.means)]
+                   for tid, row in sorted(report.per_topic.items())))
         aggregate = {"means": report.means, "excluded_topics": report.excluded,
                      "missing_topics": report.missing,
                      "num_topics": len(report.per_topic), "cutoff": cutoff}
@@ -387,7 +372,7 @@ def cmd_eval(run, qrels, out_dir, cutoff, baseline_run):
         if baseline_run:
             base = evaluate_run(read_run(baseline_run), qrels_data, cutoff=cutoff)
             aggregate["significance_vs_baseline"] = compare_runs(report, base)
-        _write_json(out_dir, "aggregate.json", aggregate)
+        write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
 
 
 @main.command("sweep-lambda")
@@ -405,11 +390,8 @@ def cmd_sweep_lambda(corpus, vocab, topics, qrels, out_dir, cutoff):
         queries = _queries(topics, vocabulary)
         best, grid = sweep_lambda(corpus_data, queries, Qrels.load(qrels), cutoff=cutoff,
                                   source=qrels, topics_source=topics)
-        with _output(out_dir, "sweep.csv") as fh:
-            fh.write("lambda_jm,mean_ndcg\n")
-            for lam, mean in grid:
-                fh.write(f"{lam!r},{mean!r}\n")
-        _write_json(out_dir, "best_lambda.json", {"best_lambda_jm": best})
+        write_csv(os.path.join(out_dir, "sweep.csv"), ["lambda_jm", "mean_ndcg"], grid)
+        write_json(os.path.join(out_dir, "best_lambda.json"), {"best_lambda_jm": best})
         _write_skipped(out_dir, queries, counts)
         _status(f"best lambda_jm = {best!r}")
 
@@ -456,25 +438,21 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
         report = cross_validated_fusion(table, qrels_data, folds=folds, seed=seed, cutoff=cutoff,
                                         pair_samples=pair_samples, source=topics)
         metrics = list(report.rows[0]["means"])
-        with _output(out_dir, "fusion.csv") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = ["features"]
+        cells = []
+        for row in report.rows:
+            # only the full combination is tested against qi+qlm
+            full = row["features"] == "qi+qlm+lse"
+            cells.append([row["features"]])
             for metric in metrics:
-                header += [metric, f"{metric}_sig"]
-            writer.writerow(header)
-            for row in report.rows:
-                out_row = [row["features"]]
-                is_full = row["features"] == "qi+qlm+lse"
-                for metric in metrics:
-                    out_row.append(repr(row["means"][metric]))
-                    sig = report.significance.get(metric, {})
-                    out_row.append(sig.get("marker", "") if is_full else "")
-                writer.writerow(out_row)
+                marker = report.significance[metric].get("marker", "") if full else ""
+                cells[-1] += [row["means"][metric], marker]
+        write_csv(os.path.join(out_dir, "fusion.csv"),
+                  ["features", *(col for m in metrics for col in (m, f"{m}_sig"))], cells)
         payload = {"rows": [{"features": r["features"], "means": r["means"]}
                             for r in report.rows],
                    "significance_full_vs_qi_qlm": report.significance,
                    "folds": folds, "seed": seed}
-        _write_json(out_dir, "fusion.json", payload)
+        write_json(os.path.join(out_dir, "fusion.json"), payload)
 
 
 @main.command("ideal-vector")
@@ -502,15 +480,9 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
                                    Qrels.load(qrels), header["entity_ids"],
                                    cutoff=cutoff, pair_samples=pair_samples,
                                    seed=seed)
-        with _output(out_dir, "ideal.csv") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["topic_id", "status", "n_relevant", "ndcg_ideal",
-                             "ndcg_query"])
-            for row in rows:
-                writer.writerow(
-                    [row["topic_id"], row["status"], row["n_relevant"],
-                     "" if row["ndcg_ideal"] is None else repr(row["ndcg_ideal"]),
-                     "" if row["ndcg_query"] is None else repr(row["ndcg_query"])])
+        columns = ["topic_id", "status", "n_relevant", "ndcg_ideal", "ndcg_query"]
+        write_csv(os.path.join(out_dir, "ideal.csv"), columns,
+                  ([row[c] for c in columns] for row in rows))
         scored = [row for row in rows if row["status"] == "ok"]
         skipped = [row["topic_id"] for row in rows if row["status"] != "ok"]
         aggregate = {
@@ -521,7 +493,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
             "mean_ndcg_query": (sum(r["ndcg_query"] for r in scored) / len(scored)
                                 if scored else None),
         }
-        _write_json(out_dir, "ideal.json", aggregate)
+        write_json(os.path.join(out_dir, "ideal.json"), aggregate)
         counts["skipped_topics"] = len(skipped)
         if skipped:
             _status(f"skipped {len(skipped)} topics (single or no relevant entity)")
@@ -565,10 +537,10 @@ def cmd_grad_check(seeds, eps, tolerance, out_dir):
         elapsed = time.perf_counter() - t0
         _status(f"max relative error {worst:.3e} over {seeds} seeds ({elapsed:.2f}s)")
         if out_dir:
-            _write_json(out_dir, "grad_check.json",
-                        {"results": results, "max_rel_err": _finite_or_none(worst),
-                         "non_finite": not math.isfinite(worst),
-                         "tolerance": tolerance, "eps": eps})
+            write_json(os.path.join(out_dir, "grad_check.json"),
+                       {"results": results, "max_rel_err": _finite_or_none(worst),
+                        "non_finite": not math.isfinite(worst),
+                        "tolerance": tolerance, "eps": eps})
     if not worst < tolerance:
         raise click.ClickException(f"gradient check failed: {worst:.3e} >= {tolerance}")
 

@@ -110,7 +110,6 @@ class EvalReport:
     means: dict       # metric -> mean over included topics
     excluded: list    # topic ids with no relevant entity
     missing: list     # qrels topics with a relevant entity but no run line
-    cutoff: int
 
 
 def evaluate_run(runs, qrels, cutoff=100, ks=(5, 10)):
@@ -133,7 +132,7 @@ def evaluate_run(runs, qrels, cutoff=100, ks=(5, 10)):
         vals = [row[metric] for row in per_topic.values()]
         means[metric] = sum(vals) / len(vals) if vals else None
     missing = [tid for tid in qrels.topics() if qrels.relevant(tid) and tid not in runs]
-    return EvalReport(per_topic, means, excluded, missing, cutoff)
+    return EvalReport(per_topic, means, excluded, missing)
 
 
 def _betacf(a, b, x):

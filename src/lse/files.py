@@ -1,9 +1,11 @@
 """Text files in and out. Every input is read through read_lines (or its
 JSON-lines layer read_records) and every output is written through
 atomic_open, so malformed input always ends in a DataError naming the file
-and line, and an output file is either complete or absent."""
+and line, and an output file is either complete or absent. Every CSV report
+is written by write_csv and every JSON report by write_json."""
 
 import contextlib
+import csv
 import json
 import os
 import sys
@@ -12,8 +14,7 @@ from .errors import DataError
 
 # JSON value types a record field may be required to have, by the Python type
 # json.loads gives them, with the words an error uses.
-_KINDS = {str: "a string", int: "an integer", float: "a finite number",
-          list: "a list"}
+_KINDS = {str: "a string", int: "an integer", float: "a finite number"}
 
 
 def read_lines(path):
@@ -66,8 +67,8 @@ def _check_field(path, number, record, name, kind):
         kind = kind[0]
     elif name not in record:
         raise DataError(f"{path}:{number}: record has no {name!r}")
-    if kind in (str, list):
-        ok = type(value) is kind
+    if kind is str:
+        ok = type(value) is str
     else:  # a bool is not a number, and a number must fit a float
         ok = (type(value) in ((int, float) if kind is float else (int,))
               and abs(value) <= sys.float_info.max)
@@ -79,7 +80,7 @@ def _check_field(path, number, record, name, kind):
 def read_records(path, fields):
     """Yield (line number, record) for every non-blank line of a JSON-lines
     file, each record a JSON object. fields maps a field name to the type
-    its value must have (str, int, float for any finite number, or list);
+    its value must have (str, int, or float for any finite number);
     (type, None) also allows null or a missing field. Anything else is a
     DataError naming the file and line."""
     for number, line in read_lines(path):
@@ -114,3 +115,20 @@ def atomic_open(path, mode="w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write header and then rows to path through atomic_open by csv.writer,
+    lines ending in \\n: a float is written as its repr, None as an empty cell."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload):
+    """Write payload to path through atomic_open as JSON indented by 2, keys
+    sorted, with a final newline; NaN or infinity is a ValueError."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(text)

@@ -13,7 +13,7 @@ from .evaluation import compare_runs, evaluate_run, ndcg
 from .files import check_unique, read_lines, read_records
 from .model import project
 from .qlm import score as qlm_score
-from .retrieval import cosine_scores, rank_by_vector, ranked_from_scores
+from .retrieval import cosine_scores, rank_by_vector, rank_entities, ranked_from_scores
 
 GRAPH_NAMES = ("also_bought", "also_viewed", "bought_together", "buy_after_viewing")
 
@@ -270,13 +270,10 @@ def qi_feature_matrix(corpus, attributes, graphs):
         if salesrank is not None and salesrank > 0:
             out[i, 2] = 1.0 / float(salesrank)
             out[i, 9] = 1.0
+    index = {eid: i for i, eid in enumerate(corpus.entities)}
     for k, name in enumerate(GRAPH_NAMES):
-        edges = []
-        for sid, did in graphs.get(name, ()):
-            si = corpus.entity_index.get(sid)
-            di = corpus.entity_index.get(did)
-            if si is not None and di is not None:
-                edges.append((si, di))
+        edges = [(index[sid], index[did]) for sid, did in graphs.get(name, ())
+                 if sid in index and did in index]
         out[:, 3 + k] = pagerank(n, edges)
     return out
 
@@ -426,7 +423,7 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     reports = {combo: evaluate_run(runs[combo], qrels, cutoff=cutoff, ks=ks)
                for combo in combos}
     rows = [{"features": "+".join(combo), "means": report.means,
-             "per_topic": report.per_topic, "excluded": report.excluded}
+             "per_topic": report.per_topic}
             for combo, report in reports.items()]
 
     if ("qi", "qlm", "lse") in reports:
@@ -448,7 +445,8 @@ def _unit_rows(w_e):
 def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
                         pair_samples=PAIR_SAMPLES, seed=0):
     """Per-topic comparison of the ideal-vector ranking against the
-    projected-query ranking for queries ({topic_id: token ids}); eligible
+    projected-query ranking (rank_entities) for queries ({topic_id: token
+    ids}) under float64 params, as load_model gives them; eligible
     topics' ideal vectors, RankSVMs of pair_samples pairs each, train in
     lockstep.
 
@@ -475,14 +473,12 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
         return rows
     _, _, pools, seeds = zip(*eligible)
     steps = _pair_steps(pools, range(len(pools)), seeds, pair_samples, batch)
-    w_e = np.asarray(params.W_e, dtype=np.float64)
-    unit, norms = _unit_rows(w_e)
+    unit, norms = _unit_rows(params.W_e)
     weights = _pegasos(unit, steps, len(eligible), batch=batch)
     for (row, qids, _, _), w in zip(eligible, weights):
         tid = row["topic_id"]
-        ideal_run = rank_by_vector(w_e, w, entity_ids, tid, cutoff, norms)
-        query_run = rank_by_vector(w_e, project(params, qids), entity_ids, tid,
-                                   cutoff, norms)
+        ideal_run = rank_by_vector(params.W_e, w, entity_ids, tid, cutoff, norms)
+        query_run = rank_entities(params, qids, entity_ids, tid, cutoff, norms)
         row["ndcg_ideal"] = ndcg(ideal_run, qrels, cutoff)
         row["ndcg_query"] = ndcg(query_run, qrels, cutoff)
     return rows

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LSEError
-from .files import atomic_open, check_id, check_unique, read_lines
+from .files import atomic_open, check_id, check_unique, read_lines, write_json
 
 MAGIC = b"LSEM0001"
 PARAM_FIELDS = ("W_v", "W", "b", "W_e")
@@ -461,8 +461,7 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
             arr = np.ascontiguousarray(getattr(params, name),
                                        dtype=_CONTAINER_DTYPES[dtype])
             fh.write(arr)
-    with atomic_open(f"{path}.meta.json", "wb") as fh:
-        fh.write(json.dumps(header, indent=2, sort_keys=True).encode("utf-8") + b"\n")
+    write_json(f"{path}.meta.json", header)
 
 
 def _read_header(path, blob):

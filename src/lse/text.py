@@ -124,6 +124,9 @@ class Vocabulary:
                                 "integers") from None
             if tok_id != len(id_to_token):
                 raise DataError(f"{path}:{number}: ids must be dense and ordered")
+            if tok_id == cls.MAX_SIZE:
+                raise DataError(f"{path}:{number}: vocabulary exceeds the 16-bit "
+                                "id limit")
             check_unique(first_line, tok, path, number, "token {!r}")
             id_to_token.append(tok)
             frequency.append(freq)
@@ -169,7 +172,6 @@ class Corpus:
     doc_entity: np.ndarray  # int32
     entities: list
     dropped_tokens: int
-    entity_index: dict  # entity id -> its index in entities
 
     @property
     def num_entities(self):
@@ -218,7 +220,7 @@ def encode_corpus(raw_docs, vocab):
 
     tokens, doc_ptr, dropped = _encode_texts(texts(), vocab)
     return Corpus(tokens, doc_ptr, np.asarray(doc_entity, dtype=np.int32),
-                  list(entity_index), dropped, entity_index)
+                  list(entity_index), dropped)
 
 
 def encode_topics(topics, vocab):

@@ -3,13 +3,13 @@ validation-based epoch selection."""
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .errors import LSEError
 from .evaluation import evaluate_run
-from .files import atomic_open
+from .files import write_csv
 from .model import (PARAM_FIELDS, AdamState, Dims, adam_step,
                     batch_loss_and_gradients, init_params)
 from .retrieval import rank_entities
@@ -45,8 +45,9 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
     of m, and applies one Adam step per batch. When validation queries
     ({topic_id: token ids}) and qrels are given, the epoch with the highest
     mean validation NDCG over the non-empty queries wins (ties go to the
-    earlier epoch), scored as `rank` scores the saved model; otherwise the
-    final epoch's parameters are returned. vocab gives the vocabulary size.
+    earlier epoch), each topic ranked alone by rank_entities on the float64
+    promotion of the parameters; otherwise the final epoch's parameters are
+    returned. vocab gives the vocabulary size.
     mean_batch_loss is the unweighted mean of per-batch losses. A
     non-finite batch loss or gradient stops training with an LSEError
     naming the epoch and the batch. skipped_entities are the entities that
@@ -93,14 +94,15 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
         vndcg = None
         if val_queries:
             # Rank with the float64 promotion of the parameters, which is
-            # what load_model gives `rank` from the saved model.
+            # what load_model gives `rank` from the saved model; `rank` scores
+            # blocks of topics with one product, so its last bits can differ.
             scored = params.astype(np.float64)
             norms = np.linalg.norm(scored.W_e, axis=1)
             runs = {tid: rank_entities(scored, ids, corpus.entities, tid,
                                        config.validation_cutoff, norms)
                     for tid, ids in val_queries}
             report = evaluate_run(runs, validation_qrels, config.validation_cutoff, ks=())
-            vndcg = report.means[f"ndcg@{report.cutoff}"]
+            vndcg = report.means[f"ndcg@{config.validation_cutoff}"]
         if vndcg is not None and (best_ndcg is None or vndcg > best_ndcg):
             best_ndcg = vndcg
             best_params = params.copy()
@@ -118,10 +120,5 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
 
 
 def write_epoch_log(path, logs):
-    """CSV with columns epoch, mean_batch_loss, validation_ndcg, wall_seconds."""
-    with atomic_open(path) as fh:
-        fh.write("epoch,mean_batch_loss,validation_ndcg,wall_seconds\n")
-        for entry in logs:
-            vn = "" if entry.validation_ndcg is None else repr(entry.validation_ndcg)
-            fh.write(f"{entry.epoch},{entry.mean_batch_loss!r},{vn},"
-                     f"{entry.wall_seconds!r}\n")
+    """CSV with one row of EpochLog's fields per entry, under their names."""
+    write_csv(path, [field.name for field in fields(EpochLog)], map(astuple, logs))

@@ -24,7 +24,7 @@ def make_corpus(documents, entities=None):
     return Corpus(np.concatenate([np.empty(0, dtype=np.int32)] + tokens),
                   np.cumsum([0] + [len(t) for t in tokens], dtype=np.int64),
                   np.array([index[e] for e, _ in documents], dtype=np.int32),
-                  entities, 0, index)
+                  entities, 0)
 
 
 def documents(corpus):

@@ -23,6 +23,7 @@ import lse.retrieval
 import lse.training
 from lse.cli import main
 from lse.evaluation import TopicSet
+from lse.files import write_json
 from lse.model import MAGIC, Dims, init_params, load_model, save_model
 from lse.retrieval import RankedList, rank_entities, read_run, write_run
 from lse.text import (Vocabulary, build_vocabulary, encode_corpus, encode_topics,
@@ -252,6 +253,12 @@ def test_ideal_vector_skips_single_relevant_topics(workflow):
                     "t2": "skipped_single_relevant",
                     "t3": "skipped_single_relevant",
                     "t5": "ok"}
+    for row in csv.DictReader(lines):  # a skipped topic has no NDCG to write
+        cells = row["ndcg_ideal"], row["ndcg_query"]
+        if row["status"] == "ok":
+            assert all(0.0 <= float(cell) <= 1.0 for cell in cells)
+        else:
+            assert cells == ("", "")
     aggregate = json.loads((root / "ideal" / "ideal.json").read_text())
     assert aggregate["num_scored"] == 1
     assert sorted(aggregate["skipped"]) == ["t1", "t2", "t3"]
@@ -282,7 +289,13 @@ def test_fuse_reports_all_combinations(workflow):
         "qi", "qi+qlm", "qi+lse", "qi+qlm+lse"]
     payload = json.loads((root / "fuse" / "fusion.json").read_text())
     assert len(payload["rows"]) == 4
-    assert set(payload["significance_full_vs_qi_qlm"]) == {"ndcg@10", "p@5", "p@10"}
+    significance = payload["significance_full_vs_qi_qlm"]
+    assert set(significance) == {"ndcg@10", "p@5", "p@10"}
+    # only the full combination is tested against qi+qlm
+    for row in csv.DictReader(lines):
+        full = row["features"] == "qi+qlm+lse"
+        for metric, entry in significance.items():
+            assert row[f"{metric}_sig"] == (entry.get("marker", "") if full else "")
     manifest = json.loads((root / "fuse" / "manifest.json").read_text())
     assert "graph_also_bought" in manifest["inputs"]
     assert manifest["config"] == {"lambda_jm": 0.5, "folds": 2, "cutoff": 10,
@@ -735,6 +748,10 @@ MALFORMED = {
     "vocab_not_utf8":
         ("vocab.tsv", b"camera\t0\t2\t2\nl\xe9ns\t1\t2\t2\n", ":2: not valid UTF-8"),
     "vocab_empty": ("vocab.tsv", b"", ": vocabulary is empty"),
+    # one entry past the ids a 16-bit integer can hold
+    "vocab_over_cap":
+        ("vocab.tsv", b"".join(b"w%d\t%d\t1\t1\n" % (i, i) for i in range(65537)),
+         ":65537: vocabulary exceeds the 16-bit id limit"),
     "run_not_utf8":
         ("run.trec", b"t1 Q0 cam 1 2.0 x\nt1 Q0 g\xfeui 2 1.0 x\n", ":2: not valid UTF-8"),
     "config_not_utf8":
@@ -843,8 +860,6 @@ class Unprintable(float):
 def write_output(kind, path, fail):
     """Write one output file of the given kind; with fail, the write raises
     after the first line or field is out."""
-    from lse.cli import _write_json
-
     if kind == "run":
         ranked = RankedList("t1", [("cam", 2.0), ("gui", Unprintable(1.0) if fail else 1.0)])
         write_run(path, [ranked])
@@ -852,7 +867,7 @@ def write_output(kind, path, fail):
         write_epoch_log(path, [EpochLog(1, 2.0, None, 0.5),
                                EpochLog(2, Unprintable(1.0) if fail else 1.0, 0.3, 0.5)])
     else:
-        _write_json(path.parent, path.name, {"a": 1, "b": object() if fail else 2})
+        write_json(path, {"a": 1, "b": object() if fail else 2})
 
 
 @pytest.mark.parametrize("kind", ["run", "epoch_log", "json"])
@@ -1065,6 +1080,10 @@ def test_rerun_is_byte_identical_outside_timestamps(tmp_path):
     manifests = []
     for tag in ("a", "b"):
         data = json.loads((tmp_path / f"m{tag}" / "manifest.json").read_text())
+        # the process's peak so far: a second run in one process can read a
+        # page or more higher than the first
+        peak = data.pop("peak_rss_mb")
+        assert isinstance(peak, float) and peak > 0
         data.pop("started")
         data.pop("finished")
         data["inputs"]["vocab"].pop("path")  # differs by directory name

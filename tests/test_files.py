@@ -9,7 +9,7 @@ import pytest
 import lse
 import lse.files
 from lse.errors import DataError
-from lse.files import atomic_open, read_lines, read_records
+from lse.files import atomic_open, read_lines, read_records, write_csv, write_json
 
 
 def test_read_lines_skips_blank_lines_and_keeps_fields(tmp_path):
@@ -68,6 +68,24 @@ def test_atomic_open_syncs_the_file_before_renaming_it(tmp_path, monkeypatch):
         fh.write("café\n")
     assert calls == ["fsync", "replace"]
     assert (tmp_path / "out.txt").read_bytes() == b"caf\xc3\xa9\n"
+
+
+def test_write_csv_writes_floats_as_repr_and_none_as_an_empty_cell(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["id", "x", "y"], [["t1", 0.1 + 0.2, None],
+                                       ['a,"b', float("inf"), -float("inf")],
+                                       ["t3", 7, 1e-300]])
+    assert path.read_bytes() == (b'id,x,y\nt1,0.30000000000000004,\n'
+                                 b'"a,""b",inf,-inf\nt3,7,1e-300\n')
+
+
+def test_write_json_sorts_keys_ends_in_a_newline_and_rejects_nan(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"b": [1, 0.5], "a": None})
+    assert path.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    0.5\n  ]\n}\n'
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"a": float("nan")})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
 def _text_mode_opens(source):
