@@ -136,41 +136,28 @@ def evaluate_run(runs, qrels, cutoff=100, ks=(5, 10)):
 
 
 def _betacf(a, b, x):
-    """Continued fraction for the regularized incomplete beta (Lentz)."""
-    max_iter = 500
-    eps = 1e-15
+    """Continued fraction for the regularized incomplete beta (modified
+    Lentz): each iteration updates d, c and h with its even coefficient,
+    then with its odd one, and stops once the odd step's factor is 1 to 1e-15."""
     fpmin = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
+    d = 1.0 / (fpmin if abs(d) < fpmin else d)
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, 501):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            c = 1.0 + aa / c
+            c = fpmin if abs(c) < fpmin else c
+            d = 1.0 / (fpmin if abs(d) < fpmin else d)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-15:
             return h
     raise DegenerateStatisticError("incomplete beta continued fraction did not converge")
 

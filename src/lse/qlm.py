@@ -1,6 +1,8 @@
 """Lexical baseline: per-entity profile language models with Jelinek-Mercer
 smoothing against the corpus model, scored in log domain."""
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .errors import DataError
@@ -8,6 +10,7 @@ from .evaluation import evaluate_run
 from .retrieval import ranked_from_scores
 
 
+@dataclass(frozen=True, eq=False)
 class EntityLanguageModel:
     """Term-major counts of every entity profile plus the interpolation weight.
 
@@ -17,37 +20,20 @@ class EntityLanguageModel:
     and corpus_counts each term's corpus frequency. A query term's smoothed
     probability is (1 - lambda_jm) * P_ml(t|x) + lambda_jm * P_ml(t|C); an
     entity with an empty profile contributes P_ml(t|x) = 0, i.e. scores as
-    the pure corpus model scaled by lambda_jm.
+    the pure corpus model scaled by lambda_jm. dataclasses.replace gives the
+    same counts (shared, not copied) under another weight.
     """
 
-    def __init__(self, term_ptr, term_entities, term_counts, entity_totals,
-                 corpus_counts, lambda_jm=0.5):
-        if not 0.0 <= lambda_jm <= 1.0:
+    term_ptr: np.ndarray
+    term_entities: np.ndarray
+    term_counts: np.ndarray
+    entity_totals: np.ndarray
+    corpus_counts: np.ndarray
+    lambda_jm: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.lambda_jm <= 1.0:
             raise DataError("lambda_jm must lie in [0, 1]")
-        self.term_ptr = term_ptr
-        self.term_entities = term_entities
-        self.term_counts = term_counts
-        self.entity_totals = entity_totals
-        self.corpus_counts = corpus_counts
-        self.corpus_total = int(entity_totals.sum())
-        self.lambda_jm = lambda_jm
-
-    def with_lambda(self, lambda_jm):
-        """Same counts, different interpolation weight (counts are shared)."""
-        return EntityLanguageModel(self.term_ptr, self.term_entities,
-                                   self.term_counts, self.entity_totals,
-                                   self.corpus_counts, lambda_jm)
-
-    def corpus_count(self, term):
-        """Corpus frequency of a term id; 0 for ids outside the counts."""
-        if 0 <= term < len(self.corpus_counts):
-            return int(self.corpus_counts[term])
-        return 0
-
-    def postings(self, term):
-        """(entity indices, counts) of the profiles containing a counted term."""
-        lo, hi = self.term_ptr[term], self.term_ptr[term + 1]
-        return self.term_entities[lo:hi], self.term_counts[lo:hi]
 
 
 def estimate(corpus, lambda_jm=0.5):
@@ -77,16 +63,17 @@ def score(model, entities, query_token_ids):
     score is -inf when a term probability is zero (lambda_jm = 0 and the
     term is unseen in the profile)."""
     lam = model.lambda_jm
-    ctotal = model.corpus_total
+    ctotal = int(model.entity_totals.sum())
     scores = np.zeros(len(model.entity_totals))
     for t in query_token_ids:
         t = int(t)
-        cc = model.corpus_count(t)
+        cc = int(model.corpus_counts[t]) if 0 <= t < len(model.corpus_counts) else 0
         if cc == 0:
             continue
         background = lam * (cc / ctotal)
-        postings, counts = model.postings(t)
-        p = (1.0 - lam) * (counts / model.entity_totals[postings]) + background
+        lo, hi = model.term_ptr[t], model.term_ptr[t + 1]
+        postings = model.term_entities[lo:hi]
+        p = (1.0 - lam) * (model.term_counts[lo:hi] / model.entity_totals[postings]) + background
         with np.errstate(divide="ignore"):  # a zero background logs to -inf
             term = np.full(len(scores), np.log(background))
             term[postings] = np.log(p)
@@ -122,7 +109,7 @@ def sweep_lambda(corpus, queries, qrels, cutoff=100, source="qrels", topics_sour
     best_lambda = None
     best_score = None
     for lam in SWEEP_GRID:
-        model = base.with_lambda(lam)
+        model = replace(base, lambda_jm=lam)
         runs = {tid: rank(model, corpus.entities, ids, tid, cutoff)
                 for tid, ids in queries.items()}
         mean = evaluate_run(runs, qrels, cutoff, ks=()).means[f"ndcg@{cutoff}"]

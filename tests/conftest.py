@@ -63,16 +63,19 @@ def scalar_qlm_score(model, entity_index, query_token_ids):
     equals it exactly."""
     lam = model.lambda_jm
     total = int(model.entity_totals[entity_index])
+    corpus_total = int(model.entity_totals.sum())
     s = 0.0
     for t in query_token_ids:
-        cc = model.corpus_count(int(t))
+        t = int(t)
+        cc = int(model.corpus_counts[t]) if t < len(model.corpus_counts) else 0
         if cc == 0:
             continue
-        entities, counts = model.postings(int(t))
+        lo, hi = model.term_ptr[t], model.term_ptr[t + 1]
+        entities, counts = model.term_entities[lo:hi], model.term_counts[lo:hi]
         j = int(np.searchsorted(entities, entity_index))
         c = int(counts[j]) if j < len(entities) and entities[j] == entity_index else 0
         p_x = c / total if total else 0.0
-        p = (1.0 - lam) * p_x + lam * (cc / model.corpus_total)
+        p = (1.0 - lam) * p_x + lam * (cc / corpus_total)
         s += float(np.log(p)) if p > 0.0 else float("-inf")
     return s
 

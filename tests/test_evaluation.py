@@ -1,11 +1,14 @@
 """Metrics, ground truth containers, and the statistics helpers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lse.errors import DataError, DegenerateStatisticError
 from lse.evaluation import (Qrels, TopicSet, compare_runs, evaluate_run, ndcg,
@@ -160,6 +163,75 @@ def test_student_t_p_matches_scipy_oracle():
             mine = student_t_two_sided_p(t, df)
             oracle = 2.0 * scipy.stats.t.sf(abs(t), df)
             assert mine == pytest.approx(oracle, abs=1e-10)
+
+
+def two_half_step_betacf(a, b, x):
+    """The continued fraction with the Lentz update written out for the even
+    and then the odd coefficient of each iteration: the bit-for-bit
+    reference for lse.evaluation._betacf."""
+    max_iter = 500
+    eps = 1e-15
+    fpmin = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return h
+    raise DegenerateStatisticError("incomplete beta continued fraction did not converge")
+
+
+def with_reference_betacf(fn, *args):
+    """fn(*args) with the reference continued fraction in place of lse's."""
+    with mock.patch("lse.evaluation._betacf", two_half_step_betacf):
+        return fn(*args)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=st.floats(0.01, 200.0) | st.integers(1, 400).map(lambda k: k / 2.0),
+       b=st.just(0.5) | st.floats(0.01, 200.0),
+       u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       below=st.booleans())
+def test_incomplete_beta_equals_the_two_half_step_reference(a, b, u, below):
+    # x on either side of the switch to the symmetric fraction I_{1-x}(b, a)
+    switch = (a + 1.0) / (a + b + 2.0)
+    x = u * switch if below else switch + u * (1.0 - switch)
+    assume(0.0 < x < 1.0)
+    want = with_reference_betacf(regularized_incomplete_beta, a, b, x)
+    assert repr(regularized_incomplete_beta(a, b, x)) == repr(want)
+
+
+def test_student_t_p_equals_the_two_half_step_reference():
+    for df in range(1, 401):
+        for t in (0.0, 1e-9, 0.5, 2.0, 30.0, 1e8, math.inf):
+            want = with_reference_betacf(student_t_two_sided_p, t, df)
+            assert repr(student_t_two_sided_p(t, df)) == repr(want), (t, df)
 
 
 def test_paired_t_test_fixture():

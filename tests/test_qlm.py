@@ -1,5 +1,6 @@
 """Smoothed profile language models and the interpolation-weight sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,11 +24,11 @@ def two_entity_corpus():
 
 def test_estimate_aggregates_counts():
     model = estimate(two_entity_corpus())
-    postings = {t: [a.tolist() for a in model.postings(t)] for t in (A, B)}
-    assert postings == {A: [[0], [2]], B: [[0, 1], [1, 1]]}
+    assert model.term_ptr.tolist() == [0, 1, 3]
+    assert model.term_entities.tolist() == [0, 0, 1]
+    assert model.term_counts.tolist() == [2, 1, 1]
     assert model.entity_totals.tolist() == [3, 1]
     assert model.corpus_counts.tolist() == [2, 2]
-    assert model.corpus_total == 4
 
 
 def test_score_interpolation_fixture():
@@ -82,14 +83,14 @@ def test_lambda_one_is_query_independent_of_entity():
 
 def test_lambda_validation():
     with pytest.raises(DataError):
-        estimate(two_entity_corpus()).with_lambda(1.5)
+        dataclasses.replace(estimate(two_entity_corpus()), lambda_jm=1.5)
     with pytest.raises(DataError):
         estimate(two_entity_corpus(), -0.1)
 
 
 def test_with_lambda_shares_counts():
     model = estimate(two_entity_corpus(), 0.5)
-    other = model.with_lambda(0.25)
+    other = dataclasses.replace(model, lambda_jm=0.25)
     assert other.term_entities is model.term_entities
     assert other.term_counts is model.term_counts
     assert other.lambda_jm == 0.25
