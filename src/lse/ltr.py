@@ -96,36 +96,36 @@ def _pair_pools(labels, groups=None):
 
 
 # Values (512 KB) per gathered block of pair differences, per skipped draw
-# of a pair stream and per fit-wide block it draws (unless one step holds
+# of a pair stream and per stream-wide block it draws (unless one step holds
 # more): a bound on the memory each takes whatever the batch, fits and width.
 _CHUNK_VALUES = 1 << 16
 
 
-def _pair_steps(pools, sources, seeds, pair_samples, batch):
-    """Per Pegasos step, the (n, K) row indices (relevant, non-relevant) of
-    K fits' next n = batch pairs (fewer in the last step), so that no more
-    than a few steps' pairs are held at once.
+def _pair_steps(pools, seeds, pair_samples, batch):
+    """Per Pegasos step, the (n, S) row indices (relevant, non-relevant) of
+    S pair streams' next n = batch pairs (fewer in the last step), so that
+    no more than a few steps' pairs are held at once.
 
-    Fit k draws from pools[sources[k]], a _pair_pools tuple: a relevant row
+    Stream s draws from pools[s], a _pair_pools tuple: a relevant row
     uniformly over all its groups' relevant rows, and its partner uniformly
     with replacement from the same group's non-relevant rows, which balances
     the classes whatever their raw distribution. Its pairs are those that
-    one generator seeded with seeds[k] gives drawing all pair_samples picks
+    one generator seeded with seeds[s] gives drawing all pair_samples picks
     and then all partners: one such generator draws the picks as the steps
     go, and another the partners, once it has skipped the pair_samples
-    picks. The index arithmetic runs for all K fits at once."""
+    picks. The index arithmetic runs for all S streams at once."""
     firsts = np.cumsum([0] + [len(pool[0]) for pool in pools])
     pos, starts, counts, neg = (np.concatenate(side) for side in zip(*pools))
     # each pool's starts count from its first row in the concatenated neg
     starts += np.repeat(np.cumsum([0] + [len(pool[3]) for pool in pools[:-1]]),
                         np.diff(firsts))
-    offsets, sizes = firsts[sources], np.diff(firsts)[sources]
+    offsets, sizes = firsts[:-1], np.diff(firsts)
     picks = [np.random.default_rng(seed) for seed in seeds]
     partners = [np.random.default_rng(seed) for seed in seeds]
     for rng, size in zip(partners, sizes):
         for lo in range(0, pair_samples, _CHUNK_VALUES):
             rng.integers(0, size, size=min(_CHUNK_VALUES, pair_samples - lo))
-    # whole steps' pairs at a time, at most _CHUNK_VALUES per fit-wide draw
+    # whole steps' pairs at a time, at most _CHUNK_VALUES per stream-wide draw
     span = batch * max(1, _CHUNK_VALUES // (batch * len(seeds)))
     for lo in range(0, pair_samples, span):
         n = min(span, pair_samples - lo)
@@ -137,50 +137,50 @@ def _pair_steps(pools, sources, seeds, pair_samples, batch):
         yield from ((p[i:i + batch], q[i:i + batch]) for i in range(0, n, batch))
 
 
-def _pegasos(rows, steps, fits, center=None, scale=None, mask=None, batch=1):
-    """Weights (K, width) of K = fits RankSVM fits trained in lockstep by
-    mini-batch Pegasos (Shalev-Shwartz, Singer, Srebro & Cotter, Math.
-    Programming 2011, section 2.3). Each fit minimises (1/2)|w|^2 plus the
-    mean hinge over its pairs: RankSVM at C = 1, which is Pegasos at
-    lambda = 1.
+def _pegasos(rows, steps, streams, center=None, scale=None, mask=None, batch=1):
+    """Weights (C S, width), row c S + s for feature set c on pair stream s,
+    of C S RankSVM fits trained in lockstep by mini-batch Pegasos
+    (Shalev-Shwartz, Singer, Srebro & Cotter, Math. Programming 2011, section
+    2.3). Each fit minimises (1/2)|w|^2 plus the mean hinge over its pairs:
+    RankSVM at C = 1, which is Pegasos at lambda = 1.
 
-    Step t takes the (n, K) row indices (p, q) that steps yields t-th (n = b
-    but in a shorter last step) as its batch B: pair i of fit k has the
-    difference d = rows[p[i, k]] - rows[q[i, k]], of rows z-scored by
-    center[k], scale[k] when given. The step sets w = (1 - 1/t) w +
+    Step t takes the (n, S) row indices (p, q) that steps yields t-th (n = b
+    but in a shorter last step) as its batch B: pair i of stream s has the
+    difference d = rows[p[i, s]] - rows[q[i, s]], of rows z-scored by
+    center[s], scale[s] when given. Fit (c, s) sets w = (1 - 1/t) w +
     (sum of the d in B with d.w < 1) / (t |B|), every margin measured
-    against the weights before the step, and the sum set to 0 where the
-    boolean mask[k] is False, so that w stays 0 there. A step costs the same
-    few NumPy calls for any K.
+    against the weights before the step, and w kept at 0 where the boolean
+    mask[c, s] is False (C = 1 without a mask). A step costs the same few
+    NumPy calls for any C and S.
 
     The step sums come from _scored_sum when R < 2b, else from
-    _gathered_sum. Scoring is the faster source, but it holds (K, R)
-    tables per step where gathering holds byte-bounded blocks; R < 2b keeps
-    those tables smaller than the 2 b K rows the step reads. At b = 1 the
-    gathered sum is d itself and this is the single-pair loop: each fit's
-    weights are bit-identical to training it alone on its mask's columns
-    while the dot product sums in column order, so that the masked columns'
-    zero products change no sum (OpenBLAS's does below 16 columns)."""
-    weights = np.zeros((fits, rows.shape[1]))
-    unused = None if mask is None else ~np.asarray(mask, dtype=bool)
+    _gathered_sum, which gathers each pair once for all C sets. Scoring is
+    the faster source, but it holds (C S, R) tables per step where gathering
+    holds byte-bounded blocks; R < 2b keeps those tables smaller than the
+    2 b S rows the step reads. Either way fit (c, s) gets the weights of the
+    C = 1 call that gives it stream s and mask[c, s], bit for bit. At b = 1
+    the gathered sum is d itself and this is the single-pair loop: each
+    fit's weights are bit-identical to training it alone on its mask's
+    columns while the dot product sums in column order, so that the masked
+    columns' zero products change no sum (OpenBLAS's does below 16 columns)."""
+    keep = np.ones((1, streams, 1), dtype=bool) if mask is None else np.asarray(mask)
+    weights = np.zeros((len(keep), streams, rows.shape[1]))
     step_sum = _scored_sum if len(rows) < 2 * batch else _gathered_sum
     for t, (p, q) in enumerate(steps, start=1):
         total, active = step_sum(rows, p, q, weights, center, scale)
-        if unused is not None:
-            total[unused] = 0.0
         weights *= 1.0 - 1.0 / t
         total *= 1.0 / (t * len(p))
-        np.add(weights, total, out=weights, where=active)
-    return weights
+        np.add(weights, total, out=weights, where=active & keep)
+    return weights.reshape(-1, rows.shape[1])
 
 
 def _gathered_sum(rows, pos, neg, weights, center, scale):
-    """One step's (K, width) sum of its active pairs' d and a (K, 1) flag of
-    fits with an active pair, for the (n, K) pairs pos and neg. The pairs'
-    rows are gathered and z-scored in place in blocks of at most
-    _CHUNK_VALUES values, counted from the step's first pair."""
+    """One step's (C, S, width) sum of its active pairs' d and a (C, S, 1)
+    flag of fits with an active pair, for the (n, S) pairs pos and neg. The
+    pairs' rows are gathered and z-scored in place in blocks of at most
+    _CHUNK_VALUES values over all fits, counted from the step's first pair."""
     block = max(1, _CHUNK_VALUES // weights.size)
-    total, active = np.zeros(weights.shape), np.zeros((len(weights), 1), dtype=bool)
+    total, active = np.zeros(weights.shape), np.zeros((*weights.shape[:2], 1), dtype=bool)
     for lo in range(0, len(pos), block):
         diffs = np.take(rows, pos[lo:lo + block], axis=0)
         others = np.take(rows, neg[lo:lo + block], axis=0)
@@ -189,13 +189,12 @@ def _gathered_sum(rows, pos, neg, weights, center, scale):
                 np.subtract(side, center, out=side)
                 np.divide(side, scale, out=side)
         np.subtract(diffs, others, out=diffs)
-        hits = (np.vecdot(diffs, weights) < 1.0).T.astype(np.float64)
-        # the pairs run along the last axis of a C-ordered (K, width, n)
-        # block, so that each sum adds in the same order whatever K and
-        # width are
-        total += np.multiply(diffs.transpose(1, 2, 0), hits[:, None, :],
-                             order="C").sum(axis=-1)
-        active |= hits.any(axis=1, keepdims=True)
+        hits = (np.vecdot(diffs[:, None], weights) < 1.0).transpose(1, 2, 0)
+        # each sum adds its pairs along the last axis of a C-ordered (C, S,
+        # width, n) block, in the same order whatever C, S and width are
+        total += np.multiply(np.ascontiguousarray(diffs.transpose(1, 2, 0)),
+                             hits[:, :, None, :], order="C").sum(axis=-1)
+        active |= hits.any(axis=-1, keepdims=True)
     return total, active
 
 
@@ -203,20 +202,22 @@ def _scored_sum(rows, pos, neg, weights, center, scale):
     """What _gathered_sum returns, scoring every row once instead of
     gathering pairs.
 
-    Fit k's z-scored rows score rows @ (w_k / scale[k]) less a constant that
-    the margins S[p] - S[q] cancel, and the sum of its active pairs' d is the
-    (K, R) signed count of their rows times rows, over scale[k]."""
-    fits, num_rows = weights.shape[0], len(rows)
+    Fit k of the K = C S fits, on stream s = k mod S, scores its z-scored
+    rows rows @ (w_k / scale[s]) less a constant that the margins S[p] - S[q]
+    cancel, and the sum of its active pairs' d is the (K, R) signed count of
+    their rows times rows, over scale[s]. Dividing by 1 is exact."""
+    combos, num_rows = len(weights), len(rows)
+    pos, neg = np.tile(pos, combos), np.tile(neg, combos)
+    scale = 1.0 if scale is None else np.tile(scale, (combos, 1))
+    fits = pos.shape[1]
     fit = np.arange(fits)
     offsets = fit * num_rows
-    scores = rows @ (weights if scale is None else weights / scale).T
+    scores = rows @ (weights.reshape(fits, -1) / scale).T
     hits = scores[pos, fit] - scores[neg, fit] < 1.0
     counts = (np.bincount((pos + offsets)[hits], minlength=fits * num_rows)
               - np.bincount((neg + offsets)[hits], minlength=fits * num_rows))
-    total = counts.reshape(fits, num_rows) @ rows
-    if scale is not None:
-        total /= scale
-    return total, hits.any(axis=0)[:, None]
+    total = counts.reshape(fits, num_rows) @ rows / scale
+    return total.reshape(weights.shape), hits.any(axis=0).reshape(combos, -1, 1)
 
 
 # Attribute record fields, each optional: (JSON type, None) as read_records
@@ -375,11 +376,11 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     under a seeded topic-level fold partition; per fold, train on the other
     folds' topics, with a RankSVM of pair_samples pairs, and score the held
     out ones. Features are z-scored with statistics fit on training folds
-    only, and every combination's folds train in one lockstep loop.
-    Significance compares the full combination against qi+qlm by a paired
-    t-test per metric; without an lse column each metric's entry is
-    degenerate. Fewer topics than folds is a DataError naming source, their
-    file."""
+    only, a fold's combinations share one pair stream, and all train in one
+    lockstep loop. Significance compares the full combination against qi+qlm
+    by a paired t-test per metric; without an lse column each metric's entry
+    is degenerate. Fewer topics than folds is a DataError naming source,
+    their file."""
     topics = list(table.topics)
     depth = max((cutoff, *ks))
     batch = pegasos_batch(pair_samples)
@@ -402,22 +403,21 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
         pos, starts, counts, neg = _pair_pools(labels[train].ravel(),
                                                np.repeat(np.arange(len(train)), n))
         pools.append((index[pos], starts, counts, index[neg]))
-    fits = [(combo, f) for combo in combos for f in range(folds)]
-    masks = np.zeros((len(fits), stacked.shape[1]), dtype=bool)
-    for k, (combo, _) in enumerate(fits):
-        masks[k, table.columns_for(combo)] = True
-    # a fit is z-scored by its fold's statistics on every column and the mask
-    # keeps its own; a column's statistics over C-ordered rows do not depend
-    # on the other columns, so they equal those of the combination's alone
-    centers, scales = (np.array(side)[[f for _, f in fits]] for side in zip(*stats))
-    seeds = [_spawned_seed(seed, (COMBOS.index(combo), f)) for combo, f in fits]
-    steps = _pair_steps(pools, [f for _, f in fits], seeds, pair_samples, batch)
-    weights = _pegasos(stacked, steps, len(fits), centers, scales, masks, batch=batch)
+    # a fold's stream is z-scored by its statistics of every column, and each
+    # combination's mask keeps its own columns
+    masks = np.zeros((len(combos), folds, stacked.shape[1]), dtype=bool)
+    for mask, combo in zip(masks, combos):
+        mask[:, table.columns_for(combo)] = True
+    centers, scales = (np.array(side) for side in zip(*stats))
+    seeds = [_spawned_seed(seed, (0, f)) for f in range(folds)]
+    steps = _pair_steps(pools, seeds, pair_samples, batch)
+    weights = _pegasos(stacked, steps, folds, centers, scales, masks, batch=batch)
 
     runs = {combo: {} for combo in combos}
-    for (combo, f), w, mean, std in zip(fits, weights, centers, scales):
+    for k, w in enumerate(weights):  # combination-major
+        combo, mean, std = combos[k // folds], centers[k % folds], scales[k % folds]
         cols = table.columns_for(combo)
-        for tid in partition[f]:
+        for tid in partition[k % folds]:
             scores = ((table.matrices[tid][:, cols] - mean[cols]) / std[cols]) @ w[cols]
             runs[combo][tid] = ranked_from_scores(tid, table.entity_ids, scores, depth)
     reports = {combo: evaluate_run(runs[combo], qrels, cutoff=cutoff, ks=ks)
@@ -472,7 +472,7 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
     if not eligible:
         return rows
     _, _, pools, seeds = zip(*eligible)
-    steps = _pair_steps(pools, range(len(pools)), seeds, pair_samples, batch)
+    steps = _pair_steps(pools, seeds, pair_samples, batch)
     unit, norms = _unit_rows(params.W_e)
     weights = _pegasos(unit, steps, len(eligible), batch=batch)
     for (row, qids, _, _), w in zip(eligible, weights):

@@ -220,7 +220,7 @@ def test_masked_lockstep_weights_equal_the_oracle_on_each_fits_own_columns(drawn
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", steps * k * width):
         weights = sliced_pegasos(stacked, *pair_columns(pairs),
                            *((np.array(means), np.array(stds)) if standardize
-                             else (None, None)), np.array(masks))
+                             else (None, None)), np.array(masks)[None])
     for w, mask, (_, cols, _, _, _), w_expected in zip(weights, masks, fits, expected):
         assert w[cols].tobytes() == w_expected.tobytes()
         assert not w[~mask].any()
@@ -253,7 +253,7 @@ def test_masked_lockstep_minibatch_weights_equal_each_fits_narrow_fit(drawn, bat
     pos, neg = pair_columns(pairs)
     stats = (np.array(means), np.array(stds)) if standardize else (None, None)
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * k * width):
-        weights = sliced_pegasos(stacked, pos, neg, *stats, np.array(masks),
+        weights = sliced_pegasos(stacked, pos, neg, *stats, np.array(masks)[None],
                            batch=batch)
     for index, (w, mask, (_, cols, _, _, _)) in enumerate(zip(weights, masks, fits)):
         narrow_stats = ((means[index][cols][None], stds[index][cols][None])
@@ -307,7 +307,7 @@ def test_scored_and_gathered_step_sums_agree(standardize):
         mean, std = _standardize_fit(rows)
         masks = rng.random((fits, 9)) < 0.7
         masks[:, 0] = True
-        extra = (np.tile(mean, (fits, 1)), np.tile(std, (fits, 1)), masks)
+        extra = (np.tile(mean, (fits, 1)), np.tile(std, (fits, 1)), masks[None])
 
     def unreachable(*_args):
         raise AssertionError("the other step source was chosen")
@@ -320,6 +320,55 @@ def test_scored_and_gathered_step_sums_agree(standardize):
                                atol=1e-12 * np.abs(gathered).max())
     if standardize:
         assert not scored[~masks].any()
+
+
+@st.composite
+def combined_streams(draw):
+    """C = 1-4 masks over S = 1-5 pair streams of one width (1-12): rows of
+    any scale, each stream's (pairs, S) pos and neg and its statistics or
+    none, a batch b, a block of fewer than b pairs, and whether the rows
+    outnumber 2 b, so that steps are gathered, or not, so that they are
+    scored."""
+    combos, streams, width = (draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+                              draw(st.integers(1, 12)))
+    batch, gathered = draw(st.integers(2, 30)), draw(st.booleans())
+    num_rows = (2 * batch + draw(st.integers(0, 20)) if gathered
+                else draw(st.integers(1, 2 * batch - 1)))
+    pair_samples = draw(st.integers(1, 4 * batch))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(num_rows, width)) * draw(st.sampled_from([0.01, 1.0, 50.0]))
+    pos, neg = rng.integers(0, num_rows, size=(2, pair_samples, streams))
+    stats = ((rng.normal(size=(streams, width)), rng.uniform(0.1, 3.0, (streams, width)))
+             if draw(st.booleans()) else (None, None))
+    masks = rng.random((combos, streams, width)) < 0.7
+    return rows, pos, neg, stats, masks, batch, draw(st.integers(1, batch - 1)), gathered
+
+
+@settings(max_examples=150, deadline=None)
+@given(combined_streams())
+def test_combined_lockstep_equals_one_fit_per_set_and_stream(drawn):
+    """C masks over S streams, each step's pairs gathered once for all C,
+    give the weights of the C = 1 call over C S streams in which fit (c, s)
+    has stream s's pairs and statistics and mask[c, s], byte for byte, in
+    blocks that split each whole step alike, through whichever step source
+    the row count picks."""
+    rows, pos, neg, (center, scale), masks, batch, block, gathered = drawn
+    combos, streams, width = masks.shape
+
+    def unreachable(*_args):
+        raise AssertionError("the other step source was chosen")
+
+    other = "_scored_sum" if gathered else "_gathered_sum"
+    tiled = (None, None) if center is None else (np.tile(center, (combos, 1)),
+                                                 np.tile(scale, (combos, 1)))
+    with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * masks.size), \
+            mock.patch.object(lse.ltr, other, unreachable):
+        weights = sliced_pegasos(rows, pos, neg, center, scale, masks, batch=batch)
+        expected = sliced_pegasos(rows, np.tile(pos, combos), np.tile(neg, combos),
+                                  *tiled, masks.reshape(1, -1, width), batch=batch)
+    assert weights.shape == (combos * streams, width)
+    assert weights.tobytes() == expected.tobytes()
+    assert not weights[~masks.reshape(-1, width)].any()
 
 
 @st.composite
@@ -408,12 +457,12 @@ def test_ranksvm_rejects_groups_without_both_classes():
 
 @st.composite
 def pair_streams(draw):
-    """1-3 pair pools, each over 2-40 rows with both classes and 1-3
-    groups, placed at an offset among stacked rows as fuse's folds are;
-    K = 1-6 fits drawing from them, pools shared, each with its own seed;
-    the pair count, a batch that need not divide it, and a _CHUNK_VALUES."""
+    """S = 1-6 pair streams, each with its own seed and pool over 2-40 rows
+    with both classes and 1-3 groups, placed at an offset among stacked
+    rows as fuse's folds are; the pair count, a batch that need not divide
+    it, and a _CHUNK_VALUES."""
     pools, offset = [], 0
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 6))):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         n = draw(st.integers(2, 40))
         labels = rng.integers(0, 2, size=n)
@@ -422,9 +471,8 @@ def pair_streams(draw):
         groups[1] = groups[0]
         pools.append((labels, groups, offset))
         offset += n + draw(st.integers(0, 5))
-    sources = draw(st.lists(st.integers(0, len(pools) - 1), min_size=1, max_size=6))
-    seeds = [draw(st.integers(0, 2**32 - 1)) for _ in sources]
-    return (pools, sources, seeds, draw(st.integers(1, 3000)), draw(st.integers(1, 400)),
+    seeds = [draw(st.integers(0, 2**32 - 1)) for _ in pools]
+    return (pools, seeds, draw(st.integers(1, 3000)), draw(st.integers(1, 400)),
             draw(st.integers(1, 5000)))
 
 
@@ -432,21 +480,19 @@ def pair_streams(draw):
 @given(pair_streams())
 def test_streamed_pairs_equal_one_whole_draw_per_fit(drawn):
     """The per-step blocks _pair_steps yields, put end to end, hold each
-    fit's pairs of one whole draw, byte for byte: steps of batch pairs but
-    for a shorter last one, whatever the pools, their sharing and the
-    draw chunks."""
-    pools, sources, seeds, pair_samples, batch, chunk = drawn
+    stream's pairs of one whole draw, byte for byte: steps of batch pairs
+    but for a shorter last one, whatever the pools and the draw chunks."""
+    pools, seeds, pair_samples, batch, chunk = drawn
     tables = []
     for labels, groups, offset in pools:
         pos, starts, counts, neg = _pair_pools(labels, groups)
         tables.append((pos + offset, starts, counts, neg + offset))
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", chunk):
-        blocks = list(_pair_steps(tables, sources, seeds, pair_samples, batch))
+        blocks = list(_pair_steps(tables, seeds, pair_samples, batch))
     sizes = [len(p) for p, _ in blocks]
     assert sizes == [batch] * (pair_samples // batch) + [pair_samples % batch] * (
         pair_samples % batch > 0)
-    for k, (source, seed) in enumerate(zip(sources, seeds)):
-        labels, groups, offset = pools[source]
+    for k, ((labels, groups, offset), seed) in enumerate(zip(pools, seeds)):
         for side, expected in zip(zip(*blocks), pair_rows(labels, groups, pair_samples,
                                                            seed)):
             streamed = np.concatenate([block[:, k] for block in side])
@@ -475,10 +521,11 @@ def test_chunked_draws_equal_one_whole_draw(chunk):
 
 
 def test_fuse_shaped_pegasos_memory_is_bounded():
-    """A fuse-shaped lockstep call, its pairs streamed: 40 fits of 1e5
-    pairs over the 12 columns of 12288 rows (12 topics, 10 folds), stays
-    within 6 MiB of traced memory above its inputs (3.8 measured). Holding
-    every pair's indices took 38 MiB, 32 of them the two int32 arrays."""
+    """A fuse-shaped lockstep call, its pairs streamed: 4 feature sets on
+    each of 10 fold streams of 1e5 pairs, over the 12 columns of 12288 rows
+    (12 topics), stays within 6 MiB of traced memory above its inputs (4.1
+    measured). Holding every pair's indices took 38 MiB, 32 of them the two
+    int32 arrays."""
     rng = np.random.default_rng(3)
     topics, n, width, folds = 12, 1024, 12, 10
     rows = rng.normal(size=(topics * n, width))
@@ -492,21 +539,19 @@ def test_fuse_shaped_pegasos_memory_is_bounded():
         pos, starts, counts, neg = _pair_pools(labels[train].ravel(),
                                                np.repeat(np.arange(len(train)), n))
         pools.append((index[pos], starts, counts, index[neg]))
-    fits = len(COMBOS) * folds
-    centers, scales = rng.normal(size=(fits, width)), rng.uniform(0.5, 2.0, (fits, width))
-    masks = rng.random((fits, width)) < 0.8
+    centers, scales = rng.normal(size=(folds, width)), rng.uniform(0.5, 2.0, (folds, width))
+    masks = rng.random((len(COMBOS), folds, width)) < 0.8
     pair_samples = lse.ltr.PAIR_SAMPLES
     batch = pegasos_batch(pair_samples)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        steps = _pair_steps(pools, [k % folds for k in range(fits)], list(range(fits)),
-                            pair_samples, batch)
-        weights = _pegasos(rows, steps, fits, centers, scales, masks, batch=batch)
+        steps = _pair_steps(pools, list(range(folds)), pair_samples, batch)
+        weights = _pegasos(rows, steps, folds, centers, scales, masks, batch=batch)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert weights.shape == (fits, width) and np.isfinite(weights).all()
+    assert weights.shape == (len(COMBOS) * folds, width) and np.isfinite(weights).all()
     assert peak < 6 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
@@ -713,13 +758,24 @@ def test_cross_validated_fusion_needs_enough_topics():
 
 
 def test_cross_validated_fusion_equals_per_fold_oracle():
-    """Every fold trained alone by the oracle loop, on its z-scored training
-    topics, gives the same per-topic metrics as the lockstep folds."""
+    """Every combination's fold trained alone by the oracle loop, on its
+    columns of the training topics, z-scored by the fold's statistics, and
+    on the fold's one pair stream, gets the lockstep fit's weights byte for
+    byte, and the same per-topic metrics."""
     table, qrels = fusion_setup()
     folds, seed, pair_samples = 4, 3, 700
-    with mock.patch.object(lse.ltr, "_MIN_STEPS", pair_samples):  # b = 1
+    trained = []
+
+    def capturing(*args, **kwargs):
+        trained.append(_pegasos(*args, **kwargs))
+        return trained[-1]
+
+    with mock.patch.object(lse.ltr, "_MIN_STEPS", pair_samples), \
+            mock.patch.object(lse.ltr, "_pegasos", capturing):  # b = 1
         report = cross_validated_fusion(table, qrels, folds=folds, seed=seed,
                                         cutoff=10, ks=(5,), pair_samples=pair_samples)
+    (weights,) = trained
+    assert weights.shape == (len(COMBOS) * folds, len(table.feature_names))
     n = len(table.entity_ids)
     partition = _fold_partition(table.topics, folds, seed)
     for combo_index, (combo, row) in enumerate(zip(COMBOS, report.rows)):
@@ -727,14 +783,20 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
         runs = {}
         for fold_index, heldout in enumerate(partition):
             train = [t for t in table.topics if t not in heldout]
-            matrix = np.concatenate([table.matrices[t][:, cols] for t in train])
+            matrix = np.concatenate([table.matrices[t] for t in train])
             labels = np.concatenate([[qrels.grades.get((t, e), 0)
                                       for e in table.entity_ids] for t in train])
-            mean, std = _standardize_fit(matrix)
+            # the fold's statistics of every column, which can differ in the
+            # last bit from those of the combination's columns alone
+            mean, std = (side[cols] for side in _standardize_fit(matrix))
+            matrix = matrix[:, cols]
             fold_seed = int(np.random.SeedSequence(
-                entropy=seed, spawn_key=(combo_index, fold_index)).generate_state(1)[0])
+                entropy=seed, spawn_key=(0, fold_index)).generate_state(1)[0])
             w = oracle_train_ranksvm((matrix - mean) / std, labels, pair_samples,
                                      fold_seed, np.repeat(np.arange(len(train)), n))
+            fitted = weights[combo_index * folds + fold_index]
+            assert fitted[cols].tobytes() == w.tobytes()
+            assert not np.delete(fitted, cols).any()
             for tid in heldout:
                 scores = ((table.matrices[tid][:, cols] - mean) / std) @ w
                 runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, 10)
@@ -763,24 +825,27 @@ def test_cross_validated_fusion_without_lse_trains_only_qi_and_qi_qlm():
 
 def test_each_command_trains_its_rankers_in_one_pegasos_call():
     """One call per command, at pegasos_batch's 2 pairs per step for 200
-    pairs."""
+    pairs: fuse's over one pair stream per fold for every combination,
+    ideal-vector's over one per eligible topic."""
     calls = []
 
-    def counting(rows, steps, fits, *args, **kwargs):
-        calls.append((fits, kwargs["batch"]))
-        return _pegasos(rows, steps, fits, *args, **kwargs)
+    def counting(rows, steps, streams, *args, **kwargs):
+        weights = _pegasos(rows, steps, streams, *args, **kwargs)
+        calls.append((streams, len(weights), kwargs["batch"]))
+        return weights
 
     table, qrels = fusion_setup()
     with mock.patch.object(lse.ltr, "_pegasos", counting):
         cross_validated_fusion(table, qrels, folds=3, seed=0, cutoff=10, ks=(5,),
                                pair_samples=200)
-        assert calls == [(len(COMBOS) * 3, 2)]
+        assert calls == [(3, len(COMBOS) * 3, 2)]
         calls.clear()
         params, queries, qrels, ids = report_setup()
         queries["ok2"] = [1, 2]
         qrels = Qrels({**qrels.grades, ("ok2", "e1"): 1, ("ok2", "e3"): 1})
         rows = ideal_vector_report(params, queries, qrels, ids, pair_samples=200)
-    assert calls == [(sum(row["status"] == "ok" for row in rows), 2)] == [(2, 2)]
+    eligible = sum(row["status"] == "ok" for row in rows)
+    assert calls == [(eligible, eligible, 2)] == [(2, 2, 2)]
 
 
 # ---- ideal vectors ----
