@@ -95,9 +95,8 @@ def _pair_pools(labels, groups=None):
     return tuple(np.concatenate(side) for side in zip(*pools))
 
 
-# Values (512 KB) per gathered block of pair differences, per skipped draw
-# of a pair stream and per stream-wide block it draws (unless one step holds
-# more): a bound on the memory each takes whatever the batch, fits and width.
+# Values (512 KB) per gathered block and per drawn block of pairs (unless
+# one step holds more): a memory bound whatever the batch, fits and width.
 _CHUNK_VALUES = 1 << 16
 
 
@@ -109,11 +108,9 @@ def _pair_steps(pools, seeds, pair_samples, batch):
     Stream s draws from pools[s], a _pair_pools tuple: a relevant row
     uniformly over all its groups' relevant rows, and its partner uniformly
     with replacement from the same group's non-relevant rows, which balances
-    the classes whatever their raw distribution. Its pairs are those that
-    one generator seeded with seeds[s] gives drawing all pair_samples picks
-    and then all partners: one such generator draws the picks as the steps
-    go, and another the partners, once it has skipped the pair_samples
-    picks. The index arithmetic runs for all S streams at once."""
+    the classes whatever their raw distribution. A generator seeded with
+    seeds[s] draws its picks, and that generator's first spawned child its
+    partners. The index arithmetic runs for all S streams at once."""
     firsts = np.cumsum([0] + [len(pool[0]) for pool in pools])
     pos, starts, counts, neg = (np.concatenate(side) for side in zip(*pools))
     # each pool's starts count from its first row in the concatenated neg
@@ -121,10 +118,7 @@ def _pair_steps(pools, seeds, pair_samples, batch):
                         np.diff(firsts))
     offsets, sizes = firsts[:-1], np.diff(firsts)
     picks = [np.random.default_rng(seed) for seed in seeds]
-    partners = [np.random.default_rng(seed) for seed in seeds]
-    for rng, size in zip(partners, sizes):
-        for lo in range(0, pair_samples, _CHUNK_VALUES):
-            rng.integers(0, size, size=min(_CHUNK_VALUES, pair_samples - lo))
+    partners = [rng.spawn(1)[0] for rng in picks]
     # whole steps' pairs at a time, at most _CHUNK_VALUES per stream-wide draw
     span = batch * max(1, _CHUNK_VALUES // (batch * len(seeds)))
     for lo in range(0, pair_samples, span):
@@ -137,7 +131,7 @@ def _pair_steps(pools, seeds, pair_samples, batch):
         yield from ((p[i:i + batch], q[i:i + batch]) for i in range(0, n, batch))
 
 
-def _pegasos(rows, steps, streams, center=None, scale=None, mask=None, batch=1):
+def _pegasos(rows, steps, streams, scale=None, mask=None, batch=1):
     """Weights (C S, width), row c S + s for feature set c on pair stream s,
     of C S RankSVM fits trained in lockstep by mini-batch Pegasos
     (Shalev-Shwartz, Singer, Srebro & Cotter, Math. Programming 2011, section
@@ -146,48 +140,50 @@ def _pegasos(rows, steps, streams, center=None, scale=None, mask=None, batch=1):
 
     Step t takes the (n, S) row indices (p, q) that steps yields t-th (n = b
     but in a shorter last step) as its batch B: pair i of stream s has the
-    difference d = rows[p[i, s]] - rows[q[i, s]], of rows z-scored by
-    center[s], scale[s] when given. Fit (c, s) sets w = (1 - 1/t) w +
-    (sum of the d in B with d.w < 1) / (t |B|), every margin measured
-    against the weights before the step, and w kept at 0 where the boolean
-    mask[c, s] is False (C = 1 without a mask). A step costs the same few
-    NumPy calls for any C and S.
+    difference d = rows[p[i, s]] / scale[s] - rows[q[i, s]] / scale[s]
+    (scale 1 when None). Fit (c, s) sets w = (1 - 1/t) w + (sum of the d in
+    B with d.w < 1) / (t |B|), every margin measured against the weights
+    before the step, and w kept at 0 where the boolean mask[c, s] is False
+    (C = 1 without a mask). A step costs the same few NumPy calls for any C
+    and S.
 
-    The step sums come from _scored_sum when R < 2b, else from
-    _gathered_sum, which gathers each pair once for all C sets. Scoring is
-    the faster source, but it holds (C S, R) tables per step where gathering
-    holds byte-bounded blocks; R < 2b keeps those tables smaller than the
-    2 b S rows the step reads. Either way fit (c, s) gets the weights of the
-    C = 1 call that gives it stream s and mask[c, s], bit for bit. At b = 1
-    the gathered sum is d itself and this is the single-pair loop: each
-    fit's weights are bit-identical to training it alone on its mask's
-    columns while the dot product sums in column order, so that the masked
-    columns' zero products change no sum (OpenBLAS's does below 16 columns)."""
+    Unscaled rows with R < 2b take the step sums from _scored_sum, the rest
+    from _gathered_sum, which gathers each pair once for all C sets. Scoring
+    is faster, but it holds (C S, R) tables per step (R < 2b keeps them
+    smaller than the 2 b S rows the step reads) where gathering holds
+    byte-bounded blocks, and it sums raw rows, which can overflow where scaled
+    differences do not. Either way fit (c, s) gets the weights of the C = 1
+    call that gives it stream s and mask[c, s], bit for bit. At b = 1 the
+    gathered sum is d itself and this is the single-pair loop: each fit's
+    weights are bit-identical to training it alone on its mask's columns while
+    the dot product sums in column order, so that the masked columns' zero
+    products change no sum (OpenBLAS's does below 16 columns)."""
     keep = np.ones((1, streams, 1), dtype=bool) if mask is None else np.asarray(mask)
     weights = np.zeros((len(keep), streams, rows.shape[1]))
-    step_sum = _scored_sum if len(rows) < 2 * batch else _gathered_sum
+    scored = scale is None and len(rows) < 2 * batch
     for t, (p, q) in enumerate(steps, start=1):
-        total, active = step_sum(rows, p, q, weights, center, scale)
+        total, active = (_scored_sum(rows, p, q, weights) if scored
+                         else _gathered_sum(rows, p, q, weights, scale))
         weights *= 1.0 - 1.0 / t
         total *= 1.0 / (t * len(p))
         np.add(weights, total, out=weights, where=active & keep)
     return weights.reshape(-1, rows.shape[1])
 
 
-def _gathered_sum(rows, pos, neg, weights, center, scale):
+def _gathered_sum(rows, pos, neg, weights, scale=None):
     """One step's (C, S, width) sum of its active pairs' d and a (C, S, 1)
     flag of fits with an active pair, for the (n, S) pairs pos and neg. The
-    pairs' rows are gathered and z-scored in place in blocks of at most
-    _CHUNK_VALUES values over all fits, counted from the step's first pair."""
+    pairs' rows are gathered, scaled and subtracted in place in blocks of at
+    most _CHUNK_VALUES values over all fits, counted from the step's first
+    pair; raw rows could overflow in the subtraction."""
     block = max(1, _CHUNK_VALUES // weights.size)
     total, active = np.zeros(weights.shape), np.zeros((*weights.shape[:2], 1), dtype=bool)
     for lo in range(0, len(pos), block):
         diffs = np.take(rows, pos[lo:lo + block], axis=0)
         others = np.take(rows, neg[lo:lo + block], axis=0)
-        if center is not None:
-            for side in (diffs, others):
-                np.subtract(side, center, out=side)
-                np.divide(side, scale, out=side)
+        if scale is not None:
+            np.divide(diffs, scale, out=diffs)
+            np.divide(others, scale, out=others)
         np.subtract(diffs, others, out=diffs)
         hits = (np.vecdot(diffs[:, None], weights) < 1.0).transpose(1, 2, 0)
         # each sum adds its pairs along the last axis of a C-ordered (C, S,
@@ -198,25 +194,21 @@ def _gathered_sum(rows, pos, neg, weights, center, scale):
     return total, active
 
 
-def _scored_sum(rows, pos, neg, weights, center, scale):
-    """What _gathered_sum returns, scoring every row once instead of
-    gathering pairs.
-
-    Fit k of the K = C S fits, on stream s = k mod S, scores its z-scored
-    rows rows @ (w_k / scale[s]) less a constant that the margins S[p] - S[q]
-    cancel, and the sum of its active pairs' d is the (K, R) signed count of
-    their rows times rows, over scale[s]. Dividing by 1 is exact."""
+def _scored_sum(rows, pos, neg, weights):
+    """What _gathered_sum returns without a scale, scoring every row once
+    instead of gathering pairs: fit k of the K = C S fits, on stream s = k
+    mod S, scores rows @ w_k, and the sum of its active pairs' d is the (K,
+    R) signed count of their rows times rows."""
     combos, num_rows = len(weights), len(rows)
     pos, neg = np.tile(pos, combos), np.tile(neg, combos)
-    scale = 1.0 if scale is None else np.tile(scale, (combos, 1))
     fits = pos.shape[1]
     fit = np.arange(fits)
     offsets = fit * num_rows
-    scores = rows @ (weights.reshape(fits, -1) / scale).T
+    scores = rows @ weights.reshape(fits, -1).T
     hits = scores[pos, fit] - scores[neg, fit] < 1.0
     counts = (np.bincount((pos + offsets)[hits], minlength=fits * num_rows)
               - np.bincount((neg + offsets)[hits], minlength=fits * num_rows))
-    total = counts.reshape(fits, num_rows) @ rows / scale
+    total = counts.reshape(fits, num_rows) @ rows
     return total.reshape(weights.shape), hits.any(axis=0).reshape(combos, -1, 1)
 
 
@@ -331,18 +323,16 @@ def build_features(queries, corpus, qlm_model, params, attributes=None, graphs=N
 
 
 def _standardize_fit(matrix):
-    """Column means and standard deviations. A column whose plain statistics
-    overflow (finite values near 1e154 or more) is divided by its largest
-    magnitude first and its statistics scaled back."""
+    """Column standard deviations, 1.0 for a constant column. A column whose
+    plain std overflows (finite values near 1e154 or more) is divided by its
+    largest magnitude first and its std scaled back."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = matrix.mean(axis=0), matrix.std(axis=0)
-    wide = ~(np.isfinite(mean) & np.isfinite(std))
+        std = matrix.std(axis=0)
+    wide = ~np.isfinite(std)
     if wide.any():
         scale = np.abs(matrix[:, wide]).max(axis=0)
-        scaled = matrix[:, wide] / scale
-        mean[wide], std[wide] = scaled.mean(axis=0) * scale, scaled.std(axis=0) * scale
-    std = np.where(std > 0, std, 1.0)  # constant columns center to zero
-    return mean, std
+        std[wide] = (matrix[:, wide] / scale).std(axis=0) * scale
+    return np.where(std > 0, std, 1.0)
 
 
 @dataclass
@@ -375,12 +365,13 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     """Run the feature combinations of COMBOS whose blocks the table has
     under a seeded topic-level fold partition; per fold, train on the other
     folds' topics, with a RankSVM of pair_samples pairs, and score the held
-    out ones. Features are z-scored with statistics fit on training folds
-    only, a fold's combinations share one pair stream, and all train in one
-    lockstep loop. Significance compares the full combination against qi+qlm
-    by a paired t-test per metric; without an lse column each metric's entry
-    is degenerate. Fewer topics than folds is a DataError naming source,
-    their file."""
+    out ones. A fold's fits train on pair differences divided by its
+    training topics' column standard deviations, which also divide the held
+    out rows; its combinations share one pair stream, and all train in one
+    lockstep loop. Significance compares the full combination against
+    qi+qlm by a paired t-test per metric; without an lse column each
+    metric's entry is degenerate. Fewer topics than folds is a DataError
+    naming source, their file."""
     topics = list(table.topics)
     depth = max((cutoff, *ks))
     batch = pegasos_batch(pair_samples)
@@ -395,30 +386,29 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
                        for tid in topics])
     # every topic's rows, topic-major; a fold trains on some topics' blocks
     stacked = np.concatenate([table.matrices[tid] for tid in topics])
-    pools, stats = [], []  # per fold: its pair pools, as stacked rows
+    pools, scales = [], []  # per fold: its pair pools, as stacked rows
     for heldout in partition:
         train = [p for p, tid in enumerate(topics) if tid not in heldout]
         index = (n * np.array(train)[:, None] + np.arange(n)).ravel()
-        stats.append(_standardize_fit(stacked[index]))
+        scales.append(_standardize_fit(stacked[index]))
         pos, starts, counts, neg = _pair_pools(labels[train].ravel(),
                                                np.repeat(np.arange(len(train)), n))
         pools.append((index[pos], starts, counts, index[neg]))
-    # a fold's stream is z-scored by its statistics of every column, and each
+    # a fold's stream is scaled by its deviations of every column, and each
     # combination's mask keeps its own columns
     masks = np.zeros((len(combos), folds, stacked.shape[1]), dtype=bool)
     for mask, combo in zip(masks, combos):
         mask[:, table.columns_for(combo)] = True
-    centers, scales = (np.array(side) for side in zip(*stats))
     seeds = [_spawned_seed(seed, (0, f)) for f in range(folds)]
     steps = _pair_steps(pools, seeds, pair_samples, batch)
-    weights = _pegasos(stacked, steps, folds, centers, scales, masks, batch=batch)
+    weights = _pegasos(stacked, steps, folds, np.array(scales), masks, batch=batch)
 
     runs = {combo: {} for combo in combos}
     for k, w in enumerate(weights):  # combination-major
-        combo, mean, std = combos[k // folds], centers[k % folds], scales[k % folds]
+        combo, std = combos[k // folds], scales[k % folds]
         cols = table.columns_for(combo)
         for tid in partition[k % folds]:
-            scores = ((table.matrices[tid][:, cols] - mean[cols]) / std[cols]) @ w[cols]
+            scores = (table.matrices[tid][:, cols] / std[cols]) @ w[cols]
             runs[combo][tid] = ranked_from_scores(tid, table.entity_ids, scores, depth)
     reports = {combo: evaluate_run(runs[combo], qrels, cutoff=cutoff, ks=ks)
                for combo in combos}

@@ -82,8 +82,9 @@ def scalar_qlm_score(model, entity_index, query_token_ids):
 
 def pair_rows(labels, groups, pair_samples, seed):
     """Reference for the pairs lse.ltr._pair_steps streams: row indices
-    (relevant, non-relevant) of all pair_samples pairs at once, drawn by one
-    generator seeded with seed, every pick first and then every partner.
+    (relevant, non-relevant) of all pair_samples pairs at once, the picks
+    drawn by a generator seeded with seed and the partners by one seeded
+    with the first child that seed's SeedSequence spawns.
 
     Pairs are formed within a group (groups=None treats all rows as one
     group): a relevant row is drawn uniformly over all groups' relevant rows
@@ -111,10 +112,11 @@ def pair_rows(labels, groups, pair_samples, seed):
     np.cumsum(neg_counts[:-1], out=neg_starts[1:])
     neg_flat = np.concatenate(neg_lists)
 
-    rng = np.random.default_rng(seed)
-    pick = rng.integers(0, len(pos_pool), size=pair_samples)
+    pick = np.random.default_rng(seed).integers(0, len(pos_pool), size=pair_samples)
     gcode = pos_group_code[pick]
-    neg_local = np.floor(rng.random(pair_samples) * neg_counts[gcode]).astype(np.int64)
+    partners = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    neg_local = np.floor(partners.random(pair_samples)
+                         * neg_counts[gcode]).astype(np.int64)
     return pos_pool[pick], neg_flat[neg_starts[gcode] + neg_local]
 
 

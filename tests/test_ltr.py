@@ -13,7 +13,7 @@ from conftest import make_corpus, pair_rows, scalar_qlm_score
 import lse.ltr
 from lse.errors import DataError
 from lse.ltr import (COMBOS, GRAPH_NAMES, PAGERANK_DAMPING, QI_MASK_FEATURES,
-                     QI_VALUE_FEATURES, _fold_partition,
+                     QI_VALUE_FEATURES, FeatureTable, _fold_partition,
                      _pair_pools, _pair_steps, _pegasos, _standardize_fit,
                      build_features,
                      cross_validated_fusion, ideal_vector_report, load_graph,
@@ -81,13 +81,15 @@ def test_pagerank_input_validation():
 
 # ---- RankSVM ----
 
-def oracle_train_ranksvm(rows, labels, pair_samples, seed, groups=None, batch=1):
+def oracle_train_ranksvm(rows, labels, pair_samples, seed, groups=None, batch=1,
+                         scale=1.0):
     """The single-fit mini-batch Pegasos loop over batch pairs per step, one
-    pair at a time: the reference the lockstep trainer must match bit for
-    bit at batch 1. Returns the weights."""
+    pair at a time, on the differences of the pairs' rows each divided by
+    scale: the reference the lockstep trainer must match bit for bit at
+    batch 1. Returns the weights."""
     rows = np.asarray(rows, dtype=np.float64)
     pos, neg = pair_rows(np.asarray(labels, dtype=np.int64), groups, pair_samples, seed)
-    diffs = rows[pos] - rows[neg]
+    diffs = rows[pos] / scale - rows[neg] / scale
 
     w = np.zeros(rows.shape[1])
     for t, lo in enumerate(range(0, pair_samples, batch), start=1):
@@ -109,7 +111,7 @@ def hinge_objective(w, diffs):
 def lockstep_fits(draw):
     """K = 1-5 fits of one width (1-20 or 256), each with its own rows,
     labels holding both classes, groups and seed, the shared pair count, a
-    chunk length in steps that does not divide it, and whether to z-score."""
+    chunk length in steps that does not divide it, and whether to scale."""
     width = draw(st.one_of(st.integers(1, 20), st.just(256)))
     steps = draw(st.integers(2, 40))
     pair_samples = steps * draw(st.integers(0, 4)) + draw(st.integers(1, steps - 1))
@@ -133,20 +135,18 @@ def test_lockstep_weights_equal_the_single_fit_oracle(drawn):
     k = len(fits)
     width = fits[0][0].shape[1]
     offsets = np.cumsum([0] + [len(rows) for rows, _, _, _ in fits])
-    pairs, means, stds, expected = [], [], [], []
+    pairs, stds, expected = [], [], []
     for (rows, labels, groups, seed), offset in zip(fits, offsets):
-        mean, std = _standardize_fit(rows)
+        std = _standardize_fit(rows)
         p, q = pair_rows(labels, groups, pair_samples, seed)
         pairs.append((p + offset, q + offset))
-        means.append(mean)
         stds.append(std)
-        expected.append(oracle_train_ranksvm((rows - mean) / std if standardize
-                                             else rows, labels, pair_samples, seed,
-                                             groups))
+        expected.append(oracle_train_ranksvm(rows, labels, pair_samples, seed, groups,
+                                             scale=std if standardize else 1.0))
     stacked = np.concatenate([rows for rows, _, _, _ in fits])
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", steps * k * width):
         weights = sliced_pegasos(stacked, *pair_columns(pairs),
-                           *((np.array(means), np.array(stds)) if standardize else ()))
+                                 *((np.array(stds),) if standardize else ()))
     assert weights.shape == (k, width)
     for w, w_expected in zip(weights, expected):
         assert w.tobytes() == w_expected.tobytes()
@@ -168,7 +168,7 @@ def sliced_pegasos(rows, pos, neg, *args, batch=1):
 def mixed_width_fits(draw):
     """K = 1-5 fits on column subsets of one matrix of width 3-12 (fuse's
     widths), each with its own rows, labels, groups and seed, every
-    column non-zero, with the shared pair count, chunk length and z-scoring
+    column non-zero, with the shared pair count, chunk length and scaling
     flag of lockstep_fits. Fit 0 leaves out one inner column, as qi+lse
     leaves out qlm; the others use any non-empty subset."""
     width = draw(st.integers(3, 12))
@@ -197,30 +197,27 @@ def mixed_width_fits(draw):
 def test_masked_lockstep_weights_equal_the_oracle_on_each_fits_own_columns(drawn):
     """Fits that use different columns of one matrix, as fuse's combinations
     do, each get the oracle's weights on their own narrow rows, byte for
-    byte, and 0 on the columns they leave out. A fit's z-scoring uses
-    statistics of all its rows' columns, as fuse's do."""
+    byte, and 0 on the columns they leave out. A fit's scale holds the
+    deviations of all its rows' columns, as fuse's does."""
     fits, pair_samples, steps, standardize = drawn
     k = len(fits)
     width = fits[0][0].shape[1]
     offsets = np.cumsum([0] + [len(rows) for rows, _, _, _, _ in fits])
-    pairs, masks, means, stds, expected = [], [], [], [], []
+    pairs, masks, stds, expected = [], [], [], []
     for (rows, cols, labels, groups, seed), offset in zip(fits, offsets):
-        mean, std = _standardize_fit(rows)
+        std = _standardize_fit(rows)
         p, q = pair_rows(labels, groups, pair_samples, seed)
         pairs.append((p + offset, q + offset))
         masks.append(np.isin(np.arange(width), cols))
-        means.append(mean)
         stds.append(std)
-        narrow = rows[:, cols]
-        if standardize:
-            narrow = (narrow - mean[cols]) / std[cols]
-        expected.append(oracle_train_ranksvm(narrow, labels, pair_samples, seed,
-                                             groups))
+        expected.append(oracle_train_ranksvm(rows[:, cols], labels, pair_samples, seed,
+                                             groups,
+                                             scale=std[cols] if standardize else 1.0))
     stacked = np.concatenate([rows for rows, _, _, _, _ in fits])
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", steps * k * width):
         weights = sliced_pegasos(stacked, *pair_columns(pairs),
-                           *((np.array(means), np.array(stds)) if standardize
-                             else (None, None)), np.array(masks)[None])
+                                 np.array(stds) if standardize else None,
+                                 np.array(masks)[None])
     for w, mask, (_, cols, _, _, _), w_expected in zip(weights, masks, fits, expected):
         assert w[cols].tobytes() == w_expected.tobytes()
         assert not w[~mask].any()
@@ -240,28 +237,25 @@ def test_masked_lockstep_minibatch_weights_equal_each_fits_narrow_fit(drawn, bat
     k = len(fits)
     width = fits[0][0].shape[1]
     offsets = np.cumsum([0] + [len(rows) for rows, _, _, _, _ in fits])
-    pairs, masks, means, stds = [], [], [], []
+    pairs, masks, stds = [], [], []
     for (rows, cols, labels, groups, seed), offset in zip(fits, offsets):
-        mean, std = _standardize_fit(rows)
         p, q = pair_rows(labels, groups, pair_samples, seed)
         pairs.append((p + offset, q + offset))
         masks.append(np.isin(np.arange(width), cols))
-        means.append(mean)
-        stds.append(std)
+        stds.append(_standardize_fit(rows))
     stacked = np.concatenate([rows for rows, _, _, _, _ in fits]
                              + [np.ones((2 * batch, width))])
     pos, neg = pair_columns(pairs)
-    stats = (np.array(means), np.array(stds)) if standardize else (None, None)
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * k * width):
-        weights = sliced_pegasos(stacked, pos, neg, *stats, np.array(masks)[None],
-                           batch=batch)
+        weights = sliced_pegasos(stacked, pos, neg,
+                                 np.array(stds) if standardize else None,
+                                 np.array(masks)[None], batch=batch)
     for index, (w, mask, (_, cols, _, _, _)) in enumerate(zip(weights, masks, fits)):
-        narrow_stats = ((means[index][cols][None], stds[index][cols][None])
-                        if standardize else (None, None))
         with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * len(cols)):
             narrow = sliced_pegasos(np.ascontiguousarray(stacked[:, cols]),
-                              pos[:, index:index + 1], neg[:, index:index + 1],
-                              *narrow_stats, batch=batch)[0]
+                                    pos[:, index:index + 1], neg[:, index:index + 1],
+                                    stds[index][cols][None] if standardize else None,
+                                    batch=batch)[0]
         assert w[cols].tobytes() == narrow.tobytes()
         assert not w[~mask].any()
 
@@ -292,42 +286,33 @@ def test_minibatch_steps_average_each_batch_including_a_partial_last_one(
                                    rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
-@pytest.mark.parametrize("standardize", [False, True])
-def test_scored_and_gathered_step_sums_agree(standardize):
-    """One problem trained through each step source: ideal-vector's plain
-    rows, and fuse's z-scored, masked ones. Scoring every row and counting
-    the active pairs gives the gathered sums' weights to rounding."""
+def test_scored_and_gathered_step_sums_agree():
+    """One problem of ideal-vector's unscaled rows trained through each step
+    source: scoring every row and counting the active pairs gives the
+    gathered sums' weights to rounding."""
     rng = np.random.default_rng(17)
     rows = rng.normal(size=(60, 9)) * 4.0 + 2.0
     labels = rng.integers(0, 2, size=60)
     fits, batch = 4, 45  # 2b > R = 60: the cost rule scores
     pos, neg = pair_columns([pair_rows(labels, None, 400, seed) for seed in range(fits)])
-    extra = ()
-    if standardize:
-        mean, std = _standardize_fit(rows)
-        masks = rng.random((fits, 9)) < 0.7
-        masks[:, 0] = True
-        extra = (np.tile(mean, (fits, 1)), np.tile(std, (fits, 1)), masks[None])
 
     def unreachable(*_args):
         raise AssertionError("the other step source was chosen")
 
     with mock.patch.object(lse.ltr, "_gathered_sum", unreachable):
-        scored = sliced_pegasos(rows, pos, neg, *extra, batch=batch)
+        scored = sliced_pegasos(rows, pos, neg, batch=batch)
     with mock.patch.object(lse.ltr, "_scored_sum", lse.ltr._gathered_sum):
-        gathered = sliced_pegasos(rows, pos, neg, *extra, batch=batch)
+        gathered = sliced_pegasos(rows, pos, neg, batch=batch)
     np.testing.assert_allclose(scored, gathered, rtol=1e-12,
                                atol=1e-12 * np.abs(gathered).max())
-    if standardize:
-        assert not scored[~masks].any()
 
 
 @st.composite
 def combined_streams(draw):
     """C = 1-4 masks over S = 1-5 pair streams of one width (1-12): rows of
-    any scale, each stream's (pairs, S) pos and neg and its statistics or
-    none, a batch b, a block of fewer than b pairs, and whether the rows
-    outnumber 2 b, so that steps are gathered, or not, so that they are
+    any scale, each stream's (pairs, S) pos and neg and its scale or none, a
+    batch b, a block of fewer than b pairs, and whether the rows outnumber
+    2 b, so that steps are gathered, or not, so that unscaled ones are
     scored."""
     combos, streams, width = (draw(st.integers(1, 4)), draw(st.integers(1, 5)),
                               draw(st.integers(1, 12)))
@@ -338,10 +323,9 @@ def combined_streams(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.normal(size=(num_rows, width)) * draw(st.sampled_from([0.01, 1.0, 50.0]))
     pos, neg = rng.integers(0, num_rows, size=(2, pair_samples, streams))
-    stats = ((rng.normal(size=(streams, width)), rng.uniform(0.1, 3.0, (streams, width)))
-             if draw(st.booleans()) else (None, None))
+    scale = rng.uniform(0.1, 3.0, (streams, width)) if draw(st.booleans()) else None
     masks = rng.random((combos, streams, width)) < 0.7
-    return rows, pos, neg, stats, masks, batch, draw(st.integers(1, batch - 1)), gathered
+    return rows, pos, neg, scale, masks, batch, draw(st.integers(1, batch - 1)), gathered
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,23 +333,22 @@ def combined_streams(draw):
 def test_combined_lockstep_equals_one_fit_per_set_and_stream(drawn):
     """C masks over S streams, each step's pairs gathered once for all C,
     give the weights of the C = 1 call over C S streams in which fit (c, s)
-    has stream s's pairs and statistics and mask[c, s], byte for byte, in
-    blocks that split each whole step alike, through whichever step source
-    the row count picks."""
-    rows, pos, neg, (center, scale), masks, batch, block, gathered = drawn
+    has stream s's pairs and scale and mask[c, s], byte for byte, in blocks
+    that split each whole step alike, through whichever step source the
+    scale and the row count pick."""
+    rows, pos, neg, scale, masks, batch, block, gathered = drawn
     combos, streams, width = masks.shape
 
     def unreachable(*_args):
         raise AssertionError("the other step source was chosen")
 
-    other = "_scored_sum" if gathered else "_gathered_sum"
-    tiled = (None, None) if center is None else (np.tile(center, (combos, 1)),
-                                                 np.tile(scale, (combos, 1)))
+    other = "_gathered_sum" if scale is None and not gathered else "_scored_sum"
+    tiled = None if scale is None else np.tile(scale, (combos, 1))
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", block * masks.size), \
             mock.patch.object(lse.ltr, other, unreachable):
-        weights = sliced_pegasos(rows, pos, neg, center, scale, masks, batch=batch)
+        weights = sliced_pegasos(rows, pos, neg, scale, masks, batch=batch)
         expected = sliced_pegasos(rows, np.tile(pos, combos), np.tile(neg, combos),
-                                  *tiled, masks.reshape(1, -1, width), batch=batch)
+                                  tiled, masks.reshape(1, -1, width), batch=batch)
     assert weights.shape == (combos * streams, width)
     assert weights.tobytes() == expected.tobytes()
     assert not weights[~masks.reshape(-1, width)].any()
@@ -373,15 +356,15 @@ def test_combined_lockstep_equals_one_fit_per_set_and_stream(drawn):
 
 @st.composite
 def objective_problems(draw):
-    """One fit's rows (4-40 of width 1-20, any scale, z-scored), labels with
-    both classes, 500-3000 pairs, a seed, and a batch of 2-50."""
+    """One fit's rows (4-40 of width 1-20, any scale, divided by their
+    deviations), labels with both classes, 500-3000 pairs, a seed, and a
+    batch of 2-50."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, width = draw(st.integers(4, 40)), draw(st.integers(1, 20))
     rows = rng.normal(size=(n, width)) * draw(st.sampled_from([0.01, 1.0, 50.0]))
-    mean, std = _standardize_fit(rows)
     labels = rng.integers(0, 2, size=n)
     labels[:2] = (1, 0)
-    return ((rows - mean) / std, labels, draw(st.integers(500, 3000)),
+    return (rows / _standardize_fit(rows), labels, draw(st.integers(500, 3000)),
             draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 50)))
 
 
@@ -501,11 +484,11 @@ def test_streamed_pairs_equal_one_whole_draw_per_fit(drawn):
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1000, 4096])
 def test_chunked_draws_equal_one_whole_draw(chunk):
-    """_pair_steps draws each fit's picks and uniforms in chunks, after
-    skipping the picks in chunks, and must get the values and generator
-    state of one whole int64 integers draw followed by one whole random
-    draw. That is NumPy behaviour, not a documented promise, so it is
-    pinned here for odd and even chunks and a last partial one."""
+    """_pair_steps draws each stream's picks and uniforms in chunks, and
+    must get the values of one whole int64 integers draw and one whole
+    random draw; here one generator draws both, so that its state is pinned
+    too. That is NumPy behaviour, not a documented promise, so it is pinned
+    here for odd and even chunks and a last partial one."""
     size = 50 * chunk + 17
     for hi in (1, 2, 3, 7, 255, 256, 257, 10000, 65535, 65536, 65537, 2**24 + 1,
                2**30, 2**31 - 1):
@@ -539,7 +522,7 @@ def test_fuse_shaped_pegasos_memory_is_bounded():
         pos, starts, counts, neg = _pair_pools(labels[train].ravel(),
                                                np.repeat(np.arange(len(train)), n))
         pools.append((index[pos], starts, counts, index[neg]))
-    centers, scales = rng.normal(size=(folds, width)), rng.uniform(0.5, 2.0, (folds, width))
+    scales = rng.uniform(0.5, 2.0, (folds, width))
     masks = rng.random((len(COMBOS), folds, width)) < 0.8
     pair_samples = lse.ltr.PAIR_SAMPLES
     batch = pegasos_batch(pair_samples)
@@ -547,7 +530,7 @@ def test_fuse_shaped_pegasos_memory_is_bounded():
     try:
         held = tracemalloc.get_traced_memory()[0]
         steps = _pair_steps(pools, list(range(folds)), pair_samples, batch)
-        weights = _pegasos(rows, steps, folds, centers, scales, masks, batch=batch)
+        weights = _pegasos(rows, steps, folds, scales, masks, batch=batch)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -723,6 +706,18 @@ def fusion_setup():
     return table, qrels
 
 
+def recording(name, results):
+    """A patch of lse.ltr's function name that appends each call's result
+    to results."""
+    original = getattr(lse.ltr, name)
+
+    def record(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    return mock.patch.object(lse.ltr, name, record)
+
+
 def test_cross_validated_fusion_report_structure():
     table, qrels = fusion_setup()
     report = cross_validated_fusion(table, qrels, folds=4, seed=0, cutoff=10,
@@ -759,19 +754,14 @@ def test_cross_validated_fusion_needs_enough_topics():
 
 def test_cross_validated_fusion_equals_per_fold_oracle():
     """Every combination's fold trained alone by the oracle loop, on its
-    columns of the training topics, z-scored by the fold's statistics, and
-    on the fold's one pair stream, gets the lockstep fit's weights byte for
+    columns of the training topics, scaled by the fold's deviations, and on
+    the fold's one pair stream, gets the lockstep fit's weights byte for
     byte, and the same per-topic metrics."""
     table, qrels = fusion_setup()
     folds, seed, pair_samples = 4, 3, 700
     trained = []
-
-    def capturing(*args, **kwargs):
-        trained.append(_pegasos(*args, **kwargs))
-        return trained[-1]
-
     with mock.patch.object(lse.ltr, "_MIN_STEPS", pair_samples), \
-            mock.patch.object(lse.ltr, "_pegasos", capturing):  # b = 1
+            recording("_pegasos", trained):  # b = 1
         report = cross_validated_fusion(table, qrels, folds=folds, seed=seed,
                                         cutoff=10, ks=(5,), pair_samples=pair_samples)
     (weights,) = trained
@@ -786,19 +776,18 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
             matrix = np.concatenate([table.matrices[t] for t in train])
             labels = np.concatenate([[qrels.grades.get((t, e), 0)
                                       for e in table.entity_ids] for t in train])
-            # the fold's statistics of every column, which can differ in the
+            # the fold's deviations of every column, which can differ in the
             # last bit from those of the combination's columns alone
-            mean, std = (side[cols] for side in _standardize_fit(matrix))
-            matrix = matrix[:, cols]
+            std = _standardize_fit(matrix)[cols]
             fold_seed = int(np.random.SeedSequence(
                 entropy=seed, spawn_key=(0, fold_index)).generate_state(1)[0])
-            w = oracle_train_ranksvm((matrix - mean) / std, labels, pair_samples,
-                                     fold_seed, np.repeat(np.arange(len(train)), n))
+            w = oracle_train_ranksvm(matrix[:, cols], labels, pair_samples, fold_seed,
+                                     np.repeat(np.arange(len(train)), n), scale=std)
             fitted = weights[combo_index * folds + fold_index]
             assert fitted[cols].tobytes() == w.tobytes()
             assert not np.delete(fitted, cols).any()
             for tid in heldout:
-                scores = ((table.matrices[tid][:, cols] - mean) / std) @ w
+                scores = (table.matrices[tid][:, cols] / std) @ w
                 runs[tid] = ranked_from_scores(tid, table.entity_ids, scores, 10)
         assert row["per_topic"] == evaluate_run(runs, qrels, cutoff=10,
                                                 ks=(5,)).per_topic
@@ -924,7 +913,8 @@ def test_ideal_vector_report_is_deterministic():
 
 def test_ideal_vector_report_equals_per_topic_oracle():
     """Each eligible topic's ideal vector trained alone by the oracle loop
-    gives the same rankings and NDCGs as the lockstep report."""
+    on its own pair stream gets the lockstep fit's weights byte for byte,
+    and the same rankings and NDCGs as the lockstep report."""
     rng = np.random.default_rng(7)
     params = init_params(Dims(4, 6, 3, 12), 0)
     params.W_e[3] = 0.0  # a zero row normalizes to zero
@@ -938,9 +928,12 @@ def test_ideal_vector_report_equals_per_topic_oracle():
     grades[("oov", "e00")] = grades[("oov", "e01")] = 1
     qrels = Qrels(grades)
     pair_samples, seed = 900, 5
-    with mock.patch.object(lse.ltr, "_MIN_STEPS", pair_samples):  # b = 1
+    trained = []
+    with mock.patch.object(lse.ltr, "_MIN_STEPS", pair_samples), \
+            recording("_pegasos", trained):  # b = 1
         rows = ideal_vector_report(params, queries, qrels, ids, cutoff=5,
                                    pair_samples=pair_samples, seed=seed)
+    (weights,) = trained
     norms = np.linalg.norm(params.W_e, axis=1, keepdims=True)
     unit = np.divide(params.W_e, norms, out=np.zeros_like(params.W_e),
                      where=norms > 0)
@@ -955,18 +948,54 @@ def test_ideal_vector_report_equals_per_topic_oracle():
         topic_seed = int(np.random.SeedSequence(
             entropy=seed, spawn_key=(11, index)).generate_state(1)[0])
         w = oracle_train_ranksvm(unit, labels, pair_samples, topic_seed)
+        assert weights[eligible - 1].tobytes() == w.tobytes()
         query = project(params, queries[tid])
         assert row["ndcg_ideal"] == ndcg(rank_by_vector(params.W_e, w, ids, tid, 5),
                                          qrels, 5)
         assert row["ndcg_query"] == ndcg(rank_by_vector(params.W_e, query, ids, tid, 5),
                                          qrels, 5)
-    assert eligible >= 3
+    assert eligible == len(weights) >= 3
 
 
 @pytest.mark.filterwarnings("error")
 def test_standardize_fit_scales_a_column_whose_statistics_overflow():
     # prices 1e300 and 2 square past the float range in a plain std
     matrix = np.array([[1e300, 3.0], [2.0, 5.0]])
-    mean, std = _standardize_fit(matrix)
-    np.testing.assert_allclose((matrix - mean) / std, [[1.0, -1.0], [-1.0, 1.0]])
-    assert (mean[1], std[1]) == (matrix[:, 1].mean(), matrix[:, 1].std())
+    std = _standardize_fit(matrix)
+    np.testing.assert_allclose(std[0], (1e300 - 2.0) / 2.0)
+    assert std[1] == matrix[:, 1].std() == 1.0
+
+
+@pytest.mark.parametrize("num_entities, pair_samples", [(6, 20000), (60, 1000)])
+def test_fusion_of_prices_near_the_float_limit_stays_finite(num_entities, pair_samples):
+    """Prices of +-1.5e308 are valid, but a difference or a sum of two raw
+    rows overflows. On either side of the scoring switch (R = 60 rows
+    against 2b = 400, and 600 against 20) every fit's weights are finite,
+    and some topic's qi+qlm ranking is not its qi one, as it would be if
+    every score were NaN and both rankings fell back to id order."""
+    rng = np.random.default_rng(num_entities)
+    ids = [f"e{i:02d}" for i in range(num_entities)]
+    topics = [f"t{i}" for i in range(10)]
+    qi = np.zeros((num_entities, len(QI_VALUE_FEATURES) + len(QI_MASK_FEATURES)))
+    qi[:, 0] = np.where(np.arange(num_entities) % 2, 1.5e308, -1.5e308)
+    qi[:, 1] = rng.integers(1, 100, size=num_entities)
+    qi[:, 7:9] = 1.0
+    matrices, grades = {}, {}
+    for tid in topics:
+        relevant = rng.choice(num_entities, size=2, replace=False)
+        lexical = rng.normal(size=num_entities)
+        lexical[relevant] += 3.0
+        matrices[tid] = np.column_stack([qi, lexical])
+        grades.update({(tid, ids[i]): 1 for i in relevant})
+    table = FeatureTable(QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm",), ids, topics,
+                         matrices)
+    trained, ranked = [], []
+    with recording("_pegasos", trained), recording("ranked_from_scores", ranked):
+        cross_validated_fusion(table, Qrels(grades), folds=2, cutoff=5, ks=(5,),
+                               pair_samples=pair_samples)
+    (weights,) = trained
+    assert weights.shape == (2 * 2, len(table.feature_names))
+    assert np.isfinite(weights).all()
+    # combination-major: every topic ranked by qi, then every one by qi+qlm
+    orders = [[eid for eid, _ in run.entries] for run in ranked]
+    assert orders[:len(topics)] != orders[len(topics):]
