@@ -13,6 +13,7 @@ import resource
 import shutil
 import sys
 import time
+from collections import Counter
 
 import click
 import numpy as np
@@ -436,7 +437,8 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
         _status(f"assembling features for {len(queries)} topics")
         table = build_features(queries, corpus_data, qlm_model, params, attributes, edges)
         report = cross_validated_fusion(table, qrels_data, folds=folds, seed=seed, cutoff=cutoff,
-                                        pair_samples=pair_samples, source=topics)
+                                        pair_samples=pair_samples, source=topics,
+                                        qrels_source=qrels)
         metrics = list(report.rows[0]["means"])
         cells = []
         for row in report.rows:
@@ -469,8 +471,8 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
                      pair_samples):
     """Compare per-topic ideal retrieval vectors against projected queries.
 
-    Topics with a single relevant entity are skipped and listed as such in
-    the report."""
+    Topics without a query, a second relevant entity or a non-relevant one
+    are skipped and labeled with the reason in the report."""
     config = {"cutoff": cutoff, "pair_samples": pair_samples,
               "batch": pegasos_batch(pair_samples)}
     with _run(out_dir, config, seed) as counts:
@@ -484,19 +486,16 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
         write_csv(os.path.join(out_dir, "ideal.csv"), columns,
                   ([row[c] for c in columns] for row in rows))
         scored = [row for row in rows if row["status"] == "ok"]
-        skipped = [row["topic_id"] for row in rows if row["status"] != "ok"]
-        aggregate = {
-            "num_scored": len(scored),
-            "skipped": skipped,
-            "mean_ndcg_ideal": (sum(r["ndcg_ideal"] for r in scored) / len(scored)
-                                if scored else None),
-            "mean_ndcg_query": (sum(r["ndcg_query"] for r in scored) / len(scored)
-                                if scored else None),
-        }
-        write_json(os.path.join(out_dir, "ideal.json"), aggregate)
+        skipped = [row for row in rows if row["status"] != "ok"]
+        write_json(os.path.join(out_dir, "ideal.json"), {
+            "num_scored": len(scored), "skipped": [row["topic_id"] for row in skipped],
+            **{f"mean_{c}": sum(r[c] for r in scored) / len(scored) if scored else None
+               for c in ("ndcg_ideal", "ndcg_query")}})
         counts["skipped_topics"] = len(skipped)
         if skipped:
-            _status(f"skipped {len(skipped)} topics (single or no relevant entity)")
+            tally = Counter(row["status"] for row in skipped)
+            _status(f"skipped {len(skipped)} topics: "
+                    + ", ".join(f"{n} {status}" for status, n in sorted(tally.items())))
 
 
 def _finite_or_none(value):

@@ -361,7 +361,7 @@ def _spawned_seed(entropy, spawn_key):
 
 
 def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10),
-                           pair_samples=PAIR_SAMPLES, source="topics"):
+                           pair_samples=PAIR_SAMPLES, source="topics", qrels_source="qrels"):
     """Run the feature combinations of COMBOS whose blocks the table has
     under a seeded topic-level fold partition; per fold, train on the other
     folds' topics, with a RankSVM of pair_samples pairs, and score the held
@@ -371,7 +371,8 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     lockstep loop. Significance compares the full combination against
     qi+qlm by a paired t-test per metric; without an lse column each
     metric's entry is degenerate. Fewer topics than folds is a DataError
-    naming source, their file."""
+    naming source, their file; a fold whose training topics all lack a
+    relevant or a non-relevant entity is one naming qrels_source."""
     topics = list(table.topics)
     depth = max((cutoff, *ks))
     batch = pegasos_batch(pair_samples)
@@ -387,10 +388,13 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     # every topic's rows, topic-major; a fold trains on some topics' blocks
     stacked = np.concatenate([table.matrices[tid] for tid in topics])
     pools, scales = [], []  # per fold: its pair pools, as stacked rows
-    for heldout in partition:
+    for fold, heldout in enumerate(partition, start=1):
         train = [p for p, tid in enumerate(topics) if tid not in heldout]
         index = (n * np.array(train)[:, None] + np.arange(n)).ravel()
         scales.append(_standardize_fit(stacked[index]))
+        if not any(0 < labels[p].sum() < n for p in train):
+            raise DataError(f"{qrels_source}: no training topic of fold {fold} has "
+                            "both a relevant and a non-relevant entity")
         pos, starts, counts, neg = _pair_pools(labels[train].ravel(),
                                                np.repeat(np.arange(len(train)), n))
         pools.append((index[pos], starts, counts, index[neg]))
@@ -425,24 +429,16 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     return FusionReport(rows, significance)
 
 
-def _unit_rows(w_e):
-    """(w_e's rows over their L2 norms, zero rows kept zero; the norms)."""
-    norms = np.linalg.norm(w_e, axis=1)
-    return np.divide(w_e, norms[:, None], out=np.zeros_like(w_e),
-                     where=norms[:, None] > 0), norms
-
-
 def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
                         pair_samples=PAIR_SAMPLES, seed=0):
     """Per-topic comparison of the ideal-vector ranking against the
     projected-query ranking (rank_entities) for queries ({topic_id: token
-    ids}) under float64 params, as load_model gives them; eligible
-    topics' ideal vectors, RankSVMs of pair_samples pairs each, train in
-    lockstep.
+    ids}), both scored in the params' dtype; eligible topics' ideal
+    vectors, RankSVMs of pair_samples pairs each, train in lockstep.
 
     Returns a list of rows {topic_id, status, n_relevant, ndcg_ideal,
-    ndcg_query}; status is one of ok, skipped_single_relevant,
-    skipped_no_relevant, skipped_empty_query."""
+    ndcg_query}; status is one of ok, skipped_no_relevant,
+    skipped_single_relevant, skipped_all_relevant, skipped_empty_query."""
     batch = pegasos_batch(pair_samples)
     rows = []
     eligible = []  # (row, qids, pair pools, pair seed) per topic with status ok
@@ -452,6 +448,7 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
         # relevant ids outside entity_ids do not count towards the two needed
         status = ("skipped_no_relevant" if n_rel == 0
                   else "skipped_single_relevant" if labels.sum() < 2
+                  else "skipped_all_relevant" if labels.all()
                   else "skipped_empty_query" if not qids else "ok")
         row = {"topic_id": tid, "status": status, "n_relevant": n_rel,
                "ndcg_ideal": None, "ndcg_query": None}
@@ -463,7 +460,11 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
         return rows
     _, _, pools, seeds = zip(*eligible)
     steps = _pair_steps(pools, seeds, pair_samples, batch)
-    unit, norms = _unit_rows(params.W_e)
+    norms = np.linalg.norm(params.W_e, axis=1)
+    # the fits train on unit rows (zero rows kept zero) in float64, the
+    # dtype of their weights, so that no Pegasos step casts the rows
+    unit = np.divide(params.W_e, norms[:, None], out=np.zeros(params.W_e.shape),
+                     where=norms[:, None] > 0)
     weights = _pegasos(unit, steps, len(eligible), batch=batch)
     for (row, qids, _, _), w in zip(eligible, weights):
         tid = row["topic_id"]

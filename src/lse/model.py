@@ -72,10 +72,6 @@ class ModelParams:
         return ModelParams(self.W_v.copy(), self.W.copy(),
                            self.b.copy(), self.W_e.copy())
 
-    def astype(self, dtype):
-        return ModelParams(self.W_v.astype(dtype), self.W.astype(dtype),
-                           self.b.astype(dtype), self.W_e.astype(dtype))
-
 
 def init_params(dims, seed, dtype=np.float64):
     """Glorot-uniform init for the three matrices, zero bias.
@@ -109,10 +105,7 @@ def project(params, token_ids):
 
 
 def _sigmoid(x):
-    """Logistic function in x's float dtype (float64 for any other input)."""
-    x = np.asarray(x)
-    if x.dtype.kind != "f":
-        x = x.astype(np.float64)
+    """Logistic function of the float array x, in x's dtype."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -365,7 +358,7 @@ class TrainConfig:
 
     weight_decay is the L2 coefficient (the config-file key is "lambda").
     precision selects the training dtype, which is also the dtype the model
-    is saved in (loading promotes it to float64).
+    is saved in, loaded in and scored in.
     validation_cutoff is the NDCG cutoff used for best-epoch selection.
     """
 
@@ -494,13 +487,13 @@ def _read_header(path, blob):
 
 def load_model(path):
     """Read a model container; returns (ModelParams, header dict), the
-    arrays as float64 whatever the container's dtype (float32 promotes
-    exactly).
+    arrays in the container's dtype, each read straight into its own array.
 
     The header must fit in the file, be lse-model JSON with dtype float32
     or float64 and positive dims, and list one distinct entity id per row
-    that passes check_id, and every array value must be finite; each failure
-    is a DataError naming the file."""
+    that passes check_id, and every array value must be finite and small
+    enough that scoring in the dtype cannot overflow; each failure is a
+    DataError naming the file."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
@@ -517,6 +510,8 @@ def load_model(path):
                   "W": (d.e_e, d.e_v),
                   "b": (d.e_e,),
                   "W_e": (d.num_entities, d.e_e)}
+        # below this magnitude no projection or cosine overflows in the dtype
+        limit = np.sqrt(np.finfo(dtype).max / (max(d.e_v, d.e_e) + 1))
         arrays = {}
         for name in PARAM_FIELDS:
             raw = np.empty(shapes[name], dtype=dtype)
@@ -524,10 +519,12 @@ def load_model(path):
                 raise DataError(f"{path}: truncated array {name}")
             # min and max propagate NaN and reach any infinity, so both are
             # finite exactly when every element is, with no temporary array
-            if not (np.isfinite(raw.min()) and np.isfinite(raw.max())):
+            lo, hi = raw.min(), raw.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise DataError(f"{path}: array {name} holds a non-finite value")
-            # float32 promotes in one copy; float64 is read in place
-            arrays[name] = raw.astype(np.float64, copy=False)
+            if max(-lo, hi) > limit:
+                raise DataError(f"{path}: array {name} holds a value beyond {limit:.3g}")
+            arrays[name] = raw
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after arrays")
     return ModelParams(arrays["W_v"], arrays["W"], arrays["b"], arrays["W_e"]), header

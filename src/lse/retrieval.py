@@ -11,7 +11,7 @@ from .files import atomic_open, check_unique, read_lines
 from .model import project
 
 # rank_queries scores as many topics per matrix product as fit in this many
-# float64 scores (8 MiB)
+# scores (8 MiB of float64, 4 MiB of float32)
 _BLOCK_SCORES = 1 << 20
 
 
@@ -48,12 +48,13 @@ def ranked_from_scores(topic_id, entity_ids, scores, k=None):
 
 
 def cosine_scores(matrix, vec, norms=None):
-    """Cosine of vec against every row of matrix; zero-norm rows and a zero
-    vec score 0. A (q, d) stack of vecs gives (q, n) scores from one product.
+    """Cosine of vec, cast to matrix's dtype, against every row of matrix;
+    zero-norm rows and a zero vec score 0. A (q, d) stack of vecs gives (q,
+    n) scores from one product.
 
     norms, when given, must be np.linalg.norm(matrix, axis=1): callers that
     score many vectors against one matrix compute it once."""
-    vec = np.asarray(vec, dtype=np.float64)
+    vec = np.asarray(vec, dtype=matrix.dtype)
     if norms is None:
         norms = np.linalg.norm(matrix, axis=1)
     out = vec @ matrix.T if vec.ndim == 2 else (matrix @ vec)[None]

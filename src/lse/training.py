@@ -45,19 +45,18 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
     of m, and applies one Adam step per batch. When validation queries
     ({topic_id: token ids}) and qrels are given, the epoch with the highest
     mean validation NDCG over the non-empty queries wins (ties go to the
-    earlier epoch), each topic ranked alone by rank_entities on the float64
-    promotion of the parameters; otherwise the final epoch's parameters are
-    returned. vocab gives the vocabulary size.
+    earlier epoch), each topic ranked alone by rank_entities in the training
+    dtype, the one `rank` scores the saved model in; otherwise the final
+    epoch's parameters are returned. vocab gives the vocabulary size.
     mean_batch_loss is the unweighted mean of per-batch losses. A
     non-finite batch loss or gradient stops training with an LSEError
     naming the epoch and the batch. skipped_entities are the entities that
     sample_epoch leaves out, the same in every epoch.
     """
-    dtype = np.float32 if config.precision == "float32" else np.float64
     dims = Dims(config.e_v, config.e_e, vocab.size, corpus.num_entities)
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed,
                                                             spawn_key=(0,)))
-    params = init_params(dims, init_rng, dtype=dtype)
+    params = init_params(dims, init_rng, dtype=config.precision)
     state = AdamState(params)
     sampler = SamplerConfig(n=config.n, z=config.z, m=config.m)
 
@@ -68,9 +67,7 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
 
     grads = None  # the gradient buffers, allocated by the first step and reused
     logs = []
-    best_ndcg = None
-    best_params = None
-    best_epoch = None
+    best_ndcg = best_params = best_epoch = None
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         instances = sample_epoch(corpus, sampler, _epoch_rng(config.seed, epoch))
@@ -93,12 +90,8 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
 
         vndcg = None
         if val_queries:
-            # Rank with the float64 promotion of the parameters, which is
-            # what load_model gives `rank` from the saved model; `rank` scores
-            # blocks of topics with one product, so its last bits can differ.
-            scored = params.astype(np.float64)
-            norms = np.linalg.norm(scored.W_e, axis=1)
-            runs = {tid: rank_entities(scored, ids, corpus.entities, tid,
+            norms = np.linalg.norm(params.W_e, axis=1)
+            runs = {tid: rank_entities(params, ids, corpus.entities, tid,
                                        config.validation_cutoff, norms)
                     for tid, ids in val_queries}
             report = evaluate_run(runs, validation_qrels, config.validation_cutoff, ks=())

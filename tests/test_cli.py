@@ -21,6 +21,7 @@ import lse.ltr
 import lse.model
 import lse.retrieval
 import lse.training
+from conftest import cast_params
 from lse.cli import main
 from lse.evaluation import TopicSet
 from lse.files import write_json
@@ -267,6 +268,39 @@ def test_ideal_vector_skips_single_relevant_topics(workflow):
     assert manifest["config"] == {"cutoff": 100, "pair_samples": 500,
                                   "batch": 5}
     assert manifest["counts"] == {"skipped_topics": 3}
+
+
+def test_ideal_vector_skips_a_topic_that_judges_every_entity_relevant(workflow, tmp_path):
+    """A topic judging all four entities relevant has no non-relevant one to
+    pair with; it is labeled, and stderr counts each skip reason."""
+    root, _, topics, _, runner = workflow
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("".join(f"t1 0 {eid} 1\n" for eid in ("cam", "gui", "pia", "vio"))
+                     + "t2 0 gui 1\nt5 0 gui 1\nt5 0 vio 1\n")
+    result = run_ok(runner, ["ideal-vector", str(root / "model" / "model.lse"),
+                             str(root / "vocab" / "vocab.tsv"), str(topics), str(qrels),
+                             "--out", str(tmp_path / "ideal"), "--pair-samples", "500"])
+    with open(tmp_path / "ideal" / "ideal.csv", encoding="utf-8") as fh:
+        rows = {row["topic_id"]: row["status"] for row in csv.DictReader(fh)}
+    assert rows == {"t1": "skipped_all_relevant", "t2": "skipped_single_relevant",
+                    "t3": "skipped_no_relevant", "t5": "ok"}
+    assert ("skipped 3 topics: 1 skipped_all_relevant, 1 skipped_no_relevant, "
+            "1 skipped_single_relevant") in result.output
+
+
+def test_fuse_names_the_qrels_when_a_fold_cannot_train(tmp_path):
+    corpus, topics, _ = write_inputs(tmp_path)
+    qrels = tmp_path / "nobody.txt"
+    qrels.write_text("t1 0 nobody 1\nt2 0 none 1\n")
+    runner = CliRunner()
+    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    result = runner.invoke(main, ["fuse", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
+                                  str(topics), str(qrels), "--out", str(tmp_path / "f"),
+                                  "--folds", "2"])
+    assert result.exit_code == 1, result.output
+    assert (f"Error: {qrels}: no training topic of fold 1 has both a relevant and "
+            "a non-relevant entity") in result.output
+    assert not (tmp_path / "f").exists()
 
 
 def test_fuse_reports_all_combinations(workflow):
@@ -551,8 +585,8 @@ def test_data_dir_resolves_relative_inputs(tmp_path):
 
 
 def test_validation_ndcg_is_what_rank_gives_the_saved_model(tmp_path):
-    # float32 training saves a float32 model, which `rank` reads as its
-    # float64 promotion; validation must have scored that promotion.
+    # float32 training saves a float32 model, which `rank` scores in
+    # float32; validation must have scored the same float32 parameters.
     corpus, topics, qrels = write_inputs(tmp_path)
     runner = CliRunner()
     run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
@@ -963,28 +997,35 @@ def test_rank_ranks_each_topic_as_rank_entities_ranks_it_alone(workflow, tmp_pat
     and rank columns are those of ranking each topic alone, the scores agree
     to rounding, and an all-out-of-vocabulary topic is still skipped, with
     one, two or three topics per block or all in one. One topic is a one-row
-    stack."""
+    stack. Both run on the workflow's float32 model and a float64 copy."""
     root = workflow[0]
-    vocab, model = root / "vocab" / "vocab.tsv", root / "model" / "model.lse"
-    params, header = load_model(model)
+    vocab, model32 = root / "vocab" / "vocab.tsv", root / "model" / "model.lse"
+    params32, header = load_model(model32)
+    model64 = tmp_path / "model64.lse"
+    save_model(model64, cast_params(params32, np.float64), header["vocab_sha256"],
+               header["entity_ids"], header["config"])
     if block:
         monkeypatch.setattr(lse.retrieval, "_BLOCK_SCORES", block * len(header["entity_ids"]))
     topics = tmp_path / "topics.tsv"
     topics.write_text("topic_id\ttest\n" + "".join(line + "\n" for line in lines))
-    run_ok(CliRunner(), ["rank", str(model), str(vocab), str(topics), "--top-k", "3",
-                         "--out", str(tmp_path / "r")])
     queries = encode_topics(TopicSet.load(topics).topics, Vocabulary.load(vocab))
-    want = [(tid, eid, rank, score) for tid, ids in queries.items() if ids
-            for rank, (eid, score) in enumerate(
-                rank_entities(params, ids, header["entity_ids"], tid, 3).entries, 1)]
-    got = [line.split() for line in (tmp_path / "r" / "run.trec").read_text().splitlines()]
-    assert [(t, e, int(r)) for t, _, e, r, _, _ in got] == [w[:3] for w in want]
-    assert len({t for t, *_ in got}) == len(lines) - (len(lines) > 1)
-    np.testing.assert_allclose([float(g[4]) for g in got], [w[3] for w in want],
-                               rtol=1e-12, atol=1e-12)
     skipped = "t9\n" if len(lines) > 1 else ""
-    assert (tmp_path / "r" / "skipped_topics.txt").read_text() == skipped
     assert [tid for tid, ids in queries.items() if not ids] == skipped.split()
+    # float64 sums in another order differ in their last bits; float32 ones
+    # by a few float32 roundings (at most 2.2e-7 relative seen)
+    for model, tol in ((model64, 1e-12), (model32, 4 * np.finfo(np.float32).eps)):
+        params, out = load_model(model)[0], tmp_path / model.stem
+        run_ok(CliRunner(), ["rank", str(model), str(vocab), str(topics), "--top-k", "3",
+                             "--out", str(out)])
+        want = [(tid, eid, rank, score) for tid, ids in queries.items() if ids
+                for rank, (eid, score) in enumerate(
+                    rank_entities(params, ids, header["entity_ids"], tid, 3).entries, 1)]
+        got = [line.split() for line in (out / "run.trec").read_text().splitlines()]
+        assert [(t, e, int(r)) for t, _, e, r, _, _ in got] == [w[:3] for w in want]
+        assert len({t for t, *_ in got}) == len(lines) - (len(lines) > 1)
+        np.testing.assert_allclose([float(g[4]) for g in got], [w[3] for w in want],
+                                   rtol=tol, atol=tol)
+        assert (out / "skipped_topics.txt").read_text() == skipped
 
 
 def test_sweep_lambda_lists_all_oov_topics(tmp_path):

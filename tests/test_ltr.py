@@ -746,6 +746,12 @@ def test_cross_validated_fusion_needs_enough_topics():
         cross_validated_fusion(table, qrels, folds=len(table.topics) + 1)
     with pytest.raises(DataError, match="^few.tsv: need at least"):
         cross_validated_fusion(table, qrels, folds=len(table.topics) + 1, source="few.tsv")
+    # a fold whose training topics judge no corpus entity relevant cannot
+    # form a pair; the error names the qrels
+    with pytest.raises(DataError, match="^judged.txt: no training topic of fold 1 has "
+                                        "both a relevant and a non-relevant entity"):
+        cross_validated_fusion(table, Qrels({("l0", "nobody"): 1}), folds=2,
+                               qrels_source="judged.txt")
     # fewer than 2 folds (which `fuse --folds` rejects) still raises
     for folds in (1, 0, -3):
         with pytest.raises((IndexError, ValueError)):
@@ -851,6 +857,16 @@ def test_ideal_vector_skips_single_relevant():
                                Qrels({("t", "e0"): 1}), ["e0", "e1", "e2"])
     assert rows == [{"topic_id": "t", "status": "skipped_single_relevant",
                      "n_relevant": 1, "ndcg_ideal": None, "ndcg_query": None}]
+
+
+def test_ideal_vector_skips_a_topic_that_judges_every_entity_relevant():
+    qrels = Qrels({("all", "e0"): 1, ("all", "e1"): 1, ("all", "e2"): 1,
+                   ("ok", "e0"): 1, ("ok", "e1"): 1})
+    rows = ideal_vector_report(entity_params(np.eye(3)), {"all": [0], "ok": [0]},
+                               qrels, ["e0", "e1", "e2"], pair_samples=200)
+    assert rows[0] == {"topic_id": "all", "status": "skipped_all_relevant",
+                       "n_relevant": 3, "ndcg_ideal": None, "ndcg_query": None}
+    assert rows[1]["status"] == "ok" and rows[1]["ndcg_ideal"] is not None
 
 
 def test_ideal_vector_separates_relevant_directions():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lse.model
+from conftest import cast_params
 from lse.errors import DataError, LSEError
 from lse.model import (MAGIC, PARAM_FIELDS, AdamState, Dims,
                        ModelParams, TrainConfig, _gather_sum, _scatter_add,
@@ -395,7 +397,7 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
     # chunks.
     dims = Dims(e_v=6, e_e=5, vocab_size=7, num_entities=4)
     params, block = random_setup(29, dims=dims, m=3 * CHUNK + 37, n=3, z=4)
-    params = params.astype(dtype)
+    params = cast_params(params, dtype)
     with chunked(CHUNK, 4, dims.e_e, dtype):
         loss, grads = batch_loss_and_gradients(params, block, 0.01)
     want_loss, want = unchunked_batch_loss_and_gradients(params, block, 0.01)
@@ -417,7 +419,7 @@ def test_negative_gathers_are_sized_in_bytes(dtype, instances):
 
 def test_float32_step_returns_float32_gradients():
     params, block = random_setup(31, m=9, n=2, z=3)
-    loss, grads = batch_loss_and_gradients(params.astype(np.float32), block, 0.01)
+    loss, grads = batch_loss_and_gradients(cast_params(params, np.float32), block, 0.01)
     assert math.isfinite(loss)
     for name in PARAM_FIELDS:
         assert getattr(grads, name).dtype == np.float32, name
@@ -565,7 +567,7 @@ def test_adam_rejects_arrays_it_cannot_update_through_a_flat_view():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_step_fills_the_gradients_it_is_given(dtype):
     params, first = random_setup(47, m=2 * CHUNK + 5, z=4)
-    params = params.astype(dtype)
+    params = cast_params(params, dtype)
     _, block = random_setup(53, m=2 * CHUNK + 5, z=4)
     with chunked(CHUNK, 4, params.dims.e_e, dtype):
         grads = batch_loss_and_gradients(params, first, 0.01)[1]
@@ -736,7 +738,7 @@ def test_load_rejects_truncated_and_padded(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_load_rejects_non_finite_values(tmp_path, dtype, bad):
     dims = Dims(e_v=4, e_e=3, vocab_size=6, num_entities=40)
-    params = random_setup(19, dims=dims)[0].astype(dtype)
+    params = cast_params(random_setup(19, dims=dims)[0], dtype)
     path = tmp_path / "model.lse"
     for i in (0, 61, params.W_e.size - 1):
         broken = params.copy()
@@ -746,20 +748,55 @@ def test_load_rejects_non_finite_values(tmp_path, dtype, bad):
             load_model(path)
 
 
-def test_save_load_float32_promotes_to_float64(tmp_path):
+@pytest.mark.parametrize("dtype, big, limit", [(np.float32, 1e20, "8.25e+18"),
+                                               (np.float64, 1e160, "6e+153")])
+def test_load_rejects_values_that_scoring_in_their_dtype_overflows(tmp_path, dtype, big,
+                                                                    limit):
+    # the limit is sqrt(largest / (max(e_v, e_e) + 1)); the squared norm of a
+    # row holding big overflows, and a row holding big / 1e7 is scored
+    params = cast_params(random_setup(19)[0], dtype)
+    path = tmp_path / "model.lse"
+    for value in (big, -big):
+        params.W_e[1, 2] = value
+        save_model(path, params, entity_ids=entity_names(params))
+        with pytest.raises(DataError, match=re.escape(f"array W_e holds a value beyond {limit}")):
+            load_model(path)
+    params.W_e[1, 2] = big / 1e7
+    save_model(path, params, entity_ids=entity_names(params))
+    assert np.isfinite(np.linalg.norm(load_model(path)[0].W_e, axis=1)).all()
+
+
+def test_save_load_keeps_each_container_in_its_own_dtype(tmp_path):
     params, _ = random_setup(16)
-    params32 = params.astype(np.float32)
+    params32 = cast_params(params, np.float32)
     path32, path64 = tmp_path / "model32.lse", tmp_path / "model64.lse"
     save_model(path32, params32, entity_ids=entity_names(params))
     save_model(path64, params, entity_ids=entity_names(params))
-    loaded, header = load_model(path32)
-    assert header["dtype"] == "float32"
-    assert load_model(path64)[1]["dtype"] == "float64"
     array_bytes = sum(getattr(params, name).nbytes for name in PARAM_FIELDS)
     # the headers differ only in the dtype's name, which is as long
     assert path64.stat().st_size - path32.stat().st_size == array_bytes // 2
-    assert loaded.dtype == np.float64
-    promoted = params32.astype(np.float64)
-    for name in PARAM_FIELDS:
-        assert getattr(loaded, name).tobytes() == getattr(promoted, name).tobytes(), name
+    for path, saved, dtype in ((path32, params32, "float32"), (path64, params, "float64")):
+        loaded, header = load_model(path)
+        assert header["dtype"] == dtype and loaded.dtype == np.dtype(dtype)
+        for name in PARAM_FIELDS:
+            got, want = getattr(loaded, name), getattr(saved, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
+
+def test_loading_a_float32_model_holds_its_arrays_once(tmp_path):
+    """load_model reads each array straight into the one it returns, so a
+    float32 container's traced peak is its arrays and little else; a float64
+    copy would take it to at least twice their bytes."""
+    dims = Dims(e_v=32, e_e=16, vocab_size=20000, num_entities=100)
+    params = init_params(dims, 61, dtype=np.float32)
+    path = tmp_path / "model.lse"
+    save_model(path, params, entity_ids=entity_names(params))
+    array_bytes = sum(getattr(params, name).nbytes for name in PARAM_FIELDS)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * array_bytes, (peak, array_bytes)
+    assert loaded.dtype == np.float32
