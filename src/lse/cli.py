@@ -37,6 +37,7 @@ from .training import train, write_epoch_log
 
 
 _INPUTS = "lse.inputs"  # ctx.meta key: manifest name -> resolved path
+_DIGESTS = "lse.digests"  # ctx.meta key: path -> SHA-256 of the bytes a load read
 
 
 def _record_input(ctx, name, value):
@@ -142,9 +143,9 @@ def _environment():
 def _run(out_dir, config, seed=None):
     """Make out_dir, run the command body, then write out_dir/manifest.json:
     the command, its config and seed, the path and SHA-256 of every input the
-    command line named, the counts the body put in the dict it is given, and
-    the process's peak RSS in MiB at the end of the body (peak_rss_mb) and
-    the _environment it ran in.
+    command line named (a model's from the bytes load_model read), the
+    counts the body put in the dict it is given, and the process's peak RSS
+    in MiB at the end of the body (peak_rss_mb) and the _environment it ran in.
     If the body fails, every directory made for out_dir goes, files and all."""
     ctx = click.get_current_context()
     made, parent = None, os.path.abspath(out_dir)  # the topmost directory made
@@ -159,11 +160,11 @@ def _run(out_dir, config, seed=None):
         if made:
             shutil.rmtree(made, ignore_errors=True)
         raise
-    inputs = ctx.meta.get(_INPUTS, {})
+    inputs, digests = ctx.meta.get(_INPUTS, {}), ctx.meta.get(_DIGESTS, {})
     write_json(os.path.join(out_dir, "manifest.json"), {
         "command": ctx.command.name, "config": config, "counts": counts,
         "peak_rss_mb": _peak_rss_mb(), "environment": _environment(),
-        "inputs": {name: {"path": str(path), "sha256": _sha256_file(path)}
+        "inputs": {name: {"path": str(path), "sha256": digests.get(path) or _sha256_file(path)}
                    for name, path in inputs.items()},
         "seed": seed, "version": __version__, "started": started, "finished": _now()})
 
@@ -268,7 +269,8 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
 
 
 def _load_model_checked(model_path, vocabulary):
-    params, header = load_model(model_path)
+    params, header = load_model(model_path, digest := hashlib.sha256())
+    click.get_current_context().meta.setdefault(_DIGESTS, {})[model_path] = digest.hexdigest()
     if header.get("vocab_sha256") and header["vocab_sha256"] != vocabulary.sha256():
         raise DataError(f"{model_path}: vocabulary does not match the one the model "
                         "was trained with")

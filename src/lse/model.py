@@ -226,32 +226,31 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     the sum scaled by sech^2), and a sparse scatter-add into the touched
     columns of W_v and rows of W_e; the (lambda / m) theta regularizer term
     is dense over the three matrices and absent for b.
-    The scatters are CSC products (_scatter_add): the token rows into a
-    zero (|V|, e_V) buffer that is then added to the regularizer of W_v,
-    and the positives, then the negatives, straight into the regularizer
-    of W_e. Each element receives its addends in index order, as one
+    The scatters are CSC products (_scatter_add): the positives, then the
+    negatives, straight into the regularizer of W_e, and then the token
+    rows into a zero (|V|, e_V) buffer that is added to the regularizer of
+    W_v. Each element receives its addends in index order, as one
     np.add.at per scatter would give them, so the gradients are
     bit-identical to that and across reruns.
 
     The gradients go into out, a C-contiguous ModelParams shaped like
     params, which is returned (allocated when None); train passes the same
     one on every step, so a step never holds two gradient sets. The
-    activations are reused in place (V and then G in Epos, G W in H), and
-    Vneg and 1 - F^2 are never whole-batch arrays; each element keeps its
-    operands and their order, so the bytes are those of the out-of-place
-    expressions. A float32 step plus Adam at m = 4096, e_V = 300,
-    e_E = 256, |V| = 2000, |X| = 1024 peaks about 16 MiB of traced memory
-    above its inputs (36 MiB allocating afresh).
+    activations are reused in place (V and then G in Epos, G W in H) and
+    freed before the |V|-sized token rows (the squared norms precede them),
+    and Vneg and 1 - F^2 are never whole-batch arrays; each element keeps
+    its operands and order, so the bytes are those of the out-of-place
+    expressions. A float32 step plus Adam at m = 4096, e_V = 300, e_E = 256,
+    |V| = 2000, |X| = 1024 peaks about 15 MiB of traced memory above its inputs.
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
-    m = len(batch)
-    n = ngrams.shape[1]
+    m, n = ngrams.shape
     if out is None:
         out = ModelParams(*(np.empty_like(getattr(params, name))
                             for name in PARAM_FIELDS))
-    H, F, Epos, dpos = _forward(params, batch)
+    sq_norms = _sq_norms(params)  # its |V|-sized temporary before any activation
+    H, F, G, dpos = _forward(params, batch)       # G starts as Epos
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
-    G = Epos
     G *= cpos[:, None]
     dneg = np.empty(negatives.shape, dtype=F.dtype)
     cneg = np.empty_like(dneg)
@@ -261,7 +260,7 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
         G[s] += np.einsum("mk,mke->me", cneg[s], Eneg)  # V = cpos e+ + Vneg
         G[s] *= 1.0 - F[s] * F[s]                  # d logp / d preactivation
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
-    loss = float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
+    loss = float(-logp.mean() + 0.5 * weight_decay / m * sq_norms)
 
     inv_m = 1.0 / m
     reg = weight_decay * inv_m
@@ -270,16 +269,17 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     np.matmul(G.T, H, out=out.W)
     out.W *= -inv_m
     out.W += reg * params.W
+    np.multiply(reg, params.W_e, out=out.W_e)
+    _scatter_add(out.W_e, positives[:, None], (-inv_m * cpos)[:, None], F)
+    _scatter_add(out.W_e, negatives, -inv_m * cneg, F)
 
     per_token = np.matmul(G, params.W, out=H)      # (M, e_V)
+    del F, G, Eneg  # the activations go before the (|V|, e_V) token rows come
     per_token *= -inv_m / n
     token_rows = np.zeros(params.W_v.shape[::-1], dtype=per_token.dtype)
     _scatter_add(token_rows, ngrams, 1, per_token)
     np.multiply(reg, params.W_v, out=out.W_v)
     out.W_v += token_rows.T
-    np.multiply(reg, params.W_e, out=out.W_e)
-    _scatter_add(out.W_e, positives[:, None], (-inv_m * cpos)[:, None], F)
-    _scatter_add(out.W_e, negatives, -inv_m * cneg, F)
 
     return loss, out
 
@@ -485,15 +485,17 @@ def _read_header(path, blob):
     return header, dims, _CONTAINER_DTYPES[dtype]
 
 
-def load_model(path):
+def load_model(path, digest=None):
     """Read a model container; returns (ModelParams, header dict), the
-    arrays in the container's dtype, each read straight into its own array.
+    arrays in the container's dtype, each read straight into its own array,
+    and feeds every byte it reads, in order, to digest (hashlib) when given.
 
     The header must fit in the file, be lse-model JSON with dtype float32
     or float64 and positive dims, and list one distinct entity id per row
     that passes check_id, and every array value must be finite and small
     enough that scoring in the dtype cannot overflow; each failure is a
     DataError naming the file."""
+    update = (lambda data: None) if digest is None else digest.update
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
@@ -505,7 +507,8 @@ def load_model(path):
         (hlen,) = struct.unpack("<Q", field)
         if hlen > size - len(MAGIC) - 8:
             raise DataError(f"{path}: header length {hlen} exceeds the file")
-        header, d, dtype = _read_header(path, fh.read(hlen))
+        header, d, dtype = _read_header(path, blob := fh.read(hlen))
+        update(MAGIC + field + blob)
         shapes = {"W_v": (d.e_v, d.vocab_size),
                   "W": (d.e_e, d.e_v),
                   "b": (d.e_e,),
@@ -517,6 +520,7 @@ def load_model(path):
             raw = np.empty(shapes[name], dtype=dtype)
             if fh.readinto(raw) != raw.nbytes:
                 raise DataError(f"{path}: truncated array {name}")
+            update(raw)
             # min and max propagate NaN and reach any infinity, so both are
             # finite exactly when every element is, with no temporary array
             lo, hi = raw.min(), raw.max()

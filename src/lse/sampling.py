@@ -31,27 +31,31 @@ class InstanceBlock:
 
 @dataclass(frozen=True, eq=False)
 class Epoch:
-    """One shuffled epoch held as drawn: the instances' starts in tokens and
-    their z negatives in draw order, where row r is entity kept[r // budget],
-    and the shuffle permutation. Iterating gathers and yields the shuffled
-    InstanceBlock batches of m (the last one partial); len counts instances."""
+    """One shuffled epoch held as drawn: the instances' starts in tokens,
+    where row r is entity kept[r // budget], and the shuffle permutation.
+    Each walk yields the same shuffled InstanceBlock batches of m (the last
+    partial), negatives drawn anew on negative_seed; len counts instances."""
 
     windows: np.ndarray  # a read-only (len(tokens) - n + 1, n) view of tokens
-    m: int
+    config: SamplerConfig
+    num_entities: int
     kept: np.ndarray  # int32, the entities with a start position, ascending
     budget: int
     starts: np.ndarray  # int32 (int64 from 2**31 tokens on), in draw order
-    negatives: np.ndarray  # int32 (len(starts), z), in draw order
-    perm: np.ndarray
+    perm: np.ndarray  # in the starts' dtype
+    negative_seed: np.random.SeedSequence
     skipped_entities: tuple  # the entities with no start position
 
     def __len__(self):
         return len(self.perm)
 
     def __iter__(self):
-        for rows in np.split(self.perm, range(self.m, len(self.perm), self.m)):
+        rng = np.random.default_rng(self.negative_seed)
+        m, z = self.config.m, self.config.z
+        for rows in np.split(self.perm, range(m, len(self.perm), m)):
             yield InstanceBlock(self.windows[self.starts[rows]],
-                                self.kept[rows // self.budget], self.negatives[rows])
+                                self.kept[rows // self.budget],
+                                rng.integers(0, self.num_entities, (len(rows), z), np.int32))
 
 
 def _eligible(corpus, n):
@@ -76,7 +80,7 @@ def sample_epoch(corpus, config, rng):
     The generator is consumed in a committed order so equal seeds give
     byte-identical epochs: per-entity position draws in ascending entity
     index, each over the entity's start positions in ascending order, then
-    the negatives matrix, then the shuffle permutation.
+    the permutation; a spawned child's seed then gives each walk's negatives.
     """
     budget = ngrams_per_entity_per_epoch(corpus, config.n)
     if budget == 0:
@@ -98,8 +102,8 @@ def sample_epoch(corpus, config, rng):
     for row, (end, size) in enumerate(zip(entity_end[kept].tolist(),
                                           sizes[kept].tolist())):
         starts[row] = positions[end - size + rng.integers(0, size, size=budget)]
-    del positions  # one int64 per start position: free it before the negatives
-    negatives = rng.integers(0, corpus.num_entities, (starts.size, config.z), np.int32)
-    return Epoch(np.lib.stride_tricks.sliding_window_view(corpus.tokens, config.n),
-                 config.m, kept.astype(np.int32), budget, starts.ravel(), negatives,
-                 rng.permutation(starts.size), tuple(np.flatnonzero(sizes == 0).tolist()))
+    del positions  # one int64 per start position: free it before the permutation
+    return Epoch(np.lib.stride_tricks.sliding_window_view(corpus.tokens, config.n), config,
+                 corpus.num_entities, kept.astype(np.int32), budget, starts.ravel(),
+                 rng.permutation(starts.size).astype(starts.dtype, copy=False),
+                 rng.spawn(1)[0].bit_generator.seed_seq, tuple(np.flatnonzero(sizes == 0).tolist()))

@@ -967,6 +967,28 @@ def test_manifest_digests_are_the_sha256_of_each_input(workflow, command, names)
         assert entry["sha256"] == sha256_of(entry["path"])
 
 
+@pytest.mark.parametrize("command", ["rank", "fuse", "ideal-vector"])
+def test_model_digest_comes_from_its_one_read(workflow, tmp_path, monkeypatch, command):
+    """The commands that load a model digest it from the bytes load_model
+    reads, never reading the file again, and the digest is still the
+    SHA-256 of the file."""
+    root, corpus, topics, qrels, runner = workflow
+    model, vocab = root / "model" / "model.lse", root / "vocab" / "vocab.tsv"
+    hashed = []
+    sha256_file = lse.cli._sha256_file
+    monkeypatch.setattr(lse.cli, "_sha256_file",
+                        lambda path: hashed.append(path) or sha256_file(path))
+    args = {"rank": ["rank", model, vocab, topics],
+            "fuse": ["fuse", corpus, vocab, topics, qrels, "--model", model,
+                     "--folds", "2", "--pair-samples", "500"],
+            "ideal-vector": ["ideal-vector", model, vocab, topics, qrels,
+                             "--pair-samples", "500"]}[command]
+    run_ok(runner, [*map(str, args), "--out", str(tmp_path / "out")])
+    inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
+    assert inputs["model"]["sha256"] == sha256_of(model)
+    assert str(vocab) in hashed and str(model) not in hashed
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_piped_input_is_read_once_and_records_a_null_digest(workflow, tmp_path):
     """A corpus given as a pipe (as `<(cat corpus.jsonl)` gives it) is read by

@@ -35,9 +35,11 @@ def sampled(corpus, config, seed):
 def oracle_sample_epoch(corpus, config, rng):
     """Reference sampler: gathers each entity's start positions document by
     document through an entity -> documents map, then makes sample_epoch's
-    generator calls in the same order. Returns the whole shuffled epoch as
-    one InstanceBlock and the skipped entities."""
-    n, z = config.n, config.z
+    generator calls in the same order: the starts, the permutation, and
+    each batch's negatives from the generator's first spawned child.
+    Returns the whole shuffled epoch as one InstanceBlock and the skipped
+    entities."""
+    n, z, m = config.n, config.z, config.m
     docs = list(documents(corpus))
     lengths = np.array([len(toks) for _, toks in docs], dtype=np.int64)
     total = sum(max(length - n + 1, 0) for length in lengths.tolist())
@@ -75,12 +77,14 @@ def oracle_sample_epoch(corpus, config, rng):
     starts = np.concatenate(starts_parts)
     positives = np.concatenate(pos_parts)
     count = len(starts)
-    negatives = rng.integers(0, corpus.num_entities, size=(count, z)).astype(np.int32)
     perm = rng.permutation(count)
+    child = rng.spawn(1)[0]
+    negatives = np.concatenate([child.integers(0, corpus.num_entities, size=(size, z))
+                                for size in np.diff(np.r_[0:count:m, count])])
 
     starts = starts[perm]
     ngrams = tokens_flat[starts[:, None] + np.arange(n)]
-    return InstanceBlock(ngrams, positives[perm], negatives[perm]), tuple(skipped)
+    return InstanceBlock(ngrams, positives[perm], negatives), tuple(skipped)
 
 
 def test_budget_rounds_up_over_entities():
@@ -235,10 +239,27 @@ def test_starts_are_int64_from_2_31_tokens_on_with_the_same_batches():
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
+def test_epoch_iterates_to_the_same_batches_twice():
+    """Each walk of an Epoch draws the negatives afresh from the same seed
+    sequence, so a second walk yields the same bytes; the negatives are
+    int32 entity indices."""
+    corpus, _ = build_separable_corpus(num_entities=5, docs_per=3, doc_len=12)
+    epoch = sample_epoch(corpus, SamplerConfig(n=3, z=4, m=7), np.random.default_rng(6))
+    first, second = list(epoch), list(epoch)
+    assert len(first) == -(-len(epoch) // 7) > 1
+    for a, b in zip(first, second, strict=True):
+        for name in ("ngrams", "positives", "negatives"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.negatives.dtype == np.int32 and a.negatives.shape == (len(a), 4)
+        assert 0 <= a.negatives.min() and a.negatives.max() < corpus.num_entities
+
+
 def test_epoch_memory_per_instance_is_bounded():
     """Sampling an epoch and walking all its batches holds the start
-    positions, negatives and permutation, not a copy of every instance: the
-    traced peak stays under 70 B per instance (n = 4, z = 10)."""
+    positions and the permutation, not a copy of every instance nor every
+    instance's negatives: the traced peak stays under 20 B per instance
+    (n = 4, z = 10; 16.9 measured, 52.9 when the epoch held the negatives
+    and an int64 permutation)."""
     rng = np.random.default_rng(0)
     num_entities, num_docs = 10000, 20000
     owners = np.concatenate([np.arange(num_entities),
@@ -257,4 +278,4 @@ def test_epoch_memory_per_instance_is_bounded():
     finally:
         tracemalloc.stop()
     assert walked == len(epoch) > 800_000
-    assert peak / len(epoch) < 70, f"{peak / len(epoch):.1f} B per instance"
+    assert peak / len(epoch) < 20, f"{peak / len(epoch):.1f} B per instance"
