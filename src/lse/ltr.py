@@ -72,51 +72,35 @@ def pegasos_batch(pair_samples):
     return max(1, pair_samples // _MIN_STEPS)
 
 
-def _pair_pools(labels, groups=None):
-    """A fit's pair pools over rows with labels in groups (groups=None treats
-    all rows as one group), as four arrays: the relevant rows of the groups
-    that also hold non-relevant ones, in group order; per such row, the
-    start and count of its group's rows in the fourth array; and the flat
-    non-relevant rows of those groups. Raises on single-class input."""
-    groups = (np.zeros(len(labels), dtype=np.int64) if groups is None
-              else np.asarray(groups, dtype=np.int64))
-    pools, size = [], 0
-    for g in np.unique(groups):
-        sel = groups == g
-        pos = np.flatnonzero(sel & (labels == 1))
-        neg = np.flatnonzero(sel & (labels == 0))
-        if len(pos) and len(neg):
-            pools.append((pos, np.full(len(pos), size), np.full(len(pos), len(neg)), neg))
-            size += len(neg)
-    if not pools:
-        if len(np.unique(labels)) < 2:
-            raise DataError("training data has a single class")
-        raise DataError("no group contains both a relevant and a non-relevant row")
-    return tuple(np.concatenate(side) for side in zip(*pools))
-
-
 # Values (512 KB) per gathered block and per drawn block of pairs (unless
 # one step holds more): a memory bound whatever the batch, fits and width.
 _CHUNK_VALUES = 1 << 16
 
 
-def _pair_steps(pools, seeds, pair_samples, batch):
+def _pair_steps(labels, rows, streams, seeds, pair_samples, batch):
     """Per Pegasos step, the (n, S) row indices (relevant, non-relevant) of
     S pair streams' next n = batch pairs (fewer in the last step), so that
     no more than a few steps' pairs are held at once.
 
-    Stream s draws from pools[s], a _pair_pools tuple: a relevant row
-    uniformly over all its groups' relevant rows, and its partner uniformly
-    with replacement from the same group's non-relevant rows, which balances
-    the classes whatever their raw distribution. A generator seeded with
-    seeds[s] draws its picks, and that generator's first spawned child its
-    partners. The index arithmetic runs for all S streams at once."""
-    firsts = np.cumsum([0] + [len(pool[0]) for pool in pools])
-    pos, starts, counts, neg = (np.concatenate(side) for side in zip(*pools))
-    # each pool's starts count from its first row in the concatenated neg
-    starts += np.repeat(np.cumsum([0] + [len(pool[3]) for pool in pools[:-1]]),
-                        np.diff(firsts))
-    offsets, sizes = firsts[:-1], np.diff(firsts)
+    labels is a (topics, entities) boolean relevance matrix, rows its cells'
+    row indices. Stream s draws a relevant cell uniformly over those of the
+    topics streams[s] lists in ascending order that hold both classes, and
+    its partner uniformly with replacement from the same topic's
+    non-relevant cells, which balances the classes whatever their raw
+    distribution; a generator seeded with seeds[s] draws the picks, and its
+    first spawned child the partners. Pools and index arithmetic take one
+    pass over the matrix for all S streams."""
+    relevant, others = labels.sum(axis=1), (~labels).sum(axis=1)
+    pos, neg = rows[labels], rows[~labels]  # topic-major
+    # the pools end to end: per (stream, topic) membership, stream-major, the
+    # topic's relevant rows, none if it has no non-relevant one
+    topic = np.concatenate(streams)
+    sizes = np.where(others[topic] > 0, relevant[topic], 0)
+    ends = np.concatenate(([0], np.cumsum(sizes)))
+    pos = pos[np.repeat(np.cumsum(relevant)[topic] - ends[1:], sizes) + np.arange(ends[-1])]
+    topic = np.repeat(topic, sizes)  # per pool row
+    firsts = ends[np.cumsum([0] + [len(topics) for topics in streams])]
+    offsets, sizes, starts = firsts[:-1], np.diff(firsts), np.cumsum(others) - others
     picks = [np.random.default_rng(seed) for seed in seeds]
     partners = [rng.spawn(1)[0] for rng in picks]
     # whole steps' pairs at a time, at most _CHUNK_VALUES per stream-wide draw
@@ -125,9 +109,10 @@ def _pair_steps(pools, seeds, pair_samples, batch):
         n = min(span, pair_samples - lo)
         at = np.column_stack([rng.integers(0, size, size=n)
                               for rng, size in zip(picks, sizes)]) + offsets
+        t = topic[at]
         local = np.floor(np.column_stack([rng.random(n) for rng in partners])
-                         * counts[at]).astype(np.int64)
-        p, q = pos[at], neg[starts[at] + local]
+                         * others[t]).astype(np.int64)
+        p, q = pos[at], neg[starts[t] + local]
         yield from ((p[i:i + batch], q[i:i + batch]) for i in range(0, n, batch))
 
 
@@ -350,9 +335,14 @@ def _fold_partition(topics, folds, seed):
     return [order[i::folds] for i in range(folds)]
 
 
-def _relevance_labels(qrels, topic_id, entity_ids):
-    rel = qrels.relevant(topic_id)
-    return np.array([1 if eid in rel else 0 for eid in entity_ids], dtype=np.int64)
+def _relevance_labels(qrels, topic_ids, entity_ids):
+    """(topic, entity) booleans, True where qrels judge the entity relevant;
+    a judged id outside entity_ids has no column and is left out."""
+    column = {eid: j for j, eid in enumerate(entity_ids)}
+    labels = np.zeros((len(topic_ids), len(entity_ids)), dtype=bool)
+    for row, tid in zip(labels, topic_ids):
+        row[[column[eid] for eid in qrels.relevant(tid) if eid in column]] = True
+    return labels
 
 
 def _spawned_seed(entropy, spawn_key):
@@ -367,8 +357,9 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     folds' topics, with a RankSVM of pair_samples pairs, and score the held
     out ones. A fold's fits train on pair differences divided by its
     training topics' column standard deviations, which also divide the held
-    out rows; its combinations share one pair stream, and all train in one
-    lockstep loop. Significance compares the full combination against
+    out rows; its combinations share one pair stream, drawn within its
+    training topics from one relevance matrix of all topics, and all train
+    in one lockstep loop. Significance compares the full combination against
     qi+qlm by a paired t-test per metric; without an lse column each
     metric's entry is degenerate. Fewer topics than folds is a DataError
     naming source, their file; a fold whose training topics all lack a
@@ -382,29 +373,27 @@ def cross_validated_fusion(table, qrels, folds=10, seed=0, cutoff=100, ks=(5, 10
     partition = _fold_partition(topics, folds, seed)
     combos = [combo for combo in COMBOS
               if all(block == "qi" or block in table.feature_names for block in combo)]
-    n = len(table.entity_ids)
-    labels = np.array([_relevance_labels(qrels, tid, table.entity_ids)
-                       for tid in topics])
-    # every topic's rows, topic-major; a fold trains on some topics' blocks
+    labels = _relevance_labels(qrels, topics, table.entity_ids)
+    both = labels.any(axis=1) & ~labels.all(axis=1)
+    # every topic's rows, topic-major, so cell (t, e) is row t n + e
     stacked = np.concatenate([table.matrices[tid] for tid in topics])
-    pools, scales = [], []  # per fold: its pair pools, as stacked rows
+    streams, scales = [], []  # per fold: its training topics, its deviations
     for fold, heldout in enumerate(partition, start=1):
         train = [p for p, tid in enumerate(topics) if tid not in heldout]
-        index = (n * np.array(train)[:, None] + np.arange(n)).ravel()
-        scales.append(_standardize_fit(stacked[index]))
-        if not any(0 < labels[p].sum() < n for p in train):
+        # a single fold trains on no topic, which np.concatenate rejects
+        scales.append(_standardize_fit(np.concatenate([table.matrices[topics[p]]
+                                                       for p in train])))
+        if not both[train].any():
             raise DataError(f"{qrels_source}: no training topic of fold {fold} has "
                             "both a relevant and a non-relevant entity")
-        pos, starts, counts, neg = _pair_pools(labels[train].ravel(),
-                                               np.repeat(np.arange(len(train)), n))
-        pools.append((index[pos], starts, counts, index[neg]))
+        streams.append(train)
     # a fold's stream is scaled by its deviations of every column, and each
     # combination's mask keeps its own columns
     masks = np.zeros((len(combos), folds, stacked.shape[1]), dtype=bool)
     for mask, combo in zip(masks, combos):
         mask[:, table.columns_for(combo)] = True
-    seeds = [_spawned_seed(seed, (0, f)) for f in range(folds)]
-    steps = _pair_steps(pools, seeds, pair_samples, batch)
+    steps = _pair_steps(labels, np.arange(labels.size).reshape(labels.shape), streams,
+                        [_spawned_seed(seed, (0, f)) for f in range(folds)], pair_samples, batch)
     weights = _pegasos(stacked, steps, folds, np.array(scales), masks, batch=batch)
 
     runs = {combo: {} for combo in combos}
@@ -434,42 +423,42 @@ def ideal_vector_report(params, queries, qrels, entity_ids, cutoff=100,
     """Per-topic comparison of the ideal-vector ranking against the
     projected-query ranking (rank_entities) for queries ({topic_id: token
     ids}), both scored in the params' dtype; eligible topics' ideal
-    vectors, RankSVMs of pair_samples pairs each, train in lockstep.
+    vectors, RankSVMs of pair_samples pairs each, train in lockstep, each
+    on pairs drawn within its topic from one relevance matrix of all
+    topics, as cross_validated_fusion's folds are.
 
     Returns a list of rows {topic_id, status, n_relevant, ndcg_ideal,
     ndcg_query}; status is one of ok, skipped_no_relevant,
     skipped_single_relevant, skipped_all_relevant, skipped_empty_query."""
     batch = pegasos_batch(pair_samples)
+    topic_ids = sorted(queries)
+    labels = _relevance_labels(qrels, topic_ids, entity_ids)
     rows = []
-    eligible = []  # (row, qids, pair pools, pair seed) per topic with status ok
-    for index, (tid, qids) in enumerate(sorted(queries.items())):
+    for tid, relevant in zip(topic_ids, labels):
         n_rel = len(qrels.relevant(tid))
-        labels = _relevance_labels(qrels, tid, entity_ids)
         # relevant ids outside entity_ids do not count towards the two needed
         status = ("skipped_no_relevant" if n_rel == 0
-                  else "skipped_single_relevant" if labels.sum() < 2
-                  else "skipped_all_relevant" if labels.all()
-                  else "skipped_empty_query" if not qids else "ok")
-        row = {"topic_id": tid, "status": status, "n_relevant": n_rel,
-               "ndcg_ideal": None, "ndcg_query": None}
-        rows.append(row)
-        if status == "ok":
-            eligible.append((row, qids, _pair_pools(labels),
-                             _spawned_seed(seed, (11, index))))
+                  else "skipped_single_relevant" if relevant.sum() < 2
+                  else "skipped_all_relevant" if relevant.all()
+                  else "skipped_empty_query" if not queries[tid] else "ok")
+        rows.append({"topic_id": tid, "status": status, "n_relevant": n_rel,
+                     "ndcg_ideal": None, "ndcg_query": None})
+    eligible = [index for index, row in enumerate(rows) if row["status"] == "ok"]
     if not eligible:
         return rows
-    _, _, pools, seeds = zip(*eligible)
-    steps = _pair_steps(pools, seeds, pair_samples, batch)
+    steps = _pair_steps(labels, np.broadcast_to(np.arange(len(entity_ids)), labels.shape),
+                        [[i] for i in eligible], [_spawned_seed(seed, (11, i)) for i in eligible],
+                        pair_samples, batch)
     norms = np.linalg.norm(params.W_e, axis=1)
     # the fits train on unit rows (zero rows kept zero) in float64, the
     # dtype of their weights, so that no Pegasos step casts the rows
     unit = np.divide(params.W_e, norms[:, None], out=np.zeros(params.W_e.shape),
                      where=norms[:, None] > 0)
     weights = _pegasos(unit, steps, len(eligible), batch=batch)
-    for (row, qids, _, _), w in zip(eligible, weights):
-        tid = row["topic_id"]
+    for index, w in zip(eligible, weights):
+        tid = topic_ids[index]
         ideal_run = rank_by_vector(params.W_e, w, entity_ids, tid, cutoff, norms)
-        query_run = rank_entities(params, qids, entity_ids, tid, cutoff, norms)
-        row["ndcg_ideal"] = ndcg(ideal_run, qrels, cutoff)
-        row["ndcg_query"] = ndcg(query_run, qrels, cutoff)
+        query_run = rank_entities(params, queries[tid], entity_ids, tid, cutoff, norms)
+        rows[index]["ndcg_ideal"] = ndcg(ideal_run, qrels, cutoff)
+        rows[index]["ndcg_query"] = ndcg(query_run, qrels, cutoff)
     return rows

@@ -91,19 +91,20 @@ def sample_epoch(corpus, config, rng):
     order = np.argsort(corpus.doc_entity, kind="stable")
     eligible = _eligible(corpus, config.n)[order]
     ends = np.cumsum(eligible)
-    positions = (np.repeat(corpus.doc_ptr[order] - (ends - eligible), eligible)
-                 + np.arange(ends[-1]))
+    dtype = np.int32 if corpus.total_tokens < 2**31 else np.int64
+    positions = np.arange(ends[-1], dtype=dtype)
+    positions += np.repeat((corpus.doc_ptr[order] - (ends - eligible)).astype(dtype), eligible)
     last_doc = np.cumsum(np.bincount(corpus.doc_entity, minlength=corpus.num_entities))
     entity_end = np.concatenate(([0], ends))[last_doc]
     sizes = np.diff(entity_end, prepend=0)
     kept = np.flatnonzero(sizes)
-    starts = np.empty((len(kept), budget),
-                      dtype=np.int32 if corpus.total_tokens < 2**31 else np.int64)
+    starts = np.empty((len(kept), budget), dtype=dtype)
     for row, (end, size) in enumerate(zip(entity_end[kept].tolist(),
                                           sizes[kept].tolist())):
         starts[row] = positions[end - size + rng.integers(0, size, size=budget)]
-    del positions  # one int64 per start position: free it before the permutation
+    del positions  # free it before the permutation
+    perm = np.arange(starts.size, dtype=dtype)  # rng.permutation's values and draws
+    rng.shuffle(perm)
     return Epoch(np.lib.stride_tricks.sliding_window_view(corpus.tokens, config.n), config,
-                 corpus.num_entities, kept.astype(np.int32), budget, starts.ravel(),
-                 rng.permutation(starts.size).astype(starts.dtype, copy=False),
+                 corpus.num_entities, kept.astype(np.int32), budget, starts.ravel(), perm,
                  rng.spawn(1)[0].bit_generator.seed_seq, tuple(np.flatnonzero(sizes == 0).tolist()))

@@ -2,6 +2,7 @@
 analysis."""
 
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ import lse.ltr
 from lse.errors import DataError
 from lse.ltr import (COMBOS, GRAPH_NAMES, PAGERANK_DAMPING, QI_MASK_FEATURES,
                      QI_VALUE_FEATURES, FeatureTable, _fold_partition,
-                     _pair_pools, _pair_steps, _pegasos, _standardize_fit,
+                     _pair_steps, _pegasos, _relevance_labels, _standardize_fit,
                      build_features,
                      cross_validated_fusion, ideal_vector_report, load_graph,
                      load_qi_attributes, pagerank, pegasos_batch,
@@ -428,58 +429,65 @@ def test_ranksvm_is_seed_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_ranksvm_rejects_single_class():
-    with pytest.raises(DataError, match="single class"):
-        _pair_pools(np.array([1, 1]))
-
-
-def test_ranksvm_rejects_groups_without_both_classes():
-    with pytest.raises(DataError, match="both a relevant"):
-        _pair_pools(np.array([1, 0]), [0, 1])
-
-
 @st.composite
 def pair_streams(draw):
-    """S = 1-6 pair streams, each with its own seed and pool over 2-40 rows
-    with both classes and 1-3 groups, placed at an offset among stacked
-    rows as fuse's folds are; the pair count, a batch that need not divide
+    """A (topics, entities) relevance matrix of 1-8 topics over 2-30
+    entities, each topic with no relevant entity, only relevant ones or
+    both (at least one topic); its cells' row ids, distinct, shuffled and
+    gapped from an offset; S = 1-6 streams of ascending, possibly
+    overlapping topic subsets, each holding a topic of both classes and
+    drawing with its own seed; the pair count, a batch that need not divide
     it, and a _CHUNK_VALUES."""
-    pools, offset = [], 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    topics, entities = draw(st.integers(1, 8)), draw(st.integers(2, 30))
+    kind = rng.integers(0, 3, size=topics)  # none, all or some relevant
+    kind[rng.integers(topics)] = 2
+    labels = np.where(kind[:, None] == 2, rng.random((topics, entities)) < 0.5,
+                      kind[:, None] == 1)
+    mixed = np.flatnonzero(kind == 2)
+    for t in mixed:
+        labels[t, rng.choice(entities, 2, replace=False)] = (True, False)
+    gaps = rng.integers(1, 4, size=topics * entities)
+    rows = rng.permutation(draw(st.integers(0, 50)) + np.cumsum(gaps)).reshape(labels.shape)
+    streams = []
     for _ in range(draw(st.integers(1, 6))):
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        n = draw(st.integers(2, 40))
-        labels = rng.integers(0, 2, size=n)
-        labels[:2] = (1, 0)  # rows 0 and 1 share a group, so a pair exists
-        groups = rng.integers(0, draw(st.integers(1, 3)), size=n)
-        groups[1] = groups[0]
-        pools.append((labels, groups, offset))
-        offset += n + draw(st.integers(0, 5))
-    seeds = [draw(st.integers(0, 2**32 - 1)) for _ in pools]
-    return (pools, seeds, draw(st.integers(1, 3000)), draw(st.integers(1, 400)),
-            draw(st.integers(1, 5000)))
+        member = rng.random(topics) < 0.5
+        member[rng.choice(mixed)] = True
+        streams.append(np.flatnonzero(member).tolist())
+    seeds = [draw(st.integers(0, 2**32 - 1)) for _ in streams]
+    return (labels, rows, streams, seeds, draw(st.integers(1, 3000)),
+            draw(st.integers(1, 400)), draw(st.integers(1, 5000)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(pair_streams())
 def test_streamed_pairs_equal_one_whole_draw_per_fit(drawn):
     """The per-step blocks _pair_steps yields, put end to end, hold each
-    stream's pairs of one whole draw, byte for byte: steps of batch pairs
-    but for a shorter last one, whatever the pools and the draw chunks."""
-    pools, seeds, pair_samples, batch, chunk = drawn
-    tables = []
-    for labels, groups, offset in pools:
-        pos, starts, counts, neg = _pair_pools(labels, groups)
-        tables.append((pos + offset, starts, counts, neg + offset))
+    stream's pairs of one whole draw over its topics' cells, grouped by
+    topic, byte for byte: steps of batch pairs but for a shorter last one,
+    whatever the matrix, the streams and the draw chunks."""
+    labels, rows, streams, seeds, pair_samples, batch, chunk = drawn
     with mock.patch.object(lse.ltr, "_CHUNK_VALUES", chunk):
-        blocks = list(_pair_steps(tables, seeds, pair_samples, batch))
+        blocks = list(_pair_steps(labels, rows, streams, seeds, pair_samples, batch))
     sizes = [len(p) for p, _ in blocks]
     assert sizes == [batch] * (pair_samples // batch) + [pair_samples % batch] * (
         pair_samples % batch > 0)
-    for k, ((labels, groups, offset), seed) in enumerate(zip(pools, seeds)):
-        for side, expected in zip(zip(*blocks), pair_rows(labels, groups, pair_samples,
-                                                           seed)):
+    for k, (topics, seed) in enumerate(zip(streams, seeds)):
+        groups = np.repeat(np.arange(len(topics)), labels.shape[1])
+        for side, expected in zip(zip(*blocks), pair_rows(labels[topics].ravel(), groups,
+                                                           pair_samples, seed)):
             streamed = np.concatenate([block[:, k] for block in side])
-            assert streamed.tobytes() == (expected + offset).tobytes()
+            assert streamed.dtype == rows.dtype
+            assert streamed.tobytes() == rows[topics].ravel()[expected].tobytes()
+
+
+def test_relevance_labels_leave_out_ids_outside_the_entities():
+    qrels = Qrels({("t1", "e2"): 1, ("t1", "gone"): 1, ("t1", "e0"): 0,
+                   ("t2", "gone"): 1, ("t3", "e0"): 1, ("t3", "e1"): 1})
+    labels = _relevance_labels(qrels, ["t3", "t1", "t2", "t4"], ["e0", "e1", "e2"])
+    assert labels.dtype == bool
+    assert labels.tolist() == [[True, True, False], [False, False, True],
+                               [False, False, False], [False, False, False]]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1000, 4096])
@@ -504,24 +512,20 @@ def test_chunked_draws_equal_one_whole_draw(chunk):
 
 
 def test_fuse_shaped_pegasos_memory_is_bounded():
-    """A fuse-shaped lockstep call, its pairs streamed: 4 feature sets on
-    each of 10 fold streams of 1e5 pairs, over the 12 columns of 12288 rows
-    (12 topics), stays within 6 MiB of traced memory above its inputs (4.1
-    measured). Holding every pair's indices took 38 MiB, 32 of them the two
-    int32 arrays."""
+    """A fuse-shaped lockstep call, its pair pools built and its pairs
+    streamed inside it: 4 feature sets on each of 10 fold streams of 1e5
+    pairs, over the 12 columns of 12288 rows (12 topics), stays within 6 MiB
+    of traced memory above its inputs (3.3 measured, the pools' one
+    non-relevant row per cell included). Holding every pair's indices took
+    38 MiB, 32 of them the two int32 arrays."""
     rng = np.random.default_rng(3)
     topics, n, width, folds = 12, 1024, 12, 10
     rows = rng.normal(size=(topics * n, width))
-    labels = np.zeros((topics, n), dtype=np.int64)
+    labels = np.zeros((topics, n), dtype=bool)
     for t in range(topics):
-        labels[t, rng.choice(n, 3, replace=False)] = 1
-    pools = []
-    for fold in range(folds):
-        train = [t for t in range(topics) if t % folds != fold]
-        index = (n * np.array(train)[:, None] + np.arange(n)).ravel()
-        pos, starts, counts, neg = _pair_pools(labels[train].ravel(),
-                                               np.repeat(np.arange(len(train)), n))
-        pools.append((index[pos], starts, counts, index[neg]))
+        labels[t, rng.choice(n, 3, replace=False)] = True
+    cells = n * np.arange(topics)[:, None] + np.arange(n)
+    streams = [[t for t in range(topics) if t % folds != fold] for fold in range(folds)]
     scales = rng.uniform(0.5, 2.0, (folds, width))
     masks = rng.random((len(COMBOS), folds, width)) < 0.8
     pair_samples = lse.ltr.PAIR_SAMPLES
@@ -529,7 +533,7 @@ def test_fuse_shaped_pegasos_memory_is_bounded():
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        steps = _pair_steps(pools, list(range(folds)), pair_samples, batch)
+        steps = _pair_steps(labels, cells, streams, list(range(folds)), pair_samples, batch)
         weights = _pegasos(rows, steps, folds, scales, masks, batch=batch)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
@@ -752,9 +756,11 @@ def test_cross_validated_fusion_needs_enough_topics():
                                         "both a relevant and a non-relevant entity"):
         cross_validated_fusion(table, Qrels({("l0", "nobody"): 1}), folds=2,
                                qrels_source="judged.txt")
-    # fewer than 2 folds (which `fuse --folds` rejects) still raises
+    # fewer than 2 folds (which `fuse --folds` rejects) still raises, and
+    # before NumPy warns about statistics of no training row
     for folds in (1, 0, -3):
-        with pytest.raises((IndexError, ValueError)):
+        with pytest.raises((IndexError, ValueError)), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             cross_validated_fusion(table, qrels, folds=folds, pair_samples=300)
 
 
