@@ -40,24 +40,24 @@ class Dims:
             raise DataError("all model dimensions must be positive")
 
 
+@dataclass(eq=False)
 class ModelParams:
-    """The four learnable arrays, or the batch loss's gradients of them.
+    """The four learnable arrays, or the batch loss's gradients of them, or
+    Adam's moments of those; iterating yields the arrays in PARAM_FIELDS
+    order, the container's."""
 
-    W_v: (e_V, |V|), column i = embedding of word id i.
-    W:   (e_E, e_V), the word-to-entity linear map.
-    b:   (e_E,), bias.
-    W_e: (|X|, e_E), row i = representation of entity i.
-    """
+    W_v: np.ndarray  # (e_V, |V|), column i = embedding of word id i
+    W: np.ndarray    # (e_E, e_V), the word-to-entity linear map
+    b: np.ndarray    # (e_E,), bias
+    W_e: np.ndarray  # (|X|, e_E), row i = representation of entity i
 
-    def __init__(self, W_v, W, b, W_e):
-        self.W_v = W_v
-        self.W = W
-        self.b = b
-        self.W_e = W_e
-        e_v, vocab = W_v.shape
-        e_e = b.shape[0]
-        if W.shape != (e_e, e_v) or W_e.shape[1] != e_e:
+    def __post_init__(self):
+        e_e = self.b.shape[0]
+        if self.W.shape != (e_e, self.W_v.shape[0]) or self.W_e.shape[1] != e_e:
             raise DataError("parameter shapes are mutually inconsistent")
+
+    def __iter__(self):
+        return iter((self.W_v, self.W, self.b, self.W_e))
 
     @property
     def dims(self):
@@ -69,8 +69,7 @@ class ModelParams:
         return self.W_v.dtype
 
     def copy(self):
-        return ModelParams(self.W_v.copy(), self.W.copy(),
-                           self.b.copy(), self.W_e.copy())
+        return ModelParams(*(a.copy() for a in self))
 
 
 def init_params(dims, seed, dtype=np.float64):
@@ -112,12 +111,6 @@ def _sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def _sq_norms(params):
-    return (float(np.sum(params.W_v * params.W_v))
-            + float(np.sum(params.W_e * params.W_e))
-            + float(np.sum(params.W * params.W)))
 
 
 # Bytes per gather of the negatives' rows of W_e, and per block of the Adam
@@ -183,23 +176,6 @@ def _scatter_add(out, index, coef, rows):
                                rows.reshape(-1), out.reshape(-1))
 
 
-def _forward(params, batch):
-    """Mean token embeddings H, projections F, the positives' rows Epos of
-    W_e and their NCE dot products dpos. The CSR gather reads contiguous
-    rows, so the batch's distinct columns of W_v are copied out first
-    (never all |V| of them)."""
-    ngrams = batch.ngrams
-    ids, slots = np.unique(ngrams, return_inverse=True)
-    H = _gather_sum(params.W_v.T[ids], slots.reshape(ngrams.shape))
-    H /= ngrams.shape[1]                           # (M, e_V), the mean
-    F = np.matmul(H, params.W.T)                   # (M, e_E)
-    F += params.b
-    np.tanh(F, out=F)
-    Epos = params.W_e[batch.positives]             # (M, e_E)
-    dpos = np.einsum("me,me->m", Epos, F)
-    return H, F, Epos, dpos
-
-
 def _negative_rows(W_e, negatives):
     """(s, W_e[negatives[s]]) for consecutive slices s of the instances,
     each gather about _CHUNK_BYTES (at least one instance), so the negatives
@@ -231,7 +207,9 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     rows into a zero (|V|, e_V) buffer that is added to the regularizer of
     W_v. Each element receives its addends in index order, as one
     np.add.at per scatter would give them, so the gradients are
-    bit-identical to that and across reruns.
+    bit-identical to that and across reruns. The CSR gather of the mean
+    token embeddings reads contiguous rows, so the batch's distinct columns
+    of W_v are copied out first, never all |V| of them.
 
     The gradients go into out, a C-contiguous ModelParams shaped like
     params, which is returned (allocated when None); train passes the same
@@ -246,10 +224,20 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
     if out is None:
-        out = ModelParams(*(np.empty_like(getattr(params, name))
-                            for name in PARAM_FIELDS))
-    sq_norms = _sq_norms(params)  # its |V|-sized temporary before any activation
-    H, F, G, dpos = _forward(params, batch)       # G starts as Epos
+        out = ModelParams(*map(np.empty_like, params))
+    # the squared norms come first, so their |V|-sized temporary is gone
+    # before any activation exists
+    sq_norms = (float(np.sum(params.W_v * params.W_v))
+                + float(np.sum(params.W_e * params.W_e))
+                + float(np.sum(params.W * params.W)))
+    ids, slots = np.unique(ngrams, return_inverse=True)
+    H = _gather_sum(params.W_v.T[ids], slots.reshape(ngrams.shape))
+    H /= n                                         # (M, e_V), the mean
+    F = np.matmul(H, params.W.T)                   # (M, e_E)
+    F += params.b
+    np.tanh(F, out=F)
+    G = params.W_e[positives]                      # (M, e_E), Epos for now
+    dpos = np.einsum("me,me->m", G, F)
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
     G *= cpos[:, None]
     dneg = np.empty(negatives.shape, dtype=F.dtype)
@@ -292,9 +280,8 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
     in place and restored."""
     grads = batch_loss_and_gradients(params, batch, weight_decay)[1]
     worst = 0.0
-    for name in PARAM_FIELDS:
-        flat = getattr(params, name).reshape(-1)
-        analytic = getattr(grads, name).reshape(-1)
+    for theta, grad in zip(params, grads):
+        flat, analytic = theta.reshape(-1), grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -313,8 +300,8 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
 
 
 class AdamState:
-    """Adam accumulators at Kingma & Ba's constants; moments start at zero,
-    t increments per update."""
+    """Adam accumulators at Kingma & Ba's constants; the moments m and v are
+    ModelParams that start at zero, and t increments per update."""
 
     alpha = 0.001
     beta1 = 0.9
@@ -323,8 +310,8 @@ class AdamState:
 
     def __init__(self, params):
         self.t = 0
-        self.m = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
-        self.v = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS}
+        self.m = ModelParams(*map(np.zeros_like, params))
+        self.v = ModelParams(*map(np.zeros_like, params))
 
 
 def adam_step(params, grads, state):
@@ -337,9 +324,7 @@ def adam_step(params, grads, state):
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
-    for name in PARAM_FIELDS:
-        arrays = (getattr(params, name), getattr(grads, name),
-                  state.m[name], state.v[name])
+    for arrays in zip(params, grads, state.m, state.v):
         flat = [a.reshape(-1, copy=False) for a in arrays]
         step = max(1, _CHUNK_BYTES // flat[0].itemsize)
         for lo in range(0, flat[0].size, step):
@@ -450,10 +435,8 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name in PARAM_FIELDS:
-            arr = np.ascontiguousarray(getattr(params, name),
-                                       dtype=_CONTAINER_DTYPES[dtype])
-            fh.write(arr)
+        for arr in params:
+            fh.write(np.ascontiguousarray(arr, dtype=_CONTAINER_DTYPES[dtype]))
     write_json(f"{path}.meta.json", header)
 
 
@@ -531,4 +514,4 @@ def load_model(path, digest=None):
             arrays[name] = raw
         if fh.read(1):
             raise DataError(f"{path}: trailing bytes after arrays")
-    return ModelParams(arrays["W_v"], arrays["W"], arrays["b"], arrays["W_e"]), header
+    return ModelParams(**arrays), header

@@ -78,8 +78,8 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
             # A sum is finite only if every element is (or it overflowed,
             # which is divergence too), so one reduction per array suffices.
             bad = [] if math.isfinite(loss) else ["loss"]
-            bad += [f"{name} gradient" for name in PARAM_FIELDS
-                    if not np.isfinite(getattr(grads, name).sum())]
+            bad += [f"{name} gradient" for name, grad in zip(PARAM_FIELDS, grads)
+                    if not np.isfinite(grad.sum())]
             if bad:
                 raise LSEError(f"training diverged: non-finite {', '.join(bad)} "
                                f"at epoch {epoch}, batch {number}")

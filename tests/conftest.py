@@ -5,13 +5,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from lse.model import PARAM_FIELDS, ModelParams
+from lse.model import ModelParams
 from lse.text import Corpus, Vocabulary
 
 
 def cast_params(params, dtype):
     """A copy of params with each of the four arrays cast to dtype."""
-    return ModelParams(*(getattr(params, name).astype(dtype) for name in PARAM_FIELDS))
+    return ModelParams(*(array.astype(dtype) for array in params))
 
 
 def synth_word(i, j):

@@ -17,7 +17,7 @@ from conftest import cast_params
 from lse.errors import DataError, LSEError
 from lse.model import (MAGIC, PARAM_FIELDS, AdamState, Dims,
                        ModelParams, TrainConfig, _gather_sum, _scatter_add,
-                       _sigmoid, _sq_norms, adam_step, batch_loss,
+                       _sigmoid, adam_step, batch_loss,
                        batch_loss_and_gradients, init_params, load_model,
                        max_relative_fd_error, project, save_model)
 from lse.sampling import InstanceBlock
@@ -55,6 +55,15 @@ def zero_params(e_v=4, e_e=3, vocab=6, entities=5):
 
 def sigma(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def sq_norms(params):
+    """Squared Frobenius norms of W_v, W_e and W, each summed as the
+    training step sums it and added in that order, so a loss built on it
+    keeps the step's bits."""
+    return (float(np.sum(params.W_v * params.W_v))
+            + float(np.sum(params.W_e * params.W_e))
+            + float(np.sum(params.W * params.W)))
 
 
 _PROB_LO = np.nextafter(0.0, 1.0)
@@ -129,6 +138,29 @@ def test_init_deterministic_and_order_committed():
 def test_dims_validation():
     with pytest.raises(DataError):
         Dims(0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_model_params_iterate_in_field_order(dtype):
+    params = init_params(Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5), 61,
+                         dtype=dtype)
+    arrays = list(params)
+    assert len(arrays) == len(PARAM_FIELDS)
+    for array, name in zip(arrays, PARAM_FIELDS):
+        assert array is getattr(params, name), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_moments_are_zero_model_params(dtype):
+    params = init_params(Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5), 67,
+                         dtype=dtype)
+    state = AdamState(params)
+    for moments in (state.m, state.v):
+        assert isinstance(moments, ModelParams)
+        for name in PARAM_FIELDS:
+            got, like = getattr(moments, name), getattr(params, name)
+            assert got.shape == like.shape and got.dtype == like.dtype, name
+            assert not got.any() and got is not like, name
 
 
 def test_model_params_shape_check():
@@ -352,7 +384,7 @@ def test_batch_spanning_chunks_matches_per_instance_loop():
         assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
     logps = [instance_log_prob(params, *inst) for inst in
              zip(block.ngrams, block.positives, block.negatives)]
-    reg = 0.5 * 0.01 / m * _sq_norms(params)
+    reg = 0.5 * 0.01 / m * sq_norms(params)
     assert loss == pytest.approx(-sum(logps) / m + reg, abs=1e-12)
 
 
@@ -370,7 +402,7 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     dpos = np.einsum("me,me->m", Epos, F)
     dneg = np.einsum("mke,me->mk", Eneg, F)
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
-    loss = float(-logp.mean() + 0.5 * weight_decay / m * _sq_norms(params))
+    loss = float(-logp.mean() + 0.5 * weight_decay / m * sq_norms(params))
     cpos = 1.0 - _sigmoid(dpos)
     cneg = -_sigmoid(dneg)
     V = cpos[:, None] * Epos + np.einsum("mk,mke->me", cneg, Eneg)
@@ -523,8 +555,8 @@ def whole_array_adam_step(params, grads, state):
     b2c = 1.0 - state.beta2 ** state.t
     for name in PARAM_FIELDS:
         g = getattr(grads, name)
-        m = state.m[name]
-        v = state.v[name]
+        m = getattr(state.m, name)
+        v = getattr(state.v, name)
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
@@ -551,8 +583,8 @@ def test_blocked_adam_is_bit_identical_to_whole_array(dtype):
             assert state.t == want_state.t
             for name in PARAM_FIELDS:
                 for got, ref in ((getattr(params, name), getattr(want, name)),
-                                 (state.m[name], want_state.m[name]),
-                                 (state.v[name], want_state.v[name])):
+                                 (getattr(state.m, name), getattr(want_state.m, name)),
+                                 (getattr(state.v, name), getattr(want_state.v, name))):
                     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
@@ -586,7 +618,7 @@ def test_step_fills_the_gradients_it_is_given(dtype):
 def test_training_step_memory_is_bounded():
     """One float32 step plus Adam at the benchmark's train shape, given the
     gradient buffers of the step before, stays within 15.5 MiB of traced
-    memory above its inputs (15.04 measured; 16.15 with the activations
+    memory above its inputs (15.17 measured; 16.15 with the activations
     alive while the |V|-sized temporaries were allocated, 20.2 with a
     whole-batch Vneg, 36 when each step allocated its gradients and Adam
     worked on whole arrays)."""
