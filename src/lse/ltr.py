@@ -170,7 +170,8 @@ def _gathered_sum(rows, pos, neg, weights, scale=None):
             np.divide(diffs, scale, out=diffs)
             np.divide(others, scale, out=others)
         np.subtract(diffs, others, out=diffs)
-        hits = (np.vecdot(diffs[:, None], weights) < 1.0).transpose(1, 2, 0)
+        hits = np.ascontiguousarray(
+            (np.vecdot(diffs[:, None], weights) < 1.0).transpose(1, 2, 0))
         # each sum adds its pairs along the last axis of a C-ordered (C, S,
         # width, n) block, in the same order whatever C, S and width are
         total += np.multiply(np.ascontiguousarray(diffs.transpose(1, 2, 0)),

@@ -44,7 +44,9 @@ class Dims:
 class ModelParams:
     """The four learnable arrays, or the batch loss's gradients of them, or
     Adam's moments of those; iterating yields the arrays in PARAM_FIELDS
-    order, the container's."""
+    order, the container's. train holds W_v word-major (Fortran-ordered,
+    so W_v.T is a C-contiguous table of embedding rows); copies keep each
+    array's layout."""
 
     W_v: np.ndarray  # (e_V, |V|), column i = embedding of word id i
     W: np.ndarray    # (e_E, e_V), the word-to-entity linear map
@@ -69,7 +71,7 @@ class ModelParams:
         return self.W_v.dtype
 
     def copy(self):
-        return ModelParams(*(a.copy() for a in self))
+        return ModelParams(*(a.copy(order="K") for a in self))
 
 
 def init_params(dims, seed, dtype=np.float64):
@@ -104,13 +106,10 @@ def project(params, token_ids):
 
 
 def _sigmoid(x):
-    """Logistic function of the float array x, in x's dtype."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function of the float array x, in x's dtype: 1 / (1 + e^-x)
+    for x >= 0 and e^x / (1 + e^x) below, so no exponential overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 # Bytes per gather of the negatives' rows of W_e, and per block of the Adam
@@ -161,6 +160,13 @@ def _gather_sum(table, index):
     return out
 
 
+def _flat_views(arrays):
+    """1-D views of arrays in their shared memory order; a ValueError unless
+    all are C- or all are Fortran-contiguous (reshape(-1) would copy)."""
+    order = "C" if all(a.flags.c_contiguous for a in arrays) else "F"
+    return [a.reshape(-1, order=order, copy=False) for a in arrays]
+
+
 def _scatter_add(out, index, coef, rows):
     """np.add.at(out, index, coef[..., None] * rows[:, None, :]) for a
     C-contiguous 2-D out, an (m, k) index, coef broadcasting to it and rows
@@ -208,18 +214,22 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     W_v. Each element receives its addends in index order, as one
     np.add.at per scatter would give them, so the gradients are
     bit-identical to that and across reruns. The CSR gather of the mean
-    token embeddings reads contiguous rows, so the batch's distinct columns
-    of W_v are copied out first, never all |V| of them.
+    token embeddings H reads rows of W_v.T by n-gram id, in place when W_v
+    is word-major (as train holds it) and from a copy otherwise.
 
-    The gradients go into out, a C-contiguous ModelParams shaped like
+    The gradients go into out, a ModelParams shaped and laid out like
     params, which is returned (allocated when None); train passes the same
-    one on every step, so a step never holds two gradient sets. The
-    activations are reused in place (V and then G in Epos, G W in H) and
-    freed before the |V|-sized token rows (the squared norms precede them),
-    and Vneg and 1 - F^2 are never whole-batch arrays; each element keeps
-    its operands and order, so the bytes are those of the out-of-place
-    expressions. A float32 step plus Adam at m = 4096, e_V = 300, e_E = 256,
-    |V| = 2000, |X| = 1024 peaks about 15 MiB of traced memory above its inputs.
+    one on every step, so a step never holds two gradient sets. At most two
+    of the (m, e) activations H, F and G live at once: H goes once F is
+    formed, F once the W_e scatters have used it, and H is gathered again
+    (the same bits) for the W gradient and then overwritten by G W. Epos
+    becomes V and then G in place, the activations are freed before the
+    |V|-sized token rows (the squared norms precede them), and Vneg and
+    1 - F^2 are never whole-batch arrays; each element keeps its operands
+    and order, so the bytes are those of the out-of-place expressions. A
+    float32 step plus Adam on word-major params at m = 4096, e_V = 300,
+    e_E = 256, |V| = 2000, |X| = 1024 peaks about 10.4 MiB of traced memory
+    above its inputs.
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
@@ -230,10 +240,11 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     sq_norms = (float(np.sum(params.W_v * params.W_v))
                 + float(np.sum(params.W_e * params.W_e))
                 + float(np.sum(params.W * params.W)))
-    ids, slots = np.unique(ngrams, return_inverse=True)
-    H = _gather_sum(params.W_v.T[ids], slots.reshape(ngrams.shape))
+    table = np.ascontiguousarray(params.W_v.T)     # (|V|, e_V) embedding rows
+    H = _gather_sum(table, ngrams)
     H /= n                                         # (M, e_V), the mean
     F = np.matmul(H, params.W.T)                   # (M, e_E)
+    del H
     F += params.b
     np.tanh(F, out=F)
     G = params.W_e[positives]                      # (M, e_E), Epos for now
@@ -247,27 +258,31 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
         cneg[s] = -_sigmoid(dneg[s])
         G[s] += np.einsum("mk,mke->me", cneg[s], Eneg)  # V = cpos e+ + Vneg
         G[s] *= 1.0 - F[s] * F[s]                  # d logp / d preactivation
+    del Eneg
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
     loss = float(-logp.mean() + 0.5 * weight_decay / m * sq_norms)
 
     inv_m = 1.0 / m
     reg = weight_decay * inv_m
-    np.sum(G, axis=0, out=out.b)
-    out.b *= -inv_m
-    np.matmul(G.T, H, out=out.W)
-    out.W *= -inv_m
-    out.W += reg * params.W
     np.multiply(reg, params.W_e, out=out.W_e)
     _scatter_add(out.W_e, positives[:, None], (-inv_m * cpos)[:, None], F)
     _scatter_add(out.W_e, negatives, -inv_m * cneg, F)
+    del F
+    np.sum(G, axis=0, out=out.b)
+    out.b *= -inv_m
+    H = _gather_sum(table, ngrams)                 # the same bits again
+    H /= n
+    np.matmul(G.T, H, out=out.W)
+    out.W *= -inv_m
+    out.W += reg * params.W
 
     per_token = np.matmul(G, params.W, out=H)      # (M, e_V)
-    del F, G, Eneg  # the activations go before the (|V|, e_V) token rows come
+    del G  # the activations go before the (|V|, e_V) token rows come
     per_token *= -inv_m / n
-    token_rows = np.zeros(params.W_v.shape[::-1], dtype=per_token.dtype)
+    token_rows = np.zeros(table.shape, dtype=per_token.dtype)
     _scatter_add(token_rows, ngrams, 1, per_token)
     np.multiply(reg, params.W_v, out=out.W_v)
-    out.W_v += token_rows.T
+    np.add(out.W_v.T, token_rows, out=out.W_v.T)  # row by row when word-major
 
     return loss, out
 
@@ -277,11 +292,11 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
     central differences of batch_loss; coordinates where both are below
     1e-8 in magnitude count as exact, and a non-finite analytic gradient or
     difference as an infinite error. Each coordinate of params is perturbed
-    in place and restored."""
+    in place, through a view in memory order, and restored."""
     grads = batch_loss_and_gradients(params, batch, weight_decay)[1]
     worst = 0.0
     for theta, grad in zip(params, grads):
-        flat, analytic = theta.reshape(-1), grad.reshape(-1)
+        flat, analytic = _flat_views((theta, grad))
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -318,22 +333,29 @@ def adam_step(params, grads, state):
     """One bias-corrected Adam update, in place; returns (params, state).
 
     The update runs over flat blocks of _CHUNK_BYTES of each parameter, its
-    gradient and its two moments, so its temporaries are a block each, not
-    a parameter each; the expressions are elementwise, so the bytes are
-    those of whole-array updates. The arrays must be C-contiguous."""
+    gradient and its two moments, and writes its temporaries into two
+    block buffers that every block reuses; the expressions are elementwise
+    and keep their operations and order, so the bytes are those of
+    whole-array updates. A parameter, its gradient and its moments must
+    share one layout."""
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
+    step = max(1, _CHUNK_BYTES // params.dtype.itemsize)
+    buffers = np.empty((2, step), dtype=params.dtype)
     for arrays in zip(params, grads, state.m, state.v):
-        flat = [a.reshape(-1, copy=False) for a in arrays]
-        step = max(1, _CHUNK_BYTES // flat[0].itemsize)
+        flat = _flat_views(arrays)
         for lo in range(0, flat[0].size, step):
             theta, g, m, v = (a[lo:lo + step] for a in flat)
+            tmp, den = buffers[:, :len(theta)]
             m *= state.beta1
-            m += (1.0 - state.beta1) * g
+            m += np.multiply(1.0 - state.beta1, g, out=tmp)
             v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-            theta -= state.alpha * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+            v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=tmp), out=tmp)
+            np.multiply(state.alpha, np.divide(m, b1c, out=tmp), out=tmp)
+            np.sqrt(np.divide(v, b2c, out=den), out=den)
+            den += state.eps
+            theta -= np.divide(tmp, den, out=tmp)
     return params, state
 
 
