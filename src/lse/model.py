@@ -112,20 +112,29 @@ def _sigmoid(x):
     return np.where(x >= 0, 1, e) / (1 + e)
 
 
-# Bytes per gather of the negatives' rows of W_e, and per block of the Adam
-# update: about 1 MB keeps each (chunk, z, e_E) block and the einsums over it
-# in cache (102 instances in float32 and 51 in float64 at the default z and
-# e_E), and each of Adam's temporaries to a block.
+# Bytes per gather of the negatives' rows of W_e, and per block that
+# save_model writes: about 1 MB keeps each (chunk, z, e_E) block and the
+# einsums over it in cache (102 instances in float32 and 51 in float64 at the
+# default z and e_E).
 _CHUNK_BYTES = 1 << 20
+
+# Bytes per block of the Adam update; AdamState holds two such buffers.
+_ADAM_BLOCK_BYTES = 1 << 16
+
+
+def _check_ids(index, rows):
+    """An IndexError unless every id in index lies in [0, rows): neither the
+    sparsetools kernels nor np.take in clip mode check bounds."""
+    if index.min() < 0 or index.max() >= rows:
+        raise IndexError(f"id out of range for {rows} rows")
 
 
 def _incidence(index, rows):
     """CSR indptr and indices of the (m, k) id matrix index: row i lists the
-    ids index[i, 0], ..., index[i, k - 1] in order. The sparsetools kernels
-    do not check bounds, so an id outside [0, rows) is an IndexError here."""
+    ids index[i, 0], ..., index[i, k - 1] in order, each checked to lie in
+    [0, rows)."""
     m, k = index.shape
-    if index.min() < 0 or index.max() >= rows:
-        raise IndexError(f"id out of range for {rows} rows")
+    _check_ids(index, rows)
     return (np.arange(0, m * k + 1, k, dtype=np.intp),
             index.reshape(-1).astype(np.intp))
 
@@ -146,17 +155,19 @@ def _sparsetools():
     return sys.modules[name]
 
 
-def _gather_sum(table, index):
-    """Row i is table[index[i, 0]] + ... + table[index[i, k - 1]], added one
-    at a time in that order onto zero: one CSR product, without building the
-    (m, k, d) gather. This is table[index].sum(axis=1) bit for bit, except
-    that a sum of negative zeros only is +0.0."""
+def _gather_sum(table, index, out):
+    """Fill out, a C-contiguous (m, d) array of table's dtype, and return it:
+    row i becomes table[index[i, 0]] + ... + table[index[i, k - 1]], added
+    one at a time in that order onto zero (out is zeroed first, whatever it
+    held): one CSR product, without building the (m, k, d) gather. This is
+    table[index].sum(axis=1) bit for bit, except that a sum of negative
+    zeros only is +0.0. A bad id leaves out untouched."""
     m, k = index.shape
-    out = np.zeros((m, table.shape[1]), dtype=table.dtype)
-    _sparsetools().csr_matvecs(m, len(table), table.shape[1],
-                               *_incidence(index, len(table)),
+    indptr, indices = _incidence(index, len(table))
+    out[...] = 0
+    _sparsetools().csr_matvecs(m, len(table), table.shape[1], indptr, indices,
                                np.ones(m * k, dtype=table.dtype),
-                               table.reshape(-1), out.reshape(-1))
+                               table.reshape(-1), out.reshape(-1, copy=False))
     return out
 
 
@@ -210,44 +221,60 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     is dense over the three matrices and absent for b.
     The scatters are CSC products (_scatter_add): the positives, then the
     negatives, straight into the regularizer of W_e, and then the token
-    rows into a zero (|V|, e_V) buffer that is added to the regularizer of
-    W_v. Each element receives its addends in index order, as one
-    np.add.at per scatter would give them, so the gradients are
-    bit-identical to that and across reruns. The CSR gather of the mean
-    token embeddings H reads rows of W_v.T by n-gram id, in place when W_v
-    is word-major (as train holds it) and from a copy otherwise.
+    rows onto zero, to which the regularizer of W_v is added. Each element
+    receives its addends in index order, as one np.add.at per scatter would
+    give them, so the gradients are bit-identical to that and across
+    reruns. The CSR gather of the mean token embeddings H reads rows of
+    W_v.T by n-gram id, in place when W_v is word-major (as train holds it)
+    and from a copy otherwise.
 
     The gradients go into out, a ModelParams shaped and laid out like
     params, which is returned (allocated when None); train passes the same
-    one on every step, so a step never holds two gradient sets. At most two
-    of the (m, e) activations H, F and G live at once: H goes once F is
-    formed, F once the W_e scatters have used it, and H is gathered again
-    (the same bits) for the W gradient and then overwritten by G W. Epos
-    becomes V and then G in place, the activations are freed before the
-    |V|-sized token rows (the squared norms precede them), and Vneg and
-    1 - F^2 are never whole-batch arrays; each element keeps its operands
-    and order, so the bytes are those of the out-of-place expressions. A
-    float32 step plus Adam on word-major params at m = 4096, e_V = 300,
-    e_E = 256, |V| = 2000, |X| = 1024 peaks about 10.4 MiB of traced memory
-    above its inputs.
+    one on every step, so a step never holds two gradient sets. On
+    word-major W_v nothing else the step allocates is |V|-sized: each
+    squared norm is summed in its parameter's gradient buffer, and the
+    token rows go straight into the zeroed W_v gradient, onto which
+    lambda / m W_v is then added in blocks (t + r has the bits of r + t).
+    C-ordered W_v, which only grad-check and the tests use, takes a zero
+    (|V|, e_V) table for the token rows and a copy of W_v.T.
+
+    The (m, e) activations are views of the two rows of one block: H in
+    row 0 until F (row 1) is formed, then G in row 0, and once the W_e
+    scatters have used F, H gathered again (the same bits) in row 1 for the
+    W gradient, overwritten by G W. Epos becomes V and then G in place, each
+    chunk of the negatives' rows of W_e goes before the next is gathered,
+    and Vneg and 1 - F^2 are never whole-batch arrays; each element keeps
+    its operands and order, so the bytes are those of the out-of-place
+    expressions. A float32 step plus Adam on word-major params at m = 4096,
+    e_V = 300, e_E = 256, |X| = 1024 peaks about 10.9 MiB of traced memory
+    above its inputs, at |V| = 2000 and at |V| = 65536 alike.
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
+    e_e, e_v = params.W.shape
     if out is None:
         out = ModelParams(*map(np.empty_like, params))
-    # the squared norms come first, so their |V|-sized temporary is gone
-    # before any activation exists
-    sq_norms = (float(np.sum(params.W_v * params.W_v))
-                + float(np.sum(params.W_e * params.W_e))
-                + float(np.sum(params.W * params.W)))
+    # each squared norm is summed in its parameter's gradient buffer, which
+    # is filled later
+    sq_norms = 0.0
+    for theta, grad in ((params.W_v, out.W_v), (params.W_e, out.W_e),
+                        (params.W, out.W)):
+        theta, grad = _flat_views((theta, grad))
+        sq_norms += float(np.sum(np.multiply(theta, theta, out=grad)))
     table = np.ascontiguousarray(params.W_v.T)     # (|V|, e_V) embedding rows
-    H = _gather_sum(table, ngrams)
+    block = np.empty((2, m * max(e_v, e_e)), dtype=params.dtype)
+
+    def activation(row, e):
+        return block[row, :m * e].reshape(m, e)
+
+    H = _gather_sum(table, ngrams, activation(0, e_v))
     H /= n                                         # (M, e_V), the mean
-    F = np.matmul(H, params.W.T)                   # (M, e_E)
-    del H
+    F = np.matmul(H, params.W.T, out=activation(1, e_e))
     F += params.b
-    np.tanh(F, out=F)
-    G = params.W_e[positives]                      # (M, e_E), Epos for now
+    np.tanh(F, out=F)                              # (M, e_E)
+    _check_ids(positives, len(params.W_e))         # np.take would clip them
+    G = np.take(params.W_e, positives, axis=0, out=activation(0, e_e),
+                mode="clip")                       # over H; Epos for now
     dpos = np.einsum("me,me->m", G, F)
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
     G *= cpos[:, None]
@@ -258,7 +285,7 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
         cneg[s] = -_sigmoid(dneg[s])
         G[s] += np.einsum("mk,mke->me", cneg[s], Eneg)  # V = cpos e+ + Vneg
         G[s] *= 1.0 - F[s] * F[s]                  # d logp / d preactivation
-    del Eneg
+        del Eneg                                   # before the next gather
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
     loss = float(-logp.mean() + 0.5 * weight_decay / m * sq_norms)
 
@@ -267,22 +294,29 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     np.multiply(reg, params.W_e, out=out.W_e)
     _scatter_add(out.W_e, positives[:, None], (-inv_m * cpos)[:, None], F)
     _scatter_add(out.W_e, negatives, -inv_m * cneg, F)
-    del F
     np.sum(G, axis=0, out=out.b)
     out.b *= -inv_m
-    H = _gather_sum(table, ngrams)                 # the same bits again
+    H = _gather_sum(table, ngrams, activation(1, e_v))  # over F; the same bits
     H /= n
     np.matmul(G.T, H, out=out.W)
     out.W *= -inv_m
     out.W += reg * params.W
 
     per_token = np.matmul(G, params.W, out=H)      # (M, e_V)
-    del G  # the activations go before the (|V|, e_V) token rows come
     per_token *= -inv_m / n
-    token_rows = np.zeros(table.shape, dtype=per_token.dtype)
-    _scatter_add(token_rows, ngrams, 1, per_token)
-    np.multiply(reg, params.W_v, out=out.W_v)
-    np.add(out.W_v.T, token_rows, out=out.W_v.T)  # row by row when word-major
+    if out.W_v.T.flags.c_contiguous:               # word-major
+        out.W_v.fill(0)
+        _scatter_add(out.W_v.T, ngrams, 1, per_token)
+    else:
+        token_rows = np.zeros(table.shape, dtype=per_token.dtype)
+        _scatter_add(token_rows, ngrams, 1, per_token)
+        out.W_v[...] = token_rows.T
+    # + lambda / m W_v, block by block through the spent activations' block
+    grad, theta = _flat_views((out.W_v, params.W_v))
+    tmp = block.reshape(-1)
+    for lo in range(0, grad.size, tmp.size):
+        g = grad[lo:lo + tmp.size]
+        g += np.multiply(reg, theta[lo:lo + tmp.size], out=tmp[:g.size])
 
     return loss, out
 
@@ -316,7 +350,9 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
 
 class AdamState:
     """Adam accumulators at Kingma & Ba's constants; the moments m and v are
-    ModelParams that start at zero, and t increments per update."""
+    ModelParams that start at zero, and t increments per update. buffers
+    are the update's two block buffers of _ADAM_BLOCK_BYTES each, made once
+    here so that no update allocates."""
 
     alpha = 0.001
     beta1 = 0.9
@@ -327,27 +363,28 @@ class AdamState:
         self.t = 0
         self.m = ModelParams(*map(np.zeros_like, params))
         self.v = ModelParams(*map(np.zeros_like, params))
+        self.buffers = np.empty((2, max(1, _ADAM_BLOCK_BYTES // params.dtype.itemsize)),
+                                dtype=params.dtype)
 
 
 def adam_step(params, grads, state):
     """One bias-corrected Adam update, in place; returns (params, state).
 
-    The update runs over flat blocks of _CHUNK_BYTES of each parameter, its
-    gradient and its two moments, and writes its temporaries into two
-    block buffers that every block reuses; the expressions are elementwise
-    and keep their operations and order, so the bytes are those of
-    whole-array updates. A parameter, its gradient and its moments must
-    share one layout."""
+    The update runs over flat blocks of each parameter, its gradient and its
+    two moments, as long as state's block buffers, and writes its
+    temporaries into those buffers, so it allocates nothing; the
+    expressions are elementwise and keep their operations and order, so the
+    bytes are those of whole-array updates. A parameter, its gradient and
+    its moments must share one layout."""
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
-    step = max(1, _CHUNK_BYTES // params.dtype.itemsize)
-    buffers = np.empty((2, step), dtype=params.dtype)
+    step = state.buffers.shape[1]
     for arrays in zip(params, grads, state.m, state.v):
         flat = _flat_views(arrays)
         for lo in range(0, flat[0].size, step):
             theta, g, m, v = (a[lo:lo + step] for a in flat)
-            tmp, den = buffers[:, :len(theta)]
+            tmp, den = state.buffers[:, :len(theta)]
             m *= state.beta1
             m += np.multiply(1.0 - state.beta1, g, out=tmp)
             v *= state.beta2
@@ -440,7 +477,9 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
     the four arrays row-major little-endian in the order W_v, W, b, W_e, in
     the params' dtype (float32 or float64, named by the header's dtype). A
     pretty-printed .meta.json sidecar mirrors the header. Each file is
-    written to a temporary file first and renamed into place."""
+    written to a temporary file first and renamed into place. Arrays go out
+    in blocks of rows of about _CHUNK_BYTES, each made C-contiguous on its
+    own, so a word-major W_v is never copied whole."""
     dims = params.dims
     dtype = params.dtype.name
     header = {
@@ -458,7 +497,10 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for arr in params:
-            fh.write(np.ascontiguousarray(arr, dtype=_CONTAINER_DTYPES[dtype]))
+            rows = max(1, _CHUNK_BYTES // (arr.nbytes // len(arr)))
+            for lo in range(0, len(arr), rows):
+                fh.write(np.ascontiguousarray(arr[lo:lo + rows],
+                                              dtype=_CONTAINER_DTYPES[dtype]))
     write_json(f"{path}.meta.json", header)
 
 

@@ -570,8 +570,12 @@ def test_gather_sum_adds_rows_in_order_from_zero(case):
     want = np.zeros((len(index), table.shape[1]), dtype=table.dtype)
     for k in range(index.shape[1]):
         want += table[index[:, k]]
-    got = _gather_sum(table, index)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # into a fresh buffer and into one prefilled with garbage, which the
+    # gather zeroes first
+    for out in (np.empty_like(want), np.full_like(want, np.nan)):
+        got = _gather_sum(table, index, out)
+        assert got is out
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -580,9 +584,28 @@ def test_sparse_helpers_reject_out_of_range_ids(bad):
     index = np.array([[0, bad]])
     with pytest.raises(IndexError):
         _scatter_add(out, index, 1.0, np.ones((1, 2)))
+    gathered = np.full((1, 2), 7.0)
     with pytest.raises(IndexError):
-        _gather_sum(out, index)
+        _gather_sum(out, index, gathered)
     assert np.array_equal(out, np.ones((3, 2)))
+    assert np.array_equal(gathered, np.full((1, 2), 7.0))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("field", ["ngrams", "positives", "negatives"])
+def test_step_rejects_out_of_range_ids(layout, field):
+    # an id of -1 or of the table's length is an IndexError, never a wrapped
+    # or clipped row, whichever array holds it and whatever W_v's layout
+    params, block = random_setup(37, m=4, n=2, z=3)
+    if layout == "F":
+        params = word_major(params)
+    rows = params.dims.vocab_size if field == "ngrams" else params.dims.num_entities
+    for bad in (-1, rows):
+        ids = {name: getattr(block, name).copy()
+               for name in ("ngrams", "positives", "negatives")}
+        ids[field].reshape(-1)[-1] = bad
+        with pytest.raises(IndexError):
+            batch_loss_and_gradients(params, InstanceBlock(**ids), 0.01)
 
 
 def test_adam_first_step_magnitude_near_alpha():
@@ -647,20 +670,21 @@ def test_blocked_adam_is_bit_identical_to_whole_array(dtype):
     # b and W_e spans several blocks and ends in a partial one.
     params = init_params(Dims(e_v=3, e_e=5, vocab_size=7, num_entities=3), 41,
                          dtype=dtype)
-    want, state, want_state = params.copy(), AdamState(params), AdamState(params)
+    with mock.patch.object(lse.model, "_ADAM_BLOCK_BYTES", 2 * np.dtype(dtype).itemsize):
+        want, state, want_state = params.copy(), AdamState(params), AdamState(params)
+    assert state.buffers.shape == (2, 2)
     rng = np.random.default_rng(43)
-    with mock.patch.object(lse.model, "_CHUNK_BYTES", 2 * np.dtype(dtype).itemsize):
-        for _ in range(3):
-            grads = ModelParams(*(rng.standard_normal(getattr(params, name).shape)
-                                  .astype(dtype) for name in PARAM_FIELDS))
-            adam_step(params, grads, state)
-            whole_array_adam_step(want, grads, want_state)
-            assert state.t == want_state.t
-            for name in PARAM_FIELDS:
-                for got, ref in ((getattr(params, name), getattr(want, name)),
-                                 (getattr(state.m, name), getattr(want_state.m, name)),
-                                 (getattr(state.v, name), getattr(want_state.v, name))):
-                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    for _ in range(3):
+        grads = ModelParams(*(rng.standard_normal(getattr(params, name).shape)
+                              .astype(dtype) for name in PARAM_FIELDS))
+        adam_step(params, grads, state)
+        whole_array_adam_step(want, grads, want_state)
+        assert state.t == want_state.t
+        for name in PARAM_FIELDS:
+            for got, ref in ((getattr(params, name), getattr(want, name)),
+                             (getattr(state.m, name), getattr(want_state.m, name)),
+                             (getattr(state.v, name), getattr(want_state.v, name))):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
 def test_adam_rejects_a_group_with_mixed_layouts():
@@ -686,12 +710,12 @@ def test_word_major_adam_group_updates_like_its_c_order_copy(dtype):
              for _ in range(3)]
     runs = []
     for start in (params.copy(), word_major(params)):
-        state = AdamState(start)
-        with mock.patch.object(lse.model, "_CHUNK_BYTES", 3 * np.dtype(dtype).itemsize):
-            for grads in steps:
-                if start.W_v.flags.f_contiguous:
-                    grads = word_major(grads)
-                adam_step(start, grads, state)
+        with mock.patch.object(lse.model, "_ADAM_BLOCK_BYTES", 3 * np.dtype(dtype).itemsize):
+            state = AdamState(start)
+        for grads in steps:
+            if start.W_v.flags.f_contiguous:
+                grads = word_major(grads)
+            adam_step(start, grads, state)
         runs.append([a.tobytes(order="C") for group in (start, state.m, state.v)
                      for a in group])
     assert runs[0] == runs[1]
@@ -716,18 +740,22 @@ def test_step_fills_the_gradients_it_is_given(dtype):
         assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
 
 
-def test_training_step_memory_is_bounded():
-    """One float32 step plus Adam at the benchmark's train shape, on
-    word-major params as train holds them and given the gradient buffers of
-    the step before, stays within 11 MiB of traced memory above its inputs
-    (10.35 measured; 15.17 with all three activations H, F and G alive at
-    once and a copy of the batch's rows of W_v, 16.15 with the activations
-    alive while the |V|-sized temporaries were allocated, 20.2 with a
-    whole-batch Vneg, 36 when each step allocated its gradients and Adam
-    worked on whole arrays)."""
-    m, n, z = 4096, 4, 10
-    dims = Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024)
-    rng = np.random.default_rng(59)
+def traced_peak(call):
+    """Traced memory that call() peaks at above what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def warm_float32_step(dims, m, n=4, z=10, seed=59):
+    """Word-major float32 params as train holds them, a batch of uniform
+    ids, and the Adam state and gradient buffers left by one step plus
+    Adam on it."""
+    rng = np.random.default_rng(seed)
     params = word_major(init_params(dims, rng, dtype=np.float32))
     block = InstanceBlock(rng.integers(0, dims.vocab_size, size=(m, n), dtype=np.int32),
                           rng.integers(0, dims.num_entities, size=m, dtype=np.int32),
@@ -735,15 +763,50 @@ def test_training_step_memory_is_bounded():
     state = AdamState(params)
     grads = batch_loss_and_gradients(params, block, 0.01)[1]
     adam_step(params, grads, state)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        batch_loss_and_gradients(params, block, 0.01, grads)
-        adam_step(params, grads, state)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    return params, block, state, grads
+
+
+def step_and_adam(params, block, state, grads):
+    batch_loss_and_gradients(params, block, 0.01, grads)
+    adam_step(params, grads, state)
+
+
+def test_training_step_memory_is_bounded():
+    """One float32 step plus Adam at the benchmark's train shape, on
+    word-major params as train holds them and given the gradient buffers of
+    the step before, stays within 11 MiB of traced memory above its inputs
+    (10.92 measured: the activation block of 9.4 MiB, one 1 MiB chunk of
+    the negatives' rows and the batch's coefficients; 10.35 with the
+    activations in separate arrays, which faulted in about 2800 fresh pages
+    a step; 15.17 with all three activations H, F and G alive at once and a
+    copy of the batch's rows of W_v, 16.15 with the activations alive while
+    the |V|-sized temporaries were allocated, 20.2 with a whole-batch Vneg,
+    36 when each step allocated its gradients and Adam worked on whole
+    arrays)."""
+    warm = warm_float32_step(Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024),
+                             m=4096)
+    peak = traced_peak(lambda: step_and_adam(*warm))
     assert peak < 11 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def test_step_at_the_vocabulary_cap_allocates_nothing_vocabulary_sized():
+    """At |V| = 65536, the cap of build-vocab, a float32 step plus Adam
+    stays within a quarter of W_v's 4 MiB of traced memory above its inputs
+    (0.5 MiB measured, mostly the negatives' rows); the squared norms' and
+    the token rows' |V|-sized temporaries took it to 4.1 MiB."""
+    dims = Dims(e_v=16, e_e=16, vocab_size=65536, num_entities=64)
+    warm = warm_float32_step(dims, m=512)
+    peak = traced_peak(lambda: step_and_adam(*warm))
+    assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def test_adam_step_allocates_nothing():
+    """adam_step writes its temporaries into the state's two 64 KiB block
+    buffers; two fresh 1 MiB buffers per call took it to 2 MiB."""
+    params, _, state, grads = warm_float32_step(
+        Dims(e_v=16, e_e=16, vocab_size=65536, num_entities=64), m=8)
+    peak = traced_peak(lambda: adam_step(params, grads, state))
+    assert peak < 128 * 2 ** 10, f"{peak / 2 ** 10:.1f} KiB"
 
 
 def test_train_config_defaults():
@@ -829,6 +892,21 @@ def test_save_is_byte_stable(tmp_path):
     save_model(a, params, vocab_sha256="x", entity_ids=["e"])
     save_model(b, params, vocab_sha256="x", entity_ids=["e"])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_word_major_save_writes_the_c_order_file_in_blocks(tmp_path, dtype):
+    """A word-major W_v, as train returns it, is written in blocks of rows:
+    the file equals that of the C-ordered params, and at the benchmark's
+    train shape the save peaks under 1.1 MiB of traced memory (one block),
+    where copying the float32 W_v whole took 2.3 MiB."""
+    dims = Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024)
+    params = init_params(dims, 71, dtype=dtype)
+    fortran, names = word_major(params), entity_names(params)
+    save_model(tmp_path / "c.lse", params, entity_ids=names)
+    peak = traced_peak(lambda: save_model(tmp_path / "f.lse", fortran, entity_ids=names))
+    assert (tmp_path / "f.lse").read_bytes() == (tmp_path / "c.lse").read_bytes()
+    assert peak < 1.1 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_failed_save_leaves_no_partial_or_temporary_file(tmp_path):
