@@ -118,6 +118,10 @@ def _sigmoid(x):
 # default z and e_E).
 _CHUNK_BYTES = 1 << 20
 
+# Words per block of the word side's S^T T: OpenBLAS sums a longer inner
+# dimension in an order that depends on its thread count, even in float32.
+_WORD_BLOCK = 256
+
 # Bytes per block of the Adam update; AdamState holds two such buffers.
 _ADAM_BLOCK_BYTES = 1 << 16
 
@@ -195,12 +199,16 @@ def _scatter_add(out, index, coef, rows):
 
 def _negative_rows(W_e, negatives):
     """(s, W_e[negatives[s]]) for consecutive slices s of the instances,
-    each gather about _CHUNK_BYTES (at least one instance), so the negatives
-    are never gathered all at once."""
-    step = max(1, _CHUNK_BYTES // (negatives.shape[1] * W_e.shape[1] * W_e.itemsize))
+    each gather about _CHUNK_BYTES (at least one instance) and taken into
+    one buffer that every chunk reuses, so the negatives are never gathered
+    all at once. The ids must have passed _check_ids (np.take clips)."""
+    z, e_e = negatives.shape[1], W_e.shape[1]
+    step = max(1, _CHUNK_BYTES // (z * e_e * W_e.itemsize))
+    buf = np.empty((min(step, len(negatives)), z, e_e), dtype=W_e.dtype)
     for lo in range(0, len(negatives), step):
         s = slice(lo, lo + step)
-        yield s, W_e[negatives[s]]                 # (chunk, z, e_E)
+        yield s, np.take(W_e, negatives[s], axis=0, out=buf[:len(negatives[s])],
+                         mode="clip")             # (chunk, z, e_E)
 
 
 def batch_loss(params, batch, weight_decay):
@@ -208,73 +216,89 @@ def batch_loss(params, batch, weight_decay):
     return batch_loss_and_gradients(params, batch, weight_decay)[0]
 
 
+def _word_side(ngrams):
+    """(distinct ids, (m, n) index of each n-gram into them) of the (m, n)
+    ngrams, or None when there are m or more distinct ids."""
+    ids, inv = np.unique(ngrams, return_inverse=True)
+    return (ids, inv.reshape(ngrams.shape)) if len(ids) < len(ngrams) else None
+
+
 def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     """One forward/backward pass; returns (loss, gradients as ModelParams).
 
     The loss is the mean negated instance log-probability plus the
-    weight-decay term, and the gradients are exact for it. The per-instance
-    pieces are sech^2 = 1 - f^2 reusing the forward tanh, a coefficient
-    1 - sigma for the positive dot and -sigma per negative dot (cneg; chunk
-    by chunk, Vneg = sum_k cneg_k e_k is added onto the positive's term and
-    the sum scaled by sech^2), and a sparse scatter-add into the touched
-    columns of W_v and rows of W_e; the (lambda / m) theta regularizer term
-    is dense over the three matrices and absent for b.
-    The scatters are CSC products (_scatter_add): the positives, then the
-    negatives, straight into the regularizer of W_e, and then the token
-    rows onto zero, to which the regularizer of W_v is added. Each element
-    receives its addends in index order, as one np.add.at per scatter would
-    give them, so the gradients are bit-identical to that and across
-    reruns. The CSR gather of the mean token embeddings H reads rows of
-    W_v.T by n-gram id, in place when W_v is word-major (as train holds it)
-    and from a copy otherwise.
+    weight-decay term, and the gradients are exact for it: sech^2 = 1 - f^2
+    reuses the forward tanh, the positive dot gets 1 - sigma and each
+    negative dot -sigma (cneg; chunk by chunk, Vneg = sum_k cneg_k e_k is
+    added onto the positive's term and the sum scaled by sech^2), and the
+    (lambda / m) theta term is dense over the three matrices and absent for
+    b. Every id is range-checked before the forward pass. The scatters are
+    CSC products (_scatter_add) straight into W_e's regularizer term and
+    onto zero elsewhere; each element receives its addends in index order,
+    as from np.add.at, so reruns are bit-identical.
 
-    The gradients go into out, a ModelParams shaped and laid out like
-    params, which is returned (allocated when None); train passes the same
-    one on every step, so a step never holds two gradient sets. On
-    word-major W_v nothing else the step allocates is |V|-sized: each
-    squared norm is summed in its parameter's gradient buffer, and the
-    token rows go straight into the zeroed W_v gradient, onto which
-    lambda / m W_v is then added in blocks (t + r has the bits of r + t).
-    C-ordered W_v, which only grad-check and the tests use, takes a zero
-    (|V|, e_V) table for the token rows and a copy of W_v.T.
+    The projection is linear up to the tanh, so a batch with fewer distinct
+    n-gram ids u than instances m takes the word side: it projects its u
+    embedding rows T once (P = T W^T), an instance's pre-activation is the
+    mean of its words' rows of P, the error G is scattered onto the words
+    (S = -A^T G / (m n) for the (m, u) incidence A), the W gradient is
+    S^T T (in blocks of _WORD_BLOCK words) and the W_v gradient's rows ids
+    are S W. Its GEMMs cost u e_V e_E; the instance side's (u >= m) cost
+    m e_V e_E: the mean embeddings H (m, e_V), G^T H, and the token rows
+    G W scattered into W_v's gradient. The sides agree to rounding. Rows of
+    W_v.T are read in place when W_v is word-major (as train holds it).
 
-    The (m, e) activations are views of the two rows of one block: H in
-    row 0 until F (row 1) is formed, then G in row 0, and once the W_e
-    scatters have used F, H gathered again (the same bits) in row 1 for the
-    W gradient, overwritten by G W. Epos becomes V and then G in place, each
-    chunk of the negatives' rows of W_e goes before the next is gathered,
-    and Vneg and 1 - F^2 are never whole-batch arrays; each element keeps
-    its operands and order, so the bytes are those of the out-of-place
-    expressions. A float32 step plus Adam on word-major params at m = 4096,
-    e_V = 300, e_E = 256, |X| = 1024 peaks about 10.9 MiB of traced memory
-    above its inputs, at |V| = 2000 and at |V| = 65536 alike.
+    The gradients go into out (allocated when None), a ModelParams laid out
+    like params; train passes the same one on every step. On word-major W_v
+    nothing else is |V|-sized: each squared norm is summed in its gradient
+    buffer, and lambda / m W_v is added onto the W_v gradient in blocks.
+    The activations are views of a block of two rows of max(m e_E,
+    u max(e_V, e_E)) values. Word side: T in row 0 and P in row 1, then F
+    over T, G over P, S over F once the W_e scatters have used F, T again
+    over G, and S W over T. Instance side: H in row 0, F in row 1, G over H,
+    H again over F and G W over it. The negatives' rows of W_e are taken a
+    chunk at a time into one buffer. Word-major float32 params at m = 4096,
+    e_V = 300, e_E = 256 and 1024 entities, 2 vCPUs, OpenBLAS on one thread:
+    at |V| = 2000 (u = 2000, the word side) a step plus Adam peaks 9.7 MiB
+    of traced memory above its inputs and a step takes 35-45 ms, against
+    10.9 MiB and 47-58 ms on the instance side; at |V| = 65536 (u > m, the
+    instance side) it peaks 10.9 MiB and a step takes 112-128 ms.
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
     e_e, e_v = params.W.shape
+    _check_ids(ngrams, params.W_v.shape[1])
+    _check_ids(positives, len(params.W_e))         # np.take would clip them
+    _check_ids(negatives, len(params.W_e))
+    words = _word_side(ngrams)
     if out is None:
         out = ModelParams(*map(np.empty_like, params))
-    # each squared norm is summed in its parameter's gradient buffer, which
-    # is filled later
-    sq_norms = 0.0
+    sq_norms = 0.0                                 # in the gradient buffers
     for theta, grad in ((params.W_v, out.W_v), (params.W_e, out.W_e),
                         (params.W, out.W)):
         theta, grad = _flat_views((theta, grad))
         sq_norms += float(np.sum(np.multiply(theta, theta, out=grad)))
     table = np.ascontiguousarray(params.W_v.T)     # (|V|, e_V) embedding rows
-    block = np.empty((2, m * max(e_v, e_e)), dtype=params.dtype)
+    u = m if words is None else len(words[0])      # rows that are projected
+    block = np.empty((2, max(m * e_e, u * max(e_v, e_e))), dtype=params.dtype)
 
-    def activation(row, e):
-        return block[row, :m * e].reshape(m, e)
+    def activation(row, rows, e):
+        return block[row, :rows * e].reshape(rows, e)
 
-    H = _gather_sum(table, ngrams, activation(0, e_v))
-    H /= n                                         # (M, e_V), the mean
-    F = np.matmul(H, params.W.T, out=activation(1, e_e))
+    if words is None:
+        H = _gather_sum(table, ngrams, activation(0, m, e_v))
+        H /= n                                     # (M, e_V), the mean
+        F = np.matmul(H, params.W.T, out=activation(1, m, e_e))
+    else:
+        ids, inv = words
+        T = np.take(table, ids, axis=0, out=activation(0, u, e_v), mode="clip")
+        P = np.matmul(T, params.W.T, out=activation(1, u, e_e))  # (u, e_E)
+        F = _gather_sum(P, inv, activation(0, m, e_e))         # over T
+        F /= n
     F += params.b
     np.tanh(F, out=F)                              # (M, e_E)
-    _check_ids(positives, len(params.W_e))         # np.take would clip them
-    G = np.take(params.W_e, positives, axis=0, out=activation(0, e_e),
-                mode="clip")                       # over H; Epos for now
+    G = np.take(params.W_e, positives, axis=0, mode="clip",  # Epos for now,
+                out=activation(0 if words is None else 1, m, e_e))  # over H or P
     dpos = np.einsum("me,me->m", G, F)
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
     G *= cpos[:, None]
@@ -285,7 +309,7 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
         cneg[s] = -_sigmoid(dneg[s])
         G[s] += np.einsum("mk,mke->me", cneg[s], Eneg)  # V = cpos e+ + Vneg
         G[s] *= 1.0 - F[s] * F[s]                  # d logp / d preactivation
-        del Eneg                                   # before the next gather
+    del Eneg                                       # and with it the chunks' buffer
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
     loss = float(-logp.mean() + 0.5 * weight_decay / m * sq_norms)
 
@@ -296,21 +320,31 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     _scatter_add(out.W_e, negatives, -inv_m * cneg, F)
     np.sum(G, axis=0, out=out.b)
     out.b *= -inv_m
-    H = _gather_sum(table, ngrams, activation(1, e_v))  # over F; the same bits
-    H /= n
-    np.matmul(G.T, H, out=out.W)
-    out.W *= -inv_m
-    out.W += reg * params.W
-
-    per_token = np.matmul(G, params.W, out=H)      # (M, e_V)
-    per_token *= -inv_m / n
-    if out.W_v.T.flags.c_contiguous:               # word-major
-        out.W_v.fill(0)
-        _scatter_add(out.W_v.T, ngrams, 1, per_token)
+    out.W_v.fill(0)
+    if words is None:
+        H = _gather_sum(table, ngrams, activation(1, m, e_v))  # over F; the same bits
+        H /= n
+        np.matmul(G.T, H, out=out.W)
+        out.W *= -inv_m
+        per_token = np.matmul(G, params.W, out=H)  # (M, e_V)
+        per_token *= -inv_m / n
+        if out.W_v.T.flags.c_contiguous:           # word-major
+            _scatter_add(out.W_v.T, ngrams, 1, per_token)
+        else:
+            token_rows = np.zeros(table.shape, dtype=per_token.dtype)
+            _scatter_add(token_rows, ngrams, 1, per_token)
+            out.W_v[...] = token_rows.T
     else:
-        token_rows = np.zeros(table.shape, dtype=per_token.dtype)
-        _scatter_add(token_rows, ngrams, 1, per_token)
-        out.W_v[...] = token_rows.T
+        S = activation(0, u, e_e)                  # over F
+        S.fill(0)
+        _scatter_add(S, inv, 1, G)                 # A^T G
+        S *= -inv_m / n
+        T = np.take(table, ids, axis=0, out=activation(1, u, e_v), mode="clip")  # over G
+        np.matmul(S[:_WORD_BLOCK].T, T[:_WORD_BLOCK], out=out.W)
+        for lo in range(_WORD_BLOCK, u, _WORD_BLOCK):
+            out.W += S[lo:lo + _WORD_BLOCK].T @ T[lo:lo + _WORD_BLOCK]
+        out.W_v.T[ids] = np.matmul(S, params.W, out=T)  # over T
+    out.W += reg * params.W
     # + lambda / m W_v, block by block through the spent activations' block
     grad, theta = _flat_views((out.W_v, params.W_v))
     tmp = block.reshape(-1)
