@@ -118,8 +118,9 @@ def _sigmoid(x):
 # default z and e_E).
 _CHUNK_BYTES = 1 << 20
 
-# Words per block of the word side's S^T T: OpenBLAS sums a longer inner
-# dimension in an order that depends on its thread count, even in float32.
+# Words per block of the training step's S^T T: OpenBLAS sums a longer
+# inner dimension in an order that depends on its thread count, even in
+# float32.
 _WORD_BLOCK = 256
 
 # Bytes per block of the Adam update; AdamState holds two such buffers.
@@ -216,13 +217,6 @@ def batch_loss(params, batch, weight_decay):
     return batch_loss_and_gradients(params, batch, weight_decay)[0]
 
 
-def _word_side(ngrams):
-    """(distinct ids, (m, n) index of each n-gram into them) of the (m, n)
-    ngrams, or None when there are m or more distinct ids."""
-    ids, inv = np.unique(ngrams, return_inverse=True)
-    return (ids, inv.reshape(ngrams.shape)) if len(ids) < len(ngrams) else None
-
-
 def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     """One forward/backward pass; returns (loss, gradients as ModelParams).
 
@@ -237,40 +231,41 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     onto zero elsewhere; each element receives its addends in index order,
     as from np.add.at, so reruns are bit-identical.
 
-    The projection is linear up to the tanh, so a batch with fewer distinct
-    n-gram ids u than instances m takes the word side: it projects its u
-    embedding rows T once (P = T W^T), an instance's pre-activation is the
-    mean of its words' rows of P, the error G is scattered onto the words
-    (S = -A^T G / (m n) for the (m, u) incidence A), the W gradient is
-    S^T T (in blocks of _WORD_BLOCK words) and the W_v gradient's rows ids
-    are S W. Its GEMMs cost u e_V e_E; the instance side's (u >= m) cost
-    m e_V e_E: the mean embeddings H (m, e_V), G^T H, and the token rows
-    G W scattered into W_v's gradient. The sides agree to rounding. Rows of
-    W_v.T are read in place when W_v is word-major (as train holds it).
+    The projection is linear up to the tanh, so each of the batch's u
+    distinct n-gram ids is projected once: their embedding rows T (rows of
+    W_v.T, read in place when W_v is word-major, as train holds it) give
+    P = T W^T, and an instance's pre-activation is the mean of its words'
+    rows of P. The error G is scattered onto the words (S = -A^T G / (m n)
+    for the (m, u) incidence A), the W gradient is S^T T, summed
+    _WORD_BLOCK words at a time, and the W_v gradient's rows ids are S W.
+    The GEMMs cost u e_V e_E, against m e_V e_E for projecting the m mean
+    embeddings; the two agree to rounding.
 
     The gradients go into out (allocated when None), a ModelParams laid out
     like params; train passes the same one on every step. On word-major W_v
     nothing else is |V|-sized: each squared norm is summed in its gradient
     buffer, and lambda / m W_v is added onto the W_v gradient in blocks.
     The activations are views of a block of two rows of max(m e_E,
-    u max(e_V, e_E)) values. Word side: T in row 0 and P in row 1, then F
-    over T, G over P, S over F once the W_e scatters have used F, T again
-    over G, and S W over T. Instance side: H in row 0, F in row 1, G over H,
-    H again over F and G W over it. The negatives' rows of W_e are taken a
-    chunk at a time into one buffer. Word-major float32 params at m = 4096,
-    e_V = 300, e_E = 256 and 1024 entities, 2 vCPUs, OpenBLAS on one thread:
-    at |V| = 2000 (u = 2000, the word side) a step plus Adam peaks 9.7 MiB
-    of traced memory above its inputs and a step takes 35-45 ms, against
-    10.9 MiB and 47-58 ms on the instance side; at |V| = 65536 (u > m, the
-    instance side) it peaks 10.9 MiB and a step takes 112-128 ms.
+    u max(e_V, e_E)) values: T in row 0 and P in row 1, then F over T,
+    G over P, S over F once the W_e scatters have used F, T again over G,
+    and S W over T. The negatives' rows of W_e are taken a chunk at a time
+    into one buffer. Word-major float32 params at m = 4096, e_V = 300,
+    e_E = 256 and 1024 entities, 2 vCPUs, OpenBLAS on one thread: at
+    |V| = 2000 (u = 2000) a step plus Adam peaks 9.7 MiB of traced memory
+    above its inputs and a step takes 35-45 ms. The block grows with u: at
+    |V| = 65536 a step plus Adam peaks 15.1 MiB with Zipf ids (u = 5873),
+    a step taking 136-142 ms, and 34.8 MiB with uniform ids (u = 14441),
+    a step taking about 210 ms.
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
     e_e, e_v = params.W.shape
-    _check_ids(ngrams, params.W_v.shape[1])
-    _check_ids(positives, len(params.W_e))         # np.take would clip them
+    _check_ids(ngrams, params.W_v.shape[1])        # np.take would clip them
+    _check_ids(positives, len(params.W_e))
     _check_ids(negatives, len(params.W_e))
-    words = _word_side(ngrams)
+    ids, inv = np.unique(ngrams, return_inverse=True)
+    inv = inv.reshape(ngrams.shape)                # (M, n) rows of T
+    u = len(ids)
     if out is None:
         out = ModelParams(*map(np.empty_like, params))
     sq_norms = 0.0                                 # in the gradient buffers
@@ -279,26 +274,19 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
         theta, grad = _flat_views((theta, grad))
         sq_norms += float(np.sum(np.multiply(theta, theta, out=grad)))
     table = np.ascontiguousarray(params.W_v.T)     # (|V|, e_V) embedding rows
-    u = m if words is None else len(words[0])      # rows that are projected
     block = np.empty((2, max(m * e_e, u * max(e_v, e_e))), dtype=params.dtype)
 
     def activation(row, rows, e):
         return block[row, :rows * e].reshape(rows, e)
 
-    if words is None:
-        H = _gather_sum(table, ngrams, activation(0, m, e_v))
-        H /= n                                     # (M, e_V), the mean
-        F = np.matmul(H, params.W.T, out=activation(1, m, e_e))
-    else:
-        ids, inv = words
-        T = np.take(table, ids, axis=0, out=activation(0, u, e_v), mode="clip")
-        P = np.matmul(T, params.W.T, out=activation(1, u, e_e))  # (u, e_E)
-        F = _gather_sum(P, inv, activation(0, m, e_e))         # over T
-        F /= n
+    T = np.take(table, ids, axis=0, out=activation(0, u, e_v), mode="clip")
+    P = np.matmul(T, params.W.T, out=activation(1, u, e_e))  # (u, e_E)
+    F = _gather_sum(P, inv, activation(0, m, e_e))  # over T
+    F /= n
     F += params.b
     np.tanh(F, out=F)                              # (M, e_E)
-    G = np.take(params.W_e, positives, axis=0, mode="clip",  # Epos for now,
-                out=activation(0 if words is None else 1, m, e_e))  # over H or P
+    G = np.take(params.W_e, positives, axis=0, out=activation(1, m, e_e),
+                mode="clip")                       # over P; Epos for now
     dpos = np.einsum("me,me->m", G, F)
     cpos = 1.0 - _sigmoid(dpos)                    # (M,)
     G *= cpos[:, None]
@@ -320,30 +308,16 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     _scatter_add(out.W_e, negatives, -inv_m * cneg, F)
     np.sum(G, axis=0, out=out.b)
     out.b *= -inv_m
+    S = activation(0, u, e_e)                      # over F
+    S.fill(0)
+    _scatter_add(S, inv, 1, G)                     # A^T G
+    S *= -inv_m / n
+    T = np.take(table, ids, axis=0, out=activation(1, u, e_v), mode="clip")  # over G
+    np.matmul(S[:_WORD_BLOCK].T, T[:_WORD_BLOCK], out=out.W)
+    for lo in range(_WORD_BLOCK, u, _WORD_BLOCK):
+        out.W += S[lo:lo + _WORD_BLOCK].T @ T[lo:lo + _WORD_BLOCK]
     out.W_v.fill(0)
-    if words is None:
-        H = _gather_sum(table, ngrams, activation(1, m, e_v))  # over F; the same bits
-        H /= n
-        np.matmul(G.T, H, out=out.W)
-        out.W *= -inv_m
-        per_token = np.matmul(G, params.W, out=H)  # (M, e_V)
-        per_token *= -inv_m / n
-        if out.W_v.T.flags.c_contiguous:           # word-major
-            _scatter_add(out.W_v.T, ngrams, 1, per_token)
-        else:
-            token_rows = np.zeros(table.shape, dtype=per_token.dtype)
-            _scatter_add(token_rows, ngrams, 1, per_token)
-            out.W_v[...] = token_rows.T
-    else:
-        S = activation(0, u, e_e)                  # over F
-        S.fill(0)
-        _scatter_add(S, inv, 1, G)                 # A^T G
-        S *= -inv_m / n
-        T = np.take(table, ids, axis=0, out=activation(1, u, e_v), mode="clip")  # over G
-        np.matmul(S[:_WORD_BLOCK].T, T[:_WORD_BLOCK], out=out.W)
-        for lo in range(_WORD_BLOCK, u, _WORD_BLOCK):
-            out.W += S[lo:lo + _WORD_BLOCK].T @ T[lo:lo + _WORD_BLOCK]
-        out.W_v.T[ids] = np.matmul(S, params.W, out=T)  # over T
+    out.W_v.T[ids] = np.matmul(S, params.W, out=T)  # over T
     out.W += reg * params.W
     # + lambda / m W_v, block by block through the spent activations' block
     grad, theta = _flat_views((out.W_v, params.W_v))

@@ -139,27 +139,21 @@ class Vocabulary:
 def build_vocabulary(raw_docs, max_size=Vocabulary.MAX_SIZE, source="corpus"):
     """Count tokens over all documents and keep the max_size most frequent.
 
-    The counts are tokenize's, taken from _split's pieces block by block,
-    with b"\x01" for <num> (both sort before every word). Ties at the
-    cutoff are broken lexicographically. Raises DataError naming source,
-    the documents' file, when no token survives tokenization.
+    Ties at the cutoff are broken lexicographically. Raises DataError naming
+    source, the documents' file, when no token survives tokenization.
     """
     if max_size < 1:
         raise DataError("max_size must be at least 1")
-    frequency, document_frequency = Counter(), Counter()
-    for pieces in _split(text for _doc_id, _entity_id, text in raw_docs):
-        frequency.update(pieces)
-        lo = 0
-        while lo < len(pieces):  # each text's pieces end in b"\x00"
-            hi = pieces.index(b"\x00", lo)
-            document_frequency.update(set(pieces[lo:hi]))
-            lo = hi + 1
-    skip = {b"\x00", *(w.encode() for w in STOPWORDS)}
-    frequency = {piece: count for piece, count in frequency.items() if piece not in skip}
+    frequency = Counter()
+    document_frequency = Counter()
+    for _doc_id, _entity_id, text in raw_docs:
+        toks = tokenize(text)
+        frequency.update(toks)
+        document_frequency.update(set(toks))
     if not frequency:
         raise DataError(f"{source}: no tokens survive filtering")
     retained = sorted(frequency, key=lambda t: (-frequency[t], t))[:max_size]
-    return Vocabulary([NUM_TOKEN if t == b"\x01" else t.decode() for t in retained],
+    return Vocabulary(retained,
                       [frequency[t] for t in retained],
                       [document_frequency[t] for t in retained])
 

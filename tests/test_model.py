@@ -306,14 +306,6 @@ def test_gradients_match_finite_differences():
         assert max_relative_fd_error(params, block, lam) < 1e-6
 
 
-def test_word_side_gradients_match_finite_differences():
-    # 16 n-gram ids from six words in 8 instances: the step's word side
-    for lam in (0.0, 0.01):
-        params, block = random_setup(17, m=8)
-        assert lse.model._word_side(block.ngrams) is not None
-        assert max_relative_fd_error(params, block, lam) < 1e-6
-
-
 def test_fd_check_perturbs_word_major_params():
     # a flat copy of the Fortran-ordered W_v would never reach the loss,
     # and every W_v coordinate would then read a relative error of 1
@@ -449,22 +441,15 @@ def test_batch_spanning_chunks_matches_per_instance_loop():
 
 def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     """The training step with one whole-batch gather of the negatives and
-    one row-wise np.add.at per scatter, on the side the step takes (the
-    word side when the batch has fewer distinct n-gram ids than instances):
-    the bit-for-bit reference for the chunked gathers and the sparse-product
-    scatters."""
+    one row-wise np.add.at per scatter: the bit-for-bit reference for the
+    chunked gathers and the sparse-product scatters."""
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m = len(batch)
     n = ngrams.shape[1]
     ids, inv = np.unique(ngrams, return_inverse=True)
     inv = inv.reshape(ngrams.shape)
-    words = len(ids) < m
-    if words:
-        T = params.W_v.T[ids]
-        F = np.tanh((T @ params.W.T)[inv].mean(axis=1) + params.b)
-    else:
-        H = params.W_v.T[ngrams].mean(axis=1)
-        F = np.tanh(H @ params.W.T + params.b)
+    T = params.W_v.T[ids]
+    F = np.tanh((T @ params.W.T)[inv].mean(axis=1) + params.b)
     Epos = params.W_e[positives]
     Eneg = params.W_e[negatives]
     dpos = np.einsum("me,me->m", Epos, F)
@@ -478,21 +463,16 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     inv_m = 1.0 / m
     reg = weight_decay * inv_m
     g_b = -inv_m * G.sum(axis=0)
+    S = np.zeros((len(ids), G.shape[1]), dtype=G.dtype)
+    np.add.at(S, inv, G[:, None, :])           # each word's summed errors
+    S *= -inv_m / n
+    block = lse.model._WORD_BLOCK
+    g_W = S[:block].T @ T[:block]
+    for lo in range(block, len(ids), block):
+        g_W += S[lo:lo + block].T @ T[lo:lo + block]
+    g_W += reg * params.W
     token_rows = np.zeros(params.W_v.shape[::-1], dtype=G.dtype)
-    if words:
-        S = np.zeros((len(ids), G.shape[1]), dtype=G.dtype)
-        np.add.at(S, inv, G[:, None, :])       # each word's summed errors
-        S *= -inv_m / n
-        block = lse.model._WORD_BLOCK
-        g_W = S[:block].T @ T[:block]
-        for lo in range(block, len(ids), block):
-            g_W += S[lo:lo + block].T @ T[lo:lo + block]
-        g_W += reg * params.W
-        token_rows[ids] = S @ params.W
-    else:
-        g_W = -inv_m * (G.T @ H) + reg * params.W
-        per_token = (G @ params.W) * (-inv_m / n)
-        np.add.at(token_rows, ngrams, per_token[:, None, :])
+    token_rows[ids] = S @ params.W
     g_Wv = reg * params.W_v
     g_Wv += token_rows.T
     g_We = reg * params.W_e
@@ -501,52 +481,28 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     return loss, ModelParams(g_Wv, g_W, g_b, g_We)
 
 
-@pytest.mark.parametrize("vocab", [7, 5000], ids=["words", "instances"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_chunked_step_is_bit_identical_to_unchunked(dtype, vocab):
+def test_chunked_step_is_bit_identical_to_unchunked(dtype):
     # Three full chunks and a partial one, with ids drawn from seven words
-    # (the word side: every word is hit many times) or from 5000 (more
-    # distinct words than instances: the instance side) and from four
-    # entities, so every entity row is hit many times within and across
-    # chunks; on C-ordered and on word-major params.
-    dims = Dims(e_v=6, e_e=5, vocab_size=vocab, num_entities=4)
-    params, block = random_setup(29, dims=dims, m=3 * CHUNK + 37, n=3, z=4)
-    distinct = len(np.unique(block.ngrams))
-    assert (distinct < len(block)) == (vocab == 7)
-    params = cast_params(params, dtype)
-    for params in (params, word_major(params)):
-        # the word side's W gradient in blocks of three words, the last one
-        # partial
-        with chunked(CHUNK, 4, dims.e_e, dtype), \
-                mock.patch.object(lse.model, "_WORD_BLOCK", 3):
-            loss, grads = batch_loss_and_gradients(params, block, 0.01)
-            want_loss, want = unchunked_batch_loss_and_gradients(params, block, 0.01)
-        assert loss == want_loss
-        for name in PARAM_FIELDS:
-            got, ref = getattr(grads, name), getattr(want, name)
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
-
-
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_word_and_instance_sides_agree_to_rounding(layout):
-    # One float64 batch with fewer distinct words than instances, run
-    # through both sides of the step: the same loss and gradients up to
-    # the rounding of their different sums and products, relative to each
-    # array's largest value (an element that cancels to near zero keeps
-    # only the absolute rounding of its addends).
-    dims = Dims(e_v=6, e_e=5, vocab_size=11, num_entities=4)
-    params, block = random_setup(83, dims=dims, m=2 * CHUNK + 9, n=3, z=4)
-    if layout == "F":
-        params = word_major(params)
-    assert lse.model._word_side(block.ngrams) is not None
-    words = batch_loss_and_gradients(params, block, 0.01)
-    with mock.patch.object(lse.model, "_word_side", return_value=None):
-        instances = batch_loss_and_gradients(params, block, 0.01)
-    assert words[0] == pytest.approx(instances[0], rel=1e-12)
-    for name in PARAM_FIELDS:
-        got, want = getattr(words[1], name), getattr(instances[1], name)
-        np.testing.assert_allclose(got, want, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want).max(), err_msg=name)
+    # (fewer distinct words than instances: every word is hit many times)
+    # or from 5000 (more) and from four entities, so every entity row is
+    # hit many times within and across chunks; on C-ordered and on
+    # word-major params.
+    for vocab in (7, 5000):
+        dims = Dims(e_v=6, e_e=5, vocab_size=vocab, num_entities=4)
+        params, block = random_setup(29, dims=dims, m=3 * CHUNK + 37, n=3, z=4)
+        assert (len(np.unique(block.ngrams)) < len(block)) == (vocab == 7)
+        params = cast_params(params, dtype)
+        for params in (params, word_major(params)):
+            # the W gradient in blocks of three words, the last one partial
+            with chunked(CHUNK, 4, dims.e_e, dtype), \
+                    mock.patch.object(lse.model, "_WORD_BLOCK", 3):
+                loss, grads = batch_loss_and_gradients(params, block, 0.01)
+                want_loss, want = unchunked_batch_loss_and_gradients(params, block, 0.01)
+            assert loss == want_loss
+            for name in PARAM_FIELDS:
+                got, ref = getattr(grads, name), getattr(want, name)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -847,16 +803,17 @@ def test_training_step_memory_is_bounded():
     """One float32 step plus Adam at the benchmark's train shape, on
     word-major params as train holds them and given the gradient buffers of
     the step before, stays within 9.75 MiB of traced memory above its
-    inputs (9.68 measured: the batch's 2000 distinct words take the word
-    side, whose activation block of two rows of max(m e_E, u e_V) values is
-    8 MiB, plus one 1 MiB buffer of the negatives' rows and the batch's
-    coefficients; 10.92 on the instance side, whose block of two rows of
-    m e_V values is 9.4 MiB; 10.35 with the activations in separate
-    arrays, which faulted in about 2800 fresh pages a step; 15.17 with all
-    three activations H, F and G alive at once and a copy of the batch's
-    rows of W_v, 16.15 with the activations alive while the |V|-sized
-    temporaries were allocated, 20.2 with a whole-batch Vneg, 36 when each
-    step allocated its gradients and Adam worked on whole arrays)."""
+    inputs (9.68 measured: with the batch's 2000 distinct words the
+    activation block of two rows of max(m e_E, u e_V) values is 8 MiB,
+    plus one 1 MiB buffer of the negatives' rows and the batch's
+    coefficients; 10.92 when the step projected the m mean embeddings, in
+    a block of two rows of m e_V values, 9.4 MiB; 10.35 with the
+    activations in separate arrays, which faulted in about 2800 fresh pages
+    a step; 15.17 with all three activations H, F and G alive at once and a
+    copy of the batch's rows of W_v, 16.15 with the activations alive while
+    the |V|-sized temporaries were allocated, 20.2 with a whole-batch Vneg,
+    36 when each step allocated its gradients and Adam worked on whole
+    arrays)."""
     warm = warm_float32_step(Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024),
                              m=4096)
     assert len(np.unique(warm[1].ngrams)) < 4096

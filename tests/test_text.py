@@ -280,34 +280,6 @@ def test_build_vocabulary_counts_the_oracle_tokens_of_a_punctuated_corpus():
     assert vocab.id_to_token == sorted(frequency, key=lambda t: (-frequency[t], t))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_build_vocabulary_counts_what_tokenize_returns(data):
-    # documents of digits, glued punctuation, non-ASCII letters, stopwords
-    # and the literal placeholder, in blocks of one to four documents and
-    # the default; the counts come from the encoder's pieces, never from
-    # tokenize document by document
-    raw = [(f"d{j}", "e", _drawn_text(data))
-           for j in range(data.draw(st.integers(1, 9), label="documents"))]
-    frequency, document_frequency = Counter(), Counter()
-    for _, _, t in raw:
-        toks = tokenize(t)
-        frequency.update(toks)
-        document_frequency.update(set(toks))
-    size = data.draw(st.sampled_from((1, 2, 4, text._BLOCK_DOCS)), label="block")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(text, "_BLOCK_DOCS", size)
-        patch.setattr(text, "tokenize", None)
-        if not frequency:
-            with pytest.raises(DataError):
-                build_vocabulary(iter(raw))
-            return
-        vocab = build_vocabulary(iter(raw))  # any iterable, read once
-    assert vocab.id_to_token == sorted(frequency, key=lambda t: (-frequency[t], t))
-    assert vocab.frequency == [frequency[t] for t in vocab.id_to_token]
-    assert vocab.document_frequency == [document_frequency[t] for t in vocab.id_to_token]
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_encode_corpus_fields_do_not_depend_on_the_block_size(data):
