@@ -268,12 +268,12 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
         write_epoch_log(os.path.join(out_dir, "epochs.csv"), result.log)
 
 
-def _load_model_checked(model_path, vocabulary):
+def _load_model_checked(model_path, vocabulary, vocab_path):
     params, header = load_model(model_path, digest := hashlib.sha256())
     click.get_current_context().meta.setdefault(_DIGESTS, {})[model_path] = digest.hexdigest()
     if header.get("vocab_sha256") and header["vocab_sha256"] != vocabulary.sha256():
-        raise DataError(f"{model_path}: vocabulary does not match the one the model "
-                        "was trained with")
+        raise DataError(f"{model_path}: vocabulary {vocab_path} does not match the one "
+                        "the model was trained with")
     if params.dims.vocab_size != vocabulary.size:
         raise DataError(f"{model_path}: model has {params.dims.vocab_size} word "
                         f"embeddings but the vocabulary has {vocabulary.size} words")
@@ -325,7 +325,7 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
     """Rank all entities for every topic with the trained model."""
     with _run(out_dir, {"top_k": top_k, "run_tag": run_tag}) as counts:
         vocabulary = Vocabulary.load(vocab)
-        params, header = _load_model_checked(model, vocabulary)
+        params, header = _load_model_checked(model, vocabulary, vocab)
         _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, run_tag,
                      lambda pairs: rank_queries(params, pairs, header["entity_ids"], top_k))
 
@@ -429,7 +429,7 @@ def cmd_fuse(corpus, vocab, topics, qrels, out_dir, model_path, qi_attrs, graphs
         corpus_data = _corpus(corpus, vocabulary, counts)
         params = None
         if model_path:
-            params, header = _load_model_checked(model_path, vocabulary)
+            params, header = _load_model_checked(model_path, vocabulary, vocab)
             if header["entity_ids"] != corpus_data.entities:
                 raise DataError(f"{model_path}: the model's entities are not those of "
                                 f"{corpus} in the same order")
@@ -479,7 +479,7 @@ def cmd_ideal_vector(model, vocab, topics, qrels, out_dir, cutoff, seed,
               "batch": pegasos_batch(pair_samples)}
     with _run(out_dir, config, seed) as counts:
         vocabulary = Vocabulary.load(vocab)
-        params, header = _load_model_checked(model, vocabulary)
+        params, header = _load_model_checked(model, vocabulary, vocab)
         rows = ideal_vector_report(params, _queries(topics, vocabulary),
                                    Qrels.load(qrels), header["entity_ids"],
                                    cutoff=cutoff, pair_samples=pair_samples,

@@ -2,11 +2,11 @@
 analytic gradients, the Adam update, and model persistence.
 
 The projection of a token sequence s is f(s) = tanh(W h + b) with h the mean
-of the tokens' embedding columns of W_v. An instance's log-probability under
-noise-contrastive estimation is log sigma(e+ . f) plus the sum over the z
-negatives of log(1 - sigma(e- . f)). The batch loss averages the negated
-log-probabilities and adds (lambda / 2m) times the squared Frobenius norms of
-W_v, W and W_e; the bias b is not regularized.
+of the tokens' embeddings, rows of word_rows (the paper's columns of W_v). An
+instance's log-probability under noise-contrastive estimation is
+log sigma(e+ . f) plus the sum over the z negatives of log(1 - sigma(e- . f)).
+The batch loss averages the negated log-probabilities and adds (lambda / 2m)
+times the squared Frobenius norms of W_v, W and W_e; b is not regularized.
 """
 
 import dataclasses
@@ -25,6 +25,7 @@ from .errors import DataError, LSEError
 from .files import atomic_open, check_id, check_unique, read_lines, write_json
 
 MAGIC = b"LSEM0001"
+# The container's arrays in its order, each a ModelParams attribute in its layout
 PARAM_FIELDS = ("W_v", "W", "b", "W_e")
 
 
@@ -44,34 +45,38 @@ class Dims:
 class ModelParams:
     """The four learnable arrays, or the batch loss's gradients of them, or
     Adam's moments of those; iterating yields the arrays in PARAM_FIELDS
-    order, the container's. train holds W_v word-major (Fortran-ordered,
-    so W_v.T is a C-contiguous table of embedding rows); copies keep each
-    array's layout."""
+    order, the container's, with word_rows in W_v's place. Copies are
+    C-contiguous, as the training step and Adam need."""
 
-    W_v: np.ndarray  # (e_V, |V|), column i = embedding of word id i
+    word_rows: np.ndarray  # (|V|, e_V), row i = embedding of word id i
     W: np.ndarray    # (e_E, e_V), the word-to-entity linear map
     b: np.ndarray    # (e_E,), bias
     W_e: np.ndarray  # (|X|, e_E), row i = representation of entity i
 
     def __post_init__(self):
         e_e = self.b.shape[0]
-        if self.W.shape != (e_e, self.W_v.shape[0]) or self.W_e.shape[1] != e_e:
+        if self.W.shape != (e_e, self.word_rows.shape[1]) or self.W_e.shape[1] != e_e:
             raise DataError("parameter shapes are mutually inconsistent")
 
     def __iter__(self):
-        return iter((self.W_v, self.W, self.b, self.W_e))
+        return iter((self.word_rows, self.W, self.b, self.W_e))
+
+    @property
+    def W_v(self):
+        """The paper's (e_V, |V|) word matrix, the container's layout: a view."""
+        return self.word_rows.T
 
     @property
     def dims(self):
-        return Dims(self.W_v.shape[0], self.b.shape[0],
-                    self.W_v.shape[1], self.W_e.shape[0])
+        return Dims(self.word_rows.shape[1], self.b.shape[0],
+                    self.word_rows.shape[0], self.W_e.shape[0])
 
     @property
     def dtype(self):
-        return self.W_v.dtype
+        return self.word_rows.dtype
 
     def copy(self):
-        return ModelParams(*(a.copy(order="K") for a in self))
+        return ModelParams(*(a.copy() for a in self))
 
 
 def init_params(dims, seed, dtype=np.float64):
@@ -79,7 +84,7 @@ def init_params(dims, seed, dtype=np.float64):
 
     Each matrix is drawn i.i.d. uniform in +-sqrt(6 / (rows + cols)); draws
     happen in the fixed order W_v, W, W_e so a seed pins all parameters.
-    """
+    word_rows is a view of the drawn W_v; copy() makes it C-contiguous."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     def glorot(rows, cols):
@@ -90,18 +95,18 @@ def init_params(dims, seed, dtype=np.float64):
     W = glorot(dims.e_e, dims.e_v)
     W_e = glorot(dims.num_entities, dims.e_e)
     b = np.zeros(dims.e_e, dtype=dtype)
-    return ModelParams(W_v, W, b, W_e)
+    return ModelParams(W_v.T, W, b, W_e)
 
 
 def project(params, token_ids):
-    """f(s) = tanh(W h + b) with h the mean embedding column of the tokens.
+    """f(s) = tanh(W h + b) with h the mean embedding row of the tokens.
 
     Every output component lies strictly inside (-1, 1).
     """
     ids = np.asarray(token_ids, dtype=np.intp)
     if ids.size == 0:
         raise LSEError("cannot project empty string")
-    h = params.W_v[:, ids].mean(axis=1)
+    h = params.word_rows[ids].mean(axis=0)
     return np.tanh(params.W @ h + params.b)
 
 
@@ -177,10 +182,9 @@ def _gather_sum(table, index, out):
 
 
 def _flat_views(arrays):
-    """1-D views of arrays in their shared memory order; a ValueError unless
-    all are C- or all are Fortran-contiguous (reshape(-1) would copy)."""
-    order = "C" if all(a.flags.c_contiguous for a in arrays) else "F"
-    return [a.reshape(-1, order=order, copy=False) for a in arrays]
+    """1-D views of arrays in C order; a ValueError for one with none (a
+    Fortran-ordered matrix), so no update can go into a flat copy."""
+    return [a.reshape(-1, copy=False) for a in arrays]
 
 
 def _scatter_add(out, index, coef, rows):
@@ -189,13 +193,11 @@ def _scatter_add(out, index, coef, rows):
     (m, d) of out's dtype, bit for bit, as one CSC product: every element of
     out receives its addends in (i, k) order, each product rounded before it
     is added."""
-    if not out.flags.c_contiguous:
-        raise ValueError("scatter target must be C-contiguous")
     m = len(index)
     data = np.broadcast_to(coef, index.shape).astype(out.dtype).reshape(-1)
     _sparsetools().csc_matvecs(len(out), m, out.shape[1],
                                *_incidence(index, len(out)), data,
-                               rows.reshape(-1), out.reshape(-1))
+                               rows.reshape(-1), out.reshape(-1, copy=False))
 
 
 def _negative_rows(W_e, negatives):
@@ -232,8 +234,7 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     as from np.add.at, so reruns are bit-identical.
 
     The projection is linear up to the tanh, so each of the batch's u
-    distinct n-gram ids is projected once: their embedding rows T (rows of
-    W_v.T, read in place when W_v is word-major, as train holds it) give
+    distinct n-gram ids is projected once: their rows T of word_rows give
     P = T W^T, and an instance's pre-activation is the mean of its words'
     rows of P. The error G is scattered onto the words (S = -A^T G / (m n)
     for the (m, u) incidence A), the W gradient is S^T T, summed
@@ -241,15 +242,15 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     The GEMMs cost u e_V e_E, against m e_V e_E for projecting the m mean
     embeddings; the two agree to rounding.
 
-    The gradients go into out (allocated when None), a ModelParams laid out
-    like params; train passes the same one on every step. On word-major W_v
-    nothing else is |V|-sized: each squared norm is summed in its gradient
-    buffer, and lambda / m W_v is added onto the W_v gradient in blocks.
+    The gradients go into out (allocated when None), a ModelParams like
+    params, all C-contiguous (a ValueError otherwise); train passes the same
+    out on every step. Nothing else is |V|-sized: each squared norm is summed
+    in its gradient buffer, and lambda / m W_v is added onto it in blocks.
     The activations are views of a block of two rows of max(m e_E,
     u max(e_V, e_E)) values: T in row 0 and P in row 1, then F over T,
     G over P, S over F once the W_e scatters have used F, T again over G,
     and S W over T. The negatives' rows of W_e are taken a chunk at a time
-    into one buffer. Word-major float32 params at m = 4096, e_V = 300,
+    into one buffer. Float32 params at m = 4096, e_V = 300,
     e_E = 256 and 1024 entities, 2 vCPUs, OpenBLAS on one thread: at
     |V| = 2000 (u = 2000) a step plus Adam peaks 9.7 MiB of traced memory
     above its inputs and a step takes 35-45 ms. The block grows with u: at
@@ -260,7 +261,7 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
     e_e, e_v = params.W.shape
-    _check_ids(ngrams, params.W_v.shape[1])        # np.take would clip them
+    _check_ids(ngrams, len(params.word_rows))      # np.take would clip them
     _check_ids(positives, len(params.W_e))
     _check_ids(negatives, len(params.W_e))
     ids, inv = np.unique(ngrams, return_inverse=True)
@@ -269,17 +270,16 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     if out is None:
         out = ModelParams(*map(np.empty_like, params))
     sq_norms = 0.0                                 # in the gradient buffers
-    for theta, grad in ((params.W_v, out.W_v), (params.W_e, out.W_e),
+    for theta, grad in ((params.word_rows, out.word_rows), (params.W_e, out.W_e),
                         (params.W, out.W)):
         theta, grad = _flat_views((theta, grad))
         sq_norms += float(np.sum(np.multiply(theta, theta, out=grad)))
-    table = np.ascontiguousarray(params.W_v.T)     # (|V|, e_V) embedding rows
     block = np.empty((2, max(m * e_e, u * max(e_v, e_e))), dtype=params.dtype)
 
     def activation(row, rows, e):
         return block[row, :rows * e].reshape(rows, e)
 
-    T = np.take(table, ids, axis=0, out=activation(0, u, e_v), mode="clip")
+    T = np.take(params.word_rows, ids, axis=0, out=activation(0, u, e_v), mode="clip")
     P = np.matmul(T, params.W.T, out=activation(1, u, e_e))  # (u, e_E)
     F = _gather_sum(P, inv, activation(0, m, e_e))  # over T
     F /= n
@@ -312,15 +312,15 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     S.fill(0)
     _scatter_add(S, inv, 1, G)                     # A^T G
     S *= -inv_m / n
-    T = np.take(table, ids, axis=0, out=activation(1, u, e_v), mode="clip")  # over G
+    T = np.take(params.word_rows, ids, axis=0, out=activation(1, u, e_v), mode="clip")  # G
     np.matmul(S[:_WORD_BLOCK].T, T[:_WORD_BLOCK], out=out.W)
     for lo in range(_WORD_BLOCK, u, _WORD_BLOCK):
         out.W += S[lo:lo + _WORD_BLOCK].T @ T[lo:lo + _WORD_BLOCK]
-    out.W_v.fill(0)
-    out.W_v.T[ids] = np.matmul(S, params.W, out=T)  # over T
+    out.word_rows.fill(0)
+    out.word_rows[ids] = np.matmul(S, params.W, out=T)  # over T
     out.W += reg * params.W
     # + lambda / m W_v, block by block through the spent activations' block
-    grad, theta = _flat_views((out.W_v, params.W_v))
+    grad, theta = _flat_views((out.word_rows, params.word_rows))
     tmp = block.reshape(-1)
     for lo in range(0, grad.size, tmp.size):
         g = grad[lo:lo + tmp.size]
@@ -333,8 +333,9 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
     """Max per-coordinate relative error of the analytic gradients against
     central differences of batch_loss; coordinates where both are below
     1e-8 in magnitude count as exact, and a non-finite analytic gradient or
-    difference as an infinite error. Each coordinate of params is perturbed
-    in place, through a view in memory order, and restored."""
+    difference as an infinite error. Each coordinate of a C-ordered copy of
+    params is perturbed in turn, so params may be in any layout."""
+    params = params.copy()
     grads = batch_loss_and_gradients(params, batch, weight_decay)[1]
     worst = 0.0
     for theta, grad in zip(params, grads):
@@ -382,8 +383,8 @@ def adam_step(params, grads, state):
     two moments, as long as state's block buffers, and writes its
     temporaries into those buffers, so it allocates nothing; the
     expressions are elementwise and keep their operations and order, so the
-    bytes are those of whole-array updates. A parameter, its gradient and
-    its moments must share one layout."""
+    bytes are those of whole-array updates. Every array must be
+    C-contiguous (a ValueError otherwise)."""
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
@@ -487,7 +488,7 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
     pretty-printed .meta.json sidecar mirrors the header. Each file is
     written to a temporary file first and renamed into place. Arrays go out
     in blocks of rows of about _CHUNK_BYTES, each made C-contiguous on its
-    own, so a word-major W_v is never copied whole."""
+    own, so the W_v of a trained model is never copied whole."""
     dims = params.dims
     dtype = params.dtype.name
     header = {
@@ -504,7 +505,7 @@ def save_model(path, params, vocab_sha256="", entity_ids=(), config=None):
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for arr in params:
+        for arr in (getattr(params, name) for name in PARAM_FIELDS):
             rows = max(1, _CHUNK_BYTES // (arr.nbytes // len(arr)))
             for lo in range(0, len(arr), rows):
                 fh.write(np.ascontiguousarray(arr[lo:lo + rows],
@@ -542,19 +543,19 @@ def _read_header(path, blob):
 
 def load_model(path, digest=None):
     """Read a model container; returns (ModelParams, header dict), the
-    arrays in the container's dtype, each read straight into its own array,
-    and feeds every byte it reads, in order, to digest (hashlib) when given.
+    arrays in the container's dtype, each read straight into its own array
+    (word_rows as a view of the W_v read), and feeds every byte read to digest.
 
     The header must fit in the file, be lse-model JSON with dtype float32
     or float64 and positive dims, and list one distinct entity id per row
-    that passes check_id, and every array value must be finite and small
-    enough that scoring in the dtype cannot overflow; each failure is a
-    DataError naming the file."""
+    that passes check_id; the file must hold the bytes that its dims and
+    dtype imply, checked before any allocation; and every array value must
+    be finite and small enough that scoring in the dtype cannot overflow.
+    Each failure is a DataError naming the file."""
     update = (lambda data: None) if digest is None else digest.update
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
+        if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a model container")
         field = fh.read(8)
         if len(field) != 8:
@@ -564,17 +565,19 @@ def load_model(path, digest=None):
             raise DataError(f"{path}: header length {hlen} exceeds the file")
         header, d, dtype = _read_header(path, blob := fh.read(hlen))
         update(MAGIC + field + blob)
-        shapes = {"W_v": (d.e_v, d.vocab_size),
-                  "W": (d.e_e, d.e_v),
-                  "b": (d.e_e,),
+        shapes = {"W_v": (d.e_v, d.vocab_size), "W": (d.e_e, d.e_v), "b": (d.e_e,),
                   "W_e": (d.num_entities, d.e_e)}
+        need = sum(math.prod(shape) for shape in shapes.values()) * dtype.itemsize
+        if (have := size - fh.tell()) != need:
+            what = "truncated arrays" if have < need else "trailing bytes after the arrays"
+            raise DataError(f"{path}: {what}: the header's dims and dtype need {need} "
+                            f"bytes after it, the file holds {have}")
         # below this magnitude no projection or cosine overflows in the dtype
         limit = np.sqrt(np.finfo(dtype).max / (max(d.e_v, d.e_e) + 1))
-        arrays = {}
+        arrays = []
         for name in PARAM_FIELDS:
             raw = np.empty(shapes[name], dtype=dtype)
-            if fh.readinto(raw) != raw.nbytes:
-                raise DataError(f"{path}: truncated array {name}")
+            fh.readinto(raw)
             update(raw)
             # min and max propagate NaN and reach any infinity, so both are
             # finite exactly when every element is, with no temporary array
@@ -583,7 +586,5 @@ def load_model(path, digest=None):
                 raise DataError(f"{path}: array {name} holds a non-finite value")
             if max(-lo, hi) > limit:
                 raise DataError(f"{path}: array {name} holds a value beyond {limit:.3g}")
-            arrays[name] = raw
-        if fh.read(1):
-            raise DataError(f"{path}: trailing bytes after arrays")
-    return ModelParams(**arrays), header
+            arrays.append(raw)
+    return ModelParams(arrays[0].T, *arrays[1:]), header

@@ -51,15 +51,13 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
     mean_batch_loss is the unweighted mean of per-batch losses. A
     non-finite batch loss or gradient stops training with an LSEError
     naming the epoch and the batch. skipped_entities are the entities that
-    sample_epoch leaves out, the same in every epoch. The returned W_v is
-    word-major (Fortran-ordered); its values are the same in any layout.
-    """
+    sample_epoch leaves out, the same in every epoch."""
     dims = Dims(config.e_v, config.e_e, vocab.size, corpus.num_entities)
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed,
                                                             spawn_key=(0,)))
     params = init_params(dims, init_rng, dtype=config.precision)
-    # word-major, so the step reads embedding rows of W_v.T in place
-    params.W_v = np.asfortranarray(params.W_v)
+    # C-contiguous for the step and Adam; init_params' word_rows is a view
+    params.word_rows = np.ascontiguousarray(params.word_rows)
     state = AdamState(params)
     sampler = SamplerConfig(n=config.n, z=config.z, m=config.m)
 

@@ -170,14 +170,14 @@ def build_fusion_benchmark():
 
     e_v = len(names)
     e_e = 32
-    W_v = np.eye(e_v)
+    word_rows = np.eye(e_v)
     W = np.zeros((e_e, e_v))
     for i, w in enumerate(sem):
         W[i, vocab.token_to_id[w]] = 5.0
     W_e = np.zeros((num_entities, e_e))
     for i in range(num_entities):
         W_e[i, i] = 1.0
-    params = ModelParams(W_v, W, np.zeros(e_e), W_e)
+    params = ModelParams(word_rows, W, np.zeros(e_e), W_e)
 
     topics = {}
     grades = {}

@@ -46,7 +46,7 @@ def direct_sigmoid_product_loss(params, block, weight_decay):
     m = len(block)
     total = 0.0
     for i in range(m):
-        h = params.W_v[:, block.ngrams[i]].mean(axis=1)
+        h = params.word_rows[block.ngrams[i]].mean(axis=0)
         f = np.tanh(params.W @ h + params.b)
         prob = sigma(float(params.W_e[block.positives[i]] @ f))
         for neg in block.negatives[i]:
@@ -92,7 +92,7 @@ def test_criterion_2_loss_formula_oracle():
         n = int(rng.integers(1, 5))
         z = int(rng.integers(1, 6))
         params = init_params(Dims(e_v=6, e_e=5, vocab_size=10,
-                                  num_entities=8), rng)
+                                  num_entities=8), rng).copy()
         block = random_block(rng, m, n, z, vocab_size=10, num_entities=8)
         weight_decay = 0.01 if case % 2 else 0.0
         got = batch_loss(params, block, weight_decay)

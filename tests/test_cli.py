@@ -617,8 +617,9 @@ def test_vocabulary_mismatch_exits_1(tmp_path):
                                   str(tmp_path / "v2" / "vocab.tsv"),
                                   str(topics), "--out", str(tmp_path / "r")])
     assert result.exit_code == 1
-    model = tmp_path / "m" / "model.lse"
-    assert f"Error: {model}: vocabulary does not match" in result.output
+    model, vocab = tmp_path / "m" / "model.lse", tmp_path / "v2" / "vocab.tsv"
+    assert (f"Error: {model}: vocabulary {vocab} does not match the one the model "
+            "was trained with") in result.output
     assert not (tmp_path / "r").exists()
 
 
@@ -829,6 +830,26 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {bad}{message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_dims_beyond_the_file_exits_1_before_anything_is_allocated(tmp_path, capsys):
+    """A header claiming 10**12 words fails on its size, before np.empty is
+    asked for the 16 TB its dims imply: that was a MemoryError traceback."""
+    _, topics, _ = write_inputs(tmp_path)
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("camera\t0\t2\t2\n")
+    model = tmp_path / "model.lse"
+    model.write_bytes(model_file([0.5] * 12, dims=dict(GOOD_HEADER["dims"],
+                                                       vocab_size=10 ** 12)))
+    with pytest.raises(SystemExit) as exited:
+        main.main(["rank", str(model), str(vocab), str(topics), "--out",
+                   str(tmp_path / "out")], standalone_mode=True)
+    assert exited.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (f"Error: {model}: truncated arrays: the header's dims and dtype need "
+            f"{(2 * 10 ** 12 + 10) * 8} bytes after it, the file holds 96") in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1407,8 +1428,8 @@ def test_mutated_input_exits_0_or_1_naming_it(fuzz_inputs, tmp_path, command, na
         assert "Traceback" not in result.output
         # A window n longer than every document is a valid config that does
         # not suit this corpus (--n 9 fails the same way): the corpus is named.
-        # A vocabulary that loads but is not the model's names the model.
+        # A vocabulary that loads but is not the model's names both files.
         assert (f"Error: {path}" in result.output
                 or f"Error: {paths['corpus']}: window n = " in result.output
-                or f"Error: {paths['model']}: vocabulary does not match"
-                in result.output), result.output
+                or f"Error: {paths['model']}: vocabulary {paths['vocab']} does not "
+                "match" in result.output), result.output

@@ -1,5 +1,6 @@
 """Model core: init, projection, loss, gradients, Adam, persistence."""
 
+import dataclasses
 import json
 import math
 import re
@@ -25,8 +26,9 @@ from lse.sampling import InstanceBlock
 
 def random_setup(seed, dims=Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5),
                  m=3, n=2, z=2):
+    """C-contiguous params, as train holds them, and a batch."""
     rng = np.random.default_rng(seed)
-    params = init_params(dims, rng)
+    params = init_params(dims, rng).copy()
     block = InstanceBlock(rng.integers(0, dims.vocab_size, size=(m, n)),
                           rng.integers(0, dims.num_entities, size=m),
                           rng.integers(0, dims.num_entities, size=(m, z)))
@@ -48,8 +50,12 @@ def entity_names(params):
     return [f"e{i}" for i in range(params.dims.num_entities)]
 
 
+# ModelParams' fields: PARAM_FIELDS with word_rows in W_v's place
+FIELDS = [field.name for field in dataclasses.fields(ModelParams)]
+
+
 def zero_params(e_v=4, e_e=3, vocab=6, entities=5):
-    return ModelParams(np.zeros((e_v, vocab)), np.zeros((e_e, e_v)),
+    return ModelParams(np.zeros((vocab, e_v)), np.zeros((e_e, e_v)),
                        np.zeros(e_e), np.zeros((entities, e_e)))
 
 
@@ -68,18 +74,11 @@ def masked_sigmoid(x):
     return out
 
 
-def word_major(params):
-    """A copy of params with W_v Fortran-ordered, as training holds it."""
-    params = params.copy()
-    params.W_v = np.asfortranarray(params.W_v)
-    return params
-
-
 def sq_norms(params):
     """Squared Frobenius norms of W_v, W_e and W, each summed as the
     training step sums it and added in that order, so a loss built on it
     keeps the step's bits."""
-    return (float(np.sum(params.W_v * params.W_v))
+    return (float(np.sum(params.word_rows * params.word_rows))
             + float(np.sum(params.W_e * params.W_e))
             + float(np.sum(params.W * params.W)))
 
@@ -133,7 +132,7 @@ def instance_log_prob(params, ngram, positive, negatives):
 
 def naive_instance_prob(params, ngram, positive, negatives):
     """Direct sigmoid-product evaluation without log-domain arithmetic."""
-    h = params.W_v[:, list(ngram)].mean(axis=1)
+    h = params.word_rows[list(ngram)].mean(axis=0)
     f = np.tanh(params.W @ h + params.b)
     p = sigma(params.W_e[positive] @ f)
     for k in negatives:
@@ -185,9 +184,12 @@ def test_model_params_iterate_in_field_order(dtype):
     params = init_params(Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5), 61,
                          dtype=dtype)
     arrays = list(params)
-    assert len(arrays) == len(PARAM_FIELDS)
-    for array, name in zip(arrays, PARAM_FIELDS):
+    assert len(arrays) == len(PARAM_FIELDS) and FIELDS[1:] == list(PARAM_FIELDS[1:])
+    for array, name in zip(arrays, FIELDS):
         assert array is getattr(params, name), name
+    # W_v, the container's layout, is a view of word_rows
+    assert params.W_v.shape == (4, 6) and np.shares_memory(params.W_v, params.word_rows)
+    assert np.array_equal(params.W_v, params.word_rows.T)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -218,9 +220,38 @@ def test_project_scalar_fixture():
 def test_project_matches_matrix_oracle():
     params, _ = random_setup(0)
     ids = [1, 4, 2]
-    h = sum(params.W_v[:, i] for i in ids) / 3.0
+    h = sum(params.word_rows[i] for i in ids) / 3.0
     expected = np.tanh(params.W.dot(h) + params.b)
     assert np.allclose(project(params, ids), expected, atol=1e-12, rtol=0)
+
+
+@pytest.fixture(scope="module")
+def word_tables(tmp_path_factory):
+    """Per dtype: init_params' params, a C-contiguous copy of them and
+    load_model's read of their container, at e_V = 300."""
+    tables = {}
+    for dtype in (np.float32, np.float64):
+        params = init_params(Dims(e_v=300, e_e=16, vocab_size=600, num_entities=2), 89,
+                             dtype=dtype)
+        path = tmp_path_factory.mktemp("tables") / "model.lse"
+        save_model(path, params, entity_ids=["a", "b"])
+        tables[dtype] = params, params.copy(), load_model(path)[0]
+    return tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((np.float32, np.float64)),
+       st.integers(1, 64).flatmap(lambda k: st.lists(st.integers(0, 599), min_size=k,
+                                                     max_size=k)))
+def test_project_has_the_bits_of_the_container_column_mean(word_tables, dtype, ids):
+    # the mean of a query's rows of word_rows, C-contiguous or load_model's
+    # view, against the mean of its columns of the container's W_v
+    params, c_order, loaded = word_tables[dtype]
+    assert c_order.word_rows.flags.c_contiguous and not loaded.word_rows.flags.c_contiguous
+    container = np.ascontiguousarray(params.W_v)   # (e_V, |V|), the file's layout
+    want = np.tanh(params.W @ container[:, ids].mean(axis=1) + params.b)
+    for got in (project(c_order, ids), project(loaded, ids)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_project_is_order_insensitive():
@@ -306,17 +337,6 @@ def test_gradients_match_finite_differences():
         assert max_relative_fd_error(params, block, lam) < 1e-6
 
 
-def test_fd_check_perturbs_word_major_params():
-    # a flat copy of the Fortran-ordered W_v would never reach the loss,
-    # and every W_v coordinate would then read a relative error of 1
-    params, block = random_setup(17)
-    params = word_major(params)
-    before = params.copy()
-    assert max_relative_fd_error(params, block, 0.01) < 1e-4
-    assert all(np.array_equal(a, b) for a, b in zip(params, before))
-    assert params.W_v.flags.f_contiguous
-
-
 @pytest.mark.parametrize("broken", ["gradient", "loss"])
 def test_fd_check_counts_non_finite_values_as_infinite_error(broken):
     # max() keeps its first argument against NaN, so a NaN must not reach it
@@ -343,7 +363,7 @@ def test_gradient_of_untouched_embedding_is_pure_decay():
     grads = batch_loss_and_gradients(params, block, lam)[1]
     decay = lam * (1.0 / len(block))  # scalar shape matters for bit equality
     for t in untouched:
-        assert np.array_equal(grads.W_v[:, t], decay * params.W_v[:, t])
+        assert np.array_equal(grads.word_rows[t], decay * params.word_rows[t])
 
 
 def test_bias_gradient_ignores_weight_decay():
@@ -369,11 +389,11 @@ def loop_batch_gradients(params, block, weight_decay):
     batch loss: the reference for the vectorised scatter-adds."""
     m = len(block)
     reg = weight_decay / m
-    g = {name: reg * getattr(params, name) for name in PARAM_FIELDS}
+    g = {name: reg * getattr(params, name) for name in FIELDS}
     g["b"] = np.zeros_like(params.b)
     for ngram, positive, negatives in zip(block.ngrams, block.positives,
                                           block.negatives):
-        h = params.W_v[:, list(ngram)].mean(axis=1)
+        h = params.word_rows[list(ngram)].mean(axis=0)
         f = np.tanh(params.W @ h + params.b)
         coeffs = [(positive, 1.0 - sigma(params.W_e[positive] @ f))]
         coeffs += [(k, -sigma(params.W_e[k] @ f)) for k in negatives]
@@ -382,7 +402,7 @@ def loop_batch_gradients(params, block, weight_decay):
         g["b"] -= d / m
         g["W"] -= np.outer(d, h) / m
         for t in ngram:
-            g["W_v"][:, t] -= (params.W.T @ d) / (len(ngram) * m)
+            g["word_rows"][t] -= (params.W.T @ d) / (len(ngram) * m)
         for e, c in coeffs:
             g["W_e"][e] -= c * f / m
     return g
@@ -396,7 +416,7 @@ def colliding_batches(draw):
     m, n, z = (draw(st.integers(1, hi)) for hi in (6, 4, 4))
     vocab, entities = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     params = init_params(Dims(3, 2, vocab, entities),
-                         draw(st.integers(0, 2 ** 32 - 1)))
+                         draw(st.integers(0, 2 ** 32 - 1))).copy()
 
     def ids(pool, shape):
         size = math.prod(shape)
@@ -419,7 +439,7 @@ def test_batch_gradients_match_per_instance_loop(case):
     params, block, weight_decay = case
     grads = batch_loss_and_gradients(params, block, weight_decay)[1]
     want = loop_batch_gradients(params, block, weight_decay)
-    for name in PARAM_FIELDS:
+    for name in FIELDS:
         assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
 
 
@@ -431,7 +451,7 @@ def test_batch_spanning_chunks_matches_per_instance_loop():
     with chunked(CHUNK, 4, params.dims.e_e):
         loss, grads = batch_loss_and_gradients(params, block, 0.01)
     want = loop_batch_gradients(params, block, 0.01)
-    for name in PARAM_FIELDS:
+    for name in FIELDS:
         assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
     logps = [instance_log_prob(params, *inst) for inst in
              zip(block.ngrams, block.positives, block.negatives)]
@@ -448,7 +468,7 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     n = ngrams.shape[1]
     ids, inv = np.unique(ngrams, return_inverse=True)
     inv = inv.reshape(ngrams.shape)
-    T = params.W_v.T[ids]
+    T = params.word_rows[ids]
     F = np.tanh((T @ params.W.T)[inv].mean(axis=1) + params.b)
     Epos = params.W_e[positives]
     Eneg = params.W_e[negatives]
@@ -471,14 +491,13 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     for lo in range(block, len(ids), block):
         g_W += S[lo:lo + block].T @ T[lo:lo + block]
     g_W += reg * params.W
-    token_rows = np.zeros(params.W_v.shape[::-1], dtype=G.dtype)
-    token_rows[ids] = S @ params.W
-    g_Wv = reg * params.W_v
-    g_Wv += token_rows.T
+    g_rows = np.zeros_like(params.word_rows)
+    g_rows[ids] = S @ params.W
+    g_rows += reg * params.word_rows
     g_We = reg * params.W_e
     np.add.at(g_We, positives, (-inv_m * cpos)[:, None] * F)
     np.add.at(g_We, negatives, (-inv_m * cneg)[:, :, None] * F[:, None, :])
-    return loss, ModelParams(g_Wv, g_W, g_b, g_We)
+    return loss, ModelParams(g_rows, g_W, g_b, g_We)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -486,46 +505,21 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
     # Three full chunks and a partial one, with ids drawn from seven words
     # (fewer distinct words than instances: every word is hit many times)
     # or from 5000 (more) and from four entities, so every entity row is
-    # hit many times within and across chunks; on C-ordered and on
-    # word-major params.
+    # hit many times within and across chunks.
     for vocab in (7, 5000):
         dims = Dims(e_v=6, e_e=5, vocab_size=vocab, num_entities=4)
         params, block = random_setup(29, dims=dims, m=3 * CHUNK + 37, n=3, z=4)
         assert (len(np.unique(block.ngrams)) < len(block)) == (vocab == 7)
         params = cast_params(params, dtype)
-        for params in (params, word_major(params)):
-            # the W gradient in blocks of three words, the last one partial
-            with chunked(CHUNK, 4, dims.e_e, dtype), \
-                    mock.patch.object(lse.model, "_WORD_BLOCK", 3):
-                loss, grads = batch_loss_and_gradients(params, block, 0.01)
-                want_loss, want = unchunked_batch_loss_and_gradients(params, block, 0.01)
-            assert loss == want_loss
-            for name in PARAM_FIELDS:
-                got, ref = getattr(grads, name), getattr(want, name)
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_word_major_steps_equal_c_order_steps(dtype):
-    # Three steps plus Adam from the same batches: every loss, gradient,
-    # parameter and moment has the bytes of the C-ordered run, and the
-    # word-major arrays keep their layout.
-    dims = Dims(e_v=6, e_e=5, vocab_size=7, num_entities=4)
-    params = cast_params(init_params(dims, 61), dtype)
-    runs = []
-    for layout, start in (("C", params.copy()), ("F", word_major(params))):
-        state, grads, seen = AdamState(start), None, []
-        for seed in (67, 71, 73):
-            block = random_setup(seed, dims=dims, m=2 * CHUNK + 9, n=3, z=4)[1]
-            with chunked(CHUNK, 4, dims.e_e, dtype):
-                loss, grads = batch_loss_and_gradients(start, block, 0.01, grads)
-            adam_step(start, grads, state)
-            seen.append((loss, [a.tobytes(order="C") for group in
-                                (grads, start, state.m, state.v) for a in group]))
-        runs.append(seen)
-        assert all(group.W_v.flags[f"{layout}_CONTIGUOUS"]
-                   for group in (grads, start, state.m, state.v))
-    assert runs[0] == runs[1]
+        # the W gradient in blocks of three words, the last one partial
+        with chunked(CHUNK, 4, dims.e_e, dtype), \
+                mock.patch.object(lse.model, "_WORD_BLOCK", 3):
+            loss, grads = batch_loss_and_gradients(params, block, 0.01)
+            want_loss, want = unchunked_batch_loss_and_gradients(params, block, 0.01)
+        assert loss == want_loss
+        for name in FIELDS:
+            got, ref = getattr(grads, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
 @pytest.mark.parametrize("dtype, instances", [(np.float32, 102), (np.float64, 51)])
@@ -605,14 +599,11 @@ def test_sparse_helpers_reject_out_of_range_ids(bad):
     assert np.array_equal(gathered, np.full((1, 2), 7.0))
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize("field", ["ngrams", "positives", "negatives"])
-def test_step_rejects_out_of_range_ids(layout, field):
+def test_step_rejects_out_of_range_ids(field):
     # an id of -1 or of the table's length is an IndexError, never a wrapped
-    # or clipped row, whichever array holds it and whatever W_v's layout
+    # or clipped row, whichever array holds it
     params, block = random_setup(37, m=4, n=2, z=3)
-    if layout == "F":
-        params = word_major(params)
     rows = params.dims.vocab_size if field == "ngrams" else params.dims.num_entities
     for bad in (-1, rows):
         ids = {name: getattr(block, name).copy()
@@ -654,14 +645,13 @@ def test_adam_first_step_magnitude_near_alpha():
 def test_adam_two_steps_match_reference_formulas():
     params, block = random_setup(9)
     state = AdamState(params)
-    ref = {n: getattr(params, n).copy() for n in PARAM_FIELDS}
-    m = {n: np.zeros_like(ref[n]) for n in PARAM_FIELDS}
-    v = {n: np.zeros_like(ref[n]) for n in PARAM_FIELDS}
+    ref = {n: getattr(params, n).copy() for n in FIELDS}
+    m = {n: np.zeros_like(ref[n]) for n in FIELDS}
+    v = {n: np.zeros_like(ref[n]) for n in FIELDS}
     for t in (1, 2):
-        grads = batch_loss_and_gradients(
-            ModelParams(ref["W_v"], ref["W"], ref["b"], ref["W_e"]), block, 0.01)[1]
+        grads = batch_loss_and_gradients(ModelParams(**ref), block, 0.01)[1]
         adam_step(params, grads, state)
-        for n in PARAM_FIELDS:
+        for n in FIELDS:
             g = getattr(grads, n)
             m[n] = 0.9 * m[n] + 0.1 * g
             v[n] = 0.999 * v[n] + 0.001 * g * g
@@ -669,7 +659,7 @@ def test_adam_two_steps_match_reference_formulas():
             vhat = v[n] / (1 - 0.999 ** t)
             ref[n] = ref[n] - 0.001 * mhat / (np.sqrt(vhat) + 1e-8)
         # params were updated in place from the same gradients
-        for n in PARAM_FIELDS:
+        for n in FIELDS:
             assert np.allclose(getattr(params, n), ref[n], atol=1e-14, rtol=0)
 
 
@@ -697,14 +687,13 @@ def test_blocked_adam_is_bit_identical_to_whole_array(dtype):
     # Blocks of two values: each of the 21, 15, 5 and 15 values of W_v, W,
     # b and W_e spans several blocks and ends in a partial one.
     params = init_params(Dims(e_v=3, e_e=5, vocab_size=7, num_entities=3), 41,
-                         dtype=dtype)
+                         dtype=dtype).copy()
     with mock.patch.object(lse.model, "_ADAM_BLOCK_BYTES", 2 * np.dtype(dtype).itemsize):
         want, state, want_state = params.copy(), AdamState(params), AdamState(params)
     assert state.buffers.shape == (2, 2)
     rng = np.random.default_rng(43)
     for _ in range(3):
-        grads = ModelParams(*(rng.standard_normal(getattr(params, name).shape)
-                              .astype(dtype) for name in PARAM_FIELDS))
+        grads = ModelParams(*(rng.standard_normal(a.shape).astype(dtype) for a in params))
         adam_step(params, grads, state)
         whole_array_adam_step(want, grads, want_state)
         assert state.t == want_state.t
@@ -715,38 +704,21 @@ def test_blocked_adam_is_bit_identical_to_whole_array(dtype):
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
-def test_adam_rejects_a_group_with_mixed_layouts():
-    params = zero_params()
-    params.W_e = np.asfortranarray(params.W_e)
-    grads = zero_params()
+def test_step_and_adam_reject_a_word_table_that_is_not_c_contiguous():
+    # init_params' word_rows is a view of W_v's memory: its flat view would
+    # be a copy, which would absorb an update
+    view = init_params(Dims(e_v=4, e_e=3, vocab_size=6, num_entities=5), 37)
+    block = random_setup(37)[1]
+    assert not view.word_rows.flags.c_contiguous
     with pytest.raises(ValueError):
-        adam_step(params, grads, AdamState(params))
-    # a non-contiguous parameter has no flat view either
+        batch_loss_and_gradients(view, block, 0.01)
+    with pytest.raises(ValueError):
+        adam_step(view, view.copy(), AdamState(view))
+    # and so would a strided one
     params = zero_params(vocab=12)
-    params.W_v = params.W_v[:, ::2]
+    params.word_rows = params.word_rows[::2]
     with pytest.raises(ValueError):
         adam_step(params, zero_params(), AdamState(params))
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_word_major_adam_group_updates_like_its_c_order_copy(dtype):
-    # Blocks of three values, so each W_v block crosses embedding columns.
-    params = init_params(Dims(e_v=3, e_e=5, vocab_size=7, num_entities=3), 79,
-                         dtype=dtype)
-    rng = np.random.default_rng(83)
-    steps = [ModelParams(*(rng.standard_normal(a.shape).astype(dtype) for a in params))
-             for _ in range(3)]
-    runs = []
-    for start in (params.copy(), word_major(params)):
-        with mock.patch.object(lse.model, "_ADAM_BLOCK_BYTES", 3 * np.dtype(dtype).itemsize):
-            state = AdamState(start)
-        for grads in steps:
-            if start.W_v.flags.f_contiguous:
-                grads = word_major(grads)
-            adam_step(start, grads, state)
-        runs.append([a.tobytes(order="C") for group in (start, state.m, state.v)
-                     for a in group])
-    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -780,11 +752,11 @@ def traced_peak(call):
 
 
 def warm_float32_step(dims, m, n=4, z=10, seed=59):
-    """Word-major float32 params as train holds them, a batch of uniform
+    """C-contiguous float32 params as train holds them, a batch of uniform
     ids, and the Adam state and gradient buffers left by one step plus
     Adam on it."""
     rng = np.random.default_rng(seed)
-    params = word_major(init_params(dims, rng, dtype=np.float32))
+    params = init_params(dims, rng, dtype=np.float32).copy()
     block = InstanceBlock(rng.integers(0, dims.vocab_size, size=(m, n), dtype=np.int32),
                           rng.integers(0, dims.num_entities, size=m, dtype=np.int32),
                           rng.integers(0, dims.num_entities, size=(m, z), dtype=np.int32))
@@ -801,7 +773,7 @@ def step_and_adam(params, block, state, grads):
 
 def test_training_step_memory_is_bounded():
     """One float32 step plus Adam at the benchmark's train shape, on
-    word-major params as train holds them and given the gradient buffers of
+    params as train holds them and given the gradient buffers of
     the step before, stays within 9.75 MiB of traced memory above its
     inputs (9.68 measured: with the batch's 2000 distinct words the
     activation block of two rows of max(m e_E, u e_V) values is 8 MiB,
@@ -927,17 +899,18 @@ def test_save_is_byte_stable(tmp_path):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_word_major_save_writes_the_c_order_file_in_blocks(tmp_path, dtype):
-    """A word-major W_v, as train returns it, is written in blocks of rows:
-    the file equals that of the C-ordered params, and at the benchmark's
-    train shape the save peaks under 1.1 MiB of traced memory (one block),
-    where copying the float32 W_v whole took 2.3 MiB."""
+def test_save_writes_a_trained_w_v_in_blocks(tmp_path, dtype):
+    """A trained model's W_v, the transpose of its C-contiguous word_rows,
+    is written in blocks of rows: the file equals that of init_params' view,
+    whose W_v is C-contiguous, and at the benchmark's train shape the save
+    peaks under 1.1 MiB of traced memory (one block), where copying the
+    float32 W_v whole took 2.3 MiB."""
     dims = Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024)
     params = init_params(dims, 71, dtype=dtype)
-    fortran, names = word_major(params), entity_names(params)
-    save_model(tmp_path / "c.lse", params, entity_ids=names)
-    peak = traced_peak(lambda: save_model(tmp_path / "f.lse", fortran, entity_ids=names))
-    assert (tmp_path / "f.lse").read_bytes() == (tmp_path / "c.lse").read_bytes()
+    trained, names = params.copy(), entity_names(params)
+    save_model(tmp_path / "view.lse", params, entity_ids=names)
+    peak = traced_peak(lambda: save_model(tmp_path / "c.lse", trained, entity_ids=names))
+    assert (tmp_path / "c.lse").read_bytes() == (tmp_path / "view.lse").read_bytes()
     assert peak < 1.1 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
@@ -946,7 +919,7 @@ def test_failed_save_leaves_no_partial_or_temporary_file(tmp_path):
     path = tmp_path / "model.lse"
     # b cannot be converted to float64, so the write fails after W_v and W
     # have gone to disk.
-    broken = ModelParams(params.W_v, params.W, np.array([object()] * 3),
+    broken = ModelParams(params.word_rows, params.W, np.array([object()] * 3),
                          params.W_e)
     with pytest.raises(TypeError):
         save_model(path, broken, entity_ids=entity_names(params))

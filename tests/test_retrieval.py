@@ -118,7 +118,7 @@ def test_cosine_scores_matches_per_row_cosine():
 
 def test_precomputed_norms_give_identical_scores_and_rankings():
     rng = np.random.default_rng(3)
-    params = ModelParams(rng.normal(size=(3, 5)), rng.normal(size=(4, 3)),
+    params = ModelParams(rng.normal(size=(5, 3)), rng.normal(size=(4, 3)),
                          rng.normal(size=4), rng.normal(size=(9, 4)))
     params.W_e[5] = 0.0
     norms = np.linalg.norm(params.W_e, axis=1)
@@ -165,10 +165,10 @@ def test_rank_by_vector_ranks_best_alignment_first():
 
 
 def test_rank_entities_projects_and_ranks():
-    W_v = np.array([[2.0, 0.0], [0.0, 2.0]])
+    word_rows = np.array([[2.0, 0.0], [0.0, 2.0]])
     W = np.eye(2)
     W_e = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    params = ModelParams(W_v, W, np.zeros(2), W_e)
+    params = ModelParams(word_rows, W, np.zeros(2), W_e)
     ranked = rank_entities(params, [0], ["e0", "e1", "e2"], "t1")
     assert ranked.topic_id == "t1"
     assert [e for e, _ in ranked.entries] == ["e0", "e1", "e2"]

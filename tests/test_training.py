@@ -78,23 +78,6 @@ def test_train_fills_one_gradient_set_on_every_step(tiny_corpus, monkeypatch):
     assert all(out is given[1] for out in given[1:])
 
 
-def test_train_steps_on_word_major_w_v(tiny_corpus, monkeypatch):
-    # the step reads embedding rows of W_v.T in place only when W_v is
-    # Fortran-ordered; its gradients and the returned params keep that
-    corpus, vocab = tiny_corpus
-    layouts = []
-
-    def step(params, batch, weight_decay, out=None):
-        loss, grads = batch_loss_and_gradients(params, batch, weight_decay, out)
-        layouts.append((params.W_v.flags.f_contiguous, grads.W_v.flags.f_contiguous))
-        return loss, grads
-
-    monkeypatch.setattr(lse.training, "batch_loss_and_gradients", step)
-    result = train(corpus, vocab, tiny_config())
-    assert len(layouts) == 24 and all(a and b for a, b in layouts)
-    assert result.params.W_v.flags.f_contiguous
-
-
 def test_train_lets_each_epoch_go_before_drawing_the_next(tiny_corpus, monkeypatch):
     """An epoch's draws are the largest thing training holds, so two epochs'
     worth must never be alive at once."""
@@ -145,7 +128,7 @@ def test_train_validation_selects_best_epoch():
     assert all(v is not None for v in ndcgs)
     best = max(ndcgs)
     assert result.best_epoch == ndcgs.index(best) + 1  # tie goes to earlier
-    assert result.params.W_v.flags.f_contiguous  # the kept copy keeps the layout
+    assert result.params.word_rows.flags.c_contiguous  # the kept copy
 
 
 def test_train_all_oov_validation_falls_back_to_last_epoch(tiny_corpus):
