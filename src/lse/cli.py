@@ -276,7 +276,8 @@ def _load_model_checked(model_path, vocabulary, vocab_path):
                         "the model was trained with")
     if params.dims.vocab_size != vocabulary.size:
         raise DataError(f"{model_path}: model has {params.dims.vocab_size} word "
-                        f"embeddings but the vocabulary has {vocabulary.size} words")
+                        f"embeddings but vocabulary {vocab_path} has {vocabulary.size} "
+                        "words")
     return params, header
 
 
@@ -305,12 +306,13 @@ def _write_skipped(out_dir, queries, counts):
         _status(f"skipped {len(skipped)} all-out-of-vocabulary topics")
 
 
-def _rank_topics(out_dir, counts, queries, top_k, run_tag, rank):
-    """Write run.trec with the ranked lists rank(pairs) gives for the (topic
-    id, token ids) pairs of the non-empty queries, and skipped_topics.txt."""
+def _rank_topics(out_dir, counts, queries, top_k, tag, rank):
+    """Write run.trec, its lines tagged tag, with the ranked lists
+    rank(pairs) gives for the (topic id, token ids) pairs of the non-empty
+    queries, and skipped_topics.txt."""
     write_run(os.path.join(out_dir, "run.trec"),
               rank([(tid, ids) for tid, ids in queries.items() if ids]),
-              tag=run_tag, top_k=top_k)
+              tag=tag, top_k=top_k)
     _write_skipped(out_dir, queries, counts)
 
 
@@ -320,13 +322,12 @@ def _rank_topics(out_dir, counts, queries, top_k, run_tag, rank):
 @_input_argument("topics")
 @_out_option()
 @click.option("--top-k", default=100, show_default=True, type=click.IntRange(min=1))
-@click.option("--run-tag", default="lse", show_default=True)
-def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
+def cmd_rank(model, vocab, topics, out_dir, top_k):
     """Rank all entities for every topic with the trained model."""
-    with _run(out_dir, {"top_k": top_k, "run_tag": run_tag}) as counts:
+    with _run(out_dir, {"top_k": top_k}) as counts:
         vocabulary = Vocabulary.load(vocab)
         params, header = _load_model_checked(model, vocabulary, vocab)
-        _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, run_tag,
+        _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, "lse",
                      lambda pairs: rank_queries(params, pairs, header["entity_ids"], top_k))
 
 
@@ -339,15 +340,13 @@ def cmd_rank(model, vocab, topics, out_dir, top_k, run_tag):
               type=click.FloatRange(0, 1), callback=_finite,
               help="Jelinek-Mercer interpolation weight.")
 @click.option("--top-k", default=100, show_default=True, type=click.IntRange(min=1))
-@click.option("--run-tag", default="qlm", show_default=True)
-def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k, run_tag):
+def cmd_qlm(corpus, vocab, topics, out_dir, lambda_jm, top_k):
     """Rank all entities for every topic with the smoothed lexical model."""
-    with _run(out_dir, {"lambda_jm": lambda_jm, "top_k": top_k,
-                        "run_tag": run_tag}) as counts:
+    with _run(out_dir, {"lambda_jm": lambda_jm, "top_k": top_k}) as counts:
         vocabulary = Vocabulary.load(vocab)
         corpus_data = _corpus(corpus, vocabulary, counts)
         model = qlm_estimate(corpus_data, lambda_jm)
-        _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, run_tag,
+        _rank_topics(out_dir, counts, _queries(topics, vocabulary), top_k, "qlm",
                      lambda pairs: [qlm_rank(model, corpus_data.entities, ids, tid, top_k)
                                     for tid, ids in pairs])
 

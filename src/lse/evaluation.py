@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateStatisticError
-from .files import check_id, check_unique, read_lines
+from .files import check_id, check_unique, read_fields
 
 
 @dataclass
@@ -22,18 +22,15 @@ class TopicSet:
         (the label is not read); empty is an empty set; ids pass check_id."""
         topics, first_line = {}, {}
         header = False
-        for number, line in read_lines(path):
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{number}: expected 2 tab-separated fields")
+        for number, (tid, query) in read_fields(path, 2):
             if not header:
-                if parts[0] != "topic_id":
+                if tid != "topic_id":
                     raise DataError(f"{path}:{number}: missing header row")
                 header = True
             else:
-                check_unique(first_line, parts[0], path, number, "topic id {!r}")
-                check_id(parts[0], f"{path}:{number}", "topic id")
-                topics[parts[0]] = parts[1]
+                check_unique(first_line, tid, path, number, "topic id {!r}")
+                check_id(tid, f"{path}:{number}", "topic id")
+                topics[tid] = query
         return cls(topics)
 
 
@@ -63,11 +60,7 @@ class Qrels:
         entity) pair on one line only."""
         grades = {}
         first_line = {}
-        for number, line in read_lines(path):
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataError(f"{path}:{number}: expected 4 fields")
-            tid, _iter, eid, grade = parts
+        for number, (tid, _iter, eid, grade) in read_fields(path, 4, sep=None):
             if grade not in ("0", "1"):
                 raise DataError(f"{path}:{number}: relevance grade must be "
                                 f"0 or 1, got {grade!r}")

@@ -1,8 +1,9 @@
-"""Text files in and out. Every input is read through read_lines (or its
-JSON-lines layer read_records) and every output is written through
-atomic_open, so malformed input always ends in a DataError naming the file
-and line, and an output file is either complete or absent. Every CSV report
-is written by write_csv and every JSON report by write_json."""
+"""Text files in and out. Every input is read through read_lines (or one of
+its layers: read_fields for delimited files, read_records for JSON lines)
+and every output is written through atomic_open, so malformed input always
+ends in a DataError naming the file and line, and an output file is either
+complete or absent. Every CSV report is written by write_csv and every JSON
+report by write_json."""
 
 import contextlib
 import csv
@@ -75,6 +76,19 @@ def _check_field(path, number, record, name, kind):
     if not ok:
         raise DataError(f"{path}:{number}: {name} must be {_KINDS[kind]}, "
                         f"got {value!r}")
+
+
+def read_fields(path, count, sep="\t"):
+    """Yield (line number, fields) for every non-blank line of a delimited
+    file, split at each tab (sep "\\t") or at runs of whitespace (sep None).
+    A line with other than count fields is a DataError naming the file and
+    line."""
+    kind = {"\t": "tab", None: "whitespace"}[sep]
+    for number, line in read_lines(path):
+        fields = line.split(sep)
+        if len(fields) != count:
+            raise DataError(f"{path}:{number}: expected {count} {kind}-separated fields")
+        yield number, fields
 
 
 def read_records(path, fields):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DataError
 from .evaluation import compare_runs, evaluate_run, ndcg
-from .files import check_unique, read_lines, read_records
+from .files import check_unique, read_fields, read_records
 from .model import project
 from .qlm import score as qlm_score
 from .retrieval import cosine_scores, rank_by_vector, rank_entities, ranked_from_scores
@@ -217,13 +217,7 @@ def load_qi_attributes(path):
 
 def load_graph(path):
     """Edge-list TSV: src_entity <TAB> dst_entity."""
-    edges = []
-    for number, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{number}: expected 2 tab-separated fields")
-        edges.append((parts[0], parts[1]))
-    return edges
+    return [tuple(edge) for _, edge in read_fields(path, 2)]
 
 
 def qi_feature_matrix(corpus, attributes, graphs):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_open, check_unique, read_lines
+from .files import atomic_open, check_unique, read_fields
 from .model import project
 
 # rank_queries scores as many topics per matrix product as fit in this many
@@ -113,11 +113,9 @@ def read_run(path):
     a DataError."""
     runs = {}
     first_line = {}
-    for number, line in read_lines(path):
-        parts = line.split()
-        if len(parts) != 6 or parts[1] != "Q0":
+    for number, (topic_id, q0, eid, rank, score, _tag) in read_fields(path, 6, sep=None):
+        if q0 != "Q0":
             raise DataError(f"{path}:{number}: malformed run line")
-        topic_id, _, eid, rank, score, _tag = parts
         try:
             int(rank)
             score = float(score)

@@ -12,7 +12,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .errors import DataError
-from .files import atomic_open, check_id, check_unique, read_lines, read_records
+from .files import atomic_open, check_id, check_unique, read_fields, read_records
 
 NUM_TOKEN = "<num>"
 
@@ -112,11 +112,7 @@ class Vocabulary:
     def load(cls, path):
         id_to_token, frequency, document_frequency = [], [], []
         first_line = {}
-        for number, line in read_lines(path):
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{number}: expected 4 tab-separated fields")
-            tok, tok_id, freq, df = parts
+        for number, (tok, tok_id, freq, df) in read_fields(path, 4):
             try:
                 tok_id, freq, df = int(tok_id), int(freq), int(df)
             except ValueError:

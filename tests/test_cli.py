@@ -660,8 +660,8 @@ def test_model_vocabulary_size_mismatch_exits_1_naming_the_model(tmp_path, comma
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert errors == [f"Error: {model}: model has 2 word embeddings but the "
-                      "vocabulary has 3 words"]
+    assert errors == [f"Error: {model}: model has 2 word embeddings but vocabulary "
+                      f"{vocab} has 3 words"]
     assert not (tmp_path / "out").exists()
 
 
@@ -801,6 +801,23 @@ MALFORMED = {
          ":3: duplicate entity_id 'cam', first on line 1"),
     "graph_not_utf8":
         ("graph.tsv", b"cam\tgui\ngui\tp\xe9a\n", ":2: not valid UTF-8"),
+    # a line of each delimited format with one field too many or too few
+    "fields_topics":
+        ("topics.tsv", b"topic_id\ttest\nt1\tcamera\tlens\n",
+         ":2: expected 2 tab-separated fields"),
+    "fields_qrels":
+        ("qrels.txt", b"t1 0 cam 1\nt2 0 gui\n", ":2: expected 4 whitespace-separated fields"),
+    "fields_vocab":
+        ("vocab.tsv", b"camera\t0\t2\t2\nlens\t1\t2\n", ":2: expected 4 tab-separated fields"),
+    "fields_graph":
+        ("graph.tsv", b"cam\tgui\ngui\tpia\tvio\n", ":2: expected 2 tab-separated fields"),
+    "fields_run":
+        ("run.trec", b"t1 Q0 cam 1 2.0 x\nt1 Q0 gui 2 1.0\n",
+         ":2: expected 6 whitespace-separated fields"),
+    "run_second_field_not_q0":
+        ("run.trec", b"t1 Q0 cam 1 2.0 x\nt1 0 gui 2 1.0 x\n", ":2: malformed run line"),
+    "config_validation_cutoff_zero":
+        ("train.cfg", b"validation_cutoff = 0\n", ": validation cutoff must be positive"),
 }
 
 
@@ -863,7 +880,7 @@ def test_failed_command_keeps_an_out_directory_that_existed(tmp_path):
     result = CliRunner().invoke(main, ["eval", str(run_file), str(qrels),
                                        "--out", str(out)])
     assert result.exit_code == 1, result.output
-    assert f"Error: {run_file}:2: malformed run line" in result.output
+    assert f"Error: {run_file}:2: expected 6 whitespace-separated fields" in result.output
     assert [p.name for p in out.iterdir()] == ["aggregate.json"]
     assert (out / "aggregate.json").read_text() == "{}\n"
 
@@ -882,7 +899,7 @@ def test_failed_command_removes_the_parent_directories_it_made(tmp_path, existin
     result = CliRunner().invoke(main, ["eval", str(run_file), str(qrels),
                                        "--out", str(top / "n2" / "n3")])
     assert result.exit_code == 1, result.output
-    assert f"Error: {run_file}:2: malformed run line" in result.output
+    assert f"Error: {run_file}:2: expected 6 whitespace-separated fields" in result.output
     if existing:
         assert [p.name for p in top.iterdir()] == ["keep.txt"]
         assert (top / "keep.txt").read_text() == "kept\n"

@@ -9,7 +9,8 @@ import pytest
 import lse
 import lse.files
 from lse.errors import DataError
-from lse.files import atomic_open, read_lines, read_records, write_csv, write_json
+from lse.files import (atomic_open, read_fields, read_lines, read_records, write_csv,
+                       write_json)
 
 
 def test_read_lines_skips_blank_lines_and_keeps_fields(tmp_path):
@@ -26,6 +27,24 @@ def test_read_lines_names_the_line_of_a_bad_byte_past_the_first_chunk(tmp_path):
     assert next(lines) == (1, "0123456789")  # streamed: nothing decoded ahead
     with pytest.raises(DataError, match=r"in\.txt:2002: not valid UTF-8"):
         list(lines)
+
+
+def test_read_fields_splits_at_tabs_or_at_runs_of_whitespace(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"a b\t c \n\n x\ty  z \r\n")
+    assert list(read_fields(path, 2)) == [(1, ["a b", " c "]), (3, [" x", "y  z "])]
+    assert list(read_fields(path, 3, sep=None)) == [(1, ["a", "b", "c"]),
+                                                     (3, ["x", "y", "z"])]
+
+
+@pytest.mark.parametrize("sep,kind", [("\t", "tab"), (None, "whitespace")])
+def test_read_fields_names_the_line_with_another_field_count(tmp_path, sep, kind):
+    path = tmp_path / "in.txt"
+    path.write_text("a\tb\n\nc\td\te\n")
+    fields = read_fields(path, 2, sep)
+    assert next(fields) == (1, ["a", "b"])
+    with pytest.raises(DataError, match=f"in\\.txt:3: expected 2 {kind}-separated fields$"):
+        next(fields)
 
 
 @pytest.mark.parametrize("line,message", [
