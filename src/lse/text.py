@@ -118,6 +118,9 @@ class Vocabulary:
             except ValueError:
                 raise DataError(f"{path}:{number}: id and counts must be "
                                 "integers") from None
+            if not 0 <= df <= freq:
+                raise DataError(f"{path}:{number}: counts must satisfy "
+                                "0 <= doc_frequency <= frequency")
             if tok_id != len(id_to_token):
                 raise DataError(f"{path}:{number}: ids must be dense and ordered")
             if tok_id == cls.MAX_SIZE:

@@ -1,17 +1,58 @@
-"""Shared fixtures: small hand-built corpora and synthetic benchmarks."""
+"""Shared fixtures: small hand-built corpora and synthetic benchmarks, the
+valid inputs of every command, and scalar oracles."""
 
+import json
+import math
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lse.model import ModelParams
+from lse.cli import main
+from lse.model import MAGIC, ModelParams
 from lse.text import Corpus, Vocabulary
 
 
 def cast_params(params, dtype):
     """A copy of params with each of the four arrays cast to dtype."""
     return ModelParams(*(array.astype(dtype) for array in params))
+
+
+def sigma(x):
+    return 1.0 / (1.0 + math.exp(-x))
+
+
+def sigmoid_product_prob(params, ngram, positive, negatives):
+    """Scalar oracle: one instance's probability as a plain product of
+    sigmoids, sigma(e+ . f) * prod_k (1 - sigma(e_k . f)), without
+    log-domain arithmetic."""
+    h = params.word_rows[list(ngram)].mean(axis=0)
+    f = np.tanh(params.W @ h + params.b)
+    prob = sigma(float(params.W_e[positive] @ f))
+    for k in negatives:
+        prob *= 1.0 - sigma(float(params.W_e[k] @ f))
+    return prob
+
+
+def sigmoid_product_loss(params, block, weight_decay):
+    """The training objective evaluated the obvious way: minus the mean log
+    of each instance's sigmoid_product_prob, plus weight_decay / (2 m) times
+    the squared norms of the word embeddings, W and W_e."""
+    m = len(block)
+    total = sum(math.log(sigmoid_product_prob(params, *instance))
+                for instance in zip(block.ngrams, block.positives, block.negatives))
+    reg = (float((params.word_rows ** 2).sum()) + float((params.W ** 2).sum())
+           + float((params.W_e ** 2).sum()))
+    return -total / m + weight_decay / (2.0 * m) * reg
+
+
+def pack_model(header, arrays=b"", declared_length=None):
+    """Model container bytes: MAGIC, the header's length (or declared_length),
+    the header (a dict written as JSON, or bytes as they are) and arrays."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    length = len(blob) if declared_length is None else declared_length
+    return MAGIC + struct.pack("<Q", length) + blob + arrays
 
 
 def synth_word(i, j):
@@ -204,3 +245,83 @@ def separable_setup():
     corpus, vocab = build_separable_corpus()
     topics, grades = separable_topics()
     return corpus, vocab, topics, grades
+
+
+# ---- the valid inputs of every command ----
+
+CORPUS_LINES = [
+    {"doc_id": "d1", "entity_id": "cam", "text": "digital camera zoom lens"},
+    {"doc_id": "d2", "entity_id": "cam", "text": "camera photo lens sharp"},
+    {"doc_id": "d3", "entity_id": "gui", "text": "acoustic guitar steel strings"},
+    {"doc_id": "d4", "entity_id": "gui", "text": "guitar warm wood tone"},
+    {"doc_id": "d5", "entity_id": "pia", "text": "grand piano ivory keys"},
+    {"doc_id": "d6", "entity_id": "pia", "text": "piano pedal concert sound"},
+    {"doc_id": "d7", "entity_id": "vio", "text": "violin bow rosin strings"},
+    {"doc_id": "d8", "entity_id": "vio", "text": "violin chin rest wood"},
+]
+
+# input name -> (file name, text)
+TEXT_INPUTS = {
+    "corpus": ("corpus.jsonl", "".join(json.dumps(r) + "\n" for r in CORPUS_LINES)),
+    "topics": ("topics.tsv", "topic_id\ttest\nt1\tcamera lens\nt2\tguitar\n"
+                             "t3\tpiano keys\nt5\tstrings wood\n"),
+    "qrels": ("qrels.txt", "t1 0 cam 1\nt2 0 gui 1\nt3 0 pia 1\nt5 0 gui 1\nt5 0 vio 1\n"),
+    "config": ("train.cfg", "e_v = 4\ne_e = 3\nn = 2\nz = 2\nm = 8\nepochs = 1\n"
+                            "seed = 0  # root seed\n"),
+    "attrs": ("attrs.jsonl", '{"entity_id": "cam", "price": 3.5, "sales_rank": 4}\n'
+                             '{"entity_id": "gui", "description_length": 12}\n'),
+    "graph": ("graph.tsv", "cam\tgui\ngui\tpia\nvio\tcam\n"),
+}
+
+# command -> argv, each {name} an input of the inputs fixture
+COMMANDS = {
+    "build-vocab": ["build-vocab", "{corpus}"],
+    "train": ["train", "{corpus}", "{vocab}", "--config", "{config}",
+              "--validation-topics", "{topics}", "--validation-qrels", "{qrels}"],
+    "rank": ["rank", "{model}", "{vocab}", "{topics}"],
+    "qlm": ["qlm", "{corpus}", "{vocab}", "{topics}"],
+    "eval": ["eval", "{run}", "{qrels}", "--baseline-run", "{baseline}"],
+    "sweep-lambda": ["sweep-lambda", "{corpus}", "{vocab}", "{topics}", "{qrels}"],
+    "fuse": ["fuse", "{corpus}", "{vocab}", "{topics}", "{qrels}", "--model", "{model}",
+             "--qi-attrs", "{attrs}", "--graph", "also_bought={graph}", "--folds", "2",
+             "--pair-samples", "50"],
+    "ideal-vector": ["ideal-vector", "{model}", "{vocab}", "{topics}", "{qrels}",
+                     "--pair-samples", "50"],
+}
+
+
+def write_inputs(root, names=("corpus", "topics", "qrels")):
+    """Write the TEXT_INPUTS called names into root; their paths."""
+    paths = [root / TEXT_INPUTS[name][0] for name in names]
+    for path, name in zip(paths, names):
+        path.write_text(TEXT_INPUTS[name][1])
+    return paths
+
+
+def run_main(args):
+    """Run the command in-process as the lse entry point does; its exit
+    status."""
+    with pytest.raises(SystemExit) as exited:
+        main.main(args, standalone_mode=True)
+    return exited.value.code
+
+
+@pytest.fixture(scope="session")
+def inputs(tmp_path_factory):
+    """Valid inputs of every command in COMMANDS, each its own file:
+    name -> path. The vocabulary, model and runs are made by the commands."""
+    root = tmp_path_factory.mktemp("valid")
+    paths = dict(zip(TEXT_INPUTS, write_inputs(root, TEXT_INPUTS)))
+    paths["vocab"] = root / "vocab.tsv"
+    paths["model"] = root / "model.lse"
+    paths["run"] = root / "run.trec"
+    paths["baseline"] = root / "baseline.trec"
+    steps = [(["build-vocab", "{corpus}"], "vocab.tsv", "vocab"),
+             (["train", "{corpus}", "{vocab}", "--config", "{config}"], "model.lse", "model"),
+             (COMMANDS["rank"], "run.trec", "run"),
+             (COMMANDS["qlm"], "run.trec", "baseline")]
+    for argv, output, name in steps:
+        out = root / f"{name}_out"
+        assert run_main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 0
+        (out / output).replace(paths[name])
+    return paths

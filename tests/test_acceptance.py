@@ -15,7 +15,8 @@ import pytest
 import scipy.stats
 
 from conftest import (build_fusion_benchmark, build_separable_corpus,
-                      documents, make_corpus, profile_counts, separable_topics)
+                      documents, make_corpus, profile_counts, separable_topics,
+                      sigmoid_product_loss)
 from lse.cli import main
 from lse.evaluation import (Qrels, evaluate_run, ndcg,
                             paired_t_test, precision_at_k)
@@ -34,28 +35,6 @@ def random_block(rng, m, n, z, vocab_size, num_entities):
     return InstanceBlock(rng.integers(0, vocab_size, size=(m, n)),
                          rng.integers(0, num_entities, size=m),
                          rng.integers(0, num_entities, size=(m, z)))
-
-
-def sigma(x):
-    return 1.0 / (1.0 + math.exp(-x))
-
-
-def direct_sigmoid_product_loss(params, block, weight_decay):
-    """The training objective evaluated the obvious way: one probability
-    per instance as a plain product of sigmoids, logged at the end."""
-    m = len(block)
-    total = 0.0
-    for i in range(m):
-        h = params.word_rows[block.ngrams[i]].mean(axis=0)
-        f = np.tanh(params.W @ h + params.b)
-        prob = sigma(float(params.W_e[block.positives[i]] @ f))
-        for neg in block.negatives[i]:
-            prob *= 1.0 - sigma(float(params.W_e[neg] @ f))
-        total += math.log(prob)
-    reg = (weight_decay / (2.0 * m)) * (float((params.W_v ** 2).sum())
-                                        + float((params.W ** 2).sum())
-                                        + float((params.W_e ** 2).sum()))
-    return -total / m + reg
 
 
 @functools.lru_cache(maxsize=2)
@@ -96,7 +75,7 @@ def test_criterion_2_loss_formula_oracle():
         block = random_block(rng, m, n, z, vocab_size=10, num_entities=8)
         weight_decay = 0.01 if case % 2 else 0.0
         got = batch_loss(params, block, weight_decay)
-        want = direct_sigmoid_product_loss(params, block, weight_decay)
+        want = sigmoid_product_loss(params, block, weight_decay)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10, f"max loss deviation {worst:.3e}"

@@ -11,76 +11,10 @@ import struct
 import numpy as np
 import pytest
 
-from lse.cli import main
+from conftest import COMMANDS, pack_model, run_main
 from lse.model import MAGIC, PARAM_FIELDS
 
 SEED = 20161024
-
-CORPUS = [("d1", "cam", "digital camera zoom lens"), ("d2", "cam", "camera photo lens"),
-          ("d3", "gui", "acoustic guitar steel strings"), ("d4", "gui", "guitar wood tone"),
-          ("d5", "pia", "grand piano ivory keys"), ("d6", "pia", "piano pedal sound"),
-          ("d7", "vio", "violin bow rosin strings"), ("d8", "vio", "violin wood rest")]
-
-TEXT_INPUTS = {
-    "corpus": ("corpus.jsonl", "".join(json.dumps({"doc_id": d, "entity_id": e, "text": t})
-                                       + "\n" for d, e, t in CORPUS)),
-    "topics": ("topics.tsv", "topic_id\ttest\nt1\tcamera lens\nt2\tguitar\n"
-                             "t3\tpiano keys\nt5\tstrings wood\n"),
-    "qrels": ("qrels.txt", "t1 0 cam 1\nt2 0 gui 1\nt3 0 pia 1\nt5 0 gui 1\nt5 0 vio 1\n"),
-    "config": ("train.cfg", "e_v = 4\ne_e = 3\nn = 2\nz = 2\nm = 8\nepochs = 1\n"
-                            "seed = 0  # root seed\n"),
-    "attrs": ("attrs.jsonl", '{"entity_id": "cam", "price": 3.5, "sales_rank": 4}\n'
-                             '{"entity_id": "gui", "description_length": 12}\n'),
-    "graph": ("graph.tsv", "cam\tgui\ngui\tpia\nvio\tcam\n"),
-}
-
-# command -> argv, each {name} an input that is mutated in turn
-COMMANDS = {
-    "build-vocab": ["build-vocab", "{corpus}"],
-    "train": ["train", "{corpus}", "{vocab}", "--config", "{config}",
-              "--validation-topics", "{topics}", "--validation-qrels", "{qrels}"],
-    "rank": ["rank", "{model}", "{vocab}", "{topics}"],
-    "qlm": ["qlm", "{corpus}", "{vocab}", "{topics}"],
-    "eval": ["eval", "{run}", "{qrels}", "--baseline-run", "{baseline}"],
-    "sweep-lambda": ["sweep-lambda", "{corpus}", "{vocab}", "{topics}", "{qrels}"],
-    "fuse": ["fuse", "{corpus}", "{vocab}", "{topics}", "{qrels}", "--model", "{model}",
-             "--qi-attrs", "{attrs}", "--graph", "also_bought={graph}", "--folds", "2",
-             "--pair-samples", "50"],
-    "ideal-vector": ["ideal-vector", "{model}", "{vocab}", "{topics}", "{qrels}",
-                     "--pair-samples", "50"],
-}
-
-
-def run(args):
-    """Run the command in-process as the lse entry point does; its exit
-    status."""
-    with pytest.raises(SystemExit) as exited:
-        main.main(args, standalone_mode=True)
-    return exited.value.code
-
-
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """Valid inputs of every command, each its own file: name -> path."""
-    root = tmp_path_factory.mktemp("valid")
-    paths = {}
-    for name, (file_name, text) in TEXT_INPUTS.items():
-        paths[name] = root / file_name
-        paths[name].write_text(text)
-    paths["vocab"] = root / "vocab.tsv"
-    paths["model"] = root / "model.lse"
-    paths["run"] = root / "run.trec"
-    paths["baseline"] = root / "baseline.trec"
-    steps = [(["build-vocab", "{corpus}"], "vocab.tsv", "vocab"),
-             (["train", "{corpus}", "{vocab}", "--config", "{config}"], "model.lse", "model"),
-             (COMMANDS["rank"], "run.trec", "run"),
-             (COMMANDS["qlm"], "run.trec", "baseline")]
-    for argv, output, name in steps:
-        out = root / f"{name}_out"
-        assert run([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 0
-        (out / output).replace(paths[name])
-    return paths
-
 
 # ---- byte and text operators: each takes (data, rng) ----
 
@@ -93,9 +27,11 @@ def _flip(data, rng):
     return data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
 
 
-def _insert_invalid_utf8(data, rng):
-    at = rng.randrange(len(data) + 1)
-    return data[:at] + rng.choice([b"\xff", b"\xc3(", b"\xed\xa0\x80"]) + data[at:]
+def _insert(values):
+    def insert(data, rng):
+        at = rng.randrange(len(data) + 1)
+        return data[:at] + rng.choice(values) + data[at:]
+    return insert
 
 
 def _bom(data, rng):
@@ -118,6 +54,41 @@ def _duplicate_line(data, rng):
     return b"".join(lines[:at + 1] + lines[at:])
 
 
+def _edit_line(edit):
+    """An operator that replaces one line, without its line ending, by
+    edit(line, rng)."""
+    def mutate(data, rng):
+        lines = data.splitlines(keepends=True)
+        at = rng.randrange(len(lines))
+        lines[at] = edit(lines[at].rstrip(b"\n"), rng) + b"\n"
+        return b"".join(lines)
+    return mutate
+
+
+def _drop_field(sep):
+    """Drop one field of a line split at sep, or one key of a JSON line
+    (sep None)."""
+    def drop(line, rng):
+        if sep is None:
+            record = json.loads(line)
+            del record[rng.choice(sorted(record))]
+            return json.dumps(record).encode()
+        fields = line.split(sep)
+        del fields[rng.randrange(len(fields))]
+        return sep.join(fields)
+    return _edit_line(drop)
+
+
+# JSON values a record's field may be swapped for, one of each type
+VALUES = [None, True, 7, -2.5, 1e300, "s", [], ["x"], {}, "x\ud800"]
+
+
+def _swap_value(line, rng):
+    record = json.loads(line)
+    record[rng.choice(sorted(record))] = rng.choice(VALUES)
+    return json.dumps(record).encode()
+
+
 # a token: a run of bytes that are neither whitespace nor JSON or config syntax
 _TOKEN = re.compile(rb"[^\s\"{}\[\]:,=#]+")
 
@@ -134,10 +105,16 @@ def _replace_token(value):
 
 
 BYTE_OPERATORS = {"truncate": _truncate, "flip": _flip,
-                  "invalid_utf8": _insert_invalid_utf8, "bom": _bom}
+                  "insert_byte": _insert([bytes([b]) for b in range(256)]),
+                  "invalid_utf8": _insert([b"\xff", b"\xc3(", b"\xed\xa0\x80"]),
+                  "bom": _bom}
 TEXT_OPERATORS = {**BYTE_OPERATORS, "crlf": _crlf, "delete_line": _delete_line,
                   "duplicate_line": _duplicate_line,
                   **{f"token_{value!r}": _replace_token(value) for value in TOKENS}}
+
+# what separates the fields of each delimited input; the others are JSON lines
+SEPARATORS = {"vocab": b"\t", "topics": b"\t", "graph": b"\t", "qrels": b" ",
+              "run": b" ", "baseline": b" ", "config": b"="}
 
 # draws of each operator on each input; bom and crlf draw nothing
 DRAWS = 2
@@ -148,11 +125,6 @@ def _container(data):
     (length,) = struct.unpack("<Q", data[len(MAGIC):len(MAGIC) + 8])
     start = len(MAGIC) + 8
     return json.loads(data[start:start + length]), data[start + length:]
-
-
-def _pack(header, arrays):
-    blob = json.dumps(header).encode()
-    return MAGIC + struct.pack("<Q", len(blob)) + blob + arrays
 
 
 def model_mutations(data, rng):
@@ -166,12 +138,12 @@ def model_mutations(data, rng):
         if dim == "num_entities":  # still one id per entity: only the sizes disagree
             ids = changed["entity_ids"]
             changed["entity_ids"] = ids + ["extra"] if delta > 0 else ids[:-1]
-        out[f"{dim}{delta:+d}"] = _pack(changed, arrays)
-    out["vocab_size_1e12"] = _pack({**header, "dims": {**header["dims"],
-                                                       "vocab_size": 10 ** 12}}, arrays)
+        out[f"{dim}{delta:+d}"] = pack_model(changed, arrays)
+    out["vocab_size_1e12"] = pack_model({**header, "dims": {**header["dims"],
+                                                            "vocab_size": 10 ** 12}}, arrays)
     dtype = np.dtype({"float32": "<f4", "float64": "<f8"}[header["dtype"]])
     other = {"float32": "float64", "float64": "float32"}[header["dtype"]]
-    out[f"dtype_{other}"] = _pack({**header, "dtype": other}, arrays)
+    out[f"dtype_{other}"] = pack_model({**header, "dtype": other}, arrays)
     d = header["dims"]
     sizes = {"W_v": d["e_v"] * d["vocab_size"], "W": d["e_e"] * d["e_v"], "b": d["e_e"],
              "W_e": d["num_entities"] * d["e_e"]}
@@ -180,17 +152,26 @@ def model_mutations(data, rng):
     for name in PARAM_FIELDS:
         poisoned = values.copy()
         poisoned[start + rng.randrange(sizes[name])] = np.nan
-        out[f"nan_in_{name}"] = _pack(header, poisoned.tobytes())
+        out[f"nan_in_{name}"] = pack_model(header, poisoned.tobytes())
         start += sizes[name]
     return out
+
+
+def operators(name):
+    """The operators that mutate the input called name."""
+    if name == "model":
+        return BYTE_OPERATORS
+    if name in SEPARATORS:
+        return {**TEXT_OPERATORS, "drop_field": _drop_field(SEPARATORS[name])}
+    return {**TEXT_OPERATORS, "drop_field": _drop_field(None),
+            "swap_value": _edit_line(_swap_value)}
 
 
 def mutations(name, data):
     """name of each mutation of the input called name -> its bytes, drawn
     from generators seeded by SEED, the input and the operator."""
     out = {}
-    operators = BYTE_OPERATORS if name == "model" else TEXT_OPERATORS
-    for op, mutate in operators.items():
+    for op, mutate in operators(name).items():
         for draw in range(1 if op in ("bom", "crlf") else DRAWS):
             out[f"{op}#{draw}"] = mutate(data, random.Random(f"{SEED}:{name}:{op}:{draw}"))
     if name == "model":
@@ -211,7 +192,7 @@ def test_mutated_input_exits_0_or_1_naming_it(inputs, tmp_path, capsys, command,
     for i, (mutation, data) in enumerate(mutations(name, inputs[name].read_bytes()).items()):
         bad.write_bytes(data)
         out = tmp_path / f"out{i}"
-        status = run(args + ["--out", str(out)])
+        status = run_main(args + ["--out", str(out)])
         err = capsys.readouterr().err
         if status == 0:
             continue

@@ -4,7 +4,6 @@ import csv
 import hashlib
 import json
 import os
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,15 +12,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import lse.cli
 import lse.ltr
 import lse.model
 import lse.retrieval
 import lse.training
-from conftest import cast_params
+from conftest import (COMMANDS, CORPUS_LINES, cast_params, pack_model,
+                      write_inputs)
 from lse.cli import main
 from lse.evaluation import TopicSet
 from lse.files import write_json
@@ -31,34 +29,8 @@ from lse.text import (Vocabulary, build_vocabulary, encode_corpus, encode_topics
                       load_raw_docs)
 from lse.training import EpochLog, write_epoch_log
 
-CORPUS_LINES = [
-    {"doc_id": "d1", "entity_id": "cam", "text": "digital camera zoom lens"},
-    {"doc_id": "d2", "entity_id": "cam", "text": "camera photo lens sharp"},
-    {"doc_id": "d3", "entity_id": "gui", "text": "acoustic guitar steel strings"},
-    {"doc_id": "d4", "entity_id": "gui", "text": "guitar warm wood tone"},
-    {"doc_id": "d5", "entity_id": "pia", "text": "grand piano ivory keys"},
-    {"doc_id": "d6", "entity_id": "pia", "text": "piano pedal concert sound"},
-    {"doc_id": "d7", "entity_id": "vio", "text": "violin bow rosin strings"},
-    {"doc_id": "d8", "entity_id": "vio", "text": "violin chin rest wood"},
-]
-
 TRAIN_FLAGS = ["--e-v", "8", "--e-e", "4", "--n", "2", "--z", "2",
                "--m", "8", "--epochs", "2", "--seed", "0"]
-
-
-def write_inputs(root):
-    corpus = root / "corpus.jsonl"
-    corpus.write_text("".join(json.dumps(r) + "\n" for r in CORPUS_LINES))
-    topics = root / "topics.tsv"
-    topics.write_text("topic_id\ttest\n"
-                      "t1\tcamera lens\n"
-                      "t2\tguitar\n"
-                      "t3\tpiano keys\n"
-                      "t5\tstrings wood\n")
-    qrels = root / "qrels.txt"
-    qrels.write_text("t1 0 cam 1\nt2 0 gui 1\nt3 0 pia 1\n"
-                     "t5 0 gui 1\nt5 0 vio 1\n")
-    return corpus, topics, qrels
 
 
 def sha256_of(path):
@@ -669,16 +641,10 @@ GOOD_HEADER = {"format": "lse-model", "dtype": "float64", "entity_ids": ["cam", 
                "dims": {"e_v": 2, "e_e": 2, "vocab_size": 1, "num_entities": 2}}
 
 
-def container(header, declared_length=None):
-    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
-    length = len(blob) if declared_length is None else declared_length
-    return MAGIC + struct.pack("<Q", length) + blob
-
-
 def model_file(values, dtype="float64", **header):
     """A GOOD_HEADER container holding the 12 array values W_v, W, b, W_e."""
     arrays = np.array(values, dtype={"float32": "<f4", "float64": "<f8"}[dtype])
-    return container(dict(GOOD_HEADER, dtype=dtype, **header)) + arrays.tobytes()
+    return pack_model(dict(GOOD_HEADER, dtype=dtype, **header), arrays.tobytes())
 
 
 # file to corrupt, its bytes, and what the error must say after the path
@@ -687,6 +653,12 @@ MALFORMED = {
         ("qrels.txt", b"t1 0 cam 1\nt2 0 gui yes\n", ":2: relevance grade"),
     "vocab_id_not_integer":
         ("vocab.tsv", b"camera\t0\t2\t2\nlens\tone\t2\t2\n", ":2: id and counts"),
+    "vocab_count_negative":
+        ("vocab.tsv", b"camera\t0\t2\t2\nlens\t1\t-1\t-5\n",
+         ":2: counts must satisfy 0 <= doc_frequency <= frequency"),
+    "vocab_doc_frequency_above_frequency":
+        ("vocab.tsv", b"camera\t0\t2\t3\n",
+         ":1: counts must satisfy 0 <= doc_frequency <= frequency"),
     "vocab_duplicate_token":
         ("vocab.tsv", b"camera\t0\t2\t2\nlens\t1\t2\t2\ncamera\t2\t1\t1\n",
          ":3: duplicate token 'camera', first on line 1"),
@@ -699,23 +671,23 @@ MALFORMED = {
         ("run.trec", b"t1 Q0 cam 1 0.9 x\nt1 Q0 cam 2 0.8 x\n",
          ":2: duplicate entity 'cam' for topic 't1', first on line 1"),
     "model_header_without_dims":
-        ("model.lse", container({"format": "lse-model", "entity_ids": []}),
+        ("model.lse", pack_model({"format": "lse-model", "entity_ids": []}),
          ": model header lacks valid dims"),
     "model_header_not_json":
-        ("model.lse", container(b"{not json"), ": model header is not"),
+        ("model.lse", pack_model(b"{not json"), ": model header is not"),
     "model_cut_in_length_field":
         ("model.lse", MAGIC + b"\x05\x00", ": truncated header length"),
     "model_wrong_format":
-        ("model.lse", container(dict(GOOD_HEADER, format="other")),
+        ("model.lse", pack_model(dict(GOOD_HEADER, format="other")),
          ": header format is not lse-model"),
     "model_header_longer_than_file":
-        ("model.lse", container(GOOD_HEADER, declared_length=4096),
+        ("model.lse", pack_model(GOOD_HEADER, declared_length=4096),
          ": header length 4096 exceeds the file"),
     "model_entity_ids_disagree":
-        ("model.lse", container(dict(GOOD_HEADER, entity_ids=["cam"])),
+        ("model.lse", pack_model(dict(GOOD_HEADER, entity_ids=["cam"])),
          ": header needs one entity id"),
     "model_dtype_float16":
-        ("model.lse", container(dict(GOOD_HEADER, dtype="float16")),
+        ("model.lse", pack_model(dict(GOOD_HEADER, dtype="float16")),
          ": header dtype must be float32 or float64, got 'float16'"),
     "model_entity_ids_repeated":
         ("model.lse", model_file([0.5] * 12, entity_ids=["cam", "cam"]),
@@ -1296,41 +1268,26 @@ def test_window_longer_than_every_document_exits_1_naming_corpus_and_n(tmp_path)
     assert not (tmp_path / "m").exists()
 
 
-# command -> (argv, the exact manifest input names its argv records)
+# command -> the exact manifest input names its COMMANDS argv records
 MANIFEST_COMMANDS = {
-    "build-vocab": (["build-vocab", "{corpus}"], {"corpus"}),
-    "train": (["train", "{corpus}", "{vocab}", "--config", "{config}",
-               "--validation-topics", "{topics}", "--validation-qrels", "{qrels}"],
-              {"corpus", "vocab", "config", "validation_topics", "validation_qrels"}),
-    "rank": (["rank", "{model}", "{vocab}", "{topics}"], {"model", "vocab", "topics"}),
-    "qlm": (["qlm", "{corpus}", "{vocab}", "{topics}"], {"corpus", "vocab", "topics"}),
-    "eval": (["eval", "{run}", "{qrels}", "--baseline-run", "{run}"],
-             {"run", "qrels", "baseline_run"}),
-    "sweep-lambda": (["sweep-lambda", "{corpus}", "{vocab}", "{topics}", "{qrels}"],
-                     {"corpus", "vocab", "topics", "qrels"}),
-    "fuse": (["fuse", "{corpus}", "{vocab}", "{topics}", "{qrels}", "--model", "{model}",
-              "--qi-attrs", "{attrs}", "--graph", "also_bought={graph}", "--folds", "2",
-              "--pair-samples", "50"],
-             {"corpus", "vocab", "topics", "qrels", "model", "qi_attrs",
-              "graph_also_bought"}),
-    "ideal-vector": (["ideal-vector", "{model}", "{vocab}", "{topics}", "{qrels}",
-                      "--pair-samples", "50"], {"model", "vocab", "topics", "qrels"}),
+    "build-vocab": {"corpus"},
+    "train": {"corpus", "vocab", "config", "validation_topics", "validation_qrels"},
+    "rank": {"model", "vocab", "topics"},
+    "qlm": {"corpus", "vocab", "topics"},
+    "eval": {"run", "qrels", "baseline_run"},
+    "sweep-lambda": {"corpus", "vocab", "topics", "qrels"},
+    "fuse": {"corpus", "vocab", "topics", "qrels", "model", "qi_attrs", "graph_also_bought"},
+    "ideal-vector": {"model", "vocab", "topics", "qrels"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
-def test_manifest_records_command_and_every_input(workflow, fuzz_inputs, tmp_path,
-                                                  command):
-    root = workflow[0]
-    paths = {name: str(path) for name, path in fuzz_inputs.items()}
-    paths.update(vocab=str(root / "vocab" / "vocab.tsv"),
-                 model=str(root / "model" / "model.lse"))
-    argv, names = MANIFEST_COMMANDS[command]
-    run_ok(CliRunner(), [arg.format(**paths) for arg in argv]
+def test_manifest_records_command_and_every_input(inputs, tmp_path, command):
+    run_ok(CliRunner(), [arg.format(**inputs) for arg in COMMANDS[command]]
            + ["--out", str(tmp_path / "out")])
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == command
-    assert set(manifest["inputs"]) == names
+    assert set(manifest["inputs"]) == MANIFEST_COMMANDS[command]
     for entry in manifest["inputs"].values():
         assert entry["sha256"] == sha256_of(entry["path"])
 
@@ -1339,114 +1296,3 @@ def test_version_flag():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "lse" in result.output
-
-
-# ---- fuzzing every input of every command that reads files ----
-
-FUZZ_FILES = {
-    "config": ("train.cfg", b"e_v = 4\ne_e = 3\nn = 2\nz = 2\nm = 8\nepochs = 1\n"
-                            b"seed = 0  # root seed\n"),
-    "run": ("run.trec", b"t1 Q0 cam 1 2.5 x\nt1 Q0 gui 2 1.0 x\nt2 Q0 gui 1 0.5 x\n"
-                        b"t5 Q0 vio 1 0.25 x\n"),
-    "attrs": ("attrs.jsonl", b'{"entity_id": "cam", "price": 3.5, "sales_rank": 4}\n'
-                             b'{"entity_id": "gui", "description_length": 12}\n'),
-    "graph": ("graph.tsv", b"cam\tgui\ngui\tpia\nvio\tcam\n"),
-}
-
-# command -> (the inputs fuzzed, its argv with {input} placeholders)
-FUZZ_COMMANDS = {
-    "build-vocab": (("corpus",), ["build-vocab", "{corpus}"]),
-    "qlm": (("corpus", "vocab", "topics"), ["qlm", "{corpus}", "{vocab}", "{topics}"]),
-    "eval": (("run", "qrels"), ["eval", "{run}", "{qrels}"]),
-    "train": (("config", "corpus"), ["train", "{corpus}", "{vocab}", "--config", "{config}"]),
-    "rank": (("model", "vocab", "topics"), ["rank", "{model}", "{vocab}", "{topics}"]),
-    "sweep-lambda": (("qrels",), ["sweep-lambda", "{corpus}", "{vocab}", "{topics}",
-                                  "{qrels}"]),
-    "ideal-vector": (("model", "qrels"), ["ideal-vector", "{model}", "{vocab}", "{topics}",
-                                          "{qrels}", "--pair-samples", "50"]),
-    "fuse": (("attrs", "graph"),
-             ["fuse", "{corpus}", "{vocab}", "{topics}", "{qrels}", "--qi-attrs",
-              "{attrs}", "--graph", "also_bought={graph}", "--folds", "2",
-              "--pair-samples", "50"]),
-}
-
-# what separates the columns of each non-JSON input
-FUZZ_SEPARATORS = {"vocab": b"\t", "topics": b"\t", "graph": b"\t", "qrels": b" ",
-                   "run": b" ", "config": b"="}
-
-
-@pytest.fixture(scope="module")
-def fuzz_inputs(tmp_path_factory):
-    """Valid inputs for every fuzzed command: name -> path."""
-    root = tmp_path_factory.mktemp("fuzz")
-    corpus, topics, qrels = write_inputs(root)
-    run_ok(CliRunner(), ["build-vocab", str(corpus), "--out", str(root)])
-    run_ok(CliRunner(), ["train", str(corpus), str(root / "vocab.tsv"),
-                         "--out", str(root / "model")] + TRAIN_FLAGS)
-    paths = {"corpus": corpus, "topics": topics, "qrels": qrels,
-             "vocab": root / "vocab.tsv", "model": root / "model" / "model.lse"}
-    for name, (file_name, content) in FUZZ_FILES.items():
-        paths[name] = root / file_name
-        paths[name].write_bytes(content)
-    return paths
-
-
-@st.composite
-def mutations(draw, data, name):
-    """data with one mutation: cut short, one byte flipped, one byte
-    inserted, or, in a text input, one line's column dropped; in JSON lines,
-    a field is dropped or its value swapped for one of another JSON type."""
-    lines = data.splitlines(keepends=True)
-    kind = draw(st.sampled_from(["truncate", "flip", "insert"]
-                                + ([] if name == "model" else ["drop", "swap"])))
-    if kind == "truncate":
-        return data[:draw(st.integers(0, len(data) - 1))]
-    if kind in ("flip", "insert"):
-        at = draw(st.integers(0, len(data) - 1))
-        byte = draw(st.integers(1, 255) if kind == "flip" else st.integers(0, 255))
-        if kind == "flip":
-            return data[:at] + bytes([data[at] ^ byte]) + data[at + 1:]
-        return data[:at] + bytes([byte]) + data[at:]
-    index = draw(st.integers(0, len(lines) - 1))
-    line = lines[index].rstrip(b"\n")
-    if name in FUZZ_SEPARATORS:
-        fields = line.split(FUZZ_SEPARATORS[name])
-        del fields[draw(st.integers(0, len(fields) - 1))]
-        line = FUZZ_SEPARATORS[name].join(fields)
-    else:
-        record = json.loads(line)
-        key = draw(st.sampled_from(sorted(record)))
-        if kind == "drop":
-            del record[key]
-        else:
-            record[key] = draw(st.sampled_from([None, True, 7, -2.5, 1e300, "s", [],
-                                                ["x"], {}, "x\ud800"]))
-        line = json.dumps(record).encode()
-    return b"".join(lines[:index] + [line + b"\n"] + lines[index + 1:])
-
-
-@pytest.mark.parametrize("command,name", [(command, name)
-                                          for command, (names, _) in FUZZ_COMMANDS.items()
-                                          for name in names])
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_input_exits_0_or_1_naming_it(fuzz_inputs, tmp_path, command, name,
-                                              data):
-    path = tmp_path / fuzz_inputs[name].name
-    path.write_bytes(data.draw(mutations(fuzz_inputs[name].read_bytes(), name)))
-    paths = {key: str(path if key == name else value)
-             for key, value in fuzz_inputs.items()}
-    args = [arg.format(**paths) for arg in FUZZ_COMMANDS[command][1]]
-    result = CliRunner().invoke(main, args + ["--out", str(tmp_path / "out")])
-    if result.exit_code != 0:
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), \
-            result.output
-        assert "Traceback" not in result.output
-        # A window n longer than every document is a valid config that does
-        # not suit this corpus (--n 9 fails the same way): the corpus is named.
-        # A vocabulary that loads but is not the model's names both files.
-        assert (f"Error: {path}" in result.output
-                or f"Error: {paths['corpus']}: window n = " in result.output
-                or f"Error: {paths['model']}: vocabulary {paths['vocab']} does not "
-                "match" in result.output), result.output

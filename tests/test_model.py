@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lse.model
-from conftest import cast_params
+from conftest import cast_params, sigma, sigmoid_product_loss, sigmoid_product_prob
 from lse.errors import DataError, LSEError
-from lse.model import (MAGIC, PARAM_FIELDS, AdamState, Dims,
+from lse.model import (PARAM_FIELDS, AdamState, Dims,
                        ModelParams, TrainConfig, _gather_sum, _scatter_add,
                        _sigmoid, adam_step, batch_loss,
                        batch_loss_and_gradients, init_params, load_model,
@@ -57,10 +57,6 @@ FIELDS = [field.name for field in dataclasses.fields(ModelParams)]
 def zero_params(e_v=4, e_e=3, vocab=6, entities=5):
     return ModelParams(np.zeros((vocab, e_v)), np.zeros((e_e, e_v)),
                        np.zeros(e_e), np.zeros((entities, e_e)))
-
-
-def sigma(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def masked_sigmoid(x):
@@ -128,27 +124,6 @@ def instance_log_prob(params, ngram, positive, negatives):
     dpos = float(params.W_e[positive] @ f)
     dneg = params.W_e[np.asarray(negatives, dtype=np.intp)] @ f
     return float(-np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum())
-
-
-def naive_instance_prob(params, ngram, positive, negatives):
-    """Direct sigmoid-product evaluation without log-domain arithmetic."""
-    h = params.word_rows[list(ngram)].mean(axis=0)
-    f = np.tanh(params.W @ h + params.b)
-    p = sigma(params.W_e[positive] @ f)
-    for k in negatives:
-        p *= 1.0 - sigma(params.W_e[k] @ f)
-    return p
-
-
-def naive_batch_loss(params, block, weight_decay):
-    total = 0.0
-    for ngram, positive, negatives in zip(block.ngrams, block.positives,
-                                          block.negatives):
-        total -= math.log(naive_instance_prob(params, ngram, positive, negatives))
-    m = len(block)
-    reg = (np.sum(params.W_v ** 2) + np.sum(params.W_e ** 2)
-           + np.sum(params.W ** 2))
-    return total / m + 0.5 * weight_decay / m * reg
 
 
 def test_init_respects_glorot_bounds_and_zero_bias():
@@ -288,7 +263,7 @@ def test_instance_log_prob_matches_naive_product():
     for seed in range(5):
         params, block = random_setup(seed)
         inst = block.ngrams[0], block.positives[0], block.negatives[0]
-        naive = math.log(naive_instance_prob(params, *inst))
+        naive = math.log(sigmoid_product_prob(params, *inst))
         assert instance_log_prob(params, *inst) == pytest.approx(naive, abs=1e-12)
 
 
@@ -311,7 +286,7 @@ def test_batch_loss_matches_sigma_product_oracle():
         params, block = random_setup(seed, m=6, n=3, z=4)
         for lam in (0.0, 0.01):
             assert batch_loss(params, block, lam) == pytest.approx(
-                naive_batch_loss(params, block, lam), abs=1e-10)
+                sigmoid_product_loss(params, block, lam), abs=1e-10)
 
 
 def test_batch_loss_nonnegative_and_decomposes_regularizer():
