@@ -1,7 +1,12 @@
 """Every command on inputs mutated by seeded operators. A run may succeed;
 otherwise it exits 1 with an error line naming the mutated file, prints no
 traceback and leaves no --out directory behind. The mutations depend on
-SEED alone, so every run of this module tries the same inputs."""
+SEED alone, so every run of this module tries the same inputs.
+
+This module runs the byte, text and model-container operators;
+tests/test_cli.py runs the field operators (FIELD_OPERATORS: any byte
+inserted, one field dropped, a JSON value swapped) through the same
+check_mutations, under the test id of the fuzz test they replaced."""
 
 import json
 import random
@@ -105,7 +110,6 @@ def _replace_token(value):
 
 
 BYTE_OPERATORS = {"truncate": _truncate, "flip": _flip,
-                  "insert_byte": _insert([bytes([b]) for b in range(256)]),
                   "invalid_utf8": _insert([b"\xff", b"\xc3(", b"\xed\xa0\x80"]),
                   "bom": _bom}
 TEXT_OPERATORS = {**BYTE_OPERATORS, "crlf": _crlf, "delete_line": _delete_line,
@@ -158,24 +162,30 @@ def model_mutations(data, rng):
 
 
 def operators(name):
-    """The operators that mutate the input called name."""
+    """The byte and text operators that mutate the input called name."""
+    return BYTE_OPERATORS if name == "model" else TEXT_OPERATORS
+
+
+def field_operators(name):
+    """Any byte inserted, one field of a line dropped at the input's
+    separator (or one key of a JSON line), and a JSON value swapped for one
+    of another type, as far as the input called name has them."""
+    out = {"insert_byte": _insert([bytes([b]) for b in range(256)])}
     if name == "model":
-        return BYTE_OPERATORS
+        return out
     if name in SEPARATORS:
-        return {**TEXT_OPERATORS, "drop_field": _drop_field(SEPARATORS[name])}
-    return {**TEXT_OPERATORS, "drop_field": _drop_field(None),
-            "swap_value": _edit_line(_swap_value)}
+        return {**out, "drop_field": _drop_field(SEPARATORS[name])}
+    return {**out, "drop_field": _drop_field(None), "swap_value": _edit_line(_swap_value)}
 
 
-def mutations(name, data):
-    """name of each mutation of the input called name -> its bytes, drawn
-    from generators seeded by SEED, the input and the operator."""
+def mutations(name, data, ops):
+    """name of each mutation of the input called name by the operators ops
+    -> its bytes, drawn from generators seeded by SEED, the input and the
+    operator."""
     out = {}
-    for op, mutate in operators(name).items():
+    for op, mutate in ops.items():
         for draw in range(1 if op in ("bom", "crlf") else DRAWS):
             out[f"{op}#{draw}"] = mutate(data, random.Random(f"{SEED}:{name}:{op}:{draw}"))
-    if name == "model":
-        out.update(model_mutations(data, random.Random(f"{SEED}:{name}:structure")))
     return out
 
 
@@ -183,13 +193,15 @@ CASES = [(command, name) for command, argv in COMMANDS.items()
          for name in re.findall(r"\{(\w+)\}", " ".join(argv))]
 
 
-@pytest.mark.parametrize("command,name", CASES)
-def test_mutated_input_exits_0_or_1_naming_it(inputs, tmp_path, capsys, command, name):
+def check_mutations(inputs, tmp_path, capsys, command, name, mutated):
+    """Run command with its input name replaced by each of mutated (name of
+    the mutation -> bytes) and assert every run exits 0, or exits 1 naming
+    the mutated file."""
     bad = tmp_path / inputs[name].name
     paths = {**inputs, name: bad}
     args = [arg.format(**paths) for arg in COMMANDS[command]]
     failures = []
-    for i, (mutation, data) in enumerate(mutations(name, inputs[name].read_bytes()).items()):
+    for i, (mutation, data) in enumerate(mutated.items()):
         bad.write_bytes(data)
         out = tmp_path / f"out{i}"
         status = run_main(args + ["--out", str(out)])
@@ -204,3 +216,12 @@ def test_mutated_input_exits_0_or_1_naming_it(inputs, tmp_path, capsys, command,
         if status != 1 or "Traceback" in err or out.exists() or not named:
             failures.append((mutation, status, err))
     assert not failures, failures
+
+
+@pytest.mark.parametrize("command,name", CASES)
+def test_mutated_input_exits_0_or_1_naming_it(inputs, tmp_path, capsys, command, name):
+    data = inputs[name].read_bytes()
+    mutated = mutations(name, data, operators(name))
+    if name == "model":
+        mutated.update(model_mutations(data, random.Random(f"{SEED}:{name}:structure")))
+    check_mutations(inputs, tmp_path, capsys, command, name, mutated)

@@ -20,6 +20,7 @@ import lse.retrieval
 import lse.training
 from conftest import (COMMANDS, CORPUS_LINES, cast_params, pack_model,
                       write_inputs)
+from test_bad_input import CASES, check_mutations, field_operators, mutations
 from lse.cli import main
 from lse.evaluation import TopicSet
 from lse.files import write_json
@@ -1290,6 +1291,15 @@ def test_manifest_records_command_and_every_input(inputs, tmp_path, command):
     assert set(manifest["inputs"]) == MANIFEST_COMMANDS[command]
     for entry in manifest["inputs"].values():
         assert entry["sha256"] == sha256_of(entry["path"])
+
+
+@pytest.mark.parametrize("command,name", CASES)
+def test_mutated_input_exits_0_or_1_naming_it(inputs, tmp_path, capsys, command, name):
+    """tests/test_bad_input.py's seeded harness with the field operators: any
+    byte inserted, one field of a line dropped, a JSON value swapped for one
+    of another type. Every run exits 0, or exits 1 naming the mutated file."""
+    check_mutations(inputs, tmp_path, capsys, command, name,
+                    mutations(name, inputs[name].read_bytes(), field_operators(name)))
 
 
 def test_version_flag():
