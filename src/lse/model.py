@@ -228,35 +228,37 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     negative dot -sigma (cneg; chunk by chunk, Vneg = sum_k cneg_k e_k is
     added onto the positive's term and the sum scaled by sech^2), and the
     (lambda / m) theta term is dense over the three matrices and absent for
-    b. Every id is range-checked before the forward pass. The scatters are
-    CSC products (_scatter_add) straight into W_e's regularizer term and
-    onto zero elsewhere; each element receives its addends in index order,
-    as from np.add.at, so reruns are bit-identical.
+    b; W_v's and W_e's gradients are (lambda / m) theta with the batch's
+    terms then added onto their rows. Every id is range-checked before the
+    forward pass. The scatters are CSC products (_scatter_add) into W_e's
+    regularizer term and into a zeroed S; each element receives its addends
+    in index order, as from np.add.at, so reruns are bit-identical.
 
     The projection is linear up to the tanh, so each of the batch's u
     distinct n-gram ids is projected once: their rows T of word_rows give
     P = T W^T, and an instance's pre-activation is the mean of its words'
     rows of P. The error G is scattered onto the words (S = -A^T G / (m n)
     for the (m, u) incidence A), the W gradient is S^T T, summed
-    _WORD_BLOCK words at a time, and the W_v gradient's rows ids are S W.
+    _WORD_BLOCK words at a time, and the W_v gradient's rows ids get S W.
     The GEMMs cost u e_V e_E, against m e_V e_E for projecting the m mean
     embeddings; the two agree to rounding.
 
     The gradients go into out (allocated when None), a ModelParams like
     params, all C-contiguous (a ValueError otherwise); train passes the same
     out on every step. Nothing else is |V|-sized: each squared norm is summed
-    in its gradient buffer, and lambda / m W_v is added onto it in blocks.
+    in its gradient buffer before the gradient is written there.
     The activations are views of a block of two rows of max(m e_E,
     u max(e_V, e_E)) values: T in row 0 and P in row 1, then F over T,
     G over P, S over F once the W_e scatters have used F, T again over G,
-    and S W over T. The negatives' rows of W_e are taken a chunk at a time
-    into one buffer. Float32 params at m = 4096, e_V = 300,
-    e_E = 256 and 1024 entities, 2 vCPUs, OpenBLAS on one thread: at
-    |V| = 2000 (u = 2000) a step plus Adam peaks 9.7 MiB of traced memory
-    above its inputs and a step takes 35-45 ms. The block grows with u: at
-    |V| = 65536 a step plus Adam peaks 15.1 MiB with Zipf ids (u = 5873),
-    a step taking 136-142 ms, and 34.8 MiB with uniform ids (u = 14441),
-    a step taking about 210 ms.
+    S W over T, and the W_v gradient's rows ids over S. The negatives' rows
+    of W_e are taken a chunk at a time into one buffer. Float32 params at
+    m = 4096, e_V = 300, e_E = 256 and 1024 entities, 2 vCPUs, OpenBLAS on
+    one thread: at |V| = 2000 (u = 2000) a step plus Adam peaks 9.7 MiB of
+    traced memory above its inputs and a step takes 35-45 ms. The block
+    grows with u: at |V| = 65536 a step plus Adam peaks 15.3 MiB with
+    Zipf(1) ids (u = 5958), a step taking 103-106 ms, and 35.0 MiB with
+    uniform ids (u = 14545), a step taking 180-206 ms (medians of 9 steps,
+    three processes each).
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
@@ -316,15 +318,12 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     np.matmul(S[:_WORD_BLOCK].T, T[:_WORD_BLOCK], out=out.W)
     for lo in range(_WORD_BLOCK, u, _WORD_BLOCK):
         out.W += S[lo:lo + _WORD_BLOCK].T @ T[lo:lo + _WORD_BLOCK]
-    out.word_rows.fill(0)
-    out.word_rows[ids] = np.matmul(S, params.W, out=T)  # over T
     out.W += reg * params.W
-    # + lambda / m W_v, block by block through the spent activations' block
-    grad, theta = _flat_views((out.word_rows, params.word_rows))
-    tmp = block.reshape(-1)
-    for lo in range(0, grad.size, tmp.size):
-        g = grad[lo:lo + tmp.size]
-        g += np.multiply(reg, theta[lo:lo + tmp.size], out=tmp[:g.size])
+    np.multiply(reg, params.word_rows, out=out.word_rows)
+    SW = np.matmul(S, params.W, out=T)             # over T
+    SW += np.take(out.word_rows, ids, axis=0, out=activation(0, u, e_v),
+                  mode="clip")                     # over S
+    out.word_rows[ids] = SW
 
     return loss, out
 
@@ -377,7 +376,7 @@ class AdamState:
 
 
 def adam_step(params, grads, state):
-    """One bias-corrected Adam update, in place; returns (params, state).
+    """One bias-corrected Adam update, in place.
 
     The update runs over flat blocks of each parameter, its gradient and its
     two moments, as long as state's block buffers, and writes its
@@ -402,7 +401,6 @@ def adam_step(params, grads, state):
             np.sqrt(np.divide(v, b2c, out=den), out=den)
             den += state.eps
             theta -= np.divide(tmp, den, out=tmp)
-    return params, state
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Model core: init, projection, loss, gradients, Adam, persistence."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -466,9 +467,8 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     for lo in range(block, len(ids), block):
         g_W += S[lo:lo + block].T @ T[lo:lo + block]
     g_W += reg * params.W
-    g_rows = np.zeros_like(params.word_rows)
-    g_rows[ids] = S @ params.W
-    g_rows += reg * params.word_rows
+    g_rows = reg * params.word_rows
+    g_rows[ids] += S @ params.W
     g_We = reg * params.W_e
     np.add.at(g_We, positives, (-inv_m * cpos)[:, None] * F)
     np.add.at(g_We, negatives, (-inv_m * cneg)[:, :, None] * F[:, None, :])
@@ -480,8 +480,10 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
     # Three full chunks and a partial one, with ids drawn from seven words
     # (fewer distinct words than instances: every word is hit many times)
     # or from 5000 (more) and from four entities, so every entity row is
-    # hit many times within and across chunks.
-    for vocab in (7, 5000):
+    # hit many times within and across chunks. At weight decay 0 the
+    # gradient of an untouched word row is 0 * theta, so the sign of each
+    # zero is pinned too.
+    for vocab, weight_decay in itertools.product((7, 5000), (0.01, 0.0)):
         dims = Dims(e_v=6, e_e=5, vocab_size=vocab, num_entities=4)
         params, block = random_setup(29, dims=dims, m=3 * CHUNK + 37, n=3, z=4)
         assert (len(np.unique(block.ngrams)) < len(block)) == (vocab == 7)
@@ -489,8 +491,9 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
         # the W gradient in blocks of three words, the last one partial
         with chunked(CHUNK, 4, dims.e_e, dtype), \
                 mock.patch.object(lse.model, "_WORD_BLOCK", 3):
-            loss, grads = batch_loss_and_gradients(params, block, 0.01)
-            want_loss, want = unchunked_batch_loss_and_gradients(params, block, 0.01)
+            loss, grads = batch_loss_and_gradients(params, block, weight_decay)
+            want_loss, want = unchunked_batch_loss_and_gradients(params, block,
+                                                                 weight_decay)
         assert loss == want_loss
         for name in FIELDS:
             got, ref = getattr(grads, name), getattr(want, name)

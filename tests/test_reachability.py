@@ -1,7 +1,7 @@
-"""Every module-level function and class in src/lse is reached from a
-command. A static name graph over the package source, rooted at the cli's
-cmd_* functions, must cover them all, so code that no command calls fails
-here instead of lingering."""
+"""Every module-level function, class and assigned name in src/lse is
+reached from a command. A static name graph over the package source, rooted
+at the cli's cmd_* functions, must cover them all, so code that no command
+calls fails here instead of lingering."""
 
 import ast
 from collections import defaultdict
@@ -29,8 +29,8 @@ def _implicit(method):
 
 
 def unreached(package_dir):
-    """(module, name) of each module-level function and class that the
-    cmd_* functions of package_dir/cli.py do not reach.
+    """(module, name) of each module-level function, class and assignment
+    target that the cmd_* functions of package_dir/cli.py do not reach.
 
     A definition reaches every definition whose name it uses, bare or as an
     attribute, wherever that is defined; an import's asname reaches the
@@ -66,7 +66,8 @@ def unreached(package_dir):
                         edges[stmt.name] |= _names(member)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                for name in set().union(*map(_names, targets)):
+                for name in sorted(set().union(*map(_names, targets))):
+                    top_level.append((path.stem, name))
                     edges[name] |= _names(stmt.value)
     reached = set()
     todo = list(roots)
@@ -86,6 +87,7 @@ def test_unreached_definitions_are_reported(tmp_path):
     (tmp_path / "cli.py").write_text(
         "from .text import encode as text_encode\n"
         "TABLE = {'box': lambda: Box}\n"
+        "SPARE_LIMIT = 3\n"
         "\n"
         "def cmd_run():\n"
         "    return text_encode(TABLE['box']())\n"
@@ -118,5 +120,5 @@ def test_unreached_definitions_are_reported(tmp_path):
         "\n"
         "class Unused:\n"
         "    pass\n")
-    assert unreached(tmp_path) == [("cli", "_spare"), ("cli", "orphan"),
-                                   ("text", "Unused")]
+    assert unreached(tmp_path) == [("cli", "SPARE_LIMIT"), ("cli", "_spare"),
+                                   ("cli", "orphan"), ("text", "Unused")]
