@@ -292,7 +292,7 @@ def _corpus(path, vocabulary, counts):
 
 def _queries(path, vocabulary):
     """encode_topics of the topics file at path."""
-    return encode_topics(TopicSet.load(path).topics, vocabulary)
+    return encode_topics(TopicSet.load(path), vocabulary)
 
 
 def _write_skipped(out_dir, queries, counts):

@@ -8,6 +8,3 @@ class LSEError(Exception):
 class DataError(LSEError):
     """Malformed, inconsistent, or degenerate input data."""
 
-
-class DegenerateStatisticError(LSEError):
-    """A statistic is undefined for the given sample (e.g. zero variance)."""

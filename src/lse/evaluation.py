@@ -6,21 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateStatisticError
+from .errors import DataError
 from .files import check_id, check_unique, read_fields
 
 
-@dataclass
-class TopicSet:
+class TopicSet(dict):
     """topic_id -> query string."""
-
-    topics: dict
 
     @classmethod
     def load(cls, path):
         """TSV whose first non-blank line is the header 'topic_id<TAB><label>'
         (the label is not read); empty is an empty set; ids pass check_id."""
-        topics, first_line = {}, {}
+        topics, first_line = cls(), {}
         header = False
         for number, (tid, query) in read_fields(path, 2):
             if not header:
@@ -31,43 +28,31 @@ class TopicSet:
                 check_unique(first_line, tid, path, number, "topic id {!r}")
                 check_id(tid, f"{path}:{number}", "topic id")
                 topics[tid] = query
-        return cls(topics)
+        return topics
 
 
-class Qrels:
-    """Binary relevance grades keyed by (topic_id, entity_id)."""
-
-    def __init__(self, grades):
-        self.grades = {}
-        self._relevant = {}
-        for (tid, eid), grade in grades.items():
-            grade = int(grade)
-            if grade not in (0, 1):
-                raise DataError(f"relevance grade must be 0 or 1, got {grade}")
-            self.grades[(tid, eid)] = grade
-            if grade:
-                self._relevant.setdefault(tid, set()).add(eid)
+class Qrels(dict):
+    """topic_id -> frozenset of the entity ids judged relevant; a topic with
+    no relevant entity is no key."""
 
     def relevant(self, topic_id):
-        return frozenset(self._relevant.get(topic_id, ()))
-
-    def topics(self):
-        return sorted({tid for tid, _ in self.grades})
+        return self.get(topic_id, frozenset())
 
     @classmethod
     def load(cls, path):
-        """TREC qrels format: 'topic_id 0 entity_id grade', each (topic,
-        entity) pair on one line only."""
-        grades = {}
-        first_line = {}
+        """TREC qrels format: 'topic_id iteration entity_id grade', grade 0
+        or 1, each (topic, entity) pair on one line only; the iteration is
+        not read, and a grade-0 line only marks its pair as judged."""
+        relevant, first_line = {}, {}
         for number, (tid, _iter, eid, grade) in read_fields(path, 4, sep=None):
             if grade not in ("0", "1"):
                 raise DataError(f"{path}:{number}: relevance grade must be "
                                 f"0 or 1, got {grade!r}")
             check_unique(first_line, (tid, eid), path, number,
                          "entity {0[1]!r} for topic {0[0]!r}")
-            grades[(tid, eid)] = int(grade)
-        return cls(grades)
+            if grade == "1":
+                relevant.setdefault(tid, set()).add(eid)
+        return cls((tid, frozenset(eids)) for tid, eids in relevant.items())
 
 
 def ndcg(ranked, qrels, cutoff=100):
@@ -124,7 +109,7 @@ def evaluate_run(runs, qrels, cutoff=100, ks=(5, 10)):
     for metric in metrics:
         vals = [row[metric] for row in per_topic.values()]
         means[metric] = sum(vals) / len(vals) if vals else None
-    missing = [tid for tid in qrels.topics() if qrels.relevant(tid) and tid not in runs]
+    missing = sorted(set(qrels).difference(runs))
     return EvalReport(per_topic, means, excluded, missing)
 
 
@@ -152,7 +137,7 @@ def _betacf(a, b, x):
             h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
-    raise DegenerateStatisticError("incomplete beta continued fraction did not converge")
+    raise DataError("incomplete beta continued fraction did not converge")
 
 
 def regularized_incomplete_beta(a, b, x):
@@ -180,8 +165,8 @@ def student_t_two_sided_p(t, df):
 def paired_t_test(per_topic_a, per_topic_b):
     """Paired Student t-test on matched per-topic values.
 
-    Returns (t, two-sided p). Raises DegenerateStatisticError when the
-    differences have zero variance.
+    Returns (t, two-sided p). Raises DataError when the differences have
+    zero variance.
     """
     a = np.asarray(per_topic_a, dtype=np.float64)
     b = np.asarray(per_topic_b, dtype=np.float64)
@@ -193,7 +178,7 @@ def paired_t_test(per_topic_a, per_topic_b):
     d = a - b
     sd = float(d.std(ddof=1))
     if sd == 0.0:
-        raise DegenerateStatisticError("differences have zero variance")
+        raise DataError("differences have zero variance")
     t = float(d.mean()) / (sd / math.sqrt(n))
     return t, student_t_two_sided_p(t, n - 1)
 
@@ -220,7 +205,7 @@ def compare_runs(report, baseline):
             t, p = paired_t_test([report.per_topic[tid][metric] for tid in shared],
                                  [baseline.per_topic[tid][metric] for tid in shared])
             out[metric] = {"t": t, "p": p, "marker": significance_marker(p)}
-        except (DataError, DegenerateStatisticError) as exc:
+        except DataError as exc:
             out[metric] = {"degenerate": str(exc)}
     return out
 

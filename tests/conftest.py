@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lse.cli import main
+from lse.evaluation import Qrels
 from lse.model import MAGIC, ModelParams
 from lse.text import Corpus, Vocabulary
 
@@ -168,19 +169,19 @@ def pair_rows(labels, groups, pair_samples, seed):
 
 def separable_topics(num_entities=8, multi=4):
     """One single-relevant topic per entity plus topics relevant to entity
-    pairs, with queries drawn from the owning vocabularies."""
+    pairs, with queries drawn from the owning vocabularies; returns the
+    topics and their Qrels."""
     topics = {}
-    grades = {}
+    qrels = Qrels()
     for i in range(num_entities):
         topics[f"s{i}"] = " ".join(synth_word(i, k) for k in range(3))
-        grades[(f"s{i}", f"e{i}")] = 1
+        qrels[f"s{i}"] = {f"e{i}"}
     for k in range(multi):
         a, b = 2 * k, 2 * k + 1
         topics[f"m{k}"] = " ".join([synth_word(a, 0), synth_word(a, 1),
                                     synth_word(b, 0), synth_word(b, 1)])
-        grades[(f"m{k}", f"e{a}")] = 1
-        grades[(f"m{k}", f"e{b}")] = 1
-    return topics, grades
+        qrels[f"m{k}"] = {f"e{a}", f"e{b}"}
+    return topics, qrels
 
 
 def build_fusion_benchmark():
@@ -221,13 +222,13 @@ def build_fusion_benchmark():
     params = ModelParams(word_rows, W, np.zeros(e_e), W_e)
 
     topics = {}
-    grades = {}
+    qrels = Qrels()
     for i in range(10):
         topics[f"l{i}"] = lex[i]
-        grades[(f"l{i}", entities[i])] = 1
+        qrels[f"l{i}"] = {entities[i]}
         topics[f"s{i}"] = sem[i]
-        grades[(f"s{i}", entities[i])] = 1
-    return corpus, vocab, params, topics, grades
+        qrels[f"s{i}"] = {entities[i]}
+    return corpus, vocab, params, topics, qrels
 
 
 @pytest.fixture
@@ -238,13 +239,6 @@ def tiny_raw_docs():
         ("d3", "gui", "an acoustic guitar with steel strings"),
         ("d4", "gui", "the guitar sounds warm and clear"),
     ]
-
-
-@pytest.fixture
-def separable_setup():
-    corpus, vocab = build_separable_corpus()
-    topics, grades = separable_topics()
-    return corpus, vocab, topics, grades
 
 
 # ---- the valid inputs of every command ----

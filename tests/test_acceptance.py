@@ -89,10 +89,10 @@ def test_criterion_3_end_to_end_learnability(precision):
     losses = [entry.mean_batch_loss for entry in result.log]
     first3 = sum(losses[:3]) / 3.0
     last3 = sum(losses[-3:]) / 3.0
-    topics, grades = separable_topics()
+    topics, qrels = separable_topics()
     singles = {tid: q for tid, q in topics.items() if tid.startswith("s")}
     runs = rank_topics(result.params, vocab, corpus, singles)
-    report = evaluate_run(runs, Qrels(grades), ks=())
+    report = evaluate_run(runs, qrels, ks=())
     mean = report.means["ndcg@100"]
     elapsed = time.perf_counter() - start
     assert last3 < first3, f"loss did not decrease: {first3:.4f} -> {last3:.4f}"
@@ -125,8 +125,8 @@ def test_criterion_4_lexical_model_oracle_and_sweep_grid():
                 worst = max(worst, abs(got - math.log(prob)))
     assert worst < 1e-12, f"max lexical score deviation {worst:.3e}"
 
-    topics, grades = separable_topics(num_entities=4, multi=0)
-    best, grid = sweep_lambda(corpus, encode_topics(topics, vocab), Qrels(grades))
+    topics, qrels = separable_topics(num_entities=4, multi=0)
+    best, grid = sweep_lambda(corpus, encode_topics(topics, vocab), qrels)
     assert len(grid) == 21
     assert [lam for lam, _ in grid] == list(SWEEP_GRID)
     assert SWEEP_GRID[0] == 0.0 and SWEEP_GRID[-1] == 1.0
@@ -134,7 +134,7 @@ def test_criterion_4_lexical_model_oracle_and_sweep_grid():
 
 
 def test_criterion_5_metric_fixtures():
-    qrels = Qrels({("t", "e1"): 1, ("t", "e2"): 0, ("t", "e3"): 1})
+    qrels = Qrels({"t": {"e1", "e3"}})
     ranking = RankedList("t", [("e1", 3.0), ("e2", 2.0), ("e3", 1.0)])
     value = ndcg(ranking, qrels, cutoff=10)
     expected = (1.0 + 1.0 / math.log2(4)) / (1.0 + 1.0 / math.log2(3))
@@ -158,9 +158,9 @@ def test_criterion_5_metric_fixtures():
 def test_criterion_6_ideal_vector_gap():
     start = time.perf_counter()
     corpus, vocab, result = separable_training(TrainConfig.precision)
-    topics, grades = separable_topics()
+    topics, qrels = separable_topics()
     rows = ideal_vector_report(result.params, encode_topics(topics, vocab),
-                               Qrels(grades), corpus.entities)
+                               qrels, corpus.entities)
     by_status = {}
     for row in rows:
         by_status.setdefault(row["status"], []).append(row)
@@ -178,8 +178,7 @@ def test_criterion_6_ideal_vector_gap():
 
 def test_criterion_7_fusion_dominates_subsets():
     start = time.perf_counter()
-    corpus, vocab, params, topics, grades = build_fusion_benchmark()
-    qrels = Qrels(grades)
+    corpus, vocab, params, topics, qrels = build_fusion_benchmark()
     table = build_features(encode_topics(topics, vocab), corpus, estimate(corpus, 0.5),
                            params)
     report = cross_validated_fusion(table, qrels, folds=10, seed=0, pair_samples=20000)
@@ -196,8 +195,7 @@ def test_criterion_7_fusion_dominates_subsets():
 def produce_artifacts(out):
     """One deterministic pass over every artifact-writing workflow."""
     corpus, vocab = build_separable_corpus()
-    topics, grades = separable_topics()
-    qrels = Qrels(grades)
+    topics, qrels = separable_topics()
     config = TrainConfig(**SEPARABLE_CONFIG)
     result = train(corpus, vocab, config)
     save_model(out / "model.lse", result.params, vocab_sha256=vocab.sha256(),
@@ -225,10 +223,10 @@ def produce_artifacts(out):
         f"{r['topic_id']},{r['status']},{r['n_relevant']},"
         f"{r['ndcg_ideal']!r},{r['ndcg_query']!r}\n" for r in rows))
 
-    fcorpus, fvocab, fparams, ftopics, fgrades = build_fusion_benchmark()
+    fcorpus, fvocab, fparams, ftopics, fqrels = build_fusion_benchmark()
     table = build_features(encode_topics(ftopics, fvocab), fcorpus,
                            estimate(fcorpus, 0.5), fparams)
-    freport = cross_validated_fusion(table, Qrels(fgrades), folds=10, seed=0,
+    freport = cross_validated_fusion(table, fqrels, folds=10, seed=0,
                                      pair_samples=20000)
     (out / "fusion.json").write_text(json.dumps(
         {"rows": [{"features": r["features"], "means": r["means"]}

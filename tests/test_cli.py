@@ -1041,7 +1041,7 @@ def test_rank_ranks_each_topic_as_rank_entities_ranks_it_alone(workflow, tmp_pat
         monkeypatch.setattr(lse.retrieval, "_BLOCK_SCORES", block * len(header["entity_ids"]))
     topics = tmp_path / "topics.tsv"
     topics.write_text("topic_id\ttest\n" + "".join(line + "\n" for line in lines))
-    queries = encode_topics(TopicSet.load(topics).topics, Vocabulary.load(vocab))
+    queries = encode_topics(TopicSet.load(topics), Vocabulary.load(vocab))
     skipped = "t9\n" if len(lines) > 1 else ""
     assert [tid for tid, ids in queries.items() if not ids] == skipped.split()
     # float64 sums in another order differ in their last bits; float32 ones

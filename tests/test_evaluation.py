@@ -1,6 +1,7 @@
 """Metrics, ground truth containers, and the statistics helpers."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lse.errors import DataError, DegenerateStatisticError
+from lse.errors import DataError
 from lse.evaluation import (Qrels, TopicSet, compare_runs, evaluate_run, ndcg,
                             paired_t_test, precision_at_k,
                             regularized_incomplete_beta, significance_marker,
@@ -25,8 +26,7 @@ def ranked(topic, ids):
 def test_topic_set_round_trip(tmp_path):
     path = tmp_path / "topics.tsv"
     path.write_text("topic_id\tdev\nt1\tcamera lens\nt2\tguitar\n")
-    loaded = TopicSet.load(path)
-    assert loaded.topics == {"t1": "camera lens", "t2": "guitar"}
+    assert TopicSet.load(path) == {"t1": "camera lens", "t2": "guitar"}
 
 
 def test_topic_set_rejects_missing_header_and_duplicates(tmp_path):
@@ -42,19 +42,28 @@ def test_topic_set_rejects_missing_header_and_duplicates(tmp_path):
 def test_topic_set_header_is_the_first_non_blank_line(tmp_path):
     path = tmp_path / "topics.tsv"
     path.write_text("\n  \ntopic_id\tdev\n\nt1\tcamera\n")
-    loaded = TopicSet.load(path)
-    assert loaded.topics == {"t1": "camera"}
+    assert TopicSet.load(path) == {"t1": "camera"}
 
 
 def test_qrels_round_trip_and_accessors(tmp_path):
     path = tmp_path / "qrels.txt"
-    path.write_text("t1 0 e1 1\nt1 0 e2 0\nt2 0 e1 1\n")
+    path.write_text("t1 0 e1 1\nt1 0 e2 0\nt2 7 e1 1\nt2 0 e3 1\n")
     loaded = Qrels.load(path)
-    assert loaded.grades == {("t1", "e1"): 1, ("t1", "e2"): 0, ("t2", "e1"): 1}
+    assert loaded == {"t1": frozenset({"e1"}), "t2": frozenset({"e1", "e3"})}
     assert loaded.relevant("t1") == frozenset({"e1"})
     assert loaded.relevant("t9") == frozenset()
-    assert ("t1", "e9") not in loaded.grades
-    assert loaded.topics() == ["t1", "t2"]
+
+
+def test_qrels_topic_judged_only_0_has_no_relevant_entity(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("t1 0 e1 1\nt2 0 e1 0\nt2 0 e2 0\n")
+    qrels = Qrels.load(path)
+    assert qrels.relevant("t2") == frozenset()
+    assert "t2" not in qrels
+    runs = {"t1": ranked("t1", ["e1"]), "t2": ranked("t2", ["e1", "e2"])}
+    report = evaluate_run(runs, qrels, ks=())
+    assert (report.excluded, report.missing) == (["t2"], [])
+    assert evaluate_run({}, qrels, ks=()).missing == ["t1"]
 
 
 def test_qrels_load_rejects_a_repeated_topic_entity_pair(tmp_path):
@@ -65,13 +74,16 @@ def test_qrels_load_rejects_a_repeated_topic_entity_pair(tmp_path):
         Qrels.load(path)
 
 
-def test_qrels_rejects_graded_relevance():
-    with pytest.raises(DataError):
-        Qrels({("t1", "e1"): 2})
+def test_qrels_rejects_graded_relevance(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("t1 0 e1 1\nt1 0 e2 2\n")
+    want = f"^{re.escape(str(path))}:2: relevance grade must be 0 or 1, got '2'$"
+    with pytest.raises(DataError, match=want):
+        Qrels.load(path)
 
 
 def test_ndcg_partial_fixture():
-    qrels = Qrels({("t", "e1"): 1, ("t", "e2"): 0, ("t", "e3"): 1})
+    qrels = Qrels({"t": {"e1", "e3"}})
     value = ndcg(ranked("t", ["e1", "e2", "e3"]), qrels, cutoff=10)
     expected = (1.0 + 1.0 / math.log2(4)) / (1.0 + 1.0 / math.log2(3))
     assert value == pytest.approx(expected, abs=1e-9)
@@ -79,19 +91,19 @@ def test_ndcg_partial_fixture():
 
 
 def test_ndcg_perfect_ranking_is_one():
-    qrels = Qrels({("t", "e1"): 1, ("t", "e2"): 1})
+    qrels = Qrels({"t": {"e1", "e2"}})
     assert ndcg(ranked("t", ["e1", "e2", "e3"]), qrels) == pytest.approx(1.0,
                                                                         abs=1e-12)
 
 
 def test_ndcg_ideal_counts_unretrieved_relevants():
-    qrels = Qrels({("t", "e1"): 1, ("t", "e2"): 1})
+    qrels = Qrels({"t": {"e1", "e2"}})
     value = ndcg(ranked("t", ["e1", "e9"]), qrels, cutoff=10)
     assert value == pytest.approx(1.0 / (1.0 + 1.0 / math.log2(3)), abs=1e-12)
 
 
 def test_ndcg_cutoff_truncates_both_sides():
-    qrels = Qrels({("t", f"e{i}"): 1 for i in range(5)})
+    qrels = Qrels({"t": {f"e{i}" for i in range(5)}})
     value = ndcg(ranked("t", ["x", "e0", "e1"]), qrels, cutoff=2)
     # gains at rank 2 only; ideal has 2 slots even though 5 are relevant
     assert value == pytest.approx((1.0 / math.log2(3))
@@ -100,13 +112,13 @@ def test_ndcg_cutoff_truncates_both_sides():
 
 def test_ndcg_rejects_topic_without_relevants():
     # its ideal DCG is 0; evaluate_run excludes such topics before ndcg
-    qrels = Qrels({("t", "e1"): 0})
+    qrels = Qrels()
     with pytest.raises(ZeroDivisionError):
         ndcg(ranked("t", ["e1"]), qrels)
 
 
 def test_precision_at_k_uses_k_denominator():
-    qrels = Qrels({("t", "e1"): 1, ("t", "e2"): 1})
+    qrels = Qrels({"t": {"e1", "e2"}})
     assert precision_at_k(ranked("t", ["e1", "e3", "e2"]), qrels, 5) == 0.4
     assert precision_at_k(ranked("t", ["e1"]), qrels, 5) == 0.2
     assert precision_at_k(ranked("t", ["e3", "e1"]), qrels, 1) == 0.0
@@ -115,7 +127,7 @@ def test_precision_at_k_uses_k_denominator():
 
 
 def test_mean_ndcg_excludes_and_reports_topics_without_relevants():
-    qrels = Qrels({("t1", "e1"): 1, ("t2", "e9"): 0})
+    qrels = Qrels({"t1": {"e1"}})
     runs = {"t1": ranked("t1", ["e1", "e2"]), "t2": ranked("t2", ["e1", "e2"])}
     report = evaluate_run(runs, qrels, ks=())
     assert report.means == {"ndcg@100": pytest.approx(1.0, abs=1e-12)}
@@ -128,7 +140,7 @@ def test_mean_ndcg_excludes_and_reports_topics_without_relevants():
 
 
 def test_evaluate_run_reports_all_metrics():
-    qrels = Qrels({("t1", "e1"): 1})
+    qrels = Qrels({"t1": {"e1"}})
     report = evaluate_run({"t1": ranked("t1", ["e1", "e2"])}, qrels,
                           cutoff=10, ks=(1, 2))
     assert set(report.per_topic["t1"]) == {"ndcg@10", "p@1", "p@2"}
@@ -141,7 +153,7 @@ def test_evaluate_run_reports_all_metrics():
 def test_cutoff_below_one_still_raises(cutoff):
     """The commands reject such a cutoff by its option type; a library call
     with one meets an ideal DCG of 0."""
-    qrels = Qrels({("t1", "e1"): 1})
+    qrels = Qrels({"t1": {"e1"}})
     with pytest.raises(ZeroDivisionError):
         ndcg(ranked("t1", ["e1"]), qrels, cutoff)
     with pytest.raises(ZeroDivisionError):
@@ -204,7 +216,7 @@ def two_half_step_betacf(a, b, x):
         h *= delta
         if abs(delta - 1.0) < eps:
             return h
-    raise DegenerateStatisticError("incomplete beta continued fraction did not converge")
+    raise DataError("incomplete beta continued fraction did not converge")
 
 
 def with_reference_betacf(fn, *args):
@@ -255,7 +267,7 @@ def test_paired_t_test_matches_scipy_on_random_data():
 
 
 def test_paired_t_test_degenerate_and_size_errors():
-    with pytest.raises(DegenerateStatisticError, match="zero variance"):
+    with pytest.raises(DataError, match="zero variance"):
         paired_t_test([1, 1, 1], [0, 0, 0])
     with pytest.raises(DataError):
         paired_t_test([1], [0])
@@ -264,7 +276,7 @@ def test_paired_t_test_degenerate_and_size_errors():
 
 
 def test_compare_runs_tests_shared_topics_and_gives_degenerate_reasons():
-    qrels = Qrels({("t1", "e1"): 1, ("t2", "e2"): 1, ("t3", "e1"): 1, ("t4", "e1"): 1})
+    qrels = Qrels({"t1": {"e1"}, "t2": {"e2"}, "t3": {"e1"}, "t4": {"e1"}})
     better = {"t1": ranked("t1", ["e1", "e2"]), "t2": ranked("t2", ["e2", "e1"]),
               "t3": ranked("t3", ["e1", "e2"]), "t4": ranked("t4", ["e1"])}
     worse = {"t1": ranked("t1", ["e2", "e1"]), "t2": ranked("t2", ["e2", "e1"]),

@@ -482,8 +482,7 @@ def test_streamed_pairs_equal_one_whole_draw_per_fit(drawn):
 
 
 def test_relevance_labels_leave_out_ids_outside_the_entities():
-    qrels = Qrels({("t1", "e2"): 1, ("t1", "gone"): 1, ("t1", "e0"): 0,
-                   ("t2", "gone"): 1, ("t3", "e0"): 1, ("t3", "e1"): 1})
+    qrels = Qrels({"t1": {"e2", "gone"}, "t2": {"gone"}, "t3": {"e0", "e1"}})
     labels = _relevance_labels(qrels, ["t3", "t1", "t2", "t4"], ["e0", "e1", "e2"])
     assert labels.dtype == bool
     assert labels.tolist() == [[True, True, False], [False, False, True],
@@ -703,8 +702,7 @@ def test_fold_partition_covers_and_is_deterministic():
 def fusion_setup():
     from conftest import build_fusion_benchmark
 
-    corpus, vocab, params, topics, grades = build_fusion_benchmark()
-    qrels = Qrels(grades)
+    corpus, vocab, params, topics, qrels = build_fusion_benchmark()
     qlm_model = estimate(corpus, 0.5)
     table = build_features(encode_topics(topics, vocab), corpus, qlm_model, params)
     return table, qrels
@@ -754,7 +752,7 @@ def test_cross_validated_fusion_needs_enough_topics():
     # form a pair; the error names the qrels
     with pytest.raises(DataError, match="^judged.txt: no training topic of fold 1 has "
                                         "both a relevant and a non-relevant entity"):
-        cross_validated_fusion(table, Qrels({("l0", "nobody"): 1}), folds=2,
+        cross_validated_fusion(table, Qrels({"l0": {"nobody"}}), folds=2,
                                qrels_source="judged.txt")
     # fewer than 2 folds (which `fuse --folds` rejects) still raises, and
     # before NumPy warns about statistics of no training row
@@ -786,7 +784,7 @@ def test_cross_validated_fusion_equals_per_fold_oracle():
         for fold_index, heldout in enumerate(partition):
             train = [t for t in table.topics if t not in heldout]
             matrix = np.concatenate([table.matrices[t] for t in train])
-            labels = np.concatenate([[qrels.grades.get((t, e), 0)
+            labels = np.concatenate([[int(e in qrels.relevant(t))
                                       for e in table.entity_ids] for t in train])
             # the fold's deviations of every column, which can differ in the
             # last bit from those of the combination's columns alone
@@ -810,7 +808,7 @@ def test_cross_validated_fusion_without_lse_trains_only_qi_and_qi_qlm():
     left give the same rows as with one, and significance is degenerate."""
     from conftest import build_fusion_benchmark
 
-    corpus, vocab, _, topics, grades = build_fusion_benchmark()
+    corpus, vocab, _, topics, _ = build_fusion_benchmark()
     table = build_features(encode_topics(topics, vocab), corpus, estimate(corpus, 0.5),
                            None)
     with_model, qrels = fusion_setup()
@@ -843,7 +841,7 @@ def test_each_command_trains_its_rankers_in_one_pegasos_call():
         calls.clear()
         params, queries, qrels, ids = report_setup()
         queries["ok2"] = [1, 2]
-        qrels = Qrels({**qrels.grades, ("ok2", "e1"): 1, ("ok2", "e3"): 1})
+        qrels["ok2"] = {"e1", "e3"}
         rows = ideal_vector_report(params, queries, qrels, ids, pair_samples=200)
     eligible = sum(row["status"] == "ok" for row in rows)
     assert calls == [(eligible, eligible, 2)] == [(2, 2, 2)]
@@ -860,14 +858,13 @@ def entity_params(w_e):
 
 def test_ideal_vector_skips_single_relevant():
     rows = ideal_vector_report(entity_params(np.eye(3)), {"t": [0]},
-                               Qrels({("t", "e0"): 1}), ["e0", "e1", "e2"])
+                               Qrels({"t": {"e0"}}), ["e0", "e1", "e2"])
     assert rows == [{"topic_id": "t", "status": "skipped_single_relevant",
                      "n_relevant": 1, "ndcg_ideal": None, "ndcg_query": None}]
 
 
 def test_ideal_vector_skips_a_topic_that_judges_every_entity_relevant():
-    qrels = Qrels({("all", "e0"): 1, ("all", "e1"): 1, ("all", "e2"): 1,
-                   ("ok", "e0"): 1, ("ok", "e1"): 1})
+    qrels = Qrels({"all": {"e0", "e1", "e2"}, "ok": {"e0", "e1"}})
     rows = ideal_vector_report(entity_params(np.eye(3)), {"all": [0], "ok": [0]},
                                qrels, ["e0", "e1", "e2"], pair_samples=200)
     assert rows[0] == {"topic_id": "all", "status": "skipped_all_relevant",
@@ -878,7 +875,7 @@ def test_ideal_vector_skips_a_topic_that_judges_every_entity_relevant():
 def test_ideal_vector_separates_relevant_directions():
     params = entity_params(np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0],
                                      [0.0, -1.0]]))
-    qrels = Qrels({("t", "e0"): 1, ("t", "e1"): 1})
+    qrels = Qrels({"t": {"e0", "e1"}})
     rows = ideal_vector_report(params, {"t": [0]}, qrels,
                                ["e0", "e1", "e2", "e3"], cutoff=2,
                                pair_samples=2000, seed=1)
@@ -890,10 +887,9 @@ def report_setup():
     """A three-word model, one query per report status and four entities."""
     params = init_params(Dims(4, 3, 3, 4), 0)
     queries = {"ok": [0, 1], "single": [0], "none": [1], "oov": [], "outside": [0]}
-    qrels = Qrels({("ok", "e0"): 1, ("ok", "e1"): 1,
-                   ("single", "e2"): 1, ("none", "e0"): 0,
-                   ("oov", "e0"): 1, ("oov", "e1"): 1,
-                   ("outside", "e3"): 1, ("outside", "ghost"): 1})
+    # "none" has no relevant entity
+    qrels = Qrels({"ok": {"e0", "e1"}, "single": {"e2"}, "oov": {"e0", "e1"},
+                   "outside": {"e3", "ghost"}})
     return params, queries, qrels, ["e0", "e1", "e2", "e3"]
 
 
@@ -941,14 +937,14 @@ def test_ideal_vector_report_equals_per_topic_oracle():
     params = init_params(Dims(4, 6, 3, 12), 0)
     params.W_e[3] = 0.0  # a zero row normalizes to zero
     ids = [f"e{i:02d}" for i in range(12)]
-    queries, grades = {}, {}
+    queries, qrels = {}, Qrels()
     for i in range(7):
         queries[f"t{i}"] = [0, 2] if i % 3 else [1]
-        for eid in rng.choice(ids, size=i % 5, replace=False):
-            grades[(f"t{i}", eid)] = 1
+        relevant = set(rng.choice(ids, size=i % 5, replace=False))
+        if relevant:
+            qrels[f"t{i}"] = relevant
     queries["oov"] = []
-    grades[("oov", "e00")] = grades[("oov", "e01")] = 1
-    qrels = Qrels(grades)
+    qrels["oov"] = {"e00", "e01"}
     pair_samples, seed = 900, 5
     trained = []
     with mock.patch.object(lse.ltr, "_MIN_STEPS", pair_samples), \
@@ -1002,18 +998,18 @@ def test_fusion_of_prices_near_the_float_limit_stays_finite(num_entities, pair_s
     qi[:, 0] = np.where(np.arange(num_entities) % 2, 1.5e308, -1.5e308)
     qi[:, 1] = rng.integers(1, 100, size=num_entities)
     qi[:, 7:9] = 1.0
-    matrices, grades = {}, {}
+    matrices, qrels = {}, Qrels()
     for tid in topics:
         relevant = rng.choice(num_entities, size=2, replace=False)
         lexical = rng.normal(size=num_entities)
         lexical[relevant] += 3.0
         matrices[tid] = np.column_stack([qi, lexical])
-        grades.update({(tid, ids[i]): 1 for i in relevant})
+        qrels[tid] = {ids[i] for i in relevant}
     table = FeatureTable(QI_VALUE_FEATURES + QI_MASK_FEATURES + ("qlm",), ids, topics,
                          matrices)
     trained, ranked = [], []
     with recording("_pegasos", trained), recording("ranked_from_scores", ranked):
-        cross_validated_fusion(table, Qrels(grades), folds=2, cutoff=5, ks=(5,),
+        cross_validated_fusion(table, qrels, folds=2, cutoff=5, ks=(5,),
                                pair_samples=pair_samples)
     (weights,) = trained
     assert weights.shape == (2 * 2, len(table.feature_names))

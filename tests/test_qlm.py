@@ -155,7 +155,7 @@ def sweep_setup():
     vocab = build_vocabulary(raw)
     corpus = encode_corpus(raw, vocab)
     queries = encode_topics({"t1": "camera lens", "t2": "guitar strings"}, vocab)
-    qrels = Qrels({("t1", "cam"): 1, ("t2", "gui"): 1})
+    qrels = Qrels({"t1": {"cam"}, "t2": {"gui"}})
     return corpus, queries, qrels
 
 
@@ -172,7 +172,7 @@ def test_sweep_emits_full_grid_and_best():
 
 def test_sweep_ties_prefer_smaller_lambda():
     corpus = make_corpus([("only", [A, B])])
-    best, grid = sweep_lambda(corpus, {"t1": [A]}, Qrels({("t1", "only"): 1}))
+    best, grid = sweep_lambda(corpus, {"t1": [A]}, Qrels({"t1": {"only"}}))
     assert all(v == 1.0 for _, v in grid)
     assert best == 0.0
 

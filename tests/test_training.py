@@ -119,9 +119,9 @@ def test_train_without_validation_returns_last_epoch(tiny_corpus):
 
 def test_train_validation_selects_best_epoch():
     corpus, vocab = build_separable_corpus()
-    all_topics, grades = separable_topics()
+    all_topics, all_qrels = separable_topics()
     topics = {tid: q for tid, q in all_topics.items() if tid.startswith("s")}
-    qrels = Qrels({k: v for k, v in grades.items() if k[0].startswith("s")})
+    qrels = Qrels({tid: rel for tid, rel in all_qrels.items() if tid.startswith("s")})
     config = TrainConfig(e_v=32, e_e=16, n=4, z=5, m=64, epochs=4, seed=0)
     result = train(corpus, vocab, config, encode_topics(topics, vocab), qrels)
     ndcgs = [e.validation_ndcg for e in result.log]
@@ -133,7 +133,7 @@ def test_train_validation_selects_best_epoch():
 
 def test_train_all_oov_validation_falls_back_to_last_epoch(tiny_corpus):
     corpus, vocab = tiny_corpus
-    qrels = Qrels({("t", "e0"): 1})
+    qrels = Qrels({"t": {"e0"}})
     queries = encode_topics({"t": "zzz"}, vocab)
     assert queries == {"t": []}
     result = train(corpus, vocab, tiny_config(), queries, qrels)
