@@ -3,6 +3,7 @@ t-test."""
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -16,18 +17,17 @@ class TopicSet(dict):
     @classmethod
     def load(cls, path):
         """TSV whose first non-blank line is the header 'topic_id<TAB><label>'
-        (the label is not read); empty is an empty set; ids pass check_id."""
+        (the label is not read); a file with no row after the header, or no
+        line at all, is an empty set; ids pass check_id."""
         topics, first_line = cls(), {}
-        header = False
-        for number, (tid, query) in read_fields(path, 2):
-            if not header:
-                if tid != "topic_id":
-                    raise DataError(f"{path}:{number}: missing header row")
-                header = True
-            else:
-                check_unique(first_line, tid, path, number, "topic id {!r}")
-                check_id(tid, f"{path}:{number}", "topic id")
-                topics[tid] = query
+        rows = read_fields(path, 2)
+        for number, (tid, _label) in islice(rows, 1):
+            if tid != "topic_id":
+                raise DataError(f"{path}:{number}: missing header row")
+        for number, (tid, query) in rows:
+            check_unique(first_line, tid, path, number, "topic id {!r}")
+            check_id(tid, f"{path}:{number}", "topic id")
+            topics[tid] = query
         return topics
 
 

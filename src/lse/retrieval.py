@@ -111,8 +111,7 @@ def read_run(path):
     order and each topic's entries by descending score and ascending entity
     id (the rank column is not used); an entity listed twice for one topic is
     a DataError."""
-    runs = {}
-    first_line = {}
+    pairs, first_line = {}, {}
     for number, (topic_id, q0, eid, rank, score, _tag) in read_fields(path, 6, sep=None):
         if q0 != "Q0":
             raise DataError(f"{path}:{number}: malformed run line")
@@ -125,7 +124,6 @@ def read_run(path):
             raise DataError(f"{path}:{number}: score is NaN")
         check_unique(first_line, (topic_id, eid), path, number,
                      "entity {0[1]!r} for topic {0[0]!r}")
-        runs.setdefault(topic_id, RankedList(topic_id, [])).entries.append((eid, score))
-    for ranked in runs.values():
-        ranked.entries.sort(key=_rank_order)
-    return runs
+        pairs.setdefault(topic_id, []).append((eid, score))
+    return {tid: RankedList(tid, sorted(entries, key=_rank_order))
+            for tid, entries in pairs.items()}

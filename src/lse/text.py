@@ -62,22 +62,19 @@ class Vocabulary:
     Ids are assigned in frequency-rank order (most frequent first, ties
     broken lexicographically), so a vocabulary built with a smaller cap is
     a prefix of the id range. Capped at 65536 entries so every id fits in
-    16 bits.
+    16 bits. The three lists, of equal length and distinct tokens, are held
+    as given: load checks each line of a file.
     """
 
     MAX_SIZE = 65536
 
     def __init__(self, id_to_token, frequency, document_frequency):
-        if not (len(id_to_token) == len(frequency) == len(document_frequency)):
-            raise DataError("vocabulary field lengths disagree")
         if len(id_to_token) > self.MAX_SIZE:
             raise DataError("vocabulary exceeds the 16-bit id limit")
-        self.id_to_token = list(id_to_token)
-        self.frequency = list(frequency)
-        self.document_frequency = list(document_frequency)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise DataError("duplicate token in vocabulary")
+        self.id_to_token = id_to_token
+        self.frequency = frequency
+        self.document_frequency = document_frequency
+        self.token_to_id = {t: i for i, t in enumerate(id_to_token)}
 
     @property
     def size(self):

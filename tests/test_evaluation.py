@@ -45,6 +45,14 @@ def test_topic_set_header_is_the_first_non_blank_line(tmp_path):
     assert TopicSet.load(path) == {"t1": "camera"}
 
 
+@pytest.mark.parametrize("text", ["", "\n \ntopic_id\tdev\n\n"])
+def test_topic_set_without_rows_is_empty(tmp_path, text):
+    path = tmp_path / "topics.tsv"
+    path.write_text(text)
+    topics = TopicSet.load(path)
+    assert topics == {} and isinstance(topics, TopicSet)
+
+
 def test_qrels_round_trip_and_accessors(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("t1 0 e1 1\nt1 0 e2 0\nt2 7 e1 1\nt2 0 e3 1\n")

@@ -204,6 +204,13 @@ def test_read_run_groups_topics_in_order(tmp_path):
     runs = read_run(path)
     assert [e for e, _ in runs["t1"].entries] == ["e1", "e2"]
     assert list(runs) == ["t1", "t2"]
+    assert all(ranked.topic_id == tid for tid, ranked in runs.items())
+
+
+def test_read_run_of_blank_lines_only_is_empty(tmp_path):
+    path = tmp_path / "run.trec"
+    path.write_text("\n  \n\t\n")
+    assert read_run(path) == {}
 
 
 def test_read_run_orders_entries_by_score_then_entity_id(tmp_path):
