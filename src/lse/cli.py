@@ -184,8 +184,8 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except LSEError as exc:
-            raise click.ClickException(str(exc)) from exc
+        except (LSEError, OSError, MemoryError) as exc:
+            raise click.ClickException(str(exc) or type(exc).__name__) from exc
 
 
 @click.group(cls=_Group)

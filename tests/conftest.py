@@ -3,7 +3,9 @@ valid inputs of every command, and scalar oracles."""
 
 import json
 import math
+import os
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -54,6 +56,18 @@ def pack_model(header, arrays=b"", declared_length=None):
     blob = header if isinstance(header, bytes) else json.dumps(header).encode()
     length = len(blob) if declared_length is None else declared_length
     return MAGIC + struct.pack("<Q", length) + blob + arrays
+
+
+def traced_peak(call):
+    """call()'s result, and the traced memory it peaks at above what was
+    held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 def synth_word(i, j):
@@ -293,11 +307,35 @@ def write_inputs(root, names=("corpus", "topics", "qrels")):
 
 
 def run_main(args):
-    """Run the command in-process as the lse entry point does; its exit
-    status."""
+    """Run the command args (each made a str) in-process as the lse entry
+    point does; its exit status."""
     with pytest.raises(SystemExit) as exited:
-        main.main(args, standalone_mode=True)
+        main.main([str(arg) for arg in args], standalone_mode=True)
     return exited.value.code
+
+
+def error_line(status, err, want, gone):
+    """The error line of a command that failed as the README promises: it
+    exited with want, its stderr err holds exactly one line starting
+    'Error: ' and no traceback, and nothing is left at gone (None: not
+    checked). None if it did not."""
+    errors = [line for line in err.splitlines() if line.startswith("Error: ")]
+    if (status == want and len(errors) == 1 and "Traceback" not in err
+            and (gone is None or not os.path.exists(gone))):
+        return errors[0]
+    return None
+
+
+def fails(capsys, status, gone, args, *fragments):
+    """Run the command args in-process and assert that it fails as the README
+    promises: exit status status, nothing left at gone (None where a path
+    must stay) and an error line holding every fragment. Returns that line."""
+    capsys.readouterr()
+    code = run_main(args)
+    err = capsys.readouterr().err
+    line = error_line(code, err, status, gone)
+    assert line is not None and all(f in line for f in fragments), (code, err)
+    return line
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,8 @@ import pytest
 import scipy.stats
 
 from conftest import (build_fusion_benchmark, build_separable_corpus,
-                      documents, make_corpus, profile_counts, separable_topics,
-                      sigmoid_product_loss)
-from lse.cli import main
+                      documents, make_corpus, profile_counts, run_main,
+                      separable_topics, sigmoid_product_loss)
 from lse.evaluation import (Qrels, evaluate_run, ndcg,
                             paired_t_test, precision_at_k)
 from lse.ltr import build_features, cross_validated_fusion, ideal_vector_report
@@ -55,7 +54,7 @@ def test_criterion_1_gradient_fidelity(tmp_path):
     """The shipped grad-check: 10 seeds x weight decay {0, 0.01} on small
     random models, central differences with eps 1e-5."""
     start = time.perf_counter()
-    main(["grad-check", "--seeds", "10", "--out", str(tmp_path)], standalone_mode=False)
+    assert run_main(["grad-check", "--seeds", "10", "--out", tmp_path]) == 0
     elapsed = time.perf_counter() - start
     worst = json.loads((tmp_path / "grad_check.json").read_text())["max_rel_err"]
     assert worst is not None and worst < 1e-4, f"max relative gradient error {worst}"

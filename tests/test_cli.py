@@ -1,4 +1,5 @@
-"""Command-line workflows, exercised through click's test runner."""
+"""Command-line workflows, run in-process through conftest's run_main, and
+failing commands through its fails()."""
 
 import csv
 import hashlib
@@ -11,17 +12,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import lse.cli
 import lse.ltr
 import lse.model
 import lse.retrieval
 import lse.training
-from conftest import (COMMANDS, CORPUS_LINES, cast_params, pack_model,
-                      write_inputs)
+from conftest import (COMMANDS, CORPUS_LINES, TEXT_INPUTS, cast_params, fails,
+                      pack_model, run_main, write_inputs)
 from test_bad_input import CASES, check_mutations, field_operators, mutations
-from lse.cli import main
 from lse.evaluation import TopicSet
 from lse.files import write_json
 from lse.model import MAGIC, Dims, init_params, load_model, save_model
@@ -38,31 +37,20 @@ def sha256_of(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def run_ok(runner, args, **kwargs):
-    result = runner.invoke(main, args, catch_exceptions=False, **kwargs)
-    assert result.exit_code == 0, result.output
-    return result
-
-
 @pytest.fixture(scope="module")
 def workflow(tmp_path_factory):
     """One full pipeline pass shared by the read-only assertions below."""
     root = tmp_path_factory.mktemp("cli")
     corpus, topics, qrels = write_inputs(root)
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(root / "vocab")])
-    vocab = root / "vocab" / "vocab.tsv"
-    run_ok(runner, ["train", str(corpus), str(vocab),
-                    "--out", str(root / "model")] + TRAIN_FLAGS)
-    model = root / "model" / "model.lse"
-    run_ok(runner, ["rank", str(model), str(vocab), str(topics),
-                    "--out", str(root / "rank")])
-    run_ok(runner, ["qlm", str(corpus), str(vocab), str(topics),
-                    "--out", str(root / "qlm"), "--lambda-jm", "0.5"])
-    run_ok(runner, ["eval", str(root / "rank" / "run.trec"), str(qrels),
-                    "--out", str(root / "eval"), "--cutoff", "10",
-                    "--baseline-run", str(root / "qlm" / "run.trec")])
-    return root, corpus, topics, qrels, runner
+    vocab, model = root / "vocab" / "vocab.tsv", root / "model" / "model.lse"
+    for args in (["build-vocab", corpus, "--out", root / "vocab"],
+                 ["train", corpus, vocab, "--out", root / "model", *TRAIN_FLAGS],
+                 ["rank", model, vocab, topics, "--out", root / "rank"],
+                 ["qlm", corpus, vocab, topics, "--out", root / "qlm", "--lambda-jm", "0.5"],
+                 ["eval", root / "rank" / "run.trec", qrels, "--out", root / "eval",
+                  "--cutoff", "10", "--baseline-run", root / "qlm" / "run.trec"]):
+        assert run_main(args) == 0
+    return root, corpus, topics, qrels
 
 
 def test_no_command_imports_the_scipy_package(workflow, tmp_path):
@@ -70,7 +58,7 @@ def test_no_command_imports_the_scipy_package(workflow, tmp_path):
     # kernels by themselves: importing scipy, or scipy.sparse, would add
     # their start-up time and memory to every command. The commands other
     # than train load nothing of scipy at all.
-    root, corpus, topics, qrels, _ = workflow
+    root, corpus, topics, qrels = workflow
     vocab = root / "vocab" / "vocab.tsv"
     commands = [["build-vocab", corpus, "--out", tmp_path / "vocab"],
                 ["rank", root / "model" / "model.lse", vocab, topics,
@@ -160,7 +148,7 @@ def test_manifest_records_the_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "3")
-    run_ok(CliRunner(), ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
     manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     assert manifest["environment"] == {
@@ -202,10 +190,9 @@ def test_eval_reports(workflow):
 
 
 def test_sweep_lambda_emits_full_grid(workflow):
-    root, corpus, topics, qrels, runner = workflow
-    run_ok(runner, ["sweep-lambda", str(corpus),
-                    str(root / "vocab" / "vocab.tsv"), str(topics), str(qrels),
-                    "--out", str(root / "sweep"), "--cutoff", "10"])
+    root, corpus, topics, qrels = workflow
+    assert run_main(["sweep-lambda", corpus, root / "vocab" / "vocab.tsv", topics, qrels,
+                     "--out", root / "sweep", "--cutoff", "10"]) == 0
     lines = (root / "sweep" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "lambda_jm,mean_ndcg"
     assert len(lines) == 22
@@ -216,10 +203,10 @@ def test_sweep_lambda_emits_full_grid(workflow):
 
 
 def test_ideal_vector_skips_single_relevant_topics(workflow):
-    root, _, topics, qrels, runner = workflow
-    run_ok(runner, ["ideal-vector", str(root / "model" / "model.lse"),
-                    str(root / "vocab" / "vocab.tsv"), str(topics), str(qrels),
-                    "--out", str(root / "ideal"), "--pair-samples", "500"])
+    root, _, topics, qrels = workflow
+    assert run_main(["ideal-vector", root / "model" / "model.lse",
+                     root / "vocab" / "vocab.tsv", topics, qrels,
+                     "--out", root / "ideal", "--pair-samples", "500"]) == 0
     lines = (root / "ideal" / "ideal.csv").read_text().splitlines()
     assert lines[0] == "topic_id,status,n_relevant,ndcg_ideal,ndcg_query"
     rows = dict(line.split(",")[:2] for line in lines[1:])
@@ -243,53 +230,47 @@ def test_ideal_vector_skips_single_relevant_topics(workflow):
     assert manifest["counts"] == {"skipped_topics": 3}
 
 
-def test_ideal_vector_skips_a_topic_that_judges_every_entity_relevant(workflow, tmp_path):
+def test_ideal_vector_skips_a_topic_that_judges_every_entity_relevant(workflow, tmp_path,
+                                                                     capsys):
     """A topic judging all four entities relevant has no non-relevant one to
     pair with; it is labeled, and stderr counts each skip reason."""
-    root, _, topics, _, runner = workflow
+    root, _, topics, _ = workflow
     qrels = tmp_path / "qrels.txt"
     qrels.write_text("".join(f"t1 0 {eid} 1\n" for eid in ("cam", "gui", "pia", "vio"))
                      + "t2 0 gui 1\nt5 0 gui 1\nt5 0 vio 1\n")
-    result = run_ok(runner, ["ideal-vector", str(root / "model" / "model.lse"),
-                             str(root / "vocab" / "vocab.tsv"), str(topics), str(qrels),
-                             "--out", str(tmp_path / "ideal"), "--pair-samples", "500"])
+    assert run_main(["ideal-vector", root / "model" / "model.lse", root / "vocab" / "vocab.tsv",
+                     topics, qrels, "--out", tmp_path / "ideal", "--pair-samples", "500"]) == 0
     with open(tmp_path / "ideal" / "ideal.csv", encoding="utf-8") as fh:
         rows = {row["topic_id"]: row["status"] for row in csv.DictReader(fh)}
     assert rows == {"t1": "skipped_all_relevant", "t2": "skipped_single_relevant",
                     "t3": "skipped_no_relevant", "t5": "ok"}
     assert ("skipped 3 topics: 1 skipped_all_relevant, 1 skipped_no_relevant, "
-            "1 skipped_single_relevant") in result.output
+            "1 skipped_single_relevant") in capsys.readouterr().err
 
 
-def test_fuse_names_the_qrels_when_a_fold_cannot_train(tmp_path):
+def test_fuse_names_the_qrels_when_a_fold_cannot_train(tmp_path, capsys):
     corpus, topics, _ = write_inputs(tmp_path)
     qrels = tmp_path / "nobody.txt"
     qrels.write_text("t1 0 nobody 1\nt2 0 none 1\n")
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
-    result = runner.invoke(main, ["fuse", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
-                                  str(topics), str(qrels), "--out", str(tmp_path / "f"),
-                                  "--folds", "2"])
-    assert result.exit_code == 1, result.output
-    assert (f"Error: {qrels}: no training topic of fold 1 has both a relevant and "
-            "a non-relevant entity") in result.output
-    assert not (tmp_path / "f").exists()
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    fails(capsys, 1, tmp_path / "f", ["fuse", corpus, tmp_path / "v" / "vocab.tsv", topics,
+                                      qrels, "--out", tmp_path / "f", "--folds", "2"],
+          f"Error: {qrels}: no training topic of fold 1 has both a relevant and "
+          "a non-relevant entity")
 
 
 def test_fuse_reports_all_combinations(workflow):
-    root, corpus, topics, qrels, runner = workflow
+    root, corpus, topics, qrels = workflow
     attrs = root / "attrs.jsonl"
     attrs.write_text('{"entity_id": "cam", "price": 199.0, "sales_rank": 2, '
                      '"description_length": 40}\n'
                      '{"entity_id": "gui", "price": 450.0}\n')
     graph = root / "also_bought.tsv"
     graph.write_text("cam\tgui\ngui\tvio\n")
-    run_ok(runner, ["fuse", str(corpus), str(root / "vocab" / "vocab.tsv"),
-                    str(topics), str(qrels), "--out", str(root / "fuse"),
-                    "--model", str(root / "model" / "model.lse"),
-                    "--qi-attrs", str(attrs),
-                    "--graph", f"also_bought={graph}",
-                    "--folds", "2", "--pair-samples", "300", "--cutoff", "10"])
+    assert run_main(["fuse", corpus, root / "vocab" / "vocab.tsv", topics, qrels,
+                     "--out", root / "fuse", "--model", root / "model" / "model.lse",
+                     "--qi-attrs", attrs, "--graph", f"also_bought={graph}",
+                     "--folds", "2", "--pair-samples", "300", "--cutoff", "10"]) == 0
     lines = (root / "fuse" / "fusion.csv").read_text().splitlines()
     assert lines[0].startswith("features,ndcg@10,ndcg@10_sig,p@5")
     assert [line.split(",")[0] for line in lines[1:]] == [
@@ -310,10 +291,10 @@ def test_fuse_reports_all_combinations(workflow):
 
 
 def test_fuse_without_model_reports_qi_and_qi_qlm_only(workflow, tmp_path):
-    root, corpus, topics, qrels, runner = workflow
-    run_ok(runner, ["fuse", str(corpus), str(root / "vocab" / "vocab.tsv"),
-                    str(topics), str(qrels), "--out", str(tmp_path / "fuse"),
-                    "--folds", "2", "--pair-samples", "300", "--cutoff", "10"])
+    root, corpus, topics, qrels = workflow
+    assert run_main(["fuse", corpus, root / "vocab" / "vocab.tsv", topics, qrels,
+                     "--out", tmp_path / "fuse", "--folds", "2", "--pair-samples", "300",
+                     "--cutoff", "10"]) == 0
     lines = (tmp_path / "fuse" / "fusion.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["qi", "qi+qlm"]
     payload = json.loads((tmp_path / "fuse" / "fusion.json").read_text())
@@ -329,29 +310,28 @@ def test_eval_ranks_each_topic_by_score_not_line_order(tmp_path):
     run.write_text("t1 Q0 gui 1 0.1 x\nt1 Q0 cam 2 0.9 x\n")
     qrels = tmp_path / "qrels.txt"
     qrels.write_text("t1 0 cam 1\n")
-    run_ok(CliRunner(), ["eval", str(run), str(qrels), "--out", str(tmp_path / "e")])
+    assert run_main(["eval", run, qrels, "--out", tmp_path / "e"]) == 0
     aggregate = json.loads((tmp_path / "e" / "aggregate.json").read_text())
     assert aggregate["means"]["ndcg@100"] == 1.0
 
 
-def test_eval_lists_judged_topics_the_run_leaves_out(tmp_path):
+def test_eval_lists_judged_topics_the_run_leaves_out(tmp_path, capsys):
     _, _, qrels = write_inputs(tmp_path)
     run = tmp_path / "run.trec"
     run.write_text("t1 Q0 cam 1 0.9 x\n")
-    result = run_ok(CliRunner(), ["eval", str(run), str(qrels),
-                                  "--out", str(tmp_path / "e")])
+    assert run_main(["eval", run, qrels, "--out", tmp_path / "e"]) == 0
     aggregate = json.loads((tmp_path / "e" / "aggregate.json").read_text())
     assert aggregate["missing_topics"] == ["t2", "t3", "t5"]
     # means stay over the scored topics
     assert aggregate["num_topics"] == 1
     assert aggregate["means"]["ndcg@100"] == 1.0
-    assert "3 judged topics have no line in the run" in result.output
+    assert "3 judged topics have no line in the run" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
     assert manifest["counts"] == {"missing_topics": 3}
 
 
 def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
-    root, corpus, topics, qrels, runner = workflow
+    root, corpus, topics, qrels = workflow
     # a vocabulary lacking most corpus words, so some tokens are dropped
     vocab = tmp_path / "vocab.tsv"
     build_vocabulary(load_raw_docs(corpus), max_size=12).save(vocab)
@@ -370,7 +350,7 @@ def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
     skipped = {"train": {"skipped_entities": 0}, "qlm": {"skipped_topics": 0},
                "sweep-lambda": {"skipped_topics": 0}}
     for command, args in commands.items():
-        run_ok(runner, list(map(str, args)) + ["--out", str(tmp_path / command)])
+        assert run_main(args + ["--out", tmp_path / command]) == 0
         manifest = json.loads((tmp_path / command / "manifest.json").read_text())
         assert manifest["counts"] == {**encoding, **skipped.get(command, {})}, command
     for command, counts in (("rank", {"skipped_topics": 0}),
@@ -379,11 +359,9 @@ def test_corpus_commands_record_encoding_counts_in_manifest(workflow, tmp_path):
         assert manifest["counts"] == counts, command
 
 
-def test_grad_check_passes_and_writes_report(tmp_path):
-    runner = CliRunner()
-    result = run_ok(runner, ["grad-check", "--seeds", "2",
-                             "--out", str(tmp_path / "gc")])
-    assert "max relative error" in result.output
+def test_grad_check_passes_and_writes_report(tmp_path, capsys):
+    assert run_main(["grad-check", "--seeds", "2", "--out", tmp_path / "gc"]) == 0
+    assert "max relative error" in capsys.readouterr().err
     report = json.loads((tmp_path / "gc" / "grad_check.json").read_text())
     assert report["max_rel_err"] < 1e-4
     assert report["non_finite"] is False
@@ -392,37 +370,28 @@ def test_grad_check_passes_and_writes_report(tmp_path):
     assert manifest["command"] == "grad-check"
     assert manifest["config"] == {"seeds": 2, "eps": 1e-5, "tolerance": 1e-4}
     # a failing check exits 1 and still leaves its report and manifest
-    failed = runner.invoke(main, ["grad-check", "--seeds", "1", "--tolerance", "0",
-                                  "--out", str(tmp_path / "bad")])
-    assert failed.exit_code == 1, failed.output
-    assert "gradient check failed" in failed.output
+    fails(capsys, 1, None, ["grad-check", "--seeds", "1", "--tolerance", "0",
+                            "--out", tmp_path / "bad"], "Error: gradient check failed")
     report = json.loads((tmp_path / "bad" / "grad_check.json").read_text())
     assert report["tolerance"] == 0 and len(report["results"]) == 2
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert manifest["config"]["tolerance"] == 0
 
 
-def test_missing_input_exits_2(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["build-vocab", str(tmp_path / "absent.jsonl"),
-                                  "--out", str(tmp_path / "o")])
-    assert result.exit_code == 2
-    assert "no such file" in result.output
+def test_missing_input_exits_2(tmp_path, capsys):
+    fails(capsys, 2, tmp_path / "o", ["build-vocab", tmp_path / "absent.jsonl",
+                                      "--out", tmp_path / "o"], "no such file")
 
 
 @pytest.mark.parametrize("given", ["--validation-topics", "--validation-qrels"])
-def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, given):
+def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, capsys, given):
     corpus, topics, qrels = write_inputs(tmp_path)
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("camera\t0\t2\t2\n")
     path = {"--validation-topics": topics, "--validation-qrels": qrels}[given]
     out = tmp_path / "m"
-    result = CliRunner().invoke(main, ["train", str(corpus), str(vocab), "--out", str(out),
-                                       given, str(path)] + TRAIN_FLAGS)
-    assert result.exit_code == 2, result.output
-    assert ("--validation-topics and --validation-qrels must be given together"
-            in result.output)
-    assert not out.exists()
+    fails(capsys, 2, out, ["train", corpus, vocab, "--out", out, given, path, *TRAIN_FLAGS],
+          "--validation-topics and --validation-qrels must be given together")
 
 
 @pytest.mark.parametrize("command, option, value", [
@@ -442,12 +411,12 @@ def test_one_validation_flag_alone_exits_2_before_writing_anything(tmp_path, giv
       for command in ("qlm", "fuse") for value in ("2", "-1", "nan")),
     *(pytest.param("train", option, "0", id=f"train{option[1:]}0")
       for option in ("--epochs", "--e-v", "--e-e", "--n", "--z", "--m"))])
-def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, monkeypatch,
+def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, monkeypatch, capsys,
                                                   command, option, value):
     """A count below its range (--folds below 2), a --max-size above the
     vocabulary cap or a --lambda-jm outside [0, 1] exits 2 naming the option,
     before any input is read or the output directory is made."""
-    root, corpus, topics, qrels, runner = workflow
+    root, corpus, topics, qrels = workflow
     vocab = root / "vocab" / "vocab.tsv"
     model = root / "model" / "model.lse"
     out = tmp_path / "out"
@@ -468,17 +437,14 @@ def test_count_option_below_one_exits_2_naming_it(workflow, tmp_path, monkeypatc
         monkeypatch.setattr(lse.cli, name, unreachable)
     for loader in (lse.cli.Vocabulary, lse.cli.TopicSet, lse.cli.Qrels):
         monkeypatch.setattr(loader, "load", unreachable)
-    result = runner.invoke(main, list(map(str, args)) + ["--out", str(out), option, value])
-    assert result.exit_code == 2, result.output
-    assert f"Invalid value for '{option}'" in result.output
-    assert not out.exists()
+    fails(capsys, 2, out, args + ["--out", out, option, value], f"Invalid value for '{option}'")
 
 
 @pytest.mark.parametrize("command", ["train", "train-config", "fuse", "ideal-vector"])
-def test_negative_seed_exits_before_writing_anything(workflow, tmp_path, command):
+def test_negative_seed_exits_before_writing_anything(workflow, tmp_path, capsys, command):
     """A flag exits 2 naming --seed; a config file's seed exits 1 naming the
     file."""
-    root, corpus, topics, qrels, runner = workflow
+    root, corpus, topics, qrels = workflow
     vocab = root / "vocab" / "vocab.tsv"
     model = root / "model" / "model.lse"
     config = tmp_path / "train.cfg"
@@ -490,38 +456,28 @@ def test_negative_seed_exits_before_writing_anything(workflow, tmp_path, command
                      "--seed", "-1"],
             "ideal-vector": ["ideal-vector", model, vocab, topics, qrels,
                              "--seed", "-1"]}[command]
-    result = runner.invoke(main, list(map(str, args)) + ["--out", str(out)])
-    assert isinstance(result.exception, SystemExit), result.output
-    assert "Traceback" not in result.output
     if command == "train-config":
-        assert result.exit_code == 1
-        assert f"Error: {config}: seed must be non-negative, got -3" in result.output
+        fails(capsys, 1, out, args + ["--out", out],
+              f"Error: {config}: seed must be non-negative, got -3")
     else:
-        assert result.exit_code == 2
-        assert "Invalid value for '--seed'" in result.output
-    assert not out.exists()
+        fails(capsys, 2, out, args + ["--out", out], "Invalid value for '--seed'")
 
 
 @pytest.mark.parametrize("eps", ["0", "-1e-5"])
-def test_grad_check_eps_not_above_zero_exits_2_naming_it(tmp_path, eps):
+def test_grad_check_eps_not_above_zero_exits_2_naming_it(tmp_path, capsys, eps):
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["grad-check", "--eps", eps, "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert "Invalid value for '--eps'" in result.output
-    assert not out.exists()
+    fails(capsys, 2, out, ["grad-check", "--eps", eps, "--out", out], "Invalid value for '--eps'")
 
 
 @pytest.mark.parametrize("option", ["--eps", "--tolerance"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_grad_check_non_finite_option_exits_2_naming_it(tmp_path, option, value):
+def test_grad_check_non_finite_option_exits_2_naming_it(tmp_path, capsys, option, value):
     out = tmp_path / "out"
-    result = CliRunner().invoke(main, ["grad-check", option, value, "--out", str(out)])
-    assert result.exit_code == 2, result.output
-    assert f"Invalid value for '{option}': must be finite" in result.output
-    assert not out.exists()
+    fails(capsys, 2, out, ["grad-check", option, value, "--out", out],
+          f"Invalid value for '{option}': must be finite")
 
 
-def test_grad_check_fails_on_a_nan_gradient(tmp_path):
+def test_grad_check_fails_on_a_nan_gradient(tmp_path, capsys):
     step = lse.model.batch_loss_and_gradients
 
     def nan_gradient(*args):
@@ -530,10 +486,8 @@ def test_grad_check_fails_on_a_nan_gradient(tmp_path):
         return loss, grads
 
     with mock.patch.object(lse.model, "batch_loss_and_gradients", nan_gradient):
-        result = CliRunner().invoke(main, ["grad-check", "--seeds", "1",
-                                           "--out", str(tmp_path / "gc")])
-    assert result.exit_code == 1, result.output
-    assert "gradient check failed: inf >= 0.0001" in result.output
+        fails(capsys, 1, None, ["grad-check", "--seeds", "1", "--out", tmp_path / "gc"],
+              "Error: gradient check failed: inf >= 0.0001")
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -545,14 +499,10 @@ def test_grad_check_fails_on_a_nan_gradient(tmp_path):
     assert [r["max_rel_err"] for r in report["results"]] == [None, None]
 
 
-def test_data_dir_resolves_relative_inputs(tmp_path):
+def test_data_dir_resolves_relative_inputs(tmp_path, monkeypatch):
     corpus, _, _ = write_inputs(tmp_path)
-    runner = CliRunner()
-    result = runner.invoke(main, ["build-vocab", "corpus.jsonl",
-                                  "--out", str(tmp_path / "v")],
-                           env={"LSE_DATA_DIR": str(tmp_path)},
-                           catch_exceptions=False)
-    assert result.exit_code == 0, result.output
+    monkeypatch.setenv("LSE_DATA_DIR", str(tmp_path))
+    assert run_main(["build-vocab", "corpus.jsonl", "--out", tmp_path / "v"]) == 0
     manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
     assert manifest["inputs"]["corpus"]["path"] == str(corpus)
 
@@ -561,63 +511,51 @@ def test_validation_ndcg_is_what_rank_gives_the_saved_model(tmp_path):
     # float32 training saves a float32 model, which `rank` scores in
     # float32; validation must have scored the same float32 parameters.
     corpus, topics, qrels = write_inputs(tmp_path)
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
-    vocab = str(tmp_path / "v" / "vocab.tsv")
-    run_ok(runner, ["train", str(corpus), vocab, "--out", str(tmp_path / "m"),
-                    "--precision", "float32", "--validation-topics", str(topics),
-                    "--validation-qrels", str(qrels)] + TRAIN_FLAGS + ["--epochs", "4"])
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    vocab = tmp_path / "v" / "vocab.tsv"
+    assert run_main(["train", corpus, vocab, "--out", tmp_path / "m", "--precision", "float32",
+                     "--validation-topics", topics, "--validation-qrels", qrels,
+                     *TRAIN_FLAGS, "--epochs", "4"]) == 0
     model = tmp_path / "m" / "model.lse"
     assert json.loads((tmp_path / "m" / "model.lse.meta.json").read_text())["dtype"] == "float32"
     with open(tmp_path / "m" / "epochs.csv", encoding="utf-8") as fh:
         best = max(float(row["validation_ndcg"]) for row in csv.DictReader(fh))
-    run_ok(runner, ["rank", str(model), vocab, str(topics), "--out", str(tmp_path / "r")])
-    run_ok(runner, ["eval", str(tmp_path / "r" / "run.trec"), str(qrels),
-                    "--out", str(tmp_path / "e")])
+    assert run_main(["rank", model, vocab, topics, "--out", tmp_path / "r"]) == 0
+    assert run_main(["eval", tmp_path / "r" / "run.trec", qrels, "--out", tmp_path / "e"]) == 0
     aggregate = json.loads((tmp_path / "e" / "aggregate.json").read_text())
     assert aggregate["means"]["ndcg@100"] == best
 
 
-def test_vocabulary_mismatch_exits_1(tmp_path):
+def test_vocabulary_mismatch_exits_1(tmp_path, capsys):
     corpus, topics, _ = write_inputs(tmp_path)
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v1")])
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v2"),
-                    "--max-size", "3"])
-    run_ok(runner, ["train", str(corpus), str(tmp_path / "v1" / "vocab.tsv"),
-                    "--out", str(tmp_path / "m")] + TRAIN_FLAGS)
-    result = runner.invoke(main, ["rank", str(tmp_path / "m" / "model.lse"),
-                                  str(tmp_path / "v2" / "vocab.tsv"),
-                                  str(topics), "--out", str(tmp_path / "r")])
-    assert result.exit_code == 1
     model, vocab = tmp_path / "m" / "model.lse", tmp_path / "v2" / "vocab.tsv"
-    assert (f"Error: {model}: vocabulary {vocab} does not match the one the model "
-            "was trained with") in result.output
-    assert not (tmp_path / "r").exists()
+    for args in (["build-vocab", corpus, "--out", tmp_path / "v1"],
+                 ["build-vocab", corpus, "--out", tmp_path / "v2", "--max-size", "3"],
+                 ["train", corpus, tmp_path / "v1" / "vocab.tsv", "--out", tmp_path / "m",
+                  *TRAIN_FLAGS]):
+        assert run_main(args) == 0
+    fails(capsys, 1, tmp_path / "r", ["rank", model, vocab, topics, "--out", tmp_path / "r"],
+          f"Error: {model}: vocabulary {vocab} does not match the one the model "
+          "was trained with")
 
 
-def test_qlm_rejects_a_lone_surrogate_entity_id_naming_the_line(tmp_path):
+def test_qlm_rejects_a_lone_surrogate_entity_id_naming_the_line(tmp_path, capsys):
     """A JSON escape can put a lone surrogate in a string. In text the
     tokenizer ignores it; in an entity id, which the run file holds, it is a
     DataError naming the line, not a traceback when the run is written."""
     corpus, topics, _ = write_inputs(tmp_path)
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
-    args = [str(corpus), str(tmp_path / "v" / "vocab.tsv"), str(topics)]
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    args = ["qlm", corpus, tmp_path / "v" / "vocab.tsv", topics]
     lines = corpus.read_text()
     corpus.write_text('{"doc_id": "d0", "entity_id": "cam", "text": "lens\\ud800"}\n' + lines)
-    run_ok(runner, ["qlm", *args, "--out", str(tmp_path / "ok")])
+    assert run_main(args + ["--out", tmp_path / "ok"]) == 0
     corpus.write_text('{"doc_id": "d0", "entity_id": "cam\\ud800", "text": "lens"}\n' + lines)
-    result = runner.invoke(main, ["qlm", *args, "--out", str(tmp_path / "q")])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert (f"Error: {corpus}:1: entity_id 'cam\\ud800' is not valid UTF-8"
-            in result.output)
-    assert not (tmp_path / "q").exists()
+    fails(capsys, 1, tmp_path / "q", args + ["--out", tmp_path / "q"],
+          f"Error: {corpus}:1: entity_id 'cam\\ud800' is not valid UTF-8")
 
 
 @pytest.mark.parametrize("command", ["rank", "fuse", "ideal-vector"])
-def test_model_vocabulary_size_mismatch_exits_1_naming_the_model(tmp_path, command):
+def test_model_vocabulary_size_mismatch_exits_1_naming_the_model(tmp_path, capsys, command):
     # a container saved without a vocabulary hash is checked by size
     corpus, topics, qrels = write_inputs(tmp_path)
     model = tmp_path / "model.lse"
@@ -628,14 +566,8 @@ def test_model_vocabulary_size_mismatch_exits_1_naming_the_model(tmp_path, comma
     argv = {"rank": ["rank", model, vocab, topics],
             "fuse": ["fuse", corpus, vocab, topics, qrels, "--model", model],
             "ideal-vector": ["ideal-vector", model, vocab, topics, qrels]}[command]
-    result = CliRunner().invoke(main, list(map(str, argv))
-                                + ["--out", str(tmp_path / "out")])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert errors == [f"Error: {model}: model has 2 word embeddings but vocabulary "
-                      f"{vocab} has 3 words"]
-    assert not (tmp_path / "out").exists()
+    assert fails(capsys, 1, tmp_path / "out", argv + ["--out", tmp_path / "out"]) == (
+        f"Error: {model}: model has 2 word embeddings but vocabulary {vocab} has 3 words")
 
 
 GOOD_HEADER = {"format": "lse-model", "dtype": "float64", "entity_ids": ["cam", "gui"],
@@ -795,7 +727,7 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
+def test_malformed_input_exits_1_naming_the_file(tmp_path, capsys, case):
     corpus, topics, qrels = write_inputs(tmp_path)
     run_file = tmp_path / "run.trec"
     run_file.write_text("t1 Q0 cam 1 2.0 x\n")
@@ -804,23 +736,18 @@ def test_malformed_input_exits_1_naming_the_file(tmp_path, case):
     name, content, message = MALFORMED[case]
     bad = tmp_path / name
     bad.write_bytes(content)
-    out = ["--out", str(tmp_path / "out")]
-    args = {"corpus.jsonl": ["build-vocab", str(corpus)],
-            "topics.tsv": ["qlm", str(corpus), str(vocab), str(topics)],
-            "qrels.txt": ["eval", str(run_file), str(qrels)],
-            "run.trec": ["eval", str(run_file), str(qrels)],
-            "vocab.tsv": ["qlm", str(corpus), str(vocab), str(topics)],
-            "model.lse": ["rank", str(bad), str(vocab), str(topics)],
-            "train.cfg": ["train", str(corpus), str(vocab), "--config", str(bad)],
-            "attrs.jsonl": ["fuse", str(corpus), str(vocab), str(topics), str(qrels),
-                            "--qi-attrs", str(bad)],
-            "graph.tsv": ["fuse", str(corpus), str(vocab), str(topics), str(qrels),
+    args = {"corpus.jsonl": ["build-vocab", corpus],
+            "topics.tsv": ["qlm", corpus, vocab, topics],
+            "qrels.txt": ["eval", run_file, qrels],
+            "run.trec": ["eval", run_file, qrels],
+            "vocab.tsv": ["qlm", corpus, vocab, topics],
+            "model.lse": ["rank", bad, vocab, topics],
+            "train.cfg": ["train", corpus, vocab, "--config", bad],
+            "attrs.jsonl": ["fuse", corpus, vocab, topics, qrels, "--qi-attrs", bad],
+            "graph.tsv": ["fuse", corpus, vocab, topics, qrels,
                           "--graph", f"also_bought={bad}"]}[name]
-    result = CliRunner().invoke(main, args + out)
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert f"Error: {bad}{message}" in result.output
-    assert not (tmp_path / "out").exists()
+    fails(capsys, 1, tmp_path / "out", args + ["--out", tmp_path / "out"],
+          f"Error: {bad}{message}")
 
 
 def test_model_dims_beyond_the_file_exits_1_before_anything_is_allocated(tmp_path, capsys):
@@ -832,34 +759,26 @@ def test_model_dims_beyond_the_file_exits_1_before_anything_is_allocated(tmp_pat
     model = tmp_path / "model.lse"
     model.write_bytes(model_file([0.5] * 12, dims=dict(GOOD_HEADER["dims"],
                                                        vocab_size=10 ** 12)))
-    with pytest.raises(SystemExit) as exited:
-        main.main(["rank", str(model), str(vocab), str(topics), "--out",
-                   str(tmp_path / "out")], standalone_mode=True)
-    assert exited.value.code == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert (f"Error: {model}: truncated arrays: the header's dims and dtype need "
-            f"{(2 * 10 ** 12 + 10) * 8} bytes after it, the file holds 96") in err
-    assert not (tmp_path / "out").exists()
+    fails(capsys, 1, tmp_path / "out", ["rank", model, vocab, topics, "--out", tmp_path / "out"],
+          f"Error: {model}: truncated arrays: the header's dims and dtype need "
+          f"{(2 * 10 ** 12 + 10) * 8} bytes after it, the file holds 96")
 
 
-def test_failed_command_keeps_an_out_directory_that_existed(tmp_path):
+def test_failed_command_keeps_an_out_directory_that_existed(tmp_path, capsys):
     _, _, qrels = write_inputs(tmp_path)
     run_file = tmp_path / "run.trec"
     run_file.write_text("t1 Q0 cam 1 2.0 x\nt1 Q0 gui 2\n")
     out = tmp_path / "existing"
     out.mkdir()
     (out / "aggregate.json").write_text("{}\n")
-    result = CliRunner().invoke(main, ["eval", str(run_file), str(qrels),
-                                       "--out", str(out)])
-    assert result.exit_code == 1, result.output
-    assert f"Error: {run_file}:2: expected 6 whitespace-separated fields" in result.output
+    fails(capsys, 1, None, ["eval", run_file, qrels, "--out", out],
+          f"Error: {run_file}:2: expected 6 whitespace-separated fields")
     assert [p.name for p in out.iterdir()] == ["aggregate.json"]
     assert (out / "aggregate.json").read_text() == "{}\n"
 
 
 @pytest.mark.parametrize("existing", [False, True])
-def test_failed_command_removes_the_parent_directories_it_made(tmp_path, existing):
+def test_failed_command_removes_the_parent_directories_it_made(tmp_path, capsys, existing):
     """A failed command run with --out n1/n2/n3 removes the topmost of those
     directories that it made; a parent that existed keeps its contents."""
     _, _, qrels = write_inputs(tmp_path)
@@ -869,18 +788,45 @@ def test_failed_command_removes_the_parent_directories_it_made(tmp_path, existin
     if existing:
         top.mkdir()
         (top / "keep.txt").write_text("kept\n")
-    result = CliRunner().invoke(main, ["eval", str(run_file), str(qrels),
-                                       "--out", str(top / "n2" / "n3")])
-    assert result.exit_code == 1, result.output
-    assert f"Error: {run_file}:2: expected 6 whitespace-separated fields" in result.output
+    fails(capsys, 1, top / "n2" if existing else top,
+          ["eval", run_file, qrels, "--out", top / "n2" / "n3"],
+          f"Error: {run_file}:2: expected 6 whitespace-separated fields")
     if existing:
         assert [p.name for p in top.iterdir()] == ["keep.txt"]
         assert (top / "keep.txt").read_text() == "kept\n"
-    else:
-        assert not top.exists()
 
 
-def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch):
+@pytest.mark.parametrize("out, message", [
+    pytest.param("corpus.jsonl/x", "Not a directory", id="under-a-file"),
+    pytest.param("", "No such file or directory", id="empty")])
+def test_out_that_cannot_be_made_exits_1(tmp_path, monkeypatch, capsys, out, message):
+    """An --out under a regular file, or an empty one, is an error line and
+    exit 1, not an OSError traceback, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path, ["corpus"])
+    fails(capsys, 1, None, ["build-vocab", "corpus.jsonl", "--out", out], message)
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+    assert (tmp_path / "corpus.jsonl").read_text() == TEXT_INPUTS["corpus"][1]
+
+
+@pytest.mark.parametrize("error, message", [
+    pytest.param(MemoryError(), "Error: MemoryError", id="no-message"),
+    pytest.param(MemoryError("Unable to allocate 58.2 TiB"),
+                 "Error: Unable to allocate 58.2 TiB", id="numpy-message")])
+def test_running_out_of_memory_exits_1_without_a_model(inputs, tmp_path, monkeypatch, capsys,
+                                                       error, message):
+    """A MemoryError, as NumPy raises for train --e-v 1000000000000, is an
+    error line and exit 1; one without a message is named by its type."""
+    def exhausted(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(lse.training, "init_params", exhausted)
+    out = tmp_path / "m"
+    fails(capsys, 1, out, [arg.format(**inputs) for arg in COMMANDS["train"]] + ["--out", out],
+          message)
+
+
+def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch, capsys):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("fuse read its inputs before checking --folds")
 
@@ -890,11 +836,8 @@ def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch):
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("camera\t0\t2\t2\n")
     out = tmp_path / "fuse"
-    result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
-                                       str(qrels), "--out", str(out), "--folds", "1"])
-    assert result.exit_code == 2, result.output
-    assert "Invalid value for '--folds': 1 is not in the range x>=2" in result.output
-    assert not out.exists()
+    fails(capsys, 2, out, ["fuse", corpus, vocab, topics, qrels, "--out", out, "--folds", "1"],
+          "Invalid value for '--folds': 1 is not in the range x>=2")
 
 
 class Unprintable(float):
@@ -929,39 +872,30 @@ def test_failed_output_write_leaves_no_partial_or_temporary_file(tmp_path, kind)
     assert [p.name for p in tmp_path.iterdir()] == ["output"]
 
 
-def test_train_with_nan_loss_exits_1_without_model(tmp_path, monkeypatch):
+def test_train_with_nan_loss_exits_1_without_model(tmp_path, monkeypatch, capsys):
     corpus, _, _ = write_inputs(tmp_path)
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
     step = lse.training.batch_loss_and_gradients
     monkeypatch.setattr(lse.training, "batch_loss_and_gradients",
                         lambda *args: (float("nan"), step(*args)[1]))
     out = tmp_path / "model"
-    result = runner.invoke(main, ["train", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
-                                  "--out", str(out)] + TRAIN_FLAGS)
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "Error: training diverged: non-finite loss at epoch 1, batch 1" in result.output
-    assert "Traceback" not in result.output
-    assert not out.exists()
+    fails(capsys, 1, out, ["train", corpus, tmp_path / "v" / "vocab.tsv", "--out", out,
+                           *TRAIN_FLAGS],
+          "Error: training diverged: non-finite loss at epoch 1, batch 1")
 
 
 def test_all_oov_topic_listed_and_exit_zero(tmp_path):
     corpus, _, _ = write_inputs(tmp_path)
     oov_topics = tmp_path / "oov.tsv"
     oov_topics.write_text("topic_id\ttest\nt1\tcamera\nt9\txylophone\n")
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
     vocab = tmp_path / "v" / "vocab.tsv"
-    run_ok(runner, ["train", str(corpus), str(vocab),
-                    "--out", str(tmp_path / "m")] + TRAIN_FLAGS)
-    result = run_ok(runner, ["rank", str(tmp_path / "m" / "model.lse"),
-                             str(vocab), str(oov_topics),
-                             "--out", str(tmp_path / "r")])
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    assert run_main(["train", corpus, vocab, "--out", tmp_path / "m", *TRAIN_FLAGS]) == 0
+    assert run_main(["rank", tmp_path / "m" / "model.lse", vocab, oov_topics,
+                     "--out", tmp_path / "r"]) == 0
     assert (tmp_path / "r" / "skipped_topics.txt").read_text() == "t9\n"
     assert sorted(read_run(tmp_path / "r" / "run.trec")) == ["t1"]
-    run_ok(runner, ["qlm", str(corpus), str(vocab), str(oov_topics),
-                    "--out", str(tmp_path / "q")])
+    assert run_main(["qlm", corpus, vocab, oov_topics, "--out", tmp_path / "q"]) == 0
     assert (tmp_path / "q" / "skipped_topics.txt").read_text() == "t9\n"
     for out in ("r", "q"):
         manifest = json.loads((tmp_path / out / "manifest.json").read_text())
@@ -983,7 +917,7 @@ def test_model_digest_comes_from_its_one_read(workflow, tmp_path, monkeypatch, c
     """The commands that load a model digest it from the bytes load_model
     reads, never reading the file again, and the digest is still the
     SHA-256 of the file."""
-    root, corpus, topics, qrels, runner = workflow
+    root, corpus, topics, qrels = workflow
     model, vocab = root / "model" / "model.lse", root / "vocab" / "vocab.tsv"
     hashed = []
     sha256_file = lse.cli._sha256_file
@@ -994,7 +928,7 @@ def test_model_digest_comes_from_its_one_read(workflow, tmp_path, monkeypatch, c
                      "--folds", "2", "--pair-samples", "500"],
             "ideal-vector": ["ideal-vector", model, vocab, topics, qrels,
                              "--pair-samples", "500"]}[command]
-    run_ok(runner, [*map(str, args), "--out", str(tmp_path / "out")])
+    assert run_main(args + ["--out", tmp_path / "out"]) == 0
     inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
     assert inputs["model"]["sha256"] == sha256_of(model)
     assert str(vocab) in hashed and str(model) not in hashed
@@ -1009,8 +943,8 @@ def test_piped_input_is_read_once_and_records_a_null_digest(workflow, tmp_path):
     try:
         os.write(write_end, corpus.read_bytes())  # fits in the pipe's buffer
         os.close(write_end)
-        run_ok(CliRunner(), ["qlm", f"/dev/fd/{read_end}", str(root / "vocab" / "vocab.tsv"),
-                             str(topics), "--out", str(tmp_path / "q")])
+        assert run_main(["qlm", f"/dev/fd/{read_end}", root / "vocab" / "vocab.tsv", topics,
+                         "--out", tmp_path / "q"]) == 0
     finally:
         os.close(read_end)
     assert ((tmp_path / "q" / "run.trec").read_bytes()
@@ -1048,8 +982,7 @@ def test_rank_ranks_each_topic_as_rank_entities_ranks_it_alone(workflow, tmp_pat
     # by a few float32 roundings (at most 2.2e-7 relative seen)
     for model, tol in ((model64, 1e-12), (model32, 4 * np.finfo(np.float32).eps)):
         params, out = load_model(model)[0], tmp_path / model.stem
-        run_ok(CliRunner(), ["rank", str(model), str(vocab), str(topics), "--top-k", "3",
-                             "--out", str(out)])
+        assert run_main(["rank", model, vocab, topics, "--top-k", "3", "--out", out]) == 0
         want = [(tid, eid, rank, score) for tid, ids in queries.items() if ids
                 for rank, (eid, score) in enumerate(
                     rank_entities(params, ids, header["entity_ids"], tid, 3).entries, 1)]
@@ -1061,17 +994,16 @@ def test_rank_ranks_each_topic_as_rank_entities_ranks_it_alone(workflow, tmp_pat
         assert (out / "skipped_topics.txt").read_text() == skipped
 
 
-def test_sweep_lambda_lists_all_oov_topics(tmp_path):
+def test_sweep_lambda_lists_all_oov_topics(tmp_path, capsys):
     corpus, _, qrels = write_inputs(tmp_path)
     topics = tmp_path / "oov.tsv"
     topics.write_text("topic_id\ttest\nt1\tcamera\nt2\tzzzz\n")
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
     vocab = tmp_path / "v" / "vocab.tsv"
-    result = run_ok(runner, ["sweep-lambda", str(corpus), str(vocab), str(topics),
-                             str(qrels), "--out", str(tmp_path / "s")])
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    assert run_main(["sweep-lambda", corpus, vocab, topics, qrels,
+                     "--out", tmp_path / "s"]) == 0
     assert (tmp_path / "s" / "skipped_topics.txt").read_text() == "t2\n"
-    assert "skipped 1 all-out-of-vocabulary topics" in result.output
+    assert "skipped 1 all-out-of-vocabulary topics" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
     assert manifest["counts"]["skipped_topics"] == 1
     # every grid point's mean is t1's alone
@@ -1083,19 +1015,16 @@ def test_sweep_lambda_lists_all_oov_topics(tmp_path):
     ("sweep-lambda", "", ": no validation topics for the sweep"),
     ("sweep-lambda", "t1\tzzzz\n", ": all sweep topics have empty encoded queries"),
     ("fuse", "t1\tcamera\n", ": need at least 2 topics for 2-fold cross-validation")])
-def test_too_few_usable_topics_exits_1_naming_the_topics_file(tmp_path, command, queries,
-                                                              message):
+def test_too_few_usable_topics_exits_1_naming_the_topics_file(tmp_path, capsys, command,
+                                                              queries, message):
     corpus, _, qrels = write_inputs(tmp_path)
     topics = tmp_path / "few.tsv"
     topics.write_text("topic_id\ttest\n" + queries)
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("camera\t0\t2\t2\n")
-    result = CliRunner().invoke(main, [command, str(corpus), str(vocab), str(topics),
-                                       str(qrels), "--out", str(tmp_path / "out"),
-                                       *(["--folds", "2"] if command == "fuse" else [])])
-    assert result.exit_code == 1, result.output
-    assert f"Error: {topics}{message}" in result.output
-    assert not (tmp_path / "out").exists()
+    fails(capsys, 1, tmp_path / "out",
+          [command, corpus, vocab, topics, qrels, "--out", tmp_path / "out",
+           *(["--folds", "2"] if command == "fuse" else [])], f"Error: {topics}{message}")
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -1103,11 +1032,9 @@ def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "train.cfg"
     config.write_text("e_v = 8\ne_e = 4\nn = 2\nz = 2\nm = 8\n"
                       "epochs = 3\nlambda = 0.05  # decay\n")
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
-    run_ok(runner, ["train", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
-                    "--out", str(tmp_path / "m"), "--config", str(config),
-                    "--epochs", "1"])
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    assert run_main(["train", corpus, tmp_path / "v" / "vocab.tsv", "--out", tmp_path / "m",
+                     "--config", config, "--epochs", "1"]) == 0
     manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
     assert manifest["config"]["epochs"] == 1  # flag wins
     assert manifest["config"]["lambda"] == 0.05
@@ -1123,7 +1050,7 @@ def test_config_file_with_flag_override(tmp_path):
     # a count in a config file has no range type: TrainConfig names the file
     ("--config", "m = 0\n", "train.cfg: dimensions, window, negatives, batch size "
                              "and epochs must be positive")])
-def test_bad_train_flag_value_exits_1_before_writing_anything(tmp_path, flag, value,
+def test_bad_train_flag_value_exits_1_before_writing_anything(tmp_path, capsys, flag, value,
                                                               message):
     corpus, _, _ = write_inputs(tmp_path)
     vocab = tmp_path / "vocab.tsv"
@@ -1132,22 +1059,15 @@ def test_bad_train_flag_value_exits_1_before_writing_anything(tmp_path, flag, va
         (tmp_path / "train.cfg").write_text(value)
         value = str(tmp_path / "train.cfg")
     out = tmp_path / "m"
-    result = CliRunner().invoke(main, ["train", str(corpus), str(vocab),
-                                       "--out", str(out), flag, value])
-    assert result.exit_code == 1, result.output
-    assert message in result.output
-    assert not out.exists()
+    fails(capsys, 1, out, ["train", corpus, vocab, "--out", out, flag, value], message)
 
 
 def test_rerun_is_byte_identical_outside_timestamps(tmp_path):
     corpus, _, _ = write_inputs(tmp_path)
-    runner = CliRunner()
     for tag in ("a", "b"):
-        run_ok(runner, ["build-vocab", str(corpus),
-                        "--out", str(tmp_path / f"v{tag}")])
-        run_ok(runner, ["train", str(corpus),
-                        str(tmp_path / f"v{tag}" / "vocab.tsv"),
-                        "--out", str(tmp_path / f"m{tag}")] + TRAIN_FLAGS)
+        assert run_main(["build-vocab", corpus, "--out", tmp_path / f"v{tag}"]) == 0
+        assert run_main(["train", corpus, tmp_path / f"v{tag}" / "vocab.tsv",
+                         "--out", tmp_path / f"m{tag}", *TRAIN_FLAGS]) == 0
     read = lambda p: p.read_bytes()
     assert read(tmp_path / "va" / "vocab.tsv") == read(tmp_path / "vb" / "vocab.tsv")
     assert read(tmp_path / "ma" / "model.lse") == read(tmp_path / "mb" / "model.lse")
@@ -1165,108 +1085,86 @@ def test_rerun_is_byte_identical_outside_timestamps(tmp_path):
     assert manifests[0] == manifests[1]
 
 
-def test_fuse_rejects_unknown_graph_name(tmp_path):
+def test_fuse_rejects_unknown_graph_name(tmp_path, capsys):
     corpus, topics, qrels = write_inputs(tmp_path)
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
-    result = runner.invoke(main, ["fuse", str(corpus),
-                                  str(tmp_path / "v" / "vocab.tsv"),
-                                  str(topics), str(qrels),
-                                  "--out", str(tmp_path / "f"),
-                                  "--graph", "bogus=whatever.tsv"])
-    assert result.exit_code == 2
-    assert "unknown graph name" in result.output
-    assert not (tmp_path / "f").exists()
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    fails(capsys, 2, tmp_path / "f", ["fuse", corpus, tmp_path / "v" / "vocab.tsv", topics,
+                                      qrels, "--out", tmp_path / "f",
+                                      "--graph", "bogus=whatever.tsv"], "unknown graph name")
 
 
 @pytest.mark.parametrize("graph,message", [
     ("also_bought", "--graph expects NAME=PATH"),
     ("also_bought=missing.tsv", "missing.tsv: no such file"),
 ])
-def test_bad_graph_exits_2_before_writing_anything(tmp_path, graph, message):
+def test_bad_graph_exits_2_before_writing_anything(tmp_path, monkeypatch, capsys, graph,
+                                                   message):
     corpus, topics, qrels = write_inputs(tmp_path)
     (tmp_path / "graph.tsv").write_text("cam\tgui\n")
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("camera\t0\t2\t2\n")
     out = tmp_path / "f"
-    result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
-                                       str(qrels), "--out", str(out), "--graph", graph],
-                                env={"LSE_DATA_DIR": str(tmp_path)})
-    assert result.exit_code == 2, result.output
-    assert message in result.output
-    assert not out.exists()
+    monkeypatch.setenv("LSE_DATA_DIR", str(tmp_path))
+    fails(capsys, 2, out, ["fuse", corpus, vocab, topics, qrels, "--out", out, "--graph", graph],
+          message)
 
 
-def test_repeated_graph_name_exits_2_before_writing_anything(tmp_path):
+def test_repeated_graph_name_exits_2_before_writing_anything(tmp_path, capsys):
     corpus, topics, qrels = write_inputs(tmp_path)
     for name in ("a.tsv", "b.tsv"):
         (tmp_path / name).write_text("cam\tgui\n")
     vocab = tmp_path / "vocab.tsv"
     vocab.write_text("camera\t0\t2\t2\n")
     out = tmp_path / "f"
-    result = CliRunner().invoke(main, ["fuse", str(corpus), str(vocab), str(topics),
-                                       str(qrels), "--out", str(out),
-                                       "--graph", f"also_bought={tmp_path / 'a.tsv'}",
-                                       "--graph", f"also_bought={tmp_path / 'b.tsv'}"])
-    assert result.exit_code == 2, result.output
-    assert "graph name 'also_bought' given more than once" in result.output
-    assert not out.exists()
+    fails(capsys, 2, out, ["fuse", corpus, vocab, topics, qrels, "--out", out,
+                           "--graph", f"also_bought={tmp_path / 'a.tsv'}",
+                           "--graph", f"also_bought={tmp_path / 'b.tsv'}"],
+          "graph name 'also_bought' given more than once")
 
 
 @pytest.mark.parametrize("change", ["reversed", "missing_entity"])
-def test_fuse_rejects_a_model_trained_on_other_entities(workflow, tmp_path, change):
+def test_fuse_rejects_a_model_trained_on_other_entities(workflow, tmp_path, capsys, change):
     """The model's entity rows must be the corpus's entities in corpus order:
     the corpus read in reverse, or without one entity's documents, exits 1
     naming the model and the corpus."""
-    root, _, topics, qrels, runner = workflow
+    root, _, topics, qrels = workflow
     lines = (list(reversed(CORPUS_LINES)) if change == "reversed"
              else [r for r in CORPUS_LINES if r["entity_id"] != "pia"])
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(json.dumps(r) + "\n" for r in lines))
     model = root / "model" / "model.lse"
-    result = runner.invoke(main, ["fuse", str(corpus), str(root / "vocab" / "vocab.tsv"),
-                                  str(topics), str(qrels), "--model", str(model),
-                                  "--folds", "2", "--pair-samples", "50",
-                                  "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
-    assert errors == [f"Error: {model}: the model's entities are not those of "
-                      f"{corpus} in the same order"]
-    assert not (tmp_path / "out").exists()
+    assert fails(capsys, 1, tmp_path / "out",
+                 ["fuse", corpus, root / "vocab" / "vocab.tsv", topics, qrels, "--model", model,
+                  "--folds", "2", "--pair-samples", "50", "--out", tmp_path / "out"]) == (
+        f"Error: {model}: the model's entities are not those of {corpus} in the same order")
 
 
-def test_train_counts_entities_without_an_ngram_once(tmp_path):
+def test_train_counts_entities_without_an_ngram_once(tmp_path, capsys):
     """An entity whose documents are all shorter than n is left out of
     sampling: the manifest counts it and stderr says so once, not per
     epoch."""
     corpus, _, _ = write_inputs(tmp_path)
     with corpus.open("a") as fh:
         fh.write(json.dumps({"doc_id": "d9", "entity_id": "amp", "text": "lens"}) + "\n")
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
-    result = run_ok(runner, ["train", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
-                             "--out", str(tmp_path / "m")] + TRAIN_FLAGS)
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    capsys.readouterr()
+    assert run_main(["train", corpus, tmp_path / "v" / "vocab.tsv", "--out", tmp_path / "m",
+                     *TRAIN_FLAGS]) == 0
     manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
     assert manifest["counts"]["skipped_entities"] == 1
     assert manifest["config"]["epochs"] == 2
-    skipped = [line for line in result.output.splitlines() if "skipped" in line]
+    output = capsys.readouterr()
+    skipped = [line for line in (output.out + output.err).splitlines() if "skipped" in line]
     assert skipped == ["skipped 1 of 5 entities with no document of n = 2 tokens "
                        "or more"]
 
 
-def test_window_longer_than_every_document_exits_1_naming_corpus_and_n(tmp_path):
+def test_window_longer_than_every_document_exits_1_naming_corpus_and_n(tmp_path, capsys):
     corpus, _, _ = write_inputs(tmp_path)
-    runner = CliRunner()
-    run_ok(runner, ["build-vocab", str(corpus), "--out", str(tmp_path / "v")])
-    result = runner.invoke(main, ["train", str(corpus), str(tmp_path / "v" / "vocab.tsv"),
-                                  "--out", str(tmp_path / "m")] + TRAIN_FLAGS
-                           + ["--n", "9"])
-    assert result.exit_code == 1, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert (f"Error: {corpus}: window n = 9 is longer than every document"
-            in result.output)
-    assert not (tmp_path / "m").exists()
+    assert run_main(["build-vocab", corpus, "--out", tmp_path / "v"]) == 0
+    fails(capsys, 1, tmp_path / "m", ["train", corpus, tmp_path / "v" / "vocab.tsv",
+                                      "--out", tmp_path / "m", *TRAIN_FLAGS, "--n", "9"],
+          f"Error: {corpus}: window n = 9 is longer than every document")
 
 
 # command -> the exact manifest input names its COMMANDS argv records
@@ -1284,8 +1182,8 @@ MANIFEST_COMMANDS = {
 
 @pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
 def test_manifest_records_command_and_every_input(inputs, tmp_path, command):
-    run_ok(CliRunner(), [arg.format(**inputs) for arg in COMMANDS[command]]
-           + ["--out", str(tmp_path / "out")])
+    assert run_main([arg.format(**inputs) for arg in COMMANDS[command]]
+                    + ["--out", tmp_path / "out"]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == command
     assert set(manifest["inputs"]) == MANIFEST_COMMANDS[command]
@@ -1302,7 +1200,6 @@ def test_mutated_input_exits_0_or_1_naming_it(inputs, tmp_path, capsys, command,
                     mutations(name, inputs[name].read_bytes(), field_operators(name)))
 
 
-def test_version_flag():
-    result = CliRunner().invoke(main, ["--version"])
-    assert result.exit_code == 0
-    assert "lse" in result.output
+def test_version_flag(capsys):
+    assert run_main(["--version"]) == 0
+    assert "lse" in capsys.readouterr().out

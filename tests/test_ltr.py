@@ -1,7 +1,6 @@
 """PageRank, RankSVM, feature assembly, fold fusion, and the ideal-vector
 analysis."""
 
-import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, pair_rows, scalar_qlm_score
+from conftest import make_corpus, pair_rows, scalar_qlm_score, traced_peak
 import lse.ltr
 from lse.errors import DataError
 from lse.ltr import (COMBOS, GRAPH_NAMES, PAGERANK_DAMPING, QI_MASK_FEATURES,
@@ -529,14 +528,9 @@ def test_fuse_shaped_pegasos_memory_is_bounded():
     masks = rng.random((len(COMBOS), folds, width)) < 0.8
     pair_samples = lse.ltr.PAIR_SAMPLES
     batch = pegasos_batch(pair_samples)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        steps = _pair_steps(labels, cells, streams, list(range(folds)), pair_samples, batch)
-        weights = _pegasos(rows, steps, folds, scales, masks, batch=batch)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    weights, peak = traced_peak(lambda: _pegasos(
+        rows, _pair_steps(labels, cells, streams, list(range(folds)), pair_samples, batch),
+        folds, scales, masks, batch=batch))
     assert weights.shape == (len(COMBOS) * folds, width) and np.isfinite(weights).all()
     assert peak < 6 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lse.model
-from conftest import cast_params, sigma, sigmoid_product_loss, sigmoid_product_prob
+from conftest import (cast_params, sigma, sigmoid_product_loss, sigmoid_product_prob,
+                      traced_peak)
 from lse.errors import DataError, LSEError
 from lse.model import (PARAM_FIELDS, AdamState, Dims,
                        ModelParams, TrainConfig, _gather_sum, _scatter_add,
@@ -718,17 +718,6 @@ def test_step_fills_the_gradients_it_is_given(dtype):
         assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes(), name
 
 
-def traced_peak(call):
-    """Traced memory that call() peaks at above what was held before it."""
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-
-
 def warm_float32_step(dims, m, n=4, z=10, seed=59):
     """C-contiguous float32 params as train holds them, a batch of uniform
     ids, and the Adam state and gradient buffers left by one step plus
@@ -767,7 +756,7 @@ def test_training_step_memory_is_bounded():
     warm = warm_float32_step(Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024),
                              m=4096)
     assert len(np.unique(warm[1].ngrams)) < 4096
-    peak = traced_peak(lambda: step_and_adam(*warm))
+    _, peak = traced_peak(lambda: step_and_adam(*warm))
     assert peak < 9.75 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
@@ -778,7 +767,7 @@ def test_step_at_the_vocabulary_cap_allocates_nothing_vocabulary_sized():
     the token rows' |V|-sized temporaries took it to 4.1 MiB."""
     dims = Dims(e_v=16, e_e=16, vocab_size=65536, num_entities=64)
     warm = warm_float32_step(dims, m=512)
-    peak = traced_peak(lambda: step_and_adam(*warm))
+    _, peak = traced_peak(lambda: step_and_adam(*warm))
     assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
@@ -787,7 +776,7 @@ def test_adam_step_allocates_nothing():
     buffers; two fresh 1 MiB buffers per call took it to 2 MiB."""
     params, _, state, grads = warm_float32_step(
         Dims(e_v=16, e_e=16, vocab_size=65536, num_entities=64), m=8)
-    peak = traced_peak(lambda: adam_step(params, grads, state))
+    _, peak = traced_peak(lambda: adam_step(params, grads, state))
     assert peak < 128 * 2 ** 10, f"{peak / 2 ** 10:.1f} KiB"
 
 
@@ -887,7 +876,7 @@ def test_save_writes_a_trained_w_v_in_blocks(tmp_path, dtype):
     params = init_params(dims, 71, dtype=dtype)
     trained, names = params.copy(), entity_names(params)
     save_model(tmp_path / "view.lse", params, entity_ids=names)
-    peak = traced_peak(lambda: save_model(tmp_path / "c.lse", trained, entity_ids=names))
+    _, peak = traced_peak(lambda: save_model(tmp_path / "c.lse", trained, entity_ids=names))
     assert (tmp_path / "c.lse").read_bytes() == (tmp_path / "view.lse").read_bytes()
     assert peak < 1.1 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
@@ -989,11 +978,6 @@ def test_loading_a_float32_model_holds_its_arrays_once(tmp_path):
     path = tmp_path / "model.lse"
     save_model(path, params, entity_ids=entity_names(params))
     array_bytes = sum(getattr(params, name).nbytes for name in PARAM_FIELDS)
-    tracemalloc.start()
-    try:
-        loaded = load_model(path)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (loaded, _), peak = traced_peak(lambda: load_model(path))
     assert peak < 1.25 * array_bytes, (peak, array_bytes)
     assert loaded.dtype == np.float32

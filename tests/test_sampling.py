@@ -1,7 +1,6 @@
 """Epoch sampling: budgets, negatives, determinism, batching."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from lse.sampling import (InstanceBlock, SamplerConfig, ngrams_per_entity_per_ep
                           sample_epoch)
 from lse.text import Corpus
 
-from conftest import build_separable_corpus, documents, make_corpus
+from conftest import build_separable_corpus, documents, make_corpus, traced_peak
 
 
 def corpus_with_lengths(lengths, owners):
@@ -284,13 +283,10 @@ def test_epoch_memory_per_instance_is_bounded():
                                                    rng.integers(1, 100, num_docs).tolist())],
                          list(range(num_entities)))
     assert 900_000 < corpus.total_tokens < 1_100_000
-    tracemalloc.start()
-    try:
-        epoch = sample_epoch(corpus, SamplerConfig(n=4, z=10, m=4096),
-                             np.random.default_rng(1))
-        walked = sum(len(batch) for batch in epoch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    def walk():
+        epoch = sample_epoch(corpus, SamplerConfig(n=4, z=10, m=4096), np.random.default_rng(1))
+        return epoch, sum(len(batch) for batch in epoch)
+
+    (epoch, walked), peak = traced_peak(walk)
     assert walked == len(epoch) > 800_000
     assert peak / len(epoch) < 12, f"{peak / len(epoch):.1f} B per instance"

@@ -2,7 +2,6 @@
 
 import random
 import re
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from lse import text
 from lse.errors import DataError
 from lse.text import (NUM_TOKEN, STOPWORDS, Vocabulary,
@@ -309,13 +309,7 @@ def test_encode_corpus_memory_is_bounded():
     vocab = Vocabulary(words, [1] * len(words), [1] * len(words))
     raw = [(f"d{j}", f"e{j % 10000}", " ".join(words[i] for i in row))
            for j, row in enumerate(rng.integers(0, len(words), size=(20000, 40)))]
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        corpus = encode_corpus(raw, vocab)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    corpus, peak = traced_peak(lambda: encode_corpus(raw, vocab))
     assert corpus.total_tokens + corpus.dropped_tokens == 20000 * 40
     assert peak < 6.5 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
