@@ -245,9 +245,19 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
     with _run(out_dir, config.as_dict(), config.seed) as counts:
         vocabulary = Vocabulary.load(vocab)
         corpus_data = _corpus(corpus, vocabulary, counts)
-        if ngrams_per_entity_per_epoch(corpus_data, config.n) == 0:
+        if (budget := ngrams_per_entity_per_epoch(corpus_data, config.n)) == 0:
             raise DataError(f"{corpus}: window n = {config.n} is longer than "
                             "every document")
+        # NumPy sizes no array past intp bytes (a ValueError): check each one
+        # init_params draws and the sampler's (batch, z) and (batch, n) blocks
+        batch = min(config.m, budget * corpus_data.num_entities)  # an upper bound
+        for options, shape in (("--e-v", (config.e_v, vocabulary.size)),
+                               ("--e-e", (corpus_data.num_entities, config.e_e)),
+                               ("--e-e and --e-v", (config.e_e, config.e_v)),
+                               ("--z", (batch, config.z)), ("--n", (batch, config.n))):
+            if math.prod(shape) > np.iinfo(np.intp).max // 8:
+                raise DataError(f"{options}: an array of {' x '.join(map(str, shape))} "
+                                "values is more than NumPy can allocate")
         queries = _queries(validation_topics, vocabulary) if validation_topics else None
         qrels = Qrels.load(validation_qrels) if validation_qrels else None
 

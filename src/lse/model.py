@@ -118,10 +118,13 @@ def _sigmoid(x):
 
 
 # Bytes per gather of the negatives' rows of W_e, and per block that
-# save_model writes: about 1 MB keeps each (chunk, z, e_E) block and the
-# einsums over it in cache (102 instances in float32 and 51 in float64 at the
+# save_model writes: 256 KiB keeps each (chunk, z, e_E) block and the
+# einsums over it in cache (25 instances in float32 and 12 in float64 at the
 # default z and e_E).
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 18
+
+# Instances per block of the training step's error G: few, for speed.
+_ERROR_ROWS = 512
 
 # Words per block of the training step's S^T T: OpenBLAS sums a longer
 # inner dimension in an order that depends on its thread count, even in
@@ -142,11 +145,12 @@ def _check_ids(index, rows):
 def _incidence(index, rows):
     """CSR indptr and indices of the (m, k) id matrix index: row i lists the
     ids index[i, 0], ..., index[i, k - 1] in order, each checked to lie in
-    [0, rows)."""
+    [0, rows); int32 when index is and m k fits, so int32 ids go uncopied."""
     m, k = index.shape
     _check_ids(index, rows)
-    return (np.arange(0, m * k + 1, k, dtype=np.intp),
-            index.reshape(-1).astype(np.intp))
+    dtype = np.int32 if index.dtype == np.int32 and m * k < 2 ** 31 else np.intp
+    return (np.arange(0, m * k + 1, k, dtype=dtype),
+            index.reshape(-1).astype(dtype, copy=False))
 
 
 def _sparsetools():
@@ -247,18 +251,18 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     params, all C-contiguous (a ValueError otherwise); train passes the same
     out on every step. Nothing else is |V|-sized: each squared norm is summed
     in its gradient buffer before the gradient is written there.
-    The activations are views of a block of two rows of max(m e_E,
-    u max(e_V, e_E)) values: T in row 0 and P in row 1, then F over T,
-    G over P, S over F once the W_e scatters have used F, T again over G,
-    S W over T, and the W_v gradient's rows ids over S. The negatives' rows
-    of W_e are taken a chunk at a time into one buffer. Float32 params at
-    m = 4096, e_V = 300, e_E = 256 and 1024 entities, 2 vCPUs, OpenBLAS on
-    one thread: at |V| = 2000 (u = 2000) a step plus Adam peaks 9.7 MiB of
-    traced memory above its inputs and a step takes 35-45 ms. The block
-    grows with u: at |V| = 65536 a step plus Adam peaks 15.3 MiB with
-    Zipf(1) ids (u = 5958), a step taking 103-106 ms, and 35.0 MiB with
-    uniform ids (u = 14545), a step taking 180-206 ms (medians of 9 steps,
-    three processes each).
+    The activations are views of one block of max(m e_E, u e_V) + u e_E
+    values: T, F, T again and S W in the first part, P and then S in the
+    rest. F stays whole for the W_e scatters. G is built, finished, scattered
+    onto S and summed into the b gradient _ERROR_ROWS instances at a time
+    in one buffer (each block's negatives' rows of W_e a chunk at a time in
+    another), the running b sum added onto a block's first row, so S and b
+    get their addends in whole-batch order. Float32 params at m = 4096,
+    e_V = 300, e_E = 256, 1024 entities, 2 vCPUs, OpenBLAS on one thread: at
+    |V| = 2000 (u = 1999) a step plus Adam peaks 7.3 MiB traced above its
+    inputs, a step taking 24-36 ms; at |V| = 65536, 13.8 MiB with Zipf(1) ids
+    (u = 5873; 83-100 ms) and 32.0 MiB with uniform ones (u = 14441;
+    126-166 ms; medians of 9-15 steps, six processes each).
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
@@ -276,30 +280,40 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
                         (params.W, out.W)):
         theta, grad = _flat_views((theta, grad))
         sq_norms += float(np.sum(np.multiply(theta, theta, out=grad)))
-    block = np.empty((2, max(m * e_e, u * max(e_v, e_e))), dtype=params.dtype)
+    wide = max(m * e_e, u * e_v)                   # T, F, then T and S W
+    block = np.empty(wide + u * e_e, dtype=params.dtype)
 
-    def activation(row, rows, e):
-        return block[row, :rows * e].reshape(rows, e)
+    def activation(start, rows, e):
+        return block[start:start + rows * e].reshape(rows, e)
 
     T = np.take(params.word_rows, ids, axis=0, out=activation(0, u, e_v), mode="clip")
-    P = np.matmul(T, params.W.T, out=activation(1, u, e_e))  # (u, e_E)
+    P = np.matmul(T, params.W.T, out=activation(wide, u, e_e))  # (u, e_E)
     F = _gather_sum(P, inv, activation(0, m, e_e))  # over T
     F /= n
     F += params.b
     np.tanh(F, out=F)                              # (M, e_E)
-    G = np.take(params.W_e, positives, axis=0, out=activation(1, m, e_e),
-                mode="clip")                       # over P; Epos for now
-    dpos = np.einsum("me,me->m", G, F)
-    cpos = 1.0 - _sigmoid(dpos)                    # (M,)
-    G *= cpos[:, None]
-    dneg = np.empty(negatives.shape, dtype=F.dtype)
-    cneg = np.empty_like(dneg)
-    for s, Eneg in _negative_rows(params.W_e, negatives):
-        dneg[s] = np.einsum("mke,me->mk", Eneg, F[s])
-        cneg[s] = -_sigmoid(dneg[s])
-        G[s] += np.einsum("mk,mke->me", cneg[s], Eneg)  # V = cpos e+ + Vneg
-        G[s] *= 1.0 - F[s] * F[s]                  # d logp / d preactivation
-    del Eneg                                       # and with it the chunks' buffer
+    S = P                                          # A^T G, over P
+    S.fill(0)
+    dpos, cpos = np.empty((2, m), dtype=F.dtype)
+    dneg, cneg = np.empty((2, *negatives.shape), dtype=F.dtype)
+    buf = np.empty((min(m, _ERROR_ROWS), e_e), dtype=F.dtype)
+    for lo in range(0, m, _ERROR_ROWS):
+        rows = slice(lo, lo + _ERROR_ROWS)
+        Fb, dn, cn = F[rows], dneg[rows], cneg[rows]
+        G = np.take(params.W_e, positives[rows], axis=0, out=buf[:len(Fb)], mode="clip")  # Epos
+        dpos[rows] = np.einsum("me,me->m", G, Fb)
+        cpos[rows] = 1.0 - _sigmoid(dpos[rows])
+        G *= cpos[rows, None]
+        for s, Eneg in _negative_rows(params.W_e, negatives[rows]):
+            dn[s] = np.einsum("mke,me->mk", Eneg, Fb[s])
+            cn[s] = -_sigmoid(dn[s])
+            G[s] += np.einsum("mk,mke->me", cn[s], Eneg)  # V = cpos e+ + Vneg
+            G[s] *= 1.0 - Fb[s] * Fb[s]            # d logp / d preactivation
+        del Eneg                                   # and with it the chunks' buffer
+        _scatter_add(S, inv[rows], 1, G)
+        if lo:                                     # the b sum, in whole-batch order
+            G[0] += out.b
+        np.sum(G, axis=0, out=out.b)
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
     loss = float(-logp.mean() + 0.5 * weight_decay / m * sq_norms)
 
@@ -308,21 +322,17 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     np.multiply(reg, params.W_e, out=out.W_e)
     _scatter_add(out.W_e, positives[:, None], (-inv_m * cpos)[:, None], F)
     _scatter_add(out.W_e, negatives, -inv_m * cneg, F)
-    np.sum(G, axis=0, out=out.b)
     out.b *= -inv_m
-    S = activation(0, u, e_e)                      # over F
-    S.fill(0)
-    _scatter_add(S, inv, 1, G)                     # A^T G
     S *= -inv_m / n
-    T = np.take(params.word_rows, ids, axis=0, out=activation(1, u, e_v), mode="clip")  # G
+    T = np.take(params.word_rows, ids, axis=0, out=activation(0, u, e_v), mode="clip")  # F
     np.matmul(S[:_WORD_BLOCK].T, T[:_WORD_BLOCK], out=out.W)
     for lo in range(_WORD_BLOCK, u, _WORD_BLOCK):
         out.W += S[lo:lo + _WORD_BLOCK].T @ T[lo:lo + _WORD_BLOCK]
     out.W += reg * params.W
     np.multiply(reg, params.word_rows, out=out.word_rows)
     SW = np.matmul(S, params.W, out=T)             # over T
-    SW += np.take(out.word_rows, ids, axis=0, out=activation(0, u, e_v),
-                  mode="clip")                     # over S
+    for lo in range(0, u, _WORD_BLOCK):
+        SW[lo:lo + _WORD_BLOCK] += out.word_rows[ids[lo:lo + _WORD_BLOCK]]
     out.word_rows[ids] = SW
 
     return loss, out

@@ -59,8 +59,8 @@ class Epoch:
 
 
 def _eligible(corpus, n):
-    """Number of n-gram start positions in each document."""
-    return np.maximum(np.diff(corpus.doc_ptr) - n + 1, 0)
+    """Number of n-gram start positions in each document (n capped to fit int64)."""
+    return np.maximum(np.diff(corpus.doc_ptr) - min(n, corpus.total_tokens + 1) + 1, 0)
 
 
 def ngrams_per_entity_per_epoch(corpus, n):

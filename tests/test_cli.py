@@ -826,6 +826,25 @@ def test_running_out_of_memory_exits_1_without_a_model(inputs, tmp_path, monkeyp
           message)
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--e-v", "Error: --e-v: an array of 10"), ("--e-e", "Error: --e-e: an array of"),
+    ("--z", "Error: --z: an array of"), ("--n", f"window n = {10 ** 30} is longer than")],
+    ids=["--e-v", "--e-e", "--z", "--n"])
+def test_dimensions_numpy_cannot_size_exit_1_naming_the_option(inputs, tmp_path, monkeypatch,
+                                                                capsys, option, message):
+    """A dimension of 10**30 is an error line naming the option, exit 1,
+    before anything is drawn, not NumPy's "Maximum allowed dimension
+    exceeded" ValueError from init_params or the sampler, or an
+    OverflowError from the window's start positions."""
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("train drew parameters before checking their sizes")
+
+    monkeypatch.setattr(lse.training, "init_params", unreachable)
+    out = tmp_path / "m"
+    fails(capsys, 1, out, [arg.format(**inputs) for arg in COMMANDS["train"]]
+          + ["--out", out, option, str(10 ** 30)], message)
+
+
 def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch, capsys):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("fuse read its inputs before checking --folds")
