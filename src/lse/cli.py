@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import DataError, LSEError
+from .errors import DataError, LSEError, SizeError
 from .evaluation import Qrels, TopicSet, compare_runs, evaluate_run
 from .files import atomic_open, write_csv, write_json
 from .ltr import (build_features, cross_validated_fusion, ideal_vector_report,
@@ -245,19 +245,9 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
     with _run(out_dir, config.as_dict(), config.seed) as counts:
         vocabulary = Vocabulary.load(vocab)
         corpus_data = _corpus(corpus, vocabulary, counts)
-        if (budget := ngrams_per_entity_per_epoch(corpus_data, config.n)) == 0:
+        if ngrams_per_entity_per_epoch(corpus_data, config.n) == 0:
             raise DataError(f"{corpus}: window n = {config.n} is longer than "
                             "every document")
-        # NumPy sizes no array past intp bytes (a ValueError): check each one
-        # init_params draws and the sampler's (batch, z) and (batch, n) blocks
-        batch = min(config.m, budget * corpus_data.num_entities)  # an upper bound
-        for options, shape in (("--e-v", (config.e_v, vocabulary.size)),
-                               ("--e-e", (corpus_data.num_entities, config.e_e)),
-                               ("--e-e and --e-v", (config.e_e, config.e_v)),
-                               ("--z", (batch, config.z)), ("--n", (batch, config.n))):
-            if math.prod(shape) > np.iinfo(np.intp).max // 8:
-                raise DataError(f"{options}: an array of {' x '.join(map(str, shape))} "
-                                "values is more than NumPy can allocate")
         queries = _queries(validation_topics, vocabulary) if validation_topics else None
         qrels = Qrels.load(validation_qrels) if validation_qrels else None
 
@@ -266,7 +256,12 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
             _status(f"epoch {entry.epoch}: loss {entry.mean_batch_loss:.6f} "
                     f"validation_ndcg {vn} ({entry.wall_seconds:.1f}s)")
 
-        result = train(corpus_data, vocabulary, config, queries, qrels, progress)
+        try:
+            result = train(corpus_data, vocabulary, config, queries, qrels, progress)
+        except SizeError as exc:  # before anything is drawn; m is at most an epoch
+            options = " and ".join(f"--{name.replace('_', '-')}" for name in exc.fields
+                                   if name in overrides and name != "m")
+            raise DataError(f"{options}: {exc.what}") from exc
         counts["skipped_entities"] = len(result.skipped_entities)
         if result.skipped_entities:
             _status(f"skipped {len(result.skipped_entities)} of {corpus_data.num_entities} "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, LSEError
+from .errors import DataError, LSEError, SizeError
 from .files import atomic_open, check_id, check_unique, read_lines, write_json
 
 MAGIC = b"LSEM0001"
@@ -39,6 +39,8 @@ class Dims:
     def __post_init__(self):
         if min(self.e_v, self.e_e, self.vocab_size, self.num_entities) < 1:
             raise DataError("all model dimensions must be positive")
+        # the arrays init_params draws: W_v, W_e and W
+        SizeError.check(self, ("e_v", "vocab_size"), ("num_entities", "e_e"), ("e_e", "e_v"))
 
 
 @dataclass(eq=False)
@@ -77,6 +79,26 @@ class ModelParams:
 
     def copy(self):
         return ModelParams(*(a.copy() for a in self))
+
+
+@dataclass(eq=False)
+class Gradients(ModelParams):
+    """The batch loss's gradients as the training step writes them: W, b and
+    W_e whole, and of W_v's only word_rows, the rows of the batch's u
+    distinct word ids ids (ascending). Every other row of W_v's gradient is
+    decay times its row of W_v (decay = lambda / m), so no |V|-sized
+    gradient is held: adam_step forms it a block at a time, and dense()
+    whole."""
+
+    ids: np.ndarray = None
+    decay: float = 0.0
+
+    def dense(self, params):
+        """The gradients at params as a ModelParams, W_v's whole: decay
+        times word_rows with the batch's rows stored over it."""
+        word_rows = np.multiply(self.decay, params.word_rows)
+        word_rows[self.ids] = self.word_rows
+        return ModelParams(word_rows, self.W, self.b, self.W_e)
 
 
 def init_params(dims, seed, dtype=np.float64):
@@ -131,7 +153,7 @@ _ERROR_ROWS = 512
 # float32.
 _WORD_BLOCK = 256
 
-# Bytes per block of the Adam update; AdamState holds two such buffers.
+# Bytes per block of the Adam update; AdamState holds three such buffers.
 _ADAM_BLOCK_BYTES = 1 << 16
 
 
@@ -218,22 +240,35 @@ def _negative_rows(W_e, negatives):
                          mode="clip")             # (chunk, z, e_E)
 
 
+def _sq_sum(flat, buf):
+    """np.sum(flat * flat) bit for bit, for a 1-D flat, with the squares
+    taken into buf, of at least 128 values: NumPy sums pairwise, a sum of
+    more than 128 values split at half its length rounded down to a
+    multiple of 8 and the halves' sums added in the dtype, so the same
+    split is followed down to parts that fit."""
+    if flat.size <= len(buf):
+        return np.sum(np.multiply(flat, flat, out=buf[:flat.size]))
+    half = flat.size // 2 - flat.size // 2 % 8
+    return _sq_sum(flat[:half], buf) + _sq_sum(flat[half:], buf)
+
+
 def batch_loss(params, batch, weight_decay):
     """Mean negated instance log-probability plus the weight-decay term."""
     return batch_loss_and_gradients(params, batch, weight_decay)[0]
 
 
 def batch_loss_and_gradients(params, batch, weight_decay, out=None):
-    """One forward/backward pass; returns (loss, gradients as ModelParams).
+    """One forward/backward pass; returns (loss, Gradients).
 
     The loss is the mean negated instance log-probability plus the
     weight-decay term, and the gradients are exact for it: sech^2 = 1 - f^2
     reuses the forward tanh, the positive dot gets 1 - sigma and each
     negative dot -sigma (cneg; chunk by chunk, Vneg = sum_k cneg_k e_k is
     added onto the positive's term and the sum scaled by sech^2), and the
-    (lambda / m) theta term is dense over the three matrices and absent for
-    b; W_v's and W_e's gradients are (lambda / m) theta with the batch's
-    terms then added onto their rows. Every id is range-checked before the
+    (lambda / m) theta term covers the three matrices and not b; W_e's
+    gradient is (lambda / m) theta with the batch's terms then
+    added onto its rows, and of W_v's only the rows of the batch's words
+    are returned (see Gradients). Every id is range-checked before the
     forward pass. The scatters are CSC products (_scatter_add) into W_e's
     regularizer term and into a zeroed S; each element receives its addends
     in index order, as from np.add.at, so reruns are bit-identical.
@@ -247,22 +282,27 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     The GEMMs cost u e_V e_E, against m e_V e_E for projecting the m mean
     embeddings; the two agree to rounding.
 
-    The gradients go into out (allocated when None), a ModelParams like
+    The gradients go into out (allocated when None), Gradients like
     params, all C-contiguous (a ValueError otherwise); train passes the same
-    out on every step. Nothing else is |V|-sized: each squared norm is summed
-    in its gradient buffer before the gradient is written there.
-    The activations are views of one block of max(m e_E, u e_V) + u e_E
-    values: T, F, T again and S W in the first part, P and then S in the
-    rest. F stays whole for the W_e scatters. G is built, finished, scattered
-    onto S and summed into the b gradient _ERROR_ROWS instances at a time
-    in one buffer (each block's negatives' rows of W_e a chunk at a time in
-    another), the running b sum added onto a block's first row, so S and b
-    get their addends in whole-batch order. Float32 params at m = 4096,
-    e_V = 300, e_E = 256, 1024 entities, 2 vCPUs, OpenBLAS on one thread: at
-    |V| = 2000 (u = 1999) a step plus Adam peaks 7.3 MiB traced above its
-    inputs, a step taking 24-36 ms; at |V| = 65536, 13.8 MiB with Zipf(1) ids
-    (u = 5873; 83-100 ms) and 32.0 MiB with uniform ones (u = 14441;
-    126-166 ms; medians of 9-15 steps, six processes each).
+    out on every step. W_v's are its rows ids, S W + (lambda / m) theta[ids],
+    added _WORD_BLOCK words at a time, so nothing is |V|-sized: each squared
+    norm of the weight-decay term is summed by _sq_sum in a _CHUNK_BYTES
+    buffer, with np.sum's bits. The activations are views of one block of
+    max(m e_E, u e_V) + u e_E values: T, F, T again and S W in the first
+    part, P and then S in the rest. The rows stay in it after the step, so
+    the next step reuses out's block when it is large enough and otherwise
+    lets it go before making its own. F stays whole for the W_e scatters. G
+    is built, finished, scattered onto S and summed into the b gradient
+    _ERROR_ROWS instances at a time in one buffer (each block's negatives'
+    rows of W_e a chunk at a time in another), the running b sum added onto
+    a block's first row, so S and b get their addends in whole-batch order.
+    Float32 params at m = 4096, e_V = 300, e_E = 256, 1024 entities, 2 vCPUs,
+    OpenBLAS on one thread: at |V| = 2000 (u = 1999) a step plus Adam
+    reusing the block peaks 1.3 MiB traced above its inputs (7.3 with a new
+    block), a step taking 26-42 ms; at |V| = 65536 a step takes 59-92 ms
+    with Zipf(1) ids (u = 5936) and 96-152 ms with uniform ones
+    (u = 14563), and one that makes its block peaks 13.9 and 32.3 MiB
+    (medians of 9-15 steps in four processes; BENCH_52.json).
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
@@ -274,14 +314,19 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     inv = inv.reshape(ngrams.shape)                # (M, n) rows of T
     u = len(ids)
     if out is None:
-        out = ModelParams(*map(np.empty_like, params))
-    sq_norms = 0.0                                 # in the gradient buffers
-    for theta, grad in ((params.word_rows, out.word_rows), (params.W_e, out.W_e),
-                        (params.W, out.W)):
-        theta, grad = _flat_views((theta, grad))
-        sq_norms += float(np.sum(np.multiply(theta, theta, out=grad)))
+        out = Gradients(np.empty((0, e_v), dtype=params.dtype),
+                        *map(np.empty_like, (params.W, params.b, params.W_e)))
+    squares = np.empty(_CHUNK_BYTES // params.dtype.itemsize, dtype=params.dtype)
+    sq_norms = sum(float(_sq_sum(theta, squares)) for theta in _flat_views(
+        (params.word_rows, params.W_e, params.W)))
+    del squares                                    # before the block is made
     wide = max(m * e_e, u * e_v)                   # T, F, then T and S W
-    block = np.empty(wide + u * e_e, dtype=params.dtype)
+    # the rows of the step before lie in its block: reuse it when it is
+    # large enough, else let it go before the next one is made
+    block, out.word_rows = out.word_rows.base, None
+    if block is None or len(block) < wide + u * e_e:
+        del block
+        block = np.empty(wide + u * e_e, dtype=params.dtype)
 
     def activation(start, rows, e):
         return block[start:start + rows * e].reshape(rows, e)
@@ -329,12 +374,13 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     for lo in range(_WORD_BLOCK, u, _WORD_BLOCK):
         out.W += S[lo:lo + _WORD_BLOCK].T @ T[lo:lo + _WORD_BLOCK]
     out.W += reg * params.W
-    np.multiply(reg, params.word_rows, out=out.word_rows)
     SW = np.matmul(S, params.W, out=T)             # over T
+    rows = np.empty((min(u, _WORD_BLOCK), e_v), dtype=SW.dtype)
     for lo in range(0, u, _WORD_BLOCK):
-        SW[lo:lo + _WORD_BLOCK] += out.word_rows[ids[lo:lo + _WORD_BLOCK]]
-    out.word_rows[ids] = SW
-
+        decay = np.take(params.word_rows, ids[lo:lo + _WORD_BLOCK], axis=0,
+                        out=rows[:len(SW[lo:lo + _WORD_BLOCK])], mode="clip")
+        SW[lo:lo + _WORD_BLOCK] += np.multiply(reg, decay, out=decay)
+    out.word_rows, out.ids, out.decay = SW, ids, reg
     return loss, out
 
 
@@ -345,7 +391,7 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
     difference as an infinite error. Each coordinate of a C-ordered copy of
     params is perturbed in turn, so params may be in any layout."""
     params = params.copy()
-    grads = batch_loss_and_gradients(params, batch, weight_decay)[1]
+    grads = batch_loss_and_gradients(params, batch, weight_decay)[1].dense(params)
     worst = 0.0
     for theta, grad in zip(params, grads):
         flat, analytic = _flat_views((theta, grad))
@@ -369,8 +415,9 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
 class AdamState:
     """Adam accumulators at Kingma & Ba's constants; the moments m and v are
     ModelParams that start at zero, and t increments per update. buffers
-    are the update's two block buffers of _ADAM_BLOCK_BYTES each, made once
-    here so that no update allocates."""
+    are the update's three block buffers of _ADAM_BLOCK_BYTES each, or of
+    one row of W_v if that is longer, made once here so that no update
+    allocates."""
 
     alpha = 0.001
     beta1 = 0.9
@@ -381,36 +428,56 @@ class AdamState:
         self.t = 0
         self.m = ModelParams(*map(np.zeros_like, params))
         self.v = ModelParams(*map(np.zeros_like, params))
-        self.buffers = np.empty((2, max(1, _ADAM_BLOCK_BYTES // params.dtype.itemsize)),
-                                dtype=params.dtype)
+        self.buffers = np.empty((3, max(_ADAM_BLOCK_BYTES // params.dtype.itemsize,
+                                        params.word_rows.shape[1])), dtype=params.dtype)
+
+
+def _adam_blocks(params, grads, state):
+    """(theta, g, m, v): flat blocks of each parameter, its gradient and its
+    two moments, in the order word_rows, W, b, W_e, each at most as long as
+    a block buffer. word_rows goes in blocks of whole rows, whose gradient g
+    is formed in the third buffer as decay * theta with the batch's rows of
+    grads stored over it; the other gradients are grads' own arrays."""
+    buf = state.buffers[2]
+    rows = len(buf) // params.word_rows.shape[1]
+    ids, start = grads.ids, 0
+    for lo in range(0, len(params.word_rows), rows):
+        theta, m, v = (a[lo:lo + rows] for a in (params.word_rows, state.m.word_rows,
+                                                 state.v.word_rows))
+        end = int(np.searchsorted(ids, lo + len(theta)))
+        g = np.multiply(grads.decay, theta, out=buf[:theta.size].reshape(theta.shape))
+        g[ids[start:end] - lo] = grads.word_rows[start:end]
+        start = end
+        yield _flat_views((theta, g, m, v))
+    for arrays in zip(*((a.W, a.b, a.W_e) for a in (params, grads, state.m, state.v))):
+        flat = _flat_views(arrays)
+        for lo in range(0, flat[0].size, len(buf)):
+            yield [a[lo:lo + len(buf)] for a in flat]
 
 
 def adam_step(params, grads, state):
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update of params, in place, from the
+    Gradients that batch_loss_and_gradients returned at these params.
 
-    The update runs over flat blocks of each parameter, its gradient and its
-    two moments, as long as state's block buffers, and writes its
-    temporaries into those buffers, so it allocates nothing; the
-    expressions are elementwise and keep their operations and order, so the
-    bytes are those of whole-array updates. Every array must be
-    C-contiguous (a ValueError otherwise)."""
+    The update runs over _adam_blocks, so W_v's gradient is formed one
+    block of rows at a time from the parameters not yet updated, and writes
+    its temporaries into state's block buffers, so it allocates nothing
+    |V|-sized; the expressions are elementwise and keep their operations
+    and order, so the bytes are those of whole-array updates with the dense
+    gradient. Every array must be C-contiguous (a ValueError otherwise)."""
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
-    step = state.buffers.shape[1]
-    for arrays in zip(params, grads, state.m, state.v):
-        flat = _flat_views(arrays)
-        for lo in range(0, flat[0].size, step):
-            theta, g, m, v = (a[lo:lo + step] for a in flat)
-            tmp, den = state.buffers[:, :len(theta)]
-            m *= state.beta1
-            m += np.multiply(1.0 - state.beta1, g, out=tmp)
-            v *= state.beta2
-            v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=tmp), out=tmp)
-            np.multiply(state.alpha, np.divide(m, b1c, out=tmp), out=tmp)
-            np.sqrt(np.divide(v, b2c, out=den), out=den)
-            den += state.eps
-            theta -= np.divide(tmp, den, out=tmp)
+    for theta, g, m, v in _adam_blocks(params, grads, state):
+        tmp, den = state.buffers[:2, :len(theta)]
+        m *= state.beta1
+        m += np.multiply(1.0 - state.beta1, g, out=tmp)
+        v *= state.beta2
+        v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=tmp), out=tmp)
+        np.multiply(state.alpha, np.divide(m, b1c, out=tmp), out=tmp)
+        np.sqrt(np.divide(v, b2c, out=den), out=den)
+        den += state.eps
+        theta -= np.divide(tmp, den, out=tmp)
 
 
 @dataclass

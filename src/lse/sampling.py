@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SizeError
 
 
 @dataclass(frozen=True)
@@ -16,6 +16,10 @@ class SamplerConfig:
     z: int
     m: int
 
+    def __post_init__(self):
+        # a batch's (m, z) negatives and (m, n) n-grams
+        SizeError.check(self, ("m", "z"), ("m", "n"))
+
 
 class InstanceBlock:
     """One batch of instances: int32 ngrams (M, n), positives (M,), negatives (M, z)."""
@@ -24,9 +28,6 @@ class InstanceBlock:
         self.ngrams = np.asarray(ngrams, dtype=np.int32)
         self.positives = np.asarray(positives, dtype=np.int32)
         self.negatives = np.asarray(negatives, dtype=np.int32)
-
-    def __len__(self):
-        return len(self.positives)
 
 
 @dataclass(frozen=True, eq=False)

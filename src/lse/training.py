@@ -13,7 +13,7 @@ from .files import write_csv
 from .model import (PARAM_FIELDS, AdamState, Dims, adam_step,
                     batch_loss_and_gradients, init_params)
 from .retrieval import rank_entities
-from .sampling import SamplerConfig, sample_epoch
+from .sampling import SamplerConfig, ngrams_per_entity_per_epoch, sample_epoch
 
 
 @dataclass
@@ -47,19 +47,26 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
     mean validation NDCG over the non-empty queries wins (ties go to the
     earlier epoch), each topic ranked alone by rank_entities in the training
     dtype, the one `rank` scores the saved model in; otherwise the final
-    epoch's parameters are returned. vocab gives the vocabulary size.
+    epoch's parameters are returned. The best epoch is kept in one copy of
+    the parameters, made at the first improving epoch that is not the last
+    and overwritten at each later one; when the last epoch wins, the
+    parameters themselves are returned. vocab gives the vocabulary size.
     mean_batch_loss is the unweighted mean of per-batch losses. A
     non-finite batch loss or gradient stops training with an LSEError
-    naming the epoch and the batch. skipped_entities are the entities that
-    sample_epoch leaves out, the same in every epoch."""
+    naming the epoch and the batch; a DataError names the fields of an
+    array that NumPy cannot allocate before anything is drawn.
+    skipped_entities are the entities that sample_epoch leaves out, the
+    same in every epoch."""
     dims = Dims(config.e_v, config.e_e, vocab.size, corpus.num_entities)
+    # no batch exceeds an epoch, so a larger m makes the same batches
+    instances = ngrams_per_entity_per_epoch(corpus, config.n) * corpus.num_entities
+    sampler = SamplerConfig(n=config.n, z=config.z, m=min(config.m, instances))
     init_rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed,
                                                             spawn_key=(0,)))
     params = init_params(dims, init_rng, dtype=config.precision)
     # C-contiguous for the step and Adam; init_params' word_rows is a view
     params.word_rows = np.ascontiguousarray(params.word_rows)
     state = AdamState(params)
-    sampler = SamplerConfig(n=config.n, z=config.z, m=config.m)
 
     val_queries = []
     if validation_queries and validation_qrels is not None:
@@ -77,7 +84,9 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
             loss, grads = batch_loss_and_gradients(params, batch,
                                                    config.weight_decay, grads)
             # A sum is finite only if every element is (or it overflowed,
-            # which is divergence too), so one reduction per array suffices.
+            # which is divergence too), so one reduction per array suffices;
+            # of W_v's gradient the batch's rows: lambda/m theta is finite
+            # while theta is.
             bad = [] if math.isfinite(loss) else ["loss"]
             bad += [f"{name} gradient" for name, grad in zip(PARAM_FIELDS, grads)
                     if not np.isfinite(grad.sum())]
@@ -98,9 +107,14 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
             report = evaluate_run(runs, validation_qrels, config.validation_cutoff, ks=())
             vndcg = report.means[f"ndcg@{config.validation_cutoff}"]
         if vndcg is not None and (best_ndcg is None or vndcg > best_ndcg):
-            best_ndcg = vndcg
-            best_params = params.copy()
-            best_epoch = epoch
+            best_ndcg, best_epoch = vndcg, epoch
+            if epoch == config.epochs:             # nothing left to change it
+                best_params = params
+            elif best_params is None:
+                best_params = params.copy()
+            else:                                  # into the one copy
+                for kept, theta in zip(best_params, params):
+                    np.copyto(kept, theta)
 
         entry = EpochLog(epoch, mean_loss, vndcg, time.perf_counter() - t0)
         logs.append(entry)

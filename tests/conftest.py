@@ -42,7 +42,7 @@ def sigmoid_product_loss(params, block, weight_decay):
     """The training objective evaluated the obvious way: minus the mean log
     of each instance's sigmoid_product_prob, plus weight_decay / (2 m) times
     the squared norms of the word embeddings, W and W_e."""
-    m = len(block)
+    m = len(block.positives)
     total = sum(math.log(sigmoid_product_prob(params, *instance))
                 for instance in zip(block.ngrams, block.positives, block.negatives))
     reg = (float((params.word_rows ** 2).sum()) + float((params.W ** 2).sum())

@@ -16,10 +16,10 @@ from hypothesis.extra.numpy import arrays
 import lse.model
 from conftest import (cast_params, sigma, sigmoid_product_loss, sigmoid_product_prob,
                       traced_peak)
-from lse.errors import DataError, LSEError
-from lse.model import (PARAM_FIELDS, AdamState, Dims,
+from lse.errors import DataError, LSEError, SizeError
+from lse.model import (PARAM_FIELDS, AdamState, Dims, Gradients,
                        ModelParams, TrainConfig, _gather_sum, _scatter_add,
-                       _sigmoid, adam_step, batch_loss,
+                       _sigmoid, _sq_sum, adam_step, batch_loss,
                        batch_loss_and_gradients, init_params, load_model,
                        max_relative_fd_error, project, save_model)
 from lse.sampling import InstanceBlock
@@ -153,6 +153,35 @@ def test_init_deterministic_and_order_committed():
 def test_dims_validation():
     with pytest.raises(DataError):
         Dims(0, 1, 1, 1)
+    # NumPy sizes no array past intp-max bytes: each array init_params draws
+    # is checked where the dims are made, naming the fields that size it
+    for dims, fields in (((10 ** 30, 256, 2000, 1024), "e_v and vocab_size"),
+                         ((300, 10 ** 30, 2000, 1024), "num_entities and e_e"),
+                         ((2 ** 40, 2 ** 40, 1, 1), "e_e and e_v")):
+        with pytest.raises(SizeError, match=f"^{fields}: an array of .* values is more "
+                                            "than NumPy can allocate$") as caught:
+            init_params(Dims(*dims), 0)
+        assert isinstance(caught.value, DataError)
+    assert Dims(2 ** 29, 1, 2 ** 30, 1).e_v == 2 ** 29   # 2**59 values are not refused
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((np.float32, np.float64)), st.integers(1, 3000),
+       st.sampled_from((128, 136, 1000)), st.integers(0, 2 ** 32 - 1))
+def test_blocked_squared_norm_has_the_bits_of_np_sum(dtype, size, leaf, seed):
+    # the squares go into a buffer of leaf values, far smaller than the
+    # array, and still add up as NumPy's pairwise sum of the whole array does
+    x = np.random.default_rng(seed).standard_normal(size).astype(dtype)
+    got, want = _sq_sum(x, np.empty(leaf, dtype=dtype)), np.sum(x * x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_squared_norm_of_a_cap_sized_table_has_the_bits_of_np_sum(dtype):
+    # 65536 x 300 values, as W_v at the vocabulary cap, in the step's buffer
+    x = np.random.default_rng(3).standard_normal(65536 * 300).astype(dtype)
+    buf = np.empty(lse.model._CHUNK_BYTES // x.itemsize, dtype=dtype)
+    assert _sq_sum(x, buf).tobytes() == np.sum(x * x).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -297,12 +326,12 @@ def test_batch_loss_nonnegative_and_decomposes_regularizer():
     norms = (np.sum(params.W_v ** 2) + np.sum(params.W_e ** 2)
              + np.sum(params.W ** 2))
     assert base >= 0.0
-    assert reg - base == pytest.approx(0.5 * 0.02 / len(block) * norms, abs=1e-12)
+    assert reg - base == pytest.approx(0.5 * 0.02 / len(block.positives) * norms, abs=1e-12)
 
 
 def test_batch_loss_rejects_empty_batch():
     params, block = random_setup(0, m=0)
-    assert len(block) == 0
+    assert len(block.positives) == 0
     with pytest.raises(ValueError):
         batch_loss(params, block, 0.0)
 
@@ -337,9 +366,11 @@ def test_gradient_of_untouched_embedding_is_pure_decay():
     assert untouched
     lam = 0.01
     grads = batch_loss_and_gradients(params, block, lam)[1]
-    decay = lam * (1.0 / len(block))  # scalar shape matters for bit equality
+    assert not set(untouched) & set(grads.ids.tolist())
+    dense = grads.dense(params)
+    decay = lam * (1.0 / len(block.positives))  # scalar shape matters for bit equality
     for t in untouched:
-        assert np.array_equal(grads.word_rows[t], decay * params.word_rows[t])
+        assert np.array_equal(dense.word_rows[t], decay * params.word_rows[t])
 
 
 def test_bias_gradient_ignores_weight_decay():
@@ -363,7 +394,7 @@ def test_loss_and_gradients_share_forward():
 def loop_batch_gradients(params, block, weight_decay):
     """Per-instance, per-token Python loop over the analytic gradient of the
     batch loss: the reference for the vectorised scatter-adds."""
-    m = len(block)
+    m = len(block.positives)
     reg = weight_decay / m
     g = {name: reg * getattr(params, name) for name in FIELDS}
     g["b"] = np.zeros_like(params.b)
@@ -413,7 +444,7 @@ def colliding_batches(draw):
 @given(colliding_batches())
 def test_batch_gradients_match_per_instance_loop(case):
     params, block, weight_decay = case
-    grads = batch_loss_and_gradients(params, block, weight_decay)[1]
+    grads = batch_loss_and_gradients(params, block, weight_decay)[1].dense(params)
     want = loop_batch_gradients(params, block, weight_decay)
     for name in FIELDS:
         assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
@@ -426,6 +457,7 @@ def test_batch_spanning_chunks_matches_per_instance_loop():
     params, block = random_setup(23, m=m, n=3, z=4)
     with chunked(CHUNK, 4, params.dims.e_e):
         loss, grads = batch_loss_and_gradients(params, block, 0.01)
+    grads = grads.dense(params)
     want = loop_batch_gradients(params, block, 0.01)
     for name in FIELDS:
         assert np.allclose(getattr(grads, name), want[name], atol=1e-12, rtol=0), name
@@ -440,7 +472,7 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     one row-wise np.add.at per scatter: the bit-for-bit reference for the
     chunked gathers and the sparse-product scatters."""
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
-    m = len(batch)
+    m = len(positives)
     n = ngrams.shape[1]
     ids, inv = np.unique(ngrams, return_inverse=True)
     inv = inv.reshape(ngrams.shape)
@@ -480,16 +512,19 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
     # 229 instances with ids drawn from seven words (fewer distinct words
     # than instances: every word is hit many times) or from 5000 (more) and
     # from four entities, so every entity row is hit many times within and
-    # across chunks. The error G is built in one block, or in blocks of 100
-    # instances, the last one partial, each gathering its negatives in a
-    # chunk of 64 and a partial one, so no block edge is a chunk edge of
-    # the whole batch. At weight decay 0 the gradient of an untouched word
-    # row is 0 * theta, so the sign of each zero is pinned too.
-    for vocab, weight_decay, error_rows in itertools.product((7, 5000), (0.01, 0.0),
-                                                             (100, 512)):
+    # across chunks; and a partial batch of 5, shorter than a chunk. The
+    # error G is built in one block, or in blocks of 100 instances, the last
+    # one partial, each gathering its negatives in a chunk of 64 and a
+    # partial one, so no block edge is a chunk edge of the whole batch. The
+    # step's W_v gradient is the batch's rows: they and their densified
+    # table equal the oracle's, and at weight decay 0 the gradient of an
+    # untouched word row is 0 * theta, so the sign of each zero is pinned.
+    for vocab, m, weight_decay, error_rows in itertools.product(
+            (7, 5000), (3 * CHUNK + 37, 5), (0.01, 0.0), (100, 512)):
         dims = Dims(e_v=6, e_e=5, vocab_size=vocab, num_entities=4)
-        params, block = random_setup(29, dims=dims, m=3 * CHUNK + 37, n=3, z=4)
-        assert (len(np.unique(block.ngrams)) < len(block)) == (vocab == 7)
+        params, block = random_setup(29, dims=dims, m=m, n=3, z=4)
+        if m > CHUNK:
+            assert (len(np.unique(block.ngrams)) < m) == (vocab == 7)
         params = cast_params(params, dtype)
         # the W gradient in blocks of three words, the last one partial
         with chunked(CHUNK, 4, dims.e_e, dtype), \
@@ -499,8 +534,14 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
             want_loss, want = unchunked_batch_loss_and_gradients(params, block,
                                                                  weight_decay)
         assert loss == want_loss
+        assert np.array_equal(grads.ids, np.unique(block.ngrams))
+        assert grads.decay == weight_decay * (1.0 / m)
+        rows = want.word_rows[grads.ids]
+        assert grads.word_rows.dtype == rows.dtype
+        assert grads.word_rows.tobytes() == rows.tobytes()
+        dense = grads.dense(params)
         for name in FIELDS:
-            got, ref = getattr(grads, name), getattr(want, name)
+            got, ref = getattr(dense, name), getattr(want, name)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
@@ -612,8 +653,8 @@ def test_bad_negative_id_fails_before_the_forward_pass(bad):
 def test_adam_first_step_magnitude_near_alpha():
     params = zero_params(e_v=2, e_e=2, vocab=2, entities=2)
     state = AdamState(params)
-    grads = ModelParams(np.full((2, 2), 2.0), np.full((2, 2), -3.0),
-                        np.full(2, 1.0), np.full((2, 2), 0.5))
+    grads = Gradients(np.full((2, 2), 2.0), np.full((2, 2), -3.0),
+                      np.full(2, 1.0), np.full((2, 2), 0.5), ids=np.arange(2))
     adam_step(params, grads, state)
     assert state.t == 1
     for name in PARAM_FIELDS:
@@ -632,9 +673,10 @@ def test_adam_two_steps_match_reference_formulas():
     v = {n: np.zeros_like(ref[n]) for n in FIELDS}
     for t in (1, 2):
         grads = batch_loss_and_gradients(ModelParams(**ref), block, 0.01)[1]
+        dense = grads.dense(ModelParams(**ref))
         adam_step(params, grads, state)
         for n in FIELDS:
-            g = getattr(grads, n)
+            g = getattr(dense, n)
             m[n] = 0.9 * m[n] + 0.1 * g
             v[n] = 0.999 * v[n] + 0.001 * g * g
             mhat = m[n] / (1 - 0.9 ** t)
@@ -666,24 +708,35 @@ def whole_array_adam_step(params, grads, state):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_blocked_adam_is_bit_identical_to_whole_array(dtype):
-    # Blocks of two values: each of the 21, 15, 5 and 15 values of W_v, W,
-    # b and W_e spans several blocks and ends in a partial one.
-    params = init_params(Dims(e_v=3, e_e=5, vocab_size=7, num_entities=3), 41,
-                         dtype=dtype).copy()
-    with mock.patch.object(lse.model, "_ADAM_BLOCK_BYTES", 2 * np.dtype(dtype).itemsize):
-        want, state, want_state = params.copy(), AdamState(params), AdamState(params)
-    assert state.buffers.shape == (2, 2)
-    rng = np.random.default_rng(43)
-    for _ in range(3):
-        grads = ModelParams(*(rng.standard_normal(a.shape).astype(dtype) for a in params))
-        adam_step(params, grads, state)
-        whole_array_adam_step(want, grads, want_state)
-        assert state.t == want_state.t
-        for name in PARAM_FIELDS:
-            for got, ref in ((getattr(params, name), getattr(want, name)),
-                             (getattr(state.m, name), getattr(want_state.m, name)),
-                             (getattr(state.v, name), getattr(want_state.v, name))):
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+    # Block buffers of two values hold one row of W_v (e_V = 3), seven
+    # values two rows; each of the 21, 15, 5 and 15 values of W_v, W, b and
+    # W_e spans several blocks and ends in a partial one. W_v's gradient is
+    # the rows of all its ids, of one, of none in some blocks and of a
+    # random set, the rest decay * theta: the update with it formed a block
+    # at a time equals the update with its dense table.
+    dims = Dims(e_v=3, e_e=5, vocab_size=7, num_entities=3)
+    for values, rows in ((2, 1), (7, 2)):
+        params = init_params(dims, 41, dtype=dtype).copy()
+        with mock.patch.object(lse.model, "_ADAM_BLOCK_BYTES",
+                               values * np.dtype(dtype).itemsize):
+            want, state, want_state = params.copy(), AdamState(params), AdamState(params)
+        assert state.buffers.shape == (3, max(values, dims.e_v))
+        assert len(state.buffers[2]) // dims.e_v == rows
+        rng = np.random.default_rng(43)
+        for ids in (np.arange(7), np.array([4]), np.array([0, 1, 6]),
+                    np.flatnonzero(rng.random(7) < 0.5)):
+            _, W, b, W_e = (rng.standard_normal(a.shape).astype(dtype) for a in params)
+            grads = Gradients(rng.standard_normal((len(ids), 3)).astype(dtype), W, b, W_e,
+                              ids=ids.astype(np.int32), decay=float(rng.uniform(0.5, 2)))
+            dense = grads.dense(want)
+            adam_step(params, grads, state)
+            whole_array_adam_step(want, dense, want_state)
+            assert state.t == want_state.t
+            for name in PARAM_FIELDS:
+                for got, ref in ((getattr(params, name), getattr(want, name)),
+                                 (getattr(state.m, name), getattr(want_state.m, name)),
+                                 (getattr(state.v, name), getattr(want_state.v, name))):
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
 
 def test_step_and_adam_reject_a_word_table_that_is_not_c_contiguous():
@@ -694,13 +747,14 @@ def test_step_and_adam_reject_a_word_table_that_is_not_c_contiguous():
     assert not view.word_rows.flags.c_contiguous
     with pytest.raises(ValueError):
         batch_loss_and_gradients(view, block, 0.01)
+    grads = batch_loss_and_gradients(view.copy(), block, 0.01)[1]
     with pytest.raises(ValueError):
-        adam_step(view, view.copy(), AdamState(view))
+        adam_step(view, grads, AdamState(view))
     # and so would a strided one
     params = zero_params(vocab=12)
     params.word_rows = params.word_rows[::2]
     with pytest.raises(ValueError):
-        adam_step(params, zero_params(), AdamState(params))
+        adam_step(params, grads, AdamState(params))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -711,9 +765,10 @@ def test_step_fills_the_gradients_it_is_given(dtype):
     with chunked(CHUNK, 4, params.dims.e_e, dtype):
         grads = batch_loss_and_gradients(params, first, 0.01)[1]
         before = {name: getattr(grads, name).copy() for name in PARAM_FIELDS}
+        held = grads.word_rows.base                # the first step's block
         loss, got = batch_loss_and_gradients(params, block, 0.01, grads)
         want_loss, want = batch_loss_and_gradients(params, block, 0.01)
-    assert got is grads
+    assert got is grads and got.word_rows.base is held
     assert loss == want_loss
     assert not all(np.array_equal(before[name], getattr(got, name))
                    for name in PARAM_FIELDS)
@@ -743,43 +798,70 @@ def step_and_adam(params, block, state, grads):
 
 
 def test_training_step_memory_is_bounded():
-    """One float32 step plus Adam at the benchmark's train shape, on
-    params as train holds them and given the gradient buffers of
-    the step before, stays within 7.5 MiB of traced memory above its
-    inputs (7.28 measured: with the batch's 2000 distinct words the
-    activation block of max(m e_E, u e_V) + u e_E values is 5.95 MiB, plus
-    a 0.5 MiB block of the error G, a 0.25 MiB buffer of the negatives'
-    rows and the batch's coefficients; 9.68 with F and G alive at once in a
-    block of two rows of max(m e_E, u e_V) values, 8 MiB, and a 1 MiB
-    buffer of the negatives' rows; 10.92 when the step projected the m mean
-    embeddings, in a block of two rows of m e_V values, 9.4 MiB; 10.35 with
-    the activations in separate arrays, which faulted in about 2800 fresh
-    pages a step; 15.17 with all three activations H, F and G alive at once and a
-    copy of the batch's rows of W_v, 16.15 with the activations alive while
-    the |V|-sized temporaries were allocated, 20.2 with a whole-batch Vneg,
-    36 when each step allocated its gradients and Adam worked on whole
-    arrays)."""
-    warm = warm_float32_step(Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024),
-                             m=4096)
-    assert len(np.unique(warm[1].ngrams)) < 4096
-    _, peak = traced_peak(lambda: step_and_adam(*warm))
+    """Float32 steps plus Adam at the benchmark's train shape, on params as
+    train holds them and each given the gradients of the step before. The
+    W_v rows lie in their step's activation block of max(m e_E, u e_V) +
+    u e_E values, and the next step reuses that block when it is large
+    enough: a step then peaks 1.32 MiB of traced memory above its inputs
+    (the 0.5 MiB block of the error G, the 0.25 MiB buffers of the
+    negatives' rows and of the squared norms, and the batch's
+    coefficients). A batch of 2048 and then one of 4096 instances each need
+    a larger block, 4.16 and then 5.95 MiB: the step lets the smaller one
+    go before it makes the next, so the two peak under 7.5 MiB (7.28
+    measured), where the two blocks alive at once would take them past 11.
+    Earlier steps at a full batch: 7.28 when each step made its block and
+    the W_v gradient was a |V|-sized buffer; 9.68 with F and G alive at
+    once in a block of two rows of max(m e_E, u e_V) values, 8 MiB, and a
+    1 MiB buffer of the negatives' rows; 10.92 when the step projected the
+    m mean embeddings, in a block of two rows of m e_V values, 9.4 MiB;
+    10.35 with the activations in separate arrays, which faulted in about
+    2800 fresh pages a step; 15.17 with all three activations H, F and G
+    alive at once and a copy of the batch's rows of W_v, 16.15 with the
+    activations alive while the |V|-sized temporaries were allocated, 20.2
+    with a whole-batch Vneg, 36 when each step allocated its gradients and
+    Adam worked on whole arrays."""
+    params, block, state = warm_float32_step(
+        Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024), m=4096)[:3]
+    assert len(np.unique(block.ngrams)) < 4096
+
+    def first(m):
+        return InstanceBlock(block.ngrams[:m], block.positives[:m], block.negatives[:m])
+
+    grads = batch_loss_and_gradients(params, first(1024), 0.01)[1]
+    adam_step(params, grads, state)
+    _, peak = traced_peak(lambda: [step_and_adam(params, first(m), state, grads)
+                                   for m in (2048, 4096)])
     assert peak < 7.5 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+    _, peak = traced_peak(lambda: step_and_adam(params, block, state, grads))
+    assert peak < 1.5 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_step_at_the_vocabulary_cap_allocates_nothing_vocabulary_sized():
     """At |V| = 65536, the cap of build-vocab, a float32 step plus Adam
-    stays within a quarter of W_v's 4 MiB of traced memory above its inputs
-    (0.5 MiB measured, mostly the negatives' rows); the squared norms' and
-    the token rows' |V|-sized temporaries took it to 4.1 MiB."""
+    given no gradient buffers, with the gradient set it makes counted,
+    stays within 0.75 MiB of traced memory above its inputs, under a
+    fifth of W_v's 4 MiB (0.67 measured: the activation block of the
+    batch's 2018 distinct words, which holds the W_v gradient's rows, the
+    buffer of the squared norms and the negatives' rows); the dense W_v
+    gradient took it to 4.67, and the squared norms' and token rows'
+    |V|-sized temporaries once more."""
     dims = Dims(e_v=16, e_e=16, vocab_size=65536, num_entities=64)
-    warm = warm_float32_step(dims, m=512)
-    _, peak = traced_peak(lambda: step_and_adam(*warm))
-    assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+    params, block, state = warm_float32_step(dims, m=512)[:3]
+
+    def step_and_adam_from_nothing():
+        grads = batch_loss_and_gradients(params, block, 0.01)[1]
+        adam_step(params, grads, state)
+        return grads
+
+    grads, peak = traced_peak(step_and_adam_from_nothing)
+    assert grads.word_rows.shape == (len(np.unique(block.ngrams)), dims.e_v)
+    assert peak < 0.75 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_adam_step_allocates_nothing():
-    """adam_step writes its temporaries into the state's two 64 KiB block
-    buffers; two fresh 1 MiB buffers per call took it to 2 MiB."""
+    """adam_step writes its temporaries and each block of W_v's gradient
+    into the state's three 64 KiB block buffers; two fresh 1 MiB buffers
+    per call took it to 2 MiB."""
     params, _, state, grads = warm_float32_step(
         Dims(e_v=16, e_e=16, vocab_size=65536, num_entities=64), m=8)
     _, peak = traced_peak(lambda: adam_step(params, grads, state))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lse.errors import DataError
+from lse.errors import DataError, SizeError
 from lse.sampling import (InstanceBlock, SamplerConfig, ngrams_per_entity_per_epoch,
                           sample_epoch)
 from lse.text import Corpus
@@ -110,7 +110,7 @@ def test_sample_epoch_gives_each_entity_its_budget():
     budget = ngrams_per_entity_per_epoch(corpus, 4)
     counts = np.bincount(block.positives, minlength=4)
     assert counts.tolist() == [budget] * 4
-    assert len(block) == budget * 4
+    assert len(block.positives) == budget * 4
 
 
 def test_sample_epoch_ngrams_are_contiguous_entity_text():
@@ -186,9 +186,10 @@ def test_sample_epoch_equals_the_per_document_oracle(data):
         return
     epoch = sample_epoch(corpus, config, np.random.default_rng(seed))
     batches = list(epoch)
-    count = len(expected)
+    count = len(expected.positives)
     assert len(epoch) == count
-    assert [len(b) for b in batches] == [m] * (count // m) + [count % m] * (count % m > 0)
+    assert ([len(b.positives) for b in batches]
+            == [m] * (count // m) + [count % m] * (count % m > 0))
     got = concatenated(batches)
     for name in ("ngrams", "positives", "negatives"):
         a, b = getattr(got, name), getattr(expected, name)
@@ -202,10 +203,11 @@ def test_make_batches_sizes_and_final_partial():
     epoch = sample_epoch(corpus, SamplerConfig(n=1, z=2, m=3), np.random.default_rng(0))
     batches = list(epoch)
     assert len(epoch) == 7
-    assert [len(b) for b in batches] == [3, 3, 1]
+    assert [len(b.positives) for b in batches] == [3, 3, 1]
     for b in batches:
         assert isinstance(b, InstanceBlock)
-        assert b.ngrams.shape == (len(b), 1) and b.negatives.shape == (len(b), 2)
+        m = len(b.positives)
+        assert b.ngrams.shape == (m, 1) and b.negatives.shape == (m, 2)
 
 
 @pytest.mark.parametrize("size", [1, 3, 100001, 1_000_000])
@@ -249,7 +251,7 @@ def test_epoch_iterates_to_the_same_batches_twice():
     for a, b in zip(first, second, strict=True):
         for name in ("ngrams", "positives", "negatives"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert a.negatives.dtype == np.int32 and a.negatives.shape == (len(a), 4)
+        assert a.negatives.dtype == np.int32 and a.negatives.shape == (len(a.positives), 4)
         assert 0 <= a.negatives.min() and a.negatives.max() < corpus.num_entities
 
 
@@ -285,8 +287,16 @@ def test_epoch_memory_per_instance_is_bounded():
     assert 900_000 < corpus.total_tokens < 1_100_000
     def walk():
         epoch = sample_epoch(corpus, SamplerConfig(n=4, z=10, m=4096), np.random.default_rng(1))
-        return epoch, sum(len(batch) for batch in epoch)
+        return epoch, sum(len(batch.positives) for batch in epoch)
 
     (epoch, walked), peak = traced_peak(walk)
     assert walked == len(epoch) > 800_000
     assert peak / len(epoch) < 12, f"{peak / len(epoch):.1f} B per instance"
+
+
+@pytest.mark.parametrize("sizes, fields", [(dict(n=4, z=10 ** 30, m=8), "m and z"),
+                                           (dict(n=10 ** 30, z=10, m=8), "m and n")])
+def test_sampler_config_rejects_batches_numpy_cannot_allocate(sizes, fields):
+    with pytest.raises(SizeError, match=f"^{fields}: an array of "):
+        SamplerConfig(**sizes)
+    SamplerConfig(n=4, z=10 ** 16, m=8)                # 8e16 values are not refused

@@ -1,15 +1,16 @@
 """Training loop behavior: determinism, epoch selection, and the log file."""
 
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import lse.training
 from conftest import build_separable_corpus, separable_topics
-from lse.errors import LSEError
+from lse.errors import DataError, LSEError
 from lse.evaluation import Qrels
-from lse.model import PARAM_FIELDS, TrainConfig, batch_loss_and_gradients
+from lse.model import PARAM_FIELDS, ModelParams, TrainConfig, batch_loss_and_gradients
 from lse.text import encode_topics
 from lse.training import EpochLog, train, write_epoch_log
 
@@ -52,7 +53,7 @@ def test_train_stops_on_non_finite_gradient(tiny_corpus, monkeypatch):
 
     def poisoned(params, batch, weight_decay, out=None):
         loss, grads = batch_loss_and_gradients(params, batch, weight_decay, out)
-        calls.append(len(batch))
+        calls.append(len(batch.positives))
         if len(calls) == 10:
             grads.W_e[0, 0] = np.inf
         return loss, grads
@@ -129,6 +130,75 @@ def test_train_validation_selects_best_epoch():
     best = max(ndcgs)
     assert result.best_epoch == ndcgs.index(best) + 1  # tie goes to earlier
     assert result.params.word_rows.flags.c_contiguous  # the kept copy
+
+
+def scripted_validation(monkeypatch, corpus, ndcgs):
+    """Validation arguments for train whose epochs score ndcgs in turn, and
+    the list of every ModelParams copy made meanwhile."""
+    scores = iter(ndcgs)
+    monkeypatch.setattr(lse.training, "evaluate_run", lambda runs, qrels, cutoff, ks:
+                        SimpleNamespace(means={f"ndcg@{cutoff}": next(scores)}))
+    copies = []
+    copy = ModelParams.copy
+
+    def counted(params):
+        copies.append(copy(params))
+        return copies[-1]
+
+    monkeypatch.setattr(ModelParams, "copy", counted)
+    return ({"t": [0]}, Qrels({"t": {corpus.entities[0]}})), copies
+
+
+def same_bytes(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in PARAM_FIELDS)
+
+
+def test_train_keeps_an_earlier_best_epoch_in_one_copy(tiny_corpus, monkeypatch):
+    # epochs 1 and 2 improve, 3 and 4 do not: epoch 1 is copied once, and
+    # epoch 2 overwrites that copy, which holds epoch 2's parameters
+    corpus, vocab = tiny_corpus
+    want = train(corpus, vocab, tiny_config(epochs=2)).params
+    validation, copies = scripted_validation(monkeypatch, corpus, [0.5, 0.9, 0.7, 0.3])
+    result = train(corpus, vocab, tiny_config(epochs=4), *validation)
+    assert result.best_epoch == 2 and len(copies) == 1 and result.params is copies[0]
+    assert same_bytes(result.params, want)
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_returns_a_last_epoch_winner_without_copying(tiny_corpus, monkeypatch,
+                                                           epochs):
+    # every epoch improves: a one-epoch run copies nothing, and a longer one
+    # returns the trained parameters, not the copy of an earlier epoch
+    corpus, vocab = tiny_corpus
+    want = train(corpus, vocab, tiny_config(epochs=epochs)).params
+    validation, copies = scripted_validation(monkeypatch, corpus, [0.1, 0.2, 0.3])
+    result = train(corpus, vocab, tiny_config(epochs=epochs), *validation)
+    assert result.best_epoch == epochs and len(copies) == min(1, epochs - 1)
+    assert all(result.params is not copy for copy in copies)
+    assert same_bytes(result.params, want)
+
+
+@pytest.mark.parametrize("field", ["e_v", "e_e", "z"])
+def test_train_refuses_sizes_numpy_cannot_allocate_before_drawing(tiny_corpus,
+                                                                  monkeypatch, field):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("train drew parameters before checking their sizes")
+
+    corpus, vocab = tiny_corpus
+    monkeypatch.setattr(lse.training, "init_params", unreachable)
+    with pytest.raises(DataError, match=f"{field}.*: an array of .* more than NumPy"):
+        train(corpus, vocab, tiny_config(**{field: 10 ** 30}))
+
+
+def test_train_with_a_batch_larger_than_an_epoch_takes_the_epoch(tiny_corpus):
+    # tiny_corpus has 120 instances an epoch: m = 10**30 is one batch of
+    # them, as m = 120 is, though an (m, z) block could never be allocated
+    corpus, vocab = tiny_corpus
+    a = train(corpus, vocab, tiny_config(m=10 ** 30))
+    b = train(corpus, vocab, tiny_config(m=120))
+    assert same_bytes(a.params, b.params)
+    assert [e.mean_batch_loss for e in a.log] == [e.mean_batch_loss for e in b.log]
 
 
 def test_train_all_oov_validation_falls_back_to_last_epoch(tiny_corpus):
