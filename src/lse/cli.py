@@ -184,6 +184,9 @@ class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except SizeError as exc:  # its fields name options of the command
+            options = " and ".join(f"--{name.replace('_', '-')}" for name in exc.fields)
+            raise click.ClickException(f"{options}: {exc.what}") from exc
         except (LSEError, OSError, MemoryError) as exc:
             raise click.ClickException(str(exc) or type(exc).__name__) from exc
 
@@ -258,10 +261,9 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
 
         try:
             result = train(corpus_data, vocabulary, config, queries, qrels, progress)
-        except SizeError as exc:  # before anything is drawn; m is at most an epoch
-            options = " and ".join(f"--{name.replace('_', '-')}" for name in exc.fields
-                                   if name in overrides and name != "m")
-            raise DataError(f"{options}: {exc.what}") from exc
+        except SizeError as exc:  # only options are named; m is at most an epoch
+            exc.fields = [name for name in exc.fields if name in overrides and name != "m"]
+            raise
         counts["skipped_entities"] = len(result.skipped_entities)
         if result.skipped_entities:
             _status(f"skipped {len(result.skipped_entities)} of {corpus_data.num_entities} "

@@ -23,12 +23,12 @@ class SizeError(DataError):
         super().__init__(f"{' and '.join(fields)}: {self.what}")
 
     @classmethod
-    def check(cls, config, *shapes):
-        """Raise for the first of shapes, each a tuple of config's field
-        names, whose array holds more than intp-max / 8 values: NumPy sizes
-        no array past intp-max bytes (a ValueError), and the bound is on
-        8-byte values, so that a count that fits np.intp cannot fail so."""
+    def check(cls, sizes, *shapes):
+        """Raise for the first of shapes, each a tuple of keys of sizes, whose
+        array holds more than intp-max / 8 values: NumPy sizes no array past
+        intp-max bytes (a ValueError), and the bound is on 8-byte values, so
+        that a count that fits np.intp cannot fail so."""
         for fields in shapes:
-            shape = [getattr(config, name) for name in fields]
+            shape = [sizes[name] for name in fields]
             if math.prod(shape) > sys.maxsize // 8:
                 raise cls(fields, shape)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SizeError
 from .evaluation import compare_runs, evaluate_run, ndcg
 from .files import check_unique, read_fields, read_records
 from .model import project
@@ -66,10 +66,13 @@ def pegasos_batch(pair_samples):
     """Pairs per Pegasos step for a fit of pair_samples pairs: 1000 at the
     default 1e5, so that a fit takes 100 steps, and 1 below 200 pairs.
     Every fit takes at least min(pair_samples, _MIN_STEPS) steps and fewer
-    than 2 _MIN_STEPS. A pair_samples below 1 is a DataError."""
+    than 2 _MIN_STEPS. A pair_samples below 1 is a DataError, and one whose
+    steps draw more 8-byte values than NumPy can size a SizeError."""
     if pair_samples < 1:
         raise DataError(f"pair_samples must be at least 1, got {pair_samples}")
-    return max(1, pair_samples // _MIN_STEPS)
+    batch = max(1, pair_samples // _MIN_STEPS)
+    SizeError.check({"pair_samples": batch}, ("pair_samples",))
+    return batch
 
 
 # Values (512 KB) per gathered block and per drawn block of pairs (unless

@@ -40,7 +40,8 @@ class Dims:
         if min(self.e_v, self.e_e, self.vocab_size, self.num_entities) < 1:
             raise DataError("all model dimensions must be positive")
         # the arrays init_params draws: W_v, W_e and W
-        SizeError.check(self, ("e_v", "vocab_size"), ("num_entities", "e_e"), ("e_e", "e_v"))
+        SizeError.check(vars(self), ("e_v", "vocab_size"), ("num_entities", "e_e"),
+                        ("e_e", "e_v"))
 
 
 @dataclass(eq=False)
@@ -84,21 +85,27 @@ class ModelParams:
 @dataclass(eq=False)
 class Gradients(ModelParams):
     """The batch loss's gradients as the training step writes them: W, b and
-    W_e whole, and of W_v's only word_rows, the rows of the batch's u
-    distinct word ids ids (ascending). Every other row of W_v's gradient is
-    decay times its row of W_v (decay = lambda / m), so no |V|-sized
-    gradient is held: adam_step forms it a block at a time, and dense()
-    whole."""
+    W_e whole, and of W_v's only its data term S W, in word_rows, on the rows
+    of the batch's u distinct word ids ids (ascending). W_v's gradient is
+    decay times W_v (decay = lambda / m) with those rows added on;
+    word_block forms it a block of rows at a time, so no |V|-sized gradient
+    is held except by dense()."""
 
     ids: np.ndarray = None
     decay: float = 0.0
 
+    def word_block(self, params, lo, out):
+        """Rows lo, ..., lo + len(out) - 1 of W_v's gradient at params, into
+        out (returned): decay times their rows, the batch's rows added on."""
+        np.multiply(self.decay, params.word_rows[lo:lo + len(out)], out=out)
+        start, end = np.searchsorted(self.ids, (lo, lo + len(out)))
+        out[self.ids[start:end] - lo] += self.word_rows[start:end]
+        return out
+
     def dense(self, params):
-        """The gradients at params as a ModelParams, W_v's whole: decay
-        times word_rows with the batch's rows stored over it."""
-        word_rows = np.multiply(self.decay, params.word_rows)
-        word_rows[self.ids] = self.word_rows
-        return ModelParams(word_rows, self.W, self.b, self.W_e)
+        """The gradients at params as a ModelParams, W_v's whole."""
+        return ModelParams(self.word_block(params, 0, np.empty_like(params.word_rows)),
+                           self.W, self.b, self.W_e)
 
 
 def init_params(dims, seed, dtype=np.float64):
@@ -153,7 +160,7 @@ _ERROR_ROWS = 512
 # float32.
 _WORD_BLOCK = 256
 
-# Bytes per block of the Adam update; AdamState holds three such buffers.
+# Bytes per block of the Adam update; AdamState holds two such buffers.
 _ADAM_BLOCK_BYTES = 1 << 16
 
 
@@ -266,12 +273,12 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     negative dot -sigma (cneg; chunk by chunk, Vneg = sum_k cneg_k e_k is
     added onto the positive's term and the sum scaled by sech^2), and the
     (lambda / m) theta term covers the three matrices and not b; W_e's
-    gradient is (lambda / m) theta with the batch's terms then
-    added onto its rows, and of W_v's only the rows of the batch's words
-    are returned (see Gradients). Every id is range-checked before the
-    forward pass. The scatters are CSC products (_scatter_add) into W_e's
-    regularizer term and into a zeroed S; each element receives its addends
-    in index order, as from np.add.at, so reruns are bit-identical.
+    gradient is (lambda / m) theta with the batch's terms then added onto
+    its rows, and W_v's is returned as its data term on the batch's words
+    (see Gradients). Every id is range-checked before the forward pass. The
+    scatters are CSC products (_scatter_add) into W_e's regularizer term
+    and into a zeroed S; each element receives its addends in index order,
+    as from np.add.at, so reruns are bit-identical.
 
     The projection is linear up to the tanh, so each of the batch's u
     distinct n-gram ids is projected once: their rows T of word_rows give
@@ -284,10 +291,9 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
 
     The gradients go into out (allocated when None), Gradients like
     params, all C-contiguous (a ValueError otherwise); train passes the same
-    out on every step. W_v's are its rows ids, S W + (lambda / m) theta[ids],
-    added _WORD_BLOCK words at a time, so nothing is |V|-sized: each squared
-    norm of the weight-decay term is summed by _sq_sum in a _CHUNK_BYTES
-    buffer, with np.sum's bits. The activations are views of one block of
+    out on every step. Nothing is |V|-sized: each squared norm of the
+    weight-decay term is summed by _sq_sum in a _CHUNK_BYTES buffer, with
+    np.sum's bits. The activations are views of one block of
     max(m e_E, u e_V) + u e_E values: T, F, T again and S W in the first
     part, P and then S in the rest. The rows stay in it after the step, so
     the next step reuses out's block when it is large enough and otherwise
@@ -299,10 +305,10 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     Float32 params at m = 4096, e_V = 300, e_E = 256, 1024 entities, 2 vCPUs,
     OpenBLAS on one thread: at |V| = 2000 (u = 1999) a step plus Adam
     reusing the block peaks 1.3 MiB traced above its inputs (7.3 with a new
-    block), a step taking 26-42 ms; at |V| = 65536 a step takes 59-92 ms
-    with Zipf(1) ids (u = 5936) and 96-152 ms with uniform ones
-    (u = 14563), and one that makes its block peaks 13.9 and 32.3 MiB
-    (medians of 9-15 steps in four processes; BENCH_52.json).
+    block), a step taking 25-29 ms; at |V| = 65536 a step takes 62-73 ms
+    with Zipf(1) ids (u = 5964) and 101-133 ms with uniform ones
+    (u = 14478), and one that makes its block peaks 13.9 and 32.3 MiB
+    (medians of 9-15 steps in three processes; BENCH_53.json).
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
@@ -374,13 +380,8 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     for lo in range(_WORD_BLOCK, u, _WORD_BLOCK):
         out.W += S[lo:lo + _WORD_BLOCK].T @ T[lo:lo + _WORD_BLOCK]
     out.W += reg * params.W
-    SW = np.matmul(S, params.W, out=T)             # over T
-    rows = np.empty((min(u, _WORD_BLOCK), e_v), dtype=SW.dtype)
-    for lo in range(0, u, _WORD_BLOCK):
-        decay = np.take(params.word_rows, ids[lo:lo + _WORD_BLOCK], axis=0,
-                        out=rows[:len(SW[lo:lo + _WORD_BLOCK])], mode="clip")
-        SW[lo:lo + _WORD_BLOCK] += np.multiply(reg, decay, out=decay)
-    out.word_rows, out.ids, out.decay = SW, ids, reg
+    out.word_rows = np.matmul(S, params.W, out=T)  # over T
+    out.ids, out.decay = ids, reg
     return loss, out
 
 
@@ -415,8 +416,8 @@ def max_relative_fd_error(params, batch, weight_decay, eps=1e-5):
 class AdamState:
     """Adam accumulators at Kingma & Ba's constants; the moments m and v are
     ModelParams that start at zero, and t increments per update. buffers
-    are the update's three block buffers of _ADAM_BLOCK_BYTES each, or of
-    one row of W_v if that is longer, made once here so that no update
+    are the update's two block buffers of _ADAM_BLOCK_BYTES each, or of one
+    row of W_v if that is longer, made once here so that no update
     allocates."""
 
     alpha = 0.001
@@ -428,26 +429,22 @@ class AdamState:
         self.t = 0
         self.m = ModelParams(*map(np.zeros_like, params))
         self.v = ModelParams(*map(np.zeros_like, params))
-        self.buffers = np.empty((3, max(_ADAM_BLOCK_BYTES // params.dtype.itemsize,
+        self.buffers = np.empty((2, max(_ADAM_BLOCK_BYTES // params.dtype.itemsize,
                                         params.word_rows.shape[1])), dtype=params.dtype)
 
 
 def _adam_blocks(params, grads, state):
     """(theta, g, m, v): flat blocks of each parameter, its gradient and its
     two moments, in the order word_rows, W, b, W_e, each at most as long as
-    a block buffer. word_rows goes in blocks of whole rows, whose gradient g
-    is formed in the third buffer as decay * theta with the batch's rows of
-    grads stored over it; the other gradients are grads' own arrays."""
-    buf = state.buffers[2]
+    a block buffer. word_rows goes in blocks of whole rows, whose gradient
+    grads.word_block forms in den, which adam_step overwrites only after
+    g's last use; the other gradients are grads' own arrays."""
+    buf = state.buffers[1]
     rows = len(buf) // params.word_rows.shape[1]
-    ids, start = grads.ids, 0
     for lo in range(0, len(params.word_rows), rows):
         theta, m, v = (a[lo:lo + rows] for a in (params.word_rows, state.m.word_rows,
                                                  state.v.word_rows))
-        end = int(np.searchsorted(ids, lo + len(theta)))
-        g = np.multiply(grads.decay, theta, out=buf[:theta.size].reshape(theta.shape))
-        g[ids[start:end] - lo] = grads.word_rows[start:end]
-        start = end
+        g = grads.word_block(params, lo, buf[:theta.size].reshape(theta.shape))
         yield _flat_views((theta, g, m, v))
     for arrays in zip(*((a.W, a.b, a.W_e) for a in (params, grads, state.m, state.v))):
         flat = _flat_views(arrays)

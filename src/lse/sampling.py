@@ -18,7 +18,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         # a batch's (m, z) negatives and (m, n) n-grams
-        SizeError.check(self, ("m", "z"), ("m", "n"))
+        SizeError.check(vars(self), ("m", "z"), ("m", "n"))
 
 
 class InstanceBlock:

@@ -85,8 +85,8 @@ def train(corpus, vocab, config, validation_queries=None, validation_qrels=None,
                                                    config.weight_decay, grads)
             # A sum is finite only if every element is (or it overflowed,
             # which is divergence too), so one reduction per array suffices;
-            # of W_v's gradient the batch's rows: lambda/m theta is finite
-            # while theta is.
+            # of W_v's gradient the data rows S W: theta is finite while the
+            # loss is, which holds its squared norm, and so is lambda/m theta.
             bad = [] if math.isfinite(loss) else ["loss"]
             bad += [f"{name} gradient" for name, grad in zip(PARAM_FIELDS, grads)
                     if not np.isfinite(grad.sum())]

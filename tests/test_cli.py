@@ -845,6 +845,19 @@ def test_dimensions_numpy_cannot_size_exit_1_naming_the_option(inputs, tmp_path,
           + ["--out", out, option, str(10 ** 30)], message)
 
 
+@pytest.mark.parametrize("command", ["fuse", "ideal-vector"])
+def test_pair_samples_numpy_cannot_size_exit_1_naming_the_option(inputs, tmp_path, capsys,
+                                                                  command):
+    """--pair-samples 10**30 makes Pegasos steps of 10**28 pairs: an error
+    line naming the option, exit 1, before --out is made, not NumPy's
+    "Maximum allowed dimension exceeded" ValueError from the pair draws."""
+    out = tmp_path / "p"
+    args = [arg.format(**inputs) for arg in COMMANDS[command]]
+    args[args.index("--pair-samples") + 1] = str(10 ** 30)
+    fails(capsys, 1, out, args + ["--out", out], f"Error: --pair-samples: an array of "
+          f"{10 ** 28} values is more than NumPy can allocate")
+
+
 def test_fuse_checks_folds_before_reading_any_input(tmp_path, monkeypatch, capsys):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("fuse read its inputs before checking --folds")

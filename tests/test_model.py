@@ -470,7 +470,8 @@ def test_batch_spanning_chunks_matches_per_instance_loop():
 def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     """The training step with one whole-batch gather of the negatives and
     one row-wise np.add.at per scatter: the bit-for-bit reference for the
-    chunked gathers and the sparse-product scatters."""
+    chunked gathers and the sparse-product scatters. Returns the loss, the
+    dense gradients and the data term S W of W_v's on the batch's words."""
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m = len(positives)
     n = ngrams.shape[1]
@@ -499,12 +500,13 @@ def unchunked_batch_loss_and_gradients(params, batch, weight_decay):
     for lo in range(block, len(ids), block):
         g_W += S[lo:lo + block].T @ T[lo:lo + block]
     g_W += reg * params.W
+    SW = S @ params.W
     g_rows = reg * params.word_rows
-    g_rows[ids] += S @ params.W
+    g_rows[ids] += SW
     g_We = reg * params.W_e
     np.add.at(g_We, positives, (-inv_m * cpos)[:, None] * F)
     np.add.at(g_We, negatives, (-inv_m * cneg)[:, :, None] * F[:, None, :])
-    return loss, ModelParams(g_rows, g_W, g_b, g_We)
+    return loss, ModelParams(g_rows, g_W, g_b, g_We), SW
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -516,9 +518,10 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
     # error G is built in one block, or in blocks of 100 instances, the last
     # one partial, each gathering its negatives in a chunk of 64 and a
     # partial one, so no block edge is a chunk edge of the whole batch. The
-    # step's W_v gradient is the batch's rows: they and their densified
-    # table equal the oracle's, and at weight decay 0 the gradient of an
-    # untouched word row is 0 * theta, so the sign of each zero is pinned.
+    # step's W_v gradient is its data term S W on the batch's words: it
+    # equals the oracle's S W, and its densified table the oracle's table;
+    # at weight decay 0 the gradient of an untouched word row is 0 * theta,
+    # so the sign of each zero is pinned.
     for vocab, m, weight_decay, error_rows in itertools.product(
             (7, 5000), (3 * CHUNK + 37, 5), (0.01, 0.0), (100, 512)):
         dims = Dims(e_v=6, e_e=5, vocab_size=vocab, num_entities=4)
@@ -531,14 +534,13 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
                 mock.patch.object(lse.model, "_ERROR_ROWS", error_rows), \
                 mock.patch.object(lse.model, "_WORD_BLOCK", 3):
             loss, grads = batch_loss_and_gradients(params, block, weight_decay)
-            want_loss, want = unchunked_batch_loss_and_gradients(params, block,
-                                                                 weight_decay)
+            want_loss, want, SW = unchunked_batch_loss_and_gradients(params, block,
+                                                                     weight_decay)
         assert loss == want_loss
         assert np.array_equal(grads.ids, np.unique(block.ngrams))
         assert grads.decay == weight_decay * (1.0 / m)
-        rows = want.word_rows[grads.ids]
-        assert grads.word_rows.dtype == rows.dtype
-        assert grads.word_rows.tobytes() == rows.tobytes()
+        assert grads.word_rows.dtype == SW.dtype
+        assert grads.word_rows.tobytes() == SW.tobytes()
         dense = grads.dense(params)
         for name in FIELDS:
             got, ref = getattr(dense, name), getattr(want, name)
@@ -713,15 +715,18 @@ def test_blocked_adam_is_bit_identical_to_whole_array(dtype):
     # W_e spans several blocks and ends in a partial one. W_v's gradient is
     # the rows of all its ids, of one, of none in some blocks and of a
     # random set, the rest decay * theta: the update with it formed a block
-    # at a time equals the update with its dense table.
+    # at a time equals the update with its dense table. word_block forms
+    # any range of rows of that table: the whole of it, rows 0-1 (no batch
+    # id when the ids are [4]), rows 3-5 (a lo that no block of two rows
+    # starts at) and the partial last block, row 6.
     dims = Dims(e_v=3, e_e=5, vocab_size=7, num_entities=3)
     for values, rows in ((2, 1), (7, 2)):
         params = init_params(dims, 41, dtype=dtype).copy()
         with mock.patch.object(lse.model, "_ADAM_BLOCK_BYTES",
                                values * np.dtype(dtype).itemsize):
             want, state, want_state = params.copy(), AdamState(params), AdamState(params)
-        assert state.buffers.shape == (3, max(values, dims.e_v))
-        assert len(state.buffers[2]) // dims.e_v == rows
+        assert state.buffers.shape == (2, max(values, dims.e_v))
+        assert len(state.buffers[1]) // dims.e_v == rows
         rng = np.random.default_rng(43)
         for ids in (np.arange(7), np.array([4]), np.array([0, 1, 6]),
                     np.flatnonzero(rng.random(7) < 0.5)):
@@ -729,6 +734,11 @@ def test_blocked_adam_is_bit_identical_to_whole_array(dtype):
             grads = Gradients(rng.standard_normal((len(ids), 3)).astype(dtype), W, b, W_e,
                               ids=ids.astype(np.int32), decay=float(rng.uniform(0.5, 2)))
             dense = grads.dense(want)
+            table = grads.decay * want.word_rows
+            table[grads.ids] += grads.word_rows
+            for lo, length in ((0, 7), (0, 2), (3, 3), (6, 1)):
+                got = grads.word_block(want, lo, np.empty((length, 3), dtype=dtype))
+                assert got.tobytes() == table[lo:lo + length].tobytes(), (lo, length)
             adam_step(params, grads, state)
             whole_array_adam_step(want, dense, want_state)
             assert state.t == want_state.t
@@ -860,8 +870,8 @@ def test_step_at_the_vocabulary_cap_allocates_nothing_vocabulary_sized():
 
 def test_adam_step_allocates_nothing():
     """adam_step writes its temporaries and each block of W_v's gradient
-    into the state's three 64 KiB block buffers; two fresh 1 MiB buffers
-    per call took it to 2 MiB."""
+    into the state's two 64 KiB block buffers; two fresh 1 MiB buffers per
+    call took it to 2 MiB."""
     params, _, state, grads = warm_float32_step(
         Dims(e_v=16, e_e=16, vocab_size=65536, num_entities=64), m=8)
     _, peak = traced_peak(lambda: adam_step(params, grads, state))
