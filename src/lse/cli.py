@@ -180,12 +180,17 @@ def _finite(ctx, param, value):
     return value
 
 
+def _flag(name):
+    """The option of a command's parameter name."""
+    return f"--{name.replace('_', '-')}"
+
+
 class _Group(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except SizeError as exc:  # its fields name options of the command
-            options = " and ".join(f"--{name.replace('_', '-')}" for name in exc.fields)
+            options = " and ".join(map(_flag, exc.fields))
             raise click.ClickException(f"{options}: {exc.what}") from exc
         except (LSEError, OSError, MemoryError) as exc:
             raise click.ClickException(str(exc) or type(exc).__name__) from exc
@@ -261,9 +266,12 @@ def cmd_train(corpus, vocab, out_dir, config_path, validation_topics,
 
         try:
             result = train(corpus_data, vocabulary, config, queries, qrels, progress)
-        except SizeError as exc:  # only options are named; m is at most an epoch
-            exc.fields = [name for name in exc.fields if name in overrides and name != "m"]
-            raise
+        except SizeError as exc:  # each size set off its default, by its flag
+            # or else its config key; m is at most an epoch
+            named = [_flag(name) if overrides[name] is not None else f"{config_path}: {name}"
+                     for name in exc.fields if name in overrides and name != "m"
+                     and getattr(config, name) != getattr(TrainConfig(), name)]
+            raise DataError(f"{' and '.join(named)}: {exc.what}") from exc
         counts["skipped_entities"] = len(result.skipped_entities)
         if result.skipped_entities:
             _status(f"skipped {len(result.skipped_entities)} of {corpus_data.num_entities} "

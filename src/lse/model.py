@@ -152,7 +152,8 @@ def _sigmoid(x):
 # default z and e_E).
 _CHUNK_BYTES = 1 << 18
 
-# Instances per block of the training step's error G: few, for speed.
+# Most instances per block of the training step's error G, a block of whole
+# negatives chunks (500 in float32 and 504 in float64): few, for speed.
 _ERROR_ROWS = 512
 
 # Words per block of the training step's S^T T: OpenBLAS sums a longer
@@ -233,20 +234,6 @@ def _scatter_add(out, index, coef, rows):
                                rows.reshape(-1), out.reshape(-1, copy=False))
 
 
-def _negative_rows(W_e, negatives):
-    """(s, W_e[negatives[s]]) for consecutive slices s of the instances,
-    each gather about _CHUNK_BYTES (at least one instance) and taken into
-    one buffer that every chunk reuses, so the negatives are never gathered
-    all at once. The ids must have passed _check_ids (np.take clips)."""
-    z, e_e = negatives.shape[1], W_e.shape[1]
-    step = max(1, _CHUNK_BYTES // (z * e_e * W_e.itemsize))
-    buf = np.empty((min(step, len(negatives)), z, e_e), dtype=W_e.dtype)
-    for lo in range(0, len(negatives), step):
-        s = slice(lo, lo + step)
-        yield s, np.take(W_e, negatives[s], axis=0, out=buf[:len(negatives[s])],
-                         mode="clip")             # (chunk, z, e_E)
-
-
 def _sq_sum(flat, buf):
     """np.sum(flat * flat) bit for bit, for a 1-D flat, with the squares
     taken into buf, of at least 128 values: NumPy sums pairwise, a sum of
@@ -297,18 +284,14 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     max(m e_E, u e_V) + u e_E values: T, F, T again and S W in the first
     part, P and then S in the rest. The rows stay in it after the step, so
     the next step reuses out's block when it is large enough and otherwise
-    lets it go before making its own. F stays whole for the W_e scatters. G
-    is built, finished, scattered onto S and summed into the b gradient
-    _ERROR_ROWS instances at a time in one buffer (each block's negatives'
-    rows of W_e a chunk at a time in another), the running b sum added onto
-    a block's first row, so S and b get their addends in whole-batch order.
-    Float32 params at m = 4096, e_V = 300, e_E = 256, 1024 entities, 2 vCPUs,
-    OpenBLAS on one thread: at |V| = 2000 (u = 1999) a step plus Adam
-    reusing the block peaks 1.3 MiB traced above its inputs (7.3 with a new
-    block), a step taking 25-29 ms; at |V| = 65536 a step takes 62-73 ms
-    with Zipf(1) ids (u = 5964) and 101-133 ms with uniform ones
-    (u = 14478), and one that makes its block peaks 13.9 and 32.3 MiB
-    (medians of 9-15 steps in three processes; BENCH_53.json).
+    lets it go before making its own. F stays whole for the W_e scatters.
+    The negatives' rows of W_e are taken a chunk of about _CHUNK_BYTES at a
+    time into one buffer, made once per step and freed before the W_e
+    scatters. G is built, finished, scattered onto S and summed into the b
+    gradient a block of whole chunks (as many as _ERROR_ROWS instances hold,
+    at least one) at a time in another, the running b sum added onto a
+    block's first row, so S and b get their addends in whole-batch order.
+    The README's Defaults gives the step's measured memory and times.
     """
     ngrams, positives, negatives = batch.ngrams, batch.positives, batch.negatives
     m, n = ngrams.shape
@@ -347,24 +330,31 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     S.fill(0)
     dpos, cpos = np.empty((2, m), dtype=F.dtype)
     dneg, cneg = np.empty((2, *negatives.shape), dtype=F.dtype)
-    buf = np.empty((min(m, _ERROR_ROWS), e_e), dtype=F.dtype)
-    for lo in range(0, m, _ERROR_ROWS):
-        rows = slice(lo, lo + _ERROR_ROWS)
-        Fb, dn, cn = F[rows], dneg[rows], cneg[rows]
+    z = negatives.shape[1]
+    chunk = max(1, _CHUNK_BYTES // (z * e_e * F.itemsize))  # instances per gather
+    step = chunk * max(1, _ERROR_ROWS // chunk)    # G blocks of whole chunks
+    buf = np.empty((min(m, step), e_e), dtype=F.dtype)
+    negbuf = np.empty((min(m, chunk), z, e_e), dtype=F.dtype)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        Fb, nb, dn, cn = F[rows], negatives[rows], dneg[rows], cneg[rows]
         G = np.take(params.W_e, positives[rows], axis=0, out=buf[:len(Fb)], mode="clip")  # Epos
         dpos[rows] = np.einsum("me,me->m", G, Fb)
         cpos[rows] = 1.0 - _sigmoid(dpos[rows])
         G *= cpos[rows, None]
-        for s, Eneg in _negative_rows(params.W_e, negatives[rows]):
+        for c in range(0, len(Fb), chunk):
+            s = slice(c, c + chunk)
+            Eneg = np.take(params.W_e, nb[s], axis=0, out=negbuf[:len(nb[s])],
+                           mode="clip")                # (chunk, z, e_E)
             dn[s] = np.einsum("mke,me->mk", Eneg, Fb[s])
             cn[s] = -_sigmoid(dn[s])
             G[s] += np.einsum("mk,mke->me", cn[s], Eneg)  # V = cpos e+ + Vneg
             G[s] *= 1.0 - Fb[s] * Fb[s]            # d logp / d preactivation
-        del Eneg                                   # and with it the chunks' buffer
         _scatter_add(S, inv[rows], 1, G)
         if lo:                                     # the b sum, in whole-batch order
             G[0] += out.b
         np.sum(G, axis=0, out=out.b)
+    del negbuf, Eneg                               # before the W_e scatters
     logp = -np.logaddexp(0.0, -dpos) - np.logaddexp(0.0, dneg).sum(axis=1)
     loss = float(-logp.mean() + 0.5 * weight_decay / m * sq_norms)
 

@@ -845,6 +845,28 @@ def test_dimensions_numpy_cannot_size_exit_1_naming_the_option(inputs, tmp_path,
           + ["--out", out, option, str(10 ** 30)], message)
 
 
+@pytest.mark.parametrize("key, flag, message", [
+    ("e_v", [], "Error: {config}: e_v: an array of 10"),
+    ("z", [], "Error: {config}: z: an array of"),
+    ("e_v", ["--e-v", str(10 ** 29)], f"Error: --e-v: an array of {10 ** 29} x")],
+    ids=["e_v", "z", "--e-v"])
+def test_config_sizes_numpy_cannot_size_exit_1_naming_the_file_and_key(
+        inputs, tmp_path, monkeypatch, capsys, key, flag, message):
+    """A size of 10**30 from the --config file is an error line naming the
+    file and key, exit 1, before anything is drawn; a flag overrides the
+    file, and then the flag is named."""
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("train drew parameters before checking their sizes")
+
+    monkeypatch.setattr(lse.training, "init_params", unreachable)
+    config = tmp_path / "big.cfg"
+    config.write_text(f"{key} = {10 ** 30}\n")
+    args = [arg.format(**inputs) for arg in COMMANDS["train"]]
+    args[args.index("--config") + 1] = config
+    out = tmp_path / "m"
+    fails(capsys, 1, out, args + ["--out", out] + flag, message.format(config=config))
+
+
 @pytest.mark.parametrize("command", ["fuse", "ideal-vector"])
 def test_pair_samples_numpy_cannot_size_exit_1_naming_the_option(inputs, tmp_path, capsys,
                                                                   command):

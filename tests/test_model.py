@@ -1,5 +1,6 @@
 """Model core: init, projection, loss, gradients, Adam, persistence."""
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -45,6 +46,22 @@ def chunked(instances, z, e_e, dtype=np.float64):
 
 # Instances per negatives' gather in the chunk-crossing tests below.
 CHUNK = 64
+
+
+@contextlib.contextmanager
+def negative_gathers():
+    """A list of each 3-D output of np.take while in the block: the
+    training step's gathers of the negatives' rows of W_e."""
+    take, gathers = np.take, []
+
+    def recording(*args, **kwargs):
+        got = take(*args, **kwargs)
+        if got.ndim == 3:
+            gathers.append(got)
+        return got
+
+    with mock.patch.object(np, "take", recording):
+        yield gathers
 
 
 def entity_names(params):
@@ -515,27 +532,33 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
     # than instances: every word is hit many times) or from 5000 (more) and
     # from four entities, so every entity row is hit many times within and
     # across chunks; and a partial batch of 5, shorter than a chunk. The
-    # error G is built in one block, or in blocks of 100 instances, the last
-    # one partial, each gathering its negatives in a chunk of 64 and a
-    # partial one, so no block edge is a chunk edge of the whole batch. The
+    # negatives are gathered in chunks of 64 instances (e_E = 5) that tile
+    # the batch, the last one partial, and the error G is built in blocks of
+    # whole chunks: one block of four (_ERROR_ROWS 512), blocks of one
+    # (100, and 40, under a chunk) and blocks of two, the last block's last
+    # chunk partial (150). At e_E = 321 one instance's negatives pass the
+    # chunk's bytes, so each chunk holds one instance, in blocks of 100. The
     # step's W_v gradient is its data term S W on the batch's words: it
     # equals the oracle's S W, and its densified table the oracle's table;
     # at weight decay 0 the gradient of an untouched word row is 0 * theta,
     # so the sign of each zero is pinned.
-    for vocab, m, weight_decay, error_rows in itertools.product(
-            (7, 5000), (3 * CHUNK + 37, 5), (0.01, 0.0), (100, 512)):
-        dims = Dims(e_v=6, e_e=5, vocab_size=vocab, num_entities=4)
+    layouts = [(5, CHUNK, rows) for rows in (512, 100, 40, 150)] + [(CHUNK * 5 + 1, 1, 100)]
+    for vocab, m, weight_decay, (e_e, chunk, error_rows) in itertools.product(
+            (7, 5000), (3 * CHUNK + 37, 5), (0.01, 0.0), layouts):
+        dims = Dims(e_v=6, e_e=e_e, vocab_size=vocab, num_entities=4)
         params, block = random_setup(29, dims=dims, m=m, n=3, z=4)
         if m > CHUNK:
             assert (len(np.unique(block.ngrams)) < m) == (vocab == 7)
         params = cast_params(params, dtype)
         # the W gradient in blocks of three words, the last one partial
-        with chunked(CHUNK, 4, dims.e_e, dtype), \
+        with chunked(CHUNK, 4, 5, dtype), \
                 mock.patch.object(lse.model, "_ERROR_ROWS", error_rows), \
                 mock.patch.object(lse.model, "_WORD_BLOCK", 3):
-            loss, grads = batch_loss_and_gradients(params, block, weight_decay)
+            with negative_gathers() as gathers:
+                loss, grads = batch_loss_and_gradients(params, block, weight_decay)
             want_loss, want, SW = unchunked_batch_loss_and_gradients(params, block,
                                                                      weight_decay)
+        assert [len(g) for g in gathers] == [chunk] * (m // chunk) + [m % chunk] * (m % chunk > 0)
         assert loss == want_loss
         assert np.array_equal(grads.ids, np.unique(block.ngrams))
         assert grads.decay == weight_decay * (1.0 / m)
@@ -549,12 +572,18 @@ def test_chunked_step_is_bit_identical_to_unchunked(dtype):
 
 @pytest.mark.parametrize("dtype, instances", [(np.float32, 25), (np.float64, 12)])
 def test_negative_gathers_are_sized_in_bytes(dtype, instances):
-    # The default z and e_E: chunks of about 256 KiB whatever the dtype.
-    W_e = np.zeros((7, 256), dtype=dtype)
-    negatives = np.zeros((4 * instances + 3, 10), dtype=np.intp)
-    chunks = list(lse.model._negative_rows(W_e, negatives))
-    assert [len(rows) for _, rows in chunks] == [instances] * 4 + [3]
-    assert chunks[0][1].nbytes <= lse.model._CHUNK_BYTES < 2 * chunks[0][1].nbytes
+    # The default z and e_E: chunks of about 256 KiB whatever the dtype, in
+    # one buffer, and G blocks of as many whole chunks as _ERROR_ROWS holds
+    # (500 and 504 instances), so a batch of a block, four chunks and three
+    # instances gathers whole chunks across the block edge, then a partial one.
+    per_block = lse.model._ERROR_ROWS // instances
+    dims = Dims(e_v=3, e_e=256, vocab_size=5, num_entities=7)
+    params, block = random_setup(41, dims=dims, m=(per_block + 4) * instances + 3, z=10)
+    with negative_gathers() as gathers:
+        batch_loss_and_gradients(cast_params(params, dtype), block, 0.01)
+    assert [g.shape for g in gathers] == [(instances, 10, 256)] * (per_block + 4) + [(3, 10, 256)]
+    assert all(g.base is gathers[0].base for g in gathers)
+    assert gathers[0].nbytes <= lse.model._CHUNK_BYTES < 2 * gathers[0].nbytes
 
 
 def test_float32_step_returns_float32_gradients():
@@ -812,24 +841,15 @@ def test_training_step_memory_is_bounded():
     train holds them and each given the gradients of the step before. The
     W_v rows lie in their step's activation block of max(m e_E, u e_V) +
     u e_E values, and the next step reuses that block when it is large
-    enough: a step then peaks 1.32 MiB of traced memory above its inputs
-    (the 0.5 MiB block of the error G, the 0.25 MiB buffers of the
+    enough: a step then peaks 1.31 MiB of traced memory above its inputs
+    (the 0.49 MiB block of the error G, the 0.25 MiB buffers of the
     negatives' rows and of the squared norms, and the batch's
     coefficients). A batch of 2048 and then one of 4096 instances each need
     a larger block, 4.16 and then 5.95 MiB: the step lets the smaller one
-    go before it makes the next, so the two peak under 7.5 MiB (7.28
+    go before it makes the next, so the two peak under 7.5 MiB (7.27
     measured), where the two blocks alive at once would take them past 11.
-    Earlier steps at a full batch: 7.28 when each step made its block and
-    the W_v gradient was a |V|-sized buffer; 9.68 with F and G alive at
-    once in a block of two rows of max(m e_E, u e_V) values, 8 MiB, and a
-    1 MiB buffer of the negatives' rows; 10.92 when the step projected the
-    m mean embeddings, in a block of two rows of m e_V values, 9.4 MiB;
-    10.35 with the activations in separate arrays, which faulted in about
-    2800 fresh pages a step; 15.17 with all three activations H, F and G
-    alive at once and a copy of the batch's rows of W_v, 16.15 with the
-    activations alive while the |V|-sized temporaries were allocated, 20.2
-    with a whole-batch Vneg, 36 when each step allocated its gradients and
-    Adam worked on whole arrays."""
+    The negatives' buffer is freed before the W_e scatters' temporaries are
+    made; kept alive, it took the two to 7.52 and the one to 1.56."""
     params, block, state = warm_float32_step(
         Dims(e_v=300, e_e=256, vocab_size=2000, num_entities=1024), m=4096)[:3]
     assert len(np.unique(block.ngrams)) < 4096
