@@ -234,18 +234,6 @@ def _scatter_add(out, index, coef, rows):
                                rows.reshape(-1), out.reshape(-1, copy=False))
 
 
-def _sq_sum(flat, buf):
-    """np.sum(flat * flat) bit for bit, for a 1-D flat, with the squares
-    taken into buf, of at least 128 values: NumPy sums pairwise, a sum of
-    more than 128 values split at half its length rounded down to a
-    multiple of 8 and the halves' sums added in the dtype, so the same
-    split is followed down to parts that fit."""
-    if flat.size <= len(buf):
-        return np.sum(np.multiply(flat, flat, out=buf[:flat.size]))
-    half = flat.size // 2 - flat.size // 2 % 8
-    return _sq_sum(flat[:half], buf) + _sq_sum(flat[half:], buf)
-
-
 def batch_loss(params, batch, weight_decay):
     """Mean negated instance log-probability plus the weight-decay term."""
     return batch_loss_and_gradients(params, batch, weight_decay)[0]
@@ -279,12 +267,11 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     The gradients go into out (allocated when None), Gradients like
     params, all C-contiguous (a ValueError otherwise); train passes the same
     out on every step. Nothing is |V|-sized: each squared norm of the
-    weight-decay term is summed by _sq_sum in a _CHUNK_BYTES buffer, with
-    np.sum's bits. The activations are views of one block of
-    max(m e_E, u e_V) + u e_E values: T, F, T again and S W in the first
-    part, P and then S in the rest. The rows stay in it after the step, so
-    the next step reuses out's block when it is large enough and otherwise
-    lets it go before making its own. F stays whole for the W_e scatters.
+    weight-decay term is one einsum over its flat view. The activations are
+    views of one block of max(m e_E, u e_V) + u e_E values: T, F, T again
+    and S W in the first part, P and then S in the rest. The rows stay in
+    it after the step, so the next step reuses out's block when it is large
+    enough and otherwise lets it go before making its own. F stays whole for the W_e scatters.
     The negatives' rows of W_e are taken a chunk of about _CHUNK_BYTES at a
     time into one buffer, made once per step and freed before the W_e
     scatters. G is built, finished, scattered onto S and summed into the b
@@ -305,10 +292,8 @@ def batch_loss_and_gradients(params, batch, weight_decay, out=None):
     if out is None:
         out = Gradients(np.empty((0, e_v), dtype=params.dtype),
                         *map(np.empty_like, (params.W, params.b, params.W_e)))
-    squares = np.empty(_CHUNK_BYTES // params.dtype.itemsize, dtype=params.dtype)
-    sq_norms = sum(float(_sq_sum(theta, squares)) for theta in _flat_views(
+    sq_norms = sum(float(np.einsum("i,i->", theta, theta)) for theta in _flat_views(
         (params.word_rows, params.W_e, params.W)))
-    del squares                                    # before the block is made
     wide = max(m * e_e, u * e_v)                   # T, F, then T and S W
     # the rows of the step before lie in its block: reuse it when it is
     # large enough, else let it go before the next one is made

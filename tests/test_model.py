@@ -20,7 +20,7 @@ from conftest import (cast_params, sigma, sigmoid_product_loss, sigmoid_product_
 from lse.errors import DataError, LSEError, SizeError
 from lse.model import (PARAM_FIELDS, AdamState, Dims, Gradients,
                        ModelParams, TrainConfig, _gather_sum, _scatter_add,
-                       _sigmoid, _sq_sum, adam_step, batch_loss,
+                       _sigmoid, adam_step, batch_loss,
                        batch_loss_and_gradients, init_params, load_model,
                        max_relative_fd_error, project, save_model)
 from lse.sampling import InstanceBlock
@@ -89,12 +89,11 @@ def masked_sigmoid(x):
 
 
 def sq_norms(params):
-    """Squared Frobenius norms of W_v, W_e and W, each summed as the
-    training step sums it and added in that order, so a loss built on it
-    keeps the step's bits."""
-    return (float(np.sum(params.word_rows * params.word_rows))
-            + float(np.sum(params.W_e * params.W_e))
-            + float(np.sum(params.W * params.W)))
+    """Squared Frobenius norms of W_v, W_e and W, each one einsum over the
+    flattened table, as the training step sums it, and added in that order,
+    so a loss built on it keeps the step's bits."""
+    return sum(float(np.einsum("i,i->", theta.ravel(), theta.ravel()))
+               for theta in (params.word_rows, params.W_e, params.W))
 
 
 _PROB_LO = np.nextafter(0.0, 1.0)
@@ -180,25 +179,6 @@ def test_dims_validation():
             init_params(Dims(*dims), 0)
         assert isinstance(caught.value, DataError)
     assert Dims(2 ** 29, 1, 2 ** 30, 1).e_v == 2 ** 29   # 2**59 values are not refused
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from((np.float32, np.float64)), st.integers(1, 3000),
-       st.sampled_from((128, 136, 1000)), st.integers(0, 2 ** 32 - 1))
-def test_blocked_squared_norm_has_the_bits_of_np_sum(dtype, size, leaf, seed):
-    # the squares go into a buffer of leaf values, far smaller than the
-    # array, and still add up as NumPy's pairwise sum of the whole array does
-    x = np.random.default_rng(seed).standard_normal(size).astype(dtype)
-    got, want = _sq_sum(x, np.empty(leaf, dtype=dtype)), np.sum(x * x)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_squared_norm_of_a_cap_sized_table_has_the_bits_of_np_sum(dtype):
-    # 65536 x 300 values, as W_v at the vocabulary cap, in the step's buffer
-    x = np.random.default_rng(3).standard_normal(65536 * 300).astype(dtype)
-    buf = np.empty(lse.model._CHUNK_BYTES // x.itemsize, dtype=dtype)
-    assert _sq_sum(x, buf).tobytes() == np.sum(x * x).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -842,12 +822,12 @@ def test_training_step_memory_is_bounded():
     W_v rows lie in their step's activation block of max(m e_E, u e_V) +
     u e_E values, and the next step reuses that block when it is large
     enough: a step then peaks 1.31 MiB of traced memory above its inputs
-    (the 0.49 MiB block of the error G, the 0.25 MiB buffers of the
-    negatives' rows and of the squared norms, and the batch's
-    coefficients). A batch of 2048 and then one of 4096 instances each need
-    a larger block, 4.16 and then 5.95 MiB: the step lets the smaller one
-    go before it makes the next, so the two peak under 7.5 MiB (7.27
-    measured), where the two blocks alive at once would take them past 11.
+    (the 0.49 MiB block of the error G, the 0.25 MiB buffer of the
+    negatives' rows, and the batch's coefficients). A batch of 2048 and
+    then one of 4096 instances each need a larger block, 4.16 and then
+    5.95 MiB: the step lets the smaller one go before it makes the next,
+    so the two peak under 7.5 MiB (7.27 measured), where the two blocks
+    alive at once would take them past 11.
     The negatives' buffer is freed before the W_e scatters' temporaries are
     made; kept alive, it took the two to 7.52 and the one to 1.56."""
     params, block, state = warm_float32_step(
@@ -870,11 +850,11 @@ def test_step_at_the_vocabulary_cap_allocates_nothing_vocabulary_sized():
     """At |V| = 65536, the cap of build-vocab, a float32 step plus Adam
     given no gradient buffers, with the gradient set it makes counted,
     stays within 0.75 MiB of traced memory above its inputs, under a
-    fifth of W_v's 4 MiB (0.67 measured: the activation block of the
-    batch's 2018 distinct words, which holds the W_v gradient's rows, the
-    buffer of the squared norms and the negatives' rows); the dense W_v
-    gradient took it to 4.67, and the squared norms' and token rows'
-    |V|-sized temporaries once more."""
+    fifth of W_v's 4 MiB (0.66 measured: the activation block of the
+    batch's 2018 distinct words, which holds the W_v gradient's rows, and
+    the buffer of the negatives' rows); the dense W_v gradient took it to
+    4.67, and the squared norms' and token rows' |V|-sized temporaries once
+    more."""
     dims = Dims(e_v=16, e_e=16, vocab_size=65536, num_entities=64)
     params, block, state = warm_float32_step(dims, m=512)[:3]
 

@@ -1,5 +1,6 @@
 """Training loop behavior: determinism, epoch selection, and the log file."""
 
+import math
 import weakref
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ import lse.training
 from conftest import build_separable_corpus, separable_topics
 from lse.errors import DataError, LSEError
 from lse.evaluation import Qrels
-from lse.model import PARAM_FIELDS, ModelParams, TrainConfig, batch_loss_and_gradients
+from lse.model import (PARAM_FIELDS, ModelParams, TrainConfig, batch_loss,
+                       batch_loss_and_gradients)
 from lse.text import encode_topics
 from lse.training import EpochLog, train, write_epoch_log
 
@@ -63,6 +65,42 @@ def test_train_stops_on_non_finite_gradient(tiny_corpus, monkeypatch):
                                        "batch 2$"):
         train(corpus, vocab, tiny_config())
     assert len(calls) == 10
+
+
+@pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_a_non_finite_row_the_batch_does_not_use_makes_the_loss_non_finite(
+        precision, weight_decay, monkeypatch):
+    """train's finite guard sums only the batch's data rows of the W_v
+    gradient and trusts the loss to turn non-finite when theta does: a NaN
+    or an infinity in a row of word_rows that no n-gram of the batch uses,
+    or of W_e that no instance uses, reaches the loss through its squared
+    norm, at weight decay 0 too (0 times an infinite norm is NaN). Only the
+    loss shows the word row; W_e's gradient, lambda/m theta plus the batch's
+    terms, shows the entity row as well. Batches of two instances with one
+    negative each leave most of the 48 words and 8 entities unused."""
+    corpus, vocab = build_separable_corpus(num_entities=8, words_per=6, docs_per=3,
+                                           doc_len=12, seed=5)
+    config = tiny_config(m=2, z=1, precision=precision, weight_decay=weight_decay)
+    for table, used, bad in (
+            ("word_rows", lambda batch: batch.ngrams, "loss"),
+            ("W_e", lambda batch: np.append(batch.positives, batch.negatives),
+             "loss, W_e gradient")):
+        for value in (np.nan, np.inf, -np.inf):
+            def poisoned(params, batch, weight_decay, out=None):
+                rows = getattr(params, table)
+                unused = np.setdiff1d(np.arange(len(rows)), used(batch))
+                assert len(unused)
+                rows[unused[0], 0] = value
+                assert not math.isfinite(batch_loss(params, batch, weight_decay))
+                return batch_loss_and_gradients(params, batch, weight_decay, out)
+
+            monkeypatch.setattr(lse.training, "batch_loss_and_gradients", poisoned)
+            # lambda/m theta is 0 * inf at weight decay 0, which NumPy warns of
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(LSEError, match=f"^training diverged: non-finite {bad} "
+                                                  "at epoch 1, batch 1$"):
+                train(corpus, vocab, config)
 
 
 def test_train_fills_one_gradient_set_on_every_step(tiny_corpus, monkeypatch):
